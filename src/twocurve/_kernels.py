@@ -8,8 +8,9 @@ The environment variable ``TWOCURVE_BACKEND`` picks the implementation:
 * ``"numpy"``  -- always use the vectorized numpy fallback;
 * ``"auto"`` (default, or unset) -- numba when importable, else numpy.
 
-Every dispatcher also accepts an explicit ``backend=`` override, which the
-benchmark script uses to time both implementations in one process.
+Every dispatcher also accepts an explicit ``backend=`` override.  The
+benchmark (``benchmarks/run.py``) does not use it: it times whichever
+backend resolves by default and records that name in its provenance.
 
 Both backends consume the same counter-based random streams (:mod:`._rng`):
 path ``p`` at step ``s`` reads the normal pair with counter ``s`` of its
@@ -229,88 +230,151 @@ def _hsle_evolve_np(state, streams, start_step, max_steps, kappa, dt,
             ti += 1
 
 
+# The adaptive kernel below is the hot path of every two-curve estimate,
+# and its outputs are frozen: a path's result must not depend on the batch
+# it runs in, and a seed must keep reproducing the estimates it gave
+# before.  Two rules keep it fast without moving a bit:
+#
+# * The per-path loop runs on Python floats and ints only.  Arrays are
+#   read once with ``tolist()`` (numpy scalars would make every add,
+#   multiply and compare about three times slower) and written once per
+#   path.  Transcendentals are ``math.*`` (libm), never numpy's vector
+#   routines, which round differently in the last bit.
+# * The operation order is frozen: the same functions on the same doubles
+#   in the same order.  Subexpressions are shared only where the inputs
+#   are bitwise the same (a half gap fed to both sin and cos, the two
+#   sines used by both the cross-ratio and the drift, the gaps left by
+#   the previous substep); sums are not re-associated, the four logs of
+#   the cross-ratio are not merged into one, and no division becomes a
+#   multiplication by a reciprocal.
+#
+# The first substep of macro step m always reads the uniforms at counters
+# (4*m*bmax, +1), so those are drawn ahead with the vectorized generator
+# (bitwise equal to the scalar one), in blocks of macro steps so that a
+# path stopping early wastes few draws; later substeps and the
+# reinjection decision draw one at a time.
+_FIRST_DRAW_BLOCK = 256
+
+
+def _gap_status(g01, g12, g23, gw) -> int:
+    """Stop status for non-positive gaps: 4 passive, 1 target side,
+    2 protected side, 0 if every gap is positive."""
+    if g12 <= 0.0 or g23 <= 0.0:
+        return 4
+    if gw <= 0.0:
+        return 1
+    if g01 <= 0.0:
+        return 2
+    return 0
+
+
 def _hsle_evolve_adaptive_np(state, streams, start_macro, max_macros, kappa,
                              dt, thr_macros, eps_kill, eps_ret, kres, bmax,
                              gt_vals, gt_du, gt_umax, snap, reached, status,
                              death_units) -> None:
-    n = state.shape[0]
-    k = thr_macros.shape[0]
-    nt = gt_vals.shape[0]
+    log, sin, cos, sqrt = math.log, math.sin, math.cos, math.sqrt
+    uniform = _rng.uniform
+    rows = state.tolist()
+    sids = streams.tolist()
+    thr = thr_macros.tolist()
+    gt = gt_vals.tolist()
+    k = len(thr)
+    nt = len(gt)
+    g_top = gt[nt - 1]
     unit = dt / bmax
     res_units = bmax * 1.0 / (kappa * kres * kres * dt)  # * gmin^2 -> units
     floor_gap = 0.35 * kres * math.sqrt(kappa * unit)
     bessel_pow = (8.0 - kappa) / kappa
     p_ret = (eps_kill / eps_ret) ** bessel_pow
-    for p in range(n):
-        w0 = state[p, 0]
-        v1 = state[p, 1]
-        v2 = state[p, 2]
-        wi = state[p, 3]
-        sid = int(streams[p])
+    half_k6 = 0.5 * (kappa - 6.0)
+    stride = 4 * bmax  # counters per macro step
+    end_macro = start_macro + max_macros
+    # counters of the first-substep uniform pairs of a block, relative to
+    # the block's first macro step
+    block_ctr = (np.arange(_FIRST_DRAW_BLOCK, dtype=np.uint64)[:, None]
+                 * np.uint64(stride) + np.arange(2, dtype=np.uint64)).ravel()
+    sts = [0] * len(rows)
+    dus = [-1] * len(rows)
+    for p, (w0, v1, v2, wi) in enumerate(rows):
+        sid = sids[p]
         ti = 0
-        st = 0
-        du_total = -1
         units_done = 0
-        for m in range(start_macro, start_macro + max_macros):
-            macros_done = m - start_macro + 1
+        snaps = []
+        g01 = v1 - w0
+        g12 = v2 - v1
+        gw = w0 - (wi - TWO_PI)
+        st = _gap_status(g01, g12, wi - v2, gw)
+        if st != 0:
+            dus[p] = 0
+            sts[p] = st
+            continue
+        blk_end = start_macro
+        for m in range(start_macro, end_macro):
+            if m == blk_end:
+                blk_end = min(m + _FIRST_DRAW_BLOCK, end_macro)
+                first = _rng.uniform_array(
+                    sid, block_ctr[:2 * (blk_end - m)]
+                    + np.uint64(stride * m)).tolist()
+                j = 0
+            ctr = stride * m
             left = bmax
             while left > 0:
-                g01 = v1 - w0
-                gw = w0 - (wi - TWO_PI)
                 gmin = g01 if g01 < gw else gw
                 want = res_units * gmin * gmin
-                n_u = int(want)
-                if n_u < 1:
-                    n_u = 1
-                if n_u > left:
+                if want >= left:
                     n_u = left
-                off = (m * bmax) + (bmax - left)
-                uu0 = _rng.uniform(sid, 4 * off)
-                uu1 = _rng.uniform(sid, 4 * off + 1)
-                g = math.sqrt(-2.0 * math.log(uu0)) * math.cos(TWO_PI * uu1)
+                elif want < 1.0:
+                    n_u = 1
+                else:
+                    n_u = int(want)
+                if left == bmax:
+                    uu0 = first[j]
+                    uu1 = first[j + 1]
+                    j += 2
+                else:
+                    ctr = stride * m + 4 * (bmax - left)
+                    uu0 = uniform(sid, ctr)
+                    uu1 = uniform(sid, ctr + 1)
+                g = sqrt(-2.0 * log(uu0)) * cos(TWO_PI * uu1)
                 dts = n_u * unit
-                gb = v2 - w0
-                gc = wi - w0
-                u = (math.log(math.sin(0.5 * gb))
-                     + math.log(math.sin(0.5 * (wi - v1)))
-                     - math.log(math.sin(0.5 * gc))
-                     - math.log(math.sin(0.5 * (v2 - v1))))
+                ha = 0.5 * g01
+                hb = 0.5 * (v2 - w0)
+                hc = 0.5 * (wi - w0)
+                sb = sin(hb)
+                sc = sin(hc)
+                u = (log(sb)
+                     + log(sin(0.5 * (wi - v1)))
+                     - log(sc)
+                     - log(sin(0.5 * g12)))
                 if u < 0.0:
                     u = 0.0
                 if u >= gt_umax:
-                    G = gt_vals[nt - 1]
+                    G = g_top
                 else:
                     x = u / gt_du
                     i0 = int(x)
                     if i0 > nt - 2:
                         i0 = nt - 2
                     frac = x - i0
-                    G = gt_vals[i0] * (1.0 - frac) + gt_vals[i0 + 1] * frac
-                sa = math.sin(0.5 * g01)
-                ca = math.cos(0.5 * g01)
-                sb = math.sin(0.5 * gb)
-                cb = math.cos(0.5 * gb)
-                sc = math.sin(0.5 * gc)
-                cc = math.cos(0.5 * gc)
-                drift = (0.5 * (kappa - 6.0) * (-cc / sc)
+                    G = gt[i0] * (1.0 - frac) + gt[i0 + 1] * frac
+                sa = sin(ha)
+                ca = cos(ha)
+                cb = cos(hb)
+                cc = cos(hc)
+                drift = (half_k6 * (-cc / sc)
                          + 0.5 * (-ca / sa + cb / sb) * G)
                 v1 = v1 + (ca / sa) * dts
                 v2 = v2 + (cb / sb) * dts
                 wi = wi + (cc / sc) * dts
-                w0 = w0 + drift * dts + math.sqrt(kappa * dts) * g
+                w0 = w0 + drift * dts + sqrt(kappa * dts) * g
                 left -= n_u
                 units_done += n_u
                 g01 = v1 - w0
                 g12 = v2 - v1
                 g23 = wi - v2
                 gw = w0 - (wi - TWO_PI)
-                if g12 <= 0.0 or g23 <= 0.0:
-                    st = 4
-                elif gw <= 0.0:
-                    st = 1
-                elif g01 <= 0.0:
-                    st = 2
-                else:
+                st = _gap_status(g01, g12, g23, gw)
+                if st == 0:
                     oth = g12 if g12 < g23 else g23
                     ref_c = oth if oth < g01 else g01
                     ref_f = oth if oth < gw else gw
@@ -318,35 +382,41 @@ def _hsle_evolve_adaptive_np(state, streams, start_macro, max_macros, kappa,
                         # target-side collapse: absorb or reinject with the
                         # exact scale-function probability of the limiting
                         # Bessel gap process
-                        ud = _rng.uniform(sid, 4 * off + 2)
+                        ud = uniform(sid, ctr + 2)
                         if ud < p_ret:
                             w0 = (wi - TWO_PI) + eps_ret * ref_c
+                            g01 = v1 - w0
+                            gw = w0 - (wi - TWO_PI)
+                            # rounding can land the reinjected driving
+                            # point on a mark when the scale is below half
+                            # an ulp
+                            st = _gap_status(g01, g12, g23, gw)
                         else:
                             st = 1
                     elif g01 < eps_kill * ref_f:
                         # protected side: the gap process never hits zero
                         # (Bessel dimension 1 + 8/kappa > 2); always returns
                         w0 = v1 - eps_ret * ref_f
+                        g01 = v1 - w0
+                        gw = w0 - (wi - TWO_PI)
+                        st = _gap_status(g01, g12, g23, gw)
                     elif (gw if gw < g01 else g01) < floor_gap:
                         st = 3
                 if st != 0:
-                    du_total = units_done
+                    dus[p] = units_done
                     break
             if st != 0:
                 break
-            while ti < k and thr_macros[ti] == macros_done:
-                snap[p, ti, 0] = w0
-                snap[p, ti, 1] = v1
-                snap[p, ti, 2] = v2
-                snap[p, ti, 3] = wi
-                reached[p, ti] = 1
+            while ti < k and thr[ti] == m - start_macro + 1:
+                snaps.append((w0, v1, v2, wi))
                 ti += 1
-        state[p, 0] = w0
-        state[p, 1] = v1
-        state[p, 2] = v2
-        state[p, 3] = wi
-        status[p] = st
-        death_units[p] = du_total
+        if snaps:
+            snap[p, :ti] = snaps
+            reached[p, :ti] = 1
+        state[p] = (w0, v1, v2, wi)
+        sts[p] = st
+    status[:] = sts
+    death_units[:] = dus
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +784,9 @@ def hsle_evolve_adaptive(state, streams, start_macro, max_macros, kappa, dt,
     (eps_kill/eps_ret)^((8-kappa)/kappa) on the completion side; always
     on the protected side) or declared absorbed (status 1).  Remaining
     stops: status 2 for a non-positive protected gap (unresolved
-    overshoot; rare), status 4 for a non-positive passive gap, and
+    overshoot; rare), status 4 for a non-positive passive gap (the same
+    three rules also stop a row that enters with a non-positive gap, with
+    ``death_units`` 0, and a reinjection that rounds onto a mark), and
     status 3 when both driver gaps sink below the resolution floor
     ~ 0.35 * kres * sqrt(kappa dt / bmax) while no relative collapse
     holds.  Status 3 is not noise: for kappa > 4 the flow reaches, at

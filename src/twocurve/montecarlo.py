@@ -650,7 +650,8 @@ def _count_meets(ctx, hits, pts, prefix_w, snap_b, wb_counts, entry,
         return 0
     # second-curve probe points for certificate hits (skipped by the
     # decision probes): probe them now
-    extra = [q for q in hit_idx if q not in set(int(x) for x in need)]
+    probed = set(need.tolist())
+    extra = [q for q in hit_idx if q not in probed]
     if extra:
         _, pts_extra = _probe_paths(
             prefix_w, snap_b[:, :, 0], wb_counts, entry[:, 0],
