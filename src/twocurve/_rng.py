@@ -22,7 +22,6 @@ differ between libm and numpy's vector routines.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -82,11 +81,6 @@ def normal_pair(stream: int, k: int) -> tuple[float, float]:
     r = math.sqrt(-2.0 * math.log(u0))
     a = TWO_PI * u1
     return r * math.cos(a), r * math.sin(a)
-
-
-def random_master_seed() -> int:
-    """Fresh 63-bit master seed from the OS entropy source."""
-    return int.from_bytes(os.urandom(8), "little") >> 1
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .context import KappaContext
-from .special import hyp_F, hyp_dF, hyp_tilde_G
+from .special import hyp_F, hyp_F_and_dF, hyp_tilde_G
 from .trig import cot2, cot2p, cot2ppp, sin2
 
 TWO_PI = 2.0 * math.pi
@@ -344,8 +344,7 @@ def _hyp_log_derivs(ctx: KappaContext, R: float) -> tuple[float, float]:
     ODE x(1-x) F'' + [c - (a+b+1)x] F' - ab F = 0.
     """
     a, b, c = ctx.hyp_a, ctx.hyp_b, ctx.hyp_c
-    F = hyp_F(ctx, R)
-    Fp = hyp_dF(ctx, R)
+    F, Fp = hyp_F_and_dF(ctx, R)
     Fpp = (a * b * F - (c - (a + b + 1.0) * R) * Fp) / (R * (1.0 - R))
     lp = Fp / F
     H = 2.0 / ctx.kappa + R * lp

@@ -371,12 +371,6 @@ def tip_position(path: DrivingPath, t: float,
     return complex(y)
 
 
-def tip_trajectory(path: DrivingPath, times, dt_micro: float = 1e-4
-                   ) -> np.ndarray:
-    """Tip positions at each requested time (each via full reversal)."""
-    return np.array([tip_position(path, s, dt_micro) for s in times])
-
-
 def min_distance_to_origin(path: DrivingPath, t: float,
                            dt_micro: float = 1e-4,
                            max_samples: int = 64) -> float:

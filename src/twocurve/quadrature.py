@@ -17,7 +17,7 @@ from scipy.special import roots_jacobi
 from .context import KappaContext
 
 __all__ = [
-    "disc_rule", "disc_integrate",
+    "disc_rule",
     "tanh_sinh_rule", "square_integrate",
 ]
 
@@ -40,25 +40,6 @@ def disc_rule(ctx: KappaContext, n_r: int, n_theta: int):
     return (rr.ravel() * np.cos(tt.ravel()),
             rr.ravel() * np.sin(tt.ravel()),
             ww)
-
-
-def disc_integrate(ctx: KappaContext, func, rtol: float = 1e-12,
-                   n_r: int = 24, n_theta: int = 48, max_doublings: int = 4):
-    """Integrate func(x, y) against the invariant weight, doubling nodes.
-
-    Doubles both node counts until two successive levels agree to rtol
-    (absolute fallback 1e-300 guards the zero integral).
-    """
-    prev = None
-    for _ in range(max_doublings + 1):
-        x, y, w = disc_rule(ctx, n_r, n_theta)
-        val = float(np.sum(w * func(x, y)))
-        if prev is not None and abs(val - prev) <= rtol * max(abs(val), 1e-300):
-            return val
-        prev = val
-        n_r *= 2
-        n_theta *= 2
-    return prev
 
 
 def tanh_sinh_rule(level: int):

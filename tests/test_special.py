@@ -8,12 +8,14 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_jacobi, roots_jacobi
 
 from twocurve import KappaContext
 from twocurve.special import (
-    gtilde_table, h_const, hyp_dF, hyp_F, hyp_F_at_1, hyp_G, hyp_tilde_G,
-    jacobi, jacobi_l2_norm_sq, jacobi_sup_norm, log_gamma,
+    gtilde_table, h_const, hyp_dF, hyp_F, hyp_F_and_dF, hyp_F_at_1, hyp_G,
+    hyp_tilde_G, jacobi, jacobi_l2_norm_sq, jacobi_sup_norm, log_gamma,
 )
 
 # mpmath hyp2f1(4/k, 1-4/k, 8/k, x), 40 digits
@@ -132,6 +134,67 @@ class TestHypF:
             hyp_F(ctx, 1.0 + 1e-12)
         with pytest.raises(ValueError):
             hyp_F(ctx, -0.51)
+
+
+# (F(x), F'(x)) as hex floats; the series values are those of the full
+# 400-term sum.  The series, ODE and 1-x branches all appear.
+F_DF_BITS = {
+    3.0: {-0.5: ("0x1.136e435776d57p+0", "-0x1.1d192a6658c29p-3"),
+          -0.2: ("0x1.08328a21e8705p+0", "-0x1.3b69107907629p-3"),
+          0.1: ("0x1.f747308b3b404p-1", "-0x1.64bd45784df9ep-3"),
+          0.3: ("0x1.e48a7302a854bp-1", "-0x1.8a91c80f2a7fcp-3"),
+          0.5: ("0x1.cf94bb5a05df9p-1", "-0x1.bf0a0213245e9p-3"),
+          0.7: ("0x1.b75e40447dc26p-1", "-0x1.0840010321a5fp-2"),
+          0.995: ("0x1.869f141bd28c0p-1", "-0x1.e0e98692041e0p-2")},
+    6.0: {-0.5: ("0x1.dd2486106c41dp-1", "0x1.ccdf4a420729ep-4"),
+          -0.2: ("0x1.f0619987b8fdcp-1", "0x1.1e88f9dfc7698p-3"),
+          0.1: ("0x1.047bc3419f678p+0", "0x1.7930c429f42cep-3"),
+          0.3: ("0x1.0f1052236baf3p+0", "0x1.dcefe6313d1b3p-3"),
+          0.5: ("0x1.1ce7d854608fap+0", "0x1.43eadaa93b8abp-2"),
+          0.7: ("0x1.30fd0e8311341p+0", "0x1.fb29e8efaab31p-2"),
+          0.995: ("0x1.99216e8e1d4a1p+0", "0x1.5d7ec7d6124b9p+3")},
+    7.5: {-0.5: ("0x1.d07cd663665b6p-1", "0x1.31fcd3a56142cp-3"),
+          -0.2: ("0x1.ea663d1d46457p-1", "0x1.87830ce745587p-3"),
+          0.1: ("0x1.06527cc24987bp+0", "0x1.0be0bb56afe40p-2"),
+          0.3: ("0x1.159e69fe0e908p+0", "0x1.5f06b54df9d92p-2"),
+          0.5: ("0x1.2a8266874a1bap+0", "0x1.f58313b71187cp-2"),
+          0.7: ("0x1.4ae44cbaa37bcp+0", "0x1.aa793ff3a7363p-1"),
+          0.995: ("0x1.2485f43cfb0afp+1", "0x1.62f0223cc5880p+5")},
+}
+BIT_CTX = {k: KappaContext(k) for k in F_DF_BITS}
+BRANCH_X = st.one_of(st.floats(-0.5, 0.5), st.floats(0.5, 0.99),
+                     st.floats(0.99, 1.0))
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+class TestHypFBits:
+    @pytest.mark.parametrize("kappa", sorted(F_DF_BITS))
+    def test_pinned_bits(self, kappa):
+        ctx = BIT_CTX[kappa]
+        for x, (f_hex, df_hex) in F_DF_BITS[kappa].items():
+            assert (hyp_F(ctx, x).hex(), hyp_dF(ctx, x).hex()) \
+                == (f_hex, df_hex), x
+        xs = np.array(sorted(F_DF_BITS[kappa]))
+        f, df = hyp_F_and_dF(ctx, xs)
+        assert _hex(f) == [F_DF_BITS[kappa][x][0] for x in xs]
+        assert _hex(df) == [F_DF_BITS[kappa][x][1] for x in xs]
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(kappa=st.sampled_from(sorted(F_DF_BITS)),
+           xs=st.lists(BRANCH_X, min_size=1, max_size=12))
+    def test_vector_matches_scalar(self, kappa, xs):
+        # A point's value must not depend on the rest of its batch.
+        ctx = BIT_CTX[kappa]
+        arr = np.array(xs)
+        assert _hex(hyp_F(ctx, arr)) == _hex(hyp_F(ctx, x) for x in xs)
+        assert _hex(hyp_dF(ctx, arr)) == _hex(hyp_dF(ctx, x) for x in xs)
+        f, df = hyp_F_and_dF(ctx, arr)
+        assert (_hex(f), _hex(df)) == (_hex(hyp_F(ctx, arr)),
+                                       _hex(hyp_dF(ctx, arr)))
 
 
 class TestHypG:
