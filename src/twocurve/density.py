@@ -122,8 +122,7 @@ class SpectralBasis:
         self.mode_m = self.mode_n - 2 * self.mode_j
         self._pos = pos
         self._level_start = np.asarray(level_start, dtype=np.int64)
-        self.mode_h = np.array(
-            [h_const(ctx, n, j) for n, j in zip(ns, js)], dtype=float)
+        self.mode_h = h_const(ctx, self.mode_n, self.mode_j)
         # cache slot for survival mode integrals, filled lazily
         self._survival_cache = None
 
@@ -168,12 +167,16 @@ def sup_norm(basis: SpectralBasis, n: int, j: int) -> float:
     endpoint super norm.  It is always an upper bound; it is attained
     (and the sup equals it) when the dominant endpoint is r = 1, i.e.
     when 8/k - 1 >= n - 2j, and for pure radial modes n = 2j.
+
+    Raises:
+        ValueError: unless 0 <= 2j <= n <= basis.n_max.
     """
     e = basis.weight_exponent
     m = n - 2 * j
     if j < 0 or m < 0:
         raise ValueError("sup_norm requires 0 <= 2j <= n")
-    return h_const(basis.ctx, n, j) * jacobi_sup_norm(j, e, float(m))
+    return float(basis.mode_h[basis.mode_index(n, j, 1)]
+                 * jacobi_sup_norm(j, e, float(m)))
 
 
 def basis_eval(basis: SpectralBasis, n: int, j: int, i: int, x, y):
@@ -183,7 +186,7 @@ def basis_eval(basis: SpectralBasis, n: int, j: int, i: int, x, y):
         ValueError: if the mode indices are out of range or a point lies
             outside the closed disc.
     """
-    basis.mode_index(n, j, i)  # validates indices
+    h = basis.mode_h[basis.mode_index(n, j, i)]  # validates indices
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     r2 = x * x + y * y
@@ -195,7 +198,7 @@ def basis_eval(basis: SpectralBasis, n: int, j: int, i: int, x, y):
     rad = jacobi(j, e, float(m), u)
     theta = np.arctan2(y, x)
     ang = np.cos(m * theta) if i == 1 else np.sin(m * theta)
-    val = h_const(basis.ctx, n, j) * rad * np.sqrt(r2) ** m * ang
+    val = h * rad * np.sqrt(r2) ** m * ang
     return float(val) if np.ndim(val) == 0 else val
 
 
@@ -318,6 +321,16 @@ def _tail_logs(ctx: KappaContext):
     Cached per context; used to pick the series truncation so the
     discarded tail, measured relative to the n = 0 coefficient 8/(pi k),
     is below the requested tolerance uniformly over the disc.
+
+    The scan covers about a million (n, j) pairs, but every Gamma and log
+    argument is an integer k in [0, _N_SCAN] (j, n - j, m = n - 2j or n)
+    plus a constant.  So log_gamma and np.log run once per k on a table
+    whose entries are formed as the per-pair expression would form them
+    (``e + k + 1.0``, ``k + 8/kappa``, ...), and the pairs gather from the
+    tables.  The gathered values are the very numbers the per-pair calls
+    would return; the flat sums and the per-level max then run in the
+    same order on the same operands, so the result is bit for bit the
+    per-pair evaluation.
     """
     key = "density_tail_logs"
     cached = ctx._cache.get(key)
@@ -328,17 +341,22 @@ def _tail_logs(ctx: KappaContext):
     counts = np.arange(_N_SCAN + 1) // 2 + 1
     starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
     n_flat = np.repeat(np.arange(_N_SCAN + 1), counts)
-    j_flat = np.concatenate([np.arange(c) for c in counts])
-    m_flat = (n_flat - 2 * j_flat).astype(float)
-    jf = j_flat.astype(float)
-    nf = n_flat.astype(float)
-    log_h2 = (np.log(np.where(n_flat == 2 * j_flat, 1.0, 2.0) / np.pi)
-              + log_gamma(jf + 1.0) + np.log(nf + ek)
-              + log_gamma(nf - jf + ek)
-              - log_gamma(jf + ek) - log_gamma(nf - jf + 1.0))
-    log_sup_a = log_gamma(e + jf + 1.0) - log_gamma(jf + 1.0) - log_gamma(e + 1.0)
-    log_sup_b = log_gamma(m_flat + jf + 1.0) - log_gamma(jf + 1.0) \
-        - log_gamma(m_flat + 1.0)
+    j_flat = np.arange(n_flat.size) - np.repeat(starts, counts)
+    nj_flat = n_flat - j_flat
+    m_flat = nj_flat - j_flat
+    ints = np.arange(_N_SCAN + 1, dtype=float)
+    lg_int1 = log_gamma(ints + 1.0)
+    lg_int_ek = log_gamma(ints + ek)
+    lg_e_int1 = log_gamma(e + ints + 1.0)
+    log_pref = np.log(np.array([2.0, 1.0]) / np.pi)
+    lg_j1 = lg_int1[j_flat]
+    lg_nj1 = lg_int1[nj_flat]
+    log_h2 = (log_pref[(n_flat == 2 * j_flat).astype(np.intp)]
+              + lg_j1 + np.log(ints + ek)[n_flat]
+              + lg_int_ek[nj_flat]
+              - lg_int_ek[j_flat] - lg_nj1)
+    log_sup_a = lg_e_int1[j_flat] - lg_j1 - log_gamma(e + 1.0)
+    log_sup_b = lg_nj1 - lg_j1 - lg_int1[m_flat]
     log_sup2 = log_h2 + 2.0 * np.maximum(log_sup_a, log_sup_b)
     per_level = np.maximum.reduceat(log_sup2, starts)
     out = per_level + np.log(np.arange(_N_SCAN + 1) + 1.0)

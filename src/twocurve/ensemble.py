@@ -25,7 +25,8 @@ SLE.  Both densities must be local martingales when grown in one time
 with the other frozen; ``drift_residual`` verifies this by assembling the
 Ito drift of the log-density from the component SDEs and adding
 (kappa/2) times the squared martingale coefficient.  The residual
-vanishes identically in exact arithmetic.
+vanishes identically in exact arithmetic.  ``drift_residuals`` evaluates
+it over a list of states with one vector call of F.
 
 SDE convention: growth in t_j with t_k frozen; the driving increment
 ``d w_j`` has quadratic variation kappa * dt, so a log-quantity with
@@ -41,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .context import KappaContext
-from .special import hyp_F, hyp_F_and_dF, hyp_tilde_G
+from .special import hyp_F, hyp_F_and_dF
 from .trig import cot2, cot2p, cot2ppp, sin2
 
 TWO_PI = 2.0 * math.pi
@@ -131,6 +132,11 @@ def _check_j(j: int) -> None:
         raise ValueError(f"curve index must be 1 or 2, got {j}")
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("c4", "ch"):
+        raise ValueError(f"mode must be 'c4' or 'ch', got {mode!r}")
+
+
 def fresh_state(w1: float, v1: float, w2: float, v2: float) -> EnsembleState:
     """State at t1 = t2 = 0: identity maps (first derivatives 1, higher 0)."""
     return EnsembleState(W1=w1, V1=v1, W2=w2, V2=v2,
@@ -192,6 +198,14 @@ def cross_ratio_R(state: EnsembleState) -> float:
     num = sin2(state.W1 - state.V2) * sin2(state.V1 - state.W2)
     den = sin2(state.W1 - state.W2) * sin2(state.V1 - state.V2)
     return float(num / den)
+
+
+def _hyp_point(ctx: KappaContext, state: EnsembleState, mode: str):
+    """(R, F(R), F'(R)) for mode "ch", which reads F; None for "c4"."""
+    if mode != "ch":
+        return None
+    R = cross_ratio_R(state)
+    return (R, *hyp_F_and_dF(ctx, R))
 
 
 def phi(state: EnsembleState, j: int) -> float:
@@ -259,6 +273,15 @@ def martingale_coefficient(ctx: KappaContext, state: EnsembleState,
                - b cot2(W_j - V_j) W_{j,1}.
     """
     _check_j(j)
+    _check_mode(mode)
+    return _martingale_coefficient(ctx, state, j, mode,
+                                   _hyp_point(ctx, state, mode))
+
+
+def _martingale_coefficient(ctx: KappaContext, state: EnsembleState, j: int,
+                            mode: str, hyp) -> float:
+    """``martingale_coefficient`` with mode "ch" reading (R, F, F') from
+    ``hyp``; Gtilde(R) = kappa R F'/F + 2 as in ``special.hyp_tilde_G``."""
     k = 3 - j
     kap = ctx.kappa
     b = ctx.sle_b
@@ -269,12 +292,11 @@ def martingale_coefficient(ctx: KappaContext, state: EnsembleState,
         s = (cot2(wj - state.angle(f"W{k}"))
              + cot2(wj - state.V1) + cot2(wj - state.V2))
         return float(lead + wj1 * s / kap)
-    if mode == "ch":
-        R = cross_ratio_R(state)
-        return float(lead
-                     + hyp_tilde_G(ctx, R) * wj1 * phi(state, j) / (2.0 * kap)
-                     - b * cot2(wj - state.angle(f"V{j}")) * wj1)
-    raise ValueError(f"mode must be 'c4' or 'ch', got {mode!r}")
+    R, F, Fp = hyp
+    g_tilde = kap * R * Fp / F + 2.0
+    return float(lead
+                 + g_tilde * wj1 * phi(state, j) / (2.0 * kap)
+                 - b * cot2(wj - state.angle(f"V{j}")) * wj1)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +358,8 @@ def cross_ratio_sde(ctx: KappaContext, state: EnsembleState,
     return _to_ratio(ctx, *_log_cross_ratio_sde(ctx, state, j))
 
 
-def _hyp_log_derivs(ctx: KappaContext, R: float) -> tuple[float, float]:
+def _hyp_log_derivs(ctx: KappaContext, R: float, F: float,
+                    Fp: float) -> tuple[float, float]:
     """H = d log Ftilde / d log R and its R-derivative H'.
 
     Ftilde(R) = R^{2/k} F(R), so H = 2/k + R F'/F and
@@ -344,7 +367,6 @@ def _hyp_log_derivs(ctx: KappaContext, R: float) -> tuple[float, float]:
     ODE x(1-x) F'' + [c - (a+b+1)x] F' - ab F = 0.
     """
     a, b, c = ctx.hyp_a, ctx.hyp_b, ctx.hyp_c
-    F, Fp = hyp_F_and_dF(ctx, R)
     Fpp = (a * b * F - (c - (a + b + 1.0) * R) * Fp) / (R * (1.0 - R))
     lp = Fp / F
     H = 2.0 / ctx.kappa + R * lp
@@ -358,8 +380,13 @@ def hyp_factor_sde(ctx: KappaContext, state: EnsembleState,
 
     Chain rule through u = log R: d log Ftilde = H du + (1/2) R H' d<u>.
     """
-    R = cross_ratio_R(state)
-    H, Hp = _hyp_log_derivs(ctx, R)
+    return _hyp_factor_sde(ctx, state, j, _hyp_point(ctx, state, "ch"))
+
+
+def _hyp_factor_sde(ctx: KappaContext, state: EnsembleState, j: int,
+                    hyp) -> tuple[float, float]:
+    R, F, Fp = hyp
+    H, Hp = _hyp_log_derivs(ctx, R, F, Fp)
     s_lr, m_lr = _log_cross_ratio_sde(ctx, state, j)
     sigma = H * s_lr
     mu = H * m_lr + 0.5 * ctx.kappa * s_lr * s_lr * R * Hp
@@ -377,11 +404,14 @@ def log_M_sde(ctx: KappaContext, state: EnsembleState, j: int,
     mu + (kappa/2) sigma^2 = 0 are both meaningful checks.
     """
     _check_j(j)
-    if mode not in ("c4", "ch"):
-        raise ValueError(f"mode must be 'c4' or 'ch', got {mode!r}")
+    _check_mode(mode)
+    return _log_M_sde(ctx, state, j, mode, _hyp_point(ctx, state, mode))
+
+
+def _log_M_sde(ctx: KappaContext, state: EnsembleState, j: int, mode: str,
+               hyp) -> tuple[float, float]:
     kap = ctx.kappa
     b = ctx.sle_b
-    k = 3 - j
     rhs = ode_rhs(state, j)
     wj1 = state.tip_deriv(j, 1)
     wj2 = state.tip_deriv(j, 2)
@@ -412,7 +442,7 @@ def log_M_sde(ctx: KappaContext, state: EnsembleState, j: int,
             s, m = _to_log(ctx, *sin_ratio_sde(ctx, state, j, pair))
             sigma -= 2.0 * b * s
             mu -= 2.0 * b * m
-        s, m = _to_log(ctx, *hyp_factor_sde(ctx, state, j))
+        s, m = _to_log(ctx, *_hyp_factor_sde(ctx, state, j, hyp))
         sigma += s
         mu += m
     return float(sigma), float(mu)
@@ -422,10 +452,38 @@ def drift_residual(ctx: KappaContext, state: EnsembleState, j: int,
                    mode: str) -> float:
     """Ito drift of log M plus (kappa/2) times the squared displayed
     martingale coefficient; identically zero iff M is a local martingale.
+
+    In mode "ch" both terms read F and F' at the cross-ratio R; they are
+    evaluated once per call and shared.
     """
-    _, mu = log_M_sde(ctx, state, j, mode)
-    s_disp = martingale_coefficient(ctx, state, j, mode)
+    _check_j(j)
+    _check_mode(mode)
+    return _drift_residual(ctx, state, j, mode, _hyp_point(ctx, state, mode))
+
+
+def _drift_residual(ctx: KappaContext, state: EnsembleState, j: int,
+                    mode: str, hyp) -> float:
+    _, mu = _log_M_sde(ctx, state, j, mode, hyp)
+    s_disp = _martingale_coefficient(ctx, state, j, mode, hyp)
     return float(mu + 0.5 * ctx.kappa * s_disp * s_disp)
+
+
+def drift_residuals(ctx: KappaContext, states) -> np.ndarray:
+    """``drift_residual`` at every state, curve j and mode, as an array of
+    shape (len(states), 2, 2) indexed [state, j - 1, mode] with modes
+    ordered ("c4", "ch").
+
+    F and F' are evaluated in one vector call over the cross-ratios of all
+    states; F does not depend on the batch, so every entry equals the
+    per-state ``drift_residual`` bit for bit.
+    """
+    R = [cross_ratio_R(state) for state in states]
+    F, Fp = hyp_F_and_dF(ctx, np.asarray(R, dtype=float))
+    hyps = zip(R, F.tolist(), Fp.tolist())
+    out = [[[_drift_residual(ctx, state, j, mode, hyp)
+             for mode in ("c4", "ch")] for j in (1, 2)]
+           for state, hyp in zip(states, hyps)]
+    return np.array(out, dtype=float).reshape(len(states), 2, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -329,22 +329,30 @@ def jacobi_sup_norm(n: int, alpha: float, beta: float) -> float:
                         - log_gamma(q + 1.0)))
 
 
-def h_const(ctx: KappaContext, n: int, j: int) -> float:
+def h_const(ctx: KappaContext, n, j):
     """Normalization h_{n,j} of the disc eigenbasis.
 
     h^2 = (1 + ind(n != 2j))/pi * j! (n + 8/k) Gamma(n - j + 8/k)
           / (Gamma(j + 8/k) Gamma(n - j + 1)).
 
+    n and j may be integer arrays of one shape (elementwise, as for every
+    mode of a basis at once); scalars give a float.  Each element is the
+    same sequence of operations as the scalar call, so both agree bit for
+    bit.
+
     Raises:
-        ValueError: if 2j > n (no such basis element).
+        ValueError: if 2j > n or j < 0 anywhere (no such basis element).
     """
-    if j < 0 or 2 * j > n:
+    n = np.asarray(n)
+    j = np.asarray(j)
+    if np.any(j < 0) or np.any(2 * j > n):
         raise ValueError("h_const requires 0 <= 2j <= n")
     ek = ctx.hyp_c  # 8/kappa
-    pref = 1.0 if n == 2 * j else 2.0
+    pref = np.where(n == 2 * j, 1.0, 2.0)
     lg = (log_gamma(j + 1.0) + np.log(n + ek) + log_gamma(n - j + ek)
           - log_gamma(j + ek) - log_gamma(n - j + 1.0))
-    return float(np.sqrt(pref / np.pi * np.exp(lg)))
+    out = np.sqrt(pref / np.pi * np.exp(lg))
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

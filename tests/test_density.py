@@ -81,6 +81,60 @@ class TestBasisConstruction:
             dens.SpectralBasis(CTX6, -1)
 
 
+def _tail_logs_per_pair(ctx):
+    """Per-pair evaluation of the truncation-scan logs: log_gamma and
+    np.log run on all (n, j) pairs of the scan; the reference for the
+    tabulated ``dens._tail_logs``."""
+    e = ctx.weight_exponent
+    ek = e + 1.0
+    counts = np.arange(dens._N_SCAN + 1) // 2 + 1
+    starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
+    n_flat = np.repeat(np.arange(dens._N_SCAN + 1), counts)
+    j_flat = np.concatenate([np.arange(c) for c in counts])
+    m_flat = (n_flat - 2 * j_flat).astype(float)
+    jf = j_flat.astype(float)
+    nf = n_flat.astype(float)
+    log_h2 = (np.log(np.where(n_flat == 2 * j_flat, 1.0, 2.0) / np.pi)
+              + log_gamma(jf + 1.0) + np.log(nf + ek)
+              + log_gamma(nf - jf + ek)
+              - log_gamma(jf + ek) - log_gamma(nf - jf + 1.0))
+    log_sup_a = (log_gamma(e + jf + 1.0) - log_gamma(jf + 1.0)
+                 - log_gamma(e + 1.0))
+    log_sup_b = (log_gamma(m_flat + jf + 1.0) - log_gamma(jf + 1.0)
+                 - log_gamma(m_flat + 1.0))
+    log_sup2 = log_h2 + 2.0 * np.maximum(log_sup_a, log_sup_b)
+    per_level = np.maximum.reduceat(log_sup2, starts)
+    return per_level + np.log(np.arange(dens._N_SCAN + 1) + 1.0)
+
+
+class TestTabulatedConstants:
+    """Per-kappa tables equal the per-element formulas bit for bit."""
+
+    @pytest.mark.parametrize("kappa", [0.5, 3.0, 4.0, 6.0, 7.5])
+    def test_tail_logs_match_per_pair_evaluation(self, kappa):
+        ctx = KappaContext(kappa)
+        got = dens._tail_logs(ctx)
+        assert np.array_equal(got, _tail_logs_per_pair(ctx))
+        assert dens._tail_logs(ctx) is got  # cached on the context
+
+    @pytest.mark.parametrize("kappa", [0.5, 3.0, 4.0, 6.0, 7.5])
+    def test_mode_h_matches_scalar_h_const(self, kappa):
+        from twocurve.special import h_const
+        ctx = KappaContext(kappa)
+        basis = dens.SpectralBasis(ctx, 60)
+        ref = [h_const(ctx, int(n), int(j))
+               for n, j in zip(basis.mode_n, basis.mode_j)]
+        assert all(type(v) is float for v in ref)
+        assert np.array_equal(basis.mode_h, np.array(ref))
+
+    def test_sup_norm_needs_a_basis_mode(self):
+        basis = dens.SpectralBasis(CTX6, 8)
+        with pytest.raises(ValueError):
+            dens.sup_norm(basis, 9, 0)
+        with pytest.raises(ValueError):
+            dens.sup_norm(basis, 3, 2)
+
+
 class TestBasisEval:
     def test_ground_mode_constant(self):
         rng = np.random.default_rng(7)

@@ -333,6 +333,28 @@ class TestDriftResidual:
         with pytest.raises(ValueError, match="mode"):
             ens.drift_residual(CTX6, st, 1, "c2")
 
+    # (kappa, martingale_coefficient(state 0, j 2, "ch"),
+    #  log_M_sde(state 0, j 1, "ch") drift, drift_residual(state 7, j 1,
+    #  "ch")) at the battery's states (seed 20240 + 10 kappa), as hex
+    # floats recorded when F was still evaluated once per term
+    PINNED = [
+        (3.0, "-0x1.184c7b8c542d3p-1", "-0x1.6851896b1b73dp+2",
+         "0x1.0000000000000p-47"),
+        (6.0, "-0x1.243c1cf5a6242p-4", "-0x1.8c792f2f00778p-3",
+         "-0x1.0000000000000p-52"),
+        (7.5, "0x1.aeb547cf2ccf0p-3", "-0x1.db7709b4db761p-2",
+         "0x1.e300000000000p-52"),
+    ]
+
+    @pytest.mark.parametrize("kap, coef, mu, res", PINNED)
+    def test_ch_terms_pinned_bits(self, kap, coef, mu, res):
+        ctx = KappaContext(kap)
+        st = ens.sample_states(8, seed=20240 + int(10 * kap))
+        assert ens.martingale_coefficient(ctx, st[0], 2, "ch") \
+            == float.fromhex(coef)
+        assert ens.log_M_sde(ctx, st[0], 1, "ch")[1] == float.fromhex(mu)
+        assert ens.drift_residual(ctx, st[7], 1, "ch") == float.fromhex(res)
+
     def test_martingale_cancellation_sweep(self):
         # Reduced-size version of the acceptance sweep (the acceptance
         # suite runs the full thousand states per kappa).

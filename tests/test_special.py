@@ -322,6 +322,10 @@ class TestHConst:
             h_const(ctx, 3, 2)
         with pytest.raises(ValueError):
             h_const(ctx, 2, -1)
+        with pytest.raises(ValueError):
+            h_const(ctx, np.array([2, 3]), np.array([1, 2]))
+        with pytest.raises(ValueError):
+            h_const(ctx, np.array([2, 2]), np.array([0, -1]))
 
 
 class TestContext:
