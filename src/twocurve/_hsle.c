@@ -1,0 +1,216 @@
+/*
+ * Adaptive radial hSLE kernel in C: a port of
+ * _kernels._hsle_evolve_adaptive_np, loaded through ctypes by
+ * _kernels.hsle_evolve_adaptive.  Every output is the Python kernel's bit
+ * for bit, because both evaluate the same libm functions on the same
+ * doubles in the same order and draw the same splitmix64 counters (see the
+ * note above the Python kernel).  That holds only for the build flags in
+ * _kernels._CFLAGS: -ffp-contract=off keeps a*b + c as two roundings, and
+ * neither -ffast-math nor -march=native may be added.
+ *
+ * The per-call constants (unit, res_units, floor_gap, p_ret, half_k6,
+ * g_top) arrive already computed by _kernels._adaptive_constants.  Where
+ * the Python kernel raises, this one stops, stores the row in *err_row and
+ * returns the code of the exception: HSLE_ZERO_DIV (ZeroDivisionError),
+ * HSLE_DOMAIN (ValueError from math.sin, math.log or math.sqrt),
+ * HSLE_NAN_INT (ValueError from int(nan)) or HSLE_INF_INT (OverflowError
+ * from int(inf)).  The checks sit where Python evaluates the operation
+ * that raises, so the first failing operation names the error.
+ */
+#include <math.h>
+#include <stdint.h>
+
+#define TWO_PI (2.0 * 3.141592653589793)
+
+enum {
+    HSLE_OK = 0, HSLE_ZERO_DIV = 1, HSLE_DOMAIN = 2, HSLE_NAN_INT = 3,
+    HSLE_INF_INT = 4
+};
+
+/* _rng.uniform: top 53 bits of the splitmix64 word at counter i */
+static double uniform(uint64_t stream, uint64_t i)
+{
+    uint64_t z = stream + 0x9E3779B97F4A7C15ULL * (i + 1);
+    z ^= z >> 30;
+    z *= 0xBF58476D1CE4E5B9ULL;
+    z ^= z >> 27;
+    z *= 0x94D049BB133111EBULL;
+    z ^= z >> 31;
+    return ((double)(z >> 11) + 0.5) * 0x1p-53;
+}
+
+/* _kernels._gap_status */
+static int gap_status(double g01, double g12, double g23, double gw)
+{
+    if (g12 <= 0.0 || g23 <= 0.0)
+        return 4;
+    if (gw <= 0.0)
+        return 1;
+    if (g01 <= 0.0)
+        return 2;
+    return 0;
+}
+
+/* math.sin raises on an infinite argument, math.log on a non-positive one,
+ * math.sqrt on a negative one */
+#define CHECK(cond, code) \
+    do { if (cond) { err = (code); goto fail; } } while (0)
+
+int hsle_evolve_adaptive(
+    int64_t n, int64_t k, int64_t nt, double *state, const uint64_t *streams,
+    int64_t start_macro, int64_t max_macros, double kappa,
+    const int64_t *thr, double eps_kill, double eps_ret, int64_t bmax,
+    const double *gt, double gt_du, double gt_umax,
+    double unit, double res_units, double floor_gap, double p_ret,
+    double half_k6, double g_top,
+    double *snap, uint8_t *reached, uint8_t *status, int64_t *death_units,
+    int64_t *err_row)
+{
+    const uint64_t stride = 4 * (uint64_t)bmax; /* counters per macro step */
+    const int64_t end_macro = start_macro + max_macros;
+    int err;
+    int64_t p;
+
+    for (p = 0; p < n; p++) {
+        double *row = state + 4 * p;
+        double w0 = row[0], v1 = row[1], v2 = row[2], wi = row[3];
+        const uint64_t sid = streams[p];
+        int64_t ti = 0, units_done = 0, m;
+        double g01 = v1 - w0;
+        double g12 = v2 - v1;
+        double g23 = wi - v2;
+        double gw = w0 - (wi - TWO_PI);
+        int st = gap_status(g01, g12, g23, gw);
+
+        if (st != 0) {
+            status[p] = (uint8_t)st;
+            death_units[p] = 0;
+            continue;
+        }
+        for (m = start_macro; m < end_macro; m++) {
+            int64_t left = bmax;
+            while (left > 0) {
+                double gmin = g01 < gw ? g01 : gw;
+                double want = res_units * gmin * gmin;
+                int64_t n_u;
+                uint64_t ctr;
+                double uu0, uu1, g, dts, ha, hb, hc, sa, sb, sc, ca, cb, cc;
+                double s_wv, s_12, u, G, drift, kd;
+
+                if (want >= (double)left)
+                    n_u = left;
+                else if (want < 1.0)
+                    n_u = 1;
+                else {
+                    CHECK(isnan(want), HSLE_NAN_INT);
+                    n_u = (int64_t)want;
+                }
+                ctr = stride * (uint64_t)m + 4 * (uint64_t)(bmax - left);
+                uu0 = uniform(sid, ctr);
+                uu1 = uniform(sid, ctr + 1);
+                g = sqrt(-2.0 * log(uu0)) * cos(TWO_PI * uu1);
+                dts = (double)n_u * unit;
+                ha = 0.5 * g01;
+                hb = 0.5 * (v2 - w0);
+                hc = 0.5 * (wi - w0);
+                CHECK(isinf(hb) || isinf(hc), HSLE_DOMAIN);
+                sb = sin(hb);
+                sc = sin(hc);
+                CHECK(sb <= 0.0, HSLE_DOMAIN);
+                s_wv = 0.5 * (wi - v1);
+                CHECK(isinf(s_wv), HSLE_DOMAIN);
+                s_wv = sin(s_wv);
+                CHECK(s_wv <= 0.0 || sc <= 0.0, HSLE_DOMAIN);
+                s_12 = 0.5 * g12;
+                CHECK(isinf(s_12), HSLE_DOMAIN);
+                s_12 = sin(s_12);
+                CHECK(s_12 <= 0.0, HSLE_DOMAIN);
+                u = (log(sb)
+                     + log(s_wv)
+                     - log(sc)
+                     - log(s_12));
+                if (u < 0.0)
+                    u = 0.0;
+                if (u >= gt_umax)
+                    G = g_top;
+                else {
+                    double x = u / gt_du, frac;
+                    int64_t i0;
+                    CHECK(isnan(x), HSLE_NAN_INT);
+                    CHECK(isinf(x), HSLE_INF_INT);
+                    /* int(x) clamped to nt - 2, never an out-of-range cast */
+                    i0 = x >= (double)(nt - 1) ? nt - 2 : (int64_t)x;
+                    frac = x - (double)i0;
+                    G = gt[i0] * (1.0 - frac) + gt[i0 + 1] * frac;
+                }
+                CHECK(isinf(ha), HSLE_DOMAIN);
+                sa = sin(ha);
+                ca = cos(ha);
+                cb = cos(hb);
+                cc = cos(hc);
+                CHECK(sa == 0.0, HSLE_ZERO_DIV);
+                drift = (half_k6 * (-cc / sc)
+                         + 0.5 * (-ca / sa + cb / sb) * G);
+                v1 = v1 + (ca / sa) * dts;
+                v2 = v2 + (cb / sb) * dts;
+                wi = wi + (cc / sc) * dts;
+                kd = kappa * dts;
+                CHECK(kd < 0.0, HSLE_DOMAIN);
+                w0 = w0 + drift * dts + sqrt(kd) * g;
+                left -= n_u;
+                units_done += n_u;
+                g01 = v1 - w0;
+                g12 = v2 - v1;
+                g23 = wi - v2;
+                gw = w0 - (wi - TWO_PI);
+                st = gap_status(g01, g12, g23, gw);
+                if (st == 0) {
+                    double oth = g12 < g23 ? g12 : g23;
+                    double ref_c = oth < g01 ? oth : g01;
+                    double ref_f = oth < gw ? oth : gw;
+                    if (gw < eps_kill * ref_c) {
+                        /* target side: absorb or reinject */
+                        if (uniform(sid, ctr + 2) < p_ret) {
+                            w0 = (wi - TWO_PI) + eps_ret * ref_c;
+                            g01 = v1 - w0;
+                            gw = w0 - (wi - TWO_PI);
+                            st = gap_status(g01, g12, g23, gw);
+                        } else
+                            st = 1;
+                    } else if (g01 < eps_kill * ref_f) {
+                        /* protected side: always returns */
+                        w0 = v1 - eps_ret * ref_f;
+                        g01 = v1 - w0;
+                        gw = w0 - (wi - TWO_PI);
+                        st = gap_status(g01, g12, g23, gw);
+                    } else if ((gw < g01 ? gw : g01) < floor_gap)
+                        st = 3;
+                }
+                if (st != 0)
+                    break;
+            }
+            if (st != 0)
+                break;
+            while (ti < k && thr[ti] == m - start_macro + 1) {
+                double *s = snap + 4 * (p * k + ti);
+                s[0] = w0;
+                s[1] = v1;
+                s[2] = v2;
+                s[3] = wi;
+                reached[p * k + ti] = 1;
+                ti++;
+            }
+        }
+        row[0] = w0;
+        row[1] = v1;
+        row[2] = v2;
+        row[3] = wi;
+        status[p] = (uint8_t)st;
+        death_units[p] = st != 0 ? units_done : -1;
+    }
+    return HSLE_OK;
+
+fail:
+    *err_row = p;
+    return err;
+}

@@ -1,23 +1,48 @@
-"""Simulation kernels: compiled (numba) backend with a numpy fallback.
+"""Simulation kernels: a compiled adaptive hSLE kernel, numba twins of the
+other kernels, and numpy fallbacks.
 
-Backend selection
------------------
-The environment variable ``TWOCURVE_BACKEND`` picks the implementation:
+The adaptive hSLE kernel
+------------------------
+``hsle_evolve_adaptive`` runs ``_hsle.c``, a C port of
+``_hsle_evolve_adaptive_np``, whenever that library loads, and the Python
+kernel otherwise.  The two are byte-equal on every output: both evaluate
+the same libm ``sin``/``cos``/``log``/``sqrt`` (CPython's ``math`` module
+calls the C library) on the same doubles in the same order, and draw the
+same splitmix64 counters.  ``tests/test_kernels.py::TestCompiledKernel``
+runs both on the same inputs (kappa 3, 6 and 7.5, the entry-rule rows, and
+a long run with reinjections and pinches) and compares the bytes, along
+with the exceptions the Python kernel raises on degenerate rows.
+
+The library is built on first use, never at import, with the system ``cc``
+and the fixed flags ``-O2 -ffp-contract=off -shared -fPIC``.  The flags are
+part of the bit contract: a fused multiply-add rounds a*b + c once where
+the Python kernel rounds twice, so contraction is off, and neither
+``-march=native`` (which let gcc fuse) nor ``-ffast-math`` may be added.
+The library is cached in ``$XDG_CACHE_HOME/twocurve`` (default
+``~/.cache/twocurve``, created with mode 0o700) under a name hashed from the
+C source, the flags and ``cc --version``.  It is compiled in a temporary
+directory there and renamed into place with ``os.replace``, so concurrent
+processes never load a partial file.  If that directory is not usable the
+library is built in a temporary directory for this process only; if there
+is no compiler or the build fails, one warning is logged and the Python
+kernel runs.
+
+Other backends
+--------------
+For ``z_evolve``, ``hsle_evolve`` and ``backward_flow`` the environment
+variable ``TWOCURVE_BACKEND`` picks the implementation:
 
 * ``"numba"`` -- always use the compiled kernels (error if numba is absent);
 * ``"numpy"``  -- always use the vectorized numpy fallback;
 * ``"auto"`` (default, or unset) -- numba when importable, else numpy.
 
-Every dispatcher also accepts an explicit ``backend=`` override.  The
-benchmark (``benchmarks/run.py``) does not use it: it times whichever
-backend resolves by default and records that name in its provenance.
-
-Both backends consume the same counter-based random streams (:mod:`._rng`):
+Those dispatchers also accept an explicit ``backend=`` override.  Both
+backends consume the same counter-based random streams (:mod:`._rng`):
 path ``p`` at step ``s`` reads the normal pair with counter ``s`` of its
 stream, so skipped draws (dead paths) cost nothing and runs can be resumed
 at any step boundary.  Uniform deviates are bit-identical across backends;
-trajectories agree to transcendental-function rounding (libm versus numpy
-vector routines) and are statistically equivalent.
+numba and numpy trajectories agree to transcendental-function rounding
+(libm versus numpy vector routines) and are statistically equivalent.
 
 Kernels
 -------
@@ -83,8 +108,15 @@ Kernels
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import logging
 import math
 import os
+import shutil
+import subprocess
+import tempfile
 
 import numpy as np
 
@@ -97,6 +129,8 @@ try:  # pragma: no cover - exercised implicitly by backend selection
     HAS_NUMBA = True
 except ImportError:  # pragma: no cover
     HAS_NUMBA = False
+
+logger = logging.getLogger(__name__)
 
 TWO_PI = 2.0 * math.pi
 PI = math.pi
@@ -230,25 +264,29 @@ def _hsle_evolve_np(state, streams, start_step, max_steps, kappa, dt,
             ti += 1
 
 
-# The adaptive kernel below is the hot path of every two-curve estimate,
-# and its outputs are frozen: a path's result must not depend on the batch
-# it runs in, and a seed must keep reproducing the estimates it gave
-# before.  Two rules keep it fast without moving a bit:
+# The adaptive kernel is the hot path of every two-curve estimate, and its
+# outputs are frozen: a path's result must not depend on the batch it runs
+# in, and a seed must keep reproducing the estimates it gave before.  It
+# exists twice: ``_hsle.c`` runs whenever it builds, and the Python kernel
+# below is the fallback without a compiler and the oracle the C kernel is
+# tested against (``tests/test_kernels.py::TestCompiledKernel`` asserts
+# equal bytes on every output and the same exception on degenerate rows).
+# Both follow one rule, so that an edit to either must be made to both:
 #
-# * The per-path loop runs on Python floats and ints only.  Arrays are
-#   read once with ``tolist()`` (numpy scalars would make every add,
-#   multiply and compare about three times slower) and written once per
-#   path.  Transcendentals are ``math.*`` (libm), never numpy's vector
-#   routines, which round differently in the last bit.
-# * The operation order is frozen: the same functions on the same doubles
-#   in the same order.  Subexpressions are shared only where the inputs
-#   are bitwise the same (a half gap fed to both sin and cos, the two
-#   sines used by both the cross-ratio and the drift, the gaps left by
-#   the previous substep); sums are not re-associated, the four logs of
-#   the cross-ratio are not merged into one, and no division becomes a
-#   multiplication by a reciprocal.
+# * The operation order is frozen: the same libm functions (``math.*``,
+#   never numpy's vector routines, which round differently in the last
+#   bit) on the same doubles in the same order.  Subexpressions are shared
+#   only where the inputs are bitwise the same (a half gap fed to both sin
+#   and cos, the two sines used by both the cross-ratio and the drift, the
+#   gaps left by the previous substep); sums are not re-associated, the
+#   four logs of the cross-ratio are not merged into one, and no division
+#   becomes a multiplication by a reciprocal.  The per-call constants come
+#   from ``_adaptive_constants`` for both kernels.
 #
-# The first substep of macro step m always reads the uniforms at counters
+# The Python kernel runs on Python floats and ints only: arrays are read
+# once with ``tolist()`` (numpy scalars would make every add, multiply and
+# compare about three times slower) and written once per path.  The first
+# substep of macro step m always reads the uniforms at counters
 # (4*m*bmax, +1), so those are drawn ahead with the vectorized generator
 # (bitwise equal to the scalar one), in blocks of macro steps so that a
 # path stopping early wastes few draws; later substeps and the
@@ -268,6 +306,18 @@ def _gap_status(g01, g12, g23, gw) -> int:
     return 0
 
 
+def _adaptive_constants(kappa, dt, eps_kill, eps_ret, kres, bmax, gt_vals):
+    """Per-call constants of both adaptive kernels: (unit, res_units,
+    floor_gap, p_ret, half_k6, g_top)."""
+    unit = dt / bmax
+    res_units = bmax * 1.0 / (kappa * kres * kres * dt)  # * gmin^2 -> units
+    floor_gap = 0.35 * kres * math.sqrt(kappa * unit)
+    bessel_pow = (8.0 - kappa) / kappa
+    p_ret = (eps_kill / eps_ret) ** bessel_pow
+    half_k6 = 0.5 * (kappa - 6.0)
+    return unit, res_units, floor_gap, p_ret, half_k6, float(gt_vals[-1])
+
+
 def _hsle_evolve_adaptive_np(state, streams, start_macro, max_macros, kappa,
                              dt, thr_macros, eps_kill, eps_ret, kres, bmax,
                              gt_vals, gt_du, gt_umax, snap, reached, status,
@@ -280,13 +330,8 @@ def _hsle_evolve_adaptive_np(state, streams, start_macro, max_macros, kappa,
     gt = gt_vals.tolist()
     k = len(thr)
     nt = len(gt)
-    g_top = gt[nt - 1]
-    unit = dt / bmax
-    res_units = bmax * 1.0 / (kappa * kres * kres * dt)  # * gmin^2 -> units
-    floor_gap = 0.35 * kres * math.sqrt(kappa * unit)
-    bessel_pow = (8.0 - kappa) / kappa
-    p_ret = (eps_kill / eps_ret) ** bessel_pow
-    half_k6 = 0.5 * (kappa - 6.0)
+    unit, res_units, floor_gap, p_ret, half_k6, g_top = _adaptive_constants(
+        kappa, dt, eps_kill, eps_ret, kres, bmax, gt_vals)
     stride = 4 * bmax  # counters per macro step
     end_macro = start_macro + max_macros
     # counters of the first-substep uniform pairs of a block, relative to
@@ -417,6 +462,119 @@ def _hsle_evolve_adaptive_np(state, streams, start_macro, max_macros, kappa,
         sts[p] = st
     status[:] = sts
     death_units[:] = dus
+
+
+# ---------------------------------------------------------------------------
+# compiled adaptive kernel (_hsle.c through ctypes)
+# ---------------------------------------------------------------------------
+
+_HSLE_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "_hsle.c")
+# part of the bit contract (module docstring): no contraction into fused
+# multiply-adds, no -ffast-math, no -march=native
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# error codes of _hsle.c and the exceptions the Python kernel raises there
+_HSLE_ERRORS = {1: (ZeroDivisionError, "float division by zero"),
+                2: (ValueError, "math domain error"),
+                3: (ValueError, "cannot convert float NaN to integer"),
+                4: (OverflowError, "cannot convert float infinity to "
+                                   "integer")}
+
+
+def _hsle_cache_dir() -> str:
+    """Per-user cache directory of the compiled kernel, created with mode
+    0o700; OSError if it cannot be created or is not this user's alone."""
+    base = (os.environ.get("XDG_CACHE_HOME")
+            or os.path.join(os.path.expanduser("~"), ".cache"))
+    path = os.path.join(base, "twocurve")
+    os.makedirs(path, mode=0o700, exist_ok=True)
+    info = os.stat(path)
+    if info.st_uid != os.getuid() or info.st_mode & 0o022:
+        raise PermissionError(f"{path} is not private to this user")
+    return path
+
+
+def _build_hsle(cc: str, out_dir: str) -> str:
+    """Path of the kernel library in ``out_dir``, compiling it there unless
+    a build of the same source, flags and compiler already exists."""
+    with open(_HSLE_SOURCE, "rb") as fh:
+        source = fh.read()
+    version = subprocess.run([cc, "--version"], capture_output=True,
+                             check=True, timeout=60).stdout
+    key = hashlib.sha256(b"\0".join(
+        [source, " ".join(_CFLAGS).encode(), version])).hexdigest()[:20]
+    path = os.path.join(out_dir, f"hsle-{key}.so")
+    if not os.path.exists(path):
+        with tempfile.TemporaryDirectory(dir=out_dir) as tmp:
+            part = os.path.join(tmp, "hsle.so")
+            subprocess.run([cc, *_CFLAGS, "-o", part, _HSLE_SOURCE, "-lm"],
+                           capture_output=True, check=True, timeout=300)
+            os.replace(part, path)
+    return path
+
+
+@functools.cache
+def _hsle_lib():
+    """The compiled adaptive kernel, built and loaded on the first call of
+    the process; None, after one logged warning, without a C compiler or
+    when the build fails."""
+    cc = shutil.which("cc")
+    if cc is None:
+        logger.warning("no C compiler (cc) on PATH; the adaptive hSLE "
+                       "kernel runs in Python")
+        return None
+    try:
+        try:
+            lib = ctypes.CDLL(_build_hsle(cc, _hsle_cache_dir()))
+        except OSError:
+            # no usable cache: build for this process only (the loaded
+            # library outlives its deleted file)
+            with tempfile.TemporaryDirectory() as tmp:
+                lib = ctypes.CDLL(_build_hsle(cc, tmp))
+    except (OSError, subprocess.SubprocessError) as exc:
+        detail = getattr(exc, "stderr", None)
+        logger.warning("cannot build %s (%s%s); the adaptive hSLE kernel "
+                       "runs in Python", _HSLE_SOURCE, exc,
+                       f": {detail.decode(errors='replace')}" if detail
+                       else "")
+        return None
+    i8, f8 = ctypes.c_int64, ctypes.c_double
+
+    def arr(dtype):
+        return np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
+
+    fn = lib.hsle_evolve_adaptive
+    fn.restype = ctypes.c_int
+    fn.argtypes = [
+        i8, i8, i8, arr(np.float64), arr(np.uint64), i8, i8, f8,
+        arr(np.int64), f8, f8, i8, arr(np.float64), f8, f8,
+        f8, f8, f8, f8, f8, f8,
+        arr(np.float64), arr(np.uint8), arr(np.uint8), arr(np.int64),
+        ctypes.POINTER(i8)]
+    return lib
+
+
+def hsle_kernel() -> str:
+    """Name of the adaptive kernel ``hsle_evolve_adaptive`` runs in this
+    process: ``"c"`` or ``"python"`` (builds the library on first use)."""
+    return "c" if _hsle_lib() is not None else "python"
+
+
+def _hsle_evolve_adaptive_c(lib, state, streams, start_macro, max_macros,
+                            kappa, dt, thr_macros, eps_kill, eps_ret, kres,
+                            bmax, gt_vals, gt_du, gt_umax, snap, reached,
+                            status, death_units) -> None:
+    consts = _adaptive_constants(kappa, dt, eps_kill, eps_ret, kres, bmax,
+                                 gt_vals)
+    err_row = ctypes.c_int64(-1)
+    code = lib.hsle_evolve_adaptive(
+        state.shape[0], thr_macros.shape[0], gt_vals.shape[0], state,
+        streams, start_macro, max_macros, kappa, thr_macros, eps_kill,
+        eps_ret, bmax, gt_vals, gt_du, gt_umax, *consts, snap, reached,
+        status, death_units, ctypes.byref(err_row))
+    if code:
+        exc, message = _HSLE_ERRORS[code]
+        raise exc(f"{message} (adaptive hSLE kernel, row {err_row.value})")
 
 
 # ---------------------------------------------------------------------------
@@ -568,123 +726,6 @@ if HAS_NUMBA:
             status[p] = st
             death_step[p] = ds
 
-    @njit(cache=True)
-    def _hsle_evolve_adaptive_nb(state, streams, start_macro, max_macros,
-                                 kappa, dt, thr_macros, eps_kill, eps_ret,
-                                 kres, bmax, gt_vals, gt_du, gt_umax,
-                                 snap, reached, status, death_units):
-        n = state.shape[0]
-        k = thr_macros.shape[0]
-        nt = gt_vals.shape[0]
-        unit = dt / bmax
-        res_units = bmax * 1.0 / (kappa * kres * kres * dt)
-        floor_gap = 0.35 * kres * math.sqrt(kappa * unit)
-        bessel_pow = (8.0 - kappa) / kappa
-        p_ret = (eps_kill / eps_ret) ** bessel_pow
-        for p in range(n):
-            w0 = state[p, 0]
-            v1 = state[p, 1]
-            v2 = state[p, 2]
-            wi = state[p, 3]
-            sid = streams[p]
-            ti = 0
-            st = np.uint8(0)
-            du_total = np.int64(-1)
-            units_done = np.int64(0)
-            for m in range(start_macro, start_macro + max_macros):
-                macros_done = m - start_macro + 1
-                left = np.int64(bmax)
-                while left > 0:
-                    g01 = v1 - w0
-                    gw = w0 - (wi - TWO_PI)
-                    gmin = g01 if g01 < gw else gw
-                    want = res_units * gmin * gmin
-                    if want < 1.0:
-                        n_u = np.int64(1)
-                    elif want >= left:
-                        n_u = left
-                    else:
-                        n_u = np.int64(want)
-                    off = np.int64(m) * np.int64(bmax) + (np.int64(bmax) - left)
-                    ks = np.uint64(4 * off)
-                    uu0 = _unif_nb(sid, ks)
-                    uu1 = _unif_nb(sid, ks + _N1)
-                    g = math.sqrt(-2.0 * math.log(uu0)) * math.cos(TWO_PI * uu1)
-                    dts = n_u * unit
-                    gb = v2 - w0
-                    gc = wi - w0
-                    u = (math.log(math.sin(0.5 * gb))
-                         + math.log(math.sin(0.5 * (wi - v1)))
-                         - math.log(math.sin(0.5 * gc))
-                         - math.log(math.sin(0.5 * (v2 - v1))))
-                    if u < 0.0:
-                        u = 0.0
-                    if u >= gt_umax:
-                        G = gt_vals[nt - 1]
-                    else:
-                        x = u / gt_du
-                        i0 = int(x)
-                        if i0 > nt - 2:
-                            i0 = nt - 2
-                        frac = x - i0
-                        G = gt_vals[i0] * (1.0 - frac) + gt_vals[i0 + 1] * frac
-                    sa = math.sin(0.5 * g01)
-                    ca = math.cos(0.5 * g01)
-                    sb = math.sin(0.5 * gb)
-                    cb = math.cos(0.5 * gb)
-                    sc = math.sin(0.5 * gc)
-                    cc = math.cos(0.5 * gc)
-                    drift = (0.5 * (kappa - 6.0) * (-cc / sc)
-                             + 0.5 * (-ca / sa + cb / sb) * G)
-                    v1 = v1 + (ca / sa) * dts
-                    v2 = v2 + (cb / sb) * dts
-                    wi = wi + (cc / sc) * dts
-                    w0 = w0 + drift * dts + math.sqrt(kappa * dts) * g
-                    left -= n_u
-                    units_done += n_u
-                    g01 = v1 - w0
-                    g12 = v2 - v1
-                    g23 = wi - v2
-                    gw = w0 - (wi - TWO_PI)
-                    if g12 <= 0.0 or g23 <= 0.0:
-                        st = np.uint8(4)
-                    elif gw <= 0.0:
-                        st = np.uint8(1)
-                    elif g01 <= 0.0:
-                        st = np.uint8(2)
-                    else:
-                        oth = g12 if g12 < g23 else g23
-                        ref_c = oth if oth < g01 else g01
-                        ref_f = oth if oth < gw else gw
-                        if gw < eps_kill * ref_c:
-                            ud = _unif_nb(sid, ks + _N1 + _N1)
-                            if ud < p_ret:
-                                w0 = (wi - TWO_PI) + eps_ret * ref_c
-                            else:
-                                st = np.uint8(1)
-                        elif g01 < eps_kill * ref_f:
-                            w0 = v1 - eps_ret * ref_f
-                        elif (gw if gw < g01 else g01) < floor_gap:
-                            st = np.uint8(3)
-                    if st != np.uint8(0):
-                        du_total = units_done
-                        break
-                if st != np.uint8(0):
-                    break
-                while ti < k and thr_macros[ti] == macros_done:
-                    snap[p, ti, 0] = w0
-                    snap[p, ti, 1] = v1
-                    snap[p, ti, 2] = v2
-                    snap[p, ti, 3] = wi
-                    reached[p, ti] = 1
-                    ti += 1
-            state[p, 0] = w0
-            state[p, 1] = v1
-            state[p, 2] = v2
-            state[p, 3] = wi
-            status[p] = st
-            death_units[p] = du_total
-
 
 # ---------------------------------------------------------------------------
 # dispatchers
@@ -757,8 +798,7 @@ def hsle_evolve_adaptive(state, streams, start_macro, max_macros, kappa, dt,
                          thr_macros, gt_vals, gt_du, gt_umax,
                          snap, reached, status, death_units,
                          eps_kill: float = 0.01, eps_ret: float = 0.1,
-                         kres: float = 3.5, bmax: int = 2048,
-                         backend: str | None = None) -> None:
+                         kres: float = 3.5, bmax: int = 2048) -> None:
     """Evolve radial hSLE angles with adaptive substepping (see module doc).
 
     Each base step of size ``dt`` (a "macro" step) is split into up to
@@ -803,22 +843,59 @@ def hsle_evolve_adaptive(state, streams, start_macro, max_macros, kappa, dt,
     surviving paths are snapshotted; ``death_units`` records the units
     survived (relative, in dt/bmax units; -1 if alive at the end), so the
     capacity at stop is death_units * dt / bmax.
+
+    The arrays must be C-contiguous with these dtypes and shapes, or
+    ValueError is raised before either kernel runs: ``state`` float64[n, 4]
+    and ``streams`` uint64[n]; ``thr_macros`` int64[k]; ``gt_vals``
+    float64[nt] with nt >= 2 (and ``gt_du`` > 0); the outputs ``snap``
+    float64[n, k, 4], ``reached`` uint8[n, k], ``status`` uint8[n] and
+    ``death_units`` int64[n], writeable.  ``bmax`` >= 1 and
+    ``start_macro`` >= 0.  The compiled kernel runs when it builds, else
+    ``_hsle_evolve_adaptive_np``; both give the same bytes and raise the
+    same exceptions (module docstring).
     """
-    if active_backend(backend) == "numba":
-        _hsle_evolve_adaptive_nb(state, streams, np.int64(start_macro),
-                                 np.int64(max_macros), float(kappa),
-                                 float(dt), thr_macros, float(eps_kill),
-                                 float(eps_ret), float(kres),
-                                 np.int64(bmax), gt_vals,
-                                 float(gt_du), float(gt_umax),
-                                 snap, reached, status, death_units)
+    start_macro, max_macros = int(start_macro), int(max_macros)
+    bmax = int(bmax)
+    gt_du = float(gt_du)
+    _check_adaptive_args(state, streams, thr_macros, gt_vals, snap, reached,
+                         status, death_units, gt_du, bmax, start_macro)
+    args = (state, streams, start_macro, max_macros, float(kappa), float(dt),
+            thr_macros, float(eps_kill), float(eps_ret), float(kres), bmax,
+            gt_vals, gt_du, float(gt_umax), snap, reached, status,
+            death_units)
+    lib = _hsle_lib()
+    if lib is not None:
+        _hsle_evolve_adaptive_c(lib, *args)
     else:
-        _hsle_evolve_adaptive_np(state, streams, int(start_macro),
-                                 int(max_macros), float(kappa), float(dt),
-                                 thr_macros, float(eps_kill), float(eps_ret),
-                                 float(kres), int(bmax), gt_vals,
-                                 float(gt_du), float(gt_umax),
-                                 snap, reached, status, death_units)
+        _hsle_evolve_adaptive_np(*args)
+
+
+def _check_adaptive_args(state, streams, thr_macros, gt_vals, snap, reached,
+                         status, death_units, gt_du, bmax, start_macro):
+    """Raise ValueError unless the arguments are what both adaptive kernels
+    index (the ``hsle_evolve_adaptive`` docstring lists them)."""
+    n, k, nt = (np.shape(a)[0] if np.ndim(a) else 0
+                for a in (state, thr_macros, gt_vals))
+    specs = (("state", state, np.float64, (n, 4), True),
+             ("streams", streams, np.uint64, (n,), False),
+             ("thr_macros", thr_macros, np.int64, (k,), False),
+             ("gt_vals", gt_vals, np.float64, (max(nt, 2),), False),
+             ("snap", snap, np.float64, (n, k, 4), True),
+             ("reached", reached, np.uint8, (n, k), True),
+             ("status", status, np.uint8, (n,), True),
+             ("death_units", death_units, np.int64, (n,), True))
+    for name, arr, dtype, shape, out in specs:
+        if not (isinstance(arr, np.ndarray) and arr.dtype == dtype
+                and arr.shape == shape and arr.flags.c_contiguous
+                and (arr.flags.writeable or not out)):
+            raise ValueError(
+                f"{name} must be a C-contiguous{' writeable' if out else ''} "
+                f"{np.dtype(dtype).name} array of shape {shape}")
+    if not gt_du > 0.0:
+        raise ValueError(f"gt_du must be positive, got {gt_du}")
+    if bmax < 1 or start_macro < 0:
+        raise ValueError(f"need bmax >= 1 and start_macro >= 0, got "
+                         f"{bmax} and {start_macro}")
 
 
 # ---------------------------------------------------------------------------

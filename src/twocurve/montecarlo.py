@@ -580,7 +580,7 @@ def _two_stage_run(ctx: KappaContext, cfg: BoundaryConfig, r_list,
             state, streams, 0, cap_a, kappa, dt, grid, gt_vals, gt_du,
             umax, snap_a, reached_a, status_a, death_a,
             eps_kill=params["eps_kill"], eps_ret=params["eps_ret"],
-            kres=params["kres"], bmax=bmax, backend=backend)
+            kres=params["kres"], bmax=bmax)
 
         for r in rs:
             tm = thr_m[r]
@@ -604,7 +604,7 @@ def _two_stage_run(ctx: KappaContext, cfg: BoundaryConfig, r_list,
                 state_b, streams_b, 0, cap_b, kappa, dt, grid_b, gt_vals,
                 gt_du, umax, snap_b, reached_b, status_b, death_b,
                 eps_kill=params["eps_kill"], eps_ret=params["eps_ret"],
-                kres=params["kres"], bmax=bmax, backend=backend)
+                kres=params["kres"], bmax=bmax)
             life_b = np.where(death_b < 0, float(cap_b) * bmax,
                               death_b.astype(float)) * (dt / bmax)
             swallow_hit = ((status_b == 3)
@@ -761,6 +761,7 @@ def estimate_two_curve_hit(ctx: KappaContext, cfg: BoundaryConfig, r_list,
         "r_list": [float(r) for r in r_list],
         "path_start": int(path_start),
         "backend": _kernels.active_backend(backend),
+        "hsle_kernel": _kernels.hsle_kernel(),
         **{k: params[k] for k in _TWO_STAGE_DEFAULTS},
     }
     records = []
@@ -831,6 +832,7 @@ def estimate_intersection_hit(ctx: KappaContext, cfg: BoundaryConfig,
         "r_list": [float(r) for r in r_list],
         "path_start": int(path_start),
         "backend": _kernels.active_backend(backend),
+        "hsle_kernel": _kernels.hsle_kernel(),
         **{k: params[k] for k in _TWO_STAGE_DEFAULTS},
     }
     agg, thr_m, _ = _two_stage_run(

@@ -5,10 +5,16 @@ The kernel's outputs are frozen bit for bit (see the note above
 batch and macro-boundary invariance, consistent stop codes, prefix
 snapshots -- every output bit is compared with a plain per-path loop
 kept here as the reference, and the stop codes of two fixed inputs with
-recorded values.  A small ``bmax`` keeps every run short.
+recorded values.  A small ``bmax`` keeps every run short.  The dispatcher
+runs the compiled kernel where ``cc`` exists; ``TestCompiledKernel``
+compares its bytes and exceptions with the Python kernel's.
 """
 
 import math
+import os
+import shutil
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -16,6 +22,7 @@ import pytest
 
 from twocurve import _kernels, _rng, cli, montecarlo as mc
 from twocurve.context import KappaContext
+from twocurve.green import BoundaryConfig
 
 TWO_PI = 2.0 * math.pi
 DT = 1e-3
@@ -38,8 +45,11 @@ def make_rows(n, seed=ROW_SEED):
     return rows
 
 
-def run(kappa, rows, start_macro, max_macros, thr, seed=7, ids=None):
-    """One kernel call on copies of ``rows``; returns all outputs."""
+def run(kappa, rows, start_macro, max_macros, thr, seed=7, ids=None,
+        bmax=BMAX, kernel=None):
+    """One kernel call on copies of ``rows``; returns all outputs.  The
+    call goes through the dispatcher, or with ``kernel`` "c" or "python"
+    straight to that kernel."""
     umax, gt_vals, gt_du = mc._gt_table(KappaContext(kappa))
     n = rows.shape[0]
     ids = np.arange(n) if ids is None else np.asarray(ids)
@@ -50,9 +60,18 @@ def run(kappa, rows, start_macro, max_macros, thr, seed=7, ids=None):
     reached = np.zeros((n, thr.size), dtype=np.uint8)
     status = np.zeros(n, dtype=np.uint8)
     death = np.full(n, -1, dtype=np.int64)
-    _kernels.hsle_evolve_adaptive(
-        state, streams, start_macro, max_macros, kappa, DT, thr, gt_vals,
-        gt_du, umax, snap, reached, status, death, bmax=BMAX)
+    if kernel is None:
+        _kernels.hsle_evolve_adaptive(
+            state, streams, start_macro, max_macros, kappa, DT, thr, gt_vals,
+            gt_du, umax, snap, reached, status, death, bmax=bmax)
+    else:
+        args = (state, streams, start_macro, max_macros, kappa, DT, thr,
+                0.01, 0.1, 3.5, bmax, gt_vals, gt_du, umax, snap, reached,
+                status, death)
+        if kernel == "c":
+            _kernels._hsle_evolve_adaptive_c(compiled_lib(), *args)
+        else:
+            _kernels._hsle_evolve_adaptive_np(*args)
     return dict(state=state, snap=snap, reached=reached, status=status,
                 death_units=death)
 
@@ -299,3 +318,142 @@ class TestNonPositiveGapAtEntry:
                            "--path-start", "380", "--master-seed", "3",
                            "--out-dir", out_dir])
         assert rc == 0
+
+
+# ---------------------------------------------------------------------------
+# the compiled kernel against the Python kernel
+# ---------------------------------------------------------------------------
+
+HAS_CC = shutil.which("cc") is not None
+OUTPUTS = ("state", "snap", "reached", "status", "death_units")
+S8 = math.pi / 4.0
+SYM_CFG = BoundaryConfig(w1=3 * S8, v1=S8, w2=-S8, v2=-3 * S8)
+
+
+def compiled_lib():
+    """The compiled kernel library; a build failure fails the test."""
+    lib = _kernels._hsle_lib()
+    assert lib is not None, "cc is on PATH but _hsle.c did not build"
+    return lib
+
+
+def assert_kernels_agree(kappa, rows, max_macros, thr, **kwargs):
+    c = run(kappa, rows, 0, max_macros, thr, kernel="c", **kwargs)
+    py = run(kappa, rows, 0, max_macros, thr, kernel="python", **kwargs)
+    for name in OUTPUTS:
+        assert_same_bits(c[name], py[name])
+    return py
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
+class TestCompiledKernel:
+    def test_dispatcher_runs_compiled_kernel(self):
+        compiled_lib()
+        assert _kernels.hsle_kernel() == "c"
+
+    @pytest.mark.parametrize("kappa", [3.0, 6.0, 7.5])
+    def test_bytes_equal_on_random_rows(self, kappa):
+        out = assert_kernels_agree(kappa, make_rows(200), 200, THR)
+        assert len(set(out["status"].tolist())) >= 3
+
+    @pytest.mark.parametrize("kappa", [3.0, 6.0, 7.5])
+    def test_bytes_equal_beyond_table_top(self, kappa):
+        # a passive gap of 1e-9 puts u = -log(1 - R) above the drift-factor
+        # table's u_max (18.4), where the kernels read its last value
+        rows = make_rows(40)
+        rows[:, 2] = rows[:, 1] + 1e-9
+        assert_kernels_agree(kappa, rows, 200, THR)
+
+    @pytest.mark.parametrize("row", [
+        (1.0, 1.0, 2.0, 3.0), (3.0 - TWO_PI, 1.0, 2.0, 3.0),
+        (0.5, 1.0, 1.0, 3.0), (0.5, 1.0, 2.0, 2.0)])
+    def test_bytes_equal_on_entry_rule_rows(self, row):
+        rows = np.array([row, (0.0, 1.0, 2.0, 3.0)])
+        out = assert_kernels_agree(6.0, rows, 50, [10, 20])
+        assert out["death_units"][0] == 0
+
+    def test_bytes_equal_with_reinjections_and_pinches(self, monkeypatch):
+        # first curves of the estimator's stage A at its bmax, grown to
+        # capacity 3: the run reaches target-side returns and status-3
+        # pinches, shown by the Python kernel's decision draws (counters
+        # 2 mod 4) and the stop codes
+        kappa, bmax = 6.0, 262144
+        p_ret = (0.01 / 0.1) ** ((8.0 - kappa) / kappa)
+        draws = []
+        uniform = _rng.uniform
+
+        def counted(stream, i):
+            u = uniform(stream, i)
+            if i % 4 == 2:
+                draws.append(u)
+            return u
+
+        monkeypatch.setattr(_rng, "uniform", counted)
+        rows = np.tile(mc._fresh_tuple(SYM_CFG, 1), (40, 1))
+        out = assert_kernels_agree(kappa, rows, 3000,
+                                   np.arange(250, 3001, 250), bmax=bmax,
+                                   seed=3)
+        assert any(u < p_ret for u in draws)      # a target-side return
+        assert (out["status"] == 3).any()         # a pinch
+        assert (out["status"] == 0).any()
+
+    @pytest.mark.parametrize("row, exc", [
+        # the half gap underflows to 0: -cos/sin divides by zero
+        ((0.0, 5e-324, 2.0, 4.0), ZeroDivisionError),
+        # the half of a 5e-324 passive gap underflows: log(sin(0))
+        ((0.0, 5e-324, 1e-323, 4.0), ValueError),
+        # NaN gap: int(nan) for the substep's unit count
+        ((0.0, 1.0, 2.0, float("nan")), ValueError),
+    ])
+    def test_same_exception_on_degenerate_rows(self, row, exc):
+        rows = np.array([(0.0, 1.0, 2.0, 3.0), row])
+        for kernel in ("c", "python"):
+            with pytest.raises(exc) as info:
+                run(6.0, rows, 0, 20, [10], kernel=kernel)
+            assert type(info.value) is exc
+
+    def test_infinite_row_stops_at_entry_in_both(self):
+        rows = np.array([(0.0, 1.0, 2.0, math.inf)])
+        for kernel in ("c", "python"):
+            out = run(6.0, rows, 0, 20, [10], kernel=kernel)
+            assert out["status"].tolist() == [1]
+            assert out["death_units"].tolist() == [0]
+
+
+class TestDispatcherArguments:
+    @pytest.mark.parametrize("name, bad", [
+        ("state", lambda a: np.asfortranarray(a)),
+        ("state", lambda a: a[:, :3].copy()),
+        ("streams", lambda a: a.astype(np.int64)),
+        ("thr_macros", lambda a: a.astype(np.int32)),
+        ("snap", lambda a: a[:, :1].copy()),
+        ("status", lambda a: a.astype(np.int64)),
+        ("death_units", lambda a: a[:-1].copy()),
+    ])
+    def test_rejects_bad_arrays(self, name, bad):
+        umax, gt_vals, gt_du = mc._gt_table(KappaContext(6.0))
+        n, thr = 3, np.array([5, 10], dtype=np.int64)
+        args = dict(
+            state=make_rows(n), streams=np.arange(n, dtype=np.uint64),
+            thr_macros=thr, snap=np.zeros((n, 2, 4)),
+            reached=np.zeros((n, 2), dtype=np.uint8),
+            status=np.zeros(n, dtype=np.uint8),
+            death_units=np.full(n, -1, dtype=np.int64))
+        args[name] = bad(args[name])
+        with pytest.raises(ValueError, match=name):
+            _kernels.hsle_evolve_adaptive(
+                args["state"], args["streams"], 0, 10, 6.0, DT,
+                args["thr_macros"], gt_vals, gt_du, umax, args["snap"],
+                args["reached"], args["status"], args["death_units"])
+
+    def test_import_compiles_nothing(self):
+        # the library is built by the first kernel call, not at import
+        code = ("import twocurve.cli, twocurve._kernels as k; "
+                "print(k._hsle_lib.cache_info().currsize)")
+        src = os.path.dirname(os.path.dirname(_kernels.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, timeout=120,
+                             env=env)
+        assert out.stdout.split() == ["0"]
