@@ -1,5 +1,5 @@
-"""Simulation kernels: a compiled adaptive hSLE kernel, numba twins of the
-other kernels, and numpy fallbacks.
+"""Simulation kernels: the adaptive hSLE kernel (compiled, with a Python
+fallback), the two-angle diffusion and the backward Loewner flow.
 
 The adaptive hSLE kernel
 ------------------------
@@ -27,22 +27,11 @@ library is built in a temporary directory for this process only; if there
 is no compiler or the build fails, one warning is logged and the Python
 kernel runs.
 
-Other backends
---------------
-For ``z_evolve``, ``hsle_evolve`` and ``backward_flow`` the environment
-variable ``TWOCURVE_BACKEND`` picks the implementation:
-
-* ``"numba"`` -- always use the compiled kernels (error if numba is absent);
-* ``"numpy"``  -- always use the vectorized numpy fallback;
-* ``"auto"`` (default, or unset) -- numba when importable, else numpy.
-
-Those dispatchers also accept an explicit ``backend=`` override.  Both
-backends consume the same counter-based random streams (:mod:`._rng`):
-path ``p`` at step ``s`` reads the normal pair with counter ``s`` of its
-stream, so skipped draws (dead paths) cost nothing and runs can be resumed
-at any step boundary.  Uniform deviates are bit-identical across backends;
-numba and numpy trajectories agree to transcendental-function rounding
-(libm versus numpy vector routines) and are statistically equivalent.
+``z_evolve`` and ``backward_flow`` are vectorized numpy code.  The two
+random kernels, ``z_evolve`` and ``hsle_evolve_adaptive``, draw from the
+counter-based streams of :mod:`._rng` indexed by the absolute step, so
+skipped draws (dead paths) cost nothing and runs can be resumed at any
+step boundary.
 
 Kernels
 -------
@@ -70,24 +59,19 @@ Kernels
     absorbed and flagged, never reflected.  States are snapshotted at
     requested step indices.
 
-``hsle_evolve``
-    Euler-Maruyama evolution of the radial hypergeometric-SLE driving
-    angle together with its three passive boundary points, with capacity
-    thresholds, collision detection, and a lookup table for the
-    hypergeometric drift factor.
-
 ``hsle_evolve_adaptive``
-    The same flow with per-path adaptive substepping and scale-free
-    stopping rules.  The fixed-step kernel is only resolved while the
-    angular gaps between the driving point and its neighbours stay large
-    compared with the Brownian step sqrt(kappa dt): once the four points
-    bunch (the curve diving toward the origin squeezes every gap like
-    exp(-capacity)), a fixed step throws the driver across a gap in one
-    update, the passive cotangent pushes explode, and the state goes NaN.
-    The adaptive kernel divides each base step of size dt into up to
-    ``bmax`` equal units and advances by the largest unit count keeping
-    sqrt(kappa dt_sub) below (driver gap)/kres, so the walk remains
-    resolved at every depth down to the floor gap
+    Evolution of the radial hypergeometric-SLE driving angle together with
+    its three passive boundary points, with per-path adaptive substepping,
+    scale-free stopping rules and a lookup table for the hypergeometric
+    drift factor.  A fixed step is only resolved while the angular gaps
+    between the driving point and its neighbours stay large compared with
+    the Brownian step sqrt(kappa dt): once the four points bunch (the curve
+    diving toward the origin squeezes every gap like exp(-capacity)), it
+    throws the driver across a gap in one update, the passive cotangent
+    pushes explode, and the state goes NaN.  The kernel divides each base
+    step of size dt into up to ``bmax`` equal units and advances by the
+    largest unit count keeping sqrt(kappa dt_sub) below (driver gap)/kres,
+    so the walk remains resolved at every depth down to the floor gap
     ~ kres sqrt(kappa dt / bmax).  Stopping is relative, not absolute:
     a driver-adjacent gap collapsing below ``eps_kill`` times the
     smallest other gap triggers the exact boundary rule of the limiting
@@ -122,54 +106,40 @@ import numpy as np
 
 from . import _rng
 
-try:  # pragma: no cover - exercised implicitly by backend selection
-    import numba
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAS_NUMBA = False
-
 logger = logging.getLogger(__name__)
 
 TWO_PI = 2.0 * math.pi
 PI = math.pi
 
-# uint64 constants frozen into the compiled kernels
-_N1 = np.uint64(1)
-_N11 = np.uint64(11)
-_N27 = np.uint64(27)
-_N30 = np.uint64(30)
-_N31 = np.uint64(31)
-_NGAMMA = np.uint64(_rng.GAMMA)
-_NM1 = np.uint64(0xBF58476D1CE4E5B9)
-_NM2 = np.uint64(0x94D049BB133111EB)
-_INV53 = 2.0 ** -53
 
-
-def active_backend(backend: str | None = None) -> str:
-    """Resolve the backend name: explicit argument, else environment."""
-    name = backend if backend is not None else os.environ.get(
-        "TWOCURVE_BACKEND", "auto")
-    name = name.strip().lower()
-    if name == "numpy":
-        return "numpy"
-    if name == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError(
-                "TWOCURVE_BACKEND=numba requested but numba is not importable")
-        return "numba"
-    if name in ("auto", ""):
-        return "numba" if HAS_NUMBA else "numpy"
-    raise ValueError(f"unknown backend {name!r}; use 'numba', 'numpy' or 'auto'")
+def active_backend() -> str:
+    """Name of the implementation of ``z_evolve`` and ``backward_flow``."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
-# numpy fallback implementations
+# two-angle diffusion
 # ---------------------------------------------------------------------------
 
-def _z_evolve_np(z1, z2, alive, absorb_step, streams, start_step, n_steps,
-                 kappa, dt, rec_steps, rec_z1, rec_z2) -> None:
+def z_evolve(z1, z2, alive, absorb_step, streams, start_step, n_steps,
+             kappa, dt, rec_steps, rec_z1, rec_z2) -> None:
+    """Evolve the two-angle diffusion in place for ``n_steps`` steps.
+
+    Args:
+        z1, z2: float64[n] current angles, updated in place.
+        alive: bool[n] survivor flags, updated in place.
+        absorb_step: int64[n] absorption step (absolute), -1 while alive.
+        streams: uint64[n] per-path stream ids.
+        start_step: absolute index of the first step taken (the step moving
+            the state from time start_step*dt to (start_step+1)*dt); random
+            counters are indexed by absolute step, so a run split into
+            chunks reproduces an unchunked run exactly.
+        rec_steps: int64[m] ascending absolute step indices at which to
+            snapshot (values in (start_step, start_step + n_steps]).
+        rec_z1, rec_z2: float64[m, n] snapshot buffers.
+    """
+    start_step, n_steps = int(start_step), int(n_steps)
+    kappa, dt = float(kappa), float(dt)
     m = rec_steps.shape[0]
     ri = 0
     for s in range(start_step, start_step + n_steps):
@@ -199,69 +169,6 @@ def _z_evolve_np(z1, z2, alive, absorb_step, streams, start_step, n_steps,
             rec_z1[ri, :] = z1
             rec_z2[ri, :] = z2
             ri += 1
-
-
-def _hsle_evolve_np(state, streams, start_step, max_steps, kappa, dt,
-                    thr_steps, tol, gt_vals, gt_du, gt_umax,
-                    snap, reached, status, death_step) -> None:
-    n = state.shape[0]
-    k = thr_steps.shape[0]
-    sqkdt = math.sqrt(kappa * dt)
-    alive = np.ones(n, dtype=bool)
-    nt = gt_vals.shape[0]
-    for s in range(start_step, start_step + max_steps):
-        steps_done = s - start_step + 1
-        idx = np.nonzero(alive)[0]
-        if idx.size == 0:
-            break
-        w0 = state[idx, 0]
-        v1 = state[idx, 1]
-        v2 = state[idx, 2]
-        wi = state[idx, 3]
-        u0 = _rng.uniform_array(streams[idx], 2 * s)
-        u1 = _rng.uniform_array(streams[idx], 2 * s + 1)
-        g = np.sqrt(-2.0 * np.log(u0)) * np.cos(TWO_PI * u1)
-        ga = v1 - w0
-        gb = v2 - w0
-        gc = wi - w0
-        # u = -log(1-R) computed from the complementary cross-ratio, which
-        # stays accurate when R is close to 1 (no cancellation).
-        u = (np.log(np.sin(0.5 * gb)) + np.log(np.sin(0.5 * (wi - v1)))
-             - np.log(np.sin(0.5 * gc)) - np.log(np.sin(0.5 * (v2 - v1))))
-        u = np.clip(u, 0.0, gt_umax)
-        x = u / gt_du
-        i0 = np.minimum(x.astype(np.int64), nt - 2)
-        frac = x - i0
-        G = gt_vals[i0] * (1.0 - frac) + gt_vals[i0 + 1] * frac
-        cot_inf = -np.cos(0.5 * gc) / np.sin(0.5 * gc)
-        cot_a = -np.cos(0.5 * ga) / np.sin(0.5 * ga)
-        cot_b = -np.cos(0.5 * gb) / np.sin(0.5 * gb)
-        drift = 0.5 * (kappa - 6.0) * cot_inf + 0.5 * (cot_a - cot_b) * G
-        v1n = v1 + (np.cos(0.5 * ga) / np.sin(0.5 * ga)) * dt
-        v2n = v2 + (np.cos(0.5 * gb) / np.sin(0.5 * gb)) * dt
-        win = wi + (np.cos(0.5 * gc) / np.sin(0.5 * gc)) * dt
-        w0n = w0 + drift * dt + sqkdt * g
-        state[idx, 0] = w0n
-        state[idx, 1] = v1n
-        state[idx, 2] = v2n
-        state[idx, 3] = win
-        gap_lo = w0n - (win - TWO_PI)
-        gap_hi = v1n - w0n
-        done = gap_lo < tol
-        hitv = (~done) & (gap_hi < tol)
-        dead = done | hitv
-        if dead.any():
-            dd = idx[dead]
-            status[idx[done]] = 1
-            status[idx[hitv]] = 2
-            death_step[dd] = steps_done
-            alive[dd] = False
-        ti = np.searchsorted(thr_steps, steps_done, side="left")
-        while ti < k and thr_steps[ti] == steps_done:
-            still = np.nonzero(alive)[0]
-            snap[still, ti, :] = state[still, :]
-            reached[still, ti] = 1
-            ti += 1
 
 
 # The adaptive kernel is the hot path of every two-curve estimate, and its
@@ -577,223 +484,6 @@ def _hsle_evolve_adaptive_c(lib, state, streams, start_macro, max_macros,
         raise exc(f"{message} (adaptive hSLE kernel, row {err_row.value})")
 
 
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _mix64_nb(z):
-        z = z ^ (z >> _N30)
-        z = z * _NM1
-        z = z ^ (z >> _N27)
-        z = z * _NM2
-        z = z ^ (z >> _N31)
-        return z
-
-    @njit(cache=True)
-    def _unif_nb(stream, i):
-        w = _mix64_nb(stream + _NGAMMA * (i + _N1))
-        return (np.float64(w >> _N11) + 0.5) * _INV53
-
-    @njit(cache=True)
-    def _z_evolve_nb(z1, z2, alive, absorb_step, streams, start_step, n_steps,
-                     kappa, dt, rec_steps, rec_z1, rec_z2):
-        n = z1.shape[0]
-        m = rec_steps.shape[0]
-        for p in range(n):
-            a = z1[p]
-            b = z2[p]
-            live = alive[p]
-            sid = streams[p]
-            ri = 0
-            for s in range(start_step, start_step + n_steps):
-                if live:
-                    ks = np.uint64(2 * s)
-                    uu0 = _unif_nb(sid, ks)
-                    uu1 = _unif_nb(sid, ks + _N1)
-                    r = math.sqrt(-2.0 * math.log(uu0))
-                    ang = TWO_PI * uu1
-                    g1 = r * math.cos(ang)
-                    g2 = r * math.sin(ang)
-                    sa = math.sin(a)
-                    sb = math.sin(b)
-                    ca = math.cos(a)
-                    cb = math.cos(b)
-                    S = sa + sb
-                    mil = 0.25 * kappa / S * dt
-                    an = (a + 4.0 * ca / S * dt
-                          + math.sqrt(kappa * sa / S * dt) * g1
-                          + mil * ca * (g1 * g1 - 1.0))
-                    bn = (b + 4.0 * cb / S * dt
-                          + math.sqrt(kappa * sb / S * dt) * g2
-                          + mil * cb * (g2 * g2 - 1.0))
-                    if an <= 0.0 or an >= PI or bn <= 0.0 or bn >= PI:
-                        live = False
-                        absorb_step[p] = s + 1
-                        a = min(max(an, 0.0), PI)
-                        b = min(max(bn, 0.0), PI)
-                    else:
-                        a = an
-                        b = bn
-                while ri < m and rec_steps[ri] == s + 1:
-                    rec_z1[ri, p] = a
-                    rec_z2[ri, p] = b
-                    ri += 1
-            z1[p] = a
-            z2[p] = b
-            alive[p] = live
-
-    @njit(cache=True)
-    def _hsle_evolve_nb(state, streams, start_step, max_steps, kappa, dt,
-                        thr_steps, tol, gt_vals, gt_du, gt_umax,
-                        snap, reached, status, death_step):
-        n = state.shape[0]
-        k = thr_steps.shape[0]
-        nt = gt_vals.shape[0]
-        sqkdt = math.sqrt(kappa * dt)
-        for p in range(n):
-            w0 = state[p, 0]
-            v1 = state[p, 1]
-            v2 = state[p, 2]
-            wi = state[p, 3]
-            sid = streams[p]
-            ti = 0
-            st = np.uint8(0)
-            ds = np.int64(-1)
-            for s in range(start_step, start_step + max_steps):
-                steps_done = s - start_step + 1
-                ks = np.uint64(2 * s)
-                uu0 = _unif_nb(sid, ks)
-                uu1 = _unif_nb(sid, ks + _N1)
-                g = math.sqrt(-2.0 * math.log(uu0)) * math.cos(TWO_PI * uu1)
-                ga = v1 - w0
-                gb = v2 - w0
-                gc = wi - w0
-                u = (math.log(math.sin(0.5 * gb))
-                     + math.log(math.sin(0.5 * (wi - v1)))
-                     - math.log(math.sin(0.5 * gc))
-                     - math.log(math.sin(0.5 * (v2 - v1))))
-                if u < 0.0:
-                    u = 0.0
-                if u >= gt_umax:
-                    G = gt_vals[nt - 1]
-                else:
-                    x = u / gt_du
-                    i0 = int(x)
-                    if i0 > nt - 2:
-                        i0 = nt - 2
-                    frac = x - i0
-                    G = gt_vals[i0] * (1.0 - frac) + gt_vals[i0 + 1] * frac
-                sa = math.sin(0.5 * ga)
-                ca = math.cos(0.5 * ga)
-                sb = math.sin(0.5 * gb)
-                cb = math.cos(0.5 * gb)
-                sc = math.sin(0.5 * gc)
-                cc = math.cos(0.5 * gc)
-                drift = (0.5 * (kappa - 6.0) * (-cc / sc)
-                         + 0.5 * (-ca / sa + cb / sb) * G)
-                v1n = v1 + (ca / sa) * dt
-                v2n = v2 + (cb / sb) * dt
-                win = wi + (cc / sc) * dt
-                w0n = w0 + drift * dt + sqkdt * g
-                w0 = w0n
-                v1 = v1n
-                v2 = v2n
-                wi = win
-                gap_lo = w0 - (wi - TWO_PI)
-                gap_hi = v1 - w0
-                if gap_lo < tol:
-                    st = np.uint8(1)
-                    ds = np.int64(steps_done)
-                    break
-                if gap_hi < tol:
-                    st = np.uint8(2)
-                    ds = np.int64(steps_done)
-                    break
-                while ti < k and thr_steps[ti] == steps_done:
-                    snap[p, ti, 0] = w0
-                    snap[p, ti, 1] = v1
-                    snap[p, ti, 2] = v2
-                    snap[p, ti, 3] = wi
-                    reached[p, ti] = 1
-                    ti += 1
-            state[p, 0] = w0
-            state[p, 1] = v1
-            state[p, 2] = v2
-            state[p, 3] = wi
-            status[p] = st
-            death_step[p] = ds
-
-
-# ---------------------------------------------------------------------------
-# dispatchers
-# ---------------------------------------------------------------------------
-
-def z_evolve(z1, z2, alive, absorb_step, streams, start_step, n_steps,
-             kappa, dt, rec_steps, rec_z1, rec_z2,
-             backend: str | None = None) -> None:
-    """Evolve the two-angle diffusion in place for ``n_steps`` steps.
-
-    Args:
-        z1, z2: float64[n] current angles, updated in place.
-        alive: bool[n] survivor flags, updated in place.
-        absorb_step: int64[n] absorption step (absolute), -1 while alive.
-        streams: uint64[n] per-path stream ids.
-        start_step: absolute index of the first step taken (the step moving
-            the state from time start_step*dt to (start_step+1)*dt); random
-            counters are indexed by absolute step, so a run split into
-            chunks reproduces an unchunked run exactly.
-        rec_steps: int64[m] ascending absolute step indices at which to
-            snapshot (values in (start_step, start_step + n_steps]).
-        rec_z1, rec_z2: float64[m, n] snapshot buffers.
-    """
-    if active_backend(backend) == "numba":
-        _z_evolve_nb(z1, z2, alive, absorb_step, streams,
-                     np.int64(start_step), np.int64(n_steps),
-                     float(kappa), float(dt), rec_steps, rec_z1, rec_z2)
-    else:
-        _z_evolve_np(z1, z2, alive, absorb_step, streams,
-                     int(start_step), int(n_steps),
-                     float(kappa), float(dt), rec_steps, rec_z1, rec_z2)
-
-
-def hsle_evolve(state, streams, start_step, max_steps, kappa, dt,
-                thr_steps, tol, gt_vals, gt_du, gt_umax,
-                snap, reached, status, death_step,
-                backend: str | None = None) -> None:
-    """Evolve radial hSLE driving angles in place with threshold snapshots.
-
-    Args:
-        state: float64[n, 4] rows (w0, v1, v2, winf) in strictly increasing
-            covering order w0 < v1 < v2 < winf < w0 + 2*pi; updated in place.
-        streams: uint64[n] per-path stream ids (normal at step s uses the
-            first member of Box-Muller pair s).
-        thr_steps: int64[k] ascending step counts (relative to this run) at
-            which surviving paths are snapshotted into ``snap`` and marked
-            in ``reached``.
-        tol: collision tolerance in radians; a step ending with
-            w0 within ``tol`` of winf - 2*pi is classified as completion
-            (status 1), within ``tol`` of v1 as a force-point collision
-            (status 2); either stops the path.
-        gt_vals, gt_du, gt_umax: lookup table for the hypergeometric drift
-            factor, tabulated uniformly in u = -log(1 - R).
-        snap: float64[n, k, 4]; reached: uint8[n, k]; status: uint8[n];
-        death_step: int64[n] steps survived at stop (-1 if alive at end).
-    """
-    if active_backend(backend) == "numba":
-        _hsle_evolve_nb(state, streams, np.int64(start_step),
-                        np.int64(max_steps), float(kappa), float(dt),
-                        thr_steps, float(tol), gt_vals, float(gt_du),
-                        float(gt_umax), snap, reached, status, death_step)
-    else:
-        _hsle_evolve_np(state, streams, int(start_step), int(max_steps),
-                        float(kappa), float(dt), thr_steps, float(tol),
-                        gt_vals, float(gt_du), float(gt_umax),
-                        snap, reached, status, death_step)
-
-
 def hsle_evolve_adaptive(state, streams, start_macro, max_macros, kappa, dt,
                          thr_macros, gt_vals, gt_du, gt_umax,
                          snap, reached, status, death_units,
@@ -902,53 +592,7 @@ def _check_adaptive_args(state, streams, thr_macros, gt_vals, snap, reached,
 # backward Loewner flow (pullback through a stored driving sequence)
 # ---------------------------------------------------------------------------
 
-def _backward_flow_np(drivers, lengths, du, y):
-    n, width = drivers.shape
-    exp_du = math.exp(du)
-    for k in range(width - 1, -1, -1):
-        act = lengths > k
-        if not act.any():
-            continue
-        rot = np.exp(1j * drivers[act, k])
-        zeta = y[act] / rot
-        with np.errstate(all="ignore"):
-            c = exp_du * (1.0 + zeta) ** 2 / zeta
-            bp = c - 2.0
-            disc = np.sqrt(c * (c - 4.0))
-            disc = np.where((np.conj(bp) * disc).real < 0.0, -disc, disc)
-            yn = rot / (0.5 * (bp + disc))
-        y[act] = np.where(np.isfinite(yn), yn, y[act])
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _backward_flow_nb(drivers, lengths, du, y):  # pragma: no cover
-        n = drivers.shape[0]
-        exp_du = math.exp(du)
-        for i in range(n):
-            m = lengths[i]
-            yi = y[i]
-            for k in range(m - 1, -1, -1):
-                if yi.real == 0.0 and yi.imag == 0.0:
-                    break
-                rot = np.exp(1j * drivers[i, k])
-                zeta = yi / rot
-                c = exp_du * (1.0 + zeta) ** 2 / zeta
-                bp = c - 2.0
-                disc = np.sqrt(c * (c - 4.0))
-                if (bp.real * disc.real + bp.imag * disc.imag) < 0.0:
-                    disc = -disc
-                den = 0.5 * (bp + disc)
-                if den.real == 0.0 and den.imag == 0.0:
-                    continue
-                yn = rot / den
-                if np.isfinite(yn.real) and np.isfinite(yn.imag):
-                    yi = yn
-            y[i] = yi
-
-
-def backward_flow(drivers, lengths, du, y, backend: str | None = None) -> None:
+def backward_flow(drivers, lengths, du, y) -> None:
     """Pull points back through a piecewise-constant radial Loewner chain.
 
     Row ``i`` holds a driver-angle sequence in ``drivers[i, :lengths[i]]``
@@ -962,8 +606,18 @@ def backward_flow(drivers, lengths, du, y, backend: str | None = None) -> None:
     the unit circle rather than exactly on it.
     """
     lengths = np.ascontiguousarray(lengths, dtype=np.int64)
-    if active_backend(backend) == "numba":
-        _backward_flow_nb(np.ascontiguousarray(drivers), lengths,
-                          float(du), y)
-    else:
-        _backward_flow_np(drivers, lengths, float(du), y)
+    width = drivers.shape[1]
+    exp_du = math.exp(float(du))
+    for k in range(width - 1, -1, -1):
+        act = lengths > k
+        if not act.any():
+            continue
+        rot = np.exp(1j * drivers[act, k])
+        zeta = y[act] / rot
+        with np.errstate(all="ignore"):
+            c = exp_du * (1.0 + zeta) ** 2 / zeta
+            bp = c - 2.0
+            disc = np.sqrt(c * (c - 4.0))
+            disc = np.where((np.conj(bp) * disc).real < 0.0, -disc, disc)
+            yn = rot / (0.5 * (bp + disc))
+        y[act] = np.where(np.isfinite(yn), yn, y[act])

@@ -14,12 +14,10 @@ applied to counter pairs (2k, 2k+1).
 
 This module provides pure-Python integer helpers (used for seed/stream
 derivation and scalar draws) and vectorized numpy routines (used by the
-numpy simulation backend).  The compiled kernels (numba, and the C
-adaptive kernel ``_hsle.c``) reimplement the same integer recurrence;
-uniform deviates agree bit-for-bit across backends.  The C kernel's
-normals equal the Python kernel's too (both call libm), while numba and
-numpy normals may differ in the last ulps because transcendental functions
-differ between libm and numpy's vector routines.
+numpy kernels).  The compiled adaptive kernel ``_hsle.c`` reimplements the
+same integer recurrence, so its uniform deviates equal these bit for bit,
+and so do its normals, which it forms with the same libm calls as the
+Python adaptive kernel.
 """
 from __future__ import annotations
 

@@ -39,9 +39,7 @@ run can be reproduced afterwards.
 Exit codes: 0 success, 1 verification failure (``check``), 2 invalid
 configuration or input, 3 runtime failure.
 
-All CSV files start with a ``schema_version`` column (current version
-1).  ``parallelism`` is accepted for forward compatibility but this
-implementation always orchestrates serially (single writer).
+All CSV files start with a ``schema_version`` column (current version 1).
 """
 
 from __future__ import annotations
@@ -92,7 +90,6 @@ class RunConfig:
     master_seed: int | None = None
     out_dir: str = "."
     path_start: int = 0
-    parallelism: int = 1
     dt_halving: bool = False
     grid_n: int = 24
     fit_window: list = field(default_factory=lambda: [4.0, 8.0])
@@ -148,8 +145,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     for name, value in data.items():
         if name in ("z0", "cfg", "r_list", "t_list", "fit_window", "kappas"):
             value = _coerce_list(name, value)
-        elif name in ("n_paths", "n_max", "path_start", "parallelism",
-                      "grid_n", "n_drift_states"):
+        elif name in ("n_paths", "n_max", "path_start", "grid_n",
+                      "n_drift_states"):
             try:
                 value = int(value)
             except (TypeError, ValueError):
@@ -178,8 +175,6 @@ def validate_config(cfg: RunConfig, command: str) -> None:
     """Reject all domain violations before any computation."""
     if not (0.0 < cfg.kappa < 8.0):
         raise ConfigError(f"kappa must lie in (0, 8), got {cfg.kappa}")
-    if cfg.parallelism < 1:
-        raise ConfigError("parallelism must be >= 1")
     if cfg.path_start < 0:
         raise ConfigError("path_start must be >= 0")
     if command == "check":
@@ -435,6 +430,9 @@ def cmd_simulate(cfg: RunConfig, out=sys.stdout) -> int:
         "dt_values": dts,
         "files": ["estimates.csv"],
     }
+    if cfg.method != "z-weighted":
+        # the adaptive hSLE kernel that ran: "c" or "python"
+        meta["hsle_kernel"] = records[0].config["hsle_kernel"]
     _write_json(os.path.join(cfg.out_dir, "estimates_meta.json"), meta)
     for rec in records:
         out.write(f"{rec.method} r_or_t={rec.r_or_t:g} dt={rec.dt:g} "
@@ -593,8 +591,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", dest="out_dir", help="output directory")
     p.add_argument("--master-seed", dest="master_seed", type=int,
                    help="master RNG seed (generated and printed if absent)")
-    p.add_argument("--parallelism", type=int,
-                   help="orchestration degree (currently serial)")
 
 
 def build_parser() -> argparse.ArgumentParser:

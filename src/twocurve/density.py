@@ -26,7 +26,6 @@ degree n.  This module provides:
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 
@@ -38,7 +37,6 @@ from .quadrature import square_integrate, tanh_sinh_rule
 from .special import h_const, jacobi, jacobi_sup_norm, log_gamma, hyp_F
 
 __all__ = [
-    "CSV_SCHEMA_VERSION",
     "SpectralBasis",
     "PtResult",
     "eigenvalue",
@@ -53,13 +51,9 @@ __all__ = [
     "Z_constant",
     "tilde_pZ_infty",
     "survival_P2",
-    "write_density_grid_csv",
-    "write_survival_csv",
 ]
 
 logger = logging.getLogger(__name__)
-
-CSV_SCHEMA_VERSION = 1
 
 # Hard cap on the series truncation degree; beyond this the sup-norm tail
 # bound is dominated by binomial growth and adds nothing at the times of
@@ -741,38 +735,3 @@ def survival_P2(ctx: KappaContext, basis: SpectralBasis, z0, t,
     total = float(np.dot(lam_modes * v0[:sel], ints[:sel]))
     val = np.exp(-ctx.alpha0 * float(t)) * G_u(ctx, (z1, z2)) * total
     return float(min(max(val, 0.0), 1.0))
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-
-def write_density_grid_csv(path, z1, z2, value):
-    """Write a density grid as CSV rows (z1, z2, value)."""
-    z1 = np.asarray(z1, dtype=float).ravel()
-    z2 = np.asarray(z2, dtype=float).ravel()
-    value = np.asarray(value, dtype=float).ravel()
-    if not (z1.size == z2.size == value.size):
-        raise ValueError("grid columns must have equal length")
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["z1", "z2", "value", "schema_version"])
-        for a, b, v in zip(z1, z2, value):
-            out.writerow([repr(float(a)), repr(float(b)), repr(float(v)),
-                          CSV_SCHEMA_VERSION])
-
-
-def write_survival_csv(path, t, survival, asymptote):
-    """Write a survival curve as CSV rows (t, survival, asymptote)."""
-    t = np.asarray(t, dtype=float).ravel()
-    survival = np.asarray(survival, dtype=float).ravel()
-    asymptote = np.asarray(asymptote, dtype=float).ravel()
-    if not (t.size == survival.size == asymptote.size):
-        raise ValueError("survival columns must have equal length")
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["t", "survival", "asymptote", "schema_version"])
-        for a, b, c in zip(t, survival, asymptote):
-            out.writerow([repr(float(a)), repr(float(b)), repr(float(c)),
-                          CSV_SCHEMA_VERSION])

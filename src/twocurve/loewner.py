@@ -1,32 +1,25 @@
-"""Radial, covering, and chordal Loewner flows over discretized drivers.
+"""Radial Loewner flow over discretized drivers.
 
 A driving function is stored on a time grid with a per-interval speed
-(capacity density).  Flows integrate the corresponding Loewner equation
-by splitting each grid interval into capacity micro-steps and applying
-the *exact* single-slit map of each micro-step with the driver held at
-the micro-interval midpoint:
-
-* radial  (unit disc, growth at e^{i w}):   dg = g (e^{iw}+g)/(e^{iw}-g) du
-* covering (strip picture, e^{i.}-conjugate): dg = cot2(g - w) du
-* chordal (upper half-plane):               dg = 2/(g - w) du
-
-For a constant driver the radial map satisfies the invariant
-(1+g)^2 / g = e^{-u} (1+z)^2 / z, giving a quadratic per micro-step; the
-covering form is w + 2*pi*n + 2*arccos(e^{-u/2} cos2(z-w)) on the branch
-containing z, and the chordal form is w + sqrt((z-w)^2 + 4u) with the
-root chosen by continuity.  Because micro-steps compose exactly, the
-semigroup property holds to rounding error whenever the restart time
-lies on the grid.
+(capacity density).  ``radial_flow`` integrates the radial Loewner
+equation dg = g (e^{iw}+g)/(e^{iw}-g) du in the unit disc by splitting
+each grid interval into capacity micro-steps and applying the *exact*
+single-slit map of each micro-step with the driver held at the
+micro-interval midpoint.  For a constant driver the map satisfies the
+invariant (1+g)^2 / g = e^{-u} (1+z)^2 / z, giving a quadratic per
+micro-step.  Because micro-steps compose exactly, the semigroup property
+holds to rounding error whenever the restart time lies on the grid.
 
 A point is classified as swallowed when it comes within 10 times the
 capacity micro-step of the driving singularity (matching the local
 square-root size of one slit), or when its exact-step image leaves the
-open domain; every input point ends up classified exactly once, and
+open disc; every input point ends up classified exactly once, and
 failures near the singularity never abort a whole flow.
 
-The curve tip g_t^{-1}(e^{i w(t)}) is recovered by running the inverse
-micro-steps in reverse order, and the minimum distance from the origin
-to the curve is the minimum tip modulus over the discrete trajectory.
+This forward flow is the independent oracle of the backward flow
+``_kernels.backward_flow``, which the hit estimators use to probe
+distances: pulling the image of a point back through the same micro-step
+drivers must return the point.
 """
 from __future__ import annotations
 
@@ -35,8 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-TWO_PI = 2.0 * math.pi
 
 #: points closer to the singularity than this multiple of the capacity
 #: micro-step are classified as swallowed
@@ -47,10 +38,10 @@ SWALLOW_FACTOR = 10.0
 class DrivingPath:
     """Driving function on a strictly increasing time grid starting at 0.
 
-    ``values[i]`` is the driver at ``times[i]`` (radians for the radial
-    and covering flows); between grid points the driver is interpolated
-    linearly.  ``speed[i]`` is the constant capacity density du/dt on
-    interval i, so the capacity of interval i is speed[i] * dt_i.
+    ``values[i]`` is the driver angle at ``times[i]`` (radians); between
+    grid points the driver is interpolated linearly.  ``speed[i]`` is the
+    constant capacity density du/dt on interval i, so the capacity of
+    interval i is speed[i] * dt_i.
     """
 
     times: np.ndarray
@@ -125,20 +116,6 @@ class DrivingPath:
         if not 0.0 <= t <= self.t_end + 1e-12:
             raise ValueError(f"time {t} outside the path range "
                              f"[0, {self.t_end}]")
-
-    def to_csv(self, path) -> None:
-        n = len(self.times)
-        sp = np.append(self.speed, self.speed[-1])
-        data = np.column_stack([self.times, self.values, sp[:n]])
-        np.savetxt(path, data, delimiter=",", header="t,w,speed",
-                   comments="", fmt="%.17g")
-
-    @classmethod
-    def from_csv(cls, path) -> "DrivingPath":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if data.shape[1] != 3:
-            raise ValueError("driving path CSV needs columns t,w,speed")
-        return cls(data[:, 0], data[:, 1], data[:-1, 2])
 
 
 @dataclass(frozen=True)
@@ -258,137 +235,6 @@ def radial_flow(path: DrivingPath, points, t: float,
             alive[idx] = False
             exit_t[idx] = te
     return _result(pts, z, alive, exit_t, path.capacity_at(t))
-
-
-def covering_flow(path: DrivingPath, points, t: float,
-                  dt_micro: float = 1e-4) -> FlowResult:
-    """Flow points of the closed upper half-plane under the covering
-    equation; commutes with e^{i .} against the radial flow and with the
-    2*pi shift."""
-    pts = np.atleast_1d(np.asarray(points, dtype=complex))
-    if np.any(pts.imag < -1e-12):
-        raise ValueError("covering flow points must have Im >= 0")
-    z = pts.copy()
-    n = len(z)
-    alive = np.ones(n, dtype=bool)
-    exit_t = np.full(n, np.nan)
-    band = SWALLOW_FACTOR * dt_micro
-    w_arr, du_arr, te_arr = _micro_schedule(path, t, dt_micro)
-    for w, du, te in zip(w_arr, du_arr, te_arr):
-        if not alive.any():
-            break
-        za = z[alive]
-        hit = np.abs(np.exp(1j * za) - cmath.exp(1j * w)) < band
-        if hit.any():
-            idx = np.where(alive)[0][hit]
-            alive[idx] = False
-            exit_t[idx] = te
-            za = z[alive]
-            if len(za) == 0:
-                continue
-        zz = za - w
-        branch = np.floor(zz.real / TWO_PI)
-        zeta0 = zz - TWO_PI * branch
-        new = w + TWO_PI * branch + 2.0 * np.arccos(
-            math.exp(-0.5 * du) * np.cos(0.5 * zeta0))
-        # an interior point whose image reaches the real line was
-        # captured (e^{i .} of the circle-capture criterion)
-        bad = (new.imag < 1e-12) & (za.imag > 1e-12)
-        z[alive] = np.where(bad, za, new)
-        if bad.any():
-            idx = np.where(alive)[0][bad]
-            alive[idx] = False
-            exit_t[idx] = te
-    # boundary points remain exactly real
-    real_in = np.abs(pts.imag) <= 1e-12
-    z[real_in & alive] = z[real_in & alive].real
-    return _result(pts, z, alive, exit_t, path.capacity_at(t))
-
-
-def chordal_flow(path: DrivingPath, points, t: float,
-                 dt_micro: float = 1e-4) -> FlowResult:
-    """Flow points of the closed upper half-plane under the chordal
-    equation dg = 2 du / (g - w)."""
-    pts = np.atleast_1d(np.asarray(points, dtype=complex))
-    if np.any(pts.imag < -1e-12):
-        raise ValueError("chordal flow points must have Im >= 0")
-    z = pts.copy()
-    n = len(z)
-    alive = np.ones(n, dtype=bool)
-    exit_t = np.full(n, np.nan)
-    band = SWALLOW_FACTOR * dt_micro
-    w_arr, du_arr, te_arr = _micro_schedule(path, t, dt_micro)
-    for w, du, te in zip(w_arr, du_arr, te_arr):
-        if not alive.any():
-            break
-        za = z[alive]
-        hit = np.abs(za - w) < band
-        if hit.any():
-            idx = np.where(alive)[0][hit]
-            alive[idx] = False
-            exit_t[idx] = te
-            za = z[alive]
-            if len(za) == 0:
-                continue
-        d = za - w
-        sq = np.sqrt(d * d + 4.0 * du)
-        s = np.where(d.real >= 0.0, sq, -sq)
-        new = w + s
-        # an interior point whose image lands on the real line was
-        # captured by the vertical slit of this micro-step
-        bad = (new.imag < 1e-14) & (za.imag > 1e-12)
-        z[alive] = np.where(bad, za, new)
-        if bad.any():
-            idx = np.where(alive)[0][bad]
-            alive[idx] = False
-            exit_t[idx] = te
-    real_in = np.abs(pts.imag) <= 1e-12
-    z[real_in & alive] = z[real_in & alive].real
-    return _result(pts, z, alive, exit_t, path.capacity_at(t))
-
-
-def tip_position(path: DrivingPath, t: float,
-                 dt_micro: float = 1e-4) -> complex:
-    """Curve tip g_t^{-1}(e^{i w(t)}) via the reversed micro-step flow.
-
-    Each radial micro-map is inverted exactly: (1+z)^2/z = e^{+du}
-    (1+g)^2/g, taking the in-disc root (the two roots of the quadratic
-    multiply to 1, so exactly one lies inside).
-    """
-    w_arr, du_arr, _ = _micro_schedule(path, t, dt_micro)
-    if len(w_arr) == 0:
-        return cmath.exp(1j * path.value_at(0.0))
-    y = cmath.exp(1j * w_arr[-1])
-    for w, du in zip(w_arr[::-1], du_arr[::-1]):
-        rot = cmath.exp(1j * w)
-        zeta = y / rot
-        c = math.exp(du) * (1.0 + zeta) ** 2 / zeta
-        bp = c - 2.0
-        disc = cmath.sqrt(c * (c - 4.0))
-        if (bp.conjugate() * disc).real < 0.0:
-            disc = -disc
-        y = rot / (0.5 * (bp + disc))  # reciprocal of the stable root
-    return complex(y)
-
-
-def min_distance_to_origin(path: DrivingPath, t: float,
-                           dt_micro: float = 1e-4,
-                           max_samples: int = 64) -> float:
-    """Minimum of |tip(s)| over the discrete trajectory s <= t.
-
-    The trajectory is sampled at the driver's grid times (subsampled to
-    at most ``max_samples``, always including t, since each sample costs
-    a full backward pass); by the Koebe quarter bound the result is at
-    least e^{-u(t)}/4 when the minimum is attained at the end.
-    """
-    inner = [s for s in path.times if 0.0 < s < t]
-    if len(inner) > max_samples - 1:
-        idx = np.linspace(0, len(inner) - 1, max_samples - 1)
-        inner = [inner[int(i)] for i in idx]
-    best = 1.0  # the tip starts on the unit circle
-    for s in inner + [t]:
-        best = min(best, abs(tip_position(path, s, dt_micro)))
-    return best
 
 
 def slit_tip_modulus(t: float) -> float:

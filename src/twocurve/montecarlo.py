@@ -54,21 +54,19 @@ factorization is exact.
 Randomness is counter-based: path i of a run draws from streams derived
 from the master seed with ids 2i (first curve) and 2i+1 (second curve),
 so estimates are bit-reproducible from the recorded (seed, dt, n_paths,
-configuration) on a fixed backend, independent of chunking, and runs
-over disjoint path ranges merge exactly.
+configuration), independent of chunking, and runs over disjoint path
+ranges merge exactly.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels, _rng, loewner, special
+from . import _kernels, _rng, special
 from .context import KappaContext
 from .green import BoundaryConfig, G_quad, G_u, alpha0, beta0
-from .loewner import DrivingPath
 from .timecurve import ZState, simulate_z_ensemble
 from .trig import cot2, sin2
 
@@ -109,10 +107,10 @@ class EstimateRecord:
 
     ``config`` holds the full input configuration (marked angles or start
     state, radius/time lists, and estimator parameters) as a plain dict;
-    together with (seed, dt, n_paths) it reproduces the run bit-for-bit
-    on a fixed backend.  ``flags`` collects warnings such as
-    ``insufficient_survivors`` or ``probe_band``; ``ess`` is the
-    effective sample size (equal to n_paths for unweighted frequencies).
+    together with (seed, dt, n_paths) it reproduces the run bit-for-bit.
+    ``flags`` collects warnings such as ``insufficient_survivors`` or
+    ``probe_band``; ``ess`` is the effective sample size (equal to n_paths
+    for unweighted frequencies).
     """
 
     kappa: float
@@ -136,39 +134,6 @@ class EstimateRecord:
         return [self.kappa, self.method, self.r_or_t, self.estimate,
                 self.stderr, self.ess, self.n_paths, self.dt, self.seed,
                 ";".join(self.flags)]
-
-
-def records_to_csv(records, path) -> None:
-    """Write records with the stable column schema (flags ';'-joined)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow(rec.to_row())
-
-
-def read_records_csv(path) -> list:
-    """Read rows written by :func:`records_to_csv` as typed dicts."""
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
-            raise ValueError(f"unexpected estimate CSV columns: "
-                             f"{reader.fieldnames}")
-        for row in reader:
-            out.append({
-                "kappa": float(row["kappa"]),
-                "method": row["method"],
-                "r_or_t": float(row["r_or_t"]),
-                "estimate": float(row["estimate"]),
-                "stderr": float(row["stderr"]),
-                "ess": float(row["ess"]),
-                "n_paths": int(row["n_paths"]),
-                "dt": float(row["dt"]),
-                "seed": int(row["seed"]),
-                "flags": tuple(f for f in row["flags"].split(";") if f),
-            })
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -258,150 +223,6 @@ def _conditional_tuples(snap_rows: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# single-path driving simulation (fixed-step kernel)
-# ---------------------------------------------------------------------------
-
-def simulate_hsle(ctx: KappaContext, cfg: BoundaryConfig, j: int, dt: float,
-                  seed: int, stop: dict, backend: str | None = None
-                  ) -> tuple[DrivingPath, dict]:
-    """Simulate one curve's driving function until a stop event.
-
-    Explicit Euler-Maruyama steps of the four-angle system: the driving
-    angle moves by :func:`hsle_drift` dt plus sqrt(kappa dt) noise, each
-    companion angle by cot2(companion - driver) dt.  The path stops at
-
-    * ``stop={"capacity": t}``: the requested capacity, to within one
-      step; or
-    * ``stop={"radius": r}``: the first step at which the probed minimum
-      distance from the origin to the curve falls below r (checked in
-      blocks through :func:`loewner.min_distance_to_origin`, then
-      localized by bisection in the final block); or
-    * a numerical collision of the driver with an adjacent companion
-      (tolerance 10 sqrt(kappa dt)), ending the solution interval early
-      -- completion on the target side, flagged force-point collision on
-      the partner side.
-
-    Returns:
-        (path, companions): the driving function as a
-        :class:`loewner.DrivingPath` (capacity speed 1), and a dict with
-        the co-evolved angle series ``winf``, ``v1``, ``v2`` on the same
-        grid plus ``stop_reason`` ("radius" | "capacity" | "completed" |
-        "collision"), ``capacity``, ``flags``, and for radius stops
-        ``min_distance`` and the conformal-radius bracket
-        ``radius_bracket`` = (e^-t / 4, e^-t).
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if not isinstance(stop, dict) or len(stop) != 1 or \
-            next(iter(stop)) not in ("radius", "capacity"):
-        raise ValueError("stop must be {'radius': r} or {'capacity': t}")
-    mode, value = next(iter(stop.items()))
-    value = float(value)
-    if value <= 0.0:
-        raise ValueError(f"stop {mode} must be positive, got {value}")
-    if mode == "radius" and value >= 1.0:
-        raise ValueError("stop radius must be below 1 (curves start on "
-                         "the unit circle)")
-
-    umax, gt_vals, gt_du = _gt_table(ctx)
-    tol = 10.0 * math.sqrt(ctx.kappa * dt)
-    state = _fresh_tuple(cfg, j)[None, :].copy()
-    streams = _rng.derive_stream_array(seed, np.array([0], dtype=np.uint64))
-
-    if mode == "capacity":
-        max_steps = max(1, int(round(value / dt)))
-    else:
-        max_steps = max(1, int(math.ceil(math.log(4.0 / value) / dt)) + 1)
-    block = 50
-
-    w_series = [state[0, 0]]
-    v1_series = [state[0, 1]]
-    v2_series = [state[0, 2]]
-    winf_series = [state[0, 3]]
-    status = 0
-    done = 0
-    min_dist = None
-    stop_reason = None
-
-    def _prefix_path(n_steps: int) -> DrivingPath:
-        t = np.arange(n_steps + 1) * dt
-        return DrivingPath(t, np.asarray(w_series[:n_steps + 1]))
-
-    while done < max_steps and status == 0:
-        bs = min(block, max_steps - done)
-        thr = np.arange(1, bs + 1, dtype=np.int64)
-        snap = np.zeros((1, bs, 4))
-        reached = np.zeros((1, bs), dtype=np.uint8)
-        st = np.zeros(1, dtype=np.uint8)
-        death = np.full(1, -1, dtype=np.int64)
-        _kernels.hsle_evolve(state, streams, done, bs, ctx.kappa, dt,
-                             thr, tol, gt_vals, gt_du, umax,
-                             snap, reached, st, death, backend=backend)
-        alive_steps = bs if death[0] < 0 else int(death[0])
-        for k in range(alive_steps):
-            w_series.append(snap[0, k, 0])
-            v1_series.append(snap[0, k, 1])
-            v2_series.append(snap[0, k, 2])
-            winf_series.append(snap[0, k, 3])
-        done += alive_steps
-        status = int(st[0])
-        if status != 0:
-            break
-        if mode == "radius":
-            d = loewner.min_distance_to_origin(
-                _prefix_path(done), done * dt,
-                dt_micro=max(dt, 1e-3), max_samples=48)
-            if d <= value:
-                lo, hi = max(0, done - bs), done
-                # min distance over the prefix is nonincreasing in length:
-                # bisect for the first prefix with minimum <= r
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    dm = loewner.min_distance_to_origin(
-                        _prefix_path(mid), mid * dt,
-                        dt_micro=max(dt, 1e-3), max_samples=48)
-                    if dm <= value:
-                        hi = mid
-                    else:
-                        lo = mid
-                done = hi
-                del w_series[done + 1:]
-                del v1_series[done + 1:]
-                del v2_series[done + 1:]
-                del winf_series[done + 1:]
-                min_dist = loewner.min_distance_to_origin(
-                    _prefix_path(done), done * dt,
-                    dt_micro=max(dt, 1e-3), max_samples=48)
-                stop_reason = "radius"
-                break
-
-    flags: tuple[str, ...] = ()
-    if stop_reason is None:
-        if status == 1:
-            stop_reason = "completed"
-        elif status != 0:
-            stop_reason = "collision"
-            flags = ("early_termination",)
-        else:
-            stop_reason = "capacity"
-    capacity = done * dt
-    path = _prefix_path(done)
-    companions = {
-        "winf": np.asarray(winf_series),
-        "v1": np.asarray(v1_series),
-        "v2": np.asarray(v2_series),
-        "stop_reason": stop_reason,
-        "capacity": capacity,
-        "flags": flags,
-    }
-    if mode == "radius":
-        companions["min_distance"] = min_dist
-        companions["radius_bracket"] = (math.exp(-capacity) / 4.0,
-                                        math.exp(-capacity))
-    return path, companions
-
-
-# ---------------------------------------------------------------------------
 # two-stage hit estimator
 # ---------------------------------------------------------------------------
 
@@ -420,8 +241,7 @@ _COARSE_FRACTIONS = (0.08, 0.2, 0.35, 0.5, 0.65, 0.8, 0.92, 1.0)
 
 
 def _batched_pullback(rows: list, y0: list, du: float,
-                      backend: str | None, batch_rows: int = 4096
-                      ) -> np.ndarray:
+                      batch_rows: int = 4096) -> np.ndarray:
     """Pull each row's start point back through its driver sequence.
 
     Rows are grouped by length (batches padded to the longest member) to
@@ -440,15 +260,14 @@ def _batched_pullback(rows: list, y0: list, du: float,
             mat[k, :len(w)] = w
             lens[k] = len(w)
             y[k] = y0[i]
-        _kernels.backward_flow(mat, lens, du, y, backend=backend)
+        _kernels.backward_flow(mat, lens, du, y)
         out[sel] = y
     return out
 
 
 def _probe_paths(prefix_w: dict, wb_snaps: np.ndarray, wb_counts: np.ndarray,
                  entry_w: np.ndarray, need: np.ndarray, radius: float,
-                 du: float, eps_in: float, backend: str | None,
-                 keep_points: bool):
+                 du: float, eps_in: float, keep_points: bool):
     """Minimum probed distance from the origin to each second-stage curve.
 
     For each path in ``need`` the composed driver sequence is the first
@@ -491,7 +310,7 @@ def _probe_paths(prefix_w: dict, wb_snaps: np.ndarray, wb_counts: np.ndarray,
         cval.extend(counts)
     if not rows:
         return dmin, points
-    vals = _batched_pullback(rows, y0, du, backend)
+    vals = _batched_pullback(rows, y0, du)
     dist = np.abs(vals)
     dist = np.where(np.isnan(dist), np.inf, dist)
     pid_arr = np.asarray(pid)
@@ -522,7 +341,7 @@ def _probe_paths(prefix_w: dict, wb_snaps: np.ndarray, wb_counts: np.ndarray,
         y0.extend(starts)
         pid.extend([q] * len(counts))
     if rows:
-        vals = _batched_pullback(rows, y0, du, backend)
+        vals = _batched_pullback(rows, y0, du)
         dist = np.abs(vals)
         dist = np.where(np.isnan(dist), np.inf, dist)
         np.minimum.at(dmin, np.asarray(pid), dist)
@@ -535,8 +354,7 @@ def _probe_paths(prefix_w: dict, wb_snaps: np.ndarray, wb_counts: np.ndarray,
 
 def _two_stage_run(ctx: KappaContext, cfg: BoundaryConfig, r_list,
                    n_paths: int, dt: float, seed: int, path_start: int,
-                   params: dict, collect_meet: bool,
-                   backend: str | None):
+                   params: dict, collect_meet: bool):
     """Chunked two-stage sampler; returns per-radius aggregate counters.
 
     Per radius r the counters are: certified first-curve deep events
@@ -619,8 +437,7 @@ def _two_stage_run(ctx: KappaContext, cfg: BoundaryConfig, r_list,
                 for q in (need if not collect_meet else range(nb))}
             dmin, pts = _probe_paths(
                 prefix_w, snap_b[:, :, 0], wb_counts, entry[:, 0],
-                need, r, du_probe, eps_in, backend,
-                keep_points=collect_meet)
+                need, r, du_probe, eps_in, keep_points=collect_meet)
             probe_hit = np.zeros(nb, dtype=bool)
             probe_hit[need] = dmin[need] <= r
             hits = swallow_hit | alive_hit | probe_hit
@@ -635,14 +452,13 @@ def _two_stage_run(ctx: KappaContext, cfg: BoundaryConfig, r_list,
             if collect_meet:
                 agg[r]["meet"] += _count_meets(
                     ctx, hits, pts, prefix_w, snap_b, wb_counts, entry,
-                    swallow_hit, alive_hit, need, r, ti, du_probe, eps_in,
-                    backend)
+                    swallow_hit, alive_hit, need, r, ti, du_probe, eps_in)
     return agg, thr_m, cap_b
 
 
 def _count_meets(ctx, hits, pts, prefix_w, snap_b, wb_counts, entry,
-                 swallow_hit, alive_hit, need, r, ti, du_probe, eps_in,
-                 backend) -> int:
+                 swallow_hit, alive_hit, need, r, ti, du_probe,
+                 eps_in) -> int:
     """Count hit paths whose second curve passes within 0.15 r of the
     first curve's deep polyline with the meeting point within r."""
     hit_idx = np.where(hits)[0]
@@ -656,7 +472,7 @@ def _count_meets(ctx, hits, pts, prefix_w, snap_b, wb_counts, entry,
         _, pts_extra = _probe_paths(
             prefix_w, snap_b[:, :, 0], wb_counts, entry[:, 0],
             np.asarray(extra, dtype=np.int64), r, du_probe, eps_in,
-            backend, keep_points=True)
+            keep_points=True)
         pts.update(pts_extra)
     # first-curve deep polyline: pull back its tip at 40 prefix times
     # spanning the last octaves of the dive
@@ -672,7 +488,7 @@ def _count_meets(ctx, hits, pts, prefix_w, snap_b, wb_counts, entry,
         idx = np.unique(np.linspace(lo, len(wa) - 1, n_nodes).astype(int))
         rows = [wa[:k] for k in idx]
         y0 = [(1.0 - eps_in) * np.exp(1j * wa[k]) for k in idx]
-        ya = _batched_pullback(rows, y0, du_probe, backend)
+        ya = _batched_pullback(rows, y0, du_probe)
         ya = ya[np.isfinite(ya)]
         if ya.size == 0:
             continue
@@ -725,9 +541,7 @@ def _validate_radii(r_list):
 
 def estimate_two_curve_hit(ctx: KappaContext, cfg: BoundaryConfig, r_list,
                            n_paths: int, dt: float, seed: int,
-                           path_start: int = 0,
-                           backend: str | None = None,
-                           **overrides) -> list:
+                           path_start: int = 0, **overrides) -> list:
     """Estimate P[both curves pass within r of the origin] for each r.
 
     Sequential conditional sampling: the first curve is grown to
@@ -760,7 +574,6 @@ def estimate_two_curve_hit(ctx: KappaContext, cfg: BoundaryConfig, r_list,
         "cfg": [cfg.w1, cfg.v1, cfg.w2, cfg.v2],
         "r_list": [float(r) for r in r_list],
         "path_start": int(path_start),
-        "backend": _kernels.active_backend(backend),
         "hsle_kernel": _kernels.hsle_kernel(),
         **{k: params[k] for k in _TWO_STAGE_DEFAULTS},
     }
@@ -768,7 +581,7 @@ def estimate_two_curve_hit(ctx: KappaContext, cfg: BoundaryConfig, r_list,
     if rs:
         agg, thr_m, _ = _two_stage_run(
             ctx, cfg, rs, n_paths, dt, seed, path_start, params,
-            collect_meet=False, backend=backend)
+            collect_meet=False)
         for r in sorted(rs):
             a = agg[r]
             flags = []
@@ -795,9 +608,7 @@ def estimate_two_curve_hit(ctx: KappaContext, cfg: BoundaryConfig, r_list,
 
 def estimate_intersection_hit(ctx: KappaContext, cfg: BoundaryConfig,
                               r_list, n_paths: int, dt: float, seed: int,
-                              path_start: int = 0,
-                              backend: str | None = None,
-                              **overrides) -> list:
+                              path_start: int = 0, **overrides) -> list:
     """Estimate P[the curves meet each other within r of the origin].
 
     Runs the same sequential sampler (identical streams, so the event is
@@ -831,13 +642,12 @@ def estimate_intersection_hit(ctx: KappaContext, cfg: BoundaryConfig,
         "cfg": [cfg.w1, cfg.v1, cfg.w2, cfg.v2],
         "r_list": [float(r) for r in r_list],
         "path_start": int(path_start),
-        "backend": _kernels.active_backend(backend),
         "hsle_kernel": _kernels.hsle_kernel(),
         **{k: params[k] for k in _TWO_STAGE_DEFAULTS},
     }
     agg, thr_m, _ = _two_stage_run(
         ctx, cfg, rs, n_paths, dt, seed, path_start, params,
-        collect_meet=True, backend=backend)
+        collect_meet=True)
     records = []
     for r in sorted(rs):
         a = agg[r]
@@ -858,8 +668,7 @@ def estimate_intersection_hit(ctx: KappaContext, cfg: BoundaryConfig,
 
 def estimate_survival_weighted(ctx: KappaContext, z0, t_list,
                                n_paths: int, dt: float, seed: int,
-                               path_start: int = 0,
-                               backend: str | None = None) -> list:
+                               path_start: int = 0) -> list:
     """Estimate the pair's survival probability beyond each time in
     ``t_list`` by importance weighting of the conditioned gap diffusion.
 
@@ -882,14 +691,13 @@ def estimate_survival_weighted(ctx: KappaContext, z0, t_list,
     positive = sorted({t for t in ts if t > 0.0})
     records_by_t: dict[float, EstimateRecord] = {}
     base_config = {"z0": [z_state.z1, z_state.z2],
-                   "t_list": ts, "path_start": int(path_start),
-                   "backend": _kernels.active_backend(backend)}
+                   "t_list": ts, "path_start": int(path_start)}
 
     if positive:
         ens = simulate_z_ensemble(
             ctx, z_state, t_max=max(positive), dt=dt, n_paths=n_paths,
             master_seed=seed, record_times=positive,
-            path_start=path_start, backend=backend)
+            path_start=path_start)
         for ri, t in enumerate(ens.record_times):
             w = np.exp(ens.log_weight[ri])
             w = np.where(np.isfinite(w), w, 0.0)
@@ -981,7 +789,7 @@ def fit_power_law(points) -> tuple[float, float, np.ndarray]:
 
 def estimate_C0(ctx: KappaContext, cfg_list, r_list, n_paths: int = 20000,
                 dt: float = 1e-4, seed: int = 0,
-                backend: str | None = None, **overrides) -> EstimateRecord:
+                **overrides) -> EstimateRecord:
     """Pooled estimate of the universal intercept constant.
 
     For each configuration and radius the two-curve hit probability is
@@ -1005,7 +813,7 @@ def estimate_C0(ctx: KappaContext, cfg_list, r_list, n_paths: int = 20000,
     for c, cfg in enumerate(cfgs):
         recs = estimate_two_curve_hit(
             ctx, cfg, r_list, n_paths, dt, seed,
-            path_start=c * n_paths, backend=backend, **overrides)
+            path_start=c * n_paths, **overrides)
         gq = G_quad(ctx, cfg)
         cw = cv = 0.0
         for rec in recs:

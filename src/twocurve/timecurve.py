@@ -215,8 +215,7 @@ class ZPathEnsemble:
 def simulate_z_ensemble(ctx: KappaContext, z0, t_max: float,
                         dt: float = 1e-3, n_paths: int = 1,
                         master_seed: int = 0, record_times=None,
-                        path_start: int = 0,
-                        backend: str | None = None) -> ZPathEnsemble:
+                        path_start: int = 0) -> ZPathEnsemble:
     """Simulate independent two-angle diffusion paths from ``z0``.
 
     Path ``path_start + i`` draws from the stream derived from
@@ -272,8 +271,7 @@ def simulate_z_ensemble(ctx: KappaContext, z0, t_max: float,
     rec_z1 = np.empty((m, n_paths), dtype=float)
     rec_z2 = np.empty((m, n_paths), dtype=float)
     _kernels.z_evolve(z1, z2, alive, absorb_step, streams, 0, n_steps,
-                      ctx.kappa, dt, rec_steps, rec_z1, rec_z2,
-                      backend=backend)
+                      ctx.kappa, dt, rec_steps, rec_z1, rec_z2)
 
     times = rec_steps.astype(float) * dt
     log_g0 = np.log(G_u(ctx, (z01, z02)))

@@ -1,10 +1,18 @@
 """Contract of the ``twocurve`` command line: deterministic ``density``
-output and exit code 2 for configurations rejected before any work."""
+output, exit code 2 for configurations rejected before any work, config
+precedence, run provenance, ``report`` and the estimate CSV format."""
+import csv
 import json
+import math
 
 import pytest
 
+from twocurve import _kernels, cli, montecarlo as mc
 from twocurve.cli import main
+from twocurve.context import KappaContext
+from twocurve.green import BoundaryConfig
+
+S8 = math.pi / 4.0
 
 DENSITY = ["density", "--kappa", "6", "--grid-n", "8", "--t-list", "0.5,1"]
 DENSITY_FILES = ("pz_t.csv", "pz_infty.csv", "survival.csv")
@@ -38,10 +46,102 @@ def test_rejected_configuration_exits_2(argv, tmp_path, capsys):
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
+    # a misspelt key, and a key the configuration no longer has
+    for key, value in (("n_path", 10), ("parallelism", 2)):
+        config = tmp_path / f"{key}.json"
+        config.write_text(json.dumps({"kappa": 6.0, key: value}))
+        out_dir = tmp_path / f"out_{key}"
+        assert main(["simulate", "--config", str(config),
+                     "--out-dir", str(out_dir)]) == 2
+        assert (f"unknown config keys: ['{key}']"
+                in capsys.readouterr().err)
+        assert not out_dir.exists()
+
+
+def test_config_precedence_flag_over_json_over_default(tmp_path):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"kappa": 6.0, "n_path": 10}))
+    config.write_text(json.dumps({"grid_n": 3, "n_max": 4}))
     out_dir = tmp_path / "out"
-    assert main(["simulate", "--config", str(config),
-                 "--out-dir", str(out_dir)]) == 2
-    assert "unknown config keys: ['n_path']" in capsys.readouterr().err
-    assert not out_dir.exists()
+    assert main(["density", "--config", str(config), "--grid-n", "2",
+                 "--t-list", "1", "--out-dir", str(out_dir)]) == 0
+    resolved = _meta_without_out_dir(out_dir)["config"]
+    assert resolved["grid_n"] == 2            # flag beats JSON
+    assert resolved["n_max"] == 4             # JSON beats default
+    assert resolved["fit_window"] == [4.0, 8.0]  # default
+    rows = (out_dir / "pz_infty.csv").read_text().splitlines()
+    assert len(rows) == 1 + 2 * 2
+
+
+def _simulate_meta(tmp_path, method, *args):
+    out_dir = tmp_path / method
+    assert main(["simulate", "--method", method, "--n-paths", "20",
+                 "--master-seed", "1", *args,
+                 "--out-dir", str(out_dir)]) == 0
+    with open(out_dir / "estimates_meta.json", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_simulate_meta_names_the_hsle_kernel(tmp_path):
+    meta = _simulate_meta(tmp_path, "curves")
+    assert meta["hsle_kernel"] == _kernels.hsle_kernel()
+    assert "hsle_kernel" not in _simulate_meta(tmp_path, "z-weighted",
+                                               "--t-list", "0.5")
+
+
+def test_report_without_artifacts_exits_2(tmp_path, capsys):
+    assert main(["report", "--out-dir", str(tmp_path)]) == 2
+    assert "no artifacts found" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_report_carries_density_constant(tmp_path):
+    assert main(["density", "--grid-n", "2", "--t-list", "1", "--n-max",
+                 "4", "--out-dir", str(tmp_path)]) == 0
+    assert main(["report", "--out-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "density_meta.json", encoding="utf-8") as fh:
+        z_constant = json.load(fh)["Z_constant"]
+    with open(tmp_path / "report.json", encoding="utf-8") as fh:
+        assert json.load(fh)["density"]["Z_constant"] == z_constant
+
+
+class TestRecordsCsv:
+    """``write_records_csv``/``read_records_csv``, the one writer and
+    reader of ``estimates.csv``."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        cfg = BoundaryConfig(w1=3 * S8, v1=S8, w2=-S8, v2=-3 * S8)
+        return mc.estimate_two_curve_hit(KappaContext(6.0), cfg, [0.2, 1.5],
+                                         n_paths=100, dt=1e-3, seed=8,
+                                         bmax=32768)
+
+    @staticmethod
+    def _assert_rows_match(rows, records):
+        assert len(rows) == len(records)
+        for rec, row in zip(records, rows):
+            assert row == {"kappa": rec.kappa, "method": rec.method,
+                           "r_or_t": rec.r_or_t, "estimate": rec.estimate,
+                           "stderr": rec.stderr, "ess": rec.ess,
+                           "n_paths": rec.n_paths, "dt": rec.dt,
+                           "seed": rec.seed, "flags": rec.flags}
+
+    def test_round_trip(self, records, tmp_path):
+        path = tmp_path / "estimates.csv"
+        cli.write_records_csv(str(path), records)
+        header = path.read_text(encoding="utf-8").splitlines()[0]
+        assert header.split(",") == ["schema_version", *mc.CSV_COLUMNS]
+        self._assert_rows_match(cli.read_records_csv(str(path)), records)
+
+    def test_reads_layout_without_schema_version(self, records, tmp_path):
+        path = tmp_path / "estimates.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(mc.CSV_COLUMNS)
+            writer.writerows(rec.to_row() for rec in records)
+        self._assert_rows_match(cli.read_records_csv(str(path)), records)
+
+    def test_rejects_foreign_csv(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a,b\n1,2\n")
+        with pytest.raises(cli.ConfigError):
+            cli.read_records_csv(str(bad))

@@ -509,42 +509,6 @@ class TestSurvival:
         assert d7 <= 3.0 * d5 * np.exp(-gap * 2.0)
 
 
-class TestCsvWriters:
-    def test_density_grid_csv(self, tmp_path):
-        p = tmp_path / "grid.csv"
-        g = np.linspace(0.5, 2.5, 4)
-        z1, z2 = np.meshgrid(g, g, indexing="ij")
-        vals = dens.pZ_infty(CTX6, (z1, z2))
-        dens.write_density_grid_csv(p, z1, z2, vals)
-        lines = p.read_text().strip().split("\n")
-        assert lines[0] == "z1,z2,value,schema_version"
-        assert len(lines) == 17
-        cols = lines[5].split(",")
-        assert len(cols) == 4
-        float(cols[0]), float(cols[2])
-        # deterministic bytes
-        p2 = tmp_path / "grid2.csv"
-        dens.write_density_grid_csv(p2, z1, z2, vals)
-        assert p.read_bytes() == p2.read_bytes()
-
-    def test_survival_csv(self, tmp_path):
-        p = tmp_path / "surv.csv"
-        ts = np.array([1.0, 2.0, 3.0])
-        s = np.array([0.5, 0.2, 0.05])
-        a = np.array([0.45, 0.18, 0.048])
-        dens.write_survival_csv(p, ts, s, a)
-        lines = p.read_text().strip().split("\n")
-        assert lines[0] == "t,survival,asymptote,schema_version"
-        assert len(lines) == 4
-
-    def test_mismatched_lengths_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            dens.write_density_grid_csv(tmp_path / "x.csv", [1.0], [1.0, 2.0],
-                                        [0.5])
-        with pytest.raises(ValueError):
-            dens.write_survival_csv(tmp_path / "y.csv", [1.0], [0.5], [])
-
-
 class TestMonteCarloAgreement:
     """Simulation cross-checks of the spectral objects."""
 

@@ -1,9 +1,10 @@
-"""Tests for the radial / covering / chordal Loewner flow solvers.
+"""Tests for the radial Loewner flow solver.
 
-Oracles: closed-form constant-driver solutions (radial slit with tip law
-4x/(1+x)^2 = e^{-t}, chordal vertical slit sqrt(z^2+4t)), the conjugation
-identity between the covering and radial flows, hydrodynamic asymptotics,
-and the exact semigroup property of composed micro-step maps.
+Oracles: the closed-form constant-driver solution (radial slit with tip
+law 4x/(1+x)^2 = e^{-t}), rotation equivariance, the exact semigroup
+property of composed micro-step maps, and the backward flow
+``_kernels.backward_flow``, which must pull forward images back to their
+start points.
 """
 import cmath
 import math
@@ -11,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from twocurve import loewner as lw
+from twocurve import _kernels, loewner as lw
 
 SMOOTH = lw.DrivingPath.from_function(
     lambda t: 0.4 * math.sin(2.0 * t) + 0.3 * t, 1.0, 1000)
@@ -46,16 +47,6 @@ class TestDrivingPath:
         assert p.value_at(2.0) == pytest.approx(2.0)
         with pytest.raises(ValueError, match="outside"):
             p.value_at(2.5)
-
-    def test_csv_round_trip(self, tmp_path):
-        f = tmp_path / "drv.csv"
-        SMOOTH.to_csv(f)
-        header = f.read_text().splitlines()[0]
-        assert header == "t,w,speed"
-        back = lw.DrivingPath.from_csv(f)
-        np.testing.assert_array_equal(back.times, SMOOTH.times)
-        np.testing.assert_array_equal(back.values, SMOOTH.values)
-        np.testing.assert_array_equal(back.speed, SMOOTH.speed)
 
     def test_restarted(self):
         r = SMOOTH.restarted(0.5)
@@ -131,125 +122,38 @@ class TestRadialFlow:
         assert res.n_swallowed == int(np.sum(pts > lw.slit_tip_modulus(1.0)))
 
 
-class TestCoveringFlow:
-    def test_zero_time_identity(self):
-        pts = [2.0, 1.0 + 0.5j]
-        res = lw.covering_flow(SMOOTH, pts, 0.0)
-        np.testing.assert_allclose(res.images, pts, atol=1e-14)
-        assert res.final_capacity == 0.0
-
-    def test_two_pi_equivariance(self):
-        v = 2.0
-        a = lw.covering_flow(SMOOTH, [v], 0.8).images[0]
-        b = lw.covering_flow(SMOOTH, [v + 2.0 * math.pi], 0.8).images[0]
-        assert b == pytest.approx(a + 2.0 * math.pi, abs=1e-12)
-
-    def test_conjugation_with_radial(self):
-        # e^{i g~(z)} = g(e^{iz}) along whole trajectories, for both
-        # boundary and interior starting points
-        starts = [2.0, 3.5, 1.0 + 0.5j, 4.0 + 1.2j]
-        for t in (0.2, 0.5, 0.8):
-            cov = lw.covering_flow(SMOOTH, starts, t)
-            rad = lw.radial_flow(
-                SMOOTH, [cmath.exp(1j * v) for v in starts], t)
-            for a, b in zip(cov.images, rad.images):
-                assert abs(cmath.exp(1j * a) - b) < 1e-9
-
-    def test_real_points_stay_real(self):
-        res = lw.covering_flow(SMOOTH, [2.0, 5.0], 1.0)
-        assert res.images[0].imag == 0.0
-        assert res.images[1].imag == 0.0
-
-    def test_semigroup(self):
-        pts = [2.0, 1.5 + 0.5j]
-        full = lw.covering_flow(SMOOTH, pts, 1.0)
-        half = lw.covering_flow(SMOOTH, pts, 0.5)
-        rest = lw.covering_flow(SMOOTH.restarted(0.5), half.images, 0.5)
-        np.testing.assert_allclose(rest.images, full.images, atol=1e-8)
-
-
-class TestChordalFlow:
-    def test_vertical_closed_form(self):
-        # constant driver at 0: g^2 = z^2 + 4t from the separable ODE,
-        # so g_t(iy) = i sqrt(y^2 - 4t) while 4t < y^2
-        p = lw.DrivingPath.constant(0.0, 1.0, 10)
-        for y, t in ((2.0, 0.5), (1.5, 0.4), (3.0, 1.0)):
-            res = lw.chordal_flow(p, [1j * y], t)
-            assert res.images[0] == pytest.approx(
-                1j * math.sqrt(y * y - 4.0 * t), abs=1e-10)
-
-    def test_swallow_time(self):
-        p = lw.DrivingPath.constant(0.0, 1.0, 10)
-        res = lw.chordal_flow(p, [0.5j], 0.2)
-        assert res.swallowed[0]
-        assert res.exit_times[0] == pytest.approx(0.5 ** 2 / 4.0, abs=2e-3)
-
-    def test_real_force_point(self):
-        # dv = 2 dt / v integrates to v(t) = sqrt(v0^2 + 4t); the exact
-        # micro-maps telescope so this holds to rounding
-        p = lw.DrivingPath.constant(0.0, 1.0, 10)
-        res = lw.chordal_flow(p, [1.0, -2.0], 0.7)
-        assert res.images[0] == pytest.approx(math.sqrt(1.0 + 2.8),
-                                              abs=1e-12)
-        assert res.images[1] == pytest.approx(-math.sqrt(4.0 + 2.8),
-                                              abs=1e-12)
-
-    def test_zero_time_identity(self):
-        res = lw.chordal_flow(SMOOTH, [1.0 + 2.0j], 0.0)
-        assert res.images[0] == 1.0 + 2.0j
-
-    def test_hydrodynamic_normalization(self):
-        # g_t(z) = z + 2t/z + O(1/z^2) far away; checked at z = 1e4 i
-        p = lw.DrivingPath.from_function(math.sin, 1.0, 500)
-        res = lw.chordal_flow(p, [1e4j], 1.0)
-        assert abs(res.images[0] - 1e4j - 2.0 / 1e4j) < 1e-6
-
-    def test_semigroup(self):
-        pts = [1.0 + 1.0j, -2.0 + 0.5j, 3.0]
-        full = lw.chordal_flow(SMOOTH, pts, 1.0)
-        half = lw.chordal_flow(SMOOTH, pts, 0.5)
-        rest = lw.chordal_flow(SMOOTH.restarted(0.5), half.images, 0.5)
-        np.testing.assert_allclose(rest.images, full.images, atol=1e-8)
-
-
-class TestTipPosition:
-    def test_time_zero(self):
-        assert lw.tip_position(SMOOTH, 0.0) == pytest.approx(
-            cmath.exp(1j * SMOOTH.value_at(0.0)))
-
-    def test_constant_driver_modulus(self):
-        p = lw.DrivingPath.constant(0.0, 1.0, 10)
-        for t in (0.25, 0.5, 1.0):
-            tip = lw.tip_position(p, t)
-            assert abs(tip) == pytest.approx(lw.slit_tip_modulus(t),
-                                             abs=1e-10)
-            assert tip.imag == pytest.approx(0.0, abs=1e-10)
-
-    def test_tip_inside_closed_disc(self):
-        for t in (0.1, 0.4, 0.7, 1.0):
-            assert abs(lw.tip_position(SMOOTH, t)) <= 1.0 + 1e-12
-
-
-class TestMinDistance:
-    def test_constant_driver(self):
-        # the slit grows monotonically inward: min distance = tip modulus
-        p = lw.DrivingPath.constant(0.0, 1.0, 10)
-        assert lw.min_distance_to_origin(p, 1.0) == pytest.approx(
-            lw.slit_tip_modulus(1.0), abs=1e-10)
-
-    def test_koebe_sandwich(self):
-        # dist(0, curve) is comparable to the conformal radius e^{-t}:
-        # e^{-t}/4 <= dist <= e^{-t} when the minimum sits at time t
-        for path in (lw.DrivingPath.constant(0.0, 1.0, 10), SMOOTH):
-            d = lw.min_distance_to_origin(path, 1.0)
-            assert math.exp(-1.0) / 4.0 <= d <= math.exp(-1.0)
-
-    def test_monotone_nonincreasing(self):
-        prev = 1.0
-        for t in (0.2, 0.4, 0.6, 0.8, 1.0):
-            d = lw.min_distance_to_origin(SMOOTH, t)
-            assert d <= prev + 1e-14
-            prev = d
+class TestBackwardFlowOracle:
+    def test_backward_flow_inverts_radial_flow(self):
+        # push points forward through random-walk drivers, then pull the
+        # unswallowed images back through the same micro-step drivers
+        rng = np.random.default_rng(20261018)
+        t, du = 0.5, 1e-3
+        grid = np.linspace(0.0, t, 51)
+        starts, images, rows = [], [], []
+        for _ in range(20):
+            steps = math.sqrt(6.0 * 0.01) * rng.standard_normal(50)
+            path = lw.DrivingPath(grid, np.concatenate(([0.0],
+                                                        np.cumsum(steps))))
+            pts = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, 30)) * np.exp(
+                2j * math.pi * rng.uniform(0.0, 1.0, 30))
+            res = lw.radial_flow(path, pts, t, dt_micro=du)
+            keep = ~res.swallowed
+            drivers = lw._micro_schedule(path, t, du)[0]
+            starts.append(pts[keep])
+            images.append(res.images[keep])
+            rows += [drivers] * int(keep.sum())
+        z0 = np.concatenate(starts)
+        depth = 1.0 - np.abs(np.concatenate(images))
+        y = np.concatenate(images)
+        lengths = np.full(len(rows), len(rows[0]))
+        _kernels.backward_flow(np.array(rows), lengths, du, y)
+        err = np.abs(y - z0) / np.abs(z0)
+        # the pullback magnifies the forward flow's rounding as an image
+        # nears the circle, so 1e-10 holds at depth 1 - |g| >= 1e-4 only
+        calm = depth >= 1e-4
+        assert np.count_nonzero(calm) > 500
+        assert np.max(err[calm]) <= 1e-10
+        assert np.max(err) <= 1e-7
 
 
 class TestCapacityAdditivity:

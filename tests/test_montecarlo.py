@@ -5,13 +5,9 @@ Oracles used here:
 * the four-angle drift is checked against an independent finite-difference
   Girsanov computation: kappa times the partial derivative of the ensemble
   module's log-martingale at a fresh (zero-capacity) state;
-* recorded driving paths are re-integrated step by step from the raw
-  uniform stream (Box-Muller pairs at counters 2s, 2s+1) and the exact
-  drift formula;
 * weighted survival estimates are compared with the spectral expansion;
 * the power-law fitter is exercised on synthetic data with known slope;
-* stopping radii are validated with the Koebe quarter-theorem sandwich
-  between conformal radius and Euclidean distance.
+* the backward-flow probe recovers the closed-form radial slit tip.
 """
 
 import dataclasses
@@ -21,7 +17,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from twocurve import _kernels, _rng, ensemble, loewner, montecarlo as mc
+from twocurve import _kernels, ensemble, loewner, montecarlo as mc
 from twocurve.context import KappaContext
 from twocurve.density import SpectralBasis, survival_P2
 from twocurve.green import BoundaryConfig, G_quad, alpha0
@@ -128,93 +124,6 @@ class TestHsleDrift:
         # span beyond a full turn
         with pytest.raises(ValueError):
             mc.hsle_drift(CTX6, 0.0, 7.0, 1.0, 2.0)
-
-
-class TestSimulateHsle:
-    def test_capacity_stop_and_series_shapes(self):
-        dt = 1e-4
-        path, comp = mc.simulate_hsle(CTX6, SYM_CFG, 1, dt, 0,
-                                      {"capacity": 0.05})
-        assert comp["stop_reason"] == "capacity"
-        assert abs(comp["capacity"] - 0.05) <= dt + 1e-12
-        n = len(path.times)
-        assert n == 501
-        assert path.times[0] == 0.0
-        assert_allclose(np.diff(path.times), dt)
-        for key in ("v1", "v2", "winf"):
-            assert len(comp[key]) == n
-        assert comp["flags"] == ()
-
-    def test_per_step_reproduction(self):
-        # re-integrate the recorded series from the raw uniform stream
-        # and the exact drift; the kernel's tabulated special-function
-        # factor differs from the exact one by ~5e-8, i.e. ~5e-11 per
-        # step at dt=1e-3
-        for kappa, j, seed, dt in ((6.0, 1, 0, 1e-3), (7.5, 2, 5, 1e-4)):
-            ctx = KappaContext(kappa)
-            path, comp = mc.simulate_hsle(ctx, SYM_CFG, j, dt, seed,
-                                          {"capacity": 0.04})
-            w = path.values
-            v1, v2, winf = comp["v1"], comp["v2"], comp["winf"]
-            stream = _rng.derive_stream(seed, 0)
-            sqkdt = math.sqrt(kappa * dt)
-            worst = 0.0
-            for k in range(len(w) - 1):
-                u0 = _rng.uniform(stream, 2 * k)
-                u1 = _rng.uniform(stream, 2 * k + 1)
-                g = math.sqrt(-2.0 * math.log(u0)) * math.cos(TWO_PI * u1)
-                drift = mc.hsle_drift(ctx, w[k], winf[k], v1[k], v2[k])
-                pred = w[k] + drift * dt + sqkdt * g
-                worst = max(worst, abs(pred - w[k + 1]))
-                # flank points follow the deterministic Loewner flow
-                for series in (v1, v2, winf):
-                    gap = series[k] - w[k]
-                    step = series[k] + dt * math.cos(0.5 * gap) \
-                        / math.sin(0.5 * gap)
-                    worst = max(worst, abs(step - series[k + 1]))
-            assert worst < 1e-9
-
-    def test_radius_stop_koebe_sandwich(self):
-        dt, r = 2e-4, 0.45
-        path, comp = mc.simulate_hsle(CTX6, SYM_CFG, 1, dt, 1, {"radius": r})
-        assert comp["stop_reason"] == "radius"
-        t = comp["capacity"]
-        lo, hi = comp["radius_bracket"]
-        assert_allclose(lo, math.exp(-t) / 4.0, rtol=1e-12)
-        assert_allclose(hi, math.exp(-t), rtol=1e-12)
-        # Koebe quarter theorem: crad/4 <= dist <= crad, and the stop
-        # radius was reached (one-step slack on the far side)
-        assert lo <= r <= hi * math.exp(dt)
-        assert comp["min_distance"] <= r
-        assert comp["min_distance"] >= lo
-        # capacity equals the step grid
-        assert_allclose(t, round(t / dt) * dt, atol=1e-12)
-
-    def test_completion_and_collision(self):
-        # at dt=1e-3 the pinned tolerance 10*sqrt(kappa*dt) is coarse,
-        # so short runs end by completion or flank collision
-        path, comp = mc.simulate_hsle(CTX6, SYM_CFG, 1, 1e-3, 0,
-                                      {"capacity": 5.0})
-        assert comp["stop_reason"] == "completed"
-        assert comp["capacity"] < 5.0
-        assert comp["flags"] == ()
-        path, comp = mc.simulate_hsle(CTX6, SYM_CFG, 1, 1e-3, 3,
-                                      {"capacity": 5.0})
-        assert comp["stop_reason"] == "collision"
-        assert comp["flags"] == ("early_termination",)
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            mc.simulate_hsle(CTX6, SYM_CFG, 1, 1e-3, 0, {"radius": 1.2})
-        with pytest.raises(ValueError):
-            mc.simulate_hsle(CTX6, SYM_CFG, 1, 1e-3, 0, {"radius": -0.1})
-        with pytest.raises(ValueError):
-            mc.simulate_hsle(CTX6, SYM_CFG, 1, 1e-3, 0, {"length": 1.0})
-        with pytest.raises(ValueError):
-            mc.simulate_hsle(CTX6, SYM_CFG, 1, 1e-3, 0,
-                             {"radius": 0.3, "capacity": 1.0})
-        with pytest.raises(ValueError):
-            mc.simulate_hsle(CTX6, SYM_CFG, 1, -1e-3, 0, {"capacity": 1.0})
 
 
 TEST_OVERRIDES = dict(bmax=32768)
@@ -421,44 +330,7 @@ class TestC0Estimate:
             assert cell["C0"] > 0.0
 
 
-class TestCsvRoundTrip:
-    def test_round_trip(self, tmp_path):
-        recs = mc.estimate_two_curve_hit(CTX6, SYM_CFG, [0.2, 1.5],
-                                         n_paths=400, dt=1e-3, seed=8,
-                                         **TEST_OVERRIDES)
-        out = tmp_path / "est.csv"
-        mc.records_to_csv(recs, out)
-        back = mc.read_records_csv(out)
-        assert len(back) == len(recs)
-        for rec, row in zip(recs, back):
-            assert row["kappa"] == rec.kappa
-            assert row["method"] == rec.method
-            assert row["r_or_t"] == rec.r_or_t
-            assert row["estimate"] == rec.estimate
-            assert row["stderr"] == rec.stderr
-            assert row["n_paths"] == rec.n_paths
-            assert row["flags"] == rec.flags
-
-    def test_rejects_foreign_csv(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError):
-            mc.read_records_csv(bad)
-
-
 class TestBackwardFlow:
-    def test_backends_agree(self):
-        if not _kernels.HAS_NUMBA:
-            pytest.skip("numba not available")
-        rng = np.random.default_rng(0)
-        drivers = rng.uniform(-0.5, 0.5, size=(40, 200))
-        lengths = rng.integers(1, 201, size=40).astype(np.int64)
-        y1 = (0.999 * np.exp(1j * rng.uniform(-np.pi, np.pi, 40)))
-        y2 = y1.copy()
-        _kernels.backward_flow(drivers, lengths, 1e-3, y1, backend="numpy")
-        _kernels.backward_flow(drivers, lengths, 1e-3, y2, backend="numba")
-        assert np.max(np.abs(y1 - y2)) < 1e-12
-
     def test_constant_driver_reproduces_slit_tip(self):
         # pulling the near-tip boundary point back through a constant
         # driver recovers the radial slit tip modulus
@@ -490,16 +362,3 @@ class TestCrossEstimatorConsistency:
         expo, _, cov = mc.fit_power_law(pts)
         sig = math.sqrt(cov[0, 0])
         assert abs(expo - alpha0(6.0)) < 3.0 * sig + 0.05
-
-    def test_backend_statistical_agreement(self):
-        if not _kernels.HAS_NUMBA:
-            pytest.skip("numba not available")
-        kw = dict(n_paths=700, dt=1e-3, seed=17, **TEST_OVERRIDES)
-        a = mc.estimate_two_curve_hit(CTX6, SYM_CFG, [0.2],
-                                      backend="numba", **kw)[0]
-        b = mc.estimate_two_curve_hit(CTX6, SYM_CFG, [0.2],
-                                      backend="numpy", **kw)[0]
-        # identical streams, but transcendental rounding may flip rare
-        # marginal paths; estimates must agree within a few sigma
-        assert abs(a.estimate - b.estimate) <= 4.0 * math.hypot(a.stderr,
-                                                                b.stderr)

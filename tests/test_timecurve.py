@@ -6,7 +6,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from twocurve import _rng
-from twocurve._kernels import HAS_NUMBA, active_backend
 from twocurve.context import KappaContext
 from twocurve.green import G_u
 from twocurve.timecurve import (
@@ -58,14 +57,6 @@ class TestRandomStream:
         b = _rng.derive_stream(1, 1)
         c = _rng.derive_stream(2, 0)
         assert len({a, b, c}) == 3
-
-    @pytest.mark.skipif(not HAS_NUMBA, reason="numba backend unavailable")
-    def test_compiled_uniforms_bit_identical(self):
-        from twocurve._kernels import _unif_nb
-
-        s = _rng.derive_stream(31337, 4)
-        for i in (0, 1, 2, 1000, 123456):
-            assert _unif_nb(np.uint64(s), np.uint64(i)) == _rng.uniform(s, i)
 
 
 class TestZState:
@@ -319,18 +310,6 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             simulate_z_ensemble(CTX6, z0, 1.0, dt=1e-3, n_paths=1,
                                 record_times=[0.0])
-
-    @pytest.mark.skipif(not HAS_NUMBA, reason="numba backend unavailable")
-    def test_backends_agree(self):
-        z0 = ZState(1.3, 1.9)
-        nb = simulate_z_ensemble(CTX6, z0, 0.5, dt=1e-3, n_paths=100,
-                                 master_seed=41, backend="numba")
-        fallback = simulate_z_ensemble(CTX6, z0, 0.5, dt=1e-3, n_paths=100,
-                                       master_seed=41, backend="numpy")
-        # same random bits; only transcendental rounding differs
-        assert np.array_equal(nb.absorbed, fallback.absorbed)
-        assert_allclose(nb.z1, fallback.z1, atol=5e-12)
-        assert_allclose(nb.z2, fallback.z2, atol=5e-12)
 
 
 class TestEnsembleCsv:
