@@ -1,22 +1,32 @@
 /*
- * Adaptive radial hSLE kernel in C: a port of
- * _kernels._hsle_evolve_adaptive_np, loaded through ctypes by
- * _kernels.hsle_evolve_adaptive.  Every output is the Python kernel's bit
- * for bit, because both evaluate the same libm functions on the same
- * doubles in the same order and draw the same splitmix64 counters (see the
- * note above the Python kernel).  That holds only for the build flags in
- * _kernels._CFLAGS: -ffp-contract=off keeps a*b + c as two roundings, and
- * neither -ffast-math nor -march=native may be added.
+ * The compiled kernels of _kernels, loaded through ctypes from one library:
  *
- * The per-call constants (unit, res_units, floor_gap, p_ret, half_k6,
- * g_top) arrive already computed by _kernels._adaptive_constants.  Where
- * the Python kernel raises, this one stops, stores the row in *err_row and
- * returns the code of the exception: HSLE_ZERO_DIV (ZeroDivisionError),
- * HSLE_DOMAIN (ValueError from math.sin, math.log or math.sqrt),
- * HSLE_NAN_INT (ValueError from int(nan)) or HSLE_INF_INT (OverflowError
- * from int(inf)).  The checks sit where Python evaluates the operation
- * that raises, so the first failing operation names the error.
+ * hsle_evolve_adaptive, a port of _kernels._hsle_evolve_adaptive_np called
+ * by _kernels.hsle_evolve_adaptive.  Every output is the Python kernel's
+ * bit for bit, because both evaluate the same libm functions on the same
+ * doubles in the same order and draw the same splitmix64 counters (see the
+ * note above the Python kernel).
+ *
+ * backward_flow, a port of _kernels._backward_flow_np called by
+ * _kernels.backward_flow.  Its outputs are the numpy flow's bit for bit
+ * where numpy's complex multiply is fused (the _kernels docstring): the
+ * fused roundings are explicit fma() calls, everything else is plain.
+ *
+ * Both hold only for the build flags in _kernels._CFLAGS: -ffp-contract=off
+ * keeps every other a*b + c as two roundings, and neither -ffast-math nor
+ * -march=native (nor -mfma) may be added.
+ *
+ * The per-call constants of the adaptive kernel (unit, res_units,
+ * floor_gap, p_ret, half_k6, g_top) arrive already computed by
+ * _kernels._adaptive_constants.  Where the Python kernel raises, this one
+ * stops, stores the row in *err_row and returns the code of the exception:
+ * HSLE_ZERO_DIV (ZeroDivisionError), HSLE_DOMAIN (ValueError from math.sin,
+ * math.log or math.sqrt), HSLE_NAN_INT (ValueError from int(nan)) or
+ * HSLE_INF_INT (OverflowError from int(inf)).  The checks sit where Python
+ * evaluates the operation that raises, so the first failing operation
+ * names the error.
  */
+#include <complex.h>
 #include <math.h>
 #include <stdint.h>
 
@@ -213,4 +223,108 @@ int hsle_evolve_adaptive(
 fail:
     *err_row = p;
     return err;
+}
+
+/*
+ * Backward radial Loewner flow.  Complex values are (re, im) pairs and
+ * every operation is numpy's, spelled out: cexp and csqrt are the functions
+ * numpy's complex exp and sqrt call, division is numpy's Smith division
+ * with a reciprocal, and each product is numpy's SIMD complex multiply,
+ * which rounds each part once, as a fused multiply-add.
+ */
+typedef struct { double re, im; } cplx;
+
+/* numpy's complex multiply (AVX2/AVX-512 loops) */
+static cplx cmul(cplx a, cplx b)
+{
+    cplx r = {fma(a.re, b.re, -(a.im * b.im)), fma(a.re, b.im, a.im * b.re)};
+    return r;
+}
+
+/* numpy's complex square (z**2) */
+static cplx csquare(cplx a)
+{
+    cplx r = {fma(a.re, a.re, -(a.im * a.im)), a.re * a.im + a.im * a.re};
+    return r;
+}
+
+/* numpy's complex divide */
+static cplx cdiv(cplx a, cplx b)
+{
+    const double br_abs = fabs(b.re), bi_abs = fabs(b.im);
+    cplx r;
+    if (br_abs >= bi_abs) {
+        if (br_abs == 0.0 && bi_abs == 0.0) {
+            r.re = a.re / br_abs;
+            r.im = a.im / br_abs;
+        } else {
+            const double rat = b.im / b.re;
+            const double scl = 1.0 / (b.re + b.im * rat);
+            r.re = (a.re + a.im * rat) * scl;
+            r.im = (a.im - a.re * rat) * scl;
+        }
+    } else {
+        const double rat = b.re / b.im;
+        const double scl = 1.0 / (b.im + b.re * rat);
+        r.re = (a.re * rat + a.im) * scl;
+        r.im = (a.im * rat - a.re) * scl;
+    }
+    return r;
+}
+
+static cplx from_c99(double complex z)
+{
+    cplx r = {creal(z), cimag(z)};
+    return r;
+}
+
+/* one row's steps k = len-1, ..., 0 of the numpy flow, on y = (re, im);
+ * a real scalar s enters numpy's complex arithmetic as s + 0i, hence the
+ * additions of 0.0 (which turn -0.0 into +0.0) */
+static void backward_row(const double *drv, int64_t len, double exp_du,
+                         double *y)
+{
+    const cplx i_unit = {0.0, 1.0}, e = {exp_du, 0.0}, half = {0.5, 0.0};
+    cplx z = {y[0], y[1]};
+    int64_t k;
+
+    for (k = len - 1; k >= 0; k--) {
+        const cplx d = {drv[k], 0.0};
+        const cplx arg = cmul(i_unit, d);                   /* 1j * w */
+        const cplx rot = from_c99(cexp(CMPLX(arg.re, arg.im)));
+        const cplx zeta = cdiv(z, rot);
+        const cplx zp1 = {1.0 + zeta.re, 0.0 + zeta.im};
+        const cplx c = cdiv(cmul(e, csquare(zp1)), zeta);
+        const cplx bp = {c.re - 2.0, c.im - 0.0};
+        const cplx cm4 = {c.re - 4.0, c.im - 0.0};
+        const cplx prod = cmul(c, cm4);
+        const cplx bp_conj = {bp.re, -bp.im};
+        cplx disc = from_c99(csqrt(CMPLX(prod.re, prod.im)));
+        cplx sum, yn;
+
+        if (cmul(bp_conj, disc).re < 0.0) {
+            disc.re = -disc.re;
+            disc.im = -disc.im;
+        }
+        sum.re = bp.re + disc.re;
+        sum.im = bp.im + disc.im;
+        yn = cdiv(rot, cmul(half, sum));
+        /* a step whose inverse degenerates leaves the point unchanged */
+        if (isfinite(yn.re) && isfinite(yn.im))
+            z = yn;
+    }
+    y[0] = z.re;
+    y[1] = z.im;
+}
+
+void backward_flow(int64_t n, int64_t width, const double *drivers,
+                   const int64_t *lengths, double exp_du, double *y)
+{
+    int64_t i;
+
+    for (i = 0; i < n; i++) {
+        /* numpy steps column k of the rows with lengths > k, k < width */
+        int64_t len = lengths[i] < width ? lengths[i] : width;
+        backward_row(drivers + i * width, len, exp_du, y + 2 * i);
+    }
 }

@@ -1,8 +1,9 @@
-"""Simulation kernels: the adaptive hSLE kernel (compiled, with a Python
-fallback), the two-angle diffusion and the backward Loewner flow.
+"""Simulation kernels: the adaptive hSLE kernel and the backward Loewner
+flow (both compiled, with Python/numpy fallbacks) and the two-angle
+diffusion.
 
-The adaptive hSLE kernel
-------------------------
+The compiled kernels
+--------------------
 ``hsle_evolve_adaptive`` runs ``_hsle.c``, a C port of
 ``_hsle_evolve_adaptive_np``, whenever that library loads, and the Python
 kernel otherwise.  The two are byte-equal on every output: both evaluate
@@ -13,25 +14,46 @@ runs both on the same inputs (kappa 3, 6 and 7.5, the entry-rule rows, and
 a long run with reinjections and pinches) and compares the bytes, along
 with the exceptions the Python kernel raises on degenerate rows.
 
+``backward_flow`` runs the same library's port of ``_backward_flow_np``.
+Its bits follow numpy's complex arithmetic, operation by operation:
+numpy's complex ``exp`` and ``sqrt`` are libm's ``cexp`` and ``csqrt``,
+and its complex division is Smith's method with a reciprocal, so those are
+plain C.  numpy's complex *multiply*, however, is fused by its AVX2/AVX-512
+loops at every array length: a product's real part is
+``fma(ar, br, -(ai*bi))`` and its imaginary part ``fma(ar, bi, ai*br)``, and
+a square ``z**2`` is ``(fma(ar, ar, -(ai*ai)), ar*ai + ai*ar)``.  The C
+flow calls libm ``fma()`` at exactly those roundings -- in ``(1 + zeta)**2``,
+``c*(c - 4)`` and ``(conj(bp)*disc).real``, and in the products with a real
+scalar (``1j*w``, ``exp(du)*...``, ``0.5*...``), where the fused and plain
+forms differ only in signed zeros and underflow -- and nowhere else.  That
+makes its bytes equal to the numpy flow's wherever numpy fuses, and
+independent of the SIMD loop numpy dispatches to.  Where numpy's multiply
+is not fused (a machine without FMA) the numpy fallback differs from the C
+flow in the last bits.  ``tests/test_kernels.py::TestCompiledBackwardFlow``
+replays the probe batches of estimator runs at kappa 3, 6 and 7.5 and
+degenerate rows through both flows and compares the bytes; it checks first
+that numpy fuses.
+
 The library is built on first use, never at import, with the system ``cc``
 and the fixed flags ``-O2 -ffp-contract=off -shared -fPIC``.  The flags are
 part of the bit contract: a fused multiply-add rounds a*b + c once where
-the Python kernel rounds twice, so contraction is off, and neither
-``-march=native`` (which let gcc fuse) nor ``-ffast-math`` may be added.
+the Python code rounds twice, so contraction is off and the flow's fused
+roundings are explicit ``fma()`` calls; neither ``-march=native`` nor
+``-mfma`` (with either, gcc 12 fuses the flow's complex division even
+under ``-ffp-contract=off``) nor ``-ffast-math`` may be added.
 The library is cached in ``$XDG_CACHE_HOME/twocurve`` (default
 ``~/.cache/twocurve``, created with mode 0o700) under a name hashed from the
 C source, the flags and ``cc --version``.  It is compiled in a temporary
 directory there and renamed into place with ``os.replace``, so concurrent
 processes never load a partial file.  If that directory is not usable the
 library is built in a temporary directory for this process only; if there
-is no compiler or the build fails, one warning is logged and the Python
-kernel runs.
+is no compiler or the build fails, one warning is logged and both kernels
+run in Python/numpy.  ``hsle_kernel()`` names the library that ran them.
 
-``z_evolve`` and ``backward_flow`` are vectorized numpy code.  The two
-random kernels, ``z_evolve`` and ``hsle_evolve_adaptive``, draw from the
-counter-based streams of :mod:`._rng` indexed by the absolute step, so
-skipped draws (dead paths) cost nothing and runs can be resumed at any
-step boundary.
+``z_evolve`` is vectorized numpy code.  The two random kernels,
+``z_evolve`` and ``hsle_evolve_adaptive``, draw from the counter-based
+streams of :mod:`._rng` indexed by the absolute step, so skipped draws
+(dead paths) cost nothing and runs can be resumed at any step boundary.
 
 Kernels
 -------
@@ -372,7 +394,7 @@ def _hsle_evolve_adaptive_np(state, streams, start_macro, max_macros, kappa,
 
 
 # ---------------------------------------------------------------------------
-# compiled adaptive kernel (_hsle.c through ctypes)
+# compiled kernels (_hsle.c through ctypes)
 # ---------------------------------------------------------------------------
 
 _HSLE_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -422,13 +444,13 @@ def _build_hsle(cc: str, out_dir: str) -> str:
 
 @functools.cache
 def _hsle_lib():
-    """The compiled adaptive kernel, built and loaded on the first call of
-    the process; None, after one logged warning, without a C compiler or
-    when the build fails."""
+    """The compiled library of the adaptive kernel and the backward flow,
+    built and loaded on the first call of the process; None, after one
+    logged warning, without a C compiler or when the build fails."""
     cc = shutil.which("cc")
     if cc is None:
         logger.warning("no C compiler (cc) on PATH; the adaptive hSLE "
-                       "kernel runs in Python")
+                       "kernel and the backward flow run in Python")
         return None
     try:
         try:
@@ -441,7 +463,8 @@ def _hsle_lib():
     except (OSError, subprocess.SubprocessError) as exc:
         detail = getattr(exc, "stderr", None)
         logger.warning("cannot build %s (%s%s); the adaptive hSLE kernel "
-                       "runs in Python", _HSLE_SOURCE, exc,
+                       "and the backward flow run in Python", _HSLE_SOURCE,
+                       exc,
                        f": {detail.decode(errors='replace')}" if detail
                        else "")
         return None
@@ -458,12 +481,17 @@ def _hsle_lib():
         f8, f8, f8, f8, f8, f8,
         arr(np.float64), arr(np.uint8), arr(np.uint8), arr(np.int64),
         ctypes.POINTER(i8)]
+    fn = lib.backward_flow
+    fn.restype = None
+    fn.argtypes = [i8, i8, arr(np.float64), arr(np.int64), f8,
+                   arr(np.complex128)]
     return lib
 
 
 def hsle_kernel() -> str:
-    """Name of the adaptive kernel ``hsle_evolve_adaptive`` runs in this
-    process: ``"c"`` or ``"python"`` (builds the library on first use)."""
+    """Name of the library that runs both ``hsle_evolve_adaptive`` and
+    ``backward_flow`` in this process: ``"c"`` or ``"python"`` (numpy for
+    the flow).  Builds the library on first use."""
     return "c" if _hsle_lib() is not None else "python"
 
 
@@ -560,6 +588,19 @@ def hsle_evolve_adaptive(state, streams, start_macro, max_macros, kappa, dt,
         _hsle_evolve_adaptive_np(*args)
 
 
+def _check_arrays(specs) -> None:
+    """Raise ValueError naming the first (name, array, dtype, shape,
+    output) spec whose array is not a C-contiguous array of that dtype and
+    shape, writeable if it is an output."""
+    for name, arr, dtype, shape, out in specs:
+        if not (isinstance(arr, np.ndarray) and arr.dtype == dtype
+                and arr.shape == shape and arr.flags.c_contiguous
+                and (arr.flags.writeable or not out)):
+            raise ValueError(
+                f"{name} must be a C-contiguous{' writeable' if out else ''} "
+                f"{np.dtype(dtype).name} array of shape {shape}")
+
+
 def _check_adaptive_args(state, streams, thr_macros, gt_vals, snap, reached,
                          status, death_units, gt_du, bmax, start_macro):
     """Raise ValueError unless the arguments are what both adaptive kernels
@@ -574,13 +615,7 @@ def _check_adaptive_args(state, streams, thr_macros, gt_vals, snap, reached,
              ("reached", reached, np.uint8, (n, k), True),
              ("status", status, np.uint8, (n,), True),
              ("death_units", death_units, np.int64, (n,), True))
-    for name, arr, dtype, shape, out in specs:
-        if not (isinstance(arr, np.ndarray) and arr.dtype == dtype
-                and arr.shape == shape and arr.flags.c_contiguous
-                and (arr.flags.writeable or not out)):
-            raise ValueError(
-                f"{name} must be a C-contiguous{' writeable' if out else ''} "
-                f"{np.dtype(dtype).name} array of shape {shape}")
+    _check_arrays(specs)
     if not gt_du > 0.0:
         raise ValueError(f"gt_du must be positive, got {gt_du}")
     if bmax < 1 or start_macro < 0:
@@ -604,8 +639,29 @@ def backward_flow(drivers, lengths, du, y) -> None:
     slit base) leave the point unchanged, which errs toward the hull
     side; callers probing distances should start points slightly inside
     the unit circle rather than exactly on it.
+
+    ``drivers`` must be a C-contiguous float64[n, w] array, ``lengths``
+    int64[n] and ``y`` a writeable complex128[n], or ValueError is raised
+    before either flow runs.  The compiled flow runs when the library
+    builds, else ``_backward_flow_np``; both give the same bytes where
+    numpy's complex multiply is fused (module docstring).
     """
-    lengths = np.ascontiguousarray(lengths, dtype=np.int64)
+    n, w = np.shape(drivers) if np.ndim(drivers) == 2 else ("n", "w")
+    _check_arrays((("drivers", drivers, np.float64, (n, w), False),
+                   ("lengths", lengths, np.int64, (n,), False),
+                   ("y", y, np.complex128, (n,), True)))
+    lib = _hsle_lib()
+    if lib is not None:
+        lib.backward_flow(*drivers.shape, drivers, lengths,
+                          math.exp(float(du)), y)
+    else:
+        _backward_flow_np(drivers, lengths, du, y)
+
+
+# The numpy flow is the fallback without a compiler and the oracle of the C
+# flow in ``_hsle.c``, which repeats its complex operations one by one
+# (module docstring); an edit to either must be made to both.
+def _backward_flow_np(drivers, lengths, du, y) -> None:
     width = drivers.shape[1]
     exp_du = math.exp(float(du))
     for k in range(width - 1, -1, -1):

@@ -240,27 +240,29 @@ _TWO_STAGE_DEFAULTS = dict(eps_kill=0.01, eps_ret=0.1, kres=3.5,
 _COARSE_FRACTIONS = (0.08, 0.2, 0.35, 0.5, 0.65, 0.8, 0.92, 1.0)
 
 
-def _batched_pullback(rows: list, y0: list, du: float,
+def _batched_pullback(seqs: list, seq_idx, lens, du: float, eps_in: float,
                       batch_rows: int = 4096) -> np.ndarray:
-    """Pull each row's start point back through its driver sequence.
+    """Pull probe rows back through their driver sequences.
 
+    Row j probes ``seq = seqs[seq_idx[j]]`` after ``lens[j]`` values: it is
+    driven by ``seq[:lens[j]]`` and starts at the boundary point of the
+    next value, ``seq[lens[j]]``, pulled inside the circle by ``eps_in``.
     Rows are grouped by length (batches padded to the longest member) to
     bound the padded-matrix memory; returns the complex physical points.
     """
-    out = np.empty(len(rows), dtype=complex)
-    order = np.argsort([len(w) for w in rows], kind="stable")
-    for i0 in range(0, len(order), batch_rows):
+    flat = np.concatenate(seqs)
+    first = np.cumsum([0] + [len(w) for w in seqs[:-1]])[np.asarray(seq_idx)]
+    lens = np.asarray(lens, dtype=np.int64)
+    y0 = (1.0 - eps_in) * np.exp(1j * flat[first + lens])
+    out = np.empty(lens.size, dtype=complex)
+    order = np.argsort(lens, kind="stable")
+    for i0 in range(0, order.size, batch_rows):
         sel = order[i0:i0 + batch_rows]
-        width = max(1, max(len(rows[i]) for i in sel))
-        mat = np.zeros((len(sel), width))
-        lens = np.empty(len(sel), dtype=np.int64)
-        y = np.empty(len(sel), dtype=complex)
-        for k, i in enumerate(sel):
-            w = rows[i]
-            mat[k, :len(w)] = w
-            lens[k] = len(w)
-            y[k] = y0[i]
-        _kernels.backward_flow(mat, lens, du, y)
+        cols = np.arange(max(1, int(lens[sel].max())))
+        mat = flat.take(first[sel, None] + cols, mode="clip")
+        mat[cols >= lens[sel, None]] = 0.0
+        y = y0[sel]
+        _kernels.backward_flow(mat, lens[sel], du, y)
         out[sel] = y
     return out
 
@@ -283,49 +285,41 @@ def _probe_paths(prefix_w: dict, wb_snaps: np.ndarray, wb_counts: np.ndarray,
     n_parent = wb_counts.shape[0]
     dmin = np.full(n_parent, np.inf)
     points: dict[int, list] = {q: [] for q in need} if keep_points else {}
-
-    def _rows_for(q: int, counts) -> tuple[list, list]:
-        wa = prefix_w[q]
-        m = int(wb_counts[q])
-        seqs, starts = [], []
-        for c in counts:
-            c = min(max(c, 0), m)
-            seq = np.concatenate(
-                [wa, [entry_w[q]], wb_snaps[q, :c]]) if c > 0 else \
-                np.concatenate([wa, [entry_w[q]]])
-            # the final entry is the probe point; earlier entries drive
-            # the backward steps
-            seqs.append(seq[:-1])
-            starts.append((1.0 - eps_in) * np.exp(1j * seq[-1]))
-        return seqs, starts
-
-    rows, y0, pid, cval = [], [], [], []
-    for q in need:
-        m = int(wb_counts[q])
-        counts = sorted({int(round(f * m)) for f in _COARSE_FRACTIONS})
-        seqs, starts = _rows_for(q, counts)
-        rows.extend(seqs)
-        y0.extend(starts)
-        pid.extend([q] * len(counts))
-        cval.extend(counts)
-    if not rows:
+    if len(need) == 0:
         return dmin, points
-    vals = _batched_pullback(rows, y0, du)
-    dist = np.abs(vals)
-    dist = np.where(np.isnan(dist), np.inf, dist)
-    pid_arr = np.asarray(pid)
-    np.minimum.at(dmin, pid_arr, dist)
-    if keep_points:
-        for v, q in zip(vals, pid):
-            if np.isfinite(v.real) and abs(v) <= 2.0 * radius:
-                points[q].append(v)
+    # the probe after c snapshots is driven by the first len(wa) + c values
+    # of the composed sequence and starts at the next one
+    seqs = [np.concatenate([prefix_w[q], [entry_w[q]],
+                            wb_snaps[q, :int(wb_counts[q])]]) for q in need]
+
+    def pull(rows):
+        """Probe rows (i, c) of path need[i]; returns (dist, paths)."""
+        idx = np.array([i for i, _ in rows])
+        lens = [len(prefix_w[need[i]]) + c for i, c in rows]
+        vals = _batched_pullback(seqs, idx, lens, du, eps_in)
+        dist = np.abs(vals)
+        dist = np.where(np.isnan(dist), np.inf, dist)
+        pid = need[idx]
+        np.minimum.at(dmin, pid, dist)
+        if keep_points:
+            for v, q in zip(vals, pid):
+                if np.isfinite(v.real) and abs(v) <= 2.0 * radius:
+                    points[q].append(v)
+        return dist, pid
+
+    rows = []
+    for i, q in enumerate(need):
+        m = int(wb_counts[q])
+        rows += [(i, c) for c in
+                 sorted({int(round(f * m)) for f in _COARSE_FRACTIONS})]
+    dist, pid = pull(rows)
     best_c: dict[int, int] = {}
-    for d, q, c in zip(dist, pid, cval):
+    for d, q, (_, c) in zip(dist, pid, rows):
         if d <= dmin[q]:
             best_c[q] = c
 
-    rows, y0, pid = [], [], []
-    for q in need:
+    rows = []
+    for i, q in enumerate(need):
         if dmin[q] > 3.0 * radius:
             continue
         m = int(wb_counts[q])
@@ -335,20 +329,9 @@ def _probe_paths(prefix_w: dict, wb_snaps: np.ndarray, wb_counts: np.ndarray,
         center = best_c.get(q, m)
         lo, hi = max(0, center - half), min(m, center + half)
         step = max(1, (hi - lo) // 60)
-        counts = list(range(lo, hi + 1, step))
-        seqs, starts = _rows_for(q, counts)
-        rows.extend(seqs)
-        y0.extend(starts)
-        pid.extend([q] * len(counts))
+        rows += [(i, c) for c in range(lo, hi + 1, step)]
     if rows:
-        vals = _batched_pullback(rows, y0, du)
-        dist = np.abs(vals)
-        dist = np.where(np.isnan(dist), np.inf, dist)
-        np.minimum.at(dmin, np.asarray(pid), dist)
-        if keep_points:
-            for v, q in zip(vals, pid):
-                if np.isfinite(v.real) and abs(v) <= 2.0 * radius:
-                    points[q].append(v)
+        pull(rows)
     return dmin, points
 
 
@@ -486,9 +469,8 @@ def _count_meets(ctx, hits, pts, prefix_w, snap_b, wb_counts, entry,
         wa = prefix_w[q]
         lo = max(1, len(wa) - int(2.3 / du_probe))
         idx = np.unique(np.linspace(lo, len(wa) - 1, n_nodes).astype(int))
-        rows = [wa[:k] for k in idx]
-        y0 = [(1.0 - eps_in) * np.exp(1j * wa[k]) for k in idx]
-        ya = _batched_pullback(rows, y0, du_probe)
+        ya = _batched_pullback([wa], np.zeros(idx.size, dtype=np.int64),
+                               idx, du_probe, eps_in)
         ya = ya[np.isfinite(ya)]
         if ya.size == 0:
             continue
@@ -539,6 +521,32 @@ def _validate_radii(r_list):
     return rs, trivial
 
 
+def _two_stage_setup(cfg: BoundaryConfig, r_list, n_paths: int, dt: float,
+                     path_start: int, overrides: dict):
+    """Validated inputs of a two-stage estimate: (params, radii below 1/4,
+    trivial radii, base record config)."""
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    if dt <= 0.0 or dt > 5e-3:
+        raise ValueError(f"dt must lie in (0, 5e-3], got {dt}")
+    params = dict(_TWO_STAGE_DEFAULTS)
+    unknown = set(overrides) - set(params) - {"chunk_paths"}
+    if unknown:
+        raise TypeError(f"unknown estimator parameters: {sorted(unknown)}")
+    params.update(overrides)
+    rs, trivial = _validate_radii(r_list)
+    # "hsle_kernel" names the library that ran both the adaptive kernel
+    # and the backward flow: "c" or "python" (numpy)
+    base_config = {
+        "cfg": [cfg.w1, cfg.v1, cfg.w2, cfg.v2],
+        "r_list": [float(r) for r in r_list],
+        "path_start": int(path_start),
+        "hsle_kernel": _kernels.hsle_kernel(),
+        **{k: params[k] for k in _TWO_STAGE_DEFAULTS},
+    }
+    return params, rs, trivial, base_config
+
+
 def estimate_two_curve_hit(ctx: KappaContext, cfg: BoundaryConfig, r_list,
                            n_paths: int, dt: float, seed: int,
                            path_start: int = 0, **overrides) -> list:
@@ -560,23 +568,8 @@ def estimate_two_curve_hit(ctx: KappaContext, cfg: BoundaryConfig, r_list,
     ``path_start`` offsets the path ids (streams 2i and 2i+1 of the
     master seed), letting disjoint ranges merge exactly.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if dt <= 0.0 or dt > 5e-3:
-        raise ValueError(f"dt must lie in (0, 5e-3], got {dt}")
-    params = dict(_TWO_STAGE_DEFAULTS)
-    unknown = set(overrides) - set(params) - {"chunk_paths"}
-    if unknown:
-        raise TypeError(f"unknown estimator parameters: {sorted(unknown)}")
-    params.update(overrides)
-    rs, trivial = _validate_radii(r_list)
-    base_config = {
-        "cfg": [cfg.w1, cfg.v1, cfg.w2, cfg.v2],
-        "r_list": [float(r) for r in r_list],
-        "path_start": int(path_start),
-        "hsle_kernel": _kernels.hsle_kernel(),
-        **{k: params[k] for k in _TWO_STAGE_DEFAULTS},
-    }
+    params, rs, trivial, base_config = _two_stage_setup(
+        cfg, r_list, n_paths, dt, path_start, overrides)
     records = []
     if rs:
         agg, thr_m, _ = _two_stage_run(
@@ -626,25 +619,10 @@ def estimate_intersection_hit(ctx: KappaContext, cfg: BoundaryConfig,
         raise ValueError(
             f"intersection estimator needs kappa in (4, 8); got "
             f"{ctx.kappa} (the curves do not touch for kappa <= 4)")
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if dt <= 0.0 or dt > 5e-3:
-        raise ValueError(f"dt must lie in (0, 5e-3], got {dt}")
-    params = dict(_TWO_STAGE_DEFAULTS)
-    unknown = set(overrides) - set(params) - {"chunk_paths"}
-    if unknown:
-        raise TypeError(f"unknown estimator parameters: {sorted(unknown)}")
-    params.update(overrides)
-    rs, trivial = _validate_radii(r_list)
+    params, rs, trivial, base_config = _two_stage_setup(
+        cfg, r_list, n_paths, dt, path_start, overrides)
     if trivial:
         raise ValueError("intersection estimator supports r < 1/4 only")
-    base_config = {
-        "cfg": [cfg.w1, cfg.v1, cfg.w2, cfg.v2],
-        "r_list": [float(r) for r in r_list],
-        "path_start": int(path_start),
-        "hsle_kernel": _kernels.hsle_kernel(),
-        **{k: params[k] for k in _TWO_STAGE_DEFAULTS},
-    }
     agg, thr_m, _ = _two_stage_run(
         ctx, cfg, rs, n_paths, dt, seed, path_start, params,
         collect_meet=True)

@@ -34,8 +34,6 @@ from .green import G_u
 
 PI = math.pi
 
-CSV_SCHEMA_VERSION = 1
-
 
 @dataclass(frozen=True)
 class ZState:
@@ -197,19 +195,6 @@ class ZPathEnsemble:
     @property
     def n_paths(self) -> int:
         return int(self.path_ids.shape[0])
-
-    def to_csv(self, path) -> None:
-        """Write one row per (path, record time) with the declared schema."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("path_id,t,z1,z2,log_weight,absorbed,schema_version\n")
-            for ri, t in enumerate(self.record_times):
-                for pi, pid in enumerate(self.path_ids):
-                    fh.write(
-                        f"{int(pid)},{float(t)!r},{float(self.z1[ri, pi])!r},"
-                        f"{float(self.z2[ri, pi])!r},"
-                        f"{float(self.log_weight[ri, pi])!r},"
-                        f"{int(self.absorbed[pi] and self.absorb_time[pi] <= t)},"
-                        f"{CSV_SCHEMA_VERSION}\n")
 
 
 def simulate_z_ensemble(ctx: KappaContext, z0, t_max: float,

@@ -88,6 +88,28 @@ def test_simulate_meta_names_the_hsle_kernel(tmp_path):
                                                "--t-list", "0.5")
 
 
+def test_simulate_path_ranges_add_up(tmp_path):
+    # two runs over adjacent --path-start ranges hit exactly the paths that
+    # one run over both ranges hits, radius by radius
+    def hits(start, n_paths):
+        out_dir = tmp_path / f"{start}_{n_paths}"
+        assert main(["simulate", "--method", "curves", "--kappa", "6",
+                     "--r-list", "0.05,0.1,0.2", "--dt", "1e-3",
+                     "--n-paths", str(n_paths), "--path-start", str(start),
+                     "--master-seed", "1", "--out-dir", str(out_dir)]) == 0
+        rows = cli.read_records_csv(str(out_dir / "estimates.csv"))
+        counts = {row["r_or_t"]: row["estimate"] * row["n_paths"]
+                  for row in rows}
+        assert all(abs(c - round(c)) < 1e-9 for c in counts.values())
+        return {r: round(c) for r, c in counts.items()}
+
+    whole = hits(0, 200)
+    first, second = hits(0, 100), hits(100, 100)
+    assert sorted(whole) == [0.05, 0.1, 0.2]
+    assert {r: first[r] + second[r] for r in whole} == whole
+    assert whole[0.2] > 0
+
+
 def test_report_without_artifacts_exits_2(tmp_path, capsys):
     assert main(["report", "--out-dir", str(tmp_path)]) == 2
     assert "no artifacts found" in capsys.readouterr().err

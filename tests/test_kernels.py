@@ -7,7 +7,9 @@ snapshots -- every output bit is compared with a plain per-path loop
 kept here as the reference, and the stop codes of two fixed inputs with
 recorded values.  A small ``bmax`` keeps every run short.  The dispatcher
 runs the compiled kernel where ``cc`` exists; ``TestCompiledKernel``
-compares its bytes and exceptions with the Python kernel's.
+compares its bytes and exceptions with the Python kernel's, and
+``TestCompiledBackwardFlow`` the compiled backward flow's bytes with the
+numpy flow's.
 """
 
 import math
@@ -420,6 +422,157 @@ class TestCompiledKernel:
             assert out["death_units"].tolist() == [0]
 
 
+# ---------------------------------------------------------------------------
+# the compiled backward flow against the numpy flow
+# ---------------------------------------------------------------------------
+
+# numpy's SIMD complex multiply rounds each part once, as a fused
+# multiply-add; the real part of this product is ...c21p-4 fused and
+# ...c22p-4 with two roundings
+CANARY = (complex(-0.1321048632913019, -0.258572545473924),
+          complex(-1.0298044380114637, -0.050604063111342405))
+NUMPY_FUSES = (np.array([CANARY[0]]) * np.array([CANARY[1]])).real[0] \
+    == float.fromhex("0x1.f7a2212534c21p-4")
+needs_fused_numpy = pytest.mark.skipif(
+    not NUMPY_FUSES, reason="numpy's complex multiply is not fused here, so "
+    "the numpy flow rounds differently from the compiled one")
+
+
+def record_flow_calls(monkeypatch, estimate, kappa, **kwargs):
+    """Copies of the (drivers, lengths, du, y) of every backward_flow call
+    of one estimator run."""
+    calls = []
+    flow = _kernels.backward_flow
+
+    def recorded(drivers, lengths, du, y):
+        calls.append((drivers.copy(), lengths.copy(), du, y.copy()))
+        flow(drivers, lengths, du, y)
+
+    monkeypatch.setattr(_kernels, "backward_flow", recorded)
+    estimate(KappaContext(kappa), SYM_CFG, [0.2, 0.1, 0.05], dt=DT,
+             **kwargs)
+    monkeypatch.undo()
+    assert calls
+    return calls
+
+
+def flows(drivers, lengths, du, y):
+    """Outputs of the compiled flow (through the dispatcher) and of the
+    numpy flow on copies of ``y``."""
+    compiled_lib()
+    c, py = y.copy(), y.copy()
+    _kernels.backward_flow(drivers, lengths, du, c)
+    _kernels._backward_flow_np(drivers, lengths, du, py)
+    return c, py
+
+
+# a 400-step walk, the reverse of its first 250 steps and one step
+FLOW_DRIVERS = np.zeros((3, 400))
+FLOW_DRIVERS[0] = 0.08 * np.cumsum(np.sin(1.7 * np.arange(400)))
+FLOW_DRIVERS[1, :250] = FLOW_DRIVERS[0, ::-1][:250]
+FLOW_DRIVERS[2, 0] = -1.0
+FLOW_LENGTHS = np.array([400, 250, 1], dtype=np.int64)
+FLOW_Y = np.array([0.9 * np.exp(0.3j), 0.5 - 0.2j, 0.999 * np.exp(-1j)])
+FLOW_PINNED = [("0x1.33e665a2fca56p-8", "0x1.ec2bb6cc11569p-13"),
+               ("0x1.49d11a80ce747p-6", "-0x1.00b6abe4b7448p-9"),
+               ("0x1.c4e6f3e8faeeep-2", "-0x1.60ad39a26b3a7p-1")]
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
+class TestCompiledBackwardFlow:
+    def test_pinned_outputs(self):
+        y = FLOW_Y.copy()
+        compiled_lib()
+        _kernels.backward_flow(FLOW_DRIVERS, FLOW_LENGTHS, 0.01, y)
+        assert [(v.real.hex(), v.imag.hex()) for v in y] == FLOW_PINNED
+
+    @needs_fused_numpy
+    @pytest.mark.parametrize("kappa, estimate, kwargs", [
+        (3.0, mc.estimate_two_curve_hit, dict(n_paths=120, seed=4)),
+        (6.0, mc.estimate_two_curve_hit, dict(n_paths=100, seed=1)),
+        (7.5, mc.estimate_intersection_hit,
+         dict(n_paths=20, seed=3, path_start=380)),
+    ])
+    def test_bytes_equal_on_recorded_probes(self, monkeypatch, kappa,
+                                            estimate, kwargs):
+        calls = record_flow_calls(monkeypatch, estimate, kappa,
+                                  bmax=32768, **kwargs)
+        rows = 0
+        for drivers, lengths, du, y in calls:
+            c, py = flows(drivers, lengths, du, y)
+            assert_same_bits(c, py)
+            rows += lengths.size
+        assert rows >= 50
+
+    @needs_fused_numpy
+    def test_bytes_equal_on_degenerate_and_ragged_rows(self):
+        drivers = np.tile(FLOW_DRIVERS[0, :60], (7, 1))
+        lengths = np.array([60, 60, 60, 60, 37, 0, 1], dtype=np.int64)
+        y = np.array([0.0, complex(-0.0, -0.0), np.exp(1j * drivers[2, 59]),
+                      0.3 + 0.4j, 0.7j, 0.2, -0.999])
+        c, py = flows(drivers, lengths, 0.01, y)
+        assert_same_bits(c, py)
+        # the origin is fixed (every step is non-finite and leaves the
+        # point unchanged, either sign of zero); a row of length 0 takes no
+        # step
+        assert_same_bits(c[[0, 1, 5]], y[[0, 1, 5]])
+        assert np.all(c[[3, 4, 6]] != y[[3, 4, 6]])
+
+    @needs_fused_numpy
+    def test_bytes_equal_on_pinned_rows(self):
+        c, py = flows(FLOW_DRIVERS, FLOW_LENGTHS, 0.01, FLOW_Y)
+        assert_same_bits(c, py)
+
+    def test_builds_without_warnings(self, tmp_path):
+        # the grown C file stays clean under the strictest common warnings
+        out = tmp_path / "hsle.so"
+        proc = subprocess.run(
+            ["cc", *_kernels._CFLAGS, "-Wall", "-Wextra", "-Werror", "-o",
+             str(out), _kernels._HSLE_SOURCE, "-lm"],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert out.exists()
+
+
+def test_build_flags_keep_roundings_separate():
+    # the compiled kernels' bits assume no contraction beyond their explicit
+    # fma() calls; on x86-64, whose baseline has no FMA instruction,
+    # -ffp-contract=fast builds the same machine code, so the byte tests
+    # above cannot see it, but an FMA target (aarch64, -march=native) fuses
+    flags = _kernels._CFLAGS
+    assert "-ffp-contract=off" in flags
+    assert not [f for f in flags if f.startswith(("-march", "-mfma", "-mcpu",
+                                                  "-ffast-math", "-Ofast"))]
+
+
+class TestWithoutCompiler:
+    @needs_fused_numpy
+    def test_numpy_flow_runs_after_one_warning(self, tmp_path):
+        # with no cc on PATH, both kernels fall back after one warning and
+        # the numpy flow writes the compiled flow's bytes
+        np.save(tmp_path / "drivers.npy", FLOW_DRIVERS)
+        np.save(tmp_path / "lengths.npy", FLOW_LENGTHS)
+        np.save(tmp_path / "y.npy", FLOW_Y)
+        code = (
+            "import sys, numpy as np, twocurve._kernels as k\n"
+            "d, l, y = (np.load(sys.argv[1] + f'/{n}.npy')\n"
+            "           for n in ('drivers', 'lengths', 'y'))\n"
+            "k.backward_flow(d, l, 0.01, y)\n"
+            "k.backward_flow(d, l, 0.01, y.copy())\n"
+            "print(k.hsle_kernel())\n"
+            "for v in y: print(v.real.hex(), v.imag.hex())\n")
+        src = os.path.dirname(os.path.dirname(_kernels.__file__))
+        env = dict(os.environ, PATH=str(tmp_path), PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                             check=True, capture_output=True, text=True,
+                             timeout=120, env=env)
+        lines = out.stdout.split("\n")
+        assert lines[0] == "python"
+        assert [tuple(line.split()) for line in lines[1:4]] == FLOW_PINNED
+        assert out.stderr.count("no C compiler") == 1
+
+
 class TestDispatcherArguments:
     @pytest.mark.parametrize("name, bad", [
         ("state", lambda a: np.asfortranarray(a)),
@@ -445,6 +598,26 @@ class TestDispatcherArguments:
                 args["state"], args["streams"], 0, 10, 6.0, DT,
                 args["thr_macros"], gt_vals, gt_du, umax, args["snap"],
                 args["reached"], args["status"], args["death_units"])
+
+    @pytest.mark.parametrize("name, bad", [
+        ("drivers", lambda a: np.asfortranarray(a)),
+        ("drivers", lambda a: a.astype(np.float32)),
+        ("drivers", lambda a: a[0].copy()),
+        ("lengths", lambda a: a.astype(np.int32)),
+        ("lengths", lambda a: a[:-1].copy()),
+        ("lengths", lambda a: a.tolist()),
+        ("y", lambda a: a.astype(np.complex64)),
+        ("y", lambda a: np.repeat(a, 2)[::2]),
+        ("y", lambda a: np.broadcast_to(a, a.shape)),
+    ])
+    def test_backward_flow_rejects_bad_arrays(self, name, bad):
+        args = dict(drivers=np.zeros((4, 5)),
+                    lengths=np.full(4, 5, dtype=np.int64),
+                    y=np.full(4, 0.5 + 0.1j))
+        args[name] = bad(args[name])
+        with pytest.raises(ValueError, match=name):
+            _kernels.backward_flow(args["drivers"], args["lengths"], 1e-3,
+                                   args["y"])
 
     def test_import_compiles_nothing(self):
         # the library is built by the first kernel call, not at import

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from twocurve import _rng
@@ -51,6 +53,21 @@ class TestRandomStream:
         g0, g1 = _rng.normal_pair(s, 11)
         a0, a1 = _rng.normal_pair_array(np.array([s], dtype=np.uint64), 11)
         assert g0 == a0[0] and g1 == a1[0]
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(master=st.integers(0, 2**64 - 1),
+           ids=st.lists(st.integers(0, 2**62), min_size=1, max_size=40),
+           k=st.integers(0, 2**62 - 1))
+    def test_scalar_and_array_draws_bit_equal(self, master, ids, k):
+        # a draw must not depend on the batch it is drawn in
+        streams = _rng.derive_stream_array(master, np.array(ids, np.uint64))
+        ua = _rng.uniform_array(streams, 2 * k + 1)
+        g0, g1 = _rng.normal_pair_array(streams, k)
+        for j, sid in enumerate(streams.tolist()):
+            assert sid == _rng.derive_stream(master, ids[j])
+            assert ua[j] == _rng.uniform(sid, 2 * k + 1)
+            assert (g0[j], g1[j]) == _rng.normal_pair(sid, k)
 
     def test_distinct_streams_differ(self):
         a = _rng.derive_stream(1, 0)
@@ -310,25 +327,3 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             simulate_z_ensemble(CTX6, z0, 1.0, dt=1e-3, n_paths=1,
                                 record_times=[0.0])
-
-
-class TestEnsembleCsv:
-    def test_schema_and_determinism(self, tmp_path):
-        z0 = ZState(1.0, 2.0)
-        ens = simulate_z_ensemble(CTX6, z0, 0.1, dt=1e-2, n_paths=5,
-                                  master_seed=1, record_times=[0.05, 0.1])
-        p1 = tmp_path / "a.csv"
-        p2 = tmp_path / "b.csv"
-        ens.to_csv(p1)
-        ens.to_csv(p2)
-        b1 = p1.read_bytes()
-        assert b1 == p2.read_bytes()
-        lines = b1.decode().strip().split("\n")
-        assert lines[0] == "path_id,t,z1,z2,log_weight,absorbed,schema_version"
-        assert len(lines) == 1 + 2 * 5
-        first = lines[1].split(",")
-        assert len(first) == 7
-        assert first[0] == "0" and first[6] == "1"
-        # values parse back to the stored states
-        assert math.isclose(float(first[2]), ens.z1[0, 0], rel_tol=0,
-                            abs_tol=0)
