@@ -102,20 +102,15 @@ def check_hyp_value_at_one(ctx: KappaContext,
 # spectral-basis checks
 # ---------------------------------------------------------------------------
 
-def _all_modes(n_limit: int):
-    for n in range(n_limit + 1):
-        for j in range(n // 2 + 1):
-            yield n, j, 1
-        for j in range((n - 1) // 2 + 1):
-            yield n, j, 2
-
-
 def check_orthonormality(ctx: KappaContext, n_limit: int = 12,
                          tolerance: float = 1e-8) -> CheckResult:
+    """Gram matrix of the modes up to n_limit under the weighted disc rule,
+    built from ``density.mode_blocks``, the evaluator the densities run."""
     basis = dens.SpectralBasis(ctx, n_limit)
     x, y, w = disc_rule(ctx, 26, 52)
-    vals = np.array([dens.basis_eval(basis, n, j, i, x, y)
-                     for n, j, i in _all_modes(n_limit)])
+    vals = np.empty((basis.n_modes, x.size))
+    for rows, sl, V in dens.mode_blocks(basis, n_limit, x, y):
+        vals[rows, sl] = V
     gram = (vals * w) @ vals.T
     err = np.max(np.abs(gram - np.eye(basis.n_modes)))
     return CheckResult.from_residual("basis_orthonormality", ctx.kappa,
@@ -129,7 +124,7 @@ def check_eigenfunctions(ctx: KappaContext, n_limit: int = 10,
     rng = np.random.default_rng(11)
     px, py = rng.uniform(-0.62, 0.62, (2, 10))
     res = []
-    for n, j, i in _all_modes(n_limit):
+    for n, j, i in zip(basis.mode_n, basis.mode_j, basis.mode_i):
         def f(a, b, n=n, j=j, i=i):
             return dens.basis_eval(basis, n, j, i, a, b)
         lhs = dens.generator_apply(ctx, f, px, py)

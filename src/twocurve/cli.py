@@ -59,7 +59,7 @@ from . import checks as checks_mod
 from . import density as dens
 from . import montecarlo as mc
 from .context import KappaContext
-from .green import BoundaryConfig, alpha0
+from .green import BoundaryConfig
 from .timecurve import ZState
 
 SCHEMA_VERSION = 1
@@ -479,7 +479,7 @@ def fit_records(rows) -> dict:
                      "intercept": inter,
                      "intercept_stderr": float(math.sqrt(max(cov[1, 1],
                                                              0.0))),
-                     "alpha0": float(alpha0(kappa)),
+                     "alpha0": KappaContext(kappa).alpha0,
                      })
     return {"schema_version": SCHEMA_VERSION, "fits": fits,
             "skipped": skipped}

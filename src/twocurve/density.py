@@ -22,6 +22,15 @@ degree n.  This module provides:
   * quadrature-based survival probabilities ``survival_P2``;
   * a finite-difference application of the generator (``generator_apply``)
     for residual checks.
+
+Every series runs on one evaluator, ``mode_blocks``: per angular order m
+and block of points, the matrix V[k, p] = v_k(x_p, y_p) from the Jacobi
+recurrence ``special.jacobi_seq`` and the powers (x + i y)^m.  Series
+sums, survival mode integrals, the modes at one point and the pointwise
+kernel are contractions of V.  No V holds more than ``_CHUNK`` entries,
+which bounds the memory of every sum.  ``basis_eval`` keeps the per-mode
+formula h P_j(2 r^2 - 1) r^m cos/sin(m theta) as the independent oracle
+that the evaluator is tested against.
 """
 
 from __future__ import annotations
@@ -32,15 +41,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import KappaContext
-from .green import G_u
+from .green import G_u, _coord_arrays
 from .quadrature import square_integrate, tanh_sinh_rule
-from .special import h_const, jacobi, jacobi_sup_norm, log_gamma, hyp_F
+from .special import (h_const, jacobi, jacobi_seq, jacobi_sup_norm,
+                      log_gamma, hyp_F)
+from .timecurve import xy_of_z
 
 __all__ = [
     "SpectralBasis",
     "PtResult",
     "eigenvalue",
     "basis_eval",
+    "mode_blocks",
     "sup_norm",
     "generator_apply",
     "p_t",
@@ -65,7 +77,8 @@ N_CAP = 60
 # for every supported kappa, far below any time used by the package.
 _N_SCAN = 2048
 
-# Maximum number of points processed per block in basis-evaluation loops.
+# Most entries of one mode-value block V of ``mode_blocks``, and most
+# quadrature points per block of the survival mode integrals.
 _CHUNK = 200_000
 
 
@@ -95,27 +108,19 @@ class SpectralBasis:
         self.n_max = int(n_max)
         self.weight_exponent = ctx.weight_exponent
 
+        # level n holds its n//2 + 1 cos modes (j = 0, 1, ...), then its
+        # (n+1)//2 sin modes, from flat index n(n+1)/2 on
         ns, js, iis = [], [], []
-        pos = {}
-        level_start = [0]
         for n in range(self.n_max + 1):
-            for j in range(n // 2 + 1):
-                pos[(n, j, 1)] = len(ns)
-                ns.append(n)
-                js.append(j)
-                iis.append(1)
-            for j in range((n - 1) // 2 + 1):
-                pos[(n, j, 2)] = len(ns)
-                ns.append(n)
-                js.append(j)
-                iis.append(2)
-            level_start.append(len(ns))
+            for i, count in ((1, n // 2 + 1), (2, (n + 1) // 2)):
+                ns += [n] * count
+                js += range(count)
+                iis += [i] * count
         self.mode_n = np.asarray(ns, dtype=np.int64)
         self.mode_j = np.asarray(js, dtype=np.int64)
         self.mode_i = np.asarray(iis, dtype=np.int64)
-        self.mode_m = self.mode_n - 2 * self.mode_j
-        self._pos = pos
-        self._level_start = np.asarray(level_start, dtype=np.int64)
+        levels = np.arange(self.n_max + 2, dtype=np.int64)
+        self._level_start = levels * (levels + 1) // 2
         self.mode_h = h_const(ctx, self.mode_n, self.mode_j)
         # cache slot for survival mode integrals, filled lazily
         self._survival_cache = None
@@ -130,15 +135,14 @@ class SpectralBasis:
 
     def mode_index(self, n: int, j: int, i: int) -> int:
         """Flat index of mode (n, j, i); raises ValueError if absent."""
-        key = (int(n), int(j), int(i))
-        try:
-            return self._pos[key]
-        except KeyError:
+        n, j, i = int(n), int(j), int(i)
+        if not (0 <= n <= self.n_max and i in (1, 2) and 0 <= j
+                and 2 * j <= n - (i - 1)):
             raise ValueError(
                 f"no basis mode with n={n}, j={j}, i={i} "
                 f"(need 0 <= 2j <= n for i=1, 2j <= n-1 for i=2, "
-                f"n <= {self.n_max})"
-            ) from None
+                f"n <= {self.n_max})")
+        return int(self._level_start[n]) + j + (i - 1) * (n // 2 + 1)
 
     def modes_up_to(self, n_limit: int) -> int:
         """Number of modes with level <= n_limit."""
@@ -197,110 +201,54 @@ def basis_eval(basis: SpectralBasis, n: int, j: int, i: int, x, y):
 
 
 # ---------------------------------------------------------------------------
-# chunked mode arithmetic
+# the mode evaluator
 # ---------------------------------------------------------------------------
 
 
-def _radial_seq(e: float, m: float, j_max: int, u):
-    """Yield P_j^{(e, m)}(u) for j = 0 .. j_max via the 3-term recurrence."""
-    p_prev = np.ones_like(u)
-    yield p_prev
-    if j_max < 1:
-        return
-    p_cur = ((e + m + 2.0) * u + (e - m)) / 2.0
-    yield p_cur
-    for j in range(2, j_max + 1):
-        s = e + m
-        c1 = 2.0 * j * (j + s) * (2.0 * j + s - 2.0)
-        c2 = 2.0 * j + s - 1.0
-        big_a = (2.0 * j + s) * (2.0 * j + s - 2.0)
-        big_b = e * e - m * m
-        c3 = 2.0 * (j + e - 1.0) * (j + m - 1.0) * (2.0 * j + s)
-        p_next = (c2 * (big_a * u + big_b) * p_cur - c3 * p_prev) / c1
-        yield p_next
-        p_prev, p_cur = p_cur, p_next
+def mode_blocks(basis: SpectralBasis, n_limit: int, x, y):
+    """Yield (rows, sl, V), V[k, p] = v_{rows[k]}(x[sl][p], y[sl][p]).
 
-
-def _polar(x, y):
-    r2 = x * x + y * y
-    u = np.minimum(2.0 * r2 - 1.0, 1.0)
-    return np.sqrt(r2), u, np.arctan2(y, x)
-
-
-def _sum_series(basis: SpectralBasis, n_limit: int, coeffs, x, y):
-    """sum over modes s (level <= n_limit) of coeffs[s] v_s(x, y)."""
-    e = basis.weight_exponent
-    r, u, theta = _polar(x, y)
-    out = np.zeros_like(r)
-    pos = basis._pos
-    h = basis.mode_h
-    for m in range(n_limit + 1):
-        j_max = (n_limit - m) // 2
-        rm = r ** m
-        cm = np.cos(m * theta)
-        sm = np.sin(m * theta) if m > 0 else None
-        for j, p in enumerate(_radial_seq(e, float(m), j_max, u)):
-            n = m + 2 * j
-            pc = pos[(n, j, 1)]
-            acc = coeffs[pc] * cm
-            if m > 0:
-                acc = acc + coeffs[pos[(n, j, 2)]] * sm
-            out += (h[pc] * p * rm) * acc
-    return out
-
-
-def _mode_integrals_block(basis, n_limit, x, y, w, out):
-    """Accumulate out[s] += sum_p w_p v_s(x_p, y_p) for one point block."""
-    e = basis.weight_exponent
-    r, u, theta = _polar(x, y)
-    pos = basis._pos
-    h = basis.mode_h
-    for m in range(n_limit + 1):
-        j_max = (n_limit - m) // 2
-        rm = r ** m
-        wc = w * rm * np.cos(m * theta)
-        ws = w * rm * np.sin(m * theta) if m > 0 else None
-        for j, p in enumerate(_radial_seq(e, float(m), j_max, u)):
-            n = m + 2 * j
-            pc = pos[(n, j, 1)]
-            out[pc] += h[pc] * float(np.dot(p, wc))
-            if m > 0:
-                ps = pos[(n, j, 2)]
-                out[ps] += h[ps] * float(np.dot(p, ws))
-    return out
-
-
-def _eval_modes_at(basis: SpectralBasis, n_limit: int, x: float, y: float):
-    """Vector of v_s(x, y) for all modes with level <= n_limit."""
-    out = np.zeros(basis.n_modes)
-    _mode_integrals_block(basis, n_limit,
-                          np.array([x]), np.array([y]), np.array([1.0]), out)
-    return out
-
-
-def _kernel_pointwise(basis, n_limit, lam_w, xa, ya, xb, yb):
-    """sum_s lam_w[n_s] v_s(a) v_s(b) elementwise over same-shape points.
-
-    The cos and sin modes of a given (n, j) pair combine into a single
-    cos(m (theta_a - theta_b)) factor, which is used directly.
+    One step per block of points (x, y read flat) and angular order m of
+    the modes of level <= n_limit: rows lists the order's cos modes, then
+    its sin modes.  V has at most _CHUNK entries; the next step reuses it.
     """
     e = basis.weight_exponent
-    ra, ua, tha = _polar(xa, ya)
-    rb, ub, thb = _polar(xb, yb)
-    dth = tha - thb
-    out = np.zeros_like(ra)
-    h = basis.mode_h
-    pos = basis._pos
+    x = np.ravel(x)
+    y = np.ravel(y)
+    starts = basis._level_start
+    orders = []
     for m in range(n_limit + 1):
-        j_max = (n_limit - m) // 2
-        rr = (ra * rb) ** m
-        cmd = np.cos(m * dth)
-        gen_b = _radial_seq(e, float(m), j_max, ub)
-        for j, pa in enumerate(_radial_seq(e, float(m), j_max, ua)):
-            pb = next(gen_b)
-            n = m + 2 * j
-            hh = h[pos[(n, j, 1)]] ** 2
-            out += (lam_w[n] * hh) * pa * pb * rr * cmd
+        js = np.arange((n_limit - m) // 2 + 1)
+        cos_rows = starts[m + 2 * js] + js
+        sin_rows = cos_rows + (m + 2 * js) // 2 + 1 if m > 0 else js[:0]
+        orders.append((cos_rows, np.concatenate((cos_rows, sin_rows))))
+    width = max(rows.size for _, rows in orders)
+    step = max(1, _CHUNK // width)
+    for lo in range(0, x.size, step):
+        sl = slice(lo, lo + step)
+        xb, yb = x[sl], y[sl]
+        u = np.minimum(2.0 * (xb * xb + yb * yb) - 1.0, 1.0)
+        z = xb + 1j * yb
+        zm = np.ones_like(z)  # r^m e^{i m theta}
+        buf = np.empty((width, xb.size))
+        for m, (cos_rows, rows) in enumerate(orders):
+            nj = cos_rows.size
+            V = buf[:rows.size]
+            h = basis.mode_h[cos_rows]
+            for j, p in enumerate(jacobi_seq(nj - 1, e, float(m), u)):
+                np.multiply(p, h[j], out=V[j])
+            if m > 0:
+                zm *= z
+                np.multiply(V[:nj], zm.imag, out=V[nj:])
+            V[:nj] *= zm.real
+            yield rows, sl, V
+
+
+def _modes_at(basis: SpectralBasis, n_limit: int, x, y):
+    """Vector of v_s(x, y) at one point for the modes of level <= n_limit."""
+    out = np.empty(basis.modes_up_to(n_limit))
+    for rows, _, V in mode_blocks(basis, n_limit, x, y):
+        out[rows] = V[:, 0]
     return out
 
 
@@ -401,42 +349,41 @@ class PtResult:
 # ---------------------------------------------------------------------------
 
 
-def _point_xy(p):
-    """Coerce a point to a pair of float arrays (scalars become 0-d)."""
-    x, y = p
-    return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-
-
 def _check_disc(x, y, label: str):
     if np.any(x * x + y * y > 1.0 + 1e-12):
         raise ValueError(f"{label} must lie in the closed unit disc")
 
 
-def _kernel_sum(basis, n_limit, t, fx, fy, tx, ty):
-    """K = sum_s exp(lambda_n t) v_s(from) v_s(to) with flexible shapes.
-
-    Exactly one of from/to may be an array; both may also share a shape
-    (pointwise evaluation) or both be scalars.
-    """
-    ctx = basis.ctx
-    lam_w = np.exp(np.array([eigenvalue(ctx, n) * t
+def _lam_modes(basis: SpectralBasis, n_limit: int, t: float):
+    """exp(lambda_n t) for every mode of level n <= n_limit."""
+    lam_w = np.exp(np.array([eigenvalue(basis.ctx, n) * t
                              for n in range(n_limit + 1)]))
-    lam_modes = lam_w[basis.mode_n.clip(max=n_limit)]
-    if fx.ndim == 0 and tx.ndim == 0:
-        v_f = _eval_modes_at(basis, n_limit, float(fx), float(fy))
-        v_t = _eval_modes_at(basis, n_limit, float(tx), float(ty))
-        sel = basis.modes_up_to(n_limit)
-        return np.asarray(
-            np.dot(lam_modes[:sel] * v_f[:sel], v_t[:sel]))
-    if fx.ndim == 0:
-        coeffs = lam_modes * _eval_modes_at(basis, n_limit, float(fx), float(fy))
-        return _sum_series(basis, n_limit, coeffs, tx, ty)
-    if tx.ndim == 0:
-        coeffs = lam_modes * _eval_modes_at(basis, n_limit, float(tx), float(ty))
-        return _sum_series(basis, n_limit, coeffs, fx, fy)
+    return lam_w[basis.mode_n[:basis.modes_up_to(n_limit)]]
+
+
+def _kernel_sum(basis, n_limit, t, fx, fy, tx, ty):
+    """K = sum_s exp(lambda_n t) v_s(from) v_s(to).
+
+    One of the points is a scalar (K is symmetric, so it becomes a series
+    in the other point), or both are arrays of one shape (pointwise).
+    """
+    lam_modes = _lam_modes(basis, n_limit, t)
+    if fx.ndim == 0 or tx.ndim == 0:
+        if fx.ndim != 0:
+            fx, fy, tx, ty = tx, ty, fx, fy
+        coef = lam_modes * _modes_at(basis, n_limit, fx, fy)
+        out = np.zeros(tx.size)
+        for rows, sl, V in mode_blocks(basis, n_limit, tx, ty):
+            out[sl] += coef[rows] @ V
+        return out.reshape(tx.shape)
     if fx.shape != tx.shape:
         raise ValueError("from/to point arrays must be scalar or same shape")
-    return _kernel_pointwise(basis, n_limit, lam_w, fx, fy, tx, ty)
+    out = np.zeros(fx.size)
+    for (rows, sl, Va), (_, _, Vb) in zip(
+            mode_blocks(basis, n_limit, fx, fy),
+            mode_blocks(basis, n_limit, tx, ty)):
+        out[sl] += lam_modes[rows] @ (Va * Vb)
+    return out.reshape(fx.shape)
 
 
 def p_infty(ctx: KappaContext, x, y):
@@ -466,8 +413,8 @@ def p_t(basis: SpectralBasis, frm, to, t, rtol: float = 1e-9,
     """
     if not t > 0.0:
         raise ValueError("p_t requires t > 0")
-    fx, fy = _point_xy(frm)
-    tx, ty = _point_xy(to)
+    fx, fy = _coord_arrays(frm)
+    tx, ty = _coord_arrays(to)
     _check_disc(fx, fy, "p_t from")
     _check_disc(tx, ty, "p_t to")
     n_used, tail, tol, conv = _select_truncation(basis, float(t), rtol)
@@ -524,21 +471,11 @@ def generator_apply(ctx: KappaContext, f, x, y, step: float = 1e-3):
 
 def _z_arrays(z):
     """Coerce a gap point (ZState-like or (z1, z2) pair) to float arrays."""
-    z1 = getattr(z, "z1", None)
-    if z1 is not None:
-        z1, z2 = z.z1, z.z2
-    else:
-        z1, z2 = z
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
+    z1, z2 = _coord_arrays(z)
     if np.any(z1 < 0.0) or np.any(z1 > np.pi) \
             or np.any(z2 < 0.0) or np.any(z2 > np.pi):
         raise ValueError("gap coordinates must lie in [0, pi]")
     return z1, z2
-
-
-def _xy_of_z(z1, z2):
-    return np.cos((z1 + z2) / 2.0), np.sin((z1 - z2) / 2.0)
 
 
 def pZ_infty(ctx: KappaContext, z):
@@ -559,8 +496,8 @@ def pZ_t(basis: SpectralBasis, frm, to, t, rtol: float = 1e-9,
         raise ValueError("pZ_t requires t > 0")
     fz1, fz2 = _z_arrays(frm)
     tz1, tz2 = _z_arrays(to)
-    fx, fy = _xy_of_z(fz1, fz2)
-    tx, ty = _xy_of_z(tz1, tz2)
+    fx, fy = xy_of_z((fz1, fz2))
+    tx, ty = xy_of_z((tz1, tz2))
     n_used, tail, tol, conv = _select_truncation(basis, float(t), rtol)
     e = basis.weight_exponent
     s1, s2 = np.sin(tz1), np.sin(tz2)
@@ -621,8 +558,8 @@ def tilde_pZ_t(ctx: KappaContext, basis: SpectralBasis, frm, to, t,
         raise ValueError("tilde_pZ_t requires t > 0")
     fz1, fz2 = _z_arrays(frm)
     tz1, tz2 = _z_arrays(to)
-    fx, fy = _xy_of_z(fz1, fz2)
-    tx, ty = _xy_of_z(tz1, tz2)
+    fx, fy = xy_of_z((fz1, fz2))
+    tx, ty = xy_of_z((tz1, tz2))
     n_used, _, _, _ = _select_truncation(basis, float(t), rtol)
     if n_used > 0:
         kern = _kernel_sum(basis, n_used, float(t), fx, fy, tx, ty)
@@ -693,8 +630,9 @@ def _survival_integrals(ctx: KappaContext, basis: SpectralBasis,
             z1b = z1b.ravel()
             z2b = z2b.ravel()
             wb = np.outer(wz[lo:hi], wz).ravel() * _pz_over_gu(ctx, z1b, z2b)
-            xb, yb = _xy_of_z(z1b, z2b)
-            _mode_integrals_block(basis, n_limit, xb, yb, wb, out)
+            xb, yb = xy_of_z((z1b, z2b))
+            for rows, sl, V in mode_blocks(basis, n_limit, xb, yb):
+                out[rows] += V @ wb[sl]
         out *= pref
         if prev is not None:
             delta = float(np.max(np.abs(out - prev)))
@@ -726,12 +664,8 @@ def survival_P2(ctx: KappaContext, basis: SpectralBasis, z0, t,
         raise ValueError("survival_P2 takes a single starting point")
     n_used, _, _, _ = _select_truncation(basis, float(t), rtol)
     ints = _survival_integrals(ctx, basis, n_used)
-    x0, y0 = _xy_of_z(z1, z2)
-    v0 = _eval_modes_at(basis, n_used, float(x0), float(y0))
-    sel = basis.modes_up_to(n_used)
-    lam_w = np.exp(np.array([eigenvalue(ctx, n) * float(t)
-                             for n in range(n_used + 1)]))
-    lam_modes = lam_w[basis.mode_n[:sel]]
-    total = float(np.dot(lam_modes * v0[:sel], ints[:sel]))
+    v0 = _modes_at(basis, n_used, *xy_of_z((z1, z2)))
+    lam_modes = _lam_modes(basis, n_used, float(t))
+    total = float(np.dot(lam_modes * v0, ints[:v0.size]))
     val = np.exp(-ctx.alpha0 * float(t)) * G_u(ctx, (z1, z2)) * total
     return float(min(max(val, 0.0), 1.0))

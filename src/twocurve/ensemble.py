@@ -15,8 +15,9 @@ time pair, the state tracked here:
 * ``t1, t2`` -- the two capacity times.
 
 On this state the module computes: the deterministic flow derivative of
-every field for growth in either time (``ode_rhs``); the cross-ratio of
-the four angles and its companion factor ``phi``; and the log-densities
+every field for growth in either time (``ode_rhs``); the companion
+factor ``phi`` of the cross-ratio (``green.cross_ratio_of_config`` of
+``EnsembleState.config``); and the log-densities
 ``log_M_iB_c4`` / ``log_M_iB_ch`` of the two changes of measure from the
 product of independent Brownian driving laws -- mode "c4" targets the
 system where each curve is a radial SLE with three symmetric force
@@ -42,6 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .context import KappaContext
+from .green import BoundaryConfig, cross_ratio_of_config
 from .special import hyp_F, hyp_F_and_dF
 from .trig import cot2, cot2p, cot2ppp, sin2
 
@@ -106,6 +108,11 @@ class EnsembleState:
         if not (lo - 1e-9 <= self.mA <= hi + 1e-9):
             raise ValueError(
                 f"joint capacity mA={self.mA} outside [{lo}, {hi}]")
+
+    @property
+    def config(self) -> BoundaryConfig:
+        """The four angles W1, V1, W2, V2 as a ``BoundaryConfig``."""
+        return BoundaryConfig(self.W1, self.V1, self.W2, self.V2)
 
     def angle(self, label: str) -> float:
         if label not in _ANGLE_LABELS:
@@ -193,18 +200,11 @@ def ode_rhs(state: EnsembleState, j: int) -> dict:
     }
 
 
-def cross_ratio_R(state: EnsembleState) -> float:
-    """R = sin2(W1-V2) sin2(V1-W2) / (sin2(W1-W2) sin2(V1-V2)), in (0,1)."""
-    num = sin2(state.W1 - state.V2) * sin2(state.V1 - state.W2)
-    den = sin2(state.W1 - state.W2) * sin2(state.V1 - state.V2)
-    return float(num / den)
-
-
 def _hyp_point(ctx: KappaContext, state: EnsembleState, mode: str):
     """(R, F(R), F'(R)) for mode "ch", which reads F; None for "c4"."""
     if mode != "ch":
         return None
-    R = cross_ratio_R(state)
+    R = cross_ratio_of_config(state.config)
     return (R, *hyp_F_and_dF(ctx, R))
 
 
@@ -253,7 +253,7 @@ def log_M_iB_ch(ctx: KappaContext, state: EnsembleState) -> float:
     """
     k = ctx.kappa
     b = ctx.sle_b
-    R = cross_ratio_R(state)
+    R = cross_ratio_of_config(state.config)
     log_ftilde = 2.0 / k * math.log(R) + math.log(hyp_F(ctx, R))
     return ((k - 6.0) * (k - 2.0) / (8.0 * k) * state.mA
             + b / 6.0 * (state.mA - state.t1 - state.t2)
@@ -341,12 +341,18 @@ def _to_ratio(ctx: KappaContext, sigma: float, mu: float
     return sigma, mu + 0.5 * ctx.kappa * sigma * sigma
 
 
-def _log_cross_ratio_sde(ctx: KappaContext, state: EnsembleState,
-                         j: int) -> tuple[float, float]:
+def _log_sine_sdes(ctx: KappaContext, state: EnsembleState, j: int) -> dict:
+    """Log-form pairs (sigma, mu) of d log sin2(P - Q) for growth in t_j,
+    keyed by the six (P, Q) of ``_C4_PAIRS``; ``_R_PAIRS`` is a subset."""
+    return {pair: _to_log(ctx, *sin_ratio_sde(ctx, state, j, pair))
+            for pair in _C4_PAIRS}
+
+
+def _log_cross_ratio_sde(log_sines: dict) -> tuple[float, float]:
     sigma = 0.0
     mu = 0.0
     for pair, sign in _R_PAIRS:
-        s, m = _to_log(ctx, *sin_ratio_sde(ctx, state, j, pair))
+        s, m = log_sines[pair]
         sigma += sign * s
         mu += sign * m
     return sigma, mu
@@ -355,7 +361,7 @@ def _log_cross_ratio_sde(ctx: KappaContext, state: EnsembleState,
 def cross_ratio_sde(ctx: KappaContext, state: EnsembleState,
                     j: int) -> tuple[float, float]:
     """(sigma, mu) of dR/R for growth in t_j, from the sine factor SDEs."""
-    return _to_ratio(ctx, *_log_cross_ratio_sde(ctx, state, j))
+    return _to_ratio(ctx, *_log_cross_ratio_sde(_log_sine_sdes(ctx, state, j)))
 
 
 def _hyp_log_derivs(ctx: KappaContext, R: float, F: float,
@@ -380,14 +386,15 @@ def hyp_factor_sde(ctx: KappaContext, state: EnsembleState,
 
     Chain rule through u = log R: d log Ftilde = H du + (1/2) R H' d<u>.
     """
-    return _hyp_factor_sde(ctx, state, j, _hyp_point(ctx, state, "ch"))
+    return _hyp_factor_sde(ctx, _hyp_point(ctx, state, "ch"),
+                           _log_sine_sdes(ctx, state, j))
 
 
-def _hyp_factor_sde(ctx: KappaContext, state: EnsembleState, j: int,
-                    hyp) -> tuple[float, float]:
+def _hyp_factor_sde(ctx: KappaContext, hyp,
+                    log_sines: dict) -> tuple[float, float]:
     R, F, Fp = hyp
     H, Hp = _hyp_log_derivs(ctx, R, F, Fp)
-    s_lr, m_lr = _log_cross_ratio_sde(ctx, state, j)
+    s_lr, m_lr = _log_cross_ratio_sde(log_sines)
     sigma = H * s_lr
     mu = H * m_lr + 0.5 * ctx.kappa * s_lr * s_lr * R * Hp
     return _to_ratio(ctx, sigma, mu)
@@ -405,14 +412,14 @@ def log_M_sde(ctx: KappaContext, state: EnsembleState, j: int,
     """
     _check_j(j)
     _check_mode(mode)
-    return _log_M_sde(ctx, state, j, mode, _hyp_point(ctx, state, mode))
+    return _log_M_sde(ctx, state, j, mode, _hyp_point(ctx, state, mode),
+                      ode_rhs(state, j), _log_sine_sdes(ctx, state, j))
 
 
 def _log_M_sde(ctx: KappaContext, state: EnsembleState, j: int, mode: str,
-               hyp) -> tuple[float, float]:
+               hyp, rhs: dict, log_sines: dict) -> tuple[float, float]:
     kap = ctx.kappa
     b = ctx.sle_b
-    rhs = ode_rhs(state, j)
     wj1 = state.tip_deriv(j, 1)
     wj2 = state.tip_deriv(j, 2)
     wj3 = state.tip_deriv(j, 3)
@@ -433,16 +440,16 @@ def _log_M_sde(ctx: KappaContext, state: EnsembleState, j: int, mode: str,
     if mode == "c4":
         mu += (60.0 / (8.0 * kap) + b / 6.0) * rhs["mA"]
         for pair in _C4_PAIRS:
-            s, m = _to_log(ctx, *sin_ratio_sde(ctx, state, j, pair))
+            s, m = log_sines[pair]
             sigma += 2.0 / kap * s
             mu += 2.0 / kap * m
     else:
         mu += ((kap - 6.0) * (kap - 2.0) / (8.0 * kap) + b / 6.0) * rhs["mA"]
         for pair in (("W1", "V1"), ("W2", "V2")):
-            s, m = _to_log(ctx, *sin_ratio_sde(ctx, state, j, pair))
+            s, m = log_sines[pair]
             sigma -= 2.0 * b * s
             mu -= 2.0 * b * m
-        s, m = _to_log(ctx, *_hyp_factor_sde(ctx, state, j, hyp))
+        s, m = _to_log(ctx, *_hyp_factor_sde(ctx, hyp, log_sines))
         sigma += s
         mu += m
     return float(sigma), float(mu)
@@ -458,12 +465,13 @@ def drift_residual(ctx: KappaContext, state: EnsembleState, j: int,
     """
     _check_j(j)
     _check_mode(mode)
-    return _drift_residual(ctx, state, j, mode, _hyp_point(ctx, state, mode))
+    return _drift_residual(ctx, state, j, mode, _hyp_point(ctx, state, mode),
+                           ode_rhs(state, j), _log_sine_sdes(ctx, state, j))
 
 
 def _drift_residual(ctx: KappaContext, state: EnsembleState, j: int,
-                    mode: str, hyp) -> float:
-    _, mu = _log_M_sde(ctx, state, j, mode, hyp)
+                    mode: str, hyp, rhs: dict, log_sines: dict) -> float:
+    _, mu = _log_M_sde(ctx, state, j, mode, hyp, rhs, log_sines)
     s_disp = _martingale_coefficient(ctx, state, j, mode, hyp)
     return float(mu + 0.5 * ctx.kappa * s_disp * s_disp)
 
@@ -475,14 +483,18 @@ def drift_residuals(ctx: KappaContext, states) -> np.ndarray:
 
     F and F' are evaluated in one vector call over the cross-ratios of all
     states; F does not depend on the batch, so every entry equals the
-    per-state ``drift_residual`` bit for bit.
+    per-state ``drift_residual`` bit for bit.  ``ode_rhs`` and the
+    sine-factor rows are built once per (state, j) and read by both modes.
     """
-    R = [cross_ratio_R(state) for state in states]
+    R = [cross_ratio_of_config(state.config) for state in states]
     F, Fp = hyp_F_and_dF(ctx, np.asarray(R, dtype=float))
     hyps = zip(R, F.tolist(), Fp.tolist())
-    out = [[[_drift_residual(ctx, state, j, mode, hyp)
-             for mode in ("c4", "ch")] for j in (1, 2)]
-           for state, hyp in zip(states, hyps)]
+    out = []
+    for state, hyp in zip(states, hyps):
+        for j in (1, 2):
+            rows = (ode_rhs(state, j), _log_sine_sdes(ctx, state, j))
+            out += [_drift_residual(ctx, state, j, mode, hyp, *rows)
+                    for mode in ("c4", "ch")]
     return np.array(out, dtype=float).reshape(len(states), 2, 2)
 
 

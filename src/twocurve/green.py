@@ -1,9 +1,10 @@
 """Closed-form two-curve Green's function evaluators.
 
-Provides the decay exponents alpha0/beta0, the four-marked-point boundary
-form G_quad, its diagonal specialization G_u on the gap variables, and the
-general unit-disc evaluator greens_disc obtained by Mobius-normalizing the
-observation point to the origin.
+Provides the four-marked-point boundary form G_quad and its cross-ratio,
+the diagonal specialization G_u on the gap variables, and the general
+unit-disc evaluator greens_disc obtained by Mobius-normalizing the
+observation point to the origin.  The decay exponents alpha0/beta0 are
+``KappaContext`` properties.
 """
 from __future__ import annotations
 
@@ -16,21 +17,8 @@ from .special import hyp_F
 from .trig import cos2, sin2
 
 __all__ = [
-    "alpha0", "beta0", "BoundaryConfig",
-    "cross_ratio_of_config", "G_quad", "G_u", "greens_disc",
+    "BoundaryConfig", "cross_ratio_of_config", "G_quad", "G_u", "greens_disc",
 ]
-
-
-def alpha0(kappa: float) -> float:
-    """Two-point decay exponent alpha0 = (12 - kappa)(kappa + 4)/(8 kappa)."""
-    k = float(kappa)
-    return (12.0 - k) * (k + 4.0) / (8.0 * k)
-
-
-def beta0(kappa: float) -> float:
-    """Secondary exponent beta0 = (2 + kappa/8)/(3 + kappa/8)."""
-    k = float(kappa)
-    return (2.0 + k / 8.0) / (3.0 + k / 8.0)
 
 
 @dataclass(frozen=True)
@@ -79,7 +67,8 @@ def G_quad(ctx: KappaContext, cfg: BoundaryConfig) -> float:
     return float(own ** e * cross ** (4.0 / k) / hyp_F(ctx, R))
 
 
-def _zstate_coords(z):
+def _coord_arrays(z):
+    """A ZState-like object (z1, z2 attributes) or a pair as float arrays."""
     z1 = getattr(z, "z1", None)
     if z1 is not None:
         return np.asarray(z.z1, dtype=float), np.asarray(z.z2, dtype=float)
@@ -96,7 +85,7 @@ def G_u(ctx: KappaContext, z):
     Accepts a ZState-like object with z1/z2 attributes or a (z1, z2) pair
     of scalars or same-shape arrays.
     """
-    z1, z2 = _zstate_coords(z)
+    z1, z2 = _coord_arrays(z)
     e = ctx.weight_exponent
     k = ctx.kappa
     # R lies in (0, 1] analytically; clip roundoff overshoot at the corners
@@ -166,6 +155,6 @@ def greens_disc(ctx: KappaContext, z0: complex, a1, b1, a2, b2) -> float:
     d_bb = abs(fb1 - fb2)
     # Ptolemy guarantees R < 1 for separated concyclic points; clip roundoff
     R = min(abs(fa1 - fb2) * abs(fb1 - fa2) / (d_aa * d_bb), 1.0)
-    return float(4.0 ** (1.0 - 12.0 / k) * dfz0 ** alpha0(k)
+    return float(4.0 ** (1.0 - 12.0 / k) * dfz0 ** ctx.alpha0
                  * d_own1 ** e * d_own2 ** e * d_aa ** (4.0 / k)
                  * d_bb ** (4.0 / k) / hyp_F(ctx, R))

@@ -66,7 +66,7 @@ import numpy as np
 
 from . import _kernels, _rng, special
 from .context import KappaContext
-from .green import BoundaryConfig, G_quad, G_u, alpha0, beta0
+from .green import BoundaryConfig, G_quad, G_u
 from .timecurve import ZState, simulate_z_ensemble
 from .trig import cot2, sin2
 
@@ -783,8 +783,8 @@ def estimate_C0(ctx: KappaContext, cfg_list, r_list, n_paths: int = 20000,
     cfgs = list(cfg_list)
     if not cfgs:
         raise ValueError("estimate_C0 needs at least one configuration")
-    a0 = alpha0(ctx.kappa)
-    b0 = beta0(ctx.kappa)
+    a0 = ctx.alpha0
+    b0 = ctx.beta0
     cells = []
     flags = []
     per_cfg = []

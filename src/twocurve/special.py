@@ -27,7 +27,8 @@ from .context import KappaContext
 __all__ = [
     "log_gamma",
     "hyp_F", "hyp_dF", "hyp_F_and_dF", "hyp_F_at_1", "hyp_G", "hyp_tilde_G",
-    "jacobi", "jacobi_l2_norm_sq", "jacobi_sup_norm", "h_const",
+    "jacobi", "jacobi_seq", "jacobi_l2_norm_sq", "jacobi_sup_norm",
+    "h_const",
     "gtilde_table",
 ]
 
@@ -282,24 +283,36 @@ def hyp_tilde_G(ctx: KappaContext, x):
 # Jacobi polynomials
 # ---------------------------------------------------------------------------
 
+def jacobi_seq(n_max: int, alpha: float, beta: float, x):
+    """Yield P_0, ..., P_{n_max} of P^{(alpha, beta)} at the float array x.
+
+    The one three-term recurrence of the package: ``jacobi`` reads its
+    last value, the spectral-basis evaluator in ``density`` reads every
+    degree.  Each yielded value is a new array.
+    """
+    p_prev = np.ones_like(x)
+    yield p_prev
+    if n_max < 1:
+        return
+    s = alpha + beta
+    p_cur = ((s + 2.0) * x + (alpha - beta)) / 2.0
+    yield p_cur
+    for n in range(2, n_max + 1):
+        c1 = 2.0 * n * (n + s) * (2.0 * n + s - 2.0)
+        c2 = (2.0 * n + s - 1.0) / c1
+        a = c2 * (2.0 * n + s) * (2.0 * n + s - 2.0)
+        b = c2 * (alpha * alpha - beta * beta)
+        c = 2.0 * (n + alpha - 1.0) * (n + beta - 1.0) * (2.0 * n + s) / c1
+        p_prev, p_cur = p_cur, (a * x + b) * p_cur - c * p_prev
+        yield p_cur
+
+
 def jacobi(n: int, alpha: float, beta: float, x):
-    """Jacobi polynomial P_n^{(alpha, beta)}(x) by three-term recurrence."""
+    """Jacobi polynomial P_n^{(alpha, beta)}(x), last of ``jacobi_seq``."""
     if n < 0:
         raise ValueError("jacobi requires n >= 0")
-    x = np.asarray(x, dtype=float)
-    p0 = np.ones_like(x)
-    if n == 0:
-        return p0 if p0.ndim else float(p0)
-    p1 = (alpha + 1.0) + (alpha + beta + 2.0) * (x - 1.0) / 2.0
-    for m in range(2, n + 1):
-        s = m + alpha + beta
-        c1 = 2.0 * m * s * (2.0 * m + alpha + beta - 2.0)
-        c2 = (2.0 * m + alpha + beta - 1.0) * (alpha ** 2 - beta ** 2)
-        c3 = ((2.0 * m + alpha + beta - 1.0) * (2.0 * m + alpha + beta)
-              * (2.0 * m + alpha + beta - 2.0))
-        c4 = 2.0 * (m + alpha - 1.0) * (m + beta - 1.0) * (2.0 * m + alpha + beta)
-        p0, p1 = p1, ((c2 + c3 * x) * p1 - c4 * p0) / c1
-    return p1 if p1.ndim else float(p1)
+    *_, p = jacobi_seq(n, alpha, beta, np.asarray(x, dtype=float))
+    return p if np.ndim(p) else float(p)
 
 
 def jacobi_l2_norm_sq(n: int, alpha: float, beta: float) -> float:

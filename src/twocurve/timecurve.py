@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _kernels, _rng
 from .context import KappaContext
-from .green import G_u
+from .green import G_u, _coord_arrays
 
 PI = math.pi
 
@@ -64,7 +64,7 @@ def xy_of_z(z) -> tuple:
 
     Accepts a :class:`ZState` or a pair of (broadcastable) arrays.
     """
-    z1, z2 = _coords(z)
+    z1, z2 = _coord_arrays(z)
     return np.cos(0.5 * (z1 + z2)), np.sin(0.5 * (z1 - z2))
 
 
@@ -80,14 +80,6 @@ def z_of_xy(x, y) -> ZState:
     half_sum = math.acos(x)
     half_diff = math.asin(y)
     return ZState(half_sum + half_diff, half_sum - half_diff)
-
-
-def _coords(z):
-    z1 = getattr(z, "z1", None)
-    if z1 is not None:
-        return np.asarray(z.z1, dtype=float), np.asarray(z.z2, dtype=float)
-    z1, z2 = z
-    return np.asarray(z1, dtype=float), np.asarray(z2, dtype=float)
 
 
 def z_drift_diffusion(ctx: KappaContext, z1, z2):

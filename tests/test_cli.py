@@ -126,6 +126,29 @@ def test_report_carries_density_constant(tmp_path):
         assert json.load(fh)["density"]["Z_constant"] == z_constant
 
 
+def test_report_aggregates_check_and_simulate(tmp_path):
+    out = ["--out-dir", str(tmp_path)]
+    assert main(["check", "--kappas", "6", "--n-drift-states", "20"]
+                + out) == 0
+    assert main(["simulate", "--method", "curves", "--kappa", "6",
+                 "--r-list", "0.15,0.2", "--n-paths", "40", "--dt", "1e-3",
+                 "--master-seed", "1"] + out) == 0
+    assert main(["report"] + out) == 0
+    with open(tmp_path / "report.json", encoding="utf-8") as fh:
+        report = json.load(fh)
+    assert report["checks"] == {"all_passed": True, "n_checks": 8,
+                                "failed": []}
+    assert report["estimates"] == {"n_records": 2,
+                                   "methods": ["two_curve_hit"]}
+    assert [(f["method"], f["n_points"]) for f in report["fits"]] == [
+        ("two_curve_hit", 2)]
+    text = (tmp_path / "report.md").read_text(encoding="utf-8")
+    assert "* verification: all passed (8 checks)" in text
+    assert "* 2 estimate records (two_curve_hit)" in text
+    assert text.count("| two_curve_hit | 0.") == 2
+    assert "* two_curve_hit exponent" in text
+
+
 class TestRecordsCsv:
     """``write_records_csv``/``read_records_csv``, the one writer and
     reader of ``estimates.csv``."""

@@ -200,6 +200,103 @@ class TestBasisEval:
                     np.testing.assert_allclose(grid, bound, rtol=1e-8)
 
 
+class TestModeEvaluator:
+    """``mode_blocks``, the one evaluator every series runs on."""
+
+    @pytest.mark.parametrize("kappa", [3.3, 6.0])
+    def test_rows_match_basis_eval(self, kappa):
+        # every mode up to level 12 against the per-mode formula, within
+        # 1e-13 of the mode's largest value on the points
+        basis = dens.SpectralBasis(KappaContext(kappa), 12)
+        rng = np.random.default_rng(21)
+        rad = np.sqrt(rng.uniform(0.0, 1.0, 300))
+        th = rng.uniform(-np.pi, np.pi, 300)
+        x = np.concatenate((rad * np.cos(th), [0.0, 1.0, 0.0, -0.6]))
+        y = np.concatenate((rad * np.sin(th), [0.0, 0.0, -1.0, 0.8]))
+        seen = np.zeros((basis.n_modes, x.size), dtype=int)
+        for rows, sl, V in dens.mode_blocks(basis, 12, x, y):
+            seen[rows, sl] += 1
+            for k, row in enumerate(rows):
+                n, j, i = (basis.mode_n[row], basis.mode_j[row],
+                           basis.mode_i[row])
+                ref = dens.basis_eval(basis, n, j, i, x[sl], y[sl])
+                np.testing.assert_allclose(
+                    V[k], ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
+        assert (seen == 1).all()
+
+    def test_blocks_stay_within_chunk(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        x, y = rng.uniform(-0.7, 0.7, (2, 4000))
+        sizes = [V.size for _, _, V in dens.mode_blocks(BASIS6, 60, x, y)]
+        assert max(sizes) <= dens._CHUNK
+        coef = rng.standard_normal(BASIS6.n_modes)
+
+        def series():
+            out = np.zeros(x.size)
+            for rows, sl, V in dens.mode_blocks(BASIS6, 20, x, y):
+                assert V.size <= dens._CHUNK
+                out[sl] += coef[rows] @ V
+            return out
+
+        whole = series()
+        monkeypatch.setattr(dens, "_CHUNK", 500)  # 20 rows by 25 points
+        np.testing.assert_allclose(series(), whole, rtol=1e-13, atol=1e-13)
+
+    # Values recorded from the per-mode loops the evaluator replaced.  At
+    # t = 0.01 the series is capped at level 60 and its terms are large, so
+    # the points sit near the start: far from it the value is the residue
+    # of cancelling terms, and any change of summation order moves it.
+    A = (0.25, -0.15)
+    XS = (np.array([0.27, 0.22, 0.3]), np.array([-0.13, -0.2, -0.1]))
+    FS = (np.array([0.26, 0.24, 0.28]), np.array([-0.14, -0.17, -0.12]))
+    Z0 = (1.1, 2.0)
+    ZS = (np.array([1.15, 1.0, 1.2]), np.array([1.95, 2.1, 2.05]))
+    PINNED = {
+        0.01: (("0x1.5ef96c5945484p+3", "0x1.41e3b0729c15dp+3",
+                "0x1.30ee82a1d93a3p+3"),
+               ("0x1.6675cb23017afp+3", "0x1.597085fd1a2a1p+3",
+                "0x1.6078299043d7cp+3"),
+               ("0x1.380e203547cb4p+2", "0x1.ed240a68f2f0ep+1",
+                "0x1.0993abe738d2cp+2")),
+        1.5: (("0x1.a7f68886ab194p-2", "0x1.a81de21f0a13ap-2",
+               "0x1.a677c17585ec9p-2"),
+              ("0x1.a801e56a29bedp-2", "0x1.a82c85510de5cp-2",
+               "0x1.a6a84d0798e18p-2"),
+              ("0x1.cc090fd010b2fp-6", "0x1.b72e19ba2f6cap-6",
+               "0x1.b6c7a6e6ee387p-6")),
+        4.0: (("0x1.a52ed12d15224p-2", "0x1.a5660db63329bp-2",
+               "0x1.a39a8ff318a7bp-2"),
+              ("0x1.a52ed4302238dp-2", "0x1.a56611960f2f6p-2",
+               "0x1.a39a9ccf3600cp-2"),
+              ("0x1.3f4e19f821d76p-10", "0x1.2f85c2b30c33fp-10",
+               "0x1.305cb04abbf67p-10")),
+    }
+
+    @pytest.mark.parametrize("t", [0.01, 1.5, 4.0])
+    def test_pinned_kernels(self, t):
+        series, pointwise, tilde = (
+            [float.fromhex(h) for h in pins] for pins in self.PINNED[t])
+        np.testing.assert_allclose(dens.p_t(BASIS6, self.A, self.XS, t),
+                                   series, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(dens.p_t(BASIS6, self.FS, self.XS, t),
+                                   pointwise, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(
+            dens.tilde_pZ_t(CTX6, BASIS6, self.Z0, self.ZS, t), tilde,
+            rtol=1e-13, atol=0)
+
+    def test_pinned_survival(self):
+        # a level-12 basis keeps the t = 0.01 mode integrals cheap; the
+        # integrals are cached at the first level asked, so the order of
+        # the times is part of the pin
+        basis = dens.SpectralBasis(CTX6, 12)
+        got = [dens.survival_P2(CTX6, basis, (0.4, 0.5), t)
+               for t in (0.01, 1.5, 4.0)]
+        pins = ("0x1.f87bf199bbfd5p-1", "0x1.47b8430c18723p-4",
+                "0x1.c79e8f54164b3p-9")
+        np.testing.assert_allclose(got, [float.fromhex(h) for h in pins],
+                                   rtol=1e-13, atol=0)
+
+
 class TestGeneratorApply:
     def test_constant_function(self):
         val = dens.generator_apply(CTX6, lambda x, y: np.ones_like(x),

@@ -5,8 +5,7 @@ import pytest
 
 from twocurve import KappaContext
 from twocurve.green import (
-    BoundaryConfig, G_quad, G_u, alpha0, beta0, cross_ratio_of_config,
-    greens_disc,
+    BoundaryConfig, G_quad, G_u, cross_ratio_of_config, greens_disc,
 )
 
 PI = np.pi
@@ -30,9 +29,9 @@ def random_config(rng):
 
 class TestExponents:
     def test_values(self):
-        npt.assert_allclose(alpha0(6.0), 1.25, rtol=0)
-        npt.assert_allclose(alpha0(4.0), 2.0, rtol=0)
-        npt.assert_allclose(beta0(6.0), 11.0 / 15.0, rtol=1e-15)
+        npt.assert_allclose(KappaContext(6.0).alpha0, 1.25, rtol=0)
+        npt.assert_allclose(KappaContext(4.0).alpha0, 2.0, rtol=0)
+        npt.assert_allclose(KappaContext(6.0).beta0, 11.0 / 15.0, rtol=1e-15)
 
 
 class TestBoundaryConfig:

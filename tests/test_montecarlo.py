@@ -20,7 +20,7 @@ from numpy.testing import assert_allclose
 from twocurve import _kernels, ensemble, loewner, montecarlo as mc
 from twocurve.context import KappaContext
 from twocurve.density import SpectralBasis, survival_P2
-from twocurve.green import BoundaryConfig, G_quad, alpha0
+from twocurve.green import BoundaryConfig, G_quad
 from twocurve.timecurve import ZState
 
 TWO_PI = 2.0 * math.pi
@@ -361,4 +361,4 @@ class TestCrossEstimatorConsistency:
         pts = [(r.r_or_t, r.estimate, r.stderr) for r in recs]
         expo, _, cov = mc.fit_power_law(pts)
         sig = math.sqrt(cov[0, 0])
-        assert abs(expo - alpha0(6.0)) < 3.0 * sig + 0.05
+        assert abs(expo - CTX6.alpha0) < 3.0 * sig + 0.05
