@@ -297,13 +297,20 @@ def cmd_density(cfg: RunConfig, out=sys.stdout) -> int:
     za, zb = np.meshgrid(grid, grid, indexing="ij")
     za, zb = za.ravel(), zb.ravel()
 
+    def truncation(t, res):
+        return {"t": t, "n_used": res.n_used, "tail_bound": res.tail_bound,
+                "converged": res.converged}
+
     pt_path = os.path.join(cfg.out_dir, "pz_t.csv")
+    pt_truncation = []
     with open(pt_path, "w", newline="", encoding="utf-8") as fh:
         wr = csv.writer(fh)
         wr.writerow(("schema_version", "t", "z1", "z2", "value"))
         for t in cfg.t_list:
-            vals = dens.tilde_pZ_t(ctx, basis, z0, (za, zb), float(t))
-            for a, b, v in zip(za, zb, np.atleast_1d(vals)):
+            res = dens.tilde_pZ_t(ctx, basis, z0, (za, zb), float(t),
+                                  detail=True)
+            pt_truncation.append(truncation(float(t), res))
+            for a, b, v in zip(za, zb, np.atleast_1d(res.value)):
                 wr.writerow((SCHEMA_VERSION, _float_str(t), _float_str(a),
                              _float_str(b), _float_str(v)))
 
@@ -320,18 +327,20 @@ def cmd_density(cfg: RunConfig, out=sys.stdout) -> int:
     lo, hi = cfg.fit_window
     fit_ts = list(np.linspace(lo, hi, 17))
     all_ts = sorted(set(float(t) for t in cfg.t_list) | set(fit_ts))
-    surv = {t: float(dens.survival_P2(ctx, basis, z0, t)) for t in all_ts}
+    surv = {t: dens.survival_P2(ctx, basis, z0, t, detail=True)
+            for t in all_ts}
+    surv_truncation = [truncation(t, surv[t]) for t in all_ts]
     surv_path = os.path.join(cfg.out_dir, "survival.csv")
     with open(surv_path, "w", newline="", encoding="utf-8") as fh:
         wr = csv.writer(fh)
         wr.writerow(("schema_version", "t", "survival"))
         for t in all_ts:
             wr.writerow((SCHEMA_VERSION, _float_str(t),
-                         _float_str(surv[t])))
+                         _float_str(surv[t].value)))
 
     # least-squares slope of log survival on the fit window
     ts = np.array(fit_ts)
-    logs = np.log([surv[t] for t in fit_ts])
+    logs = np.log([surv[t].value for t in fit_ts])
     design = np.vstack([ts, np.ones_like(ts)]).T
     coef, *_ = np.linalg.lstsq(design, logs, rcond=None)
     slope = float(coef[0])
@@ -344,8 +353,18 @@ def cmd_density(cfg: RunConfig, out=sys.stdout) -> int:
         "alpha0": float(ctx.alpha0),
         "slope_minus_minus_alpha0": slope + float(ctx.alpha0),
         "files": ["pz_t.csv", "pz_infty.csv", "survival.csv"],
+        # per time: the heat-kernel series' truncation level, its tail
+        # bound relative to the stationary density, and whether that bound
+        # met the tolerance below the level cap
+        "truncation": {"pz_t": pt_truncation, "survival": surv_truncation},
     }
     _write_json(os.path.join(cfg.out_dir, "density_meta.json"), meta)
+    unconverged = {r["t"]: r for r in pt_truncation + surv_truncation
+                   if not r["converged"]}
+    for t, r in sorted(unconverged.items()):
+        out.write(f"warning: t={t:g}: series not converged at level "
+                  f"{r['n_used']} (tail bound {r['tail_bound']:.3g}); its "
+                  f"pz_t and survival values are unreliable\n")
     out.write(f"survival slope {slope:.6f} (decay exponent target "
               f"{-ctx.alpha0:.6f}); Z = {meta['Z_constant']:.8f}\n")
     return 0
@@ -433,6 +452,11 @@ def cmd_simulate(cfg: RunConfig, out=sys.stdout) -> int:
     if cfg.method != "z-weighted":
         # the adaptive hSLE kernel that ran: "c" or "python"
         meta["hsle_kernel"] = records[0].config["hsle_kernel"]
+        # where each radius's paths went (trivial radii have no counters)
+        meta["counters"] = [
+            {"r": rec.r_or_t, "dt": rec.dt,
+             **{k: rec.config[k] for k in mc.HIT_COUNTERS if k in rec.config}}
+            for rec in records if "certified" in rec.config]
     _write_json(os.path.join(cfg.out_dir, "estimates_meta.json"), meta)
     for rec in records:
         out.write(f"{rec.method} r_or_t={rec.r_or_t:g} dt={rec.dt:g} "

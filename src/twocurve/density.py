@@ -547,12 +547,14 @@ def _pz_over_gu(ctx: KappaContext, z1, z2):
 
 
 def tilde_pZ_t(ctx: KappaContext, basis: SpectralBasis, frm, to, t,
-               rtol: float = 1e-9):
+               rtol: float = 1e-9, detail: bool = False):
     """Tilted sub-Markov transition density of the conditioned gap pair.
 
     Equal to exp(-alpha0 t) pZ_t(frm, to) G_u(frm) / G_u(to); evaluated
     in a division-free form that stays finite up to the boundary of the
-    square.
+    square.  The series is truncated as in :func:`p_t`.
+
+    Returns the value, or a PtResult when detail=True.
     """
     if not t > 0.0:
         raise ValueError("tilde_pZ_t requires t > 0")
@@ -560,7 +562,7 @@ def tilde_pZ_t(ctx: KappaContext, basis: SpectralBasis, frm, to, t,
     tz1, tz2 = _z_arrays(to)
     fx, fy = xy_of_z((fz1, fz2))
     tx, ty = xy_of_z((tz1, tz2))
-    n_used, _, _, _ = _select_truncation(basis, float(t), rtol)
+    n_used, tail, tol, conv = _select_truncation(basis, float(t), rtol)
     if n_used > 0:
         kern = _kernel_sum(basis, n_used, float(t), fx, fy, tx, ty)
     else:
@@ -569,7 +571,11 @@ def tilde_pZ_t(ctx: KappaContext, basis: SpectralBasis, frm, to, t,
     ratio_t = _pz_over_gu(ctx, tz1, tz2)
     val = (np.exp(-ctx.alpha0 * float(t)) * gu_f
            * kern * ratio_t * (np.pi * ctx.kappa / 8.0))
-    return float(val) if np.ndim(val) == 0 else val
+    val = float(val) if np.ndim(val) == 0 else val
+    if detail:
+        return PtResult(value=val, n_used=n_used, tail_bound=tail,
+                        tolerance=tol, converged=conv)
+    return val
 
 
 def Z_constant(ctx: KappaContext, rtol: float = 1e-10) -> float:
@@ -646,11 +652,13 @@ def _survival_integrals(ctx: KappaContext, basis: SpectralBasis,
 
 
 def survival_P2(ctx: KappaContext, basis: SpectralBasis, z0, t,
-                rtol: float = 1e-9) -> float:
+                rtol: float = 1e-9, detail: bool = False):
     """Survival probability of the conditioned gap pair started at z0.
 
     Computes the quadrature of tilde_pZ_t(z0, .) over (0, pi)^2 through
-    cached spectral mode integrals.  Returns a value clamped to [0, 1].
+    cached spectral mode integrals, with the series truncated as in
+    :func:`p_t`.  Returns a value clamped to [0, 1], or a PtResult when
+    detail=True (t = 0 takes no series: level 0, converged).
 
     Raises:
         ValueError: if t < 0.
@@ -658,14 +666,18 @@ def survival_P2(ctx: KappaContext, basis: SpectralBasis, z0, t,
     if t < 0.0:
         raise ValueError("survival_P2 requires t >= 0")
     if t == 0.0:
-        return 1.0
+        return PtResult(1.0, 0, 0.0, rtol, True) if detail else 1.0
     z1, z2 = _z_arrays(z0)
     if z1.ndim != 0:
         raise ValueError("survival_P2 takes a single starting point")
-    n_used, _, _, _ = _select_truncation(basis, float(t), rtol)
+    n_used, tail, tol, conv = _select_truncation(basis, float(t), rtol)
     ints = _survival_integrals(ctx, basis, n_used)
     v0 = _modes_at(basis, n_used, *xy_of_z((z1, z2)))
     lam_modes = _lam_modes(basis, n_used, float(t))
     total = float(np.dot(lam_modes * v0, ints[:v0.size]))
     val = np.exp(-ctx.alpha0 * float(t)) * G_u(ctx, (z1, z2)) * total
-    return float(min(max(val, 0.0), 1.0))
+    val = float(min(max(val, 0.0), 1.0))
+    if detail:
+        return PtResult(value=val, n_used=n_used, tail_bound=tail,
+                        tolerance=tol, converged=conv)
+    return val

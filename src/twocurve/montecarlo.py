@@ -37,12 +37,18 @@ backward-flow distance probes only where no certificate applies:
   probed: the tip of a simulated curve at any time is the image of its
   driving point under the backward Loewner flow, so pulling stored
   driver snapshots back through the composed chain traces the curve and
-  yields its minimum distance from the origin.  Probe starts are nudged
-  slightly inside the unit circle: exact boundary points can fall into
-  the hull's preimage under the discretized backward flow and come back
-  as spurious deep points.  The mass of paths whose probed minimum falls
-  within the probe resolution of the decision radius is folded into the
-  reported standard error.
+  yields its minimum distance from the origin.  Each path has one
+  composed driver sequence (the first curve's stored prefix, the second
+  curve's entry driver and its stored snapshots), and every probe is a
+  prefix of it, so all paths of a radius are probed in one pass (a
+  coarse round and a refinement round).  The intersection estimator
+  probes every second-stage path, certificate hits included, and pulls
+  back the first-curve polylines of all hit paths in one call.  Probe
+  starts are nudged slightly inside the unit circle: exact boundary
+  points can fall into the hull's preimage under the discretized
+  backward flow and come back as spurious deep points.  The mass of
+  paths whose probed minimum falls within the probe resolution of the
+  decision radius is folded into the reported standard error.
 
 The two curves are grown sequentially: the first to its stopping
 capacity, then the second under its conditional law given that segment,
@@ -238,28 +244,32 @@ _TWO_STAGE_DEFAULTS = dict(eps_kill=0.01, eps_ret=0.1, kres=3.5,
                            swallow_margin=1.5, eps_in=1e-3,
                            probe_rel_err=0.03)
 _COARSE_FRACTIONS = (0.08, 0.2, 0.35, 0.5, 0.65, 0.8, 0.92, 1.0)
+# Per-radius counters of a two-stage run (the last two: intersection only)
+HIT_COUNTERS = ("certified", "hit_swallow", "hit_alive", "hit_probe", "band",
+                "excluded", "two_curve_hits", "meet")
 
 
-def _batched_pullback(seqs: list, seq_idx, lens, du: float, eps_in: float,
+def _batched_pullback(seq: np.ndarray, paths, lens, du: float, eps_in: float,
                       batch_rows: int = 4096) -> np.ndarray:
-    """Pull probe rows back through their driver sequences.
+    """Pull probes back through the composed driver matrix ``seq``.
 
-    Row j probes ``seq = seqs[seq_idx[j]]`` after ``lens[j]`` values: it is
-    driven by ``seq[:lens[j]]`` and starts at the boundary point of the
-    next value, ``seq[lens[j]]``, pulled inside the circle by ``eps_in``.
-    Rows are grouped by length (batches padded to the longest member) to
-    bound the padded-matrix memory; returns the complex physical points.
+    Probe j of path ``paths[j]`` after ``lens[j]`` values is driven by
+    ``seq[paths[j], :lens[j]]`` and starts at the boundary point of the
+    next value, ``seq[paths[j], lens[j]]``, pulled inside the circle by
+    ``eps_in``.  Probes are gathered in length-sorted batches of at most
+    ``batch_rows`` rows, each padded with zeros to its longest member;
+    every flow row is independent of its batch.  Returns the complex
+    physical points.
     """
-    flat = np.concatenate(seqs)
-    first = np.cumsum([0] + [len(w) for w in seqs[:-1]])[np.asarray(seq_idx)]
+    paths = np.asarray(paths, dtype=np.int64)
     lens = np.asarray(lens, dtype=np.int64)
-    y0 = (1.0 - eps_in) * np.exp(1j * flat[first + lens])
+    y0 = (1.0 - eps_in) * np.exp(1j * seq[paths, lens])
     out = np.empty(lens.size, dtype=complex)
     order = np.argsort(lens, kind="stable")
     for i0 in range(0, order.size, batch_rows):
         sel = order[i0:i0 + batch_rows]
         cols = np.arange(max(1, int(lens[sel].max())))
-        mat = flat.take(first[sel, None] + cols, mode="clip")
+        mat = seq[paths[sel, None], cols]
         mat[cols >= lens[sel, None]] = 0.0
         y = y0[sel]
         _kernels.backward_flow(mat, lens[sel], du, y)
@@ -267,71 +277,56 @@ def _batched_pullback(seqs: list, seq_idx, lens, du: float, eps_in: float,
     return out
 
 
-def _probe_paths(prefix_w: dict, wb_snaps: np.ndarray, wb_counts: np.ndarray,
-                 entry_w: np.ndarray, need: np.ndarray, radius: float,
-                 du: float, eps_in: float, keep_points: bool):
+def _probe_paths(seq: np.ndarray, counts: np.ndarray, probed, offset: int,
+                 radius: float, du: float, eps_in: float):
     """Minimum probed distance from the origin to each second-stage curve.
 
-    For each path in ``need`` the composed driver sequence is the first
-    curve's stored prefix (``prefix_w[path]``), the second curve's entry
-    driver value, and its stored snapshots; the curve is probed at eight
-    coarse fractions of its lifetime and, when the coarse minimum falls
-    below 3 * radius, on a refined window around the argmin.  Points
-    start pulled inside the circle by ``eps_in``.  Returns (dmin, points)
-    with dmin indexed like ``need``'s parent array and, when
-    ``keep_points``, the complex probe points with modulus <= 2 * radius
-    per path (for intersection detection).
+    Row q of ``seq`` is path q's composed driver sequence; its second
+    curve after c of its ``counts[q]`` snapshots is the probe of length
+    ``offset + c``.  Each path in ``probed`` (ints) is probed at eight coarse
+    fractions of its lifetime and, when the coarse minimum falls below
+    3 * radius, on a refined window around the argmin, all paths in one
+    pass.  Returns (dmin, points): dmin per row of ``seq`` (inf where not
+    probed) and, per path, the complex probe points with modulus
+    <= 2 * radius (for intersection detection).
     """
-    n_parent = wb_counts.shape[0]
-    dmin = np.full(n_parent, np.inf)
-    points: dict[int, list] = {q: [] for q in need} if keep_points else {}
-    if len(need) == 0:
-        return dmin, points
-    # the probe after c snapshots is driven by the first len(wa) + c values
-    # of the composed sequence and starts at the next one
-    seqs = [np.concatenate([prefix_w[q], [entry_w[q]],
-                            wb_snaps[q, :int(wb_counts[q])]]) for q in need]
+    dmin = np.full(seq.shape[0], np.inf)
+    points: dict[int, list] = {}
 
     def pull(rows):
-        """Probe rows (i, c) of path need[i]; returns (dist, paths)."""
-        idx = np.array([i for i, _ in rows])
-        lens = [len(prefix_w[need[i]]) + c for i, c in rows]
-        vals = _batched_pullback(seqs, idx, lens, du, eps_in)
+        """Probe the (path, c) rows; returns their distances."""
+        pid = np.array([q for q, _ in rows], dtype=np.int64)
+        vals = _batched_pullback(seq, pid, [offset + c for _, c in rows],
+                                 du, eps_in)
         dist = np.abs(vals)
         dist = np.where(np.isnan(dist), np.inf, dist)
-        pid = need[idx]
         np.minimum.at(dmin, pid, dist)
-        if keep_points:
-            for v, q in zip(vals, pid):
-                if np.isfinite(v.real) and abs(v) <= 2.0 * radius:
-                    points[q].append(v)
-        return dist, pid
+        keep = np.isfinite(vals.real) & (dist <= 2.0 * radius)
+        for v, q in zip(vals[keep], pid[keep].tolist()):
+            points.setdefault(q, []).append(v)
+        return dist
 
     rows = []
-    for i, q in enumerate(need):
-        m = int(wb_counts[q])
-        rows += [(i, c) for c in
+    for q in probed:
+        m = int(counts[q])
+        rows += [(q, c) for c in
                  sorted({int(round(f * m)) for f in _COARSE_FRACTIONS})]
-    dist, pid = pull(rows)
     best_c: dict[int, int] = {}
-    for d, q, (_, c) in zip(dist, pid, rows):
+    for d, (q, c) in zip(pull(rows), rows):
         if d <= dmin[q]:
             best_c[q] = c
 
     rows = []
-    for i, q in enumerate(need):
-        if dmin[q] > 3.0 * radius:
-            continue
-        m = int(wb_counts[q])
-        if m == 0:
+    for q in probed:
+        m = int(counts[q])
+        if dmin[q] > 3.0 * radius or m == 0:
             continue
         half = max(1, m // 6)
         center = best_c.get(q, m)
         lo, hi = max(0, center - half), min(m, center + half)
         step = max(1, (hi - lo) // 60)
-        rows += [(i, c) for c in range(lo, hi + 1, step)]
-    if rows:
-        pull(rows)
+        rows += [(q, c) for c in range(lo, hi + 1, step)]
+    pull(rows)
     return dmin, points
 
 
@@ -340,12 +335,18 @@ def _two_stage_run(ctx: KappaContext, cfg: BoundaryConfig, r_list,
                    params: dict, collect_meet: bool):
     """Chunked two-stage sampler; returns per-radius aggregate counters.
 
-    Per radius r the counters are: certified first-curve deep events
-    (survival to capacity log(1/r)), second-stage hits by certificate
-    class (disconnection, horizon survival, probe), the decision-
-    sensitive probe band, excluded unresolved paths, and optionally
-    intersection-rule hits (second curve probed within 0.15 r of the
-    first curve's deep polyline, meeting point within r).
+    Per radius r the counters (``HIT_COUNTERS``) are: certified
+    first-curve deep events (survival to capacity log(1/r)), second-stage
+    hits by certificate class (disconnection, horizon survival, probe)
+    and their total, the decision-sensitive probe band, excluded
+    unresolved paths (first curves that stopped with status 2 or 4 short
+    of the radius's snapshot, second curves that did so and no probe
+    decided as hits), and, with ``collect_meet``, intersection-rule hits
+    (second curve probed within 0.15 r of the first curve's deep
+    polyline, meeting point within r).  Every probe of both rules is a
+    (path, length) row of one composed driver matrix per radius, ``seq``:
+    w1, the first curve's snapshots 0..ti, the second curve's entry
+    driver, then its snapshots.
     """
     kappa = ctx.kappa
     umax, gt_vals, gt_du = _gt_table(ctx)
@@ -362,9 +363,7 @@ def _two_stage_run(ctx: KappaContext, cfg: BoundaryConfig, r_list,
     cap_b = int(round(params["cap_b"] / dt / stride)) * stride
     grid_b = np.arange(stride, cap_b + 1, stride, dtype=np.int64)
     row0 = _fresh_tuple(cfg, 1)
-    agg = {r: dict(certified=0, hit=0, hit_swallow=0, hit_alive=0,
-                   hit_probe=0, band=0, excluded=0, meet=0)
-           for r in rs}
+    agg = {r: dict.fromkeys(HIT_COUNTERS, 0) for r in rs}
     chunk = int(params.get("chunk_paths", 4000))
 
     for c0 in range(0, n_paths, chunk):
@@ -384,12 +383,13 @@ def _two_stage_run(ctx: KappaContext, cfg: BoundaryConfig, r_list,
             kres=params["kres"], bmax=bmax)
 
         for r in rs:
-            tm = thr_m[r]
-            ti = int(np.searchsorted(grid, tm))
+            ti = int(np.searchsorted(grid, thr_m[r]))
             cert = np.where(reached_a[:, ti] == 1)[0]
             agg[r]["certified"] += int(cert.size)
-            agg[r]["excluded"] += int(
-                np.count_nonzero((status_a == 2) | (status_a == 4)))
+            # stage-A exclusions are the paths that stopped short of
+            # this radius's snapshot (status 2 or 4)
+            agg[r]["excluded"] += int(np.count_nonzero(
+                ((status_a == 2) | (status_a == 4)) & (reached_a[:, ti] == 0)))
             if cert.size == 0:
                 continue
             entry = _conditional_tuples(snap_a[cert, ti, :])
@@ -411,99 +411,88 @@ def _two_stage_run(ctx: KappaContext, cfg: BoundaryConfig, r_list,
             swallow_hit = ((status_b == 3)
                            & (life_b >= params["swallow_margin"]))
             alive_hit = status_b == 0
-            agg[r]["excluded"] += int(
-                np.count_nonzero((status_b == 2) | (status_b == 4)))
-            need = np.where(~(swallow_hit | alive_hit))[0]
-            wb_counts = reached_b.sum(axis=1).astype(np.int64)
-            prefix_w = {int(q): np.concatenate(
-                [[row0[0]], snap_a[cert[q], :ti + 1, 0]])
-                for q in (need if not collect_meet else range(nb))}
+            certain = swallow_hit | alive_hit
+            need = np.where(~certain)[0]
+            seq = np.hstack([np.full((nb, 1), row0[0]),
+                             snap_a[cert, :ti + 1, 0], entry[:, :1],
+                             snap_b[:, :, 0]])
+            # the meet rule also needs the certificate hits' probe points
             dmin, pts = _probe_paths(
-                prefix_w, snap_b[:, :, 0], wb_counts, entry[:, 0],
-                need, r, du_probe, eps_in, keep_points=collect_meet)
-            probe_hit = np.zeros(nb, dtype=bool)
-            probe_hit[need] = dmin[need] <= r
-            hits = swallow_hit | alive_hit | probe_hit
-            tol_band = params["probe_rel_err"] * r
-            band = np.zeros(nb, dtype=bool)
-            band[need] = np.abs(dmin[need] - r) <= tol_band
-            agg[r]["hit"] += int(hits.sum())
+                seq, reached_b.sum(axis=1), range(nb) if collect_meet
+                else need.tolist(), ti + 2, r, du_probe, eps_in)
+            probe_hit = ~certain & (dmin <= r)
+            hits = certain | probe_hit
+            agg[r]["two_curve_hits"] += int(hits.sum())
             agg[r]["hit_swallow"] += int(swallow_hit.sum())
             agg[r]["hit_alive"] += int(alive_hit.sum())
             agg[r]["hit_probe"] += int(probe_hit.sum())
-            agg[r]["band"] += int(np.count_nonzero(band & np.isfinite(dmin)))
+            agg[r]["band"] += int(np.count_nonzero(
+                np.abs(dmin[need] - r) <= params["probe_rel_err"] * r))
+            # a stage-B stop (status 2 or 4) a probe already decided as a
+            # hit is resolved, not excluded
+            agg[r]["excluded"] += int(np.count_nonzero(
+                ((status_b == 2) | (status_b == 4)) & ~probe_hit))
             if collect_meet:
-                agg[r]["meet"] += _count_meets(
-                    ctx, hits, pts, prefix_w, snap_b, wb_counts, entry,
-                    swallow_hit, alive_hit, need, r, ti, du_probe, eps_in)
-    return agg, thr_m, cap_b
+                agg[r]["meet"] += _count_meets(seq, hits, pts, r, ti,
+                                               du_probe, eps_in)
+    return agg, thr_m
 
 
-def _count_meets(ctx, hits, pts, prefix_w, snap_b, wb_counts, entry,
-                 swallow_hit, alive_hit, need, r, ti, du_probe,
-                 eps_in) -> int:
+def _count_meets(seq, hits, pts, r, ti, du, eps_in) -> int:
     """Count hit paths whose second curve passes within 0.15 r of the
     first curve's deep polyline with the meeting point within r."""
-    hit_idx = np.where(hits)[0]
-    if hit_idx.size == 0:
-        return 0
-    # second-curve probe points for certificate hits (skipped by the
-    # decision probes): probe them now
-    probed = set(need.tolist())
-    extra = [q for q in hit_idx if q not in probed]
-    if extra:
-        _, pts_extra = _probe_paths(
-            prefix_w, snap_b[:, :, 0], wb_counts, entry[:, 0],
-            np.asarray(extra, dtype=np.int64), r, du_probe, eps_in,
-            keep_points=True)
-        pts.update(pts_extra)
-    # first-curve deep polyline: pull back its tip at 40 prefix times
-    # spanning the last octaves of the dive
+    qs = [int(q) for q in np.where(hits)[0] if q in pts]
+    # first-curve deep polyline: its tip after 40 prefix lengths spanning
+    # the last octaves of the dive (every prefix has length ti + 2), pulled
+    # back for all paths in one call
+    lo = max(1, ti + 2 - int(2.3 / du))
+    idx = np.unique(np.linspace(lo, ti + 1, 40).astype(int))
+    ya = _batched_pullback(seq, np.repeat(qs, idx.size),
+                           np.tile(idx, len(qs)), du, eps_in)
     meet = 0
-    n_nodes = 40
-    for q in hit_idx:
-        q = int(q)
-        pb = [p for p in pts.get(q, [])]
-        if not pb:
-            continue
-        wa = prefix_w[q]
-        lo = max(1, len(wa) - int(2.3 / du_probe))
-        idx = np.unique(np.linspace(lo, len(wa) - 1, n_nodes).astype(int))
-        ya = _batched_pullback([wa], np.zeros(idx.size, dtype=np.int64),
-                               idx, du_probe, eps_in)
-        ya = ya[np.isfinite(ya)]
-        if ya.size == 0:
-            continue
-        pb = np.asarray(pb)
-        dd = np.abs(pb[:, None] - ya[None, :])
-        mid_ok = np.abs(pb[:, None] + ya[None, :]) / 2.0 <= r
-        if np.any((dd <= 0.15 * r) & mid_ok):
-            meet += 1
+    for q, yq in zip(qs, ya.reshape(len(qs), idx.size)):
+        pb = np.asarray(pts[q])
+        dd = np.abs(pb[:, None] - yq[None, :])
+        mid_ok = np.abs(pb[:, None] + yq[None, :]) / 2.0 <= r
+        meet += bool(np.any((dd <= 0.15 * r) & mid_ok))
     return meet
 
 
-def _frequency_record(ctx, method, r, hits, n_paths, dt, seed, config,
-                      band=0, excluded=0, extra_flags=()) -> EstimateRecord:
-    """Binomial estimate with certificate-band and exclusion systematics."""
-    p_hat = hits / n_paths
-    flags = list(extra_flags)
-    stat = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_paths)
-    if hits == 0 or hits == n_paths:
-        stat = 3.0 / n_paths  # 95% bound for degenerate counts
-        flags.append("degenerate_counts")
-    sys_probe = 0.5 * band / n_paths
-    sys_excl = 0.5 * excluded / n_paths
-    if sys_probe > stat:
-        flags.append("probe_band")
-    if excluded > 0:
-        flags.append("collision_excluded")
-    stderr = math.sqrt(stat * stat + sys_probe * sys_probe
-                       + sys_excl * sys_excl)
-    return EstimateRecord(
-        kappa=ctx.kappa, method=method, r_or_t=float(r),
-        estimate=float(p_hat), stderr=float(stderr), ess=float(n_paths),
-        n_paths=int(n_paths), dt=float(dt), seed=int(seed),
-        config=config, flags=tuple(flags))
+def _hit_records(ctx, method, agg, thr_m, n_paths, dt, seed, base_config,
+                 flags=()) -> list:
+    """One binomial record per radius of a two-stage run, with the
+    certificate-band and exclusion systematics and the radius's counters
+    in its config."""
+    records = []
+    for r, a in sorted(agg.items()):
+        meet = method == "intersection_hit"
+        hits = a["meet" if meet else "two_curve_hits"]
+        counters = a if meet else {k: a[k] for k in HIT_COUNTERS[:-2]}
+        p_hat = hits / n_paths
+        rec_flags = list(flags)
+        if a["certified"] == 0:
+            rec_flags.append("insufficient_survivors")
+        stat = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_paths)
+        if hits == 0 or hits == n_paths:
+            stat = 3.0 / n_paths  # 95% bound for degenerate counts
+            rec_flags.append("degenerate_counts")
+        sys_probe = 0.5 * a["band"] / n_paths
+        sys_excl = 0.5 * a["excluded"] / n_paths
+        if sys_probe > stat:
+            rec_flags.append("probe_band")
+        if a["excluded"] > 0:
+            rec_flags.append("collision_excluded")
+        stderr = math.sqrt(stat * stat + sys_probe * sys_probe
+                           + sys_excl * sys_excl)
+        records.append(EstimateRecord(
+            kappa=ctx.kappa, method=method, r_or_t=float(r),
+            estimate=float(p_hat), stderr=float(stderr),
+            ess=float(n_paths), n_paths=int(n_paths), dt=float(dt),
+            seed=int(seed), config={**base_config,
+                                    "stop_capacity": thr_m[r] * dt,
+                                    **counters},
+            flags=tuple(rec_flags)))
+    return records
 
 
 def _validate_radii(r_list):
@@ -572,23 +561,11 @@ def estimate_two_curve_hit(ctx: KappaContext, cfg: BoundaryConfig, r_list,
         cfg, r_list, n_paths, dt, path_start, overrides)
     records = []
     if rs:
-        agg, thr_m, _ = _two_stage_run(
+        agg, thr_m = _two_stage_run(
             ctx, cfg, rs, n_paths, dt, seed, path_start, params,
             collect_meet=False)
-        for r in sorted(rs):
-            a = agg[r]
-            flags = []
-            if a["certified"] == 0:
-                flags.append("insufficient_survivors")
-            records.append(_frequency_record(
-                ctx, "two_curve_hit", r, a["hit"], n_paths, dt, seed,
-                {**base_config, "stop_capacity": thr_m[r] * dt,
-                 "certified": a["certified"],
-                 "hit_swallow": a["hit_swallow"],
-                 "hit_alive": a["hit_alive"],
-                 "hit_probe": a["hit_probe"]},
-                band=a["band"], excluded=a["excluded"],
-                extra_flags=flags))
+        records = _hit_records(ctx, "two_curve_hit", agg, thr_m, n_paths,
+                               dt, seed, base_config)
     for r in trivial:
         records.append(EstimateRecord(
             kappa=ctx.kappa, method="two_curve_hit", r_or_t=float(r),
@@ -613,7 +590,9 @@ def estimate_intersection_hit(ctx: KappaContext, cfg: BoundaryConfig,
     leaving the decay exponent unbiased -- and is only meaningful for
     kappa in (4, 8) where the curves actually touch.
 
-    This is the costliest estimator (it probes every hit path).
+    This is the costliest estimator: it probes every second-stage path,
+    certificate hits included, and pulls back the first curve's polyline
+    for every hit path.
     """
     if not ctx.kappa > 4.0:
         raise ValueError(
@@ -623,21 +602,11 @@ def estimate_intersection_hit(ctx: KappaContext, cfg: BoundaryConfig,
         cfg, r_list, n_paths, dt, path_start, overrides)
     if trivial:
         raise ValueError("intersection estimator supports r < 1/4 only")
-    agg, thr_m, _ = _two_stage_run(
+    agg, thr_m = _two_stage_run(
         ctx, cfg, rs, n_paths, dt, seed, path_start, params,
         collect_meet=True)
-    records = []
-    for r in sorted(rs):
-        a = agg[r]
-        flags = ["surrogate_meet_rule"]
-        if a["certified"] == 0:
-            flags.append("insufficient_survivors")
-        records.append(_frequency_record(
-            ctx, "intersection_hit", r, a["meet"], n_paths, dt, seed,
-            {**base_config, "stop_capacity": thr_m[r] * dt,
-             "certified": a["certified"], "two_curve_hits": a["hit"]},
-            band=a["band"], excluded=a["excluded"], extra_flags=flags))
-    return records
+    return _hit_records(ctx, "intersection_hit", agg, thr_m, n_paths, dt,
+                        seed, base_config, flags=("surrogate_meet_rule",))
 
 
 # ---------------------------------------------------------------------------

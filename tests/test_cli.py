@@ -2,6 +2,7 @@
 output, exit code 2 for configurations rejected before any work, config
 precedence, run provenance, ``report`` and the estimate CSV format."""
 import csv
+import io
 import json
 import math
 
@@ -72,9 +73,9 @@ def test_config_precedence_flag_over_json_over_default(tmp_path):
     assert len(rows) == 1 + 2 * 2
 
 
-def _simulate_meta(tmp_path, method, *args):
+def _simulate_meta(tmp_path, method, *args, n_paths=20):
     out_dir = tmp_path / method
-    assert main(["simulate", "--method", method, "--n-paths", "20",
+    assert main(["simulate", "--method", method, "--n-paths", str(n_paths),
                  "--master-seed", "1", *args,
                  "--out-dir", str(out_dir)]) == 0
     with open(out_dir / "estimates_meta.json", encoding="utf-8") as fh:
@@ -86,6 +87,52 @@ def test_simulate_meta_names_the_hsle_kernel(tmp_path):
     assert meta["hsle_kernel"] == _kernels.hsle_kernel()
     assert "hsle_kernel" not in _simulate_meta(tmp_path, "z-weighted",
                                                "--t-list", "0.5")
+
+
+@pytest.mark.parametrize("method", ["curves", "intersection"])
+def test_simulate_meta_counters_add_up_to_hits(tmp_path, method):
+    # per radius, the hit classes in estimates_meta.json sum to the
+    # two-curve hits, and the hit count in estimates.csv is that sum
+    # (curves) or the meet count (intersection)
+    meta = _simulate_meta(tmp_path, method, n_paths=100)
+    rows = cli.read_records_csv(str(tmp_path / method / "estimates.csv"))
+    hits = {row["r_or_t"]: round(row["estimate"] * row["n_paths"])
+            for row in rows}
+    counters = {c["r"]: c for c in meta["counters"]}
+    assert sorted(counters) == sorted(hits) == [0.05, 0.1, 0.2]
+    for r, c in counters.items():
+        two_curve = c["hit_swallow"] + c["hit_alive"] + c["hit_probe"]
+        assert two_curve <= c["certified"] <= 100
+        if method == "intersection":
+            assert c["two_curve_hits"] == two_curve
+            assert hits[r] == c["meet"] <= two_curve
+        else:
+            assert hits[r] == two_curve
+            assert "meet" not in c and "two_curve_hits" not in c
+    assert sum(hits.values()) > 0
+
+
+def test_density_meta_reports_series_truncation(tmp_path):
+    # t = 0.01 needs far more levels than the cap (12 here, 60 by
+    # default): its series is reported unconverged, with one warning line;
+    # the default times 1, 2, 4 and the fit window converge
+    cfg = cli.RunConfig(kappa=6.0, grid_n=2, n_max=12,
+                        t_list=[0.01, 1.0, 2.0, 4.0], out_dir=str(tmp_path))
+    out = io.StringIO()
+    assert cli.cmd_density(cfg, out=out) == 0
+    with open(tmp_path / "density_meta.json", encoding="utf-8") as fh:
+        truncation = json.load(fh)["truncation"]
+    assert [(r["t"], r["converged"]) for r in truncation["pz_t"]] == [
+        (0.01, False), (1.0, True), (2.0, True), (4.0, True)]
+    survival = truncation["survival"]
+    assert [r["t"] for r in survival if not r["converged"]] == [0.01]
+    # 0.01, 1 and 2, then the 17 fit times from 4 to 8
+    assert len(survival) == 3 + 17
+    report = truncation["pz_t"][0]
+    assert report["n_used"] == 12 and report["tail_bound"] > 1e9
+    warnings = [line for line in out.getvalue().splitlines()
+                if line.startswith("warning")]
+    assert len(warnings) == 1 and "t=0.01" in warnings[0]
 
 
 def test_simulate_path_ranges_add_up(tmp_path):

@@ -496,6 +496,19 @@ class TestTilde:
             dens.tilde_pZ_t(CTX6, BASIS6, self.Z0, z_to, t), direct,
             rtol=1e-12)
 
+    def test_detail_reports_the_truncation_of_pZ_t(self):
+        z_to = (1.4, 0.9)
+        converged = []
+        for t in (0.004, 0.8):
+            det = dens.tilde_pZ_t(CTX6, BASIS6, self.Z0, z_to, t, detail=True)
+            ref = dens.pZ_t(BASIS6, self.Z0, z_to, t, detail=True)
+            assert det.value == dens.tilde_pZ_t(CTX6, BASIS6, self.Z0, z_to,
+                                                t)
+            assert (det.n_used, det.tail_bound, det.converged) == (
+                ref.n_used, ref.tail_bound, ref.converged)
+            converged.append(det.converged)
+        assert converged == [False, True]
+
     def test_quasi_invariance(self):
         # integrating the tilted stationary law against the tilted kernel
         # reproduces the law scaled by exp(-alpha0 t)
@@ -558,6 +571,8 @@ class TestSurvival:
 
     def test_time_zero_and_domain(self):
         assert dens.survival_P2(CTX6, BASIS6, self.Z0, 0.0) == 1.0
+        det = dens.survival_P2(CTX6, BASIS6, self.Z0, 0.0, detail=True)
+        assert (det.value, det.n_used, det.converged) == (1.0, 0, True)
         with pytest.raises(ValueError):
             dens.survival_P2(CTX6, BASIS6, self.Z0, -0.5)
 

@@ -12,6 +12,7 @@ compares its bytes and exceptions with the Python kernel's, and
 numpy flow's.
 """
 
+import json
 import math
 import os
 import shutil
@@ -310,7 +311,7 @@ class TestNonPositiveGapAtEntry:
         for name, arr in alone.items():
             assert_same_bits(arr[0], out[name][1])
 
-    def test_intersection_cli_run_exits_zero(self):
+    def test_intersection_cli_run_exits_zero(self, monkeypatch):
         # the second curve of path 390 (r = 0.05) enters with w0 == v1
         # exactly: the 2 pi shift of the conditional tuple erases a tiny
         # first-curve passive gap
@@ -319,7 +320,22 @@ class TestNonPositiveGapAtEntry:
                            "--kappa", "7.5", "--n-paths", "20",
                            "--path-start", "380", "--master-seed", "3",
                            "--out-dir", out_dir])
+            rows = cli.read_records_csv(
+                os.path.join(out_dir, "estimates.csv"))
+            with open(os.path.join(out_dir, "estimates_meta.json"),
+                      encoding="utf-8") as fh:
+                counters = json.load(fh)["counters"]
         assert rc == 0
+        # per radius 0.05, 0.1, 0.2: estimate, meets and two-curve hits
+        assert [row["estimate"] for row in rows] == [0.05, 0.0, 0.0]
+        assert [(c["r"], c["meet"], c["two_curve_hits"])
+                for c in counters] == [(0.05, 1, 5), (0.1, 0, 7),
+                                       (0.2, 0, 10)]
+        # the same run through the estimator: per radius one probe pass
+        # (coarse and refined rounds) and one polyline call
+        calls = record_flow_calls(monkeypatch, mc.estimate_intersection_hit,
+                                  7.5, n_paths=20, seed=3, path_start=380)
+        assert len(calls) <= 3 * 3
 
 
 # ---------------------------------------------------------------------------

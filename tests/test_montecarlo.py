@@ -186,6 +186,29 @@ class TestTwoCurveHit:
         slack = 3.0 * math.hypot(p_small.stderr, p_big.stderr)
         assert p_small.estimate <= p_big.estimate + slack
 
+    def test_excluded_counts_only_unresolved_paths(self):
+        # kappa 6, seed 1, paths 800-899: at r = 0.2 one first curve stops
+        # with status 2 or 4 only after the radius's snapshot (certified,
+        # so its second curve ran) and one second curve stops so after a
+        # probe already decided it as a hit; neither is excluded there
+        # (counting every status-2/4 row gave 1, 1, 2)
+        recs = mc.estimate_two_curve_hit(CTX6, SYM_CFG, [0.05, 0.1, 0.2],
+                                         n_paths=100, dt=1e-3, seed=1,
+                                         path_start=800)
+        assert [rec.config["excluded"] for rec in recs] == [1, 1, 0]
+        assert ["collision_excluded" in rec.flags for rec in recs] == [
+            True, True, False]
+
+    def test_one_probe_pass_per_radius(self, monkeypatch):
+        # a coarse and a refined round of backward-flow calls per radius
+        calls = []
+        flow = _kernels.backward_flow
+        monkeypatch.setattr(_kernels, "backward_flow",
+                            lambda *args: calls.append(flow(*args)))
+        mc.estimate_two_curve_hit(CTX6, SYM_CFG, [0.05, 0.1, 0.2],
+                                  n_paths=100, dt=1e-3, seed=1)
+        assert len(calls) == 2 * 3
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             mc.estimate_two_curve_hit(CTX6, SYM_CFG, [0.3], n_paths=10,
