@@ -50,14 +50,18 @@ library is built in a temporary directory for this process only; if there
 is no compiler or the build fails, one warning is logged and both kernels
 run in Python/numpy.  ``hsle_kernel()`` names the library that ran them.
 
-``z_evolve`` is vectorized numpy code.  The two random kernels,
-``z_evolve`` and ``hsle_evolve_adaptive``, draw from the counter-based
-streams of :mod:`._rng` indexed by the absolute step, so skipped draws
-(dead paths) cost nothing and runs can be resumed at any step boundary.
+``z_evolve`` is vectorized numpy code.  Its update is ``z_update``, the
+one implementation of the two-angle step: ``timecurve.z_step`` applies it
+to a single state, and a compiled port must reproduce its bytes
+(``tests/test_timecurve.py::TestZEvolvePin`` pins them).  The two random
+kernels, ``z_evolve`` and ``hsle_evolve_adaptive``, draw from the
+counter-based streams of :mod:`._rng` indexed by the absolute step, so
+skipped draws (dead paths) cost nothing and runs can be resumed at any
+step boundary.
 
 Kernels
 -------
-``z_evolve``
+``z_evolve`` (update: ``z_update``)
     Evolution of the autonomous two-angle diffusion
     dZ_j = sqrt(kappa sin Z_j / (sin Z_1 + sin Z_2)) dB_j
            + 4 cos Z_j / (sin Z_1 + sin Z_2) dt
@@ -143,6 +147,25 @@ def active_backend() -> str:
 # two-angle diffusion
 # ---------------------------------------------------------------------------
 
+def z_update(a, b, g1, g2, kappa, dt):
+    """One step of the two-angle diffusion from angles (a, b) with normals
+    (g1, g2): Euler drift plus the diagonal Milstein term of the module
+    docstring.  Returns the unclamped angles (an, bn); elementwise over
+    arrays, and the same bits on scalars and on arrays of any length.
+    """
+    sa = np.sin(a)
+    sb = np.sin(b)
+    ca = np.cos(a)
+    cb = np.cos(b)
+    S = sa + sb
+    mil = 0.25 * kappa / S * dt
+    an = (a + 4.0 * ca / S * dt + np.sqrt(kappa * sa / S * dt) * g1
+          + mil * ca * (g1 * g1 - 1.0))
+    bn = (b + 4.0 * cb / S * dt + np.sqrt(kappa * sb / S * dt) * g2
+          + mil * cb * (g2 * g2 - 1.0))
+    return an, bn
+
+
 def z_evolve(z1, z2, alive, absorb_step, streams, start_step, n_steps,
              kappa, dt, rec_steps, rec_z1, rec_z2) -> None:
     """Evolve the two-angle diffusion in place for ``n_steps`` steps.
@@ -168,18 +191,7 @@ def z_evolve(z1, z2, alive, absorb_step, streams, start_step, n_steps,
         if alive.any():
             idx = np.nonzero(alive)[0]
             g1, g2 = _rng.normal_pair_array(streams[idx], s)
-            a = z1[idx]
-            b = z2[idx]
-            sa = np.sin(a)
-            sb = np.sin(b)
-            ca = np.cos(a)
-            cb = np.cos(b)
-            S = sa + sb
-            mil = 0.25 * kappa / S * dt
-            an = (a + 4.0 * ca / S * dt + np.sqrt(kappa * sa / S * dt) * g1
-                  + mil * ca * (g1 * g1 - 1.0))
-            bn = (b + 4.0 * cb / S * dt + np.sqrt(kappa * sb / S * dt) * g2
-                  + mil * cb * (g2 * g2 - 1.0))
+            an, bn = z_update(z1[idx], z2[idx], g1, g2, kappa, dt)
             out = (an <= 0.0) | (an >= PI) | (bn <= 0.0) | (bn >= PI)
             z1[idx] = np.clip(an, 0.0, PI)
             z2[idx] = np.clip(bn, 0.0, PI)

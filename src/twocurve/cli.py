@@ -400,15 +400,11 @@ def write_records_csv(path: str, records) -> None:
 
 
 def read_records_csv(path: str) -> list:
-    """Read an estimate CSV with or without the schema_version column."""
+    """Read an estimate CSV in the layout of :func:`write_records_csv`."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         names = tuple(reader.fieldnames or ())
-        if names == ("schema_version",) + mc.CSV_COLUMNS:
-            pass
-        elif names == mc.CSV_COLUMNS:
-            pass
-        else:
+        if names != ("schema_version",) + mc.CSV_COLUMNS:
             raise ConfigError(f"unrecognized estimate CSV columns: {names}")
         rows = []
         for row in reader:

@@ -659,7 +659,7 @@ def estimate_survival_weighted(ctx: KappaContext, z0, t_list,
                 flags.append("no_survivors")
                 se = 1.0 / n_paths
             se = max(se, 8.0 * np.finfo(float).eps * max(1.0, est))
-            records_by_t[float(t)] = EstimateRecord(
+            records_by_t[positive[ri]] = EstimateRecord(
                 kappa=ctx.kappa, method="survival_weighted",
                 r_or_t=float(t), estimate=est, stderr=se, ess=float(ess),
                 n_paths=int(n_paths), dt=float(dt), seed=int(seed),
@@ -674,8 +674,7 @@ def estimate_survival_weighted(ctx: KappaContext, z0, t_list,
                 ess=float(n_paths), n_paths=int(n_paths), dt=float(dt),
                 seed=int(seed), config=base_config, flags=()))
         else:
-            key = min(records_by_t, key=lambda u: abs(u - t))
-            out.append(records_by_t[key])
+            out.append(records_by_t[t])
     return out
 
 

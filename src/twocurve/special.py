@@ -379,14 +379,8 @@ def gtilde_table(ctx: KappaContext, x_max: float = 0.999, n: int = 4001):
         (u_max, values): values[i] = G-tilde(1 - exp(-u_i)) on the uniform
         grid u_i = i * u_max / (n - 1).
     """
-    key = ("gtilde_table", x_max, n)
-    cached = ctx._cache.get(key)
-    if cached is not None:
-        return cached
     u_max = -np.log1p(-x_max)
     u = np.linspace(0.0, u_max, n)
     x = -np.expm1(-u)
     vals = hyp_tilde_G(ctx, x)
-    out = (float(u_max), np.asarray(vals, dtype=float))
-    ctx._cache[key] = out
-    return out
+    return float(u_max), np.asarray(vals, dtype=float)

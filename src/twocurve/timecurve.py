@@ -20,11 +20,17 @@ Reweighting a path functional by ``exp(importance_log_weight)`` converts
 expectations under it into expectations under the unconditioned two-curve
 law on the survival event, with log-weight
 ``-alpha0*t + log G_u(start) - log G_u(end)``.
+
+The step itself is ``_kernels.z_update``, the one implementation of the
+update: :func:`simulate_z_ensemble` runs it through ``_kernels.z_evolve``
+and :func:`z_step` applies it to one state with the caller's normals.
+:func:`z_drift_diffusion` states the SDE's coefficients as a reference for
+tests of the step; no simulation reads it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,16 +55,6 @@ class ZState:
                 f"({self.z1}, {self.z2})")
 
 
-def speed_fraction(z: ZState, j: int) -> float:
-    """Capacity-speed fraction of curve ``j``: sin(z_j)/(sin z1 + sin z2)."""
-    if j not in (1, 2):
-        raise ValueError(f"curve index must be 1 or 2, got {j}")
-    s1 = math.sin(z.z1)
-    s2 = math.sin(z.z2)
-    top = s1 if j == 1 else s2
-    return top / (s1 + s2)
-
-
 def xy_of_z(z) -> tuple:
     """Map angles to the unit-disc chart: x=cos((z1+z2)/2), y=sin((z1-z2)/2).
 
@@ -66,20 +62,6 @@ def xy_of_z(z) -> tuple:
     """
     z1, z2 = _coord_arrays(z)
     return np.cos(0.5 * (z1 + z2)), np.sin(0.5 * (z1 - z2))
-
-
-def z_of_xy(x, y) -> ZState:
-    """Inverse of :func:`xy_of_z` for a single interior disc point.
-
-    Raises:
-        ValueError: if x^2 + y^2 >= 1 (outside the image of the open square).
-    """
-    if x * x + y * y >= 1.0:
-        raise ValueError(
-            f"(x, y) = ({x}, {y}) lies outside the open unit disc")
-    half_sum = math.acos(x)
-    half_diff = math.asin(y)
-    return ZState(half_sum + half_diff, half_sum - half_diff)
 
 
 def z_drift_diffusion(ctx: KappaContext, z1, z2):
@@ -100,18 +82,8 @@ def z_drift_diffusion(ctx: KappaContext, z1, z2):
 
 
 def z_step(ctx: KappaContext, z: ZState, dt: float, noise) -> tuple:
-    """One time step of the two-angle diffusion.
-
-    The update is explicit Euler in the drift plus the diagonal Milstein
-    correction of the time-changed decoupled form (S = sin z1 + sin z2
-    frozen over the step), (kappa cos z_j / (4 S)) (noise_j^2 - 1) dt.
-    Near either boundary -- including the corners -- the corrected update
-    completes a square and stays positive for kappa < 16; without the
-    correction the overshoot probability decays only like dt^(1/3), which
-    visibly biases weighted averages at practical step sizes.  The
-    correction reuses the same normals (no extra randomness), has zero
-    mean, vanishes at the symmetric point (cos z_j = 0), and alters
-    one-step moments only at O(dt^2).
+    """One time step of the two-angle diffusion: ``_kernels.z_update`` (the
+    update ``z_evolve`` takes) applied to one state.
 
     Args:
         noise: pair of standard normals (dB_j = sqrt(dt) * noise_j).
@@ -126,18 +98,11 @@ def z_step(ctx: KappaContext, z: ZState, dt: float, noise) -> tuple:
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    g1, g2 = noise
-    mu1, mu2, sig1, sig2 = z_drift_diffusion(ctx, z.z1, z.z2)
-    sdt = math.sqrt(dt)
-    ssum = math.sin(z.z1) + math.sin(z.z2)
-    mil = 0.25 * ctx.kappa / ssum * dt
-    a = (z.z1 + mu1 * dt + sig1 * sdt * g1
-         + mil * math.cos(z.z1) * (g1 * g1 - 1.0))
-    b = (z.z2 + mu2 * dt + sig2 * sdt * g2
-         + mil * math.cos(z.z2) * (g2 * g2 - 1.0))
+    a, b = _kernels.z_update(z.z1, z.z2, noise[0], noise[1], ctx.kappa, dt)
+    a, b = float(a), float(b)
     if a <= 0.0 or a >= PI or b <= 0.0 or b >= PI:
         return (min(max(a, 0.0), PI), min(max(b, 0.0), PI)), True
-    return ZState(float(a), float(b)), False
+    return ZState(a, b), False
 
 
 def importance_log_weight(ctx: KappaContext, t: float, z_start, z_end):
@@ -147,7 +112,8 @@ def importance_log_weight(ctx: KappaContext, t: float, z_start, z_end):
     of this quantity, averaged over paths of the conditioned diffusion,
     estimates the survival probability of the unconditioned pair beyond
     common time ``t``; per-path it is the density ratio on the survival
-    event.  Vectorized over ``z_end`` given as coordinate arrays.
+    event.  Vectorized over ``z_start`` and ``z_end`` given as coordinate
+    arrays.
     """
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t}")
@@ -167,26 +133,14 @@ class ZPathEnsemble:
             to any exp-weight average is zero), finite for survivors.
         absorbed: per-path flag, True if absorbed by ``t_max``.
         absorb_time: absorption time, ``nan`` for survivors.
-        path_ids: global path indices (seed derivation is per-id, so runs
-            split by id ranges merge exactly).
     """
 
-    kappa: float
-    z0: tuple
-    dt: float
-    t_max: float
-    master_seed: int
-    path_ids: np.ndarray
     record_times: np.ndarray
     z1: np.ndarray
     z2: np.ndarray
     log_weight: np.ndarray
     absorbed: np.ndarray
     absorb_time: np.ndarray
-
-    @property
-    def n_paths(self) -> int:
-        return int(self.path_ids.shape[0])
 
 
 def simulate_z_ensemble(ctx: KappaContext, z0, t_max: float,
@@ -201,8 +155,7 @@ def simulate_z_ensemble(ctx: KappaContext, z0, t_max: float,
     single covering invocation would produce.
 
     Args:
-        z0: common starting state (ZState), or a pair of coordinate arrays
-            giving one start per path (e.g. draws from a target law).
+        z0: starting state (ZState) of every path.
         record_times: times in (0, t_max] to snapshot (default: [t_max]);
             each is rounded to the nearest step.
 
@@ -230,18 +183,9 @@ def simulate_z_ensemble(ctx: KappaContext, z0, t_max: float,
 
     ids = np.arange(path_start, path_start + n_paths, dtype=np.int64)
     streams = _rng.derive_stream_array(master_seed, ids)
-    if hasattr(z0, "z1"):
-        z01 = np.full(n_paths, z0.z1, dtype=float)
-        z02 = np.full(n_paths, z0.z2, dtype=float)
-    else:
-        a, b = z0
-        z01 = np.array(np.broadcast_to(np.asarray(a, dtype=float), n_paths))
-        z02 = np.array(np.broadcast_to(np.asarray(b, dtype=float), n_paths))
-        if (np.any(z01 <= 0.0) or np.any(z01 >= PI)
-                or np.any(z02 <= 0.0) or np.any(z02 >= PI)):
-            raise ValueError("per-path starts must lie in (0, pi)^2")
-    z1 = z01.copy()
-    z2 = z02.copy()
+    z1 = np.full(n_paths, z0.z1, dtype=float)
+    z2 = np.full(n_paths, z0.z2, dtype=float)
+    start1, start2 = z1.copy(), z2.copy()
     alive = np.ones(n_paths, dtype=bool)
     absorb_step = np.full(n_paths, -1, dtype=np.int64)
     m = rec_steps.shape[0]
@@ -251,21 +195,18 @@ def simulate_z_ensemble(ctx: KappaContext, z0, t_max: float,
                       ctx.kappa, dt, rec_steps, rec_z1, rec_z2)
 
     times = rec_steps.astype(float) * dt
-    log_g0 = np.log(G_u(ctx, (z01, z02)))
-    log_weight = np.empty((m, n_paths), dtype=float)
+    log_weight = np.full((m, n_paths), -np.inf)
     for ri in range(m):
-        gone = (absorb_step > 0) & (absorb_step <= rec_steps[ri])
-        ok = ~gone
-        log_weight[ri, gone] = -np.inf
-        log_weight[ri, ok] = (-ctx.alpha0 * times[ri] + log_g0[ok]
-                              - np.log(G_u(ctx,
-                                           (rec_z1[ri, ok], rec_z2[ri, ok]))))
+        ok = (absorb_step < 0) | (absorb_step > rec_steps[ri])
+        # the start goes in as arrays, like the ends: numpy's scalar and
+        # vector powers in G_u differ in the last bit
+        log_weight[ri, ok] = importance_log_weight(
+            ctx, times[ri], (start1[ok], start2[ok]),
+            (rec_z1[ri, ok], rec_z2[ri, ok]))
     # undo the record-time sort so outputs align with the caller's order
     inverse = np.argsort(order, kind="stable")
     absorb_time = np.where(absorb_step > 0, absorb_step * dt, np.nan)
     return ZPathEnsemble(
-        kappa=ctx.kappa, z0=(z01, z02), dt=dt, t_max=t_max,
-        master_seed=master_seed, path_ids=ids,
         record_times=times[inverse],
         z1=rec_z1[inverse], z2=rec_z2[inverse],
         log_weight=log_weight[inverse],

@@ -1,4 +1,5 @@
 """Tests for the common-parametrization two-angle diffusion module."""
+import hashlib
 import math
 
 import numpy as np
@@ -7,17 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from twocurve import _rng
+from twocurve import _kernels, _rng
 from twocurve.context import KappaContext
 from twocurve.green import G_u
 from twocurve.timecurve import (
     ZState,
     importance_log_weight,
     simulate_z_ensemble,
-    speed_fraction,
     xy_of_z,
     z_drift_diffusion,
-    z_of_xy,
     z_step,
 )
 
@@ -88,26 +87,27 @@ class TestZState:
             ZState(z1, z2)
 
 
+def speed_fractions(ctx, z):
+    """Each curve's capacity-speed fraction sin z_j / (sin z1 + sin z2),
+    read off the SDE: sigma_j^2 = kappa * fraction_j."""
+    _, _, s1, s2 = z_drift_diffusion(ctx, z.z1, z.z2)
+    return s1 * s1 / ctx.kappa, s2 * s2 / ctx.kappa
+
+
 class TestSpeedFraction:
     def test_symmetric_point(self):
-        z = ZState(PI / 2, PI / 2)
-        assert speed_fraction(z, 1) == 0.5
-        assert speed_fraction(z, 2) == 0.5
+        f1, f2 = speed_fractions(CTX6, ZState(PI / 2, PI / 2))
+        assert_allclose([f1, f2], 0.5, rtol=1e-15)
 
     def test_hand_value(self):
-        z = ZState(PI / 2, PI / 6)
-        assert_allclose(speed_fraction(z, 1), 2.0 / 3.0, rtol=1e-15)
-        assert_allclose(speed_fraction(z, 2), 1.0 / 3.0, rtol=1e-15)
+        f1, f2 = speed_fractions(CTX6, ZState(PI / 2, PI / 6))
+        assert_allclose(f1, 2.0 / 3.0, rtol=1e-15)
+        assert_allclose(f2, 1.0 / 3.0, rtol=1e-15)
 
     def test_sum_to_one(self):
         for z1, z2 in random_states(50, 11):
-            z = ZState(z1, z2)
-            assert abs(speed_fraction(z, 1) + speed_fraction(z, 2) - 1.0) \
-                < 1e-15
-
-    def test_bad_index(self):
-        with pytest.raises(ValueError):
-            speed_fraction(ZState(1.0, 1.0), 3)
+            f1, f2 = speed_fractions(CTX6, ZState(z1, z2))
+            assert abs(f1 + f2 - 1.0) < 1e-15
 
 
 class TestZStep:
@@ -149,21 +149,90 @@ class TestZStep:
             z_step(CTX6, ZState(1.0, 1.0), 0.0, (0.0, 0.0))
 
     def test_one_step_moments_match_sde_coefficients(self):
-        # weak-order check: empirical mean and variance of one Euler step
-        # over 10^6 independent draws match drift*dt and diffusion^2*dt
+        # weak-order check: the empirical mean and variance of one
+        # z_evolve step over 10^6 independent paths match drift*dt and
+        # diffusion^2*dt of the SDE
         n = 10 ** 6
         dt = 1e-3
         z1, z2 = 1.0, 2.2
+        a, b, alive, *_ = evolve(CTX6.kappa, (z1, z2), dt, 1, n, 555)
+        assert alive.all()
         mu1, mu2, s1, s2 = z_drift_diffusion(CTX6, z1, z2)
-        streams = _rng.derive_stream_array(555, np.arange(n))
-        g1, g2 = _rng.normal_pair_array(streams, 0)
-        d1 = mu1 * dt + s1 * math.sqrt(dt) * g1
-        d2 = mu2 * dt + s2 * math.sqrt(dt) * g2
-        for d, mu, sig in ((d1, mu1, s1), (d2, mu2, s2)):
+        for d, mu, sig in ((a - z1, mu1, s1), (b - z2, mu2, s2)):
             stderr = d.std(ddof=1) / math.sqrt(n)
             assert abs(d.mean() - mu * dt) < 4.0 * stderr
             var = d.var(ddof=1)
             assert abs(var - sig * sig * dt) < 5.0 * math.sqrt(2.0 / n) * var
+
+
+def evolve(kappa, z0, dt, n_steps, n_paths, seed, path_start=0,
+           rec_steps=()):
+    """Run ``_kernels.z_evolve`` from ``z0`` (one start, or one per path)
+    and return (z1, z2, alive, absorb_step, rec_z1, rec_z2)."""
+    streams = _rng.derive_stream_array(
+        seed, np.arange(path_start, path_start + n_paths))
+    z1 = np.array(np.broadcast_to(np.asarray(z0[0], dtype=float), n_paths))
+    z2 = np.array(np.broadcast_to(np.asarray(z0[1], dtype=float), n_paths))
+    alive = np.ones(n_paths, dtype=bool)
+    absorb_step = np.full(n_paths, -1, dtype=np.int64)
+    rec_steps = np.array(rec_steps or [n_steps], dtype=np.int64)
+    rec_z1 = np.empty((rec_steps.size, n_paths))
+    rec_z2 = np.empty((rec_steps.size, n_paths))
+    _kernels.z_evolve(z1, z2, alive, absorb_step, streams, 0, n_steps,
+                      kappa, dt, rec_steps, rec_z1, rec_z2)
+    return z1, z2, alive, absorb_step, rec_z1, rec_z2
+
+
+class TestZEvolvePin:
+    """Byte oracle of the two-angle step: any other implementation of
+    ``z_evolve`` (a compiled port) must reproduce these digests."""
+
+    @pytest.mark.parametrize(
+        "kappa,z0,dt,n_steps,n_paths,seed,start,rec,n_absorbed,digest", [
+            (3.0, (1.2, 1.9), 1e-3, 300, 64, 41, 0, (100, 300), 0,
+             "1c950e2e3da8e38f3343025a727f5114"
+             "dd3b2f13fdb569a94ce72c9ccfa965cd"),
+            (6.0, (1.2, 1.9), 1e-3, 300, 64, 41, 0, (100, 300), 0,
+             "13c4e5b20ffdb50c27a1d8cb6d240bd8"
+             "7269fd12950f4c9789266543b608053c"),
+            (7.5, (1.2, 1.9), 1e-3, 300, 64, 41, 0, (100, 300), 0,
+             "6ba08a377a9c5329b894ea1b167910a0"
+             "b4da2658eec5d5c5567a1360c0595fbe"),
+            # coarse dt from a near-corner start: a quarter of paths absorb
+            (6.0, (0.12, 0.12), 1e-1, 5, 300, 17, 0, (2, 5), 75,
+             "6ceb6d762cf90c532af5ba32cc2c308d"
+             "ae2a08f70b6fd3524d859a2c21361b73"),
+            # paths 25..39 of a path_start split
+            (6.0, (1.2, 2.0), 1e-3, 250, 15, 9, 25, (), 0,
+             "5bcc228e842c5d03e8767ac6fdce4ada"
+             "927b348f00d570f2340c0f80d5ddb27e"),
+        ], ids=["k3", "k6", "k7.5", "absorbing", "path_start"])
+    def test_pinned_bytes(self, kappa, z0, dt, n_steps, n_paths, seed, start,
+                          rec, n_absorbed, digest):
+        out = evolve(kappa, z0, dt, n_steps, n_paths, seed, start, rec)
+        z1, z2, alive, absorb_step, rec_z1, rec_z2 = out
+        assert int((~alive).sum()) == n_absorbed
+        h = hashlib.sha256()
+        for arr in (z1, z2, absorb_step, rec_z1, rec_z2):
+            h.update(np.ascontiguousarray(arr).tobytes())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("kappa", [3.0, 6.0, 7.5])
+    def test_z_step_reproduces_first_step(self, kappa):
+        # z_step fed the normals z_evolve draws lands on z_evolve's bits
+        n, dt = 2000, 1e-3
+        states = random_states(n, 31)
+        z1, z2, alive, *_ = evolve(kappa, states.T, dt, 1, n, 8)
+        g1, g2 = _rng.normal_pair_array(_rng.derive_stream_array(
+            8, np.arange(n)), 0)
+        ctx = KappaContext(kappa)
+        for i in range(n):
+            out, absorbed = z_step(ctx, ZState(*states[i]), dt,
+                                   (g1[i], g2[i]))
+            if not absorbed:
+                out = (out.z1, out.z2)
+            assert absorbed == (not alive[i])
+            assert out == (z1[i], z2[i])
 
 
 class TestDiscTransform:
@@ -174,21 +243,15 @@ class TestDiscTransform:
     def test_round_trip(self):
         for z1, z2 in random_states(100, 5):
             x, y = xy_of_z(ZState(z1, z2))
-            back = z_of_xy(float(x), float(y))
-            assert abs(back.z1 - z1) < 1e-14
-            assert abs(back.z2 - z2) < 1e-14
+            half_sum, half_diff = math.acos(x), math.asin(y)
+            assert abs(half_sum + half_diff - z1) < 1e-14
+            assert abs(half_sum - half_diff - z2) < 1e-14
 
     def test_radius_identity(self):
         for z1, z2 in random_states(100, 6):
             x, y = xy_of_z(ZState(z1, z2))
             assert abs(x * x + y * y - (1.0 - math.sin(z1) * math.sin(z2))) \
                 < 1e-14
-
-    @pytest.mark.parametrize("x,y", [(1.0, 0.0), (0.8, 0.6), (0.0, -1.0),
-                                     (1.2, 0.0)])
-    def test_domain_error_outside_disc(self, x, y):
-        with pytest.raises(ValueError):
-            z_of_xy(x, y)
 
 
 class TestDiscImageGenerator:
