@@ -224,16 +224,19 @@ class TestRecordsCsv:
         assert header.split(",") == ["schema_version", *mc.CSV_COLUMNS]
         self._assert_rows_match(cli.read_records_csv(str(path)), records)
 
-    def test_rejects_foreign_csv(self, records, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("a,b\n1,2\n")
+    def test_rejects_layout_without_schema_version(self, records, tmp_path):
         # the record columns without the leading schema_version column
         bare = tmp_path / "bare.csv"
         with open(bare, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(mc.CSV_COLUMNS)
             writer.writerows(rec.to_row() for rec in records)
-        for path in (bad, bare):
-            with pytest.raises(cli.ConfigError):
-                cli.read_records_csv(str(path))
+        with pytest.raises(cli.ConfigError):
+            cli.read_records_csv(str(bare))
         assert main(["fit", str(bare), "--out-dir", str(tmp_path)]) == 2
+
+    def test_rejects_foreign_csv(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a,b\n1,2\n")
+        with pytest.raises(cli.ConfigError):
+            cli.read_records_csv(str(bad))
