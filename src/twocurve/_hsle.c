@@ -12,9 +12,16 @@
  * where numpy's complex multiply is fused (the _kernels docstring): the
  * fused roundings are explicit fma() calls, everything else is plain.
  *
- * Both hold only for the build flags in _kernels._CFLAGS: -ffp-contract=off
- * keeps every other a*b + c as two roundings, and neither -ffast-math nor
- * -march=native (nor -mfma) may be added.
+ * z_uniforms and z_block, the two passes of _kernels.z_evolve over one
+ * block of steps, a port of _kernels._z_evolve_np.  The step's bits are
+ * z_update's: numpy's sin, cos and sqrt of float64 are libm's, and each
+ * expression is evaluated in numpy's operation order.  The one numpy
+ * transcendental whose bits differ from libm, the log of Box-Muller, stays
+ * in numpy between the two passes.
+ *
+ * All three hold only for the build flags in _kernels._CFLAGS:
+ * -ffp-contract=off keeps every other a*b + c as two roundings, and
+ * neither -ffast-math nor -march=native (nor -mfma) may be added.
  *
  * The per-call constants of the adaptive kernel (unit, res_units,
  * floor_gap, p_ret, half_k6, g_top) arrive already computed by
@@ -30,7 +37,8 @@
 #include <math.h>
 #include <stdint.h>
 
-#define TWO_PI (2.0 * 3.141592653589793)
+#define PI 3.141592653589793
+#define TWO_PI (2.0 * PI)
 
 enum {
     HSLE_OK = 0, HSLE_ZERO_DIV = 1, HSLE_DOMAIN = 2, HSLE_NAN_INT = 3,
@@ -327,4 +335,84 @@ void backward_flow(int64_t n, int64_t width, const double *drivers,
         int64_t len = lengths[i] < width ? lengths[i] : width;
         backward_row(drivers + i * width, len, exp_du, y + 2 * i);
     }
+}
+
+/*
+ * The two-angle diffusion, one block of nb steps s0, ..., s0 + nb - 1 of
+ * the n_live paths live[] alive at the block's start.  Both buffers are
+ * step-major: entry j * n_live + i belongs to step s0 + j of path live[i].
+ */
+
+/* the uniforms at counters (2s, 2s+1) of _rng.normal_pair_array */
+void z_uniforms(int64_t n_live, int64_t nb, const int64_t *live,
+                const uint64_t *streams, int64_t s0, double *u0, double *u1)
+{
+    int64_t j, i;
+
+    for (j = 0; j < nb; j++) {
+        const uint64_t two_s = 2 * (uint64_t)(s0 + j);
+        for (i = 0; i < n_live; i++) {
+            const uint64_t sid = streams[live[i]];
+            u0[j * n_live + i] = uniform(sid, two_s);
+            u1[j * n_live + i] = uniform(sid, two_s + 1);
+        }
+    }
+}
+
+/* the steps of _z_evolve_np, given log_u0 = np.log(u0) and u1 from
+ * z_uniforms: Box-Muller, _kernels.z_update, the clamp (np.clip keeps
+ * -0.0 and NaN), absorption, and the snapshots of all n paths at the
+ * record steps rec_steps[ri], ... equal to a step's end; returns the
+ * next unwritten record index */
+int64_t z_block(int64_t n, int64_t n_live, int64_t nb, const int64_t *live,
+                const double *log_u0, const double *u1, int64_t s0,
+                double kappa, double dt, double *z1, double *z2,
+                uint8_t *alive, int64_t *absorb_step, int64_t m,
+                const int64_t *rec_steps, int64_t ri, double *rec_z1,
+                double *rec_z2)
+{
+    const double mil_k = 0.25 * kappa;
+    int64_t j, i, p;
+
+    for (j = 0; j < nb; j++) {
+        const int64_t s = s0 + j;
+        for (i = 0; i < n_live; i++) {
+            const int64_t e = j * n_live + i;
+            double r, ang, g1, g2, a, b, sa, sb, ca, cb, S, mil, an, bn;
+
+            p = live[i];
+            if (!alive[p])
+                continue;
+            r = sqrt(-2.0 * log_u0[e]);
+            ang = TWO_PI * u1[e];
+            g1 = r * cos(ang);
+            g2 = r * sin(ang);
+            a = z1[p];
+            b = z2[p];
+            sa = sin(a);
+            sb = sin(b);
+            ca = cos(a);
+            cb = cos(b);
+            S = sa + sb;
+            mil = mil_k / S * dt;
+            an = (a + 4.0 * ca / S * dt + sqrt(kappa * sa / S * dt) * g1
+                  + mil * ca * (g1 * g1 - 1.0));
+            bn = (b + 4.0 * cb / S * dt + sqrt(kappa * sb / S * dt) * g2
+                  + mil * cb * (g2 * g2 - 1.0));
+            if (an <= 0.0 || an >= PI || bn <= 0.0 || bn >= PI) {
+                alive[p] = 0;
+                absorb_step[p] = s + 1;
+            }
+            an = an < 0.0 ? 0.0 : an;
+            bn = bn < 0.0 ? 0.0 : bn;
+            z1[p] = an > PI ? PI : an;
+            z2[p] = bn > PI ? PI : bn;
+        }
+        for (; ri < m && rec_steps[ri] == s + 1; ri++)
+            for (p = 0; p < n; p++) {
+                rec_z1[ri * n + p] = z1[p];
+                rec_z2[ri * n + p] = z2[p];
+            }
+    }
+    return ri;
 }

@@ -1,6 +1,6 @@
-"""Simulation kernels: the adaptive hSLE kernel and the backward Loewner
-flow (both compiled, with Python/numpy fallbacks) and the two-angle
-diffusion.
+"""Simulation kernels: the adaptive hSLE kernel, the backward Loewner
+flow and the two-angle diffusion, all three compiled, with Python/numpy
+fallbacks.
 
 The compiled kernels
 --------------------
@@ -47,17 +47,34 @@ C source, the flags and ``cc --version``.  It is compiled in a temporary
 directory there and renamed into place with ``os.replace``, so concurrent
 processes never load a partial file.  If that directory is not usable the
 library is built in a temporary directory for this process only; if there
-is no compiler or the build fails, one warning is logged and both kernels
-run in Python/numpy.  ``hsle_kernel()`` names the library that ran them.
+is no compiler or the build fails, one warning is logged and all three
+kernels run in Python/numpy.  ``hsle_kernel()`` names the library that ran
+them.
 
-``z_evolve`` is vectorized numpy code.  Its update is ``z_update``, the
-one implementation of the two-angle step: ``timecurve.z_step`` applies it
-to a single state, and a compiled port must reproduce its bytes
-(``tests/test_timecurve.py::TestZEvolvePin`` pins them).  The two random
-kernels, ``z_evolve`` and ``hsle_evolve_adaptive``, draw from the
-counter-based streams of :mod:`._rng` indexed by the absolute step, so
-skipped draws (dead paths) cost nothing and runs can be resumed at any
-step boundary.
+``z_evolve`` runs the same library's port of ``_z_evolve_np`` in blocks of
+steps, two passes each.  For the paths alive at the block's start,
+``z_uniforms`` fills the uniforms at counters (2s, 2s+1) of every step s
+of the block; numpy takes ``np.log`` of the first ones in place; then
+``z_block`` forms the Box-Muller normals, applies ``z_update`` operation
+by operation, clamps, absorbs, and snapshots every path, dead ones
+included, at the record steps.  The log stays in numpy because it is the
+one transcendental of the step whose bits differ from libm's (numpy's
+vector ``log`` differs in the last bit for about 0.3% of arguments);
+numpy's float64 ``sin``, ``cos`` and ``sqrt`` give libm's bits (a numpy
+build whose vector ``sin`` or ``cos`` did not would fail
+``TestCompiledZEvolve``), so the C step repeats the numpy one bit for bit.
+The fill and log passes take about 5% of the time of the step, which three
+libm ``sincos`` calls per path-step dominate.  A block holds ``_Z_BLOCK``
+path-steps (at least one step), which bounds the two uniform buffers by
+path-steps, not by steps: 65 steps of 2000 live paths, one step of 10^6.
+``z_update`` is the one implementation of the two-angle step
+(``timecurve.z_step`` applies it to a single state);
+``tests/test_kernels.py::TestCompiledZEvolve`` compares the two
+evolutions' bytes, and ``tests/test_timecurve.py::TestZEvolvePin`` pins
+them.  The two random kernels, ``z_evolve`` and ``hsle_evolve_adaptive``,
+draw from the counter-based streams of :mod:`._rng` indexed by the
+absolute step, so skipped draws (dead paths) cost nothing and runs can be
+resumed at any step boundary.
 
 Kernels
 -------
@@ -139,7 +156,10 @@ PI = math.pi
 
 
 def active_backend() -> str:
-    """Name of the implementation of ``z_evolve`` and ``backward_flow``."""
+    """A frozen provenance label, always ``"numpy"``: it names no kernel
+    that runs.  The benchmark's provenance line still records it;
+    ``hsle_kernel()`` names the library that runs the kernels.  ROADMAP
+    item 5 deletes it together with that line."""
     return "numpy"
 
 
@@ -179,12 +199,58 @@ def z_evolve(z1, z2, alive, absorb_step, streams, start_step, n_steps,
             the state from time start_step*dt to (start_step+1)*dt); random
             counters are indexed by absolute step, so a run split into
             chunks reproduces an unchunked run exactly.
-        rec_steps: int64[m] ascending absolute step indices at which to
-            snapshot (values in (start_step, start_step + n_steps]).
+        rec_steps: int64[m] non-decreasing absolute step indices at which
+            to snapshot every path, dead ones included (values in
+            (start_step, start_step + n_steps]).
         rec_z1, rec_z2: float64[m, n] snapshot buffers.
+
+    The arrays must be C-contiguous with these dtypes and shapes, the
+    outputs (``z1``, ``z2``, ``alive``, ``absorb_step``, ``rec_z1``,
+    ``rec_z2``) writeable, and ``start_step`` and ``n_steps`` >= 0, or
+    ValueError is raised before either implementation runs.  The compiled
+    kernel runs when the library builds, else ``_z_evolve_np``; both give
+    the same bytes (module docstring).
     """
     start_step, n_steps = int(start_step), int(n_steps)
     kappa, dt = float(kappa), float(dt)
+    _check_z_args(z1, z2, alive, absorb_step, streams, start_step, n_steps,
+                  rec_steps, rec_z1, rec_z2)
+    args = (z1, z2, alive, absorb_step, streams, start_step, n_steps, kappa,
+            dt, rec_steps, rec_z1, rec_z2)
+    lib = _hsle_lib()
+    if lib is not None:
+        _z_evolve_c(lib, *args)
+    else:
+        _z_evolve_np(*args)
+
+
+def _check_z_args(z1, z2, alive, absorb_step, streams, start_step, n_steps,
+                  rec_steps, rec_z1, rec_z2) -> None:
+    """Raise ValueError unless the arguments are what both implementations
+    of ``z_evolve`` index (its docstring lists them)."""
+    n, m = (np.shape(a)[0] if np.ndim(a) else 0 for a in (z1, rec_steps))
+    _check_arrays((("z1", z1, np.float64, (n,), True),
+                   ("z2", z2, np.float64, (n,), True),
+                   ("alive", alive, np.bool_, (n,), True),
+                   ("absorb_step", absorb_step, np.int64, (n,), True),
+                   ("streams", streams, np.uint64, (n,), False),
+                   ("rec_steps", rec_steps, np.int64, (m,), False),
+                   ("rec_z1", rec_z1, np.float64, (m, n), True),
+                   ("rec_z2", rec_z2, np.float64, (m, n), True)))
+    if start_step < 0 or n_steps < 0:
+        raise ValueError(f"need start_step >= 0 and n_steps >= 0, got "
+                         f"{start_step} and {n_steps}")
+    if m and (np.any(np.diff(rec_steps) < 0) or rec_steps[0] <= start_step
+              or rec_steps[-1] > start_step + n_steps):
+        raise ValueError(f"rec_steps must be non-decreasing and inside "
+                         f"({start_step}, {start_step + n_steps}]")
+
+
+# The numpy evolution is the fallback without a compiler and the oracle of
+# ``z_block`` in ``_hsle.c``, which repeats ``z_update`` operation by
+# operation (module docstring); an edit to either must be made to both.
+def _z_evolve_np(z1, z2, alive, absorb_step, streams, start_step, n_steps,
+                 kappa, dt, rec_steps, rec_z1, rec_z2) -> None:
     m = rec_steps.shape[0]
     ri = 0
     for s in range(start_step, start_step + n_steps):
@@ -203,6 +269,33 @@ def z_evolve(z1, z2, alive, absorb_step, streams, start_step, n_steps,
             rec_z1[ri, :] = z1
             rec_z2[ri, :] = z2
             ri += 1
+
+
+# path-steps per block of the compiled evolution: its two uniform buffers
+# hold max(_Z_BLOCK, live paths) doubles each (1 MB at this value), so a
+# block of 2000 live paths is 65 steps and one of 10^6 paths a single step
+_Z_BLOCK = 1 << 17
+
+
+def _z_evolve_c(lib, z1, z2, alive, absorb_step, streams, start_step,
+                n_steps, kappa, dt, rec_steps, rec_z1, rec_z2) -> None:
+    n, m = z1.shape[0], rec_steps.shape[0]
+    end = start_step + n_steps
+    n_live = int(np.count_nonzero(alive))
+    buf = np.empty((2, max(min(_Z_BLOCK, n_live * n_steps), n_live)))
+    s, ri = start_step, 0
+    while s < end:
+        live = np.flatnonzero(alive)
+        nb = min(end - s, max(1, _Z_BLOCK // max(live.size, 1)))
+        u0, u1 = buf[:, :nb * live.size]
+        if live.size:
+            lib.z_uniforms(live.size, nb, live, streams, s, u0, u1)
+            # numpy's log, not libm's: the one draw whose bits differ
+            np.log(u0, out=u0)
+        ri = lib.z_block(n, live.size, nb, live, u0, u1, s, kappa, dt, z1,
+                         z2, alive, absorb_step, m, rec_steps, ri, rec_z1,
+                         rec_z2)
+        s += nb
 
 
 # The adaptive kernel is the hot path of every two-curve estimate, and its
@@ -456,13 +549,15 @@ def _build_hsle(cc: str, out_dir: str) -> str:
 
 @functools.cache
 def _hsle_lib():
-    """The compiled library of the adaptive kernel and the backward flow,
-    built and loaded on the first call of the process; None, after one
-    logged warning, without a C compiler or when the build fails."""
+    """The compiled library of the adaptive kernel, the backward flow and
+    the two-angle diffusion, built and loaded on the first call of the
+    process; None, after one logged warning, without a C compiler or when
+    the build fails."""
     cc = shutil.which("cc")
     if cc is None:
         logger.warning("no C compiler (cc) on PATH; the adaptive hSLE "
-                       "kernel and the backward flow run in Python")
+                       "kernel, the backward flow and the two-angle "
+                       "diffusion run in Python/numpy")
         return None
     try:
         try:
@@ -474,8 +569,9 @@ def _hsle_lib():
                 lib = ctypes.CDLL(_build_hsle(cc, tmp))
     except (OSError, subprocess.SubprocessError) as exc:
         detail = getattr(exc, "stderr", None)
-        logger.warning("cannot build %s (%s%s); the adaptive hSLE kernel "
-                       "and the backward flow run in Python", _HSLE_SOURCE,
+        logger.warning("cannot build %s (%s%s); the adaptive hSLE kernel, "
+                       "the backward flow and the two-angle diffusion run "
+                       "in Python/numpy", _HSLE_SOURCE,
                        exc,
                        f": {detail.decode(errors='replace')}" if detail
                        else "")
@@ -497,13 +593,24 @@ def _hsle_lib():
     fn.restype = None
     fn.argtypes = [i8, i8, arr(np.float64), arr(np.int64), f8,
                    arr(np.complex128)]
+    fn = lib.z_uniforms
+    fn.restype = None
+    fn.argtypes = [i8, i8, arr(np.int64), arr(np.uint64), i8,
+                   arr(np.float64), arr(np.float64)]
+    fn = lib.z_block
+    fn.restype = i8
+    fn.argtypes = [i8, i8, i8, arr(np.int64), arr(np.float64),
+                   arr(np.float64), i8, f8, f8, arr(np.float64),
+                   arr(np.float64), arr(np.bool_), arr(np.int64), i8,
+                   arr(np.int64), i8, arr(np.float64), arr(np.float64)]
     return lib
 
 
 def hsle_kernel() -> str:
-    """Name of the library that runs both ``hsle_evolve_adaptive`` and
-    ``backward_flow`` in this process: ``"c"`` or ``"python"`` (numpy for
-    the flow).  Builds the library on first use."""
+    """Name of the library that runs ``hsle_evolve_adaptive``,
+    ``backward_flow`` and ``z_evolve`` in this process: ``"c"`` or
+    ``"python"`` (numpy for the flow and ``z_evolve``).  Builds the library
+    on first use."""
     return "c" if _hsle_lib() is not None else "python"
 
 

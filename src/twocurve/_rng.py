@@ -14,10 +14,13 @@ applied to counter pairs (2k, 2k+1).
 
 This module provides pure-Python integer helpers (used for seed/stream
 derivation and scalar draws) and vectorized numpy routines (used by the
-numpy kernels).  The compiled adaptive kernel ``_hsle.c`` reimplements the
-same integer recurrence, so its uniform deviates equal these bit for bit,
-and so do its normals, which it forms with the same libm calls as the
-Python adaptive kernel.
+numpy kernels).  The compiled kernels of ``_hsle.c`` reimplement the same
+integer recurrence, so their uniform deviates equal these bit for bit.
+The adaptive kernel forms its normals with the same libm calls as the
+Python adaptive kernel; the compiled ``z_evolve`` forms those of
+:func:`normal_pair_array` from numpy's ``np.log`` of its uniforms, taken
+between its two passes, because numpy's vector ``log`` and libm's differ
+in the last bit.
 """
 from __future__ import annotations
 

@@ -445,9 +445,14 @@ def cmd_simulate(cfg: RunConfig, out=sys.stdout) -> int:
         "dt_values": dts,
         "files": ["estimates.csv"],
     }
-    if cfg.method != "z-weighted":
-        # the adaptive hSLE kernel that ran: "c" or "python"
-        meta["hsle_kernel"] = records[0].config["hsle_kernel"]
+    # the library that ran the kernels: "c" or "python"
+    meta["hsle_kernel"] = records[0].config["hsle_kernel"]
+    if cfg.method == "z-weighted":
+        # where each record time's paths went
+        meta["counters"] = [
+            {"t": rec.r_or_t, "dt": rec.dt,
+             "absorbed": rec.config["absorbed"]} for rec in records]
+    else:
         # where each radius's paths went (trivial radii have no counters)
         meta["counters"] = [
             {"r": rec.r_or_t, "dt": rec.dt,

@@ -637,8 +637,11 @@ def estimate_survival_weighted(ctx: KappaContext, z0, t_list,
     z_state = z0 if isinstance(z0, ZState) else ZState(*z0)
     positive = sorted({t for t in ts if t > 0.0})
     records_by_t: dict[float, EstimateRecord] = {}
+    # "hsle_kernel" names the library that ran z_evolve ("c" or "python");
+    # each record adds "absorbed", its paths with weight zero (log -inf)
     base_config = {"z0": [z_state.z1, z_state.z2],
-                   "t_list": ts, "path_start": int(path_start)}
+                   "t_list": ts, "path_start": int(path_start),
+                   "hsle_kernel": _kernels.hsle_kernel()}
 
     if positive:
         ens = simulate_z_ensemble(
@@ -646,6 +649,7 @@ def estimate_survival_weighted(ctx: KappaContext, z0, t_list,
             master_seed=seed, record_times=positive,
             path_start=path_start)
         for ri, t in enumerate(ens.record_times):
+            absorbed = int(np.count_nonzero(ens.log_weight[ri] == -np.inf))
             w = np.exp(ens.log_weight[ri])
             w = np.where(np.isfinite(w), w, 0.0)
             est = float(np.mean(w))
@@ -663,7 +667,8 @@ def estimate_survival_weighted(ctx: KappaContext, z0, t_list,
                 kappa=ctx.kappa, method="survival_weighted",
                 r_or_t=float(t), estimate=est, stderr=se, ess=float(ess),
                 n_paths=int(n_paths), dt=float(dt), seed=int(seed),
-                config=base_config, flags=tuple(flags))
+                config={**base_config, "absorbed": absorbed},
+                flags=tuple(flags))
     out = []
     for t in ts:
         if t == 0.0:
@@ -672,7 +677,8 @@ def estimate_survival_weighted(ctx: KappaContext, z0, t_list,
                 estimate=1.0,
                 stderr=8.0 * float(np.finfo(float).eps),
                 ess=float(n_paths), n_paths=int(n_paths), dt=float(dt),
-                seed=int(seed), config=base_config, flags=()))
+                seed=int(seed), config={**base_config, "absorbed": 0},
+                flags=()))
         else:
             out.append(records_by_t[t])
     return out

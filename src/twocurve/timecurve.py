@@ -23,7 +23,9 @@ law on the survival event, with log-weight
 
 The step itself is ``_kernels.z_update``, the one implementation of the
 update: :func:`simulate_z_ensemble` runs it through ``_kernels.z_evolve``
-and :func:`z_step` applies it to one state with the caller's normals.
+(compiled when the C library builds, with the same bits either way) and
+:func:`z_step` applies it to one state with the caller's normals.  The
+importance weights stay in numpy: they follow ``G_u``'s array bits.
 :func:`z_drift_diffusion` states the SDE's coefficients as a reference for
 tests of the step; no simulation reads it.
 """

@@ -6,12 +6,14 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from twocurve import _kernels, cli, montecarlo as mc
 from twocurve.cli import main
 from twocurve.context import KappaContext
 from twocurve.green import BoundaryConfig
+from twocurve.timecurve import ZState, simulate_z_ensemble
 
 S8 = math.pi / 4.0
 
@@ -83,10 +85,25 @@ def _simulate_meta(tmp_path, method, *args, n_paths=20):
 
 
 def test_simulate_meta_names_the_hsle_kernel(tmp_path):
-    meta = _simulate_meta(tmp_path, "curves")
-    assert meta["hsle_kernel"] == _kernels.hsle_kernel()
-    assert "hsle_kernel" not in _simulate_meta(tmp_path, "z-weighted",
-                                               "--t-list", "0.5")
+    # every method names the library that ran its kernels
+    kernel = _kernels.hsle_kernel()
+    assert _simulate_meta(tmp_path, "curves")["hsle_kernel"] == kernel
+    assert _simulate_meta(tmp_path, "z-weighted",
+                          "--t-list", "0.5")["hsle_kernel"] == kernel
+
+
+def test_simulate_meta_counts_absorbed_paths(tmp_path):
+    # a coarse step from near the corner absorbs paths; the meta counts,
+    # per record time, the ensemble's paths with weight zero
+    args = ["--z0", "0.12,0.12", "--dt", "0.05", "--t-list", "0,0.1,0.25"]
+    meta = _simulate_meta(tmp_path, "z-weighted", *args, n_paths=300)
+    ens = simulate_z_ensemble(KappaContext(6.0), ZState(0.12, 0.12),
+                              t_max=0.25, dt=0.05, n_paths=300,
+                              master_seed=1, record_times=[0.1, 0.25])
+    dead = [int(np.sum(w == -np.inf)) for w in ens.log_weight]
+    assert [(c["t"], c["dt"], c["absorbed"]) for c in meta["counters"]] == [
+        (0.0, 0.05, 0), (0.1, 0.05, dead[0]), (0.25, 0.05, dead[1])]
+    assert 0 < dead[0] <= dead[1] == int(ens.absorbed.sum())
 
 
 @pytest.mark.parametrize("method", ["curves", "intersection"])

@@ -7,11 +7,13 @@ snapshots -- every output bit is compared with a plain per-path loop
 kept here as the reference, and the stop codes of two fixed inputs with
 recorded values.  A small ``bmax`` keeps every run short.  The dispatcher
 runs the compiled kernel where ``cc`` exists; ``TestCompiledKernel``
-compares its bytes and exceptions with the Python kernel's, and
+compares its bytes and exceptions with the Python kernel's,
 ``TestCompiledBackwardFlow`` the compiled backward flow's bytes with the
-numpy flow's.
+numpy flow's, and ``TestCompiledZEvolve`` the compiled two-angle
+evolution's bytes with the numpy one's.
 """
 
+import functools
 import json
 import math
 import os
@@ -550,6 +552,141 @@ class TestCompiledBackwardFlow:
         assert out.exists()
 
 
+Z_OUTPUTS = ("z1", "z2", "alive", "absorb_step", "rec_z1", "rec_z2")
+
+
+def z_run(fn, kappa, z0, dt, start_step, n_steps, rec, seed=5,
+          alive=None, state=None):
+    """Outputs of ``fn`` (``z_evolve`` or ``_z_evolve_np``) evolving the
+    paths from the angle arrays ``z0`` or from the outputs ``state`` of an
+    earlier run; ``alive`` marks the paths alive at entry."""
+    if state is None:
+        n = z0[0].size
+        state = dict(z1=z0[0], z2=z0[1],
+                     alive=np.ones(n, dtype=bool) if alive is None else alive,
+                     absorb_step=np.full(n, -1, dtype=np.int64))
+    out = {k: np.array(state[k]) for k in Z_OUTPUTS[:4]}
+    n = out["z1"].size
+    rec_steps = np.array(rec, dtype=np.int64)
+    out["rec_z1"] = np.full((rec_steps.size, n), np.nan)
+    out["rec_z2"] = np.full((rec_steps.size, n), np.nan)
+    streams = _rng.derive_stream_array(seed, np.arange(n))
+    fn(out["z1"], out["z2"], out["alive"], out["absorb_step"], streams,
+       start_step, n_steps, kappa, dt, rec_steps, out["rec_z1"],
+       out["rec_z2"])
+    return out
+
+
+def assert_z_kernels_agree(kappa, z0, dt, n_steps, rec, **kwargs):
+    """Run the compiled evolution (through the dispatcher) and the numpy
+    one from step 0 and compare every output's bytes."""
+    compiled_lib()
+    c = z_run(_kernels.z_evolve, kappa, z0, dt, 0, n_steps, rec, **kwargs)
+    py = z_run(_kernels._z_evolve_np, kappa, z0, dt, 0, n_steps, rec,
+               **kwargs)
+    for name in Z_OUTPUTS:
+        assert_same_bits(c[name], py[name])
+    return c
+
+
+Z_STARTS = tuple(np.random.default_rng(3).uniform(0.05, math.pi - 0.05,
+                                                   size=(2, 300)))
+
+
+def starts(n, z1, z2):
+    """``n`` paths from the one start (z1, z2)."""
+    return np.full(n, float(z1)), np.full(n, float(z2))
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
+class TestCompiledZEvolve:
+    """The compiled two-angle evolution against ``_z_evolve_np``, byte for
+    byte; ``tests/test_timecurve.py::TestZEvolvePin`` pins both."""
+
+    @pytest.mark.parametrize("kappa", [3.0, 6.0, 7.5])
+    def test_bytes_equal_across_block_edges(self, kappa):
+        # 300 live paths make blocks of nb steps, so 700 steps end inside
+        # the second block; snapshots at the first and last step, at both
+        # sides of the block edge, and twice at one step
+        nb = _kernels._Z_BLOCK // 300
+        assert 700 % nb and 1 < nb < 700 - 1
+        c = assert_z_kernels_agree(kappa, Z_STARTS, 1e-3, 700,
+                                   [1, nb, nb, nb + 1, 700])
+        assert_same_bits(c["rec_z1"][1], c["rec_z1"][2])
+        assert c["alive"].all()
+
+    def test_bytes_equal_when_absorbing_near_the_corner(self):
+        c = assert_z_kernels_agree(6.0, starts(3000, 0.12, 0.12), 0.1, 40,
+                                   [1, 2, 40])
+        dead = ~c["alive"]
+        assert 0 < dead.sum() < 3000
+        # absorbed paths sit on the boundary from their absorption step on
+        assert np.all((c["z1"][dead] == 0.0) | (c["z1"][dead] == math.pi)
+                      | (c["z2"][dead] == 0.0) | (c["z2"][dead] == math.pi))
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_block_length_does_not_move_bits(self, monkeypatch, block):
+        # blocks of 1 or 7 path-steps: one step long, or 2, then 3, then 7
+        # steps long as two of the 3 corner paths die (after steps 5, 49)
+        monkeypatch.setattr(_kernels, "_Z_BLOCK", block)
+        small = assert_z_kernels_agree(6.0, starts(3, 0.12, 0.12), 0.1,
+                                       60, [1, 2, 3, 30, 60], seed=2)
+        assert sorted(small["absorb_step"]) == [-1, 5, 49]
+        assert_z_kernels_agree(6.0, Z_STARTS, 1e-3, 50, [1, 7, 7, 8, 50])
+
+    def test_split_at_a_step_reproduces_the_whole_run(self):
+        compiled_lib()
+        z0 = starts(300, 0.12, 0.12)
+        whole = z_run(_kernels.z_evolve, 6.0, z0, 0.1, 0, 30, [12, 30])
+        first = z_run(_kernels.z_evolve, 6.0, z0, 0.1, 0, 12, [12])
+        second = z_run(_kernels.z_evolve, 6.0, None, 0.1, 12, 18, [30],
+                       state=first)
+        second_np = z_run(_kernels._z_evolve_np, 6.0, None, 0.1, 12, 18,
+                          [30], state=first)
+        for name in Z_OUTPUTS:
+            assert_same_bits(second[name], second_np[name])
+        for name in Z_OUTPUTS[:4]:
+            assert_same_bits(second[name], whole[name])
+        assert_same_bits(first["rec_z1"][0], whole["rec_z1"][0])
+        assert_same_bits(second["rec_z2"][0], whole["rec_z2"][1])
+        steps = whole["absorb_step"]
+        assert np.any((steps > 0) & (steps <= 12)) and np.any(steps > 12)
+
+    def test_paths_dead_at_entry_are_snapshotted_unchanged(self):
+        dead = np.zeros(300, dtype=bool)
+        c = assert_z_kernels_agree(6.0, Z_STARTS, 1e-3, 20, [1, 20],
+                                   alive=dead)
+        for rec in (c["rec_z1"], c["rec_z2"]):
+            assert_same_bits(rec[0], rec[1])
+        assert_same_bits(c["z1"], Z_STARTS[0])
+        assert (c["absorb_step"] == -1).all()
+        some = np.arange(300) % 3 > 0
+        c = assert_z_kernels_agree(6.0, Z_STARTS, 1e-3, 20, [20], alive=some)
+        assert_same_bits(c["z1"][~some], Z_STARTS[0][~some])
+        assert_same_bits(c["rec_z1"][0], c["z1"])
+
+    def test_buffer_is_bounded_by_path_steps(self):
+        lib = compiled_lib()
+        sizes = []
+
+        class Spy:
+            def __getattr__(self, name):
+                return getattr(lib, name)
+
+            def z_uniforms(self, n_live, nb, *args):
+                sizes.append((n_live, nb))
+                lib.z_uniforms(n_live, nb, *args)
+
+        for n, n_steps in ((2000, 300), (300000, 2)):
+            out = z_run(functools.partial(_kernels._z_evolve_c, Spy()), 6.0,
+                        starts(n, 1.0, 2.0), 1e-3, 0, n_steps, [n_steps])
+            assert out["alive"].all()
+        bound = _kernels._Z_BLOCK
+        assert sizes[0] == (2000, bound // 2000)
+        assert all(n_live * nb <= max(bound, n_live) for n_live, nb in sizes)
+        assert sizes[-2:] == [(300000, 1), (300000, 1)]
+
+
 def test_build_flags_keep_roundings_separate():
     # the compiled kernels' bits assume no contraction beyond their explicit
     # fma() calls; on x86-64, whose baseline has no FMA instruction,
@@ -564,7 +701,7 @@ def test_build_flags_keep_roundings_separate():
 class TestWithoutCompiler:
     @needs_fused_numpy
     def test_numpy_flow_runs_after_one_warning(self, tmp_path):
-        # with no cc on PATH, both kernels fall back after one warning and
+        # with no cc on PATH, all kernels fall back after one warning and
         # the numpy flow writes the compiled flow's bytes
         np.save(tmp_path / "drivers.npy", FLOW_DRIVERS)
         np.save(tmp_path / "lengths.npy", FLOW_LENGTHS)
@@ -587,6 +724,48 @@ class TestWithoutCompiler:
         assert lines[0] == "python"
         assert [tuple(line.split()) for line in lines[1:4]] == FLOW_PINNED
         assert out.stderr.count("no C compiler") == 1
+
+    def test_numpy_z_evolve_runs_after_one_warning(self, tmp_path):
+        # with no cc on PATH, z_evolve runs _z_evolve_np after the one
+        # warning, and the k6 case of TestZEvolvePin, split after step 100,
+        # writes its pinned bytes
+        code = (
+            "import hashlib, numpy as np, twocurve._kernels as k\n"
+            "from twocurve import _rng\n"
+            "n = 64\n"
+            "streams = _rng.derive_stream_array(41, np.arange(n))\n"
+            "z1, z2 = np.full(n, 1.2), np.full(n, 1.9)\n"
+            "alive = np.ones(n, dtype=bool)\n"
+            "absorb = np.full(n, -1, dtype=np.int64)\n"
+            "rec = np.array([100, 300], dtype=np.int64)\n"
+            "r1, r2 = np.empty((2, n)), np.empty((2, n))\n"
+            "k.z_evolve(z1, z2, alive, absorb, streams, 0, 100, 6.0, 1e-3,\n"
+            "           rec[:1], r1[:1], r2[:1])\n"
+            "k.z_evolve(z1, z2, alive, absorb, streams, 100, 200, 6.0,\n"
+            "           1e-3, rec[1:], r1[1:], r2[1:])\n"
+            "print(k.hsle_kernel())\n"
+            "h = hashlib.sha256()\n"
+            "for a in (z1, z2, absorb, r1, r2):\n"
+            "    h.update(a.tobytes())\n"
+            "print(h.hexdigest())\n")
+        src = os.path.dirname(os.path.dirname(_kernels.__file__))
+        env = dict(os.environ, PATH=str(tmp_path), PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, timeout=120,
+                             env=env)
+        assert out.stdout.split() == [
+            "python", "13c4e5b20ffdb50c27a1d8cb6d240bd8"
+                      "7269fd12950f4c9789266543b608053c"]
+        warning, = out.stderr.splitlines()
+        assert "no C compiler" in warning
+        assert "two-angle diffusion" in warning
+
+
+def read_only(a):
+    a = a.copy()
+    a.flags.writeable = False
+    return a
 
 
 class TestDispatcherArguments:
@@ -634,6 +813,51 @@ class TestDispatcherArguments:
         with pytest.raises(ValueError, match=name):
             _kernels.backward_flow(args["drivers"], args["lengths"], 1e-3,
                                    args["y"])
+
+    @pytest.mark.parametrize("name, bad", [
+        ("rec_z1", lambda a: np.asfortranarray(a)),
+        ("z1", lambda a: np.repeat(a, 2)[::2]),
+        ("z2", lambda a: a.astype(np.float32)),
+        ("alive", lambda a: a.astype(np.uint8)),
+        ("absorb_step", lambda a: a.astype(np.int32)),
+        ("streams", lambda a: a.astype(np.int64)),
+        ("rec_steps", lambda a: a.astype(np.int32)),
+        ("z2", lambda a: a[:-1].copy()),
+        ("streams", lambda a: a[:-1].copy()),
+        ("rec_z2", lambda a: a[:, :-1].copy()),
+        ("rec_z1", lambda a: a[:1].copy()),
+        ("z2", lambda a: read_only(a)),
+        ("alive", lambda a: read_only(a)),
+        ("absorb_step", lambda a: read_only(a)),
+        ("rec_z2", lambda a: read_only(a)),
+        ("rec_steps", lambda a: a[::-1].copy()),
+        ("rec_steps", lambda a: a - 1),
+        ("rec_steps", lambda a: a + 1),
+    ])
+    def test_z_evolve_rejects_bad_arrays(self, name, bad):
+        # 3 paths, 4 steps from step 2, snapshots after steps 3 and 6
+        n = 3
+        args = dict(z1=np.full(n, 1.0), z2=np.full(n, 2.0),
+                    alive=np.ones(n, dtype=bool),
+                    absorb_step=np.full(n, -1, dtype=np.int64),
+                    streams=np.arange(n, dtype=np.uint64),
+                    rec_steps=np.array([3, 6], dtype=np.int64),
+                    rec_z1=np.zeros((2, n)), rec_z2=np.zeros((2, n)))
+        args[name] = bad(args[name])
+        with pytest.raises(ValueError, match=name):
+            _kernels.z_evolve(args["z1"], args["z2"], args["alive"],
+                              args["absorb_step"], args["streams"], 2, 4,
+                              6.0, DT, args["rec_steps"], args["rec_z1"],
+                              args["rec_z2"])
+
+    @pytest.mark.parametrize("start, n_steps", [(-1, 2), (0, -1)])
+    def test_z_evolve_rejects_negative_steps(self, start, n_steps):
+        with pytest.raises(ValueError, match="start_step"):
+            _kernels.z_evolve(np.ones(1), np.ones(1), np.ones(1, dtype=bool),
+                              np.full(1, -1, dtype=np.int64),
+                              np.zeros(1, dtype=np.uint64), start, n_steps,
+                              6.0, DT, np.zeros(0, dtype=np.int64),
+                              np.zeros((0, 1)), np.zeros((0, 1)))
 
     def test_import_compiles_nothing(self):
         # the library is built by the first kernel call, not at import
