@@ -19,6 +19,9 @@
  * transcendental whose bits differ from libm, the log of Box-Muller, stays
  * in numpy between the two passes.
  *
+ * No function keeps state outside its arguments, so _kernels runs
+ * concurrent calls on disjoint row (path) ranges from its thread pool.
+ *
  * All three hold only for the build flags in _kernels._CFLAGS:
  * -ffp-contract=off keeps every other a*b + c as two roundings, and
  * neither -ffast-math nor -march=native (nor -mfma) may be added.
@@ -361,10 +364,14 @@ void z_uniforms(int64_t n_live, int64_t nb, const int64_t *live,
 
 /* the steps of _z_evolve_np, given log_u0 = np.log(u0) and u1 from
  * z_uniforms: Box-Muller, _kernels.z_update, the clamp (np.clip keeps
- * -0.0 and NaN), absorption, and the snapshots of all n paths at the
- * record steps rec_steps[ri], ... equal to a step's end; returns the
- * next unwritten record index */
+ * -0.0 and NaN), absorption, and the snapshots at the record steps
+ * rec_steps[ri], ... equal to a step's end; returns the next unwritten
+ * record index.  A call steps the live entries i0 <= i < i1 and snapshots
+ * the paths p0 <= p < p1 of the n paths, dead ones included; calls on
+ * disjoint path ranges, each with the live entries inside its range,
+ * write disjoint elements and may run concurrently */
 int64_t z_block(int64_t n, int64_t n_live, int64_t nb, const int64_t *live,
+                int64_t i0, int64_t i1, int64_t p0, int64_t p1,
                 const double *log_u0, const double *u1, int64_t s0,
                 double kappa, double dt, double *z1, double *z2,
                 uint8_t *alive, int64_t *absorb_step, int64_t m,
@@ -376,7 +383,7 @@ int64_t z_block(int64_t n, int64_t n_live, int64_t nb, const int64_t *live,
 
     for (j = 0; j < nb; j++) {
         const int64_t s = s0 + j;
-        for (i = 0; i < n_live; i++) {
+        for (i = i0; i < i1; i++) {
             const int64_t e = j * n_live + i;
             double r, ang, g1, g2, a, b, sa, sb, ca, cb, S, mil, an, bn;
 
@@ -409,7 +416,7 @@ int64_t z_block(int64_t n, int64_t n_live, int64_t nb, const int64_t *live,
             z2[p] = bn > PI ? PI : bn;
         }
         for (; ri < m && rec_steps[ri] == s + 1; ri++)
-            for (p = 0; p < n; p++) {
+            for (p = p0; p < p1; p++) {
                 rec_z1[ri * n + p] = z1[p];
                 rec_z2[ri * n + p] = z2[p];
             }

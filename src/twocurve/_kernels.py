@@ -76,6 +76,34 @@ draw from the counter-based streams of :mod:`._rng` indexed by the
 absolute step, so skipped draws (dead paths) cost nothing and runs can be
 resumed at any step boundary.
 
+Threads
+-------
+Each compiled call runs on fixed spans of ``_ROW_BLOCK`` rows (paths),
+spread over the calling thread and one lazily created pool of
+``_n_workers() - 1`` threads (the CPUs of ``os.sched_getaffinity``, at
+most ``_MAX_WORKERS``); ``ctypes`` releases the GIL for each foreign
+call.  The bits cannot move: every row's outputs depend on its own inputs
+and stream only (``tests/test_kernels.py::TestBatchInvariance``), every
+span writes only its own rows, and every aggregate the callers form is an
+integer sum, so the bytes are the same at any worker count
+(``tests/test_cli.py`` compares ``estimates.csv`` under 1 and 2 workers).
+The split depends on the row count alone, so a split adaptive call raises
+the error of its lowest failing row, as a single call does.  The adaptive
+kernel and the flow pass C-order row slices straight to the library.
+``z_evolve`` keeps its uniform fill and ``np.log`` as one pass per block
+of steps in the calling thread, so the workers share the one uniform
+buffer bounded by ``_Z_BLOCK``; only ``z_block`` is split, each span
+stepping the live paths of one path range and snapshotting all paths of
+it, dead ones included, so no two spans write the same element.  Its
+spans are ``_ROW_BLOCK`` groups of paths, a group being as many paths as
+keep a block at ``_Z_SPANS`` spans or fewer (one path up to 2048 paths),
+because a block holds only ``_Z_BLOCK`` path-steps in all.  A call
+of at most ``_ROW_BLOCK`` rows is a single span: it runs inline and
+never starts the pool.  The workers call only the C library, never the
+public functions of this module, which ``benchmarks/layers.py`` wraps
+with a span stack that is not thread-safe.  The Python/numpy fallbacks
+hold the GIL and stay serial.
+
 Kernels
 -------
 ``z_evolve`` (update: ``z_update``)
@@ -135,6 +163,7 @@ Kernels
 """
 from __future__ import annotations
 
+import collections
 import ctypes
 import functools
 import hashlib
@@ -275,6 +304,10 @@ def _z_evolve_np(z1, z2, alive, absorb_step, streams, start_step, n_steps,
 # hold max(_Z_BLOCK, live paths) doubles each (1 MB at this value), so a
 # block of 2000 live paths is 65 steps and one of 10^6 paths a single step
 _Z_BLOCK = 1 << 17
+# most spans of _run_spans per block: a block holds about _Z_BLOCK
+# path-steps, so a span keeps about 2000 of them at any path count (a span
+# costs ~10 us of Python, ~100 path-steps)
+_Z_SPANS = 64
 
 
 def _z_evolve_c(lib, z1, z2, alive, absorb_step, streams, start_step,
@@ -283,6 +316,12 @@ def _z_evolve_c(lib, z1, z2, alive, absorb_step, streams, start_step,
     end = start_step + n_steps
     n_live = int(np.count_nonzero(alive))
     buf = np.empty((2, max(min(_Z_BLOCK, n_live * n_steps), n_live)))
+    # z_block takes addresses (see _hsle_lib)
+    addr = [a.ctypes.data for a in (z1, z2, alive, absorb_step, rec_steps,
+                                    rec_z1, rec_z2)]
+    # the rows of _run_spans are groups of g paths, so that a block has
+    # at most _Z_SPANS spans
+    g = max(1, -(-n // (_Z_SPANS * _ROW_BLOCK)))
     s, ri = start_step, 0
     while s < end:
         live = np.flatnonzero(alive)
@@ -292,9 +331,19 @@ def _z_evolve_c(lib, z1, z2, alive, absorb_step, streams, start_step,
             lib.z_uniforms(live.size, nb, live, streams, s, u0, u1)
             # numpy's log, not libm's: the one draw whose bits differ
             np.log(u0, out=u0)
-        ri = lib.z_block(n, live.size, nb, live, u0, u1, s, kappa, dt, z1,
-                         z2, alive, absorb_step, m, rec_steps, ri, rec_z1,
-                         rec_z2)
+
+        live_u = [a.ctypes.data for a in (live, u0, u1)]
+
+        # the span of paths [lo g, hi g) steps the live entries among
+        # them and snapshots all of them
+        def span(lo, hi):
+            lo, hi = lo * g, min(hi * g, n)
+            i0, i1 = np.searchsorted(live, (lo, hi)).tolist()
+            return lib.z_block(n, live.size, nb, live_u[0], i0, i1, lo, hi,
+                               *live_u[1:], s, kappa, dt, *addr[:4], m,
+                               addr[4], ri, *addr[5:])
+
+        ri = _run_spans(span, -(-n // g))[0]
         s += nb
 
 
@@ -597,12 +646,15 @@ def _hsle_lib():
     fn.restype = None
     fn.argtypes = [i8, i8, arr(np.int64), arr(np.uint64), i8,
                    arr(np.float64), arr(np.float64)]
+    # z_block runs once per span and block of steps, thousands of times a
+    # call, so it takes the addresses of arrays z_evolve has checked:
+    # converting its nine arrays through ndpointer costs ~45 us a call,
+    # its addresses ~3 us
+    ptr = ctypes.c_void_p
     fn = lib.z_block
     fn.restype = i8
-    fn.argtypes = [i8, i8, i8, arr(np.int64), arr(np.float64),
-                   arr(np.float64), i8, f8, f8, arr(np.float64),
-                   arr(np.float64), arr(np.bool_), arr(np.int64), i8,
-                   arr(np.int64), i8, arr(np.float64), arr(np.float64)]
+    fn.argtypes = [i8, i8, i8, ptr, i8, i8, i8, i8, ptr, ptr, i8, f8, f8,
+                   ptr, ptr, ptr, ptr, i8, ptr, i8, ptr, ptr]
     return lib
 
 
@@ -614,21 +666,97 @@ def hsle_kernel() -> str:
     return "c" if _hsle_lib() is not None else "python"
 
 
+# rows (paths) per span of a split compiled call; the split depends on the
+# row count only, never on the number of workers (module docstring)
+_ROW_BLOCK = 32
+# most threads of the kernel pool
+_MAX_WORKERS = 4
+
+
+@functools.cache
+def _n_workers() -> int:
+    """Threads that run the spans of a compiled call: the CPUs this process
+    may run on, at most ``_MAX_WORKERS``."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, min(_MAX_WORKERS, cpus))
+
+
+@functools.cache
+def _pool(threads: int):
+    """The kernel pool of ``threads`` helper threads, created by the first
+    call split over more than one worker, never at import (nor is its
+    module imported then)."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(threads, thread_name_prefix="twocurve-kernel")
+
+
+def _run_spans(fn, n: int) -> list:
+    """Results of ``fn(lo, hi)`` over the spans [0, B), [B, 2B), ... of
+    ``range(n)`` (one empty span if ``n`` is 0), B = ``_ROW_BLOCK``, in span
+    order.  The calling thread and up to ``_n_workers() - 1`` pool threads
+    take the spans in order from one queue, so a call with a single span
+    runs inline and never touches the pool.  ``fn`` must call only the C
+    library (module docstring)."""
+    block = _ROW_BLOCK
+    los = range(0, max(n, 1), block)
+    out = [None] * len(los)
+    todo = collections.deque(range(len(los)))  # popleft is thread-safe
+
+    def drain():
+        while True:
+            try:
+                i = todo.popleft()
+            except IndexError:
+                return
+            out[i] = fn(los[i], min(los[i] + block, n))
+
+    workers = min(_n_workers(), len(los))
+    helpers = [_pool(_n_workers() - 1).submit(drain)
+               for _ in range(workers - 1)]
+    try:
+        drain()
+    finally:
+        # after an exception here the helpers stop at their next span;
+        # none may still write when the call returns
+        todo.clear()
+        for f in helpers:
+            f.exception()
+    for f in helpers:
+        f.result()
+    return out
+
+
+def kernel_workers() -> int:
+    """Threads that run the kernels in this process: ``_n_workers()``
+    (the calling thread and the pool's) when the library builds, 1 for
+    the serial Python/numpy fallbacks."""
+    return _n_workers() if _hsle_lib() is not None else 1
+
+
 def _hsle_evolve_adaptive_c(lib, state, streams, start_macro, max_macros,
                             kappa, dt, thr_macros, eps_kill, eps_ret, kres,
                             bmax, gt_vals, gt_du, gt_umax, snap, reached,
                             status, death_units) -> None:
     consts = _adaptive_constants(kappa, dt, eps_kill, eps_ret, kres, bmax,
                                  gt_vals)
-    err_row = ctypes.c_int64(-1)
-    code = lib.hsle_evolve_adaptive(
-        state.shape[0], thr_macros.shape[0], gt_vals.shape[0], state,
-        streams, start_macro, max_macros, kappa, thr_macros, eps_kill,
-        eps_ret, bmax, gt_vals, gt_du, gt_umax, *consts, snap, reached,
-        status, death_units, ctypes.byref(err_row))
-    if code:
-        exc, message = _HSLE_ERRORS[code]
-        raise exc(f"{message} (adaptive hSLE kernel, row {err_row.value})")
+    k, nt = thr_macros.shape[0], gt_vals.shape[0]
+
+    def span(lo, hi):
+        err_row = ctypes.c_int64(-1)
+        code = lib.hsle_evolve_adaptive(
+            hi - lo, k, nt, state[lo:hi], streams[lo:hi], start_macro,
+            max_macros, kappa, thr_macros, eps_kill, eps_ret, bmax, gt_vals,
+            gt_du, gt_umax, *consts, snap[lo:hi], reached[lo:hi],
+            status[lo:hi], death_units[lo:hi], ctypes.byref(err_row))
+        return code, lo + err_row.value
+
+    # the first failing span holds the lowest failing row, as in a
+    # single call
+    for code, row in _run_spans(span, state.shape[0]):
+        if code:
+            exc, message = _HSLE_ERRORS[code]
+            raise exc(f"{message} (adaptive hSLE kernel, row {row})")
 
 
 def hsle_evolve_adaptive(state, streams, start_macro, max_macros, kappa, dt,
@@ -689,7 +817,9 @@ def hsle_evolve_adaptive(state, streams, start_macro, max_macros, kappa, dt,
     ``death_units`` int64[n], writeable.  ``bmax`` >= 1 and
     ``start_macro`` >= 0.  The compiled kernel runs when it builds, else
     ``_hsle_evolve_adaptive_np``; both give the same bytes and raise the
-    same exceptions (module docstring).
+    same exceptions (module docstring): the one of the lowest failing row,
+    whose number the compiled kernel's message names.  The outputs of the
+    rows past that row are unspecified after an exception.
     """
     start_macro, max_macros = int(start_macro), int(max_macros)
     bmax = int(bmax)
@@ -770,11 +900,16 @@ def backward_flow(drivers, lengths, du, y) -> None:
                    ("lengths", lengths, np.int64, (n,), False),
                    ("y", y, np.complex128, (n,), True)))
     lib = _hsle_lib()
-    if lib is not None:
-        lib.backward_flow(*drivers.shape, drivers, lengths,
-                          math.exp(float(du)), y)
-    else:
+    if lib is None:
         _backward_flow_np(drivers, lengths, du, y)
+        return
+    exp_du = math.exp(float(du))
+
+    def span(lo, hi):
+        lib.backward_flow(hi - lo, w, drivers[lo:hi], lengths[lo:hi], exp_du,
+                          y[lo:hi])
+
+    _run_spans(span, n)
 
 
 # The numpy flow is the fallback without a compiler and the oracle of the C

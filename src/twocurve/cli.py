@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from . import checks as checks_mod
 from . import density as dens
 from . import montecarlo as mc
@@ -323,20 +324,26 @@ def cmd_density(cfg: RunConfig, out=sys.stdout) -> int:
             wr.writerow((SCHEMA_VERSION, _float_str(a), _float_str(b),
                          _float_str(v)))
 
-    # survival curve over requested times plus the slope-fit window
+    # survival curve over requested times plus the slope-fit window; a
+    # requested time whose series does not converge (the survival series
+    # truncates like the pz_t one) gets nan instead of mode integrals
+    # filled up to the level cap for a value that would be unreliable
     lo, hi = cfg.fit_window
     fit_ts = list(np.linspace(lo, hi, 17))
     all_ts = sorted(set(float(t) for t in cfg.t_list) | set(fit_ts))
+    skipped = {r["t"]: r for r in pt_truncation
+               if not r["converged"] and r["t"] not in fit_ts}
     surv = {t: dens.survival_P2(ctx, basis, z0, t, detail=True)
-            for t in all_ts}
-    surv_truncation = [truncation(t, surv[t]) for t in all_ts]
+            for t in all_ts if t not in skipped}
+    surv_truncation = [skipped[t] if t in skipped else truncation(t, surv[t])
+                       for t in all_ts]
     surv_path = os.path.join(cfg.out_dir, "survival.csv")
     with open(surv_path, "w", newline="", encoding="utf-8") as fh:
         wr = csv.writer(fh)
         wr.writerow(("schema_version", "t", "survival"))
         for t in all_ts:
             wr.writerow((SCHEMA_VERSION, _float_str(t),
-                         _float_str(surv[t].value)))
+                         _float_str(surv[t].value if t in surv else math.nan)))
 
     # least-squares slope of log survival on the fit window
     ts = np.array(fit_ts)
@@ -362,9 +369,11 @@ def cmd_density(cfg: RunConfig, out=sys.stdout) -> int:
     unconverged = {r["t"]: r for r in pt_truncation + surv_truncation
                    if not r["converged"]}
     for t, r in sorted(unconverged.items()):
+        note = ", so its survival was not computed (nan)" if t in skipped \
+            else ""
         out.write(f"warning: t={t:g}: series not converged at level "
                   f"{r['n_used']} (tail bound {r['tail_bound']:.3g}); its "
-                  f"pz_t and survival values are unreliable\n")
+                  f"pz_t and survival values are unreliable{note}\n")
     out.write(f"survival slope {slope:.6f} (decay exponent target "
               f"{-ctx.alpha0:.6f}); Z = {meta['Z_constant']:.8f}\n")
     return 0
@@ -445,19 +454,27 @@ def cmd_simulate(cfg: RunConfig, out=sys.stdout) -> int:
         "dt_values": dts,
         "files": ["estimates.csv"],
     }
-    # the library that ran the kernels: "c" or "python"
+    # the library that ran the kernels, "c" or "python", and its threads
     meta["hsle_kernel"] = records[0].config["hsle_kernel"]
+    meta["kernel_workers"] = _kernels.kernel_workers()
     if cfg.method == "z-weighted":
         # where each record time's paths went
         meta["counters"] = [
             {"t": rec.r_or_t, "dt": rec.dt,
              "absorbed": rec.config["absorbed"]} for rec in records]
     else:
-        # where each radius's paths went (trivial radii have no counters)
+        # where each radius's paths went (trivial radii have no counters),
+        # with the stop statuses of its second curves, and where each
+        # run's first curves stopped
+        hit_records = [rec for rec in records if "certified" in rec.config]
         meta["counters"] = [
             {"r": rec.r_or_t, "dt": rec.dt,
-             **{k: rec.config[k] for k in mc.HIT_COUNTERS if k in rec.config}}
-            for rec in records if "certified" in rec.config]
+             **{k: rec.config[k] for k in (*mc.HIT_COUNTERS, "status_b")
+                if k in rec.config}}
+            for rec in hit_records]
+        meta["status_a"] = [
+            {"dt": dt, "counts": counts} for dt, counts in
+            {rec.dt: rec.config["status_a"] for rec in hit_records}.items()]
     _write_json(os.path.join(cfg.out_dir, "estimates_meta.json"), meta)
     for rec in records:
         out.write(f"{rec.method} r_or_t={rec.r_or_t:g} dt={rec.dt:g} "

@@ -247,6 +247,8 @@ _COARSE_FRACTIONS = (0.08, 0.2, 0.35, 0.5, 0.65, 0.8, 0.92, 1.0)
 # Per-radius counters of a two-stage run (the last two: intersection only)
 HIT_COUNTERS = ("certified", "hit_swallow", "hit_alive", "hit_probe", "band",
                 "excluded", "two_curve_hits", "meet")
+# stop statuses of the adaptive kernel, 0-4 (its dispatcher docstring)
+_N_STATUS = 5
 
 
 def _batched_pullback(seq: np.ndarray, paths, lens, du: float, eps_in: float,
@@ -346,7 +348,12 @@ def _two_stage_run(ctx: KappaContext, cfg: BoundaryConfig, r_list,
     polyline, meeting point within r).  Every probe of both rules is a
     (path, length) row of one composed driver matrix per radius, ``seq``:
     w1, the first curve's snapshots 0..ti, the second curve's entry
-    driver, then its snapshots.
+    driver, then its snapshots.  Each radius also gets ``status_b``, the
+    kernel stop-status histogram (statuses 0-4) of its second curves.
+
+    Returns (agg, thr_m, status_a): the counters per radius, the macro
+    step of each radius's snapshot, and the stop-status histogram of
+    every first curve.
     """
     kappa = ctx.kappa
     umax, gt_vals, gt_du = _gt_table(ctx)
@@ -363,7 +370,9 @@ def _two_stage_run(ctx: KappaContext, cfg: BoundaryConfig, r_list,
     cap_b = int(round(params["cap_b"] / dt / stride)) * stride
     grid_b = np.arange(stride, cap_b + 1, stride, dtype=np.int64)
     row0 = _fresh_tuple(cfg, 1)
-    agg = {r: dict.fromkeys(HIT_COUNTERS, 0) for r in rs}
+    agg = {r: {**dict.fromkeys(HIT_COUNTERS, 0),
+               "status_b": np.zeros(_N_STATUS, dtype=np.int64)} for r in rs}
+    status_hist_a = np.zeros(_N_STATUS, dtype=np.int64)
     chunk = int(params.get("chunk_paths", 4000))
 
     for c0 in range(0, n_paths, chunk):
@@ -381,6 +390,7 @@ def _two_stage_run(ctx: KappaContext, cfg: BoundaryConfig, r_list,
             umax, snap_a, reached_a, status_a, death_a,
             eps_kill=params["eps_kill"], eps_ret=params["eps_ret"],
             kres=params["kres"], bmax=bmax)
+        status_hist_a += np.bincount(status_a, minlength=_N_STATUS)
 
         for r in rs:
             ti = int(np.searchsorted(grid, thr_m[r]))
@@ -406,6 +416,7 @@ def _two_stage_run(ctx: KappaContext, cfg: BoundaryConfig, r_list,
                 gt_du, umax, snap_b, reached_b, status_b, death_b,
                 eps_kill=params["eps_kill"], eps_ret=params["eps_ret"],
                 kres=params["kres"], bmax=bmax)
+            agg[r]["status_b"] += np.bincount(status_b, minlength=_N_STATUS)
             life_b = np.where(death_b < 0, float(cap_b) * bmax,
                               death_b.astype(float)) * (dt / bmax)
             swallow_hit = ((status_b == 3)
@@ -435,7 +446,7 @@ def _two_stage_run(ctx: KappaContext, cfg: BoundaryConfig, r_list,
             if collect_meet:
                 agg[r]["meet"] += _count_meets(seq, hits, pts, r, ti,
                                                du_probe, eps_in)
-    return agg, thr_m
+    return agg, thr_m, status_hist_a.tolist()
 
 
 def _count_meets(seq, hits, pts, r, ti, du, eps_in) -> int:
@@ -458,16 +469,16 @@ def _count_meets(seq, hits, pts, r, ti, du, eps_in) -> int:
     return meet
 
 
-def _hit_records(ctx, method, agg, thr_m, n_paths, dt, seed, base_config,
-                 flags=()) -> list:
+def _hit_records(ctx, method, agg, thr_m, status_a, n_paths, dt, seed,
+                 base_config, flags=()) -> list:
     """One binomial record per radius of a two-stage run, with the
-    certificate-band and exclusion systematics and the radius's counters
-    in its config."""
+    certificate-band and exclusion systematics, the radius's counters and
+    the run's first-curve stop-status histogram in its config."""
     records = []
     for r, a in sorted(agg.items()):
         meet = method == "intersection_hit"
         hits = a["meet" if meet else "two_curve_hits"]
-        counters = a if meet else {k: a[k] for k in HIT_COUNTERS[:-2]}
+        counters = {k: a[k] for k in HIT_COUNTERS[:None if meet else -2]}
         p_hat = hits / n_paths
         rec_flags = list(flags)
         if a["certified"] == 0:
@@ -490,7 +501,9 @@ def _hit_records(ctx, method, agg, thr_m, n_paths, dt, seed, base_config,
             ess=float(n_paths), n_paths=int(n_paths), dt=float(dt),
             seed=int(seed), config={**base_config,
                                     "stop_capacity": thr_m[r] * dt,
-                                    **counters},
+                                    **counters,
+                                    "status_b": a["status_b"].tolist(),
+                                    "status_a": status_a},
             flags=tuple(rec_flags)))
     return records
 
@@ -561,11 +574,11 @@ def estimate_two_curve_hit(ctx: KappaContext, cfg: BoundaryConfig, r_list,
         cfg, r_list, n_paths, dt, path_start, overrides)
     records = []
     if rs:
-        agg, thr_m = _two_stage_run(
+        agg, thr_m, status_a = _two_stage_run(
             ctx, cfg, rs, n_paths, dt, seed, path_start, params,
             collect_meet=False)
-        records = _hit_records(ctx, "two_curve_hit", agg, thr_m, n_paths,
-                               dt, seed, base_config)
+        records = _hit_records(ctx, "two_curve_hit", agg, thr_m, status_a,
+                               n_paths, dt, seed, base_config)
     for r in trivial:
         records.append(EstimateRecord(
             kappa=ctx.kappa, method="two_curve_hit", r_or_t=float(r),
@@ -602,11 +615,12 @@ def estimate_intersection_hit(ctx: KappaContext, cfg: BoundaryConfig,
         cfg, r_list, n_paths, dt, path_start, overrides)
     if trivial:
         raise ValueError("intersection estimator supports r < 1/4 only")
-    agg, thr_m = _two_stage_run(
+    agg, thr_m, status_a = _two_stage_run(
         ctx, cfg, rs, n_paths, dt, seed, path_start, params,
         collect_meet=True)
-    return _hit_records(ctx, "intersection_hit", agg, thr_m, n_paths, dt,
-                        seed, base_config, flags=("surrogate_meet_rule",))
+    return _hit_records(ctx, "intersection_hit", agg, thr_m, status_a,
+                        n_paths, dt, seed, base_config,
+                        flags=("surrogate_meet_rule",))
 
 
 # ---------------------------------------------------------------------------

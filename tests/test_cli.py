@@ -92,6 +92,62 @@ def test_simulate_meta_names_the_hsle_kernel(tmp_path):
                           "--t-list", "0.5")["hsle_kernel"] == kernel
 
 
+WORKER_RUNS = [
+    ("curves", ["--kappa", "6", "--n-paths", "100"]),
+    ("intersection", ["--kappa", "7.5", "--n-paths", "20"]),
+    ("intersection", ["--kappa", "7.5", "--n-paths", "200"]),
+    ("z-weighted", ["--kappa", "6", "--n-paths", "300", "--t-list",
+                    "0.5,1"]),
+]
+
+
+@pytest.mark.parametrize("method, args", WORKER_RUNS,
+                         ids=["curves_k6", "intersection_k7.5_20",
+                              "intersection_k7.5_200", "z_weighted_k6"])
+def test_simulate_bytes_do_not_depend_on_kernel_workers(tmp_path,
+                                                        monkeypatch, method,
+                                                        args):
+    # the compiled kernels split a call over 1 or 2 threads: estimates.csv
+    # and the meta (stop-status histograms included) are the same bytes,
+    # except for the worker count itself
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(_kernels, "_n_workers", lambda w=workers: w)
+        out_dir = tmp_path / str(workers)
+        assert main(["simulate", "--method", method, "--master-seed", "41",
+                     *args, "--out-dir", str(out_dir)]) == 0
+        with open(out_dir / "estimates_meta.json", encoding="utf-8") as fh:
+            meta = json.load(fh)
+        compiled = meta["hsle_kernel"] == "c"
+        assert meta.pop("kernel_workers") == (workers if compiled else 1)
+        del meta["config"]["out_dir"]
+        runs.append(((out_dir / "estimates.csv").read_bytes(), meta))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("method", ["curves", "intersection"])
+def test_simulate_meta_status_histograms_sum_to_rows(tmp_path, method):
+    # the first curves' stop statuses (0-4) count every path once per run;
+    # a radius's second-curve statuses count its certified paths
+    meta = _simulate_meta(tmp_path, method, "--dt-halving", n_paths=60)
+    assert [a["dt"] for a in meta["status_a"]] == meta["dt_values"]
+    for run in meta["status_a"]:
+        assert len(run["counts"]) == 5 and sum(run["counts"]) == 60
+    assert len(meta["counters"]) == 3 * 2
+    for c in meta["counters"]:
+        assert len(c["status_b"]) == 5
+        assert sum(c["status_b"]) == c["certified"]
+        # second curves alive at the horizon are the alive-certificate
+        # hits, and a swallow hit is a status-3 stop
+        assert c["status_b"][0] == c["hit_alive"]
+        assert c["status_b"][3] >= c["hit_swallow"]
+        # a first curve alive at the end reached every radius's snapshot
+        status_a, = (a["counts"] for a in meta["status_a"]
+                     if a["dt"] == c["dt"])
+        assert status_a[0] <= c["certified"]
+    assert sum(sum(c["status_b"]) for c in meta["counters"]) > 0
+
+
 def test_simulate_meta_counts_absorbed_paths(tmp_path):
     # a coarse step from near the corner absorbs paths; the meta counts,
     # per record time, the ensemble's paths with weight zero
@@ -150,6 +206,19 @@ def test_density_meta_reports_series_truncation(tmp_path):
     warnings = [line for line in out.getvalue().splitlines()
                 if line.startswith("warning")]
     assert len(warnings) == 1 and "t=0.01" in warnings[0]
+    # its survival is not computed: nan, and the warning says so
+    assert "survival was not computed (nan)" in warnings[0]
+    with open(tmp_path / "survival.csv", newline="", encoding="utf-8") as fh:
+        values = {float(row["t"]): float(row["survival"])
+                  for row in csv.DictReader(fh)}
+    assert math.isnan(values.pop(0.01))
+    # the other times keep the bytes of a run without t = 0.01
+    cfg.t_list, cfg.out_dir = [1.0, 2.0, 4.0], str(tmp_path / "default")
+    assert cli.cmd_density(cfg, out=io.StringIO()) == 0
+    with open(tmp_path / "default" / "survival.csv", newline="",
+              encoding="utf-8") as fh:
+        assert values == {float(row["t"]): float(row["survival"])
+                          for row in csv.DictReader(fh)}
 
 
 def test_simulate_path_ranges_add_up(tmp_path):

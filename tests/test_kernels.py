@@ -21,6 +21,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -432,6 +433,28 @@ class TestCompiledKernel:
                 run(6.0, rows, 0, 20, [10], kernel=kernel)
             assert type(info.value) is exc
 
+    @pytest.mark.parametrize("first, second", [
+        (ValueError, ZeroDivisionError), (ZeroDivisionError, ValueError)])
+    def test_split_call_raises_at_the_lowest_failing_row(self, monkeypatch,
+                                                         first, second):
+        # degenerate rows in the second and fourth span of a call split
+        # over two threads: the error is the one of the lower row, with
+        # the Python kernel's type and message and the absolute row
+        degenerate = {ZeroDivisionError: (0.0, 5e-324, 2.0, 4.0),
+                      ValueError: (0.0, 5e-324, 1e-323, 4.0)}
+        block = _kernels._ROW_BLOCK
+        rows = make_rows(4 * block)
+        low, high = block + 5, 3 * block + 10
+        rows[low], rows[high] = degenerate[first], degenerate[second]
+        with pytest.raises(first) as py:
+            run(6.0, rows, 0, 20, [10], kernel="python")
+        monkeypatch.setattr(_kernels, "_n_workers", lambda: 2)
+        with pytest.raises(first) as c:
+            run(6.0, rows, 0, 20, [10])
+        assert type(c.value) is type(py.value) is first
+        assert str(c.value) == (f"{py.value} (adaptive hSLE kernel, "
+                                f"row {low})")
+
     def test_infinite_row_stops_at_entry_in_both(self):
         rows = np.array([(0.0, 1.0, 2.0, math.inf)])
         for kernel in ("c", "python"):
@@ -634,6 +657,26 @@ class TestCompiledZEvolve:
         assert sorted(small["absorb_step"]) == [-1, 5, 49]
         assert_z_kernels_agree(6.0, Z_STARTS, 1e-3, 50, [1, 7, 7, 8, 50])
 
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_path_spans_do_not_move_bits(self, monkeypatch, block):
+        # spans over two threads of 5 paths (a _ROW_BLOCK of 1 group of 5,
+        # the groups keeping 300 paths at _Z_SPANS spans) or of 7, in runs
+        # where paths die inside the call and where whole spans, or parts
+        # of one, are dead at entry: every output, dead paths' snapshots
+        # included, is the numpy evolution's
+        monkeypatch.setattr(_kernels, "_ROW_BLOCK", block)
+        monkeypatch.setattr(_kernels, "_n_workers", lambda: 2)
+        c = assert_z_kernels_agree(6.0, starts(300, 0.12, 0.12), 0.1, 40,
+                                   [1, 2, 40])
+        assert 0 < np.count_nonzero(~c["alive"]) < 300
+        ids = np.arange(300)
+        # whole spans dead, and a span edge between dead and live paths
+        for alive in ((ids // 7) % 2 == 1, ids % 7 < 3):
+            c = assert_z_kernels_agree(6.0, Z_STARTS, 1e-3, 20, [1, 20],
+                                       alive=alive)
+            assert_same_bits(c["z1"][~alive], Z_STARTS[0][~alive])
+            assert_same_bits(c["rec_z1"][0][~alive], Z_STARTS[0][~alive])
+
     def test_split_at_a_step_reproduces_the_whole_run(self):
         compiled_lib()
         z0 = starts(300, 0.12, 0.12)
@@ -686,6 +729,41 @@ class TestCompiledZEvolve:
         assert all(n_live * nb <= max(bound, n_live) for n_live, nb in sizes)
         assert sizes[-2:] == [(300000, 1), (300000, 1)]
 
+    def test_spans_per_block_are_bounded(self, monkeypatch):
+        # spans of _ROW_BLOCK paths at 2000 paths; at 30000 paths (blocks
+        # of 4 steps) spans of _ROW_BLOCK groups of paths, at most
+        # _Z_SPANS a block, so each keeps ~2000 path-steps
+        lib = compiled_lib()
+        monkeypatch.setattr(_kernels, "_n_workers", lambda: 2)
+        calls = []
+
+        class Spy:
+            def __getattr__(self, name):
+                return getattr(lib, name)
+
+            def z_uniforms(self, *args):
+                calls.append([])
+                lib.z_uniforms(*args)
+
+            def z_block(self, n, n_live, nb, live, i0, i1, p0, p1, *args):
+                calls[-1].append((p0, p1))
+                return lib.z_block(n, n_live, nb, live, i0, i1, p0, p1,
+                                   *args)
+
+        block = _kernels._ROW_BLOCK
+        for n in (2000, 30000):
+            del calls[:]
+            z_run(functools.partial(_kernels._z_evolve_c, Spy()), 6.0,
+                  starts(n, 1.0, 2.0), 1e-3, 0, 10, [10])
+            for spans in calls:
+                spans.sort()
+                assert spans[0][0] == 0 and spans[-1][1] == n
+                assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+                assert len(spans) <= _kernels._Z_SPANS
+            width = calls[0][0][1]
+            assert width == (block if n == 2000 else
+                             block * -(-n // (_kernels._Z_SPANS * block)))
+
 
 def test_build_flags_keep_roundings_separate():
     # the compiled kernels' bits assume no contraction beyond their explicit
@@ -702,18 +780,22 @@ class TestWithoutCompiler:
     @needs_fused_numpy
     def test_numpy_flow_runs_after_one_warning(self, tmp_path):
         # with no cc on PATH, all kernels fall back after one warning and
-        # the numpy flow writes the compiled flow's bytes
+        # the numpy flow writes the compiled flow's bytes; 66 rows, three
+        # spans of a compiled call, start no pool and no thread
         np.save(tmp_path / "drivers.npy", FLOW_DRIVERS)
         np.save(tmp_path / "lengths.npy", FLOW_LENGTHS)
         np.save(tmp_path / "y.npy", FLOW_Y)
         code = (
-            "import sys, numpy as np, twocurve._kernels as k\n"
+            "import sys, threading, numpy as np, twocurve._kernels as k\n"
             "d, l, y = (np.load(sys.argv[1] + f'/{n}.npy')\n"
             "           for n in ('drivers', 'lengths', 'y'))\n"
             "k.backward_flow(d, l, 0.01, y)\n"
             "k.backward_flow(d, l, 0.01, y.copy())\n"
+            "k.backward_flow(np.tile(d, (22, 1)), np.tile(l, 22), 0.01,\n"
+            "                np.tile(y, 22))\n"
             "print(k.hsle_kernel())\n"
-            "for v in y: print(v.real.hex(), v.imag.hex())\n")
+            "for v in y: print(v.real.hex(), v.imag.hex())\n"
+            "print(k._pool.cache_info().currsize, threading.active_count())\n")
         src = os.path.dirname(os.path.dirname(_kernels.__file__))
         env = dict(os.environ, PATH=str(tmp_path), PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -723,14 +805,16 @@ class TestWithoutCompiler:
         lines = out.stdout.split("\n")
         assert lines[0] == "python"
         assert [tuple(line.split()) for line in lines[1:4]] == FLOW_PINNED
+        assert lines[4].split() == ["0", "1"]
         assert out.stderr.count("no C compiler") == 1
 
     def test_numpy_z_evolve_runs_after_one_warning(self, tmp_path):
         # with no cc on PATH, z_evolve runs _z_evolve_np after the one
         # warning, and the k6 case of TestZEvolvePin, split after step 100,
-        # writes its pinned bytes
+        # writes its pinned bytes; its 64 paths, two spans of a compiled
+        # call, start no pool and no thread
         code = (
-            "import hashlib, numpy as np, twocurve._kernels as k\n"
+            "import hashlib, threading, numpy as np, twocurve._kernels as k\n"
             "from twocurve import _rng\n"
             "n = 64\n"
             "streams = _rng.derive_stream_array(41, np.arange(n))\n"
@@ -747,7 +831,9 @@ class TestWithoutCompiler:
             "h = hashlib.sha256()\n"
             "for a in (z1, z2, absorb, r1, r2):\n"
             "    h.update(a.tobytes())\n"
-            "print(h.hexdigest())\n")
+            "print(h.hexdigest())\n"
+            "print(k._pool.cache_info().currsize, threading.active_count(),\n"
+            "      k.kernel_workers())\n")
         src = os.path.dirname(os.path.dirname(_kernels.__file__))
         env = dict(os.environ, PATH=str(tmp_path), PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -756,10 +842,73 @@ class TestWithoutCompiler:
                              env=env)
         assert out.stdout.split() == [
             "python", "13c4e5b20ffdb50c27a1d8cb6d240bd8"
-                      "7269fd12950f4c9789266543b608053c"]
+                      "7269fd12950f4c9789266543b608053c", "0", "1", "1"]
         warning, = out.stderr.splitlines()
         assert "no C compiler" in warning
         assert "two-angle diffusion" in warning
+
+
+class TestRunSpans:
+    """The one helper that splits the compiled calls into row spans."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_spans_depend_on_the_row_count_only(self, monkeypatch,
+                                                workers):
+        monkeypatch.setattr(_kernels, "_n_workers", lambda: workers)
+        block = _kernels._ROW_BLOCK
+        for n, last in ((0, (0, 0)), (1, (0, 1)), (block, (0, block)),
+                        (3 * block + 1, (3 * block, 3 * block + 1))):
+            spans = _kernels._run_spans(lambda lo, hi: (lo, hi), n)
+            assert spans[-1] == last
+            assert spans == [(lo, min(lo + block, n))
+                             for lo in range(0, max(n, 1), block)]
+
+    def test_single_span_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "_n_workers", lambda: 2)
+        threads = _kernels._run_spans(
+            lambda lo, hi: threading.current_thread(), _kernels._ROW_BLOCK)
+        assert threads == [threading.current_thread()]
+
+    def test_every_span_runs_once_under_contention(self, monkeypatch):
+        # more workers than cores and a short switch interval: the shared
+        # queue must hand out each span exactly once, and the results land
+        # in span order
+        monkeypatch.setattr(_kernels, "_n_workers", lambda: 4)
+        ran, results = [], []
+
+        def fn(lo, hi):
+            ran.append(lo)
+            return lo, hi
+
+        def many():
+            for _ in range(50):
+                del ran[:]
+                results.append(_kernels._run_spans(fn, 997))
+                results.append(sorted(ran))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=many)
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        block = _kernels._ROW_BLOCK
+        spans = [(lo, min(lo + block, 997)) for lo in range(0, 997, block)]
+        assert results == [spans, [lo for lo, _ in spans]] * 50
+
+    def test_exception_of_a_span_propagates(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "_n_workers", lambda: 2)
+
+        def fn(lo, hi):
+            if lo == _kernels._ROW_BLOCK:
+                raise KeyError(lo)
+            return lo
+
+        with pytest.raises(KeyError):
+            _kernels._run_spans(fn, 4 * _kernels._ROW_BLOCK)
 
 
 def read_only(a):
@@ -860,13 +1009,15 @@ class TestDispatcherArguments:
                               np.zeros((0, 1)), np.zeros((0, 1)))
 
     def test_import_compiles_nothing(self):
-        # the library is built by the first kernel call, not at import
-        code = ("import twocurve.cli, twocurve._kernels as k; "
-                "print(k._hsle_lib.cache_info().currsize)")
+        # the library is built by the first kernel call, not at import,
+        # and importing starts no thread
+        code = ("import threading, twocurve.cli, twocurve._kernels as k; "
+                "print(k._hsle_lib.cache_info().currsize, "
+                "k._pool.cache_info().currsize, threading.active_count())")
         src = os.path.dirname(os.path.dirname(_kernels.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True, timeout=120,
                              env=env)
-        assert out.stdout.split() == ["0"]
+        assert out.stdout.split() == ["0", "0", "1"]
