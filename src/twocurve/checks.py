@@ -10,15 +10,21 @@ measured residual against its pinned tolerance, so an installation (or a
 code change) can be validated end to end with one call.
 
 Each check returns a :class:`CheckResult`; :func:`run_all_checks`
-collects the full battery.  ``inject_alpha0_error`` deliberately
-perturbs the decay exponent used by the quasi-invariance check -- a
-fault-injection knob proving the suite actually detects a wrong
-exponent (it must make that check fail).
+collects the full battery and records each check's wall seconds on its
+result.  The martingale and eigenfunction checks run as array passes:
+the drift residuals of all sampled states in one pass per curve and
+mode (``ensemble.drift_residuals``), and each mode's generator stencil
+in one call of the mode (``density.generator_apply``); both give the
+bytes of the per-state and per-point evaluations.
+``inject_alpha0_error`` deliberately perturbs the decay exponent used by
+the quasi-invariance check -- a fault-injection knob proving the suite
+actually detects a wrong exponent (it must make that check fail).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,13 +41,19 @@ DEFAULT_KAPPAS = (2.0, 3.0, 4.0, 6.0, 7.5)
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one verification: measured residual vs tolerance."""
+    """Outcome of one verification: measured residual vs tolerance.
+
+    ``seconds`` is the check's wall time when ``run_all_checks`` ran it
+    (None otherwise); it is not part of the outcome, so it takes no part
+    in equality and ``to_dict`` leaves it out.
+    """
 
     name: str
     kappa: float
     tolerance: float
     residual: float
     passed: bool
+    seconds: float | None = field(default=None, compare=False)
 
     @staticmethod
     def from_residual(name: str, kappa: float, tolerance: float,
@@ -214,7 +226,8 @@ def run_all_checks(kappas=DEFAULT_KAPPAS, n_drift_states: int = 200,
     drift residual) run for every kappa in ``kappas``; the
     quadrature-heavy semigroup checks run once at ``spectral_kappa`` and
     share one ``n_max = 60`` spectral basis.
-    ``tolerances`` overrides individual check tolerances by name.
+    ``tolerances`` overrides individual check tolerances by name.  Each
+    result carries the wall seconds of its check in ``seconds``.
     """
     tol = dict(tolerances or {})
 
@@ -222,31 +235,33 @@ def run_all_checks(kappas=DEFAULT_KAPPAS, n_drift_states: int = 200,
         return float(tol.get(name, default))
 
     results = []
+
+    def run(check, *args, **kwargs):
+        t0 = time.perf_counter()
+        result = check(*args, **kwargs)
+        results.append(replace(result, seconds=time.perf_counter() - t0))
+
     contexts = {}
     for kappa in kappas:
         ctx = contexts[float(kappa)] = KappaContext(float(kappa))
-        results.append(check_hyp_ode(ctx, tolerance=t("hyp_ode_residual",
-                                                      1e-7)))
-        results.append(check_hyp_value_at_one(
-            ctx, tolerance=t("hyp_value_at_one", 1e-10)))
-        results.append(check_orthonormality(
-            ctx, tolerance=t("basis_orthonormality", 1e-8)))
-        results.append(check_drift_residual(
-            ctx, n_states=n_drift_states,
-            tolerance=t("drift_residual", 1e-9)))
+        run(check_hyp_ode, ctx, tolerance=t("hyp_ode_residual", 1e-7))
+        run(check_hyp_value_at_one, ctx,
+            tolerance=t("hyp_value_at_one", 1e-10))
+        run(check_orthonormality, ctx,
+            tolerance=t("basis_orthonormality", 1e-8))
+        run(check_drift_residual, ctx, n_states=n_drift_states,
+            tolerance=t("drift_residual", 1e-9))
     # the cached hypergeometric continuation of a kappa already checked
     # above is reused, not solved again
     ctx_s = contexts.get(float(spectral_kappa))
     if ctx_s is None:
         ctx_s = KappaContext(float(spectral_kappa))
-    results.append(check_eigenfunctions(
-        ctx_s, tolerance=t("eigenfunction_residual", 1e-6)))
+    run(check_eigenfunctions, ctx_s,
+        tolerance=t("eigenfunction_residual", 1e-6))
     basis = dens.SpectralBasis(ctx_s, 60)
-    results.append(check_chapman_kolmogorov(
-        basis, tolerance=t("chapman_kolmogorov", 1e-6)))
-    results.append(check_stationarity(
-        basis, tolerance=t("stationarity", 1e-8)))
-    results.append(check_quasi_invariance(
-        basis, tolerance=t("quasi_invariance", 1e-6),
-        alpha0_error=inject_alpha0_error))
+    run(check_chapman_kolmogorov, basis,
+        tolerance=t("chapman_kolmogorov", 1e-6))
+    run(check_stationarity, basis, tolerance=t("stationarity", 1e-8))
+    run(check_quasi_invariance, basis, tolerance=t("quasi_invariance", 1e-6),
+        alpha0_error=inject_alpha0_error)
     return results

@@ -5,7 +5,8 @@ Subcommands
 
 ``check``
     Run the runtime verification battery (:mod:`twocurve.checks`), print
-    one PASS/FAIL line per check, write ``check_report.json``.
+    one PASS/FAIL line per check, write ``check_report.json`` (the
+    checks, and the wall seconds of each check and of the battery).
 ``density``
     Evaluate the transition density and survival curves on grids and
     write them as CSV with a JSON sidecar (normalizing constant, fitted
@@ -51,6 +52,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -261,10 +263,12 @@ def _float_str(x) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_check(cfg: RunConfig, out=sys.stdout) -> int:
+    t0 = time.perf_counter()
     results = checks_mod.run_all_checks(
         kappas=cfg.kappas, n_drift_states=cfg.n_drift_states,
         inject_alpha0_error=cfg.inject_alpha0_error,
         tolerances=cfg.tolerances)
+    total_s = time.perf_counter() - t0
     for r in results:
         out.write(f"{'PASS' if r.passed else 'FAIL'}  {r.name:24s} "
                   f"kappa={r.kappa:<5g} residual={r.residual:.3e} "
@@ -275,6 +279,8 @@ def cmd_check(cfg: RunConfig, out=sys.stdout) -> int:
         "config": cfg.to_dict(),
         "checks": [r.to_dict() for r in results],
         "all_passed": ok,
+        "seconds": {"checks": [r.seconds for r in results],
+                    "total": total_s},
     }
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_json(os.path.join(cfg.out_dir, "check_report.json"), report)

@@ -21,7 +21,8 @@ degree n.  This module provides:
     ``tilde_pZ_infty``;
   * quadrature-based survival probabilities ``survival_P2``;
   * a finite-difference application of the generator (``generator_apply``)
-    for residual checks.
+    for residual checks, with one call of the applied function on the
+    stacked stencil.
 
 Every series runs on one evaluator, ``mode_blocks``: per angular order m
 and block of points, the matrix V[k, p] = v_k(x_p, y_p) from the Jacobi
@@ -437,9 +438,14 @@ def p_t(basis: SpectralBasis, frm, to, t, rtol: float = 1e-9,
 def generator_apply(ctx: KappaContext, f, x, y, step: float = 1e-3):
     """Apply the generator L to a callable f at interior points.
 
-    f must accept numpy arrays (x, y).  Derivatives use 4th-order central
-    differences with the given step; points must be at least 2 * step away
-    from the boundary so the stencil stays inside the closed disc.
+    f must accept numpy arrays (x, y) of any shape and act elementwise:
+    its value at a point may not depend on the other points of the call.
+    f is called once, on the 26 stencil point sets (5 along x, 5 along y,
+    16 mixed) stacked along a new first axis, and each derivative is
+    summed from the rows of that one result.  Derivatives use 4th-order
+    central differences with the given step; points must be at least
+    2 * step away from the boundary so the stencil stays inside the
+    closed disc.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -450,12 +456,17 @@ def generator_apply(ctx: KappaContext, f, x, y, step: float = 1e-3):
     o1 = np.array([-2.0, -1.0, 1.0, 2.0])
     c2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
     o2 = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    f_x = sum(c * f(x + o * h, y) for c, o in zip(c1, o1))
-    f_y = sum(c * f(x, y + o * h) for c, o in zip(c1, o1))
-    f_xx = sum(c * f(x + o * h, y) for c, o in zip(c2, o2))
-    f_yy = sum(c * f(x, y + o * h) for c, o in zip(c2, o2))
-    f_xy = sum(ci * cj * f(x + oi * h, y + oj * h)
-               for ci, oi in zip(c1, o1) for cj, oj in zip(c1, o1))
+    on1 = (0, 1, 3, 4)  # the rows of o2 at the offsets o1
+    pts = ([(x + o * h, y) for o in o2] + [(x, y + o * h) for o in o2]
+           + [(x + oi * h, y + oj * h) for oi in o1 for oj in o1])
+    vals = f(np.stack([p for p, _ in pts]), np.stack([q for _, q in pts]))
+    along_x, along_y, mixed = vals[:5], vals[5:10], vals[10:]
+    f_x = sum(c * along_x[r] for c, r in zip(c1, on1))
+    f_y = sum(c * along_y[r] for c, r in zip(c1, on1))
+    f_xx = sum(c * v for c, v in zip(c2, along_x))
+    f_yy = sum(c * v for c, v in zip(c2, along_y))
+    f_xy = sum(ci * cj * mixed[4 * a + b]
+               for a, ci in enumerate(c1) for b, cj in enumerate(c1))
     k = ctx.kappa
     val = (k / 8.0 * (1.0 - x * x) * f_xx
            + k / 8.0 * (1.0 - y * y) * f_yy

@@ -27,7 +27,10 @@ with the other frozen; ``drift_residual`` verifies this by assembling the
 Ito drift of the log-density from the component SDEs and adding
 (kappa/2) times the squared martingale coefficient.  The residual
 vanishes identically in exact arithmetic.  ``drift_residuals`` evaluates
-it over a list of states with one vector call of F.
+it over a list of states in one array pass per curve and mode: the same
+private helpers run on a struct-of-arrays view of the states
+(``_StateColumns``, one float array per field) with one vector call of
+F, so the batch and the per-state functions share one implementation.
 
 SDE convention: growth in t_j with t_k frozen; the driving increment
 ``d w_j`` has quadratic variation kappa * dt, so a log-quantity with
@@ -43,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .context import KappaContext
-from .green import BoundaryConfig, cross_ratio_of_config
+from .green import BoundaryConfig, _cross_ratio, cross_ratio_of_config
 from .special import hyp_F, hyp_F_and_dF
 from .trig import cot2, cot2p, cot2ppp, sin2
 
@@ -60,8 +63,35 @@ _R_PAIRS = ((("W1", "V2"), 1.0), (("V1", "W2"), 1.0),
             (("W1", "W2"), -1.0), (("V1", "V2"), -1.0))
 
 
+class _StateFields:
+    """Labelled access to the fields ``W1`` ... ``t2``, read the same way
+    from one ``EnsembleState`` (floats) and from ``_StateColumns``
+    (arrays).  The martingale algebra squares by multiplication, never
+    ``** 2``: libm's ``pow(x, 2.0)``, which floats and numpy scalars
+    call, can round apart from ``x * x``, which arrays compute."""
+
+    def angle(self, label: str):
+        if label not in _ANGLE_LABELS:
+            raise ValueError(f"unknown angle label {label!r}")
+        return getattr(self, label)
+
+    def tip_deriv(self, j: int, order: int):
+        """W_{j,order} for order in 1..3."""
+        _check_j(j)
+        if order not in (1, 2, 3):
+            raise ValueError(f"derivative order must be 1..3, got {order}")
+        return getattr(self, f"W{j}{order}")
+
+    def w_S(self, j: int):
+        """Schwarzian combination W_{j,3}/W_{j,1} - (3/2)(W_{j,2}/W_{j,1})^2."""
+        _check_j(j)
+        w1 = self.tip_deriv(j, 1)
+        r = self.tip_deriv(j, 2) / w1
+        return self.tip_deriv(j, 3) / w1 - 1.5 * (r * r)
+
+
 @dataclass(frozen=True)
-class EnsembleState:
+class EnsembleState(_StateFields):
     """Snapshot of the commuting two-curve system at one time pair.
 
     ``Wj2, Wj3`` may take arbitrary real values (they are read off a
@@ -114,24 +144,15 @@ class EnsembleState:
         """The four angles W1, V1, W2, V2 as a ``BoundaryConfig``."""
         return BoundaryConfig(self.W1, self.V1, self.W2, self.V2)
 
-    def angle(self, label: str) -> float:
-        if label not in _ANGLE_LABELS:
-            raise ValueError(f"unknown angle label {label!r}")
-        return getattr(self, label)
 
-    def tip_deriv(self, j: int, order: int) -> float:
-        """W_{j,order} for order in 1..3."""
-        _check_j(j)
-        if order not in (1, 2, 3):
-            raise ValueError(f"derivative order must be 1..3, got {order}")
-        return getattr(self, f"W{j}{order}")
+class _StateColumns(_StateFields):
+    """Struct-of-arrays view of a list of states: each field of
+    ``EnsembleState`` as one contiguous float array over the states."""
 
-    def w_S(self, j: int) -> float:
-        """Schwarzian combination W_{j,3}/W_{j,1} - (3/2)(W_{j,2}/W_{j,1})^2."""
-        _check_j(j)
-        w1 = self.tip_deriv(j, 1)
-        return (self.tip_deriv(j, 3) / w1
-                - 1.5 * (self.tip_deriv(j, 2) / w1) ** 2)
+    def __init__(self, states):
+        for name in EnsembleState.__dataclass_fields__:
+            setattr(self, name, np.array([getattr(state, name)
+                                          for state in states], dtype=float))
 
 
 def _check_j(j: int) -> None:
@@ -181,6 +202,7 @@ def ode_rhs(state: EnsembleState, j: int) -> dict:
     wj2 = state.tip_deriv(j, 2)
     wj3 = state.tip_deriv(j, 3)
     wk = state.angle(f"W{k}")
+    wk1 = state.tip_deriv(k, 1)
     sq = wj1 * wj1
     r = wj2 / wj1
     return {
@@ -192,7 +214,7 @@ def ode_rhs(state: EnsembleState, j: int) -> dict:
         "ln_W1_passive": sq * cot2p(wk - wj),
         "ln_V11": sq * cot2p(state.V1 - wj),
         "ln_V21": sq * cot2p(state.V2 - wj),
-        "WS_passive": sq * state.tip_deriv(k, 1) ** 2 * cot2ppp(wk - wj),
+        "WS_passive": sq * (wk1 * wk1) * cot2ppp(wk - wj),
         "Icc": state.w_S(j),
         "W_tip_flow": -3.0 * wj2,
         "ln_W11_tip_flow": (0.5 * r * r - (4.0 / 3.0) * (wj3 / wj1)
@@ -204,17 +226,20 @@ def _hyp_point(ctx: KappaContext, state: EnsembleState, mode: str):
     """(R, F(R), F'(R)) for mode "ch", which reads F; None for "c4"."""
     if mode != "ch":
         return None
-    R = cross_ratio_of_config(state.config)
+    R = _cross_ratio(state.W1, state.V1, state.W2, state.V2)
     return (R, *hyp_F_and_dF(ctx, R))
 
 
 def phi(state: EnsembleState, j: int) -> float:
     """Phi_j = cot2(W_j - V_k) - cot2(W_j - W_k), k the other index."""
     _check_j(j)
+    return float(_phi(state, j))
+
+
+def _phi(state: EnsembleState, j: int):
     k = 3 - j
     wj = state.angle(f"W{j}")
-    return float(cot2(wj - state.angle(f"V{k}"))
-                 - cot2(wj - state.angle(f"W{k}")))
+    return cot2(wj - state.angle(f"V{k}")) - cot2(wj - state.angle(f"W{k}"))
 
 
 def _log_sines(state: EnsembleState, pairs) -> float:
@@ -274,12 +299,12 @@ def martingale_coefficient(ctx: KappaContext, state: EnsembleState,
     """
     _check_j(j)
     _check_mode(mode)
-    return _martingale_coefficient(ctx, state, j, mode,
-                                   _hyp_point(ctx, state, mode))
+    return float(_martingale_coefficient(ctx, state, j, mode,
+                                         _hyp_point(ctx, state, mode)))
 
 
 def _martingale_coefficient(ctx: KappaContext, state: EnsembleState, j: int,
-                            mode: str, hyp) -> float:
+                            mode: str, hyp):
     """``martingale_coefficient`` with mode "ch" reading (R, F, F') from
     ``hyp``; Gtilde(R) = kappa R F'/F + 2 as in ``special.hyp_tilde_G``."""
     k = 3 - j
@@ -291,12 +316,12 @@ def _martingale_coefficient(ctx: KappaContext, state: EnsembleState, j: int,
     if mode == "c4":
         s = (cot2(wj - state.angle(f"W{k}"))
              + cot2(wj - state.V1) + cot2(wj - state.V2))
-        return float(lead + wj1 * s / kap)
+        return lead + wj1 * s / kap
     R, F, Fp = hyp
     g_tilde = kap * R * Fp / F + 2.0
-    return float(lead
-                 + g_tilde * wj1 * phi(state, j) / (2.0 * kap)
-                 - b * cot2(wj - state.angle(f"V{j}")) * wj1)
+    return (lead
+            + g_tilde * wj1 * _phi(state, j) / (2.0 * kap)
+            - b * cot2(wj - state.angle(f"V{j}")) * wj1)
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +437,13 @@ def log_M_sde(ctx: KappaContext, state: EnsembleState, j: int,
     """
     _check_j(j)
     _check_mode(mode)
-    return _log_M_sde(ctx, state, j, mode, _hyp_point(ctx, state, mode),
-                      ode_rhs(state, j), _log_sine_sdes(ctx, state, j))
+    sigma, mu = _log_M_sde(ctx, state, j, mode, _hyp_point(ctx, state, mode),
+                           ode_rhs(state, j), _log_sine_sdes(ctx, state, j))
+    return float(sigma), float(mu)
 
 
 def _log_M_sde(ctx: KappaContext, state: EnsembleState, j: int, mode: str,
-               hyp, rhs: dict, log_sines: dict) -> tuple[float, float]:
+               hyp, rhs: dict, log_sines: dict):
     kap = ctx.kappa
     b = ctx.sle_b
     wj1 = state.tip_deriv(j, 1)
@@ -452,7 +478,7 @@ def _log_M_sde(ctx: KappaContext, state: EnsembleState, j: int, mode: str,
         s, m = _to_log(ctx, *_hyp_factor_sde(ctx, hyp, log_sines))
         sigma += s
         mu += m
-    return float(sigma), float(mu)
+    return sigma, mu
 
 
 def drift_residual(ctx: KappaContext, state: EnsembleState, j: int,
@@ -465,15 +491,16 @@ def drift_residual(ctx: KappaContext, state: EnsembleState, j: int,
     """
     _check_j(j)
     _check_mode(mode)
-    return _drift_residual(ctx, state, j, mode, _hyp_point(ctx, state, mode),
-                           ode_rhs(state, j), _log_sine_sdes(ctx, state, j))
+    return float(_drift_residual(
+        ctx, state, j, mode, _hyp_point(ctx, state, mode),
+        ode_rhs(state, j), _log_sine_sdes(ctx, state, j)))
 
 
 def _drift_residual(ctx: KappaContext, state: EnsembleState, j: int,
-                    mode: str, hyp, rhs: dict, log_sines: dict) -> float:
+                    mode: str, hyp, rhs: dict, log_sines: dict):
     _, mu = _log_M_sde(ctx, state, j, mode, hyp, rhs, log_sines)
     s_disp = _martingale_coefficient(ctx, state, j, mode, hyp)
-    return float(mu + 0.5 * ctx.kappa * s_disp * s_disp)
+    return mu + 0.5 * ctx.kappa * s_disp * s_disp
 
 
 def drift_residuals(ctx: KappaContext, states) -> np.ndarray:
@@ -481,21 +508,21 @@ def drift_residuals(ctx: KappaContext, states) -> np.ndarray:
     shape (len(states), 2, 2) indexed [state, j - 1, mode] with modes
     ordered ("c4", "ch").
 
-    F and F' are evaluated in one vector call over the cross-ratios of all
-    states; F does not depend on the batch, so every entry equals the
-    per-state ``drift_residual`` bit for bit.  ``ode_rhs`` and the
-    sine-factor rows are built once per (state, j) and read by both modes.
+    One array pass per (j, mode): ``_drift_residual`` and the helpers
+    below it run on ``_StateColumns``, the states as one float array per
+    field, and every operation acts elementwise, so each entry equals the
+    per-state ``drift_residual`` bit for bit.  F and F' are evaluated in
+    one vector call over the cross-ratios of all states; ``ode_rhs`` and
+    the sine-factor rows are built once per j and read by both modes.
     """
-    R = [cross_ratio_of_config(state.config) for state in states]
-    F, Fp = hyp_F_and_dF(ctx, np.asarray(R, dtype=float))
-    hyps = zip(R, F.tolist(), Fp.tolist())
-    out = []
-    for state, hyp in zip(states, hyps):
-        for j in (1, 2):
-            rows = (ode_rhs(state, j), _log_sine_sdes(ctx, state, j))
-            out += [_drift_residual(ctx, state, j, mode, hyp, *rows)
-                    for mode in ("c4", "ch")]
-    return np.array(out, dtype=float).reshape(len(states), 2, 2)
+    cols = _StateColumns(states)
+    hyp = _hyp_point(ctx, cols, "ch")
+    out = np.empty((len(states), 2, 2))
+    for j in (1, 2):
+        rows = (ode_rhs(cols, j), _log_sine_sdes(ctx, cols, j))
+        for m, mode in enumerate(("c4", "ch")):
+            out[:, j - 1, m] = _drift_residual(ctx, cols, j, mode, hyp, *rows)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -509,28 +536,43 @@ def sample_states(n: int, seed: int) -> list[EnsembleState]:
     first derivatives lie in [0.2, 0.95], second/third tip derivatives in
     [-2, 2], times in [0.5, 2] with mA in the interior 10-90% of its
     admissible interval; that interior margin keeps small finite-
-    difference evolutions of the state valid.
+    difference evolutions of the state valid.  The uniform draws come in
+    blocks of ``rng.random`` and are used in the order of one
+    ``rng.uniform`` call per value, rejections included.
     """
     rng = np.random.default_rng(seed)
+    # 16 draws per state and about one more per state for the rejections
+    draws = _uniform_draws(rng, 17 * n)
+
+    def uniform(lo, hi):
+        # what ``Generator.uniform(lo, hi)`` computes from its next double
+        return lo + (hi - lo) * next(draws)
+
     out = []
     while len(out) < n:
-        cuts = np.sort(rng.uniform(0.0, TWO_PI, 3))[::-1]
-        w1 = rng.uniform(0.0, TWO_PI)
+        cuts = sorted((uniform(0.0, TWO_PI) for _ in range(3)), reverse=True)
+        w1 = uniform(0.0, TWO_PI)
         v1, w2, v2 = (w1 - (TWO_PI - c) for c in cuts)
         gaps = (w1 - v1, v1 - w2, w2 - v2, v2 - (w1 - TWO_PI))
         if min(gaps) < 0.1:
             continue
-        t1, t2 = rng.uniform(0.5, 2.0, 2)
+        t1, t2 = uniform(0.5, 2.0), uniform(0.5, 2.0)
         lo, hi = max(t1, t2), t1 + t2
-        mA = lo + (hi - lo) * rng.uniform(0.1, 0.9)
+        mA = lo + (hi - lo) * uniform(0.1, 0.9)
         out.append(EnsembleState(
             W1=w1, V1=v1, W2=w2, V2=v2,
-            W11=rng.uniform(0.2, 0.95), W21=rng.uniform(0.2, 0.95),
-            W12=rng.uniform(-2.0, 2.0), W22=rng.uniform(-2.0, 2.0),
-            W13=rng.uniform(-2.0, 2.0), W23=rng.uniform(-2.0, 2.0),
-            V11=rng.uniform(0.2, 0.95), V21=rng.uniform(0.2, 0.95),
-            mA=mA, Icc=rng.uniform(-1.0, 1.0), t1=t1, t2=t2))
+            W11=uniform(0.2, 0.95), W21=uniform(0.2, 0.95),
+            W12=uniform(-2.0, 2.0), W22=uniform(-2.0, 2.0),
+            W13=uniform(-2.0, 2.0), W23=uniform(-2.0, 2.0),
+            V11=uniform(0.2, 0.95), V21=uniform(0.2, 0.95),
+            mA=mA, Icc=uniform(-1.0, 1.0), t1=t1, t2=t2))
     return out
+
+
+def _uniform_draws(rng: np.random.Generator, block: int):
+    """The doubles of ``rng.random()`` in order, drawn ``block`` at a time."""
+    while True:
+        yield from rng.random(block).tolist()
 
 
 def evolve_second_order(state: EnsembleState, j: int, dt: float,

@@ -48,9 +48,15 @@ class BoundaryConfig:
 
 def cross_ratio_of_config(cfg: BoundaryConfig) -> float:
     """R = sin2(w1-v2) sin2(v1-w2) / (sin2(w1-w2) sin2(v1-v2)), in (0, 1)."""
-    num = sin2(cfg.w1 - cfg.v2) * sin2(cfg.v1 - cfg.w2)
-    den = sin2(cfg.w1 - cfg.w2) * sin2(cfg.v1 - cfg.v2)
-    return float(num / den)
+    return float(_cross_ratio(cfg.w1, cfg.v1, cfg.w2, cfg.v2))
+
+
+def _cross_ratio(w1, v1, w2, v2):
+    """The cross-ratio of ``cross_ratio_of_config``, elementwise on floats
+    or same-shape arrays of angles."""
+    num = sin2(w1 - v2) * sin2(v1 - w2)
+    den = sin2(w1 - w2) * sin2(v1 - v2)
+    return num / den
 
 
 def G_quad(ctx: KappaContext, cfg: BoundaryConfig) -> float:

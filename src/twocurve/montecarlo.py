@@ -259,9 +259,10 @@ def _batched_pullback(seq: np.ndarray, paths, lens, du: float, eps_in: float,
     ``seq[paths[j], :lens[j]]`` and starts at the boundary point of the
     next value, ``seq[paths[j], lens[j]]``, pulled inside the circle by
     ``eps_in``.  Probes are gathered in length-sorted batches of at most
-    ``batch_rows`` rows, each padded with zeros to its longest member;
-    every flow row is independent of its batch.  Returns the complex
-    physical points.
+    ``batch_rows`` rows, each read out of ``seq`` as one matrix as wide as
+    its longest member; the flow never reads a row past its length, so the
+    rest of the row is left as read, and every flow row is independent of
+    its batch.  Returns the complex physical points.
     """
     paths = np.asarray(paths, dtype=np.int64)
     lens = np.asarray(lens, dtype=np.int64)
@@ -272,7 +273,6 @@ def _batched_pullback(seq: np.ndarray, paths, lens, du: float, eps_in: float,
         sel = order[i0:i0 + batch_rows]
         cols = np.arange(max(1, int(lens[sel].max())))
         mat = seq[paths[sel, None], cols]
-        mat[cols >= lens[sel, None]] = 0.0
         y = y0[sel]
         _kernels.backward_flow(mat, lens[sel], du, y)
         out[sel] = y

@@ -41,7 +41,8 @@ def csc2(u):
 
 def cot2p(u):
     """First derivative of cot2: d/du cot(u/2) = -csc(u/2)^2 / 2."""
-    return -0.5 * csc2(u) ** 2
+    s = csc2(u)
+    return -0.5 * (s * s)
 
 
 def cot2pp(u):

@@ -1,6 +1,7 @@
 """Contract of the ``twocurve check`` command and its battery: exit codes,
-the report file, fault injections that the battery must catch, and the
-batched drift check against the per-state public function."""
+the report file and its timings, the pinned residuals of the default
+battery, fault injections that the battery must catch, and the batched
+drift check against the per-state public function."""
 import json
 
 import numpy as np
@@ -40,15 +41,63 @@ def test_injected_alpha0_error_fails_quasi_invariance_only(tmp_path):
         == ["quasi_invariance"]
 
 
-@pytest.mark.parametrize("kappa", [3.0, 6.0, 7.5])
+def test_report_times_each_check(tmp_path):
+    assert main(ARGV + ["--out-dir", str(tmp_path)]) == 0
+    report = _report(tmp_path)
+    seconds = report["seconds"]
+    assert len(seconds["checks"]) == len(report["checks"])
+    assert all(s >= 0.0 for s in seconds["checks"])
+    assert seconds["total"] >= sum(seconds["checks"])
+    # the timings stay out of the check entries
+    assert all(set(c) == {"name", "kappa", "tolerance", "residual",
+                          "passed"} for c in report["checks"])
+
+
+# residuals of the default battery, in battery order
+DEFAULT_BATTERY = [
+    ("hyp_ode_residual", 2.0, "0x1.ce9d000000000p-32"),
+    ("hyp_value_at_one", 2.0, "0x1.0000000000001p-53"),
+    ("basis_orthonormality", 2.0, "0x1.77c0000000000p-45"),
+    ("drift_residual", 2.0, "0x1.0000000000000p-43"),
+    ("hyp_ode_residual", 3.0, "0x1.f2e25d0000000p-30"),
+    ("hyp_value_at_one", 3.0, "0x0.0p+0"),
+    ("basis_orthonormality", 3.0, "0x1.1800000000000p-46"),
+    ("drift_residual", 3.0, "0x1.0000000000000p-44"),
+    ("hyp_ode_residual", 4.0, "0x0.0p+0"),
+    ("hyp_value_at_one", 4.0, "0x0.0p+0"),
+    ("basis_orthonormality", 4.0, "0x1.1c80000000000p-45"),
+    ("drift_residual", 4.0, "0x1.8000000000000p-46"),
+    ("hyp_ode_residual", 6.0, "0x1.c3aa940000000p-28"),
+    ("hyp_value_at_one", 6.0, "0x0.0p+0"),
+    ("basis_orthonormality", 6.0, "0x1.3100000000000p-45"),
+    ("drift_residual", 6.0, "0x1.4000000000000p-46"),
+    ("hyp_ode_residual", 7.5, "0x1.5746139800000p-25"),
+    ("hyp_value_at_one", 7.5, "0x0.0p+0"),
+    ("basis_orthonormality", 7.5, "0x1.4000000000000p-47"),
+    ("drift_residual", 7.5, "0x1.5180000000000p-44"),
+    ("eigenfunction_residual", 6.0, "0x1.953b900000000p-26"),
+    ("chapman_kolmogorov", 6.0, "0x1.0338000000000p-41"),
+    ("stationarity", 6.0, "0x1.0000000000000p-54"),
+    ("quasi_invariance", 6.0, "0x1.0000000000000p-57"),
+]
+
+
+def test_default_battery_pinned_bits():
+    results = checks.run_all_checks()
+    assert [(r.name, r.kappa, r.residual.hex()) for r in results] \
+        == DEFAULT_BATTERY
+    assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("kappa", checks.DEFAULT_KAPPAS)
 def test_drift_battery_equals_per_state_drift_residual(kappa):
     ctx = KappaContext(kappa)
-    states = ensemble.sample_states(20, seed=20240 + int(10 * kappa))
+    states = ensemble.sample_states(200, seed=20240 + int(10 * kappa))
     per_state = np.array([[[ensemble.drift_residual(ctx, st, j, mode)
                             for mode in ("c4", "ch")] for j in (1, 2)]
                           for st in states])
     assert np.array_equal(ensemble.drift_residuals(ctx, states), per_state)
-    result = checks.check_drift_residual(KappaContext(kappa), n_states=20)
+    result = checks.check_drift_residual(KappaContext(kappa))
     assert result.residual == np.max(np.abs(per_state))
     assert result.passed
 

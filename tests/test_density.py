@@ -330,6 +330,49 @@ class TestGeneratorApply:
             assert np.max(np.abs(lhs - rhs)) < 1e-6
 
 
+def _per_point_generator(ctx, f, x, y, h=1e-3):
+    """L f with one call of f per stencil point, each derivative summed
+    in the order ``generator_apply`` sums it: the oracle for its single
+    call on the stacked stencil."""
+    c1 = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
+    o1 = np.array([-2.0, -1.0, 1.0, 2.0])
+    c2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
+    o2 = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    f_x = sum(c * f(x + o * h, y) for c, o in zip(c1, o1))
+    f_y = sum(c * f(x, y + o * h) for c, o in zip(c1, o1))
+    f_xx = sum(c * f(x + o * h, y) for c, o in zip(c2, o2))
+    f_yy = sum(c * f(x, y + o * h) for c, o in zip(c2, o2))
+    f_xy = sum(ci * cj * f(x + oi * h, y + oj * h)
+               for ci, oi in zip(c1, o1) for cj, oj in zip(c1, o1))
+    k = ctx.kappa
+    return (k / 8.0 * (1.0 - x * x) * f_xx
+            + k / 8.0 * (1.0 - y * y) * f_yy
+            - k / 4.0 * x * y * f_xy
+            - ctx.lambda_gap * (x * f_x + y * f_y))
+
+
+class TestGeneratorStencil:
+    PX, PY = np.random.default_rng(11).uniform(-0.62, 0.62, (2, 10))
+
+    @pytest.mark.parametrize("f", [
+        lambda a, b: a ** 3 * b - 2.0 * a * b * b + 0.5 * b,
+        lambda a, b: dens.basis_eval(BASIS6, 0, 0, 1, a, b),
+        lambda a, b: dens.basis_eval(BASIS6, 5, 1, 2, a, b),
+        lambda a, b: dens.basis_eval(BASIS6, 10, 3, 1, a, b),
+    ], ids=["polynomial", "mode_0_0_1", "mode_5_1_2", "mode_10_3_1"])
+    def test_one_call_same_bytes_as_per_point_calls(self, f):
+        calls = []
+
+        def counted(a, b):
+            calls.append(np.shape(a))
+            return f(a, b)
+
+        got = dens.generator_apply(CTX6, counted, self.PX, self.PY)
+        assert calls == [(26, 10)]
+        want = _per_point_generator(CTX6, f, self.PX, self.PY)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestPInfty:
     def test_formula(self):
         val = dens.p_infty(CTX6, 0.3, -0.4)

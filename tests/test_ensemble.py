@@ -7,7 +7,9 @@ component SDE rows, cancels against (kappa/2) times the squared
 displayed noise coefficient.  A finite-difference Ito oracle
 re-derives the same cancellation without using any assembled SDE.
 """
+import hashlib
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -356,6 +358,17 @@ class TestDriftResidual:
         assert ens.log_M_sde(ctx, st[0], 1, "ch")[1] == float.fromhex(mu)
         assert ens.drift_residual(ctx, st[7], 1, "ch") == float.fromhex(res)
 
+    @pytest.mark.parametrize("kap", [3.0, 7.5])
+    def test_array_pass_equals_per_state_where_pow_rounds_apart(self, kap):
+        # at this state glibc's pow(s, 2.0) and s * s round the square of
+        # csc2(V1 - W1) apart; the helpers square by multiplication, which
+        # a float, a numpy scalar and an array all round alike
+        ctx = KappaContext(kap)
+        st = ens.sample_states(11, seed=3)[10]
+        per_state = [[ens.drift_residual(ctx, st, j, mode)
+                      for mode in ("c4", "ch")] for j in (1, 2)]
+        assert ens.drift_residuals(ctx, [st]).tolist() == [per_state]
+
     def test_martingale_cancellation_sweep(self):
         # Reduced-size version of the acceptance sweep (the acceptance
         # suite runs the full thousand states per kappa).
@@ -422,6 +435,21 @@ class TestEvolveSecondOrder:
 
 
 class TestSampleStates:
+    @pytest.mark.parametrize("seed, digest", [
+        (20260, "b90444d506178890eb879952e1ee359e"
+                "9278d5bcebfa86e712185f3f5bde2e1d"),
+        (20300, "3c56bc8de369a7425f498378320ed94e"
+                "83e88df7c348736d2eee62b8dfd5435a"),
+    ])
+    def test_pinned_digest(self, seed, digest):
+        # sha256 of every field of every state, in field order, as
+        # little-endian doubles: the draws, their order and the rejections
+        h = hashlib.sha256()
+        for st in ens.sample_states(200, seed):
+            for name in st.__dataclass_fields__:
+                h.update(struct.pack("<d", getattr(st, name)))
+        assert h.hexdigest() == digest
+
     def test_reproducible_and_valid(self):
         a = ens.sample_states(10, seed=5)
         b = ens.sample_states(10, seed=5)

@@ -575,7 +575,29 @@ class TestCompiledBackwardFlow:
         assert out.exists()
 
 
-Z_OUTPUTS = ("z1", "z2", "alive", "absorb_step", "rec_z1", "rec_z2")
+@pytest.mark.parametrize("flow", [
+    pytest.param("compiled", marks=pytest.mark.skipif(
+        not HAS_CC, reason="no C compiler on PATH")),
+    "numpy"])
+def test_flow_never_reads_past_a_row_length(flow):
+    # montecarlo._batched_pullback leaves whatever follows a row's length
+    # in its probe matrix, so NaN there must give the bytes that 0.0 gives
+    if flow == "compiled":
+        compiled_lib()
+        run_flow = _kernels.backward_flow
+    else:
+        run_flow = _kernels._backward_flow_np
+    past = np.arange(FLOW_DRIVERS.shape[1]) >= FLOW_LENGTHS[:, None]
+    out = []
+    for pad in (0.0, np.nan):
+        y = FLOW_Y.copy()
+        run_flow(np.where(past, pad, FLOW_DRIVERS), FLOW_LENGTHS, 0.01, y)
+        out.append(y)
+    assert_same_bits(*out)
+    assert np.all(np.isfinite(out[1]))
+
+
+Z_OUTPUTS =("z1", "z2", "alive", "absorb_step", "rec_z1", "rec_z2")
 
 
 def z_run(fn, kappa, z0, dt, start_step, n_steps, rec, seed=5,
