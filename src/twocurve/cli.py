@@ -10,7 +10,8 @@ Subcommands
 ``density``
     Evaluate the transition density and survival curves on grids and
     write them as CSV with a JSON sidecar (normalizing constant, fitted
-    survival slope).  Purely deterministic: rerunning a config
+    survival slope, series truncation per time, and where the tanh-sinh
+    quadratures ended).  Purely deterministic: rerunning a config
     reproduces the files byte for byte.
 ``simulate``
     Run a Monte Carlo estimator (``z-weighted`` survival, ``curves``
@@ -370,6 +371,10 @@ def cmd_density(cfg: RunConfig, out=sys.stdout) -> int:
         # bound relative to the stationary density, and whether that bound
         # met the tolerance below the level cap
         "truncation": {"pz_t": pt_truncation, "survival": surv_truncation},
+        # the tanh-sinh quadratures of Z_constant and of the survival mode
+        # integrals: level reached, last inter-level change, tolerance met;
+        # and the distinct points of the grid they share
+        "quadrature": dens.quadrature_report(ctx, basis),
     }
     _write_json(os.path.join(cfg.out_dir, "density_meta.json"), meta)
     unconverged = {r["t"]: r for r in pt_truncation + surv_truncation

@@ -24,6 +24,11 @@ degree n.  This module provides:
     for residual checks, with one call of the applied function on the
     stacked stencil.
 
+A context keeps its work: the series tail table, doubled only as far
+as the requested times need, and one grid of pZ_infty / G_u on the
+tanh-sinh nodes (``pz_over_gu_grid``) that every quadrature level reads;
+``quadrature_report`` says where those quadratures ended.
+
 Every series runs on one evaluator, ``mode_blocks``: per angular order m
 and block of points, the matrix V[k, p] = v_k(x_p, y_p) from the Jacobi
 recurrence ``special.jacobi_seq`` and the powers (x + i y)^m.  Series
@@ -61,9 +66,11 @@ __all__ = [
     "pZ_t",
     "pZ_infty",
     "tilde_pZ_t",
+    "pz_over_gu_grid",
     "Z_constant",
     "tilde_pZ_infty",
     "survival_P2",
+    "quadrature_report",
 ]
 
 logger = logging.getLogger(__name__)
@@ -73,9 +80,12 @@ logger = logging.getLogger(__name__)
 # interest, so requests that cannot converge are reported, not refined.
 N_CAP = 60
 
-# Levels scanned when pre-computing the tail-bound table.  The summand
-# exp(lambda_n t) * T_n peaks near n ~ 8/(k t); 2048 covers t >= 0.004
-# for every supported kappa, far below any time used by the package.
+# First and last top level of the tail-bound scan.  The summand
+# exp(lambda_n t) * T_n peaks near n ~ 8/(k t), then falls to 0.0.  Where
+# it is still nonzero at _N_SCAN (8e-55 at kappa 2, t 0.002; inf at
+# kappa 0.5, t 0.004) the tail misses the levels past it, but such a time
+# never converges below the level cap: it is reported unconverged.
+_SCAN_START = 128
 _N_SCAN = 2048
 
 # Most entries of one mode-value block V of ``mode_blocks``, and most
@@ -258,15 +268,17 @@ def _modes_at(basis: SpectralBasis, n_limit: int, x, y):
 # ---------------------------------------------------------------------------
 
 
-def _tail_logs(ctx: KappaContext):
+def _tail_logs(ctx: KappaContext, n_top: int = _N_SCAN):
     """log of the level tail weights T_n = (n+1) max_j sup(v_{n,j})^2.
 
-    Cached per context; used to pick the series truncation so the
-    discarded tail, measured relative to the n = 0 coefficient 8/(pi k),
-    is below the requested tolerance uniformly over the disc.
+    Levels 0 to at least n_top.  Cached per context; a longer table
+    replaces a shorter one, whose entries are its head bit for bit (each
+    depends on its own level only).  Used to pick the series truncation
+    so the discarded tail, measured relative to the n = 0 coefficient
+    8/(pi k), is below the requested tolerance uniformly over the disc.
 
-    The scan covers about a million (n, j) pairs, but every Gamma and log
-    argument is an integer k in [0, _N_SCAN] (j, n - j, m = n - 2j or n)
+    The scan covers about n_top^2 / 4 (n, j) pairs, but every Gamma and
+    log argument is an integer k in [0, n_top] (j, n - j, m = n - 2j or n)
     plus a constant.  So log_gamma and np.log run once per k on a table
     whose entries are formed as the per-pair expression would form them
     (``e + k + 1.0``, ``k + 8/kappa``, ...), and the pairs gather from the
@@ -277,17 +289,17 @@ def _tail_logs(ctx: KappaContext):
     """
     key = "density_tail_logs"
     cached = ctx._cache.get(key)
-    if cached is not None:
+    if cached is not None and cached.size > n_top:
         return cached
     e = ctx.weight_exponent
     ek = e + 1.0  # 8/kappa
-    counts = np.arange(_N_SCAN + 1) // 2 + 1
+    counts = np.arange(n_top + 1) // 2 + 1
     starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
-    n_flat = np.repeat(np.arange(_N_SCAN + 1), counts)
+    n_flat = np.repeat(np.arange(n_top + 1), counts)
     j_flat = np.arange(n_flat.size) - np.repeat(starts, counts)
     nj_flat = n_flat - j_flat
     m_flat = nj_flat - j_flat
-    ints = np.arange(_N_SCAN + 1, dtype=float)
+    ints = np.arange(n_top + 1, dtype=float)
     lg_int1 = log_gamma(ints + 1.0)
     lg_int_ek = log_gamma(ints + ek)
     lg_e_int1 = log_gamma(e + ints + 1.0)
@@ -302,7 +314,7 @@ def _tail_logs(ctx: KappaContext):
     log_sup_b = lg_nj1 - lg_j1 - lg_int1[m_flat]
     log_sup2 = log_h2 + 2.0 * np.maximum(log_sup_a, log_sup_b)
     per_level = np.maximum.reduceat(log_sup2, starts)
-    out = per_level + np.log(np.arange(_N_SCAN + 1) + 1.0)
+    out = per_level + np.log(np.arange(n_top + 1) + 1.0)
     ctx._cache[key] = out
     return out
 
@@ -313,15 +325,26 @@ def _select_truncation(basis: SpectralBasis, t: float, rtol: float):
     Returns (n_used, tail_bound, tolerance, converged).  tail_bound and
     tolerance are both relative to the n = 0 coefficient, so the pointwise
     truncation error is below tail_bound * p_infty uniformly.
+
+    The tail table doubles its top level from _SCAN_START until the top
+    summand is 0.0 at t (or to _N_SCAN).  The summands past it are 0.0
+    too, and the reversed cumsum adds zeros exactly: the tails are those
+    of the full _N_SCAN table.
     """
     ctx = basis.ctx
-    logs = _tail_logs(ctx)
-    levels = np.arange(logs.size, dtype=float)
-    lam = -(ctx.kappa / 8.0) * levels * (levels + 16.0 / ctx.kappa)
-    with np.errstate(over="ignore"):
-        terms = np.exp(lam * t + logs) * (np.pi * ctx.kappa / 8.0)
-    tails = np.zeros(logs.size)
-    tails[:-1] = np.cumsum(terms[::-1])[::-1][1:]
+    n_top = _SCAN_START
+    while True:
+        logs = _tail_logs(ctx, n_top)
+        levels = np.arange(logs.size, dtype=float)
+        lam = -(ctx.kappa / 8.0) * levels * (levels + 16.0 / ctx.kappa)
+        # at small t summands and sums overflow: an unconverged inf bound
+        with np.errstate(over="ignore"):
+            terms = np.exp(lam * t + logs) * (np.pi * ctx.kappa / 8.0)
+            tails = np.zeros(logs.size)
+            tails[:-1] = np.cumsum(terms[::-1])[::-1][1:]
+        if terms[-1] == 0.0 or logs.size > _N_SCAN:
+            break
+        n_top *= 2
     cap = min(N_CAP, basis.n_max)
     if tails[cap] <= rtol:
         n_used = int(np.argmax(tails <= rtol))
@@ -589,21 +612,64 @@ def tilde_pZ_t(ctx: KappaContext, basis: SpectralBasis, frm, to, t,
     return val
 
 
+def pz_over_gu_grid(ctx: KappaContext, z):
+    """_pz_over_gu on meshgrid(z, z, indexing="ij"), from a per-context
+    grid over every distinct node asked for so far.
+
+    A call evaluates only the pairs with a new node.  For the nodes of a
+    tanh-sinh level that costs nothing after a finer level, since halving
+    the step keeps every node (Takahasi & Mori 1974).  The extension is
+    symmetric in (z1, z2) bit for bit (cos is even), so each new pair is
+    evaluated once and mirrored.  It acts elementwise and hyp_F does not
+    depend on its batch, so every entry has the bits of a direct
+    evaluation.  ``points`` counts the pairs evaluated.
+    """
+    grid = ctx._cache.setdefault(
+        "pz_grid", {"z": np.empty(0), "values": np.empty((0, 0)),
+                    "points": 0})
+    nodes = np.union1d(grid["z"], z)
+    if nodes.size > grid["z"].size:
+        old = np.isin(nodes, grid["z"], assume_unique=True)
+        kept = np.flatnonzero(old)
+        values = np.empty((nodes.size, nodes.size))
+        values[np.ix_(kept, kept)] = grid["values"]
+        # a new node against every kept one, and new pairs with a <= b
+        a, b = np.meshgrid(np.flatnonzero(~old), np.arange(nodes.size),
+                           indexing="ij")
+        one_side = old[b] | (b >= a)
+        a, b = a[one_side], b[one_side]
+        for lo in range(0, a.size, _CHUNK):
+            ab, bb = a[lo:lo + _CHUNK], b[lo:lo + _CHUNK]
+            values[ab, bb] = values[bb, ab] = _pz_over_gu(ctx, nodes[ab],
+                                                          nodes[bb])
+        grid.update(z=nodes, values=values, points=grid["points"] + a.size)
+    at = np.searchsorted(grid["z"], z)
+    return grid["values"][np.ix_(at, at)]
+
+
 def Z_constant(ctx: KappaContext, rtol: float = 1e-10) -> float:
     """Normalizing constant of the tilted stationary law.
 
-    The integral over (0, pi)^2 of pZ_infty / G_u, computed by adaptive
-    tanh-sinh tensor quadrature of the continuous extension.  Cached per
-    context.
+    The integral over (0, pi)^2 of pZ_infty / G_u: ``square_integrate``
+    of the continuous extension on ``pz_over_gu_grid``.  Cached per
+    context, with the quadrature's report for ``quadrature_report``.
     """
     key = ("z_constant", rtol)
     cached = ctx._cache.get(key)
     if cached is not None:
         return cached
-    val, err = square_integrate(
-        lambda z1, z2: _pz_over_gu(ctx, z1, z2), rtol=rtol)
+    sizes = []  # one entry per level, from level 0 on
+
+    def integrand(z1, z2):
+        sizes.append(z1.shape[0])
+        return pz_over_gu_grid(ctx, z1[:, 0])
+
+    val, err = square_integrate(integrand, rtol=rtol)
     logger.debug("Z_constant(kappa=%g) = %.12g (quadrature change %.2e)",
                  ctx.kappa, val, err)
+    ctx._cache["z_constant_quadrature"] = {
+        "level": len(sizes) - 1, "change": float(err),
+        "converged": bool(err <= rtol * max(abs(val), 1e-300))}
     ctx._cache[key] = float(val)
     return float(val)
 
@@ -624,30 +690,32 @@ def _survival_integrals(ctx: KappaContext, basis: SpectralBasis,
                         n_limit: int):
     """Mode integrals I_s = (pi k / 8) int v_s(x(z), y(z)) ratio(z) dz.
 
-    ratio is the continuous extension of pZ_infty / G_u.  With these,
-    survival_P2 becomes exp(-alpha0 t) G_u(z0) sum_s exp(lambda_n t)
-    v_s(z0) I_s; the n = 0 term reproduces the Z_constant asymptote
-    exactly.  Cached on the basis at the largest level requested so far;
-    quadrature levels escalate until the vector stabilizes.
+    ratio is the continuous extension of pZ_infty / G_u, read from
+    ``pz_over_gu_grid``.  With these, survival_P2 becomes
+    exp(-alpha0 t) G_u(z0) sum_s exp(lambda_n t) v_s(z0) I_s; the n = 0
+    term reproduces the Z_constant asymptote exactly.  Cached on the
+    basis at the largest level requested so far, with the quadrature's
+    report; tanh-sinh levels escalate from 3 to 6 until the vector
+    stabilizes.
     """
     cache = basis._survival_cache
     if cache is not None and cache["n_limit"] >= n_limit:
         return cache["integrals"]
     pref = np.pi * ctx.kappa / 8.0
     prev = None
+    delta, converged = np.inf, False
     for level in range(3, 7):
         q, w = tanh_sinh_rule(level)
         z = np.pi * q
         wz = np.pi * w
+        ratio = pz_over_gu_grid(ctx, z)
         out = np.zeros(basis.n_modes)
         rows_per = max(1, _CHUNK // z.size)
         for lo in range(0, z.size, rows_per):
             hi = min(lo + rows_per, z.size)
             z1b, z2b = np.meshgrid(z[lo:hi], z, indexing="ij")
-            z1b = z1b.ravel()
-            z2b = z2b.ravel()
-            wb = np.outer(wz[lo:hi], wz).ravel() * _pz_over_gu(ctx, z1b, z2b)
-            xb, yb = xy_of_z((z1b, z2b))
+            wb = np.outer(wz[lo:hi], wz).ravel() * ratio[lo:hi].ravel()
+            xb, yb = xy_of_z((z1b.ravel(), z2b.ravel()))
             for rows, sl, V in mode_blocks(basis, n_limit, xb, yb):
                 out[rows] += V @ wb[sl]
         out *= pref
@@ -655,10 +723,14 @@ def _survival_integrals(ctx: KappaContext, basis: SpectralBasis,
             delta = float(np.max(np.abs(out - prev)))
             scale = max(1.0, float(np.abs(out[0])))
             logger.debug("survival integrals level %d: delta %.2e", level, delta)
-            if delta <= 1e-10 * scale:
+            converged = delta <= 1e-10 * scale
+            if converged:
                 break
         prev = out
-    basis._survival_cache = {"n_limit": n_limit, "integrals": out}
+    basis._survival_cache = {
+        "n_limit": n_limit, "integrals": out,
+        "quadrature": {"level": level, "change": delta,
+                       "converged": converged}}
     return out
 
 
@@ -692,3 +764,14 @@ def survival_P2(ctx: KappaContext, basis: SpectralBasis, z0, t,
         return PtResult(value=val, n_used=n_used, tail_bound=tail,
                         tolerance=tol, converged=conv)
     return val
+
+
+def quadrature_report(ctx: KappaContext, basis: SpectralBasis) -> dict:
+    """Level reached, last inter-level change and tolerance met of the
+    Z_constant and survival quadratures run on ctx and basis (None if not
+    run), and the distinct points ``pz_over_gu_grid`` evaluated."""
+    survival = basis._survival_cache
+    grid = ctx._cache.get("pz_grid")
+    return {"Z_constant": ctx._cache.get("z_constant_quadrature"),
+            "survival": None if survival is None else survival["quadrature"],
+            "pz_points": 0 if grid is None else grid["points"]}

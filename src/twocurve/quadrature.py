@@ -64,8 +64,9 @@ def square_integrate(func, rtol: float = 1e-10, max_level: int = 6,
                      length: float = np.pi):
     """Tanh-sinh tensor integration of func over (0, length)^2.
 
-    func must accept meshgrid arrays (z1, z2).  Levels double until two
-    successive results agree to rtol.
+    func must accept meshgrid arrays (z1, z2) = meshgrid(z, z,
+    indexing="ij") and is called once per level, from level 0 on.  Levels
+    double until two successive results agree to rtol.
 
     Returns:
         (value, est_error): the last level and the last inter-level change.

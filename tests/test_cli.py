@@ -2,9 +2,11 @@
 output, exit code 2 for configurations rejected before any work, config
 precedence, run provenance, ``report`` and the estimate CSV format."""
 import csv
+import hashlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from twocurve import _kernels, cli, montecarlo as mc
 from twocurve.cli import main
 from twocurve.context import KappaContext
 from twocurve.green import BoundaryConfig
+from twocurve.quadrature import tanh_sinh_rule
 from twocurve.timecurve import ZState, simulate_z_ensemble
 
 S8 = math.pi / 4.0
@@ -35,6 +38,83 @@ def test_density_output_is_byte_stable(tmp_path):
     for name in DENSITY_FILES:
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
     assert _meta_without_out_dir(runs[0]) == _meta_without_out_dir(runs[1])
+
+
+# sha256 of pz_t.csv, pz_infty.csv and survival.csv, recorded before the
+# tail scan doubled and the tanh-sinh grid was shared: the density output
+# must keep its bytes
+DENSITY_DIGESTS = {
+    ("3", "default"): (
+        "71c6eb9f0cf40a87e270d3a0066f3453eb226f06e8914a8a4ed78a33539ec337",
+        "49071854e1d28902fef6db00e00d3fa7c9d11e4853ccef0e7fe7c82bf5ea0f46",
+        "cf92f137ab0f0a2ca7644545ed7f2ae9528d10d2f14c4e5531122641575c32c0"),
+    ("3", "small_t"): (
+        "61128866c231aebf49c9d99f30c7991290796071e5ccafbde01e76bdd03af7b9",
+        "082381891ce0f73119cad757f97dd1b74b6ab1fd5d8347d9bb6f83a18c9fbcdb",
+        "20f0639d46f95d71c7f6c5b97c799dee6bb307387cf86cf7421fdc3128ac6cac"),
+    ("6", "default"): (
+        "d7af227a710c81216d7f17d9089088c4b78ea76041958ae48fee42f9ef465361",
+        "82588e986a971bc747d27c9b76ff1f1d9109d2b18b24acd221f80798dd33e441",
+        "6b8486515ba5249b4199aed0a6e5b3ae820de14de11dfd42c967c6dc99bc4203"),
+    ("6", "small_t"): (
+        "c753b4f61e389a951b258388d7498f2173b6f8bedc3b062e48801831bceff684",
+        "e7f1a4eb76f37b4135c575c1de9b93b37a9406a60d8da0128dc27a9568f677b8",
+        "2e79abdddc0eab94f6f83bd3bb79c2d6b42a9079f274d51c6cf2fae6cc6b4af0"),
+    ("7.5", "default"): (
+        "3452104e3454f7a0c8c82b3832ccda2a1260c335e0fc8b9c70b570cc51586d6b",
+        "612c6f2da3533c11949ab02a3581faea24a94c4256d61c1ca755f4c40fcb953b",
+        "b40e52654b5459b910d84ffc100e16c93b4dcf1c6e2e4bed2664fff4bf63dce6"),
+    ("7.5", "small_t"): (
+        "2dadcfcaba3e7fb4d2c5ad26117007a5dc46eaeac1ec6bdb1a65c1263718c498",
+        "fe8a8a5ab045e202b2cf112f70b7e82ebc0960b3d53f15f3d424a714793d00d4",
+        "912fb5437b03f8728f6f5e9b6414d77c75cddd852a6a6eafe9f6025f33dd5edf"),
+}
+DENSITY_SETTINGS = {"default": [],
+                    "small_t": ["--t-list", "0.01,1", "--grid-n", "6"]}
+
+
+def _digests(out_dir):
+    return tuple(hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                 for name in DENSITY_FILES)
+
+
+@pytest.mark.parametrize("kappa,settings", sorted(DENSITY_DIGESTS),
+                         ids=[f"{k}_{s}" for k, s in sorted(DENSITY_DIGESTS)])
+def test_density_output_pinned_bytes(kappa, settings, tmp_path):
+    assert main(["density", "--kappa", kappa, "--out-dir", str(tmp_path)]
+                + DENSITY_SETTINGS[settings]) == 0
+    assert _digests(tmp_path) == DENSITY_DIGESTS[kappa, settings]
+
+
+def test_density_small_time_leaks_no_warning(tmp_path):
+    # at t 0.0024 the series summands overflow: the tail bound is inf and
+    # the run says so on its own warning line, with no numpy warning; the
+    # files keep the bytes recorded before the overflow was silenced
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["density", "--kappa", "1.1", "--t-list", "0.0024",
+                     "--grid-n", "2", "--out-dir", str(tmp_path)]) == 0
+    assert _digests(tmp_path) == (
+        "ca7200053a41135007fa52faef1c11dcbda052a2ad608349ddbab1d9aa65e674",
+        "33cc274485065b0f32bbd06cc5c2f539f0d489b3b5b12107b6699bda0b945456",
+        "3d98424822bcb81a80fbc337a569a0ef40d7b3946b2403f5c1cc0c744b46fc54")
+    report = _meta_without_out_dir(tmp_path)["truncation"]["pz_t"][0]
+    assert (report["tail_bound"], report["converged"]) == (math.inf, False)
+
+
+def test_density_meta_reports_quadrature(tmp_path):
+    assert main(DENSITY + ["--out-dir", str(tmp_path)]) == 0
+    quadrature = _meta_without_out_dir(tmp_path)["quadrature"]
+    # Z_constant settles at level 2 and the survival integrals at level 4;
+    # the second reads the first's grid, so the points are those of the
+    # level-4 grid: each distinct pair of node values once
+    assert quadrature["Z_constant"]["level"] == 2
+    assert quadrature["survival"]["level"] == 4
+    for name in ("Z_constant", "survival"):
+        assert quadrature[name]["converged"] is True
+        assert 0.0 <= quadrature[name]["change"] < 1e-12
+    distinct = np.unique(np.pi * tanh_sinh_rule(4)[0]).size
+    assert quadrature["pz_points"] == distinct * (distinct + 1) // 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,7 @@
 """Tests for the spectral transition density of the disc diffusion."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.polynomial import legendre
@@ -7,7 +9,8 @@ from numpy.polynomial import legendre
 from twocurve.context import KappaContext
 from twocurve import density as dens
 from twocurve.green import G_u
-from twocurve.quadrature import disc_rule, square_integrate
+from twocurve.quadrature import (disc_rule, square_integrate,
+                                 tanh_sinh_rule)
 from twocurve.special import jacobi, log_gamma
 from twocurve.timecurve import ZState, simulate_z_ensemble
 
@@ -133,6 +136,70 @@ class TestTabulatedConstants:
             dens.sup_norm(basis, 9, 0)
         with pytest.raises(ValueError):
             dens.sup_norm(basis, 3, 2)
+
+
+def _full_scan_truncation(basis, logs, t, rtol=1e-9):
+    """Truncation from the full per-pair table of _N_SCAN levels: the
+    selection as it ran before the scan doubled.  Returns
+    ((n_used, tail_bound, converged), top summand)."""
+    ctx = basis.ctx
+    levels = np.arange(logs.size, dtype=float)
+    lam = -(ctx.kappa / 8.0) * levels * (levels + 16.0 / ctx.kappa)
+    with np.errstate(over="ignore"):
+        terms = np.exp(lam * t + logs) * (np.pi * ctx.kappa / 8.0)
+        tails = np.zeros(logs.size)
+        tails[:-1] = np.cumsum(terms[::-1])[::-1][1:]
+    cap = min(dens.N_CAP, basis.n_max)
+    if tails[cap] <= rtol:
+        n_used = int(np.argmax(tails <= rtol))
+        return (n_used, float(tails[n_used]), True), terms[-1]
+    return (cap, float(tails[cap]), False), terms[-1]
+
+
+class TestTruncationScan:
+    """The doubled tail scan selects what the full scan selects."""
+
+    TIMES = np.geomspace(1e-4, 8.0, 40)
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.1, 2.0, 3.0, 4.0, 6.0, 7.5,
+                                       7.9])
+    def test_doubled_scan_matches_full_scan(self, kappa):
+        logs = _tail_logs_per_pair(KappaContext(kappa))
+        oracle = {}
+        basis = dens.SpectralBasis(KappaContext(kappa), 60)
+        for t in self.TIMES:
+            oracle[t], top = _full_scan_truncation(basis, logs, t)
+            if top != 0.0:  # the scan misses levels past _N_SCAN
+                assert not oracle[t][2]
+        # from long times down, each call grows the table of the last; then
+        # a fresh context whose first call builds the full table
+        for times in (self.TIMES[::-1], self.TIMES):
+            basis = dens.SpectralBasis(KappaContext(kappa), 60)
+            for t in times:
+                n_used, tail, tol, conv = dens._select_truncation(
+                    basis, t, 1e-9)
+                assert (n_used, tail, conv) == oracle[t]
+                assert tol == 1e-9
+
+    def test_unconverged_whenever_the_top_level_is_nonzero(self):
+        # the times the comment at _N_SCAN names
+        for kappa, t, top in ((0.5, 0.004, np.inf), (2.0, 0.002, 8e-55)):
+            basis = dens.SpectralBasis(KappaContext(kappa), 60)
+            got, top_term = _full_scan_truncation(
+                basis, dens._tail_logs(basis.ctx), t)
+            assert top_term == pytest.approx(top, rel=0.01)
+            assert not got[2]
+            assert dens._select_truncation(basis, t, 1e-9)[3] is False
+
+    def test_short_table_is_head_of_full_table(self):
+        ctx = KappaContext(6.0)
+        head = dens._tail_logs(ctx, 128)
+        assert head.size == 129
+        assert dens._tail_logs(ctx, 100) is head  # reaches level 100
+        full = dens._tail_logs(ctx)
+        assert full.size == dens._N_SCAN + 1
+        assert np.array_equal(head, full[:129])
+        assert dens._tail_logs(ctx, 128) is full  # the longer table stays
 
 
 class TestBasisEval:
@@ -607,6 +674,75 @@ class TestZConstant:
         assert dens.tilde_pZ_infty(CTX6, (np.pi, np.pi)) == 0.0
         assert dens.tilde_pZ_infty(CTX6, (0.0, np.pi)) == 0.0
         assert dens.tilde_pZ_infty(CTX6, (np.pi, 0.0)) == 0.0
+
+
+def _direct_grid(ctx, z):
+    """_pz_over_gu on meshgrid(z, z, indexing="ij"), evaluated row block by
+    row block."""
+    return np.vstack([dens._pz_over_gu(ctx, *np.meshgrid(z[i:i + 64], z,
+                                                         indexing="ij"))
+                      for i in range(0, z.size, 64)])
+
+
+class TestPzGrid:
+    """One grid of the tilted weight per context, shared by every level."""
+
+    LEVELS = range(6)
+
+    @pytest.mark.parametrize("kappa", [3.0, 6.0, 7.5])
+    def test_grid_equals_direct_evaluation_in_any_order(self, kappa):
+        nodes = [np.pi * tanh_sinh_rule(level)[0] for level in self.LEVELS]
+        direct = [_direct_grid(KappaContext(kappa), z) for z in nodes]
+        distinct = np.unique(nodes[-1]).size
+        for order in ([0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0], [2, 5, 0]):
+            ctx = KappaContext(kappa)
+            for level in order:
+                got = dens.pz_over_gu_grid(ctx, nodes[level])
+                assert np.array_equal(got, direct[level])
+            # each distinct pair of node values once, in any order (the 0
+            # and pi ends repeat within a level)
+            report = dens.quadrature_report(ctx, dens.SpectralBasis(ctx, 2))
+            assert report["pz_points"] == distinct * (distinct + 1) // 2
+
+
+class TestQuadraturePins:
+    """Z_constant and the survival mode integrals at kappa 6, recorded
+    before their quadratures shared one grid."""
+
+    def test_z_constant_bits(self):
+        ctx = KappaContext(6.0)
+        assert dens.Z_constant(ctx).hex() == "0x1.00576c5657801p+1"
+        report = dens.quadrature_report(ctx, dens.SpectralBasis(ctx, 2))
+        assert report["Z_constant"]["level"] == 2
+        assert report["Z_constant"]["converged"] is True
+        assert report["survival"] is None
+
+    def test_survival_integrals_bits(self):
+        ctx = KappaContext(6.0)
+        basis = dens.SpectralBasis(ctx, 60)
+        dens.Z_constant(ctx)  # its levels 0-2 come first, as in density
+        ints = dens._survival_integrals(ctx, basis, 4)
+        assert [float(v).hex() for v in ints[:3]] == [
+            "0x1.897b4d6c06a96p+1", "0x1.1af63287f0cbbp+0",
+            "-0x1.e10b3bda95ea4p-52"]
+        assert hashlib.sha256(ints.tobytes()).hexdigest() == (
+            "8f5511c6dc287b444495d830603cc7ed3b4855ae4d56f9940ca398c9597cf614")
+        survival = dens.quadrature_report(ctx, basis)["survival"]
+        assert survival["level"] == 4 and survival["converged"] is True
+        assert 0.0 <= survival["change"] <= 1e-10 * ints[0]
+
+    def test_unsettled_survival_quadrature_is_reported(self, monkeypatch):
+        # a rule whose weights drift with the level never settles
+        nodes, weights = tanh_sinh_rule(1)
+        monkeypatch.setattr(
+            dens, "tanh_sinh_rule",
+            lambda level: (nodes, weights * (1.0 + 1e-6 * level)))
+        ctx = KappaContext(6.0)
+        basis = dens.SpectralBasis(ctx, 4)
+        dens._survival_integrals(ctx, basis, 4)
+        survival = dens.quadrature_report(ctx, basis)["survival"]
+        assert survival["level"] == 6 and survival["converged"] is False
+        assert survival["change"] > 1e-10
 
 
 class TestSurvival:
