@@ -9,13 +9,16 @@ This module re-evaluates each of them numerically and reports the
 measured residual against its pinned tolerance, so an installation (or a
 code change) can be validated end to end with one call.
 
-Each check returns a :class:`CheckResult`; :func:`run_all_checks`
-collects the full battery and records each check's wall seconds on its
-result.  The martingale and eigenfunction checks run as array passes:
-the drift residuals of all sampled states in one pass per curve and
-mode (``ensemble.drift_residuals``), and each mode's generator stencil
-in one call of the mode (``density.generator_apply``); both give the
-bytes of the per-state and per-point evaluations.
+Each check returns a :class:`CheckResult` judged against its entry in
+``TOLERANCES``, the one table of pinned tolerances, keyed by check name.
+:func:`run_all_checks` collects the full battery, its semigroup checks
+at ``SPECTRAL_KAPPA``, judges a result again where its name has an
+override, and records each check's wall seconds on its result.  The
+martingale and eigenfunction checks run as array passes: the drift
+residuals of all sampled states in one pass per curve and mode
+(``ensemble.drift_residuals``), and each mode's generator stencil in one
+call of the mode (``density.generator_apply``); both give the bytes of
+the per-state and per-point evaluations.
 ``inject_alpha0_error`` deliberately perturbs the decay exponent used by
 the quasi-invariance check -- a fault-injection knob proving the suite
 actually detects a wrong exponent (it must make that check fail).
@@ -34,9 +37,25 @@ from .context import KappaContext
 from .quadrature import disc_rule, square_integrate
 from .special import hyp_F, hyp_F_at_1
 
-__all__ = ["CheckResult", "run_all_checks", "DEFAULT_KAPPAS"]
+__all__ = ["CheckResult", "run_all_checks", "DEFAULT_KAPPAS", "TOLERANCES",
+           "SPECTRAL_KAPPA"]
 
 DEFAULT_KAPPAS = (2.0, 3.0, 4.0, 6.0, 7.5)
+
+# the kappa of the quadrature-heavy semigroup checks
+SPECTRAL_KAPPA = 6.0
+
+# pinned tolerance of each check, by the name on its result
+TOLERANCES = {
+    "hyp_ode_residual": 1e-7,
+    "hyp_value_at_one": 1e-10,
+    "basis_orthonormality": 1e-8,
+    "drift_residual": 1e-9,
+    "eigenfunction_residual": 1e-6,
+    "chapman_kolmogorov": 1e-6,
+    "stationarity": 1e-8,
+    "quasi_invariance": 1e-6,
+}
 
 
 @dataclass(frozen=True)
@@ -56,8 +75,12 @@ class CheckResult:
     seconds: float | None = field(default=None, compare=False)
 
     @staticmethod
-    def from_residual(name: str, kappa: float, tolerance: float,
-                      residual: float) -> "CheckResult":
+    def from_residual(name: str, kappa: float, residual: float,
+                      tolerance: float | None = None) -> "CheckResult":
+        """Pass when the residual is finite and below the tolerance,
+        by default ``TOLERANCES[name]``."""
+        if tolerance is None:
+            tolerance = TOLERANCES[name]
         residual = float(residual)
         ok = bool(np.isfinite(residual) and residual < tolerance)
         return CheckResult(name, float(kappa), float(tolerance),
@@ -80,15 +103,14 @@ def _worst(residuals) -> float:
 # special-function checks
 # ---------------------------------------------------------------------------
 
-def check_hyp_ode(ctx: KappaContext, n_grid: int = 200,
-                  tolerance: float = 1e-7) -> CheckResult:
+def check_hyp_ode(ctx: KappaContext) -> CheckResult:
     """Max residual of x(1-x)F'' + (c-2x)F' - abF = 0 on a grid.
 
     Derivatives by 4th-order central differences with a step shrinking
     toward x = 1 where higher derivatives grow.
     """
     a, b, c = ctx.hyp_a, ctx.hyp_b, ctx.hyp_c
-    x = np.linspace(0.0, 0.99, n_grid)
+    x = np.linspace(0.0, 0.99, 200)
     h = np.clip(0.0067 * (1.0 - x), 4e-5, 1.5e-3)
     pts = x[:, None] + h[:, None] * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     # hyp_F values do not depend on the batch: one call on all stencils
@@ -98,41 +120,36 @@ def check_hyp_ode(ctx: KappaContext, n_grid: int = 200,
         / (12.0 * h * h)
     res = x * (1.0 - x) * d2 + (c - 2.0 * x) * d1 - a * b * f[2]
     return CheckResult.from_residual("hyp_ode_residual", ctx.kappa,
-                                     tolerance, np.max(np.abs(res)))
+                                     np.max(np.abs(res)))
 
 
-def check_hyp_value_at_one(ctx: KappaContext,
-                           tolerance: float = 1e-10) -> CheckResult:
+def check_hyp_value_at_one(ctx: KappaContext) -> CheckResult:
     """Series evaluation at x=1 vs the closed gamma-ratio value."""
     exact = hyp_F_at_1(ctx)
     rel = abs(float(hyp_F(ctx, 1.0)) - exact) / abs(exact)
-    return CheckResult.from_residual("hyp_value_at_one", ctx.kappa,
-                                     tolerance, rel)
+    return CheckResult.from_residual("hyp_value_at_one", ctx.kappa, rel)
 
 
 # ---------------------------------------------------------------------------
 # spectral-basis checks
 # ---------------------------------------------------------------------------
 
-def check_orthonormality(ctx: KappaContext, n_limit: int = 12,
-                         tolerance: float = 1e-8) -> CheckResult:
-    """Gram matrix of the modes up to n_limit under the weighted disc rule,
+def check_orthonormality(ctx: KappaContext) -> CheckResult:
+    """Gram matrix of the modes up to level 12 under the weighted disc rule,
     built from ``density.mode_blocks``, the evaluator the densities run."""
-    basis = dens.SpectralBasis(ctx, n_limit)
+    basis = dens.SpectralBasis(ctx, 12)
     x, y, w = disc_rule(ctx, 26, 52)
     vals = np.empty((basis.n_modes, x.size))
-    for rows, sl, V in dens.mode_blocks(basis, n_limit, x, y):
+    for rows, sl, V in dens.mode_blocks(basis, basis.n_max, x, y):
         vals[rows, sl] = V
     gram = (vals * w) @ vals.T
     err = np.max(np.abs(gram - np.eye(basis.n_modes)))
-    return CheckResult.from_residual("basis_orthonormality", ctx.kappa,
-                                     tolerance, err)
+    return CheckResult.from_residual("basis_orthonormality", ctx.kappa, err)
 
 
-def check_eigenfunctions(ctx: KappaContext, n_limit: int = 10,
-                         tolerance: float = 1e-6) -> CheckResult:
-    """|L v - lambda v| at interior points for every mode up to n_limit."""
-    basis = dens.SpectralBasis(ctx, n_limit)
+def check_eigenfunctions(ctx: KappaContext) -> CheckResult:
+    """|L v - lambda v| at interior points for every mode up to level 10."""
+    basis = dens.SpectralBasis(ctx, 10)
     rng = np.random.default_rng(11)
     px, py = rng.uniform(-0.62, 0.62, (2, 10))
     res = []
@@ -143,11 +160,10 @@ def check_eigenfunctions(ctx: KappaContext, n_limit: int = 10,
         rhs = dens.eigenvalue(ctx, n) * f(px, py)
         res.append(np.abs(lhs - rhs))
     return CheckResult.from_residual("eigenfunction_residual", ctx.kappa,
-                                     tolerance, _worst(res))
+                                     _worst(res))
 
 
-def check_chapman_kolmogorov(basis: dens.SpectralBasis,
-                             tolerance: float = 1e-6) -> CheckResult:
+def check_chapman_kolmogorov(basis: dens.SpectralBasis) -> CheckResult:
     """p_{s+t} equals the composition of p_s and p_t at s = t = 0.5."""
     ctx = basis.ctx
     a_pt, b_pt = (0.25, -0.15), (-0.3, 0.2)
@@ -157,11 +173,10 @@ def check_chapman_kolmogorov(basis: dens.SpectralBasis,
                        * dens.p_t(basis, (x, y), b_pt, 0.5)))
     rhs = dens.p_t(basis, a_pt, b_pt, 1.0)
     return CheckResult.from_residual("chapman_kolmogorov", ctx.kappa,
-                                     tolerance, abs(lhs - rhs))
+                                     abs(lhs - rhs))
 
 
-def check_stationarity(basis: dens.SpectralBasis,
-                       tolerance: float = 1e-8) -> CheckResult:
+def check_stationarity(basis: dens.SpectralBasis) -> CheckResult:
     """Integrating the stationary density against the kernel is a fixed
     point."""
     ctx = basis.ctx
@@ -171,12 +186,10 @@ def check_stationarity(basis: dens.SpectralBasis,
                        * dens.p_t(basis, (x, y), b_pt, 0.7)))
     # p_infty is constant in the weighted geometry; evaluate once
     return CheckResult.from_residual(
-        "stationarity", ctx.kappa, tolerance,
-        abs(lhs - dens.p_infty(ctx, *b_pt)))
+        "stationarity", ctx.kappa, abs(lhs - dens.p_infty(ctx, *b_pt)))
 
 
 def check_quasi_invariance(basis: dens.SpectralBasis,
-                           tolerance: float = 1e-6,
                            alpha0_error: float = 0.0) -> CheckResult:
     """The tilted stationary law decays at exactly rate alpha0 under the
     tilted kernel.
@@ -198,21 +211,21 @@ def check_quasi_invariance(basis: dens.SpectralBasis,
         target = np.exp(-alpha * t) * dens.tilde_pZ_infty(ctx, bz)
         res.append(abs(float(val) - float(target)))
     return CheckResult.from_residual("quasi_invariance", ctx.kappa,
-                                     tolerance, _worst(res))
+                                     _worst(res))
 
 
 # ---------------------------------------------------------------------------
 # martingale-algebra check
 # ---------------------------------------------------------------------------
 
-def check_drift_residual(ctx: KappaContext, n_states: int = 200,
-                         tolerance: float = 1e-9) -> CheckResult:
+def check_drift_residual(ctx: KappaContext,
+                         n_states: int = 200) -> CheckResult:
     """The analytic drift of each normalized observable vanishes at
     random states, for both curves and both normalization modes."""
     states = ensemble.sample_states(n_states, seed=20240 + int(10 * ctx.kappa))
     res = np.abs(ensemble.drift_residuals(ctx, states))
     return CheckResult.from_residual("drift_residual", ctx.kappa,
-                                     tolerance, _worst(res))
+                                     _worst(res))
 
 
 # ---------------------------------------------------------------------------
@@ -221,50 +234,42 @@ def check_drift_residual(ctx: KappaContext, n_states: int = 200,
 
 def run_all_checks(kappas=DEFAULT_KAPPAS, n_drift_states: int = 200,
                    inject_alpha0_error: float = 0.0,
-                   spectral_kappa: float = 6.0,
                    tolerances: dict | None = None) -> list:
     """Run the full verification battery.
 
     Per-kappa checks (ODE residual, boundary value, orthonormality,
     drift residual) run for every kappa in ``kappas``; the
-    quadrature-heavy semigroup checks run once at ``spectral_kappa`` and
+    quadrature-heavy semigroup checks run once at ``SPECTRAL_KAPPA`` and
     share one ``n_max = 60`` spectral basis.
-    ``tolerances`` overrides individual check tolerances by name.  Each
-    result carries the wall seconds of its check in ``seconds``.
+    ``tolerances`` overrides entries of ``TOLERANCES`` by check name.
+    Each result carries the wall seconds of its check in ``seconds``.
     """
     tol = dict(tolerances or {})
-
-    def t(name, default):
-        return float(tol.get(name, default))
-
     results = []
 
     def run(check, *args, **kwargs):
         t0 = time.perf_counter()
-        result = check(*args, **kwargs)
-        results.append(replace(result, seconds=time.perf_counter() - t0))
+        r = check(*args, **kwargs)
+        if r.name in tol:
+            r = CheckResult.from_residual(r.name, r.kappa, r.residual,
+                                          tol[r.name])
+        results.append(replace(r, seconds=time.perf_counter() - t0))
 
     contexts = {}
     for kappa in kappas:
         ctx = contexts[float(kappa)] = KappaContext(float(kappa))
-        run(check_hyp_ode, ctx, tolerance=t("hyp_ode_residual", 1e-7))
-        run(check_hyp_value_at_one, ctx,
-            tolerance=t("hyp_value_at_one", 1e-10))
-        run(check_orthonormality, ctx,
-            tolerance=t("basis_orthonormality", 1e-8))
-        run(check_drift_residual, ctx, n_states=n_drift_states,
-            tolerance=t("drift_residual", 1e-9))
+        run(check_hyp_ode, ctx)
+        run(check_hyp_value_at_one, ctx)
+        run(check_orthonormality, ctx)
+        run(check_drift_residual, ctx, n_states=n_drift_states)
     # the cached hypergeometric continuation of a kappa already checked
     # above is reused, not solved again
-    ctx_s = contexts.get(float(spectral_kappa))
+    ctx_s = contexts.get(SPECTRAL_KAPPA)
     if ctx_s is None:
-        ctx_s = KappaContext(float(spectral_kappa))
-    run(check_eigenfunctions, ctx_s,
-        tolerance=t("eigenfunction_residual", 1e-6))
+        ctx_s = KappaContext(SPECTRAL_KAPPA)
+    run(check_eigenfunctions, ctx_s)
     basis = dens.SpectralBasis(ctx_s, 60)
-    run(check_chapman_kolmogorov, basis,
-        tolerance=t("chapman_kolmogorov", 1e-6))
-    run(check_stationarity, basis, tolerance=t("stationarity", 1e-8))
-    run(check_quasi_invariance, basis, tolerance=t("quasi_invariance", 1e-6),
-        alpha0_error=inject_alpha0_error)
+    run(check_chapman_kolmogorov, basis)
+    run(check_stationarity, basis)
+    run(check_quasi_invariance, basis, alpha0_error=inject_alpha0_error)
     return results

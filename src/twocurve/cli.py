@@ -11,8 +11,9 @@ Subcommands
     Evaluate the transition density and survival curves on grids and
     write them as CSV with a JSON sidecar (normalizing constant, fitted
     survival slope, series truncation per time, and where the tanh-sinh
-    quadratures ended).  Purely deterministic: rerunning a config
-    reproduces the files byte for byte.
+    quadratures ended, the truncation read from one
+    ``density.truncation`` call per time).  Purely deterministic:
+    rerunning a config reproduces the files byte for byte.
 ``simulate``
     Run a Monte Carlo estimator (``z-weighted`` survival, ``curves``
     two-curve hit probability, or ``intersection``) and append the
@@ -31,8 +32,9 @@ A run is described by a :class:`RunConfig`.  Values are resolved with
 the precedence **command-line flag > JSON config file > built-in
 default**; pass ``--config file.json`` to load a JSON document whose
 keys are the RunConfig field names.  Validation happens before any
-computation; every output file is accompanied by (or embeds) the fully
-resolved RunConfig.
+computation (``tolerances`` may name only keys of ``checks.TOLERANCES``);
+every output file is accompanied by (or embeds) the fully resolved
+RunConfig.
 
 If ``master_seed`` is not supplied one is generated from the OS entropy
 pool, printed on stdout, and stored in every record and sidecar, so any
@@ -181,6 +183,10 @@ def validate_config(cfg: RunConfig, command: str) -> None:
         raise ConfigError(f"kappa must lie in (0, 8), got {cfg.kappa}")
     if cfg.path_start < 0:
         raise ConfigError("path_start must be >= 0")
+    unknown = set(cfg.tolerances) - set(checks_mod.TOLERANCES)
+    if unknown:
+        raise ConfigError(f"unknown tolerances: {sorted(unknown)} (known: "
+                          f"{sorted(checks_mod.TOLERANCES)})")
     if command == "check":
         for k in cfg.kappas:
             if not (0.0 < k < 8.0):
@@ -202,9 +208,10 @@ def validate_config(cfg: RunConfig, command: str) -> None:
             raise ConfigError("grid_n must be >= 2")
         if cfg.n_max < 1:
             raise ConfigError("n_max must be >= 1")
-        if len(cfg.fit_window) != 2 or cfg.fit_window[0] >= cfg.fit_window[1]:
+        if len(cfg.fit_window) != 2 \
+                or not 0.0 <= cfg.fit_window[0] < cfg.fit_window[1]:
             raise ConfigError("fit_window must be [t_lo, t_hi] with "
-                              "t_lo < t_hi")
+                              "0 <= t_lo < t_hi")
     if command == "simulate":
         if cfg.method not in ("z-weighted", "curves", "intersection"):
             raise ConfigError(
@@ -220,6 +227,11 @@ def validate_config(cfg: RunConfig, command: str) -> None:
                 raise ConfigError(f"z0 must lie in (0, pi)^2, got {cfg.z0}")
             if not cfg.t_list or any(t < 0.0 for t in cfg.t_list):
                 raise ConfigError("t_list must be nonempty and nonnegative")
+            # a positive time is recorded at its nearest step, which must
+            # not be step 0
+            if any(t > 0.0 and round(t / cfg.dt) < 1 for t in cfg.t_list):
+                raise ConfigError(f"t_list entries must be 0 or more than "
+                                  f"half a step (dt = {cfg.dt})")
         else:
             if len(cfg.cfg) != 4:
                 raise ConfigError("cfg must be four angles w1 v1 w2 v2")
@@ -305,20 +317,24 @@ def cmd_density(cfg: RunConfig, out=sys.stdout) -> int:
     za, zb = np.meshgrid(grid, grid, indexing="ij")
     za, zb = za.ravel(), zb.ravel()
 
-    def truncation(t, res):
-        return {"t": t, "n_used": res.n_used, "tail_bound": res.tail_bound,
-                "converged": res.converged}
+    # the series truncation of each time, asked once: the pz_t and the
+    # survival reports both read it
+    lo, hi = cfg.fit_window
+    fit_ts = list(np.linspace(lo, hi, 17))
+    all_ts = sorted(set(float(t) for t in cfg.t_list) | set(fit_ts))
+    trunc = {}
+    for t in all_ts:
+        n_used, tail, converged = dens.truncation(basis, t)
+        trunc[t] = {"t": t, "n_used": n_used, "tail_bound": tail,
+                    "converged": converged}
 
     pt_path = os.path.join(cfg.out_dir, "pz_t.csv")
-    pt_truncation = []
     with open(pt_path, "w", newline="", encoding="utf-8") as fh:
         wr = csv.writer(fh)
         wr.writerow(("schema_version", "t", "z1", "z2", "value"))
         for t in cfg.t_list:
-            res = dens.tilde_pZ_t(ctx, basis, z0, (za, zb), float(t),
-                                  detail=True)
-            pt_truncation.append(truncation(float(t), res))
-            for a, b, v in zip(za, zb, np.atleast_1d(res.value)):
+            vals = dens.tilde_pZ_t(ctx, basis, z0, (za, zb), float(t))
+            for a, b, v in zip(za, zb, np.atleast_1d(vals)):
                 wr.writerow((SCHEMA_VERSION, _float_str(t), _float_str(a),
                              _float_str(b), _float_str(v)))
 
@@ -332,29 +348,24 @@ def cmd_density(cfg: RunConfig, out=sys.stdout) -> int:
                          _float_str(v)))
 
     # survival curve over requested times plus the slope-fit window; a
-    # requested time whose series does not converge (the survival series
-    # truncates like the pz_t one) gets nan instead of mode integrals
-    # filled up to the level cap for a value that would be unreliable
-    lo, hi = cfg.fit_window
-    fit_ts = list(np.linspace(lo, hi, 17))
-    all_ts = sorted(set(float(t) for t in cfg.t_list) | set(fit_ts))
-    skipped = {r["t"]: r for r in pt_truncation
-               if not r["converged"] and r["t"] not in fit_ts}
-    surv = {t: dens.survival_P2(ctx, basis, z0, t, detail=True)
+    # requested time whose series does not converge gets nan instead of
+    # mode integrals filled up to the level cap for a value that would be
+    # unreliable
+    skipped = {t for t in all_ts
+               if not trunc[t]["converged"] and t not in fit_ts}
+    surv = {t: dens.survival_P2(ctx, basis, z0, t)
             for t in all_ts if t not in skipped}
-    surv_truncation = [skipped[t] if t in skipped else truncation(t, surv[t])
-                       for t in all_ts]
     surv_path = os.path.join(cfg.out_dir, "survival.csv")
     with open(surv_path, "w", newline="", encoding="utf-8") as fh:
         wr = csv.writer(fh)
         wr.writerow(("schema_version", "t", "survival"))
         for t in all_ts:
             wr.writerow((SCHEMA_VERSION, _float_str(t),
-                         _float_str(surv[t].value if t in surv else math.nan)))
+                         _float_str(surv.get(t, math.nan))))
 
     # least-squares slope of log survival on the fit window
     ts = np.array(fit_ts)
-    logs = np.log([surv[t].value for t in fit_ts])
+    logs = np.log([surv[t] for t in fit_ts])
     design = np.vstack([ts, np.ones_like(ts)]).T
     coef, *_ = np.linalg.lstsq(design, logs, rcond=None)
     slope = float(coef[0])
@@ -370,16 +381,17 @@ def cmd_density(cfg: RunConfig, out=sys.stdout) -> int:
         # per time: the heat-kernel series' truncation level, its tail
         # bound relative to the stationary density, and whether that bound
         # met the tolerance below the level cap
-        "truncation": {"pz_t": pt_truncation, "survival": surv_truncation},
+        "truncation": {"pz_t": [trunc[float(t)] for t in cfg.t_list],
+                       "survival": list(trunc.values())},
         # the tanh-sinh quadratures of Z_constant and of the survival mode
         # integrals: level reached, last inter-level change, tolerance met;
         # and the distinct points of the grid they share
         "quadrature": dens.quadrature_report(ctx, basis),
     }
     _write_json(os.path.join(cfg.out_dir, "density_meta.json"), meta)
-    unconverged = {r["t"]: r for r in pt_truncation + surv_truncation
-                   if not r["converged"]}
-    for t, r in sorted(unconverged.items()):
+    for t, r in trunc.items():
+        if r["converged"]:
+            continue
         note = ", so its survival was not computed (nan)" if t in skipped \
             else ""
         out.write(f"warning: t={t:g}: series not converged at level "

@@ -11,8 +11,10 @@ eigenvalues lambda_n = -(k/8) n (n + 16/k) depending only on the total
 degree n.  This module provides:
 
   * the orthonormal eigenbasis (``SpectralBasis``, ``basis_eval``);
-  * the transition density ``p_t`` with a certified series truncation and
-    its stationary limit ``p_infty``;
+  * the series truncation ``truncation(basis, t)``: the one place that
+    decides, from (basis, t) and the tolerance ``SERIES_RTOL``, the level
+    of every heat-kernel sum, survival included;
+  * the transition density ``p_t`` and its stationary limit ``p_infty``;
   * the same densities in gap coordinates (z1, z2) in (0, pi)^2 (``pZ_t``,
     ``pZ_infty``) where x = cos((z1+z2)/2), y = sin((z1-z2)/2);
   * the tilted sub-Markov density ``tilde_pZ_t`` obtained by weighting with
@@ -33,16 +35,16 @@ Every series runs on one evaluator, ``mode_blocks``: per angular order m
 and block of points, the matrix V[k, p] = v_k(x_p, y_p) from the Jacobi
 recurrence ``special.jacobi_seq`` and the powers (x + i y)^m.  Series
 sums, survival mode integrals, the modes at one point and the pointwise
-kernel are contractions of V.  No V holds more than ``_CHUNK`` entries,
-which bounds the memory of every sum.  ``basis_eval`` keeps the per-mode
-formula h P_j(2 r^2 - 1) r^m cos/sin(m theta) as the independent oracle
-that the evaluator is tested against.
+kernel are contractions of V; ``p_t``, ``pZ_t`` and ``tilde_pZ_t`` take
+their kernel from one truncated sum, ``_series``.  No V holds more than
+``_CHUNK`` entries, which bounds the memory of every sum.  ``basis_eval``
+keeps the per-mode formula h P_j(2 r^2 - 1) r^m cos/sin(m theta) as the
+independent oracle that the evaluator is tested against.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,11 +57,12 @@ from .timecurve import xy_of_z
 
 __all__ = [
     "SpectralBasis",
-    "PtResult",
+    "SERIES_RTOL",
     "eigenvalue",
     "basis_eval",
     "mode_blocks",
     "sup_norm",
+    "truncation",
     "generator_apply",
     "p_t",
     "p_infty",
@@ -74,6 +77,10 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# Tolerance of the series truncation: the discarded tail, relative to the
+# stationary density, uniformly over the disc.
+SERIES_RTOL = 1e-9
 
 # Hard cap on the series truncation degree; beyond this the sup-norm tail
 # bound is dominated by binomial growth and adds nothing at the times of
@@ -91,6 +98,9 @@ _N_SCAN = 2048
 # Most entries of one mode-value block V of ``mode_blocks``, and most
 # quadrature points per block of the survival mode integrals.
 _CHUNK = 200_000
+
+# Relative tolerance of the Z_constant quadrature.
+_Z_RTOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -319,18 +329,28 @@ def _tail_logs(ctx: KappaContext, n_top: int = _N_SCAN):
     return out
 
 
-def _select_truncation(basis: SpectralBasis, t: float, rtol: float):
-    """Choose the truncation level for the heat-kernel series at time t.
+def truncation(basis: SpectralBasis, t: float):
+    """Truncation of the heat-kernel series at time t.
 
-    Returns (n_used, tail_bound, tolerance, converged).  tail_bound and
-    tolerance are both relative to the n = 0 coefficient, so the pointwise
-    truncation error is below tail_bound * p_infty uniformly.
+    Returns (n_used, tail_bound, converged): the smallest level whose
+    sup-norm tail bound, relative to the n = 0 coefficient (so the
+    pointwise truncation error is below tail_bound * p_infty), is at most
+    SERIES_RTOL, capped at min(N_CAP, n_max); converged is False, with the
+    tail bound at the cap, when the cap is hit.  t = 0 takes no series:
+    level 0, converged.
 
     The tail table doubles its top level from _SCAN_START until the top
     summand is 0.0 at t (or to _N_SCAN).  The summands past it are 0.0
     too, and the reversed cumsum adds zeros exactly: the tails are those
     of the full _N_SCAN table.
+
+    Raises:
+        ValueError: if t < 0.
     """
+    if t < 0.0:
+        raise ValueError("truncation requires t >= 0")
+    if t == 0.0:
+        return 0, 0.0, True
     ctx = basis.ctx
     n_top = _SCAN_START
     while True:
@@ -346,26 +366,10 @@ def _select_truncation(basis: SpectralBasis, t: float, rtol: float):
             break
         n_top *= 2
     cap = min(N_CAP, basis.n_max)
-    if tails[cap] <= rtol:
-        n_used = int(np.argmax(tails <= rtol))
-        return n_used, float(tails[n_used]), rtol, True
-    return cap, float(tails[cap]), rtol, False
-
-
-@dataclass(frozen=True)
-class PtResult:
-    """Heat-kernel value together with its truncation report.
-
-    tail_bound bounds the relative (to the stationary density) error of
-    the discarded series tail; converged is False when the requested
-    tolerance was unreachable at the truncation cap.
-    """
-
-    value: object
-    n_used: int
-    tail_bound: float
-    tolerance: float
-    converged: bool
+    if tails[cap] <= SERIES_RTOL:
+        n_used = int(np.argmax(tails <= SERIES_RTOL))
+        return n_used, float(tails[n_used]), True
+    return cap, float(tails[cap]), False
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +389,17 @@ def _lam_modes(basis: SpectralBasis, n_limit: int, t: float):
     return lam_w[basis.mode_n[:basis.modes_up_to(n_limit)]]
 
 
-def _kernel_sum(basis, n_limit, t, fx, fy, tx, ty):
-    """K = sum_s exp(lambda_n t) v_s(from) v_s(to).
+def _series(basis, n_limit, t, fx, fy, tx, ty):
+    """K = sum_s exp(lambda_n t) v_s(from) v_s(to) over the modes of level
+    <= n_limit; at level 0 the constant 8/(pi k) on the broadcast shape
+    of the points.
 
     One of the points is a scalar (K is symmetric, so it becomes a series
     in the other point), or both are arrays of one shape (pointwise).
     """
+    if n_limit == 0:
+        return np.full(np.broadcast_shapes(fx.shape, tx.shape),
+                       8.0 / (np.pi * basis.ctx.kappa))
     lam_modes = _lam_modes(basis, n_limit, t)
     if fx.ndim == 0 or tx.ndim == 0:
         if fx.ndim != 0:
@@ -420,17 +429,11 @@ def p_infty(ctx: KappaContext, x, y):
     return float(val) if np.ndim(val) == 0 else val
 
 
-def p_t(basis: SpectralBasis, frm, to, t, rtol: float = 1e-9,
-        detail: bool = False):
+def p_t(basis: SpectralBasis, frm, to, t):
     """Transition density of the disc diffusion after time t.
 
     frm and to are (x, y) pairs; one of them may hold arrays.  The series
-    is truncated at the smallest level whose sup-norm tail bound is below
-    rtol relative to the stationary density, capped at min(60, n_max);
-    when the cap is hit the result reports converged=False with the
-    achieved tail bound.
-
-    Returns the value, or a PtResult when detail=True.
+    is truncated at ``truncation(basis, t)``.
 
     Raises:
         ValueError: if t <= 0 or a point leaves the closed disc.
@@ -441,24 +444,13 @@ def p_t(basis: SpectralBasis, frm, to, t, rtol: float = 1e-9,
     tx, ty = _coord_arrays(to)
     _check_disc(fx, fy, "p_t from")
     _check_disc(tx, ty, "p_t to")
-    n_used, tail, tol, conv = _select_truncation(basis, float(t), rtol)
-    if n_used == 0:
-        shape = np.broadcast_shapes(fx.shape, tx.shape)
-        value = np.broadcast_to(p_infty(basis.ctx, tx, ty), shape).copy()
-        value = float(value) if value.ndim == 0 else value
-    else:
-        kern = _kernel_sum(basis, n_used, float(t), fx, fy, tx, ty)
-        psi = np.clip(1.0 - tx * tx - ty * ty, 0.0, None) \
-            ** basis.weight_exponent
-        value = psi * kern
-        value = float(value) if np.ndim(value) == 0 else value
-    if detail:
-        return PtResult(value=value, n_used=n_used, tail_bound=tail,
-                        tolerance=tol, converged=conv)
-    return value
+    t = float(t)
+    psi = np.clip(1.0 - tx * tx - ty * ty, 0.0, None) ** basis.weight_exponent
+    value = psi * _series(basis, truncation(basis, t)[0], t, fx, fy, tx, ty)
+    return float(value) if np.ndim(value) == 0 else value
 
 
-def generator_apply(ctx: KappaContext, f, x, y, step: float = 1e-3):
+def generator_apply(ctx: KappaContext, f, x, y):
     """Apply the generator L to a callable f at interior points.
 
     f must accept numpy arrays (x, y) of any shape and act elementwise:
@@ -466,15 +458,14 @@ def generator_apply(ctx: KappaContext, f, x, y, step: float = 1e-3):
     f is called once, on the 26 stencil point sets (5 along x, 5 along y,
     16 mixed) stacked along a new first axis, and each derivative is
     summed from the rows of that one result.  Derivatives use 4th-order
-    central differences with the given step; points must be at least
-    2 * step away from the boundary so the stencil stays inside the
-    closed disc.
+    central differences with step 1e-3; points must be at least 2e-3 away
+    from the boundary so the stencil stays inside the closed disc.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.any(x * x + y * y >= 1.0):
         raise ValueError("generator_apply requires interior points")
-    h = float(step)
+    h = 1e-3
     c1 = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
     o1 = np.array([-2.0, -1.0, 1.0, 2.0])
     c2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
@@ -522,33 +513,24 @@ def pZ_infty(ctx: KappaContext, z):
     return float(val) if np.ndim(val) == 0 else val
 
 
-def pZ_t(basis: SpectralBasis, frm, to, t, rtol: float = 1e-9,
-         detail: bool = False):
+def pZ_t(basis: SpectralBasis, frm, to, t):
     """Transition density of the gap pair: p_t at the (x, y) images times
     the Jacobian factor (sin z1* + sin z2*)/4."""
     if not t > 0.0:
         raise ValueError("pZ_t requires t > 0")
+    t = float(t)
     fz1, fz2 = _z_arrays(frm)
     tz1, tz2 = _z_arrays(to)
-    fx, fy = xy_of_z((fz1, fz2))
-    tx, ty = xy_of_z((tz1, tz2))
-    n_used, tail, tol, conv = _select_truncation(basis, float(t), rtol)
-    e = basis.weight_exponent
     s1, s2 = np.sin(tz1), np.sin(tz2)
+    psi = np.clip(s1 * s2, 0.0, None) ** basis.weight_exponent
     jac = (s1 + s2) / 4.0
-    psi = np.clip(s1 * s2, 0.0, None) ** e
-    if n_used == 0:
-        kern = 8.0 / (np.pi * basis.ctx.kappa)
-        shape = np.broadcast_shapes(fx.shape, tx.shape)
-        value = np.broadcast_to(psi * jac * kern, shape).copy()
-    else:
-        kern = _kernel_sum(basis, n_used, float(t), fx, fy, tx, ty)
-        value = psi * kern * jac
-    value = float(value) if np.ndim(value) == 0 else value
-    if detail:
-        return PtResult(value=value, n_used=n_used, tail_bound=tail,
-                        tolerance=tol, converged=conv)
-    return value
+    n_used = truncation(basis, t)[0]
+    kern = _series(basis, n_used, t, *xy_of_z((fz1, fz2)),
+                   *xy_of_z((tz1, tz2)))
+    # the stationary term keeps its own product order: the other one
+    # moves it by up to 2 ulp
+    value = psi * jac * kern if n_used == 0 else psi * kern * jac
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def _pz_over_gu(ctx: KappaContext, z1, z2):
@@ -580,36 +562,25 @@ def _pz_over_gu(ctx: KappaContext, z1, z2):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def tilde_pZ_t(ctx: KappaContext, basis: SpectralBasis, frm, to, t,
-               rtol: float = 1e-9, detail: bool = False):
+def tilde_pZ_t(ctx: KappaContext, basis: SpectralBasis, frm, to, t):
     """Tilted sub-Markov transition density of the conditioned gap pair.
 
     Equal to exp(-alpha0 t) pZ_t(frm, to) G_u(frm) / G_u(to); evaluated
     in a division-free form that stays finite up to the boundary of the
-    square.  The series is truncated as in :func:`p_t`.
-
-    Returns the value, or a PtResult when detail=True.
+    square.  The series is truncated at ``truncation(basis, t)``.
     """
     if not t > 0.0:
         raise ValueError("tilde_pZ_t requires t > 0")
+    t = float(t)
     fz1, fz2 = _z_arrays(frm)
     tz1, tz2 = _z_arrays(to)
-    fx, fy = xy_of_z((fz1, fz2))
-    tx, ty = xy_of_z((tz1, tz2))
-    n_used, tail, tol, conv = _select_truncation(basis, float(t), rtol)
-    if n_used > 0:
-        kern = _kernel_sum(basis, n_used, float(t), fx, fy, tx, ty)
-    else:
-        kern = 8.0 / (np.pi * ctx.kappa)
+    kern = _series(basis, truncation(basis, t)[0], t, *xy_of_z((fz1, fz2)),
+                   *xy_of_z((tz1, tz2)))
     gu_f = G_u(ctx, (fz1, fz2))
     ratio_t = _pz_over_gu(ctx, tz1, tz2)
-    val = (np.exp(-ctx.alpha0 * float(t)) * gu_f
+    val = (np.exp(-ctx.alpha0 * t) * gu_f
            * kern * ratio_t * (np.pi * ctx.kappa / 8.0))
-    val = float(val) if np.ndim(val) == 0 else val
-    if detail:
-        return PtResult(value=val, n_used=n_used, tail_bound=tail,
-                        tolerance=tol, converged=conv)
-    return val
+    return float(val) if np.ndim(val) == 0 else val
 
 
 def pz_over_gu_grid(ctx: KappaContext, z):
@@ -647,15 +618,15 @@ def pz_over_gu_grid(ctx: KappaContext, z):
     return grid["values"][np.ix_(at, at)]
 
 
-def Z_constant(ctx: KappaContext, rtol: float = 1e-10) -> float:
+def Z_constant(ctx: KappaContext) -> float:
     """Normalizing constant of the tilted stationary law.
 
     The integral over (0, pi)^2 of pZ_infty / G_u: ``square_integrate``
-    of the continuous extension on ``pz_over_gu_grid``.  Cached per
-    context, with the quadrature's report for ``quadrature_report``.
+    of the continuous extension on ``pz_over_gu_grid``, to relative
+    tolerance _Z_RTOL.  Cached per context, with the quadrature's report
+    for ``quadrature_report``.
     """
-    key = ("z_constant", rtol)
-    cached = ctx._cache.get(key)
+    cached = ctx._cache.get("z_constant")
     if cached is not None:
         return cached
     sizes = []  # one entry per level, from level 0 on
@@ -664,13 +635,13 @@ def Z_constant(ctx: KappaContext, rtol: float = 1e-10) -> float:
         sizes.append(z1.shape[0])
         return pz_over_gu_grid(ctx, z1[:, 0])
 
-    val, err = square_integrate(integrand, rtol=rtol)
+    val, err = square_integrate(integrand, rtol=_Z_RTOL)
     logger.debug("Z_constant(kappa=%g) = %.12g (quadrature change %.2e)",
                  ctx.kappa, val, err)
     ctx._cache["z_constant_quadrature"] = {
         "level": len(sizes) - 1, "change": float(err),
-        "converged": bool(err <= rtol * max(abs(val), 1e-300))}
-    ctx._cache[key] = float(val)
+        "converged": bool(err <= _Z_RTOL * max(abs(val), 1e-300))}
+    ctx._cache["z_constant"] = float(val)
     return float(val)
 
 
@@ -734,36 +705,30 @@ def _survival_integrals(ctx: KappaContext, basis: SpectralBasis,
     return out
 
 
-def survival_P2(ctx: KappaContext, basis: SpectralBasis, z0, t,
-                rtol: float = 1e-9, detail: bool = False):
+def survival_P2(ctx: KappaContext, basis: SpectralBasis, z0, t):
     """Survival probability of the conditioned gap pair started at z0.
 
     Computes the quadrature of tilde_pZ_t(z0, .) over (0, pi)^2 through
-    cached spectral mode integrals, with the series truncated as in
-    :func:`p_t`.  Returns a value clamped to [0, 1], or a PtResult when
-    detail=True (t = 0 takes no series: level 0, converged).
+    cached spectral mode integrals, with the series truncated at
+    ``truncation(basis, t)``.  Returns a value clamped to [0, 1]; 1 at
+    t = 0.
 
     Raises:
         ValueError: if t < 0.
     """
-    if t < 0.0:
-        raise ValueError("survival_P2 requires t >= 0")
+    t = float(t)
+    n_used = truncation(basis, t)[0]
     if t == 0.0:
-        return PtResult(1.0, 0, 0.0, rtol, True) if detail else 1.0
+        return 1.0
     z1, z2 = _z_arrays(z0)
     if z1.ndim != 0:
         raise ValueError("survival_P2 takes a single starting point")
-    n_used, tail, tol, conv = _select_truncation(basis, float(t), rtol)
     ints = _survival_integrals(ctx, basis, n_used)
     v0 = _modes_at(basis, n_used, *xy_of_z((z1, z2)))
-    lam_modes = _lam_modes(basis, n_used, float(t))
+    lam_modes = _lam_modes(basis, n_used, t)
     total = float(np.dot(lam_modes * v0, ints[:v0.size]))
-    val = np.exp(-ctx.alpha0 * float(t)) * G_u(ctx, (z1, z2)) * total
-    val = float(min(max(val, 0.0), 1.0))
-    if detail:
-        return PtResult(value=val, n_used=n_used, tail_bound=tail,
-                        tolerance=tol, converged=conv)
-    return val
+    val = np.exp(-ctx.alpha0 * t) * G_u(ctx, (z1, z2)) * total
+    return float(min(max(val, 0.0), 1.0))
 
 
 def quadrature_report(ctx: KappaContext, basis: SpectralBasis) -> dict:

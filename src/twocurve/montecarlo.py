@@ -82,8 +82,6 @@ TWO_PI = 2.0 * math.pi
 # drift-factor lookup table, cached per kappa
 # ---------------------------------------------------------------------------
 
-_GT_TABLE_N = 20001
-_GT_TABLE_XMAX = 1.0 - 1e-8
 _gt_cache: dict[float, tuple[float, np.ndarray, float]] = {}
 
 
@@ -92,8 +90,7 @@ def _gt_table(ctx: KappaContext) -> tuple[float, np.ndarray, float]:
     key = float(ctx.kappa)
     hit = _gt_cache.get(key)
     if hit is None:
-        umax, vals = special.gtilde_table(ctx, x_max=_GT_TABLE_XMAX,
-                                          n=_GT_TABLE_N)
+        umax, vals = special.gtilde_table(ctx)
         hit = (umax, vals, umax / (vals.size - 1))
         _gt_cache[key] = hit
     return hit
@@ -250,16 +247,19 @@ HIT_COUNTERS = ("certified", "hit_swallow", "hit_alive", "hit_probe", "band",
 # stop statuses of the adaptive kernel, 0-4 (its dispatcher docstring)
 _N_STATUS = 5
 
+# most probes per backward-flow batch of ``_batched_pullback``
+_PULLBACK_ROWS = 4096
 
-def _batched_pullback(seq: np.ndarray, paths, lens, du: float, eps_in: float,
-                      batch_rows: int = 4096) -> np.ndarray:
+
+def _batched_pullback(seq: np.ndarray, paths, lens, du: float,
+                      eps_in: float) -> np.ndarray:
     """Pull probes back through the composed driver matrix ``seq``.
 
     Probe j of path ``paths[j]`` after ``lens[j]`` values is driven by
     ``seq[paths[j], :lens[j]]`` and starts at the boundary point of the
     next value, ``seq[paths[j], lens[j]]``, pulled inside the circle by
     ``eps_in``.  Probes are gathered in length-sorted batches of at most
-    ``batch_rows`` rows, each read out of ``seq`` as one matrix as wide as
+    ``_PULLBACK_ROWS`` rows, each read out of ``seq`` as one matrix as wide as
     its longest member; the flow never reads a row past its length, so the
     rest of the row is left as read, and every flow row is independent of
     its batch.  Returns the complex physical points.
@@ -269,8 +269,8 @@ def _batched_pullback(seq: np.ndarray, paths, lens, du: float, eps_in: float,
     y0 = (1.0 - eps_in) * np.exp(1j * seq[paths, lens])
     out = np.empty(lens.size, dtype=complex)
     order = np.argsort(lens, kind="stable")
-    for i0 in range(0, order.size, batch_rows):
-        sel = order[i0:i0 + batch_rows]
+    for i0 in range(0, order.size, _PULLBACK_ROWS):
+        sel = order[i0:i0 + _PULLBACK_ROWS]
         cols = np.arange(max(1, int(lens[sel].max())))
         mat = seq[paths[sel, None], cols]
         y = y0[sel]

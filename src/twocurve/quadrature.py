@@ -7,7 +7,7 @@ Two rules are provided:
   ``t = 2 r^2 - 1`` (exact for the polynomial-times-weight integrands the
   basis produces) times a periodic trapezoid rule in the angle;
 * a tanh-sinh (double-exponential) tensor rule on ``(0, pi)^2`` with level
-  doubling, for integrands with fractional endpoint behavior.
+  doubling up to level 6, for integrands with fractional endpoint behavior.
 """
 from __future__ import annotations
 
@@ -60,23 +60,22 @@ def tanh_sinh_rule(level: int):
     return (x[keep] + 1.0) / 2.0, w[keep] / 2.0
 
 
-def square_integrate(func, rtol: float = 1e-10, max_level: int = 6,
-                     length: float = np.pi):
-    """Tanh-sinh tensor integration of func over (0, length)^2.
+def square_integrate(func, rtol: float = 1e-10):
+    """Tanh-sinh tensor integration of func over (0, pi)^2.
 
     func must accept meshgrid arrays (z1, z2) = meshgrid(z, z,
     indexing="ij") and is called once per level, from level 0 on.  Levels
-    double until two successive results agree to rtol.
+    double until two successive results agree to rtol, or to level 6.
 
     Returns:
         (value, est_error): the last level and the last inter-level change.
     """
     prev = None
     err = np.inf
-    for level in range(max_level + 1):
+    for level in range(7):
         x, w = tanh_sinh_rule(level)
-        z = x * length
-        wz = w * length
+        z = x * np.pi
+        wz = w * np.pi
         z1, z2 = np.meshgrid(z, z, indexing="ij")
         vals = func(z1, z2)
         val = float(wz @ vals @ wz)

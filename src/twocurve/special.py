@@ -372,15 +372,19 @@ def h_const(ctx: KappaContext, n, j):
 # lookup table for kernels
 # ---------------------------------------------------------------------------
 
-def gtilde_table(ctx: KappaContext, x_max: float = 0.999, n: int = 4001):
+_GT_TABLE_N = 20001
+_GT_TABLE_XMAX = 1.0 - 1e-8
+
+
+def gtilde_table(ctx: KappaContext):
     """Uniform table of G-tilde in u = -log(1-x), for interpolation in kernels.
 
     Returns:
         (u_max, values): values[i] = G-tilde(1 - exp(-u_i)) on the uniform
-        grid u_i = i * u_max / (n - 1).
+        grid u_i = i * u_max / (_GT_TABLE_N - 1) up to x = _GT_TABLE_XMAX.
     """
-    u_max = -np.log1p(-x_max)
-    u = np.linspace(0.0, u_max, n)
+    u_max = -np.log1p(-_GT_TABLE_XMAX)
+    u = np.linspace(0.0, u_max, _GT_TABLE_N)
     x = -np.expm1(-u)
     vals = hyp_tilde_G(ctx, x)
     return float(u_max), np.asarray(vals, dtype=float)

@@ -129,7 +129,19 @@ def test_nan_eigenfunction_residual_fails_the_check(monkeypatch):
         return out
 
     ctx = KappaContext(6.0)
-    assert checks.check_eigenfunctions(ctx, n_limit=3).passed
+    assert checks.check_eigenfunctions(ctx).passed
     monkeypatch.setattr(dens, "generator_apply", nan_on_third_mode)
-    result = checks.check_eigenfunctions(ctx, n_limit=3)
+    result = checks.check_eigenfunctions(ctx)
     assert np.isnan(result.residual) and not result.passed
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_NAMES))
+def test_each_tolerance_override_reaches_its_check(name):
+    assert set(checks.TOLERANCES) == CHECK_NAMES
+    results = checks.run_all_checks(kappas=(6.0,), n_drift_states=2,
+                                    tolerances={name: 0.0})
+    assert sorted(r.name for r in results) == sorted(CHECK_NAMES)
+    assert [r.name for r in results if not r.passed] == [name]
+    for r in results:
+        expect = 0.0 if r.name == name else checks.TOLERANCES[r.name]
+        assert r.tolerance == expect

@@ -121,11 +121,31 @@ def test_density_meta_reports_quadrature(tmp_path):
     ["density", "--kappa", "8"],
     ["simulate", "--method", "curves", "--r-list", "0.25"],
     ["simulate", "--method", "intersection", "--kappa", "4"],
-], ids=["kappa_8", "r_quarter", "intersection_kappa_4"])
+    # a positive record time that rounds to step 0
+    ["simulate", "--method", "z-weighted", "--t-list", "0.0004,1"],
+    ["simulate", "--method", "z-weighted", "--dt", "2", "--t-list", "1"],
+], ids=["kappa_8", "r_quarter", "intersection_kappa_4",
+        "z_weighted_time_under_half_step", "z_weighted_dt_2"])
 def test_rejected_configuration_exits_2(argv, tmp_path, capsys):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert captured.out == ""  # no seed printed: nothing ran
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,config", [
+    ("density", {"fit_window": [-1, 2]}),
+    ("check", {"tolerances": {"quasi_invariance_typo": 1e-30}}),
+], ids=["negative_fit_window", "unknown_tolerance"])
+def test_rejected_config_file_exits_2(command, config, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", str(path),
+                 "--out-dir", str(out_dir)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

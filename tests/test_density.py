@@ -138,7 +138,7 @@ class TestTabulatedConstants:
             dens.sup_norm(basis, 3, 2)
 
 
-def _full_scan_truncation(basis, logs, t, rtol=1e-9):
+def _full_scan_truncation(basis, logs, t, rtol=dens.SERIES_RTOL):
     """Truncation from the full per-pair table of _N_SCAN levels: the
     selection as it ran before the scan doubled.  Returns
     ((n_used, tail_bound, converged), top summand)."""
@@ -176,10 +176,7 @@ class TestTruncationScan:
         for times in (self.TIMES[::-1], self.TIMES):
             basis = dens.SpectralBasis(KappaContext(kappa), 60)
             for t in times:
-                n_used, tail, tol, conv = dens._select_truncation(
-                    basis, t, 1e-9)
-                assert (n_used, tail, conv) == oracle[t]
-                assert tol == 1e-9
+                assert dens.truncation(basis, t) == oracle[t]
 
     def test_unconverged_whenever_the_top_level_is_nonzero(self):
         # the times the comment at _N_SCAN names
@@ -189,7 +186,7 @@ class TestTruncationScan:
                 basis, dens._tail_logs(basis.ctx), t)
             assert top_term == pytest.approx(top, rel=0.01)
             assert not got[2]
-            assert dens._select_truncation(basis, t, 1e-9)[3] is False
+            assert dens.truncation(basis, t)[2] is False
 
     def test_short_table_is_head_of_full_table(self):
         ctx = KappaContext(6.0)
@@ -477,20 +474,26 @@ class TestPt:
                 dens.p_t(BASIS6, self.A, self.B, t)
 
     def test_truncation_report_converged(self):
-        det = dens.p_t(BASIS6, self.A, self.B, 0.5, detail=True)
-        assert det.converged and det.n_used > 0
-        assert det.tail_bound <= det.tolerance
+        n_used, tail, converged = dens.truncation(BASIS6, 0.5)
+        assert converged and n_used > 0
+        assert tail <= dens.SERIES_RTOL
+        assert type(n_used) is int and type(tail) is float
 
     def test_truncation_report_capped(self):
-        det = dens.p_t(BASIS6, self.A, self.B, 0.004, detail=True)
-        assert not det.converged
-        assert det.n_used == 60
-        assert det.tail_bound > det.tolerance
+        n_used, tail, converged = dens.truncation(BASIS6, 0.004)
+        assert not converged
+        assert n_used == 60
+        assert tail > dens.SERIES_RTOL
 
     def test_single_term_is_stationary_exactly(self):
-        det = dens.p_t(BASIS6, self.A, self.B, 60.0, detail=True)
-        assert det.n_used == 0
-        assert det.value == dens.p_infty(CTX6, *self.B)
+        assert dens.truncation(BASIS6, 60.0)[0] == 0
+        assert dens.p_t(BASIS6, self.A, self.B, 60.0) \
+            == dens.p_infty(CTX6, *self.B)
+        # an array of start points: the constant on their shape
+        fx = np.array([0.3, -0.1, 0.0])
+        got = dens.p_t(BASIS6, (fx, fx), self.B, 60.0)
+        assert got.shape == (3,)
+        assert np.array_equal(got, np.full(3, dens.p_infty(CTX6, *self.B)))
 
     def test_shape_branches_agree(self):
         basis = dens.SpectralBasis(CTX6, 12)
@@ -606,18 +609,23 @@ class TestTilde:
             dens.tilde_pZ_t(CTX6, BASIS6, self.Z0, z_to, t), direct,
             rtol=1e-12)
 
-    def test_detail_reports_the_truncation_of_pZ_t(self):
+    def test_truncation_sets_the_level_of_tilde_and_pZ_t(self):
+        # both sum the series to the level truncation(basis, t) reports:
+        # a basis cut there gives the same bits, one level lower does not
         z_to = (1.4, 0.9)
-        converged = []
-        for t in (0.004, 0.8):
-            det = dens.tilde_pZ_t(CTX6, BASIS6, self.Z0, z_to, t, detail=True)
-            ref = dens.pZ_t(BASIS6, self.Z0, z_to, t, detail=True)
-            assert det.value == dens.tilde_pZ_t(CTX6, BASIS6, self.Z0, z_to,
-                                                t)
-            assert (det.n_used, det.tail_bound, det.converged) == (
-                ref.n_used, ref.tail_bound, ref.converged)
-            converged.append(det.converged)
-        assert converged == [False, True]
+        levels = []
+        for t in (0.004, 0.8, 60.0):
+            n_used, _, converged = dens.truncation(BASIS6, t)
+            levels.append((n_used, converged))
+            cut = dens.SpectralBasis(CTX6, n_used)
+            for f in (lambda b: dens.pZ_t(b, self.Z0, z_to, t),
+                      lambda b: dens.tilde_pZ_t(CTX6, b, self.Z0, z_to, t)):
+                assert f(cut) == f(BASIS6)
+                if n_used > 0:
+                    assert f(dens.SpectralBasis(CTX6, n_used - 1)) \
+                        != f(BASIS6)
+        assert levels[0] == (60, False) and levels[1][1] \
+            and levels[2] == (0, True)
 
     def test_quasi_invariance(self):
         # integrating the tilted stationary law against the tilted kernel
@@ -750,10 +758,11 @@ class TestSurvival:
 
     def test_time_zero_and_domain(self):
         assert dens.survival_P2(CTX6, BASIS6, self.Z0, 0.0) == 1.0
-        det = dens.survival_P2(CTX6, BASIS6, self.Z0, 0.0, detail=True)
-        assert (det.value, det.n_used, det.converged) == (1.0, 0, True)
+        assert dens.truncation(BASIS6, 0.0) == (0, 0.0, True)
         with pytest.raises(ValueError):
             dens.survival_P2(CTX6, BASIS6, self.Z0, -0.5)
+        with pytest.raises(ValueError):
+            dens.truncation(BASIS6, -0.5)
 
     def test_short_time_total_mass(self):
         assert abs(dens.survival_P2(CTX6, BASIS6, self.Z0, 0.01) - 1.0) < 0.02

@@ -1,7 +1,8 @@
 """The package imports nothing beyond the standard library and the
 dependencies that ``pyproject.toml`` declares, so it installs and runs
-offline with exactly those.  Guarded imports count too.  Every C source
-the package compiles on first use ships with it as package data."""
+offline with exactly those; the tests add only the ``test`` extra.
+Guarded imports count too.  Every C source the package compiles on first
+use ships with it as package data."""
 import ast
 import fnmatch
 import pathlib
@@ -20,10 +21,13 @@ def _pyproject() -> dict:
         return tomllib.load(fh)
 
 
-def _declared_dependencies() -> set:
-    deps = _pyproject()["project"]["dependencies"]
+def _names(requirements) -> set:
     return {re.match(r"[A-Za-z0-9_.\-]+", d).group(0).lower()
-            .replace("-", "_") for d in deps}
+            .replace("-", "_") for d in requirements}
+
+
+def _declared_dependencies() -> set:
+    return _names(_pyproject()["project"]["dependencies"])
 
 
 def _absolute_imports(path: pathlib.Path) -> set:
@@ -37,14 +41,24 @@ def _absolute_imports(path: pathlib.Path) -> set:
     return names
 
 
+def _undeclared(directory: pathlib.Path, allowed: set) -> set:
+    sources = sorted(directory.glob("*.py"))
+    assert sources
+    return {f"{p.name}: {name}" for p in sources
+            for name in _absolute_imports(p) if name not in allowed}
+
+
 def test_imports_are_stdlib_or_declared():
     allowed = set(sys.stdlib_module_names) | {"twocurve"} \
         | _declared_dependencies()
-    sources = sorted((ROOT / "src" / "twocurve").glob("*.py"))
-    assert sources
-    undeclared = {f"{p.name}: {name}" for p in sources
-                  for name in _absolute_imports(p) if name not in allowed}
-    assert not undeclared
+    assert not _undeclared(ROOT / "src" / "twocurve", allowed)
+
+
+def test_test_imports_are_declared_or_test_extra():
+    extra = _names(_pyproject()["project"]["optional-dependencies"]["test"])
+    allowed = set(sys.stdlib_module_names) | {"twocurve"} \
+        | _declared_dependencies() | extra
+    assert not _undeclared(ROOT / "tests", allowed)
 
 
 def test_c_sources_are_package_data():
