@@ -201,13 +201,13 @@ def check_quasi_invariance(basis: dens.SpectralBasis,
     alpha = ctx.alpha0 + alpha0_error
     res = []
     for bz, t in [((1.4, 1.9), 0.7), ((0.9, 1.2), 1.3)]:
-        # the stationary factor tilde_pZ_infty, read from the node grid
-        # that Z_constant filled
-        val, _ = square_integrate(
-            lambda a, b: (dens.pz_over_gu_grid(ctx, a[:, 0])
-                          / dens.Z_constant(ctx)
-                          * dens.tilde_pZ_t(ctx, basis, (a, b), bz, t)),
-            rtol=1e-9)
+        def level_sum(z, w):
+            # tilde_pZ_infty, read from the node grid Z_constant filled
+            law = dens.pz_over_gu_grid(ctx, z) / dens.Z_constant(ctx)
+            kern = dens.tilde_pZ_t(ctx, basis,
+                                   np.meshgrid(z, z, indexing="ij"), bz, t)
+            return float(w @ (law * kern) @ w)
+        val, _ = square_integrate(level_sum, rtol=1e-9)
         target = np.exp(-alpha * t) * dens.tilde_pZ_infty(ctx, bz)
         res.append(abs(float(val) - float(target)))
     return CheckResult.from_residual("quasi_invariance", ctx.kappa,

@@ -112,16 +112,26 @@ class RunConfig:
 _FIELD_TYPES = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
+def _finite(name: str, value) -> float:
+    """value as a finite float: every number of a configuration, from a
+    flag or from JSON (whose NaN and Infinity parse), passes here."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") \
+            from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    return value
+
+
 def _coerce_list(name: str, value) -> list:
     if isinstance(value, str):
         parts = [p for p in value.replace(",", " ").split() if p]
         value = parts
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{name} must be a list")
-    try:
-        return [float(v) for v in value]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} entries must be numbers: {exc}") from None
+    return [_finite(f"{name} entries", v) for v in value]
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -155,24 +165,22 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                       "n_drift_states"):
             try:
                 value = int(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ConfigError(f"{name} must be an integer") from None
         elif name in ("kappa", "dt", "inject_alpha0_error"):
-            try:
-                value = float(value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"{name} must be a number") from None
+            value = _finite(name, value)
         elif name == "master_seed" and value is not None:
             try:
                 value = int(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ConfigError("master_seed must be an integer") from None
         elif name == "dt_halving":
             value = bool(value)
         elif name == "tolerances":
             if not isinstance(value, dict):
                 raise ConfigError("tolerances must be a mapping")
-            value = {str(k): float(v) for k, v in value.items()}
+            value = {str(k): _finite(f"tolerance {k}", v)
+                     for k, v in value.items()}
         setattr(cfg, name, value)
     return cfg
 
@@ -227,6 +235,9 @@ def validate_config(cfg: RunConfig, command: str) -> None:
                 raise ConfigError(f"z0 must lie in (0, pi)^2, got {cfg.z0}")
             if not cfg.t_list or any(t < 0.0 for t in cfg.t_list):
                 raise ConfigError("t_list must be nonempty and nonnegative")
+            if any(not math.isfinite(t / cfg.dt) for t in cfg.t_list):
+                raise ConfigError(f"t_list entries must be a finite number "
+                                  f"of steps (dt = {cfg.dt})")
             # a positive time is recorded at its nearest step, which must
             # not be step 0
             if any(t > 0.0 and round(t / cfg.dt) < 1 for t in cfg.t_list):

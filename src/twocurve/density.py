@@ -28,8 +28,10 @@ degree n.  This module provides:
 
 A context keeps its work: the series tail table, doubled only as far
 as the requested times need, and one grid of pZ_infty / G_u on the
-tanh-sinh nodes (``pz_over_gu_grid``) that every quadrature level reads;
-``quadrature_report`` says where those quadratures ended.
+tanh-sinh nodes (``pz_over_gu_grid``) that every quadrature level reads.
+The quadratures of Z and of the survival mode integrals both run on the
+one level loop ``quadrature.square_integrate``, from level 0 to the
+level they need; ``quadrature_report`` gives its report of each.
 
 Every series runs on one evaluator, ``mode_blocks``: per angular order m
 and block of points, the matrix V[k, p] = v_k(x_p, y_p) from the Jacobi
@@ -44,13 +46,11 @@ independent oracle that the evaluator is tested against.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from .context import KappaContext
 from .green import G_u, _coord_arrays
-from .quadrature import square_integrate, tanh_sinh_rule
+from .quadrature import square_integrate
 from .special import (h_const, jacobi, jacobi_seq, jacobi_sup_norm,
                       log_gamma, hyp_F)
 from .timecurve import xy_of_z
@@ -76,8 +76,6 @@ __all__ = [
     "quadrature_report",
 ]
 
-logger = logging.getLogger(__name__)
-
 # Tolerance of the series truncation: the discarded tail, relative to the
 # stationary density, uniformly over the disc.
 SERIES_RTOL = 1e-9
@@ -98,9 +96,6 @@ _N_SCAN = 2048
 # Most entries of one mode-value block V of ``mode_blocks``, and most
 # quadrature points per block of the survival mode integrals.
 _CHUNK = 200_000
-
-# Relative tolerance of the Z_constant quadrature.
-_Z_RTOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +522,7 @@ def pZ_t(basis: SpectralBasis, frm, to, t):
     n_used = truncation(basis, t)[0]
     kern = _series(basis, n_used, t, *xy_of_z((fz1, fz2)),
                    *xy_of_z((tz1, tz2)))
-    # the stationary term keeps its own product order: the other one
-    # moves it by up to 2 ulp
-    value = psi * jac * kern if n_used == 0 else psi * kern * jac
+    value = psi * kern * jac
     return float(value) if np.ndim(value) == 0 else value
 
 
@@ -622,27 +615,18 @@ def Z_constant(ctx: KappaContext) -> float:
     """Normalizing constant of the tilted stationary law.
 
     The integral over (0, pi)^2 of pZ_infty / G_u: ``square_integrate``
-    of the continuous extension on ``pz_over_gu_grid``, to relative
-    tolerance _Z_RTOL.  Cached per context, with the quadrature's report
-    for ``quadrature_report``.
+    of the continuous extension on ``pz_over_gu_grid``, at its default
+    relative tolerance 1e-10.  Cached per context, with the quadrature's
+    report for ``quadrature_report``.
     """
     cached = ctx._cache.get("z_constant")
     if cached is not None:
         return cached
-    sizes = []  # one entry per level, from level 0 on
-
-    def integrand(z1, z2):
-        sizes.append(z1.shape[0])
-        return pz_over_gu_grid(ctx, z1[:, 0])
-
-    val, err = square_integrate(integrand, rtol=_Z_RTOL)
-    logger.debug("Z_constant(kappa=%g) = %.12g (quadrature change %.2e)",
-                 ctx.kappa, val, err)
-    ctx._cache["z_constant_quadrature"] = {
-        "level": len(sizes) - 1, "change": float(err),
-        "converged": bool(err <= _Z_RTOL * max(abs(val), 1e-300))}
-    ctx._cache["z_constant"] = float(val)
-    return float(val)
+    val, report = square_integrate(
+        lambda z, w: float(w @ pz_over_gu_grid(ctx, z) @ w))
+    ctx._cache["z_constant_quadrature"] = report
+    ctx._cache["z_constant"] = val
+    return val
 
 
 def tilde_pZ_infty(ctx: KappaContext, z):
@@ -664,23 +648,20 @@ def _survival_integrals(ctx: KappaContext, basis: SpectralBasis,
     ratio is the continuous extension of pZ_infty / G_u, read from
     ``pz_over_gu_grid``.  With these, survival_P2 becomes
     exp(-alpha0 t) G_u(z0) sum_s exp(lambda_n t) v_s(z0) I_s; the n = 0
-    term reproduces the Z_constant asymptote exactly.  Cached on the
-    basis at the largest level requested so far, with the quadrature's
-    report; tanh-sinh levels escalate from 3 to 6 until the vector
-    stabilizes.
+    term reproduces the Z_constant asymptote exactly.  The vector of the
+    modes of level <= n_limit escalates through ``square_integrate`` from
+    level 0, until its largest change is at most 1e-10 of its largest
+    entry.  Cached on the basis at the largest level requested so far,
+    with the quadrature's report; a new computation replaces the cache
+    object.
     """
     cache = basis._survival_cache
     if cache is not None and cache["n_limit"] >= n_limit:
         return cache["integrals"]
-    pref = np.pi * ctx.kappa / 8.0
-    prev = None
-    delta, converged = np.inf, False
-    for level in range(3, 7):
-        q, w = tanh_sinh_rule(level)
-        z = np.pi * q
-        wz = np.pi * w
+
+    def level_sum(z, wz):
         ratio = pz_over_gu_grid(ctx, z)
-        out = np.zeros(basis.n_modes)
+        out = np.zeros(basis.modes_up_to(n_limit))
         rows_per = max(1, _CHUNK // z.size)
         for lo in range(0, z.size, rows_per):
             hi = min(lo + rows_per, z.size)
@@ -689,19 +670,11 @@ def _survival_integrals(ctx: KappaContext, basis: SpectralBasis,
             xb, yb = xy_of_z((z1b.ravel(), z2b.ravel()))
             for rows, sl, V in mode_blocks(basis, n_limit, xb, yb):
                 out[rows] += V @ wb[sl]
-        out *= pref
-        if prev is not None:
-            delta = float(np.max(np.abs(out - prev)))
-            scale = max(1.0, float(np.abs(out[0])))
-            logger.debug("survival integrals level %d: delta %.2e", level, delta)
-            converged = delta <= 1e-10 * scale
-            if converged:
-                break
-        prev = out
-    basis._survival_cache = {
-        "n_limit": n_limit, "integrals": out,
-        "quadrature": {"level": level, "change": delta,
-                       "converged": converged}}
+        return out * (np.pi * ctx.kappa / 8.0)
+
+    out, report = square_integrate(level_sum)
+    basis._survival_cache = {"n_limit": n_limit, "integrals": out,
+                             "quadrature": report}
     return out
 
 
@@ -732,9 +705,10 @@ def survival_P2(ctx: KappaContext, basis: SpectralBasis, z0, t):
 
 
 def quadrature_report(ctx: KappaContext, basis: SpectralBasis) -> dict:
-    """Level reached, last inter-level change and tolerance met of the
-    Z_constant and survival quadratures run on ctx and basis (None if not
-    run), and the distinct points ``pz_over_gu_grid`` evaluated."""
+    """The ``square_integrate`` reports (level reached, last inter-level
+    change, tolerance met) of the Z_constant and survival quadratures run
+    on ctx and basis (None if not run), and the distinct points
+    ``pz_over_gu_grid`` evaluated."""
     survival = basis._survival_cache
     grid = ctx._cache.get("pz_grid")
     return {"Z_constant": ctx._cache.get("z_constant_quadrature"),

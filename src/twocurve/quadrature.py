@@ -8,6 +8,9 @@ Two rules are provided:
   basis produces) times a periodic trapezoid rule in the angle;
 * a tanh-sinh (double-exponential) tensor rule on ``(0, pi)^2`` with level
   doubling up to level 6, for integrands with fractional endpoint behavior.
+  ``square_integrate`` is the one loop over its levels: ``Z_constant``,
+  the survival mode integrals and the quasi-invariance check all run
+  through it, and stop on its one rule.
 """
 from __future__ import annotations
 
@@ -60,28 +63,31 @@ def tanh_sinh_rule(level: int):
     return (x[keep] + 1.0) / 2.0, w[keep] / 2.0
 
 
-def square_integrate(func, rtol: float = 1e-10):
-    """Tanh-sinh tensor integration of func over (0, pi)^2.
+def square_integrate(level_sum, rtol: float = 1e-10):
+    """Tanh-sinh tensor integration over (0, pi)^2: the package's one
+    level loop.
 
-    func must accept meshgrid arrays (z1, z2) = meshgrid(z, z,
-    indexing="ij") and is called once per level, from level 0 on.  Levels
-    double until two successive results agree to rtol, or to level 6.
+    level_sum(z, w) gets one level's nodes z and weights w on (0, pi),
+    from level 0 on, and returns that level's tensor sum (a float, or an
+    array of integrals that escalate together).  Halving the step keeps
+    every node of the coarser level (Takahasi & Mori 1974), so a caller
+    may keep what it evaluated there.  The loop stops once the largest
+    change from the level before is at most rtol times the largest
+    magnitude (floored at 1e-300), or after level 6.
 
     Returns:
-        (value, est_error): the last level and the last inter-level change.
+        (value, report): the last level's sum, and {"level", "change",
+        "converged"} with the last inter-level change.
     """
     prev = None
-    err = np.inf
     for level in range(7):
         x, w = tanh_sinh_rule(level)
-        z = x * np.pi
-        wz = w * np.pi
-        z1, z2 = np.meshgrid(z, z, indexing="ij")
-        vals = func(z1, z2)
-        val = float(wz @ vals @ wz)
+        val = level_sum(np.pi * x, np.pi * w)
         if prev is not None:
-            err = abs(val - prev)
-            if err <= rtol * max(abs(val), 1e-300):
-                return val, err
+            change = float(np.max(np.abs(val - prev)))
+            converged = change <= rtol * max(float(np.max(np.abs(val))),
+                                             1e-300)
+            if converged:
+                break
         prev = val
-    return prev, err
+    return val, {"level": level, "change": change, "converged": converged}

@@ -40,34 +40,36 @@ def test_density_output_is_byte_stable(tmp_path):
     assert _meta_without_out_dir(runs[0]) == _meta_without_out_dir(runs[1])
 
 
-# sha256 of pz_t.csv, pz_infty.csv and survival.csv, recorded before the
-# tail scan doubled and the tanh-sinh grid was shared: the density output
-# must keep its bytes
+# sha256 of pz_t.csv, pz_infty.csv and survival.csv.  The pz_t.csv and
+# pz_infty.csv digests were recorded before the tail scan doubled and the
+# tanh-sinh grid was shared; survival.csv was recorded again when the
+# survival mode integrals began to escalate from level 0 (within 8 ulp of
+# the level-4 values, see test_survival_within_16_ulp_of_level_4_values)
 DENSITY_DIGESTS = {
     ("3", "default"): (
         "71c6eb9f0cf40a87e270d3a0066f3453eb226f06e8914a8a4ed78a33539ec337",
         "49071854e1d28902fef6db00e00d3fa7c9d11e4853ccef0e7fe7c82bf5ea0f46",
-        "cf92f137ab0f0a2ca7644545ed7f2ae9528d10d2f14c4e5531122641575c32c0"),
+        "3d1dc83c8e71f7336dbd4ebcda34d4b0d351e6175f800e2d19040984371627f0"),
     ("3", "small_t"): (
         "61128866c231aebf49c9d99f30c7991290796071e5ccafbde01e76bdd03af7b9",
         "082381891ce0f73119cad757f97dd1b74b6ab1fd5d8347d9bb6f83a18c9fbcdb",
-        "20f0639d46f95d71c7f6c5b97c799dee6bb307387cf86cf7421fdc3128ac6cac"),
+        "f4dc2801d2ce0785fb79f584446fb32e4088f39951b26fbe4a7f5cf0a9d1f3f1"),
     ("6", "default"): (
         "d7af227a710c81216d7f17d9089088c4b78ea76041958ae48fee42f9ef465361",
         "82588e986a971bc747d27c9b76ff1f1d9109d2b18b24acd221f80798dd33e441",
-        "6b8486515ba5249b4199aed0a6e5b3ae820de14de11dfd42c967c6dc99bc4203"),
+        "80524a5e95ddb71e51e058dc0d4874dd9cc47695995efad70f735f13e8f24df4"),
     ("6", "small_t"): (
         "c753b4f61e389a951b258388d7498f2173b6f8bedc3b062e48801831bceff684",
         "e7f1a4eb76f37b4135c575c1de9b93b37a9406a60d8da0128dc27a9568f677b8",
-        "2e79abdddc0eab94f6f83bd3bb79c2d6b42a9079f274d51c6cf2fae6cc6b4af0"),
+        "74a6ac832b97251b97b3ba447258db7a9d0f3d1eefe58a740d7ad1e829dfb92f"),
     ("7.5", "default"): (
         "3452104e3454f7a0c8c82b3832ccda2a1260c335e0fc8b9c70b570cc51586d6b",
         "612c6f2da3533c11949ab02a3581faea24a94c4256d61c1ca755f4c40fcb953b",
-        "b40e52654b5459b910d84ffc100e16c93b4dcf1c6e2e4bed2664fff4bf63dce6"),
+        "26e4604bf14439d5f2b16902f48eec089725b98e66b2a1a5bda2ba333975699f"),
     ("7.5", "small_t"): (
         "2dadcfcaba3e7fb4d2c5ad26117007a5dc46eaeac1ec6bdb1a65c1263718c498",
         "fe8a8a5ab045e202b2cf112f70b7e82ebc0960b3d53f15f3d424a714793d00d4",
-        "912fb5437b03f8728f6f5e9b6414d77c75cddd852a6a6eafe9f6025f33dd5edf"),
+        "6c7c9c40b72e88ef8360a8ba4bf7f15bc1dc3524044cba5beab06585eb1aab7b"),
 }
 DENSITY_SETTINGS = {"default": [],
                     "small_t": ["--t-list", "0.01,1", "--grid-n", "6"]}
@@ -86,10 +88,54 @@ def test_density_output_pinned_bytes(kappa, settings, tmp_path):
     assert _digests(tmp_path) == DENSITY_DIGESTS[kappa, settings]
 
 
+# survival.csv at the default settings (t 1, 2, 4, then the 17 fit times
+# from 4 to 8), as the level-4 start of the survival quadrature wrote it
+LEVEL4_SURVIVAL = {
+    "3": """
+        0x1.9b27e9650bb74p-3 0x1.df7c75be216d4p-7 0x1.42120d00d4287p-14
+        0x1.4e2d0bb606e3ap-15 0x1.5abc854198dbap-16 0x1.67c4da6bec66dp-17
+        0x1.754a961dc4c91p-18 0x1.83526ef4e8282p-19 0x1.91e148e94bb2dp-20
+        0x1.a0fc370175fc4p-21 0x1.b0a87d1748473p-22 0x1.c0eb91adcc90ep-23
+        0x1.d1cb1fd8ac207p-24 0x1.e34d0935f8801p-25 0x1.f57767faf72e2p-26
+        0x1.0428488a53785p-26 0x1.0def8b2e5e4c2p-27 0x1.1814e471ee106p-28
+        0x1.229bdda8ed421p-29""".split(),
+    "6": """
+        0x1.a2d41e98f56c2p-2 0x1.e034e0fcad011p-4 0x1.3b57986e8183cp-7
+        0x1.cd6b2419ad2a8p-8 0x1.5194bc7195799p-8 0x1.edf585bc3df66p-9
+        0x1.69635f9248008p-9 0x1.0865b16b4438ap-9 0x1.82dfd25fb20c0p-10
+        0x1.1b0b14dcfcb19p-10 0x1.9e28649954a71p-11 0x1.2f011a5a70bf6p-11
+        0x1.bb5d893c07802p-12 0x1.445f7f6942907p-12 0x1.daa1fd19c13aap-13
+        0x1.5b3fae29c232dp-13 0x1.fc1af02a1fdecp-14 0x1.73bcdb90e2854p-14
+        0x1.0ff818e26a390p-14""".split(),
+    "7.5": """
+        0x1.0cb61296889a5p-1 0x1.c5c20812a46adp-3 0x1.4363c7839af4ep-5
+        0x1.04aa0e331520fp-5 0x1.a435dafbc7681p-6 0x1.52b48ffe396b0p-6
+        0x1.11025a8deeb8ep-6 0x1.b81c7e47c283ap-7 0x1.62bf081d6a29bp-7
+        0x1.1df0526ba45d7p-7 0x1.ccf4690e34bf8p-8 0x1.738bfb24237a2p-8
+        0x1.2b7b0c6622d30p-8 0x1.e2c9089519f8fp-9 0x1.85249ef3b145bp-9
+        0x1.39a9f50798c16p-9 0x1.f9a654ac7ec71p-10 0x1.979299185a15ap-10
+        0x1.4884d2dc62375p-10""".split(),
+}
+
+
+@pytest.mark.parametrize("kappa", sorted(LEVEL4_SURVIVAL))
+def test_survival_within_16_ulp_of_level_4_values(kappa, tmp_path):
+    # the survival integrals stop at the level they need (level 2 here):
+    # the curve moves by rounding only
+    assert main(["density", "--kappa", kappa, "--grid-n", "2",
+                 "--out-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "survival.csv", newline="", encoding="utf-8") as fh:
+        got = np.array([float(row["survival"]) for row in csv.DictReader(fh)])
+    ref = np.array([float.fromhex(h) for h in LEVEL4_SURVIVAL[kappa]])
+    assert np.all(np.abs(got - ref) <= 16 * np.spacing(ref))
+
+
 def test_density_small_time_leaks_no_warning(tmp_path):
     # at t 0.0024 the series summands overflow: the tail bound is inf and
     # the run says so on its own warning line, with no numpy warning; the
-    # files keep the bytes recorded before the overflow was silenced
+    # pz files keep the bytes recorded before the overflow was silenced
+    # (survival.csv: recorded again at the level-0 start of the survival
+    # quadrature, 4 ulp from the level-4 values)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["density", "--kappa", "1.1", "--t-list", "0.0024",
@@ -97,7 +143,7 @@ def test_density_small_time_leaks_no_warning(tmp_path):
     assert _digests(tmp_path) == (
         "ca7200053a41135007fa52faef1c11dcbda052a2ad608349ddbab1d9aa65e674",
         "33cc274485065b0f32bbd06cc5c2f539f0d489b3b5b12107b6699bda0b945456",
-        "3d98424822bcb81a80fbc337a569a0ef40d7b3946b2403f5c1cc0c744b46fc54")
+        "ee652f9ac1ad1ef1352b47315ac5c2d8cdddbecaeb21b41b9858e0da3ecafb7d")
     report = _meta_without_out_dir(tmp_path)["truncation"]["pz_t"][0]
     assert (report["tail_bound"], report["converged"]) == (math.inf, False)
 
@@ -105,15 +151,18 @@ def test_density_small_time_leaks_no_warning(tmp_path):
 def test_density_meta_reports_quadrature(tmp_path):
     assert main(DENSITY + ["--out-dir", str(tmp_path)]) == 0
     quadrature = _meta_without_out_dir(tmp_path)["quadrature"]
-    # Z_constant settles at level 2 and the survival integrals at level 4;
-    # the second reads the first's grid, so the points are those of the
-    # level-4 grid: each distinct pair of node values once
+    # Z_constant and the survival integrals both settle at level 2; the
+    # second reads the first's grid, so the points are those of the
+    # level-2 grid: each distinct pair of node values once
     assert quadrature["Z_constant"]["level"] == 2
-    assert quadrature["survival"]["level"] == 4
+    assert quadrature["survival"]["level"] == 2
     for name in ("Z_constant", "survival"):
         assert quadrature[name]["converged"] is True
-        assert 0.0 <= quadrature[name]["change"] < 1e-12
-    distinct = np.unique(np.pi * tanh_sinh_rule(4)[0]).size
+    assert 0.0 <= quadrature["Z_constant"]["change"] < 1e-12
+    # the survival rule: at most 1e-10 of the largest integral, which is
+    # I_0 = 3.074 at kappa 6 (TestQuadraturePins)
+    assert 0.0 < quadrature["survival"]["change"] <= 1e-10 * 3.074
+    distinct = np.unique(np.pi * tanh_sinh_rule(2)[0]).size
     assert quadrature["pz_points"] == distinct * (distinct + 1) // 2
 
 
@@ -124,8 +173,19 @@ def test_density_meta_reports_quadrature(tmp_path):
     # a positive record time that rounds to step 0
     ["simulate", "--method", "z-weighted", "--t-list", "0.0004,1"],
     ["simulate", "--method", "z-weighted", "--dt", "2", "--t-list", "1"],
+    # numbers that are not finite, or a step count that is not
+    ["density", "--t-list", "nan"],
+    ["density", "--t-list", "1,inf"],
+    ["simulate", "--method", "z-weighted", "--t-list", "nan"],
+    ["simulate", "--method", "curves", "--dt", "nan"],
+    ["simulate", "--method", "z-weighted", "--t-list", "inf"],
+    ["simulate", "--method", "z-weighted", "--t-list", "1e308"],
+    ["simulate", "--method", "z-weighted", "--dt", "1e-320", "--t-list", "1"],
 ], ids=["kappa_8", "r_quarter", "intersection_kappa_4",
-        "z_weighted_time_under_half_step", "z_weighted_dt_2"])
+        "z_weighted_time_under_half_step", "z_weighted_dt_2",
+        "density_t_nan", "density_t_inf", "z_weighted_t_nan",
+        "curves_dt_nan", "z_weighted_t_inf", "z_weighted_steps_overflow",
+        "z_weighted_dt_subnormal"])
 def test_rejected_configuration_exits_2(argv, tmp_path, capsys):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 2
     captured = capsys.readouterr()
@@ -137,7 +197,11 @@ def test_rejected_configuration_exits_2(argv, tmp_path, capsys):
 @pytest.mark.parametrize("command,config", [
     ("density", {"fit_window": [-1, 2]}),
     ("check", {"tolerances": {"quasi_invariance_typo": 1e-30}}),
-], ids=["negative_fit_window", "unknown_tolerance"])
+    # JSON NaN and Infinity parse, and are rejected like the flags
+    ("simulate", {"method": "curves", "dt": math.nan}),
+    ("simulate", {"n_paths": math.inf}),
+], ids=["negative_fit_window", "unknown_tolerance", "json_curves_nan_dt",
+        "json_infinite_n_paths"])
 def test_rejected_config_file_exits_2(command, config, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
