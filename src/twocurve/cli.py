@@ -235,9 +235,10 @@ def validate_config(cfg: RunConfig, command: str) -> None:
                 raise ConfigError(f"z0 must lie in (0, pi)^2, got {cfg.z0}")
             if not cfg.t_list or any(t < 0.0 for t in cfg.t_list):
                 raise ConfigError("t_list must be nonempty and nonnegative")
-            if any(not math.isfinite(t / cfg.dt) for t in cfg.t_list):
-                raise ConfigError(f"t_list entries must be a finite number "
-                                  f"of steps (dt = {cfg.dt})")
+            # record steps are int64, also at dt / 2 under dt_halving
+            if any(not t / cfg.dt < 2.0 ** 62 for t in cfg.t_list):
+                raise ConfigError(f"t_list entries must be fewer than 2^62 "
+                                  f"steps (dt = {cfg.dt})")
             # a positive time is recorded at its nearest step, which must
             # not be step 0
             if any(t > 0.0 and round(t / cfg.dt) < 1 for t in cfg.t_list):

@@ -12,7 +12,7 @@ from twocurve.green import G_u
 from twocurve.quadrature import (disc_rule, square_integrate,
                                  tanh_sinh_rule)
 from twocurve.special import jacobi, log_gamma
-from twocurve.timecurve import ZState, simulate_z_ensemble, xy_of_z
+from twocurve.timecurve import ZState, simulate_z_ensemble
 
 
 CTX6 = KappaContext(6.0)
@@ -779,21 +779,14 @@ class TestQuadraturePins:
         assert basis._survival_cache is not cold
 
     @pytest.mark.parametrize("kappa", [1.1, 6.0, 7.9])
-    def test_escalation_does_not_stop_early(self, kappa):
+    def test_escalation_does_not_stop_early(self, kappa,
+                                            level5_survival_integrals):
         # the level-0 start settles where a fixed level-5 tensor sum agrees
         ctx = KappaContext(kappa)
-        z, w = (np.pi * v for v in tanh_sinh_rule(5))
-        ratio = dens.pz_over_gu_grid(ctx, z)
-        z1, z2 = np.meshgrid(z, z, indexing="ij")
-        x, y = xy_of_z((z1.ravel(), z2.ravel()))
-        weights = (np.outer(w, w) * ratio).ravel()
         for n_limit in (4, 14):
             basis = dens.SpectralBasis(ctx, n_limit)
             ints = dens._survival_integrals(ctx, basis, n_limit)
-            ref = np.zeros(basis.n_modes)
-            for rows, sl, V in dens.mode_blocks(basis, n_limit, x, y):
-                ref[rows] += V @ weights[sl]
-            ref *= np.pi * kappa / 8.0
+            ref = level5_survival_integrals(ctx, basis, n_limit)
             assert np.max(np.abs(ints - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
