@@ -12,12 +12,11 @@
  * where numpy's complex multiply is fused (the _kernels docstring): the
  * fused roundings are explicit fma() calls, everything else is plain.
  *
- * z_uniforms and z_block, the two passes of _kernels.z_evolve over one
- * block of steps, a port of _kernels._z_evolve_np.  The step's bits are
- * z_update's: numpy's sin, cos and sqrt of float64 are libm's, and each
- * expression is evaluated in numpy's operation order.  The one numpy
- * transcendental whose bits differ from libm, the log of Box-Muller, stays
- * in numpy between the two passes.
+ * z_evolve, a port of _kernels._z_evolve_np called by _kernels.z_evolve.
+ * Its draws are _rng.normal_pair_array's, whose Box-Muller log is libm's
+ * as here; the step's bits are z_update's: numpy's sin, cos and sqrt of
+ * float64 are libm's, and each expression is evaluated in numpy's
+ * operation order.
  *
  * No function keeps state outside its arguments, so _kernels runs
  * concurrent calls on disjoint row (path) ranges from its thread pool.
@@ -341,85 +340,61 @@ void backward_flow(int64_t n, int64_t width, const double *drivers,
 }
 
 /*
- * The two-angle diffusion, one block of nb steps s0, ..., s0 + nb - 1 of
- * the n_live paths live[] alive at the block's start.  Both buffers are
- * step-major: entry j * n_live + i belongs to step s0 + j of path live[i].
+ * The two-angle diffusion of _kernels._z_evolve_np on the paths
+ * lo <= p < hi of the n paths, path by path: steps start_step, ...,
+ * start_step + n_steps - 1 while the path lives, each drawing the uniforms
+ * at counters (2s, 2s+1) of _rng.normal_pair_array, forming its Box-Muller
+ * normals, applying _kernels.z_update, the clamp (np.clip keeps -0.0 and
+ * NaN) and absorption, and snapshotting at the record steps rec_steps[ri]
+ * equal to the step's end; a path dead at entry or absorbed keeps its
+ * frozen angles in its later snapshots.  rec_z1 and rec_z2 are [m][n].
  */
-
-/* the uniforms at counters (2s, 2s+1) of _rng.normal_pair_array */
-void z_uniforms(int64_t n_live, int64_t nb, const int64_t *live,
-                const uint64_t *streams, int64_t s0, double *u0, double *u1)
-{
-    int64_t j, i;
-
-    for (j = 0; j < nb; j++) {
-        const uint64_t two_s = 2 * (uint64_t)(s0 + j);
-        for (i = 0; i < n_live; i++) {
-            const uint64_t sid = streams[live[i]];
-            u0[j * n_live + i] = uniform(sid, two_s);
-            u1[j * n_live + i] = uniform(sid, two_s + 1);
-        }
-    }
-}
-
-/* the steps of _z_evolve_np, given log_u0 = np.log(u0) and u1 from
- * z_uniforms: Box-Muller, _kernels.z_update, the clamp (np.clip keeps
- * -0.0 and NaN), absorption, and the snapshots at the record steps
- * rec_steps[ri], ... equal to a step's end; returns the next unwritten
- * record index.  A call steps the live entries i0 <= i < i1 and snapshots
- * the paths p0 <= p < p1 of the n paths, dead ones included; calls on
- * disjoint path ranges, each with the live entries inside its range,
- * write disjoint elements and may run concurrently */
-int64_t z_block(int64_t n, int64_t n_live, int64_t nb, const int64_t *live,
-                int64_t i0, int64_t i1, int64_t p0, int64_t p1,
-                const double *log_u0, const double *u1, int64_t s0,
-                double kappa, double dt, double *z1, double *z2,
-                uint8_t *alive, int64_t *absorb_step, int64_t m,
-                const int64_t *rec_steps, int64_t ri, double *rec_z1,
-                double *rec_z2)
+void z_evolve(int64_t n, int64_t lo, int64_t hi, const uint64_t *streams,
+              int64_t start_step, int64_t n_steps, double kappa, double dt,
+              double *z1, double *z2, uint8_t *alive, int64_t *absorb_step,
+              int64_t m, const int64_t *rec_steps, double *rec_z1,
+              double *rec_z2)
 {
     const double mil_k = 0.25 * kappa;
-    int64_t j, i, p;
+    const int64_t end = start_step + n_steps;
+    int64_t p;
 
-    for (j = 0; j < nb; j++) {
-        const int64_t s = s0 + j;
-        for (i = i0; i < i1; i++) {
-            const int64_t e = j * n_live + i;
-            double r, ang, g1, g2, a, b, sa, sb, ca, cb, S, mil, an, bn;
+    for (p = lo; p < hi; p++) {
+        const uint64_t sid = streams[p];
+        double a = z1[p], b = z2[p];
+        int64_t s, ri = 0;
 
-            p = live[i];
-            if (!alive[p])
-                continue;
-            r = sqrt(-2.0 * log_u0[e]);
-            ang = TWO_PI * u1[e];
-            g1 = r * cos(ang);
-            g2 = r * sin(ang);
-            a = z1[p];
-            b = z2[p];
-            sa = sin(a);
-            sb = sin(b);
-            ca = cos(a);
-            cb = cos(b);
-            S = sa + sb;
-            mil = mil_k / S * dt;
-            an = (a + 4.0 * ca / S * dt + sqrt(kappa * sa / S * dt) * g1
-                  + mil * ca * (g1 * g1 - 1.0));
-            bn = (b + 4.0 * cb / S * dt + sqrt(kappa * sb / S * dt) * g2
-                  + mil * cb * (g2 * g2 - 1.0));
+        for (s = start_step; s < end && alive[p]; s++) {
+            const uint64_t two_s = 2 * (uint64_t)s;
+            const double r = sqrt(-2.0 * log(uniform(sid, two_s)));
+            const double ang = TWO_PI * uniform(sid, two_s + 1);
+            const double g1 = r * cos(ang), g2 = r * sin(ang);
+            const double sa = sin(a), sb = sin(b), ca = cos(a), cb = cos(b);
+            const double S = sa + sb;
+            const double mil = mil_k / S * dt;
+            double an = (a + 4.0 * ca / S * dt + sqrt(kappa * sa / S * dt) * g1
+                         + mil * ca * (g1 * g1 - 1.0));
+            double bn = (b + 4.0 * cb / S * dt + sqrt(kappa * sb / S * dt) * g2
+                         + mil * cb * (g2 * g2 - 1.0));
+
             if (an <= 0.0 || an >= PI || bn <= 0.0 || bn >= PI) {
                 alive[p] = 0;
                 absorb_step[p] = s + 1;
             }
             an = an < 0.0 ? 0.0 : an;
             bn = bn < 0.0 ? 0.0 : bn;
-            z1[p] = an > PI ? PI : an;
-            z2[p] = bn > PI ? PI : bn;
-        }
-        for (; ri < m && rec_steps[ri] == s + 1; ri++)
-            for (p = p0; p < p1; p++) {
-                rec_z1[ri * n + p] = z1[p];
-                rec_z2[ri * n + p] = z2[p];
+            a = an > PI ? PI : an;
+            b = bn > PI ? PI : bn;
+            for (; ri < m && rec_steps[ri] == s + 1; ri++) {
+                rec_z1[ri * n + p] = a;
+                rec_z2[ri * n + p] = b;
             }
+        }
+        for (; ri < m; ri++) {
+            rec_z1[ri * n + p] = a;
+            rec_z2[ri * n + p] = b;
+        }
+        z1[p] = a;
+        z2[p] = b;
     }
-    return ri;
 }

@@ -51,30 +51,25 @@ is no compiler or the build fails, one warning is logged and all three
 kernels run in Python/numpy.  ``hsle_kernel()`` names the library that ran
 them.
 
-``z_evolve`` runs the same library's port of ``_z_evolve_np`` in blocks of
-steps, two passes each.  For the paths alive at the block's start,
-``z_uniforms`` fills the uniforms at counters (2s, 2s+1) of every step s
-of the block; numpy takes ``np.log`` of the first ones in place; then
-``z_block`` forms the Box-Muller normals, applies ``z_update`` operation
-by operation, clamps, absorbs, and snapshots every path, dead ones
-included, at the record steps.  The log stays in numpy because it is the
-one transcendental of the step whose bits differ from libm's (numpy's
-vector ``log`` differs in the last bit for about 0.3% of arguments);
+``z_evolve`` runs the same library's port of ``_z_evolve_np`` in one
+pass over each path: every step draws the uniforms at counters (2s, 2s+1),
+forms the Box-Muller normals with libm ``log``, ``sqrt``, ``cos`` and
+``sin``, applies ``z_update`` operation by operation, clamps, absorbs,
+and snapshots at the record steps, a dead path's later snapshots holding
+its frozen angles.  The numpy evolution draws through
+``_rng.normal_pair_array``, whose log is libm's too (numpy's vector
+``log`` differs from it in the last bit for about 0.3% of arguments), and
 numpy's float64 ``sin``, ``cos`` and ``sqrt`` give libm's bits (a numpy
 build whose vector ``sin`` or ``cos`` did not would fail
 ``TestCompiledZEvolve``), so the C step repeats the numpy one bit for bit.
-The fill and log passes take about 5% of the time of the step, which three
-libm ``sincos`` calls per path-step dominate.  A block holds ``_Z_BLOCK``
-path-steps (at least one step), which bounds the two uniform buffers by
-path-steps, not by steps: 65 steps of 2000 live paths, one step of 10^6.
-``z_update`` is the one implementation of the two-angle step
-(``timecurve.z_step`` applies it to a single state);
+``z_update`` is the one implementation of the two-angle step;
 ``tests/test_kernels.py::TestCompiledZEvolve`` compares the two
 evolutions' bytes, and ``tests/test_timecurve.py::TestZEvolvePin`` pins
 them.  The two random kernels, ``z_evolve`` and ``hsle_evolve_adaptive``,
 draw from the counter-based streams of :mod:`._rng` indexed by the
-absolute step, so skipped draws (dead paths) cost nothing and runs can be
-resumed at any step boundary.
+absolute step, with the one Box-Muller formula of that module, so skipped
+draws (dead paths) cost nothing and runs can be resumed at any step
+boundary.
 
 Threads
 -------
@@ -89,17 +84,11 @@ integer sum, so the bytes are the same at any worker count
 (``tests/test_cli.py`` compares ``estimates.csv`` under 1 and 2 workers).
 The split depends on the row count alone, so a split adaptive call raises
 the error of its lowest failing row, as a single call does.  The adaptive
-kernel and the flow pass C-order row slices straight to the library.
-``z_evolve`` keeps its uniform fill and ``np.log`` as one pass per block
-of steps in the calling thread, so the workers share the one uniform
-buffer bounded by ``_Z_BLOCK``; only ``z_block`` is split, each span
-stepping the live paths of one path range and snapshotting all paths of
-it, dead ones included, so no two spans write the same element.  Its
-spans are ``_ROW_BLOCK`` groups of paths, a group being as many paths as
-keep a block at ``_Z_SPANS`` spans or fewer (one path up to 2048 paths),
-because a block holds only ``_Z_BLOCK`` path-steps in all.  A call
-of at most ``_ROW_BLOCK`` rows is a single span: it runs inline and
-never starts the pool.  The workers call only the C library, never the
+kernel and the flow pass C-order row slices straight to the library;
+``z_evolve`` passes its whole arrays with the span's path range, because
+a span's snapshots are a column range of the step-major record arrays.
+A call of at most ``_ROW_BLOCK`` rows is a single span: it runs inline
+and never starts the pool.  The workers call only the C library, never the
 public functions of this module, which ``benchmarks/layers.py`` wraps
 with a span stack that is not thread-safe.  The Python/numpy fallbacks
 hold the GIL and stay serial.
@@ -276,7 +265,7 @@ def _check_z_args(z1, z2, alive, absorb_step, streams, start_step, n_steps,
 
 
 # The numpy evolution is the fallback without a compiler and the oracle of
-# ``z_block`` in ``_hsle.c``, which repeats ``z_update`` operation by
+# ``z_evolve`` in ``_hsle.c``, which repeats ``z_update`` operation by
 # operation (module docstring); an edit to either must be made to both.
 def _z_evolve_np(z1, z2, alive, absorb_step, streams, start_step, n_steps,
                  kappa, dt, rec_steps, rec_z1, rec_z2) -> None:
@@ -300,51 +289,15 @@ def _z_evolve_np(z1, z2, alive, absorb_step, streams, start_step, n_steps,
             ri += 1
 
 
-# path-steps per block of the compiled evolution: its two uniform buffers
-# hold max(_Z_BLOCK, live paths) doubles each (1 MB at this value), so a
-# block of 2000 live paths is 65 steps and one of 10^6 paths a single step
-_Z_BLOCK = 1 << 17
-# most spans of _run_spans per block: a block holds about _Z_BLOCK
-# path-steps, so a span keeps about 2000 of them at any path count (a span
-# costs ~10 us of Python, ~100 path-steps)
-_Z_SPANS = 64
-
-
 def _z_evolve_c(lib, z1, z2, alive, absorb_step, streams, start_step,
                 n_steps, kappa, dt, rec_steps, rec_z1, rec_z2) -> None:
     n, m = z1.shape[0], rec_steps.shape[0]
-    end = start_step + n_steps
-    n_live = int(np.count_nonzero(alive))
-    buf = np.empty((2, max(min(_Z_BLOCK, n_live * n_steps), n_live)))
-    # z_block takes addresses (see _hsle_lib)
-    addr = [a.ctypes.data for a in (z1, z2, alive, absorb_step, rec_steps,
-                                    rec_z1, rec_z2)]
-    # the rows of _run_spans are groups of g paths, so that a block has
-    # at most _Z_SPANS spans
-    g = max(1, -(-n // (_Z_SPANS * _ROW_BLOCK)))
-    s, ri = start_step, 0
-    while s < end:
-        live = np.flatnonzero(alive)
-        nb = min(end - s, max(1, _Z_BLOCK // max(live.size, 1)))
-        u0, u1 = buf[:, :nb * live.size]
-        if live.size:
-            lib.z_uniforms(live.size, nb, live, streams, s, u0, u1)
-            # numpy's log, not libm's: the one draw whose bits differ
-            np.log(u0, out=u0)
 
-        live_u = [a.ctypes.data for a in (live, u0, u1)]
+    def span(lo, hi):
+        lib.z_evolve(n, lo, hi, streams, start_step, n_steps, kappa, dt, z1,
+                     z2, alive, absorb_step, m, rec_steps, rec_z1, rec_z2)
 
-        # the span of paths [lo g, hi g) steps the live entries among
-        # them and snapshots all of them
-        def span(lo, hi):
-            lo, hi = lo * g, min(hi * g, n)
-            i0, i1 = np.searchsorted(live, (lo, hi)).tolist()
-            return lib.z_block(n, live.size, nb, live_u[0], i0, i1, lo, hi,
-                               *live_u[1:], s, kappa, dt, *addr[:4], m,
-                               addr[4], ri, *addr[5:])
-
-        ri = _run_spans(span, -(-n // g))[0]
-        s += nb
+    _run_spans(span, n)
 
 
 # The adaptive kernel is the hot path of every two-curve estimate, and its
@@ -642,19 +595,12 @@ def _hsle_lib():
     fn.restype = None
     fn.argtypes = [i8, i8, arr(np.float64), arr(np.int64), f8,
                    arr(np.complex128)]
-    fn = lib.z_uniforms
+    fn = lib.z_evolve
     fn.restype = None
-    fn.argtypes = [i8, i8, arr(np.int64), arr(np.uint64), i8,
-                   arr(np.float64), arr(np.float64)]
-    # z_block runs once per span and block of steps, thousands of times a
-    # call, so it takes the addresses of arrays z_evolve has checked:
-    # converting its nine arrays through ndpointer costs ~45 us a call,
-    # its addresses ~3 us
-    ptr = ctypes.c_void_p
-    fn = lib.z_block
-    fn.restype = i8
-    fn.argtypes = [i8, i8, i8, ptr, i8, i8, i8, i8, ptr, ptr, i8, f8, f8,
-                   ptr, ptr, ptr, ptr, i8, ptr, i8, ptr, ptr]
+    fn.argtypes = [i8, i8, i8, arr(np.uint64), i8, i8, f8, f8,
+                   arr(np.float64), arr(np.float64), arr(np.bool_),
+                   arr(np.int64), i8, arr(np.int64), arr(np.float64),
+                   arr(np.float64)]
     return lib
 
 

@@ -16,11 +16,11 @@ This module provides pure-Python integer helpers (used for seed/stream
 derivation and scalar draws) and vectorized numpy routines (used by the
 numpy kernels).  The compiled kernels of ``_hsle.c`` reimplement the same
 integer recurrence, so their uniform deviates equal these bit for bit.
-The adaptive kernel forms its normals with the same libm calls as the
-Python adaptive kernel; the compiled ``z_evolve`` forms those of
-:func:`normal_pair_array` from numpy's ``np.log`` of its uniforms, taken
-between its two passes, because numpy's vector ``log`` and libm's differ
-in the last bit.
+Every Box-Muller normal of the package, scalar or vectorized, Python or
+compiled, is the one libm formula sqrt(-2 log u0) * (cos, sin)(2 pi u1):
+the log is always libm's (``math.log``), never numpy's vector ``log``,
+which differs from it in the last bit for about 0.3% of arguments, and
+numpy's float64 ``sqrt``, ``cos`` and ``sin`` give libm's bits.
 """
 from __future__ import annotations
 
@@ -77,14 +77,11 @@ def uniform(stream: int, i: int) -> float:
 def normal_pair(stream: int, k: int) -> tuple[float, float]:
     """The ``k``-th pair of independent standard normals of ``stream``.
 
-    Box-Muller transform of the uniforms at counters (2k, 2k+1), evaluated
-    by :func:`normal_pair_array` on a one-element batch: numpy's vector
-    ``log`` differs from ``math.log`` in the last bit for about 0.3% of
-    arguments, so a libm evaluation here would not match the vectorized
-    draws.
+    Box-Muller transform of the uniforms at counters (2k, 2k+1) in libm.
     """
-    g0, g1 = normal_pair_array(np.array([stream], dtype=np.uint64), k)
-    return float(g0[0]), float(g1[0])
+    r = math.sqrt(-2.0 * math.log(uniform(stream, 2 * k)))
+    a = TWO_PI * uniform(stream, 2 * k + 1)
+    return r * math.cos(a), r * math.sin(a)
 
 
 # ---------------------------------------------------------------------------
@@ -127,11 +124,13 @@ def uniform_array(streams: np.ndarray, index) -> np.ndarray:
 
 
 def normal_pair_array(streams: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`normal_pair`: the ``k``-th normal pair per stream."""
+    """Vectorized :func:`normal_pair`: the ``k``-th normal pair per stream,
+    with its bits (the log is ``math.log``, elementwise)."""
     kk = np.atleast_1d(np.asarray(k, dtype=np.uint64))
     two_k = kk + kk
     u0 = uniform_array(streams, two_k)
     u1 = uniform_array(streams, two_k + _ONE_U)
-    r = np.sqrt(-2.0 * np.log(u0))
+    log_u0 = np.array(list(map(math.log, u0.ravel().tolist())))
+    r = np.sqrt(-2.0 * log_u0.reshape(u0.shape))
     a = TWO_PI * u1
     return r * np.cos(a), r * np.sin(a)

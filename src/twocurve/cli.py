@@ -125,6 +125,16 @@ def _finite(name: str, value) -> float:
     return value
 
 
+def _integer(name: str, value) -> int:
+    """value as an int: an integer or an integral float (JSON's 1e3), never
+    a boolean, a fraction or a string."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def _coerce_list(name: str, value) -> list:
     if isinstance(value, str):
         parts = [p for p in value.replace(",", " ").split() if p]
@@ -163,19 +173,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             value = _coerce_list(name, value)
         elif name in ("n_paths", "n_max", "path_start", "grid_n",
                       "n_drift_states"):
-            try:
-                value = int(value)
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError(f"{name} must be an integer") from None
+            value = _integer(name, value)
         elif name in ("kappa", "dt", "inject_alpha0_error"):
             value = _finite(name, value)
         elif name == "master_seed" and value is not None:
-            try:
-                value = int(value)
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError("master_seed must be an integer") from None
-        elif name == "dt_halving":
-            value = bool(value)
+            value = _integer(name, value)
+        elif name == "dt_halving" and not isinstance(value, bool):
+            raise ConfigError(f"dt_halving must be true or false, got "
+                              f"{value!r}")
         elif name == "tolerances":
             if not isinstance(value, dict):
                 raise ConfigError("tolerances must be a mapping")

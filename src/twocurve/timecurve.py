@@ -23,9 +23,9 @@ law on the survival event, with log-weight
 
 The step itself is ``_kernels.z_update``, the one implementation of the
 update: :func:`simulate_z_ensemble` runs it through ``_kernels.z_evolve``
-(compiled when the C library builds, with the same bits either way) and
-:func:`z_step` applies it to one state with the caller's normals.  The
-importance weights stay in numpy: they follow ``G_u``'s array bits.
+(compiled when the C library builds, with the same bits either way),
+which also holds the one clamp-and-absorb rule.  The importance weights
+stay in numpy: they follow ``G_u``'s array bits.
 :func:`z_drift_diffusion` states the SDE's coefficients as a reference for
 tests of the step; no simulation reads it.
 """
@@ -81,30 +81,6 @@ def z_drift_diffusion(ctx: KappaContext, z1, z2):
     sig1 = np.sqrt(ctx.kappa * np.sin(z1) / S)
     sig2 = np.sqrt(ctx.kappa * np.sin(z2) / S)
     return mu1, mu2, sig1, sig2
-
-
-def z_step(ctx: KappaContext, z: ZState, dt: float, noise) -> tuple:
-    """One time step of the two-angle diffusion: ``_kernels.z_update`` (the
-    update ``z_evolve`` takes) applied to one state.
-
-    Args:
-        noise: pair of standard normals (dB_j = sqrt(dt) * noise_j).
-
-    Returns:
-        (state, absorbed): the new state and a flag; if the update exits
-        [0, pi] in either coordinate -- a numerical overshoot of a boundary
-        the continuous process almost surely never reaches -- the exiting
-        coordinates are clamped to the boundary and ``absorbed`` is True
-        (the clamped coordinate is then reported at the boundary value, so
-        the returned object is a plain tuple rather than a ZState).
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    a, b = _kernels.z_update(z.z1, z.z2, noise[0], noise[1], ctx.kappa, dt)
-    a, b = float(a), float(b)
-    if a <= 0.0 or a >= PI or b <= 0.0 or b >= PI:
-        return (min(max(a, 0.0), PI), min(max(b, 0.0), PI)), True
-    return ZState(a, b), False
 
 
 def importance_log_weight(ctx: KappaContext, t: float, z_start, z_end):

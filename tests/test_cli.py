@@ -216,8 +216,21 @@ def test_rejected_configuration_exits_2(argv, tmp_path, capsys):
     # JSON NaN and Infinity parse, and are rejected like the flags
     ("simulate", {"method": "curves", "dt": math.nan}),
     ("simulate", {"n_paths": math.inf}),
+    # booleans and fractions are not integers, nor strings booleans
+    ("simulate", {"dt_halving": "false"}),
+    ("simulate", {"n_paths": 2.7}),
+    ("simulate", {"n_paths": True}),
+    ("simulate", {"master_seed": 1.9}),
+    ("density", {"n_max": "4"}),
+    ("density", {"grid_n": 3.5}),
+    ("simulate", {"path_start": False}),
+    ("check", {"n_drift_states": 1.5}),
 ], ids=["negative_fit_window", "unknown_tolerance", "json_curves_nan_dt",
-        "json_infinite_n_paths"])
+        "json_infinite_n_paths", "json_dt_halving_string",
+        "json_fractional_n_paths", "json_boolean_n_paths",
+        "json_fractional_master_seed", "json_string_n_max",
+        "json_fractional_grid_n", "json_boolean_path_start",
+        "json_fractional_n_drift_states"])
 def test_rejected_config_file_exits_2(command, config, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -226,6 +239,19 @@ def test_rejected_config_file_exits_2(command, config, tmp_path, capsys):
                  "--out-dir", str(out_dir)]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_config_file_integers_and_booleans(tmp_path):
+    # integral JSON numbers are integers, true and false are dt_halving's
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_paths": 2000.0, "grid_n": 1e1,
+                                  "master_seed": 7, "dt_halving": True}))
+    cfg = cli.build_config(cli.build_parser().parse_args(
+        ["simulate", "--config", str(config), "--path-start", "3"]))
+    values = (cfg.n_paths, cfg.grid_n, cfg.master_seed, cfg.path_start)
+    assert values == (2000, 10, 7, 3)
+    assert all(type(v) is int for v in values)
+    assert cfg.dt_halving is True
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

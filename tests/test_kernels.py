@@ -13,7 +13,6 @@ numpy flow's, and ``TestCompiledZEvolve`` the compiled two-angle
 evolution's bytes with the numpy one's.
 """
 
-import functools
 import json
 import math
 import os
@@ -649,14 +648,11 @@ class TestCompiledZEvolve:
     byte; ``tests/test_timecurve.py::TestZEvolvePin`` pins both."""
 
     @pytest.mark.parametrize("kappa", [3.0, 6.0, 7.5])
-    def test_bytes_equal_across_block_edges(self, kappa):
-        # 300 live paths make blocks of nb steps, so 700 steps end inside
-        # the second block; snapshots at the first and last step, at both
-        # sides of the block edge, and twice at one step
-        nb = _kernels._Z_BLOCK // 300
-        assert 700 % nb and 1 < nb < 700 - 1
+    def test_bytes_equal_at_repeated_record_steps(self, kappa):
+        # snapshots at the first and the last step, at two neighbouring
+        # steps, and twice at one step
         c = assert_z_kernels_agree(kappa, Z_STARTS, 1e-3, 700,
-                                   [1, nb, nb, nb + 1, 700])
+                                   [1, 436, 436, 437, 700])
         assert_same_bits(c["rec_z1"][1], c["rec_z1"][2])
         assert c["alive"].all()
 
@@ -669,35 +665,51 @@ class TestCompiledZEvolve:
         assert np.all((c["z1"][dead] == 0.0) | (c["z1"][dead] == math.pi)
                       | (c["z2"][dead] == 0.0) | (c["z2"][dead] == math.pi))
 
-    @pytest.mark.parametrize("block", [1, 7])
-    def test_block_length_does_not_move_bits(self, monkeypatch, block):
-        # blocks of 1 or 7 path-steps: one step long, or 2, then 3, then 7
-        # steps long as two of the 3 corner paths die (after steps 5, 49)
-        monkeypatch.setattr(_kernels, "_Z_BLOCK", block)
-        small = assert_z_kernels_agree(6.0, starts(3, 0.12, 0.12), 0.1,
-                                       60, [1, 2, 3, 30, 60], seed=2)
-        assert sorted(small["absorb_step"]) == [-1, 5, 49]
-        assert_z_kernels_agree(6.0, Z_STARTS, 1e-3, 50, [1, 7, 7, 8, 50])
+    @pytest.mark.parametrize("split", [7, 45])
+    def test_row_splits_reproduce_the_whole_call(self, split):
+        # two calls on the paths [0, split) and [split, 300), whose spans
+        # start off the _ROW_BLOCK grid of the whole call, write its bytes
+        compiled_lib()
+        assert split % _kernels._ROW_BLOCK
+        z0 = starts(300, 0.12, 0.12)
+        whole = z_run(_kernels.z_evolve, 6.0, z0, 0.1, 0, 40, [1, 2, 40])
+        assert 0 < np.count_nonzero(~whole["alive"]) < 300
+        streams = _rng.derive_stream_array(5, np.arange(300))
+        parts = {k: np.array(v) for k, v in zip(("z1", "z2"), z0)}
+        parts["alive"] = np.ones(300, dtype=bool)
+        parts["absorb_step"] = np.full(300, -1, dtype=np.int64)
+        parts["rec_z1"], parts["rec_z2"] = np.full((2, 3, 300), np.nan)
+        for rows in (slice(0, split), slice(split, 300)):
+            args = [np.ascontiguousarray(parts[k][..., rows])
+                    for k in Z_OUTPUTS]
+            _kernels.z_evolve(*args[:4], streams[rows], 0, 40, 6.0, 0.1,
+                              np.array([1, 2, 40]), *args[4:])
+            for k, v in zip(Z_OUTPUTS, args):
+                parts[k][..., rows] = v
+        for name in Z_OUTPUTS:
+            assert_same_bits(parts[name], whole[name])
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_path_spans_do_not_move_bits(self, monkeypatch, block):
-        # spans over two threads of 5 paths (a _ROW_BLOCK of 1 group of 5,
-        # the groups keeping 300 paths at _Z_SPANS spans) or of 7, in runs
-        # where paths die inside the call and where whole spans, or parts
-        # of one, are dead at entry: every output, dead paths' snapshots
-        # included, is the numpy evolution's
+        # spans of 1 or 7 paths on 1 and on 2 workers, in runs where paths
+        # die inside the call and where whole spans, or parts of one, are
+        # dead at entry: every output, dead paths' snapshots included, is
+        # the numpy evolution's at either worker count
         monkeypatch.setattr(_kernels, "_ROW_BLOCK", block)
-        monkeypatch.setattr(_kernels, "_n_workers", lambda: 2)
-        c = assert_z_kernels_agree(6.0, starts(300, 0.12, 0.12), 0.1, 40,
-                                   [1, 2, 40])
-        assert 0 < np.count_nonzero(~c["alive"]) < 300
         ids = np.arange(300)
-        # whole spans dead, and a span edge between dead and live paths
-        for alive in ((ids // 7) % 2 == 1, ids % 7 < 3):
-            c = assert_z_kernels_agree(6.0, Z_STARTS, 1e-3, 20, [1, 20],
-                                       alive=alive)
-            assert_same_bits(c["z1"][~alive], Z_STARTS[0][~alive])
-            assert_same_bits(c["rec_z1"][0][~alive], Z_STARTS[0][~alive])
+        for workers in (1, 2):
+            monkeypatch.setattr(_kernels, "_n_workers",
+                                lambda w=workers: w)
+            c = assert_z_kernels_agree(6.0, starts(300, 0.12, 0.12), 0.1,
+                                       40, [1, 2, 40])
+            assert 0 < np.count_nonzero(~c["alive"]) < 300
+            # whole spans dead, and a span edge between dead and live paths
+            for alive in ((ids // 7) % 2 == 1, ids % 7 < 3):
+                c = assert_z_kernels_agree(6.0, Z_STARTS, 1e-3, 20, [1, 20],
+                                           alive=alive)
+                assert_same_bits(c["z1"][~alive], Z_STARTS[0][~alive])
+                assert_same_bits(c["rec_z1"][0][~alive],
+                                 Z_STARTS[0][~alive])
 
     def test_split_at_a_step_reproduces_the_whole_run(self):
         compiled_lib()
@@ -729,62 +741,6 @@ class TestCompiledZEvolve:
         c = assert_z_kernels_agree(6.0, Z_STARTS, 1e-3, 20, [20], alive=some)
         assert_same_bits(c["z1"][~some], Z_STARTS[0][~some])
         assert_same_bits(c["rec_z1"][0], c["z1"])
-
-    def test_buffer_is_bounded_by_path_steps(self):
-        lib = compiled_lib()
-        sizes = []
-
-        class Spy:
-            def __getattr__(self, name):
-                return getattr(lib, name)
-
-            def z_uniforms(self, n_live, nb, *args):
-                sizes.append((n_live, nb))
-                lib.z_uniforms(n_live, nb, *args)
-
-        for n, n_steps in ((2000, 300), (300000, 2)):
-            out = z_run(functools.partial(_kernels._z_evolve_c, Spy()), 6.0,
-                        starts(n, 1.0, 2.0), 1e-3, 0, n_steps, [n_steps])
-            assert out["alive"].all()
-        bound = _kernels._Z_BLOCK
-        assert sizes[0] == (2000, bound // 2000)
-        assert all(n_live * nb <= max(bound, n_live) for n_live, nb in sizes)
-        assert sizes[-2:] == [(300000, 1), (300000, 1)]
-
-    def test_spans_per_block_are_bounded(self, monkeypatch):
-        # spans of _ROW_BLOCK paths at 2000 paths; at 30000 paths (blocks
-        # of 4 steps) spans of _ROW_BLOCK groups of paths, at most
-        # _Z_SPANS a block, so each keeps ~2000 path-steps
-        lib = compiled_lib()
-        monkeypatch.setattr(_kernels, "_n_workers", lambda: 2)
-        calls = []
-
-        class Spy:
-            def __getattr__(self, name):
-                return getattr(lib, name)
-
-            def z_uniforms(self, *args):
-                calls.append([])
-                lib.z_uniforms(*args)
-
-            def z_block(self, n, n_live, nb, live, i0, i1, p0, p1, *args):
-                calls[-1].append((p0, p1))
-                return lib.z_block(n, n_live, nb, live, i0, i1, p0, p1,
-                                   *args)
-
-        block = _kernels._ROW_BLOCK
-        for n in (2000, 30000):
-            del calls[:]
-            z_run(functools.partial(_kernels._z_evolve_c, Spy()), 6.0,
-                  starts(n, 1.0, 2.0), 1e-3, 0, 10, [10])
-            for spans in calls:
-                spans.sort()
-                assert spans[0][0] == 0 and spans[-1][1] == n
-                assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-                assert len(spans) <= _kernels._Z_SPANS
-            width = calls[0][0][1]
-            assert width == (block if n == 2000 else
-                             block * -(-n // (_kernels._Z_SPANS * block)))
 
 
 def test_build_flags_keep_roundings_separate():
@@ -876,7 +832,8 @@ class TestRunSpans:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_spans_depend_on_the_row_count_only(self, monkeypatch,
                                                 workers):
-        monkeypatch.setattr(_kernels, "_n_workers", lambda: workers)
+        monkeypatch.setattr(_kernels, "_n_workers",
+                                lambda w=workers: w)
         block = _kernels._ROW_BLOCK
         for n, last in ((0, (0, 0)), (1, (0, 1)), (block, (0, block)),
                         (3 * block + 1, (3 * block, 3 * block + 1))):
