@@ -648,7 +648,8 @@ class TestCompiledZEvolve:
     byte; ``tests/test_timecurve.py::TestZEvolvePin`` pins both."""
 
     @pytest.mark.parametrize("kappa", [3.0, 6.0, 7.5])
-    def test_bytes_equal_at_repeated_record_steps(self, kappa):
+    def test_bytes_equal_across_block_edges(self, kappa):
+        # 300 paths make ten spans of _ROW_BLOCK rows, the last one short;
         # snapshots at the first and the last step, at two neighbouring
         # steps, and twice at one step
         c = assert_z_kernels_agree(kappa, Z_STARTS, 1e-3, 700,
@@ -665,51 +666,45 @@ class TestCompiledZEvolve:
         assert np.all((c["z1"][dead] == 0.0) | (c["z1"][dead] == math.pi)
                       | (c["z2"][dead] == 0.0) | (c["z2"][dead] == math.pi))
 
-    @pytest.mark.parametrize("split", [7, 45])
-    def test_row_splits_reproduce_the_whole_call(self, split):
-        # two calls on the paths [0, split) and [split, 300), whose spans
-        # start off the _ROW_BLOCK grid of the whole call, write its bytes
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_block_length_does_not_move_bits(self, monkeypatch, block):
+        # spans of 1 or 7 paths, split off the grid of _ROW_BLOCK, write
+        # the bytes of the call on _ROW_BLOCK spans, in runs where paths
+        # die inside the call and where whole spans, or parts of one, are
+        # dead at entry
         compiled_lib()
-        assert split % _kernels._ROW_BLOCK
-        z0 = starts(300, 0.12, 0.12)
-        whole = z_run(_kernels.z_evolve, 6.0, z0, 0.1, 0, 40, [1, 2, 40])
-        assert 0 < np.count_nonzero(~whole["alive"]) < 300
-        streams = _rng.derive_stream_array(5, np.arange(300))
-        parts = {k: np.array(v) for k, v in zip(("z1", "z2"), z0)}
-        parts["alive"] = np.ones(300, dtype=bool)
-        parts["absorb_step"] = np.full(300, -1, dtype=np.int64)
-        parts["rec_z1"], parts["rec_z2"] = np.full((2, 3, 300), np.nan)
-        for rows in (slice(0, split), slice(split, 300)):
-            args = [np.ascontiguousarray(parts[k][..., rows])
-                    for k in Z_OUTPUTS]
-            _kernels.z_evolve(*args[:4], streams[rows], 0, 40, 6.0, 0.1,
-                              np.array([1, 2, 40]), *args[4:])
-            for k, v in zip(Z_OUTPUTS, args):
-                parts[k][..., rows] = v
-        for name in Z_OUTPUTS:
-            assert_same_bits(parts[name], whole[name])
+        ids = np.arange(300)
+        runs = [(starts(300, 0.12, 0.12), 0.1, 40, [1, 2, 40], None)]
+        runs += [(Z_STARTS, 1e-3, 20, [1, 20], alive)
+                 for alive in ((ids // 7) % 2 == 1, ids % 7 < 3)]
+        whole = [z_run(_kernels.z_evolve, 6.0, z0, dt, 0, n_steps, rec,
+                       alive=alive) for z0, dt, n_steps, rec, alive in runs]
+        assert 0 < np.count_nonzero(~whole[0]["alive"]) < 300
+        monkeypatch.setattr(_kernels, "_ROW_BLOCK", block)
+        for (z0, dt, n_steps, rec, alive), want in zip(runs, whole):
+            got = z_run(_kernels.z_evolve, 6.0, z0, dt, 0, n_steps, rec,
+                        alive=alive)
+            for name in Z_OUTPUTS:
+                assert_same_bits(got[name], want[name])
+            if alive is not None:
+                assert_same_bits(got["z1"][~alive], Z_STARTS[0][~alive])
+                assert_same_bits(got["rec_z1"][0][~alive],
+                                 Z_STARTS[0][~alive])
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_path_spans_do_not_move_bits(self, monkeypatch, block):
-        # spans of 1 or 7 paths on 1 and on 2 workers, in runs where paths
-        # die inside the call and where whole spans, or parts of one, are
-        # dead at entry: every output, dead paths' snapshots included, is
-        # the numpy evolution's at either worker count
+        # spans of 1 or 7 paths on 1 and on 2 workers: every output, dead
+        # paths' snapshots included, is the numpy evolution's at either
+        # worker count
         monkeypatch.setattr(_kernels, "_ROW_BLOCK", block)
-        ids = np.arange(300)
         for workers in (1, 2):
             monkeypatch.setattr(_kernels, "_n_workers",
                                 lambda w=workers: w)
             c = assert_z_kernels_agree(6.0, starts(300, 0.12, 0.12), 0.1,
                                        40, [1, 2, 40])
             assert 0 < np.count_nonzero(~c["alive"]) < 300
-            # whole spans dead, and a span edge between dead and live paths
-            for alive in ((ids // 7) % 2 == 1, ids % 7 < 3):
-                c = assert_z_kernels_agree(6.0, Z_STARTS, 1e-3, 20, [1, 20],
-                                           alive=alive)
-                assert_same_bits(c["z1"][~alive], Z_STARTS[0][~alive])
-                assert_same_bits(c["rec_z1"][0][~alive],
-                                 Z_STARTS[0][~alive])
+            assert_z_kernels_agree(6.0, Z_STARTS, 1e-3, 20, [1, 20],
+                                   alive=np.arange(300) % 7 < 3)
 
     def test_split_at_a_step_reproduces_the_whole_run(self):
         compiled_lib()
