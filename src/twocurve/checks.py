@@ -262,8 +262,8 @@ def run_all_checks(kappas=DEFAULT_KAPPAS, n_drift_states: int = 200,
         run(check_hyp_value_at_one, ctx)
         run(check_orthonormality, ctx)
         run(check_drift_residual, ctx, n_states=n_drift_states)
-    # the cached hypergeometric continuation of a kappa already checked
-    # above is reused, not solved again
+    # the cached Taylor table of F and the disc rules of a kappa already
+    # checked above are reused, not built again
     ctx_s = contexts.get(SPECTRAL_KAPPA)
     if ctx_s is None:
         ctx_s = KappaContext(SPECTRAL_KAPPA)

@@ -44,6 +44,9 @@ Exit codes: 0 success, 1 verification failure (``check``), 2 invalid
 configuration or input, 3 runtime failure.
 
 All CSV files start with a ``schema_version`` column (current version 1).
+The JSON sidecars (``check_report.json``, ``density_meta.json``,
+``estimates_meta.json``) record under ``versions`` the package, Python and
+numpy versions that wrote them.
 """
 
 from __future__ import annotations
@@ -54,13 +57,14 @@ import dataclasses
 import json
 import math
 import os
+import platform
 import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
+from . import __version__, _kernels
 from . import checks as checks_mod
 from . import density as dens
 from . import montecarlo as mc
@@ -284,6 +288,12 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _versions() -> dict:
+    """What produced a sidecar: the package, Python and numpy versions."""
+    return {"twocurve": __version__, "python": platform.python_version(),
+            "numpy": np.__version__}
+
+
 def _float_str(x) -> str:
     return repr(float(x))
 
@@ -311,6 +321,7 @@ def cmd_check(cfg: RunConfig, out=sys.stdout) -> int:
         "all_passed": ok,
         "seconds": {"checks": [r.seconds for r in results],
                     "total": total_s},
+        "versions": _versions(),
     }
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_json(os.path.join(cfg.out_dir, "check_report.json"), report)
@@ -404,6 +415,7 @@ def cmd_density(cfg: RunConfig, out=sys.stdout) -> int:
         # integrals: level reached, last inter-level change, tolerance met;
         # and the distinct points of the grid they share
         "quadrature": dens.quadrature_report(ctx, basis),
+        "versions": _versions(),
     }
     _write_json(os.path.join(cfg.out_dir, "density_meta.json"), meta)
     for t, r in trunc.items():
@@ -493,6 +505,7 @@ def cmd_simulate(cfg: RunConfig, out=sys.stdout) -> int:
         "n_records": len(records),
         "dt_values": dts,
         "files": ["estimates.csv"],
+        "versions": _versions(),
     }
     # the library that ran the kernels, "c" or "python", and its threads
     meta["hsle_kernel"] = records[0].config["hsle_kernel"]

@@ -2,8 +2,8 @@
 
 A :class:`KappaContext` validates the SLE parameter ``kappa`` once and
 exposes every derived constant used across the package.  Expensive
-per-kappa artifacts (hypergeometric continuation solutions, lookup tables)
-are memoized on the context instance.
+per-kappa artifacts (the Taylor table of the hypergeometric function,
+quadrature rules, lookup tables) are memoized on the context instance.
 """
 from __future__ import annotations
 

@@ -5,7 +5,11 @@ Two rules are provided:
 * a tensor rule on the unit disc against the invariant weight
   ``(1 - x^2 - y^2)^{8/kappa - 1}``: Gauss-Jacobi in the radial variable
   ``t = 2 r^2 - 1`` (exact for the polynomial-times-weight integrands the
-  basis produces) times a periodic trapezoid rule in the angle;
+  basis produces) times a periodic trapezoid rule in the angle.  The
+  Gauss-Jacobi nodes are the eigenvalues of the Jacobi matrix (Golub &
+  Welsch, "Calculation of Gauss quadrature rules", Math. Comp. 23, 1969),
+  polished by Newton's method on ``special.jacobi_seq``, with weights from
+  the derivative formula; each rule is built once per context;
 * a tanh-sinh (double-exponential) tensor rule on ``(0, pi)^2`` with level
   doubling up to level 6, for integrands with fractional endpoint behavior.
   ``square_integrate`` is the one loop over its levels: ``Z_constant``,
@@ -15,9 +19,9 @@ Two rules are provided:
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .context import KappaContext
+from .special import jacobi_seq
 
 __all__ = [
     "disc_rule",
@@ -25,24 +29,63 @@ __all__ = [
 ]
 
 
+def _gauss_jacobi(n: int, alpha: float):
+    """n-point Gauss rule for integrals of f(t) (1 - t)^alpha over (-1, 1).
+
+    Nodes: eigenvalues of the symmetric tridiagonal Jacobi matrix of the
+    weight, then two Newton steps on P_n^(alpha, 0), whose derivative is
+    (n + alpha + 1)/2 P_{n-1}^(alpha+1, 1).  Weights: the derivative
+    formula 2^(alpha+1) / ((1 - t^2) P_n'(t)^2), whose Gamma-function
+    factor is 1 when beta = 0.  Nodes ascend.
+    """
+    k = np.arange(1.0, n)
+    diag = np.empty(n)
+    diag[0] = -alpha / (alpha + 2.0)
+    diag[1:] = -alpha * alpha / ((2.0 * k + alpha) * (2.0 * k + alpha + 2.0))
+    off = 2.0 * k * (k + alpha) / ((2.0 * k + alpha)
+                                   * np.sqrt((2.0 * k + alpha) ** 2 - 1.0))
+    t = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+
+    def derivative(t):
+        *_, q = jacobi_seq(n - 1, alpha + 1.0, 1.0, t)
+        return (n + alpha + 1.0) / 2.0 * q
+
+    for _ in range(2):
+        *_, p = jacobi_seq(n, alpha, 0.0, t)
+        t = t - p / derivative(t)
+    return t, 2.0 ** (alpha + 1.0) / ((1.0 - t * t) * derivative(t) ** 2)
+
+
 def disc_rule(ctx: KappaContext, n_r: int, n_theta: int):
     """Nodes and weights for integrals of f(x, y) (1 - x^2 - y^2)^{8/k-1} dA.
+
+    The radial Gauss-Jacobi rule comes from Golub-Welsch nodes with a
+    Newton polish (``_gauss_jacobi``).  Each (n_r, n_theta) rule is built
+    once per context and cached on it; the cached arrays are read-only.
 
     Returns:
         (x, y, w): flat arrays; sum(w * f(x, y)) approximates the integral,
         exactly when f is a polynomial produced by the eigenbasis with
         radial degree < 2 n_r and angular harmonics below n_theta / 2.
     """
+    key = ("disc_rule", n_r, n_theta)
+    rule = ctx._cache.get(key)
+    if rule is not None:
+        return rule
     e = ctx.weight_exponent
-    t, wt = roots_jacobi(n_r, e, 0.0)
+    t, wt = _gauss_jacobi(n_r, e)
     r = np.sqrt((1.0 + t) / 2.0)
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     wr = wt * 0.25 * 0.5 ** e * (2.0 * np.pi / n_theta)
     rr, tt = np.meshgrid(r, theta, indexing="ij")
     ww = np.repeat(wr, n_theta)
-    return (rr.ravel() * np.cos(tt.ravel()),
+    rule = (rr.ravel() * np.cos(tt.ravel()),
             rr.ravel() * np.sin(tt.ravel()),
             ww)
+    for arr in rule:
+        arr.flags.writeable = False
+    ctx._cache[key] = rule
+    return rule
 
 
 def tanh_sinh_rule(level: int):

@@ -2,25 +2,37 @@
 
 The interaction function is ``F(x) = 2F1(4/kappa, 1 - 4/kappa; 8/kappa; x)``
 on [0, 1].  It is computed from scratch: a power series on [0, 1/2],
-high-order adaptive ODE continuation of ``x(1-x)F'' + (8/kappa - 2x)F'
-- (4/kappa)(1 - 4/kappa)F = 0`` beyond 1/2, the Gauss formula at x = 1,
-and a 1-x expansion in the last hundredth where the endpoint behavior is
-non-analytic.  The logarithmic-derivative combinations G and G-tilde and
-the Jacobi-polynomial helpers used by the spectral basis live here too.
+Taylor re-expansion of ``x(1-x)F'' + (8/kappa - 2x)F' - (4/kappa)(1 -
+4/kappa)F = 0`` beyond 1/2, the Gauss formula at x = 1, and a 1-x
+expansion on (1 - 1e-9, 1), where the endpoint behavior is non-analytic.
+The logarithmic-derivative combinations G and G-tilde and the
+Jacobi-polynomial helpers used by the spectral basis live here too.
 
 The power series stops once a step leaves every sum unchanged (adding or
 subtracting its terms) and a coefficient-ratio bound shows that no later
 term is larger; the dropped terms would all have been no-op additions, so
 the result is the full 400-term sum bit for bit (see ``_series_F_and_dF``).
+
+Taylor re-expansion (the Taylor-series method of Pearson, Olver & Porter,
+"Numerical methods for the computation of the confluent and Gauss
+hypergeometric functions", Numer. Algorithms 74, 2017) carries F from 1/2
+toward 1 on centres x_0 = 1/2, x_{k+1} = x_k + (1 - x_k)/2.  Each centre
+holds the series of F in the scaled variable t = (x - x_k)/h_k, h_k =
+(1 - x_k)/2, whose coefficients follow from the ODE's three-term
+recurrence; the nearest singularity (x = 1) lies at t = 2, so the terms
+fall like 2^-n on the step 0 <= t <= 1.  F and F' at the step's end seed
+the next centre (see ``_taylor_table``).
+
 F and F' at a point do not depend on the other points of the batch: a
 vector call returns the same bits as scalar calls at each of its points.
+Gamma functions come from Python's ``math.gamma`` and ``math.lgamma``
+(CPython's own Lanczos approximation, not the C library's).
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.special import gamma as _gamma
-from scipy.special import gammaln as _gammaln
 
 from .context import KappaContext
 
@@ -34,13 +46,25 @@ __all__ = [
 
 _SERIES_TOL = 1e-17
 _SERIES_MAX_TERMS = 400
-# ODE continuation covers (1/2, _X_SWITCH]; beyond that a 1-x expansion is
-# used (the solution is Holder-continuous but not analytic at x = 1).
-_X_SWITCH = 0.99
+# Taylor re-expansion covers (1/2, _X_SWITCH]; beyond that a 1-x expansion
+# is used (the solution is Holder-continuous but not analytic at x = 1).
+# The table stays within 2e-15 of F and F' up to here, while the 1-x
+# expansion loses digits to the cancellation of its two terms when
+# 8/kappa - 1 is small (2.6e-15 at kappa 7.5, x = 0.995).
+_X_SWITCH = 1.0 - 1e-9
+# degree of every centre's series: its terms fall like 2^-n on 0 <= t <= 1
+_TAYLOR_DEGREE = 60
 
 
 def log_gamma(x):
-    """Natural log of the Gamma function for x > 0 (elementwise).
+    """Natural log of the Gamma function for x > 0 (elementwise), from
+    ``math.lgamma`` (CPython's Lanczos approximation, not the C library's
+    ``lgamma``).
+
+    ``math.lgamma`` runs once per distinct value.  The arguments a basis
+    forms (j + 1, n - j + 8/kappa, ...) usually lie on one grid lo + k,
+    k = 0, 1, ..., with every entry equal to the double lo + k: then the
+    values come from a table over that grid, found without sorting.
 
     Raises:
         ValueError: if any entry is <= 0.
@@ -48,8 +72,19 @@ def log_gamma(x):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("log_gamma requires x > 0")
-    out = _gammaln(x)
-    return out if out.ndim else float(out)
+    if x.ndim == 0:
+        return math.lgamma(float(x))
+    flat = x.ravel()
+    lo = float(flat.min()) if flat.size else 0.0
+    steps = np.rint(flat - lo)
+    if flat.size and steps.max() < flat.size \
+            and np.array_equal(lo + steps, flat):
+        vals = lo + np.arange(steps.max() + 1.0)
+        inverse = steps.astype(np.intp)
+    else:
+        vals, inverse = np.unique(flat, return_inverse=True)
+    lg = np.array([math.lgamma(v) for v in vals.tolist()], dtype=float)
+    return lg[inverse].reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -132,29 +167,81 @@ def _is_terminating(ctx: KappaContext) -> bool:
     return b <= 1e-12 and abs(b - round(b)) < 1e-9
 
 
-def _ode_solution(ctx: KappaContext):
-    """Dense DOP853 solution of the F ODE on [1/2, 1), cached per context."""
-    sol = ctx._cache.get("hyp_ode")
-    if sol is not None:
-        return sol
+def _taylor_table(ctx: KappaContext):
+    """Taylor re-expansion of F on [1/2, ``_X_SWITCH``], cached per context.
+
+    Centre k sits at x_k = 1 - 2^-(k+1) and serves [x_k, x_{k+1}] with
+    t = (x - x_k)/h_k in [0, 1], h_k = (1 - x_k)/2; 29 centres reach past
+    ``_X_SWITCH``.  The last one also serves the points beyond it where the
+    1-x expansion is not usable (an integer endpoint exponent 8/kappa - 1,
+    where F is C^1 at 1).  With F(x_k + h t) = sum_n u_n t^n,
+    the ODE x(1-x)F'' + (c - (a+b+1)x)F' - abF = 0 gives
+
+        x_k(1-x_k)(n+2)(n+1) u_{n+2}
+            = h^2 (n+a)(n+b) u_n
+              - (n+1) h ((1 - 2x_k) n + c - (a+b+1) x_k) u_{n+1},
+
+    from u_0 = F(x_k) and u_1 = h F'(x_k).  The correctly rounded sums of
+    the series of F and of F' at t = 1 (``math.fsum``) seed the next
+    centre; the first is seeded by the power series at 1/2.
+
+    Returns:
+        (centres, steps, series): centre k's series of F and F' in
+        t = (x - centres[k]) / steps[k] is series[k], of shape
+        (``_TAYLOR_DEGREE`` + 1, 2, 1): the (2, 1) columns (coefficient of
+        F, coefficient of F') from the top degree down to 0, as
+        ``_horner`` reads them.
+    """
+    table = ctx._cache.get("hyp_taylor")
+    if table is not None:
+        return table
     a, b, c = ctx.hyp_a, ctx.hyp_b, ctx.hyp_c
     f0, df0 = _series_F_and_dF(ctx, 0.5)
-    # With a non-analytic endpoint the last hundredth is handled by the 1-x
-    # expansion instead; only the integer-exponent cases (where F is C^1 at
-    # 1) integrate deeper.
-    x_end = _X_SWITCH if _near_one_usable(ctx) else 1.0 - 1e-9
+    f, df = float(f0), float(df0)
+    centres, steps, series = [], [], []
+    x0 = 0.5
+    while x0 < _X_SWITCH:
+        h = (1.0 - x0) / 2.0
+        p0 = x0 * (1.0 - x0)
+        q0 = c - (a + b + 1.0) * x0
+        u = [f, h * df]
+        for n in range(_TAYLOR_DEGREE - 1):
+            u.append((h * h * (n + a) * (n + b) * u[n]
+                      - (n + 1.0) * h * ((1.0 - 2.0 * x0) * n + q0) * u[n + 1])
+                     / (p0 * (n + 2.0) * (n + 1.0)))
+        du = [(n + 1.0) * u[n + 1] / h for n in range(_TAYLOR_DEGREE)] + [0.0]
+        centres.append(x0)
+        steps.append(h)
+        series.append([u[::-1], du[::-1]])
+        f, df = math.fsum(u), math.fsum(du)
+        x0 += h
+    series = np.array(series).transpose(0, 2, 1)[..., None]
+    table = (np.array(centres), np.array(steps), series)
+    ctx._cache["hyp_taylor"] = table
+    return table
 
-    def rhs(x, y):
-        return [y[1], ((a * b) * y[0] - (c - 2.0 * x) * y[1]) / (x * (1.0 - x))]
 
-    res = solve_ivp(rhs, (0.5, x_end), [float(f0), float(df0)],
-                    method="DOP853", dense_output=True,
-                    rtol=1e-13, atol=1e-15)
-    if not res.success:
-        raise RuntimeError(f"hypergeometric continuation failed: {res.message}")
-    sol = res.sol
-    ctx._cache["hyp_ode"] = sol
-    return sol
+def _horner(series, t):
+    """(F, F') rows: Horner's rule over every column of ``series`` at the
+    full degree, one pass for both."""
+    acc = np.zeros((2, t.size))
+    for column in series:
+        acc *= t
+        acc += column
+    return acc
+
+
+def _taylor_F_and_dF(ctx: KappaContext, x):
+    """(F, F') on (1/2, 1) from the Taylor table, each point on its own
+    centre's series: the value at a point is the same in any batch."""
+    centres, steps, series = _taylor_table(ctx)
+    k = np.minimum(np.searchsorted(centres, x, side="right") - 1,
+                   centres.size - 1)
+    out = np.empty((2, x.size))
+    for i in np.unique(k):
+        sel = k == i
+        out[:, sel] = _horner(series[i], (x[sel] - centres[i]) / steps[i])
+    return out[0], out[1]
 
 
 def hyp_F_at_1(ctx: KappaContext) -> float:
@@ -171,8 +258,9 @@ def _connection_coeffs(ctx: KappaContext):
         return cached
     a, b, c = ctx.hyp_a, ctx.hyp_b, ctx.hyp_c
     s = c - a - b  # = 8/kappa - 1 > 0 on (0, 8)
-    A = _gamma(c) * _gamma(s) / (_gamma(c - a) * _gamma(c - b))
-    B = _gamma(c) * _gamma(-s) / (_gamma(a) * _gamma(b))
+    gamma = math.gamma
+    A = gamma(c) * gamma(s) / (gamma(c - a) * gamma(c - b))
+    B = gamma(c) * gamma(-s) / (gamma(a) * gamma(b))
     out = (float(A), float(B), float(s))
     ctx._cache["hyp_conn"] = out
     return out
@@ -217,8 +305,7 @@ def _eval_F_dF(ctx: KappaContext, x):
         mid = (x > 0.5) & (x < 1.0)
         near = np.zeros_like(mid)
     if np.any(mid):
-        vals = _ode_solution(ctx)(x[mid])
-        F[mid], dF[mid] = vals[0], vals[1]
+        F[mid], dF[mid] = _taylor_F_and_dF(ctx, x[mid])
     if np.any(near):
         F[near], dF[near] = _near_one_F_and_dF(ctx, x[near])
     at1 = x == 1.0
@@ -227,9 +314,9 @@ def _eval_F_dF(ctx: KappaContext, x):
         k = ctx.kappa
         if k < 4.0:
             a, b, c = ctx.hyp_a, ctx.hyp_b, ctx.hyp_c
-            dF[at1] = (a * b / c) * float(
-                _gamma(c + 1.0) * _gamma(c - a - b - 1.0)
-                / (_gamma(c - a) * _gamma(c - b)))
+            gamma = math.gamma
+            dF[at1] = (a * b / c) * (gamma(c + 1.0) * gamma(c - a - b - 1.0)
+                                     / (gamma(c - a) * gamma(c - b)))
         elif k == 4.0:
             dF[at1] = 0.0
         else:

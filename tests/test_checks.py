@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from twocurve import checks, ensemble
+from twocurve import checks, ensemble, quadrature
 from twocurve import density as dens
 from twocurve.cli import main
 from twocurve.context import KappaContext
@@ -56,29 +56,29 @@ def test_report_times_each_check(tmp_path):
 # residuals of the default battery, in battery order
 DEFAULT_BATTERY = [
     ("hyp_ode_residual", 2.0, "0x1.ce9d000000000p-32"),
-    ("hyp_value_at_one", 2.0, "0x1.0000000000001p-53"),
-    ("basis_orthonormality", 2.0, "0x1.77c0000000000p-45"),
+    ("hyp_value_at_one", 2.0, "0x1.ffffffffffff8p-51"),
+    ("basis_orthonormality", 2.0, "0x1.7800000000000p-48"),
     ("drift_residual", 2.0, "0x1.0000000000000p-43"),
-    ("hyp_ode_residual", 3.0, "0x1.f2e25d0000000p-30"),
+    ("hyp_ode_residual", 3.0, "0x1.481a140000000p-32"),
     ("hyp_value_at_one", 3.0, "0x0.0p+0"),
-    ("basis_orthonormality", 3.0, "0x1.1800000000000p-46"),
-    ("drift_residual", 3.0, "0x1.0000000000000p-44"),
+    ("basis_orthonormality", 3.0, "0x1.d000000000000p-48"),
+    ("drift_residual", 3.0, "0x1.8000000000000p-45"),
     ("hyp_ode_residual", 4.0, "0x0.0p+0"),
     ("hyp_value_at_one", 4.0, "0x0.0p+0"),
-    ("basis_orthonormality", 4.0, "0x1.1c80000000000p-45"),
+    ("basis_orthonormality", 4.0, "0x1.f000000000000p-48"),
     ("drift_residual", 4.0, "0x1.8000000000000p-46"),
-    ("hyp_ode_residual", 6.0, "0x1.c3aa940000000p-28"),
+    ("hyp_ode_residual", 6.0, "0x1.67d41c8000000p-28"),
     ("hyp_value_at_one", 6.0, "0x0.0p+0"),
-    ("basis_orthonormality", 6.0, "0x1.3100000000000p-45"),
+    ("basis_orthonormality", 6.0, "0x1.1800000000000p-47"),
     ("drift_residual", 6.0, "0x1.4000000000000p-46"),
-    ("hyp_ode_residual", 7.5, "0x1.5746139800000p-25"),
+    ("hyp_ode_residual", 7.5, "0x1.9caac5e000000p-26"),
     ("hyp_value_at_one", 7.5, "0x0.0p+0"),
-    ("basis_orthonormality", 7.5, "0x1.4000000000000p-47"),
-    ("drift_residual", 7.5, "0x1.5180000000000p-44"),
-    ("eigenfunction_residual", 6.0, "0x1.953b900000000p-26"),
-    ("chapman_kolmogorov", 6.0, "0x1.0338000000000p-41"),
-    ("stationarity", 6.0, "0x1.0000000000000p-54"),
-    ("quasi_invariance", 6.0, "0x1.0000000000000p-57"),
+    ("basis_orthonormality", 7.5, "0x1.3000000000000p-47"),
+    ("drift_residual", 7.5, "0x1.6100000000000p-44"),
+    ("eigenfunction_residual", 6.0, "0x1.8d84400000000p-26"),
+    ("chapman_kolmogorov", 6.0, "0x1.0370000000000p-41"),
+    ("stationarity", 6.0, "0x1.4000000000000p-52"),
+    ("quasi_invariance", 6.0, "0x1.8000000000000p-56"),
 ]
 
 
@@ -145,3 +145,22 @@ def test_each_tolerance_override_reaches_its_check(name):
     for r in results:
         expect = 0.0 if r.name == name else checks.TOLERANCES[r.name]
         assert r.tolerance == expect
+
+
+def test_shared_disc_rule_reports_what_fresh_rules_report(tmp_path,
+                                                          monkeypatch):
+    # chapman_kolmogorov and stationarity read one cached disc_rule(ctx,
+    # 30, 64); a run that builds every rule afresh reports the same checks
+    argv = ["check", "--kappas", "6", "--n-drift-states", "2"]
+    assert main(argv + ["--out-dir", str(tmp_path / "shared")]) == 0
+    built = []
+
+    def fresh_rule(ctx, n_r, n_theta):
+        built.append((n_r, n_theta))
+        return quadrature.disc_rule(KappaContext(ctx.kappa), n_r, n_theta)
+
+    monkeypatch.setattr(checks, "disc_rule", fresh_rule)
+    assert main(argv + ["--out-dir", str(tmp_path / "fresh")]) == 0
+    assert built == [(26, 52), (30, 64), (30, 64)]
+    assert _report(tmp_path / "shared")["checks"] \
+        == _report(tmp_path / "fresh")["checks"]

@@ -6,11 +6,13 @@ import hashlib
 import io
 import json
 import math
+import platform
 import warnings
 
 import numpy as np
 import pytest
 
+import twocurve
 from twocurve import _kernels, cli, density as dens, montecarlo as mc
 from twocurve.cli import main
 from twocurve.context import KappaContext
@@ -40,36 +42,35 @@ def test_density_output_is_byte_stable(tmp_path):
     assert _meta_without_out_dir(runs[0]) == _meta_without_out_dir(runs[1])
 
 
-# sha256 of pz_t.csv, pz_infty.csv and survival.csv.  The pz_t.csv and
-# pz_infty.csv digests were recorded before the tail scan doubled and the
-# tanh-sinh grid was shared; survival.csv was recorded again when the
-# survival mode integrals began to escalate from level 0 (within 8 ulp of
-# the level-4 values, see test_survival_within_16_ulp_of_level_4_values)
+# sha256 of pz_t.csv, pz_infty.csv and survival.csv, recorded again when
+# F moved to the Taylor table and the Gamma function to Python's math
+# module (survival.csv within 16 ulp of the level-4 values, see
+# test_survival_within_16_ulp_of_level_4_values)
 DENSITY_DIGESTS = {
     ("3", "default"): (
-        "71c6eb9f0cf40a87e270d3a0066f3453eb226f06e8914a8a4ed78a33539ec337",
-        "49071854e1d28902fef6db00e00d3fa7c9d11e4853ccef0e7fe7c82bf5ea0f46",
-        "3d1dc83c8e71f7336dbd4ebcda34d4b0d351e6175f800e2d19040984371627f0"),
+        "20180dc89c0abb7cc5782727cd9aa4ffc1c003643b9b6da75d176bcf5e6a24fa",
+        "9ff1273b655ede670a155116f87a45c082a57b041d8fd620f1bf1a868f5788b3",
+        "a013c76c6d30b28cdeb71fac3daa1bef9b7acea104342d46254d385a1bb4ce8a"),
     ("3", "small_t"): (
-        "61128866c231aebf49c9d99f30c7991290796071e5ccafbde01e76bdd03af7b9",
-        "082381891ce0f73119cad757f97dd1b74b6ab1fd5d8347d9bb6f83a18c9fbcdb",
-        "f4dc2801d2ce0785fb79f584446fb32e4088f39951b26fbe4a7f5cf0a9d1f3f1"),
+        "1a76f7799cc474a57a9b3f5033218589a775ef930617364081a7e4529ce17f27",
+        "c3c99351199e8e89a519ebb19219c9b7297eba22e93a35a2584f2b4a03561800",
+        "639ae8f0797e6a21708192ff4318c57bcb992e63a8b4ceb9fcf5c0afdc445d70"),
     ("6", "default"): (
-        "d7af227a710c81216d7f17d9089088c4b78ea76041958ae48fee42f9ef465361",
-        "82588e986a971bc747d27c9b76ff1f1d9109d2b18b24acd221f80798dd33e441",
-        "80524a5e95ddb71e51e058dc0d4874dd9cc47695995efad70f735f13e8f24df4"),
+        "28cc5b1d61ae56a41655cd9d90707007f2e9b37ae58dee8f412bed21d0f093f8",
+        "d2f0941a223b0187674b5fe2c85e5e3fff8ea0673fdddf364585b8fa0f2e65c3",
+        "3687b3d0f08c2cd327f4bd73781954c5664247e471241516773a46536283346f"),
     ("6", "small_t"): (
-        "c753b4f61e389a951b258388d7498f2173b6f8bedc3b062e48801831bceff684",
-        "e7f1a4eb76f37b4135c575c1de9b93b37a9406a60d8da0128dc27a9568f677b8",
-        "74a6ac832b97251b97b3ba447258db7a9d0f3d1eefe58a740d7ad1e829dfb92f"),
+        "402ea9ecf84ab6c0c080041f20dfe65ba13632ed2b465b53aa05f744b8ea9cb3",
+        "5ec8022995890813142f4060a821cccf92840c89aa425f3a0a0d9af0c081e329",
+        "7e99524f340ea9c8f83f8a02c5c0a5946cf75614655f24826781e7b2eb116800"),
     ("7.5", "default"): (
-        "3452104e3454f7a0c8c82b3832ccda2a1260c335e0fc8b9c70b570cc51586d6b",
-        "612c6f2da3533c11949ab02a3581faea24a94c4256d61c1ca755f4c40fcb953b",
-        "26e4604bf14439d5f2b16902f48eec089725b98e66b2a1a5bda2ba333975699f"),
+        "45d749ffd9656462a72d99ffd365e805e5c1e86cfc97453d1f4cc39ed8dacf44",
+        "1e491f612c5b09b03ead1afcbd5835fa6aeb70da2d02b500e5790661ff51fbb5",
+        "a5bfc61901d84ac2eed3e62fc1aed0ca7f7ca99e3b9de28dc2229a751d2932ff"),
     ("7.5", "small_t"): (
-        "2dadcfcaba3e7fb4d2c5ad26117007a5dc46eaeac1ec6bdb1a65c1263718c498",
-        "fe8a8a5ab045e202b2cf112f70b7e82ebc0960b3d53f15f3d424a714793d00d4",
-        "6c7c9c40b72e88ef8360a8ba4bf7f15bc1dc3524044cba5beab06585eb1aab7b"),
+        "fdd6bf4ad7f29a283ab2addcdcc2883db5d63ca52a72f917f03fdb1458bccad0",
+        "9206382e7a69e77b2041a17cdf2ef634174dada604865d0d0a339a15cdccc28e",
+        "5b9dd9d131ceca555e9afb128e3ce80c20c6e8af09e2e4d61198d83fba96040a"),
 }
 DENSITY_SETTINGS = {"default": [],
                     "small_t": ["--t-list", "0.01,1", "--grid-n", "6"]}
@@ -89,32 +90,32 @@ def test_density_output_pinned_bytes(kappa, settings, tmp_path):
 
 
 # survival.csv at the default settings (t 1, 2, 4, then the 17 fit times
-# from 4 to 8), as the level-4 start of the survival quadrature wrote it
+# from 4 to 8), as the survival quadrature started at level 4 writes it
 LEVEL4_SURVIVAL = {
     "3": """
-        0x1.9b27e9650bb74p-3 0x1.df7c75be216d4p-7 0x1.42120d00d4287p-14
-        0x1.4e2d0bb606e3ap-15 0x1.5abc854198dbap-16 0x1.67c4da6bec66dp-17
-        0x1.754a961dc4c91p-18 0x1.83526ef4e8282p-19 0x1.91e148e94bb2dp-20
-        0x1.a0fc370175fc4p-21 0x1.b0a87d1748473p-22 0x1.c0eb91adcc90ep-23
-        0x1.d1cb1fd8ac207p-24 0x1.e34d0935f8801p-25 0x1.f57767faf72e2p-26
-        0x1.0428488a53785p-26 0x1.0def8b2e5e4c2p-27 0x1.1814e471ee106p-28
-        0x1.229bdda8ed421p-29""".split(),
+        0x1.9b27e9650bb71p-3 0x1.df7c75be216d0p-7 0x1.42120d00d4284p-14
+        0x1.4e2d0bb606e37p-15 0x1.5abc854198db7p-16 0x1.67c4da6bec66ap-17
+        0x1.754a961dc4c8ep-18 0x1.83526ef4e827ep-19 0x1.91e148e94bb2ap-20
+        0x1.a0fc370175fc1p-21 0x1.b0a87d174846fp-22 0x1.c0eb91adcc90ap-23
+        0x1.d1cb1fd8ac203p-24 0x1.e34d0935f87fdp-25 0x1.f57767faf72dfp-26
+        0x1.0428488a53783p-26 0x1.0def8b2e5e4bfp-27 0x1.1814e471ee103p-28
+        0x1.229bdda8ed41fp-29""".split(),
     "6": """
-        0x1.a2d41e98f56c2p-2 0x1.e034e0fcad011p-4 0x1.3b57986e8183cp-7
-        0x1.cd6b2419ad2a8p-8 0x1.5194bc7195799p-8 0x1.edf585bc3df66p-9
-        0x1.69635f9248008p-9 0x1.0865b16b4438ap-9 0x1.82dfd25fb20c0p-10
-        0x1.1b0b14dcfcb19p-10 0x1.9e28649954a71p-11 0x1.2f011a5a70bf6p-11
-        0x1.bb5d893c07802p-12 0x1.445f7f6942907p-12 0x1.daa1fd19c13aap-13
-        0x1.5b3fae29c232dp-13 0x1.fc1af02a1fdecp-14 0x1.73bcdb90e2854p-14
-        0x1.0ff818e26a390p-14""".split(),
+        0x1.a2d41e98f56cap-2 0x1.e034e0fcad01ap-4 0x1.3b57986e81842p-7
+        0x1.cd6b2419ad2b1p-8 0x1.5194bc71957a0p-8 0x1.edf585bc3df70p-9
+        0x1.69635f924800fp-9 0x1.0865b16b4438fp-9 0x1.82dfd25fb20c8p-10
+        0x1.1b0b14dcfcb1fp-10 0x1.9e28649954a79p-11 0x1.2f011a5a70bfcp-11
+        0x1.bb5d893c0780ap-12 0x1.445f7f694290ep-12 0x1.daa1fd19c13b3p-13
+        0x1.5b3fae29c2334p-13 0x1.fc1af02a1fdf6p-14 0x1.73bcdb90e285bp-14
+        0x1.0ff818e26a396p-14""".split(),
     "7.5": """
-        0x1.0cb61296889a5p-1 0x1.c5c20812a46adp-3 0x1.4363c7839af4ep-5
-        0x1.04aa0e331520fp-5 0x1.a435dafbc7681p-6 0x1.52b48ffe396b0p-6
-        0x1.11025a8deeb8ep-6 0x1.b81c7e47c283ap-7 0x1.62bf081d6a29bp-7
-        0x1.1df0526ba45d7p-7 0x1.ccf4690e34bf8p-8 0x1.738bfb24237a2p-8
-        0x1.2b7b0c6622d30p-8 0x1.e2c9089519f8fp-9 0x1.85249ef3b145bp-9
-        0x1.39a9f50798c16p-9 0x1.f9a654ac7ec71p-10 0x1.979299185a15ap-10
-        0x1.4884d2dc62375p-10""".split(),
+        0x1.0cb61296889aep-1 0x1.c5c20812a46bcp-3 0x1.4363c7839af59p-5
+        0x1.04aa0e3315218p-5 0x1.a435dafbc768fp-6 0x1.52b48ffe396bbp-6
+        0x1.11025a8deeb97p-6 0x1.b81c7e47c2849p-7 0x1.62bf081d6a2a7p-7
+        0x1.1df0526ba45e0p-7 0x1.ccf4690e34c07p-8 0x1.738bfb24237aep-8
+        0x1.2b7b0c6622d3ap-8 0x1.e2c9089519f9fp-9 0x1.85249ef3b1468p-9
+        0x1.39a9f50798c21p-9 0x1.f9a654ac7ec82p-10 0x1.979299185a167p-10
+        0x1.4884d2dc62380p-10""".split(),
 }
 
 
@@ -132,18 +133,17 @@ def test_survival_within_16_ulp_of_level_4_values(kappa, tmp_path):
 
 def test_density_small_time_leaks_no_warning(tmp_path):
     # at t 0.0024 the series summands overflow: the tail bound is inf and
-    # the run says so on its own warning line, with no numpy warning; the
-    # pz files keep the bytes recorded before the overflow was silenced
-    # (survival.csv: recorded again at the level-0 start of the survival
-    # quadrature, 4 ulp from the level-4 values)
+    # the run says so on its own warning line, with no numpy warning (the
+    # digests were recorded again when F moved to the Taylor table and the
+    # Gamma function to Python's math module)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["density", "--kappa", "1.1", "--t-list", "0.0024",
                      "--grid-n", "2", "--out-dir", str(tmp_path)]) == 0
     assert _digests(tmp_path) == (
-        "ca7200053a41135007fa52faef1c11dcbda052a2ad608349ddbab1d9aa65e674",
-        "33cc274485065b0f32bbd06cc5c2f539f0d489b3b5b12107b6699bda0b945456",
-        "ee652f9ac1ad1ef1352b47315ac5c2d8cdddbecaeb21b41b9858e0da3ecafb7d")
+        "ff6f611f0c4122e4918b91b3095edad31f3bccf30e2a3443049e70ee95fdbb44",
+        "93be7c9978fd86f16680706b0609fe2f31a2ac48012b59a22459d272795aa012",
+        "16c3ca990e718dd82991c1c361c092784761dfbfd1097c2c61d7a38c64366048")
     report = _meta_without_out_dir(tmp_path)["truncation"]["pz_t"][0]
     assert (report["tail_bound"], report["converged"]) == (math.inf, False)
 
@@ -296,6 +296,27 @@ def test_simulate_meta_names_the_hsle_kernel(tmp_path):
     assert _simulate_meta(tmp_path, "curves")["hsle_kernel"] == kernel
     assert _simulate_meta(tmp_path, "z-weighted",
                           "--t-list", "0.5")["hsle_kernel"] == kernel
+
+
+def test_sidecars_record_versions(tmp_path):
+    # what produced each sidecar: the package, Python and numpy, and no
+    # scipy, which the package does not use
+    runs = {"check_report.json": ["check", "--kappas", "6",
+                                  "--n-drift-states", "2"],
+            "density_meta.json": ["density", "--kappa", "6", "--grid-n", "2",
+                                  "--t-list", "1"],
+            "estimates_meta.json": ["simulate", "--method", "z-weighted",
+                                    "--n-paths", "20", "--t-list", "0.5",
+                                    "--master-seed", "1"]}
+    for name, argv in runs.items():
+        out_dir = tmp_path / name
+        assert main(argv + ["--out-dir", str(out_dir)]) == 0
+        with open(out_dir / name, encoding="utf-8") as fh:
+            versions = json.load(fh)["versions"]
+        assert versions == {"twocurve": twocurve.__version__,
+                            "python": platform.python_version(),
+                            "numpy": np.__version__}
+        assert "scipy" not in versions
 
 
 WORKER_RUNS = [

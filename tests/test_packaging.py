@@ -1,12 +1,16 @@
 """The package imports nothing beyond the standard library and the
 dependencies that ``pyproject.toml`` declares, so it installs and runs
 offline with exactly those; the tests add only the ``test`` extra.
-Guarded imports count too.  Every C source the package compiles on first
-use ships with it as package data."""
+Guarded imports count too, and a run of every command loads no scipy
+module, which only the tests use.  Every C source the package compiles on
+first use ships with it as package data."""
 import ast
 import fnmatch
+import json
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -68,3 +72,42 @@ def test_c_sources_are_package_data():
     missing = [name for name in sources
                if not any(fnmatch.fnmatch(name, pat) for pat in declared)]
     assert not missing
+
+
+# In a fresh interpreter: import the CLI, then run one command after the
+# other; after each stage, print the scipy modules loaded so far.
+NO_SCIPY_RUN = """
+import json, os, sys
+out = sys.argv[1]
+from twocurve import cli
+stages = [("import twocurve.cli", None),
+          ("check", ["check", "--kappas", "6", "--n-drift-states", "2"]),
+          ("density", ["density", "--kappa", "6", "--grid-n", "4"]),
+          ("simulate curves", ["simulate", "--method", "curves", "--kappa",
+                               "6", "--n-paths", "20", "--master-seed", "1"]),
+          ("simulate z-weighted", ["simulate", "--method", "z-weighted",
+                                   "--kappa", "6", "--n-paths", "200",
+                                   "--master-seed", "1"])]
+loaded = {}
+for i, (name, argv) in enumerate(stages):
+    if argv is not None:
+        code = cli.main(argv + ["--out-dir", os.path.join(out, str(i))])
+        assert code == 0, (name, code)
+    loaded[name] = sorted(m for m in sys.modules
+                          if m == "scipy" or m.startswith("scipy."))
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_load_no_scipy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(
+            os.pathsep)))
+    run = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path)],
+                         env=env, capture_output=True, text=True,
+                         timeout=600)
+    assert run.returncode == 0, run.stderr
+    loaded = json.loads(run.stdout.splitlines()[-1])
+    assert loaded == {name: [] for name in (
+        "import twocurve.cli", "check", "density", "simulate curves",
+        "simulate z-weighted")}

@@ -1,9 +1,17 @@
-"""Tests for the hypergeometric/Jacobi special-function layer.
+"""Tests for the hypergeometric/Jacobi special-function layer and the
+Gauss-Jacobi rule built on it.
 
 Reference values were computed independently with mpmath (40-digit
-arithmetic) and are frozen here.
+arithmetic) and are frozen here, or, for F and F' next to every Taylor
+centre boundary, in ``data/hyp2f1_mpmath40.json``.  scipy is the
+independent oracle of the Jacobi polynomials (``eval_jacobi``) and of the
+Gauss-Jacobi nodes and weights (``roots_jacobi``); the package itself
+imports no scipy.
 """
+import json
 import math
+import pathlib
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -13,7 +21,9 @@ from hypothesis import strategies as st
 from scipy.special import eval_jacobi, roots_jacobi
 
 from twocurve import KappaContext
+from twocurve.quadrature import _gauss_jacobi, disc_rule
 from twocurve.special import (
+    _X_SWITCH, _connection_coeffs, _horner, _taylor_table,
     gtilde_table, h_const, hyp_dF, hyp_F, hyp_F_and_dF, hyp_F_at_1, hyp_G,
     hyp_tilde_G, jacobi, jacobi_l2_norm_sq, jacobi_sup_norm, log_gamma,
 )
@@ -71,12 +81,45 @@ def ode_residual_grid(ctx, n_grid=200, x_max=0.99):
     return float(np.max(np.abs(res)))
 
 
+# mpmath loggamma, 40 digits, rounded to the nearest double
+LOG_GAMMA = {
+    0.1: "0x1.2058e35f3deeep+1", 0.5: "0x1.250d048e7a1bdp-1", 1.0: "0x0.0p+0",
+    1.5: "-0x1.eeb95b094c191p-4", 2.0: "0x0.0p+0", 2.5: "0x1.2383e809a67e8p-2",
+    10.0 / 3.0: "0x1.0593eaddb4534p+0", 10.0: "0x1.99a8921a7f7cfp+3",
+    40.5: "0x1.b1e46dca78c15p+6", 171.5: "0x1.6292532a8beaap+9",
+}
+# mpmath F(1) = Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)), and the
+# connection coefficients (A, B) of the 1-x expansion, at the double kappa
+F_AT_1_EXACT = {
+    2.0: "0x1.0000000000000p-1", 2.5: "0x1.460418e8c2a65p-1",
+    3.0: "0x1.85623558ded46p-1", 4.0: "0x1.0000000000000p+0",
+    6.0: "0x1.c4426fe852837p+0", 7.5: "0x1.6923ab240dff1p+2",
+}
+CONNECTION = {
+    2.5: ("0x1.460418e8c2a65p-1", "0x1.9e3779b97f4a8p+0"),
+    3.0: ("0x1.85623558ded46p-1", "-0x1.0000000000000p+0"),
+    6.0: ("0x1.c4426fe852837p+0", "-0x1.0000000000000p+0"),
+    7.5: ("0x1.6923ab240dff1p+2", "-0x1.3222ff85e6005p+2"),
+}
+
+
 class TestLogGamma:
     def test_values(self):
         npt.assert_allclose(log_gamma(5.0), math.log(24.0), rtol=1e-14)
-        xs = np.array([0.1, 0.5, 1.0, 2.5, 10.0, 171.5])
-        npt.assert_allclose(log_gamma(xs),
-                            [math.lgamma(v) for v in xs], rtol=1e-13)
+        xs = np.array(sorted(LOG_GAMMA))
+        ref = np.array([float.fromhex(LOG_GAMMA[x]) for x in xs])
+        # math.lgamma: a few ulp of max(1, |lgamma|) near its zeros at 1, 2
+        npt.assert_allclose(log_gamma(xs), ref, rtol=2e-15, atol=1e-15)
+        assert [log_gamma(x) for x in xs] == list(log_gamma(xs))
+
+    def test_gamma_ratios_match_mpmath(self):
+        for kappa, value in F_AT_1_EXACT.items():
+            npt.assert_allclose(hyp_F_at_1(KappaContext(kappa)),
+                                float.fromhex(value), rtol=2e-15)
+        for kappa, (a, b) in CONNECTION.items():
+            got = _connection_coeffs(KappaContext(kappa))[:2]
+            npt.assert_allclose(got, [float.fromhex(a), float.fromhex(b)],
+                                rtol=2e-15)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -137,33 +180,33 @@ class TestHypF:
 
 
 # (F(x), F'(x)) as hex floats; the series values are those of the full
-# 400-term sum.  The series, ODE and 1-x branches all appear.
+# 400-term sum, the others those of the Taylor table.
 F_DF_BITS = {
     3.0: {-0.5: ("0x1.136e435776d57p+0", "-0x1.1d192a6658c29p-3"),
           -0.2: ("0x1.08328a21e8705p+0", "-0x1.3b69107907629p-3"),
           0.1: ("0x1.f747308b3b404p-1", "-0x1.64bd45784df9ep-3"),
           0.3: ("0x1.e48a7302a854bp-1", "-0x1.8a91c80f2a7fcp-3"),
           0.5: ("0x1.cf94bb5a05df9p-1", "-0x1.bf0a0213245e9p-3"),
-          0.7: ("0x1.b75e40447dc26p-1", "-0x1.0840010321a5fp-2"),
-          0.995: ("0x1.869f141bd28c0p-1", "-0x1.e0e98692041e0p-2")},
+          0.7: ("0x1.b75e40447dc2ep-1", "-0x1.0840010321ac1p-2"),
+          0.995: ("0x1.869f141bd28c2p-1", "-0x1.e0e98692041e6p-2")},
     6.0: {-0.5: ("0x1.dd2486106c41dp-1", "0x1.ccdf4a420729ep-4"),
           -0.2: ("0x1.f0619987b8fdcp-1", "0x1.1e88f9dfc7698p-3"),
           0.1: ("0x1.047bc3419f678p+0", "0x1.7930c429f42cep-3"),
           0.3: ("0x1.0f1052236baf3p+0", "0x1.dcefe6313d1b3p-3"),
           0.5: ("0x1.1ce7d854608fap+0", "0x1.43eadaa93b8abp-2"),
-          0.7: ("0x1.30fd0e8311341p+0", "0x1.fb29e8efaab31p-2"),
-          0.995: ("0x1.99216e8e1d4a1p+0", "0x1.5d7ec7d6124b9p+3")},
+          0.7: ("0x1.30fd0e8311383p+0", "0x1.fb29e8efaababp-2"),
+          0.995: ("0x1.99216e8e1d4a0p+0", "0x1.5d7ec7d6124b7p+3")},
     7.5: {-0.5: ("0x1.d07cd663665b6p-1", "0x1.31fcd3a56142cp-3"),
           -0.2: ("0x1.ea663d1d46457p-1", "0x1.87830ce745587p-3"),
           0.1: ("0x1.06527cc24987bp+0", "0x1.0be0bb56afe40p-2"),
           0.3: ("0x1.159e69fe0e908p+0", "0x1.5f06b54df9d92p-2"),
           0.5: ("0x1.2a8266874a1bap+0", "0x1.f58313b71187cp-2"),
-          0.7: ("0x1.4ae44cbaa37bcp+0", "0x1.aa793ff3a7363p-1"),
+          0.7: ("0x1.4ae44cbaa3783p+0", "0x1.aa793ff3a73aap-1"),
           0.995: ("0x1.2485f43cfb0afp+1", "0x1.62f0223cc5880p+5")},
 }
 BIT_CTX = {k: KappaContext(k) for k in F_DF_BITS}
 BRANCH_X = st.one_of(st.floats(-0.5, 0.5), st.floats(0.5, 0.99),
-                     st.floats(0.99, 1.0))
+                     st.floats(0.99, 1.0), st.floats(_X_SWITCH, 1.0))
 
 
 def _hex(values):
@@ -195,6 +238,36 @@ class TestHypFBits:
         f, df = hyp_F_and_dF(ctx, arr)
         assert (_hex(f), _hex(df)) == (_hex(hyp_F(ctx, arr)),
                                        _hex(hyp_dF(ctx, arr)))
+
+
+# 40-digit F and F' next to every Taylor centre boundary, and at 0.99,
+# 0.995 and 1 - 1e-6
+F_REFERENCE = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "hyp2f1_mpmath40.json")
+    .read_text(encoding="utf-8"))["values"]
+
+
+class TestTaylorTable:
+    @pytest.mark.parametrize("kappa", sorted(F_REFERENCE, key=float))
+    def test_within_2e_15_of_mpmath(self, kappa):
+        x, f_ref, df_ref = np.array(
+            [[float.fromhex(v) for v in row] for row in F_REFERENCE[kappa]]).T
+        f, df = hyp_F_and_dF(KappaContext(float(kappa)), x)
+        assert np.all(np.abs(f - f_ref) <= 2e-15 * np.abs(f_ref))
+        assert np.all(np.abs(df - df_ref) <= 2e-15 * np.abs(df_ref))
+
+    @pytest.mark.parametrize("kappa", [1.6, 2.5, 8.0 / 3.0, 6.0, 7.5, 7.9])
+    def test_neighbouring_centres_agree_within_4_ulp(self, kappa):
+        centres, steps, series = _taylor_table(KappaContext(kappa))
+        # x_{k+1} = x_k + (1 - x_k)/2 from 1/2, until past the switch
+        assert np.array_equal(centres, 1.0 - 0.5 ** np.arange(1, 30))
+        assert np.array_equal(steps, (1.0 - centres) / 2.0)
+        assert centres[-1] < _X_SWITCH < centres[-1] + steps[-1]
+        for k in range(1, centres.size):
+            end = _horner(series[k - 1], np.array([1.0]))[:, 0]
+            start = _horner(series[k], np.array([0.0]))[:, 0]
+            assert np.all(np.abs(end - start)
+                          <= 4 * np.spacing(np.abs(start))), k
 
 
 class TestHypG:
@@ -347,3 +420,48 @@ class TestContext:
         ctx3 = KappaContext(3.0)
         npt.assert_allclose(ctx3.sle_b, 0.5, rtol=0)
         npt.assert_allclose(ctx3.sle_c, 0.5, rtol=0)
+
+
+# the Gauss-Jacobi rule of the disc, at the weight exponents 8/kappa - 1
+GJ_KAPPAS = [2.0, 3.0, 6.0, 7.5]
+GJ_SIZES = [1, 2, 24, 26, 30, 64]
+
+
+class TestDiscRule:
+    @pytest.mark.parametrize("kappa", GJ_KAPPAS)
+    @pytest.mark.parametrize("n", GJ_SIZES)
+    def test_matches_scipy(self, kappa, n):
+        e = KappaContext(kappa).weight_exponent
+        t, w = _gauss_jacobi(n, e)
+        t_ref, w_ref = roots_jacobi(n, e, 0.0)
+        # nodes live on [-1, 1]: relative, and absolute at one ulp of 1
+        npt.assert_allclose(t, t_ref, rtol=1e-14, atol=np.finfo(float).eps)
+        # scipy's weights are off the 40-digit values by up to 1.9e-12
+        # (kappa 6, n 64; these by 7.8e-14): the tight bound is the
+        # exactness test below
+        npt.assert_allclose(w, w_ref, rtol=1e-11)
+
+    @pytest.mark.parametrize("kappa", GJ_KAPPAS)
+    @pytest.mark.parametrize("n", GJ_SIZES)
+    def test_integrates_radial_powers_exactly(self, kappa, n):
+        # (x^2 + y^2)^k has degree k in the Gauss variable t = 2 r^2 - 1;
+        # for every k < 2 n the rule gives pi B(k + 1, 8/kappa) exactly
+        ctx = KappaContext(kappa)
+        x, y, w = disc_rule(ctx, n, 3)
+        s = x * x + y * y
+        e = Fraction(ctx.weight_exponent)
+        beta = 1 / (e + 1)
+        for k in range(2 * n):
+            exact = math.pi * float(beta)
+            assert abs(float(np.sum(w * s ** k)) - exact) <= 1e-13 * exact, k
+            beta *= (k + 1) / (e + k + 2)
+
+    def test_built_once_per_context_read_only(self):
+        ctx = KappaContext(6.0)
+        rule = disc_rule(ctx, 30, 64)
+        assert disc_rule(ctx, 30, 64) is rule
+        for arr in rule:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        fresh = disc_rule(KappaContext(6.0), 30, 64)
+        assert all(np.array_equal(a, b) for a, b in zip(rule, fresh))
