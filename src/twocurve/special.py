@@ -186,11 +186,10 @@ def _taylor_table(ctx: KappaContext):
     centre; the first is seeded by the power series at 1/2.
 
     Returns:
-        (centres, steps, series): centre k's series of F and F' in
-        t = (x - centres[k]) / steps[k] is series[k], of shape
-        (``_TAYLOR_DEGREE`` + 1, 2, 1): the (2, 1) columns (coefficient of
-        F, coefficient of F') from the top degree down to 0, as
-        ``_horner`` reads them.
+        (centres, steps, series): the series of F and F' of centre k in
+        t = (x - centres[k]) / steps[k] is series[:, :, k], of shape
+        (``_TAYLOR_DEGREE`` + 1, 2): the coefficient pairs (of F, of F')
+        from the top degree down to 0, as ``_horner`` reads them.
     """
     table = ctx._cache.get("hyp_taylor")
     if table is not None:
@@ -215,33 +214,29 @@ def _taylor_table(ctx: KappaContext):
         series.append([u[::-1], du[::-1]])
         f, df = math.fsum(u), math.fsum(du)
         x0 += h
-    series = np.array(series).transpose(0, 2, 1)[..., None]
+    series = np.ascontiguousarray(np.array(series).transpose(2, 1, 0))
     table = (np.array(centres), np.array(steps), series)
     ctx._cache["hyp_taylor"] = table
     return table
 
 
-def _horner(series, t):
-    """(F, F') rows: Horner's rule over every column of ``series`` at the
-    full degree, one pass for both."""
+def _horner(series, k, t):
+    """(F, F') rows at the points t of the centres k: Horner's rule at
+    the full degree, each point on its own centre's coefficients."""
     acc = np.zeros((2, t.size))
     for column in series:
         acc *= t
-        acc += column
+        acc += np.take(column, k, axis=1)
     return acc
 
 
 def _taylor_F_and_dF(ctx: KappaContext, x):
-    """(F, F') on (1/2, 1) from the Taylor table, each point on its own
-    centre's series: the value at a point is the same in any batch."""
+    """(F, F') on (1/2, 1) from the Taylor table: the value at a point is
+    the same in any batch."""
     centres, steps, series = _taylor_table(ctx)
     k = np.minimum(np.searchsorted(centres, x, side="right") - 1,
                    centres.size - 1)
-    out = np.empty((2, x.size))
-    for i in np.unique(k):
-        sel = k == i
-        out[:, sel] = _horner(series[i], (x[sel] - centres[i]) / steps[i])
-    return out[0], out[1]
+    return _horner(series, k, (x - centres[k]) / steps[k])
 
 
 def hyp_F_at_1(ctx: KappaContext) -> float:

@@ -264,8 +264,8 @@ class TestTaylorTable:
         assert np.array_equal(steps, (1.0 - centres) / 2.0)
         assert centres[-1] < _X_SWITCH < centres[-1] + steps[-1]
         for k in range(1, centres.size):
-            end = _horner(series[k - 1], np.array([1.0]))[:, 0]
-            start = _horner(series[k], np.array([0.0]))[:, 0]
+            end = _horner(series, np.array([k - 1]), np.array([1.0]))[:, 0]
+            start = _horner(series, np.array([k]), np.array([0.0]))[:, 0]
             assert np.all(np.abs(end - start)
                           <= 4 * np.spacing(np.abs(start))), k
 
