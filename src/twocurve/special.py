@@ -61,10 +61,11 @@ def log_gamma(x):
     ``math.lgamma`` (CPython's Lanczos approximation, not the C library's
     ``lgamma``).
 
-    ``math.lgamma`` runs once per distinct value.  The arguments a basis
-    forms (j + 1, n - j + 8/kappa, ...) usually lie on one grid lo + k,
-    k = 0, 1, ..., with every entry equal to the double lo + k: then the
-    values come from a table over that grid, found without sorting.
+    Arguments repeat (a basis forms j + 1, n - j + 8/kappa, ...), so
+    ``math.lgamma`` runs once per entry of a table that the values are
+    gathered from: the grid lo, lo + 1, ... when every entry is the double
+    lo + k for an integer k below the array's size (found without
+    sorting), else the distinct entries.
 
     Raises:
         ValueError: if any entry is <= 0.
