@@ -26,6 +26,7 @@ actually detects a wrong exponent (it must make that check fail).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -123,10 +124,21 @@ def check_hyp_ode(ctx: KappaContext) -> CheckResult:
                                      np.max(np.abs(res)))
 
 
+def _connection_B(ctx: KappaContext):
+    """(B, s): F(1 - y) = F(1) + B y^s + O(y) for s = c - a - b in (0, 1)
+    (Abramowitz & Stegun 15.3.6); B has poles at integer s."""
+    a, b, c = ctx.hyp_a, ctx.hyp_b, ctx.hyp_c
+    s = c - a - b
+    return math.gamma(c) * math.gamma(-s) / (math.gamma(a) * math.gamma(b)), s
+
+
 def check_hyp_value_at_one(ctx: KappaContext) -> CheckResult:
-    """Series evaluation at x=1 vs the closed gamma-ratio value."""
-    exact = hyp_F_at_1(ctx)
-    rel = abs(float(hyp_F(ctx, 1.0)) - exact) / abs(exact)
+    """F at 1 - y, y = 2^-53 (the last double below 1), against F(1) =
+    ``hyp_F_at_1`` plus, for kappa > 4, B y^s; for kappa <= 4 (s >= 1)
+    that term is O(y), below about 1e-16, and is left out."""
+    y, exact = 2.0 ** -53, hyp_F_at_1(ctx)
+    B, s = _connection_B(ctx) if ctx.kappa > 4.0 else (0.0, 1.0)
+    rel = abs(hyp_F(ctx, 1.0 - y) - exact - B * y ** s) / exact
     return CheckResult.from_residual("hyp_value_at_one", ctx.kappa, rel)
 
 

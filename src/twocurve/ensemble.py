@@ -41,7 +41,7 @@ log-form pairs (d log X) differ by the Ito term (kappa/2) sigma^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -573,38 +573,3 @@ def _uniform_draws(rng: np.random.Generator, block: int):
     """The doubles of ``rng.random()`` in order, drawn ``block`` at a time."""
     while True:
         yield from rng.random(block).tolist()
-
-
-def evolve_second_order(state: EnsembleState, j: int, dt: float,
-                        dw: float) -> EnsembleState:
-    """One-step state update, second order in dw and first order in dt.
-
-    Used by finite-difference Ito cross-checks: averaging a functional of
-    the two states evolved with dw = +/- sqrt(kappa dt) reproduces its
-    Ito drift to O(dt), and the difference quotient its noise
-    coefficient.  Only the fields the density formulas read are updated
-    to the required order (tip angle and tip first derivative carry the
-    dw^2/2 terms; all passive fields evolve deterministically).
-    """
-    _check_j(j)
-    rhs = ode_rhs(state, j)
-    k = 3 - j
-    wj1 = state.tip_deriv(j, 1)
-    wj2 = state.tip_deriv(j, 2)
-    wj3 = state.tip_deriv(j, 3)
-    upd = {
-        f"W{j}": (state.angle(f"W{j}") + wj1 * dw + 0.5 * wj2 * dw * dw
-                  + rhs["W_tip_flow"] * dt),
-        f"W{k}": state.angle(f"W{k}") + rhs["W_passive"] * dt,
-        "V1": state.V1 + rhs["V1"] * dt,
-        "V2": state.V2 + rhs["V2"] * dt,
-        f"W{j}1": wj1 + wj2 * dw + 0.5 * wj3 * dw * dw
-                  + wj1 * rhs["ln_W11_tip_flow"] * dt,
-        f"W{k}1": state.tip_deriv(k, 1) * (1.0 + rhs["ln_W1_passive"] * dt),
-        "V11": state.V11 * (1.0 + rhs["ln_V11"] * dt),
-        "V21": state.V21 * (1.0 + rhs["ln_V21"] * dt),
-        "mA": state.mA + rhs["mA"] * dt,
-        "Icc": state.Icc + rhs["Icc"] * dt,
-        f"t{j}": getattr(state, f"t{j}") + dt,
-    }
-    return replace(state, **upd)

@@ -72,7 +72,7 @@ import numpy as np
 
 from . import _kernels, _rng, special
 from .context import KappaContext
-from .green import BoundaryConfig, G_quad, G_u
+from .green import BoundaryConfig, G_quad
 from .timecurve import ZState, simulate_z_ensemble
 from .trig import cot2, sin2
 

@@ -1,12 +1,12 @@
 """Hypergeometric interaction function and Jacobi-polynomial utilities.
 
 The interaction function is ``F(x) = 2F1(4/kappa, 1 - 4/kappa; 8/kappa; x)``
-on [0, 1].  It is computed from scratch: a power series on [0, 1/2],
+on [-1/2, 1].  It is computed from scratch: a power series on [-1/2, 1/2],
 Taylor re-expansion of ``x(1-x)F'' + (8/kappa - 2x)F' - (4/kappa)(1 -
-4/kappa)F = 0`` beyond 1/2, the Gauss formula at x = 1, and a 1-x
-expansion on (1 - 1e-9, 1), where the endpoint behavior is non-analytic.
-The logarithmic-derivative combinations G and G-tilde and the
-Jacobi-polynomial helpers used by the spectral basis live here too.
+4/kappa)F = 0`` on (1/2, 1), and the Gauss formula at x = 1, where the
+endpoint behavior is non-analytic.  The logarithmic-derivative
+combinations G and G-tilde and the Jacobi-polynomial helpers used by the
+spectral basis live here too.
 
 The power series stops once a step leaves every sum unchanged (adding or
 subtracting its terms) and a coefficient-ratio bound shows that no later
@@ -16,9 +16,10 @@ the result is the full 400-term sum bit for bit (see ``_series_F_and_dF``).
 Taylor re-expansion (the Taylor-series method of Pearson, Olver & Porter,
 "Numerical methods for the computation of the confluent and Gauss
 hypergeometric functions", Numer. Algorithms 74, 2017) carries F from 1/2
-toward 1 on centres x_0 = 1/2, x_{k+1} = x_k + (1 - x_k)/2.  Each centre
-holds the series of F in the scaled variable t = (x - x_k)/h_k, h_k =
-(1 - x_k)/2, whose coefficients follow from the ODE's three-term
+toward 1 on centres x_0 = 1/2, x_{k+1} = x_k + (1 - x_k)/2, that is
+x_k = 1 - 2^-(k+1): 53 centres, the last of them the last double below 1.
+Each centre holds the series of F in the scaled variable t = (x - x_k)/h_k,
+h_k = (1 - x_k)/2, whose coefficients follow from the ODE's three-term
 recurrence; the nearest singularity (x = 1) lies at t = 2, so the terms
 fall like 2^-n on the step 0 <= t <= 1.  F and F' at the step's end seed
 the next centre (see ``_taylor_table``).
@@ -44,14 +45,7 @@ __all__ = [
     "gtilde_table",
 ]
 
-_SERIES_TOL = 1e-17
 _SERIES_MAX_TERMS = 400
-# Taylor re-expansion covers (1/2, _X_SWITCH]; beyond that a 1-x expansion
-# is used (the solution is Holder-continuous but not analytic at x = 1).
-# The table stays within 2e-15 of F and F' up to here, while the 1-x
-# expansion loses digits to the cancellation of its two terms when
-# 8/kappa - 1 is small (2.6e-15 at kappa 7.5, x = 0.995).
-_X_SWITCH = 1.0 - 1e-9
 # degree of every centre's series: its terms fall like 2^-n on 0 <= t <= 1
 _TAYLOR_DEGREE = 60
 
@@ -91,19 +85,6 @@ def log_gamma(x):
 # ---------------------------------------------------------------------------
 # interaction function F
 # ---------------------------------------------------------------------------
-
-def _gauss_series(al: float, be: float, ga: float, y):
-    """Plain Gauss series 2F1(al, be; ga; y) for |y| well below 1."""
-    y = np.asarray(y, dtype=float)
-    term = np.ones_like(y)
-    acc = np.ones_like(y)
-    for n in range(_SERIES_MAX_TERMS):
-        term = term * ((al + n) * (be + n) / ((ga + n) * (n + 1.0))) * y
-        acc = acc + term
-        if np.max(np.abs(term)) < _SERIES_TOL * max(1.0, np.max(np.abs(acc))):
-            break
-    return acc
-
 
 def _series_F_and_dF(ctx: KappaContext, x):
     """Power series for (F, F') at |x| <= 1/2 (or everywhere if terminating).
@@ -169,13 +150,12 @@ def _is_terminating(ctx: KappaContext) -> bool:
 
 
 def _taylor_table(ctx: KappaContext):
-    """Taylor re-expansion of F on [1/2, ``_X_SWITCH``], cached per context.
+    """Taylor re-expansion of F on [1/2, 1), cached per context.
 
-    Centre k sits at x_k = 1 - 2^-(k+1) and serves [x_k, x_{k+1}] with
-    t = (x - x_k)/h_k in [0, 1], h_k = (1 - x_k)/2; 29 centres reach past
-    ``_X_SWITCH``.  The last one also serves the points beyond it where the
-    1-x expansion is not usable (an integer endpoint exponent 8/kappa - 1,
-    where F is C^1 at 1).  With F(x_k + h t) = sum_n u_n t^n,
+    Centre k sits at x_k = 1 - 2^-(k+1) and serves [x_k, x_{k+1}) with
+    t = (x - x_k)/h_k in [0, 1), h_k = (1 - x_k)/2.  The centres run while
+    x_k < 1: 53 of them, the last at the last double below 1, 1 - 2^-53,
+    which it serves alone (t = 0).  With F(x_k + h t) = sum_n u_n t^n,
     the ODE x(1-x)F'' + (c - (a+b+1)x)F' - abF = 0 gives
 
         x_k(1-x_k)(n+2)(n+1) u_{n+2}
@@ -200,7 +180,7 @@ def _taylor_table(ctx: KappaContext):
     f, df = float(f0), float(df0)
     centres, steps, series = [], [], []
     x0 = 0.5
-    while x0 < _X_SWITCH:
+    while x0 < 1.0:
         h = (1.0 - x0) / 2.0
         p0 = x0 * (1.0 - x0)
         q0 = c - (a + b + 1.0) * x0
@@ -235,8 +215,7 @@ def _taylor_F_and_dF(ctx: KappaContext, x):
     """(F, F') on (1/2, 1) from the Taylor table: the value at a point is
     the same in any batch."""
     centres, steps, series = _taylor_table(ctx)
-    k = np.minimum(np.searchsorted(centres, x, side="right") - 1,
-                   centres.size - 1)
+    k = np.searchsorted(centres, x, side="right") - 1
     return _horner(series, k, (x - centres[k]) / steps[k])
 
 
@@ -247,46 +226,12 @@ def hyp_F_at_1(ctx: KappaContext) -> float:
                         - log_gamma(4.0 / k) - log_gamma(12.0 / k - 1.0)))
 
 
-def _connection_coeffs(ctx: KappaContext):
-    """Coefficients (A, B, s) of F = A*2F1(..;1-s;y) + B*y^s*2F1(..;1+s;y)."""
-    cached = ctx._cache.get("hyp_conn")
-    if cached is not None:
-        return cached
-    a, b, c = ctx.hyp_a, ctx.hyp_b, ctx.hyp_c
-    s = c - a - b  # = 8/kappa - 1 > 0 on (0, 8)
-    gamma = math.gamma
-    A = gamma(c) * gamma(s) / (gamma(c - a) * gamma(c - b))
-    B = gamma(c) * gamma(-s) / (gamma(a) * gamma(b))
-    out = (float(A), float(B), float(s))
-    ctx._cache["hyp_conn"] = out
-    return out
-
-
-def _near_one_usable(ctx: KappaContext) -> bool:
-    """The 1-x expansion needs a non-integer endpoint exponent 8/kappa - 1."""
-    s = ctx.hyp_c - ctx.hyp_a - ctx.hyp_b
-    return abs(s - round(s)) > 1e-6
-
-
-def _near_one_F_and_dF(ctx: KappaContext, x):
-    a, b, c = ctx.hyp_a, ctx.hyp_b, ctx.hyp_c
-    A, B, s = _connection_coeffs(ctx)
-    y = 1.0 - np.asarray(x, dtype=float)
-    f1 = _gauss_series(a, b, 1.0 - s, y)
-    f2 = _gauss_series(c - a, c - b, 1.0 + s, y)
-    F = A * f1 + B * y ** s * f2
-    # dF/dx = -dF/dy
-    df1 = (a * b / (1.0 - s)) * _gauss_series(a + 1.0, b + 1.0, 2.0 - s, y)
-    df2 = ((c - a) * (c - b) / (1.0 + s)) * _gauss_series(c - a + 1.0, c - b + 1.0, 2.0 + s, y)
-    with np.errstate(divide="ignore"):
-        dF = -(A * df1 + B * (s * y ** (s - 1.0) * f2 + y ** s * df2))
-    return F, dF
-
-
 def _eval_F_dF(ctx: KappaContext, x):
-    """Vectorized (F, F') on [-1/2, 1]; F'(1) may be +inf for kappa > 4."""
+    """Vectorized (F, F') on [-1/2, 1]: the power series on [-1/2, 1/2],
+    the Taylor table on (1/2, 1) and the Gauss value at 1, where F'(1) may
+    be +inf (kappa > 4)."""
     x = np.asarray(x, dtype=float)
-    if np.any((x < -0.5) | (x > 1.0)):
+    if not np.all((x >= -0.5) & (x <= 1.0)):
         raise ValueError("hyp_F requires x in [-1/2, 1]")
     if _is_terminating(ctx):
         return _series_F_and_dF(ctx, x)
@@ -295,15 +240,9 @@ def _eval_F_dF(ctx: KappaContext, x):
     lo = x <= 0.5
     if np.any(lo):
         F[lo], dF[lo] = _series_F_and_dF(ctx, x[lo])
-    mid = (x > 0.5) & (x <= _X_SWITCH)
-    near = x > _X_SWITCH
-    if not _near_one_usable(ctx):
-        mid = (x > 0.5) & (x < 1.0)
-        near = np.zeros_like(mid)
+    mid = (x > 0.5) & (x < 1.0)
     if np.any(mid):
         F[mid], dF[mid] = _taylor_F_and_dF(ctx, x[mid])
-    if np.any(near):
-        F[near], dF[near] = _near_one_F_and_dF(ctx, x[near])
     at1 = x == 1.0
     if np.any(at1):
         F[at1] = hyp_F_at_1(ctx)
@@ -345,7 +284,7 @@ def hyp_G(ctx: KappaContext, x):
     """
     scalar = np.isscalar(x) or np.ndim(x) == 0
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any((xa < 0.0) | (xa > 1.0)):
+    if not np.all((xa >= 0.0) & (xa <= 1.0)):
         raise ValueError("hyp_G requires x in [0, 1]")
     F, dF = _eval_F_dF(ctx, xa)
     with np.errstate(invalid="ignore"):

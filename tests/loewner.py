@@ -19,7 +19,8 @@ failures near the singularity never abort a whole flow.
 This forward flow is the independent oracle of the backward flow
 ``_kernels.backward_flow``, which the hit estimators use to probe
 distances: pulling the image of a point back through the same micro-step
-drivers must return the point.
+drivers must return the point.  No command runs it, so it lives with the
+tests that use it (``test_loewner.py``, ``test_montecarlo.py``).
 """
 from __future__ import annotations
 

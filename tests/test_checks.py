@@ -60,7 +60,7 @@ DEFAULT_BATTERY = [
     ("basis_orthonormality", 2.0, "0x1.7800000000000p-48"),
     ("drift_residual", 2.0, "0x1.0000000000000p-43"),
     ("hyp_ode_residual", 3.0, "0x1.481a140000000p-32"),
-    ("hyp_value_at_one", 3.0, "0x0.0p+0"),
+    ("hyp_value_at_one", 3.0, "0x1.509d3275fc486p-51"),
     ("basis_orthonormality", 3.0, "0x1.d000000000000p-48"),
     ("drift_residual", 3.0, "0x1.8000000000000p-45"),
     ("hyp_ode_residual", 4.0, "0x0.0p+0"),
@@ -68,11 +68,11 @@ DEFAULT_BATTERY = [
     ("basis_orthonormality", 4.0, "0x1.f000000000000p-48"),
     ("drift_residual", 4.0, "0x1.8000000000000p-46"),
     ("hyp_ode_residual", 6.0, "0x1.67d41c8000000p-28"),
-    ("hyp_value_at_one", 6.0, "0x0.0p+0"),
+    ("hyp_value_at_one", 6.0, "0x1.500bea7e88d43p-51"),
     ("basis_orthonormality", 6.0, "0x1.1800000000000p-47"),
     ("drift_residual", 6.0, "0x1.4000000000000p-46"),
     ("hyp_ode_residual", 7.5, "0x1.9caac5e000000p-26"),
-    ("hyp_value_at_one", 7.5, "0x0.0p+0"),
+    ("hyp_value_at_one", 7.5, "0x1.26e3929d032c4p-53"),
     ("basis_orthonormality", 7.5, "0x1.3000000000000p-47"),
     ("drift_residual", 7.5, "0x1.6100000000000p-44"),
     ("eigenfunction_residual", 6.0, "0x1.8d84400000000p-26"),
@@ -100,6 +100,19 @@ def test_drift_battery_equals_per_state_drift_residual(kappa):
     result = checks.check_drift_residual(KappaContext(kappa))
     assert result.residual == np.max(np.abs(per_state))
     assert result.passed
+
+
+def test_injected_F_error_near_one_fails_value_at_one_only(monkeypatch):
+    hyp_F = checks.hyp_F
+
+    def off_near_one(ctx, x):
+        bump = np.where(np.asarray(x) > 1.0 - 2.0 ** -30, 1.0 + 1e-9, 1.0)
+        return hyp_F(ctx, x) * bump
+
+    monkeypatch.setattr(checks, "hyp_F", off_near_one)
+    results = checks.run_all_checks(kappas=(3.0, 6.0), n_drift_states=2)
+    assert [(r.name, r.kappa) for r in results if not r.passed] \
+        == [("hyp_value_at_one", 3.0), ("hyp_value_at_one", 6.0)]
 
 
 def test_nan_drift_residual_fails_the_check(monkeypatch):

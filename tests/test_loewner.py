@@ -12,7 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from twocurve import _kernels, loewner as lw
+from twocurve import _kernels
+
+import loewner as lw
 
 SMOOTH = lw.DrivingPath.from_function(
     lambda t: 0.4 * math.sin(2.0 * t) + 0.3 * t, 1.0, 1000)

@@ -17,11 +17,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from twocurve import _kernels, ensemble, loewner, montecarlo as mc
+from twocurve import _kernels, ensemble, montecarlo as mc
 from twocurve.context import KappaContext
 from twocurve.density import SpectralBasis, survival_P2
 from twocurve.green import BoundaryConfig, G_quad
 from twocurve.timecurve import ZState
+
+import loewner
 
 TWO_PI = 2.0 * math.pi
 CTX6 = KappaContext(6.0)

@@ -1,9 +1,9 @@
 """The package imports nothing beyond the standard library and the
 dependencies that ``pyproject.toml`` declares, so it installs and runs
-offline with exactly those; the tests add only the ``test`` extra.
-Guarded imports count too, and a run of every command loads no scipy
-module, which only the tests use.  Every C source the package compiles on
-first use ships with it as package data."""
+offline with exactly those; the tests add only the ``test`` extra and
+their own helper modules.  Guarded imports count too, and a run of every
+command loads no scipy module, which only the tests use.  Every C source
+the package compiles on first use ships with it as package data."""
 import ast
 import fnmatch
 import json
@@ -59,9 +59,11 @@ def test_imports_are_stdlib_or_declared():
 
 
 def test_test_imports_are_declared_or_test_extra():
+    # the tests may also import their own helper modules beside them
     extra = _names(_pyproject()["project"]["optional-dependencies"]["test"])
+    helpers = {p.stem for p in (ROOT / "tests").glob("*.py")}
     allowed = set(sys.stdlib_module_names) | {"twocurve"} \
-        | _declared_dependencies() | extra
+        | _declared_dependencies() | extra | helpers
     assert not _undeclared(ROOT / "tests", allowed)
 
 

@@ -3,14 +3,17 @@ Gauss-Jacobi rule built on it.
 
 Reference values were computed independently with mpmath (40-digit
 arithmetic) and are frozen here, or, for F and F' next to every Taylor
-centre boundary, in ``data/hyp2f1_mpmath40.json``.  scipy is the
-independent oracle of the Jacobi polynomials (``eval_jacobi``) and of the
-Gauss-Jacobi nodes and weights (``roots_jacobi``); the package itself
-imports no scipy.
+centre boundary up to the table's end at the last double below 1, in
+``data/hyp2f1_mpmath40.json``.  The connection coefficient B of F at
+x = 1, which only the ``check`` battery's value-at-one oracle uses, is
+pinned here too.  scipy is the independent oracle of the Jacobi
+polynomials (``eval_jacobi``) and of the Gauss-Jacobi nodes and weights
+(``roots_jacobi``); the package itself imports no scipy.
 """
 import json
 import math
 import pathlib
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -21,11 +24,12 @@ from hypothesis import strategies as st
 from scipy.special import eval_jacobi, roots_jacobi
 
 from twocurve import KappaContext
+from twocurve.checks import _connection_B
 from twocurve.quadrature import _gauss_jacobi, disc_rule
 from twocurve.special import (
-    _X_SWITCH, _connection_coeffs, _horner, _taylor_table,
-    gtilde_table, h_const, hyp_dF, hyp_F, hyp_F_and_dF, hyp_F_at_1, hyp_G,
-    hyp_tilde_G, jacobi, jacobi_l2_norm_sq, jacobi_sup_norm, log_gamma,
+    _horner, _taylor_table, gtilde_table, h_const, hyp_dF, hyp_F,
+    hyp_F_and_dF, hyp_F_at_1, hyp_G, hyp_tilde_G, jacobi, jacobi_l2_norm_sq,
+    jacobi_sup_norm, log_gamma,
 )
 
 # mpmath hyp2f1(4/k, 1-4/k, 8/k, x), 40 digits
@@ -89,17 +93,16 @@ LOG_GAMMA = {
     40.5: "0x1.b1e46dca78c15p+6", 171.5: "0x1.6292532a8beaap+9",
 }
 # mpmath F(1) = Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)), and the
-# connection coefficients (A, B) of the 1-x expansion, at the double kappa
+# connection coefficient B = Gamma(c) Gamma(a+b-c) / (Gamma(a) Gamma(b)) of
+# (1-x)^(c-a-b), at the double kappa
 F_AT_1_EXACT = {
     2.0: "0x1.0000000000000p-1", 2.5: "0x1.460418e8c2a65p-1",
     3.0: "0x1.85623558ded46p-1", 4.0: "0x1.0000000000000p+0",
     6.0: "0x1.c4426fe852837p+0", 7.5: "0x1.6923ab240dff1p+2",
 }
-CONNECTION = {
-    2.5: ("0x1.460418e8c2a65p-1", "0x1.9e3779b97f4a8p+0"),
-    3.0: ("0x1.85623558ded46p-1", "-0x1.0000000000000p+0"),
-    6.0: ("0x1.c4426fe852837p+0", "-0x1.0000000000000p+0"),
-    7.5: ("0x1.6923ab240dff1p+2", "-0x1.3222ff85e6005p+2"),
+CONNECTION_B = {
+    2.5: "0x1.9e3779b97f4a8p+0", 3.0: "-0x1.0000000000000p+0",
+    6.0: "-0x1.0000000000000p+0", 7.5: "-0x1.3222ff85e6005p+2",
 }
 
 
@@ -116,10 +119,9 @@ class TestLogGamma:
         for kappa, value in F_AT_1_EXACT.items():
             npt.assert_allclose(hyp_F_at_1(KappaContext(kappa)),
                                 float.fromhex(value), rtol=2e-15)
-        for kappa, (a, b) in CONNECTION.items():
-            got = _connection_coeffs(KappaContext(kappa))[:2]
-            npt.assert_allclose(got, [float.fromhex(a), float.fromhex(b)],
-                                rtol=2e-15)
+        for kappa, b in CONNECTION_B.items():
+            npt.assert_allclose(_connection_B(KappaContext(kappa))[0],
+                                float.fromhex(b), rtol=2e-15)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -162,11 +164,12 @@ class TestHypF:
         assert ode_residual_grid(KappaContext(6.0), n_grid=60) < 1e-7
 
     def test_branch_consistency(self):
-        # Values on both sides of each internal method switch agree to the
-        # local slope; direct cross-check at the switch point itself.
+        # Values on both sides of the switch from the power series to the
+        # Taylor table (1/2) and of a centre boundary (1 - 2^-4) agree to
+        # the local slope; direct cross-check at the switch point itself.
         for kappa in (3.0, 6.0, 7.5):
             ctx = KappaContext(kappa)
-            for x0 in (0.5, 0.99):
+            for x0 in (0.5, 0.9375):
                 f = hyp_F(ctx, np.array([x0 - 1e-7, x0, x0 + 1e-7]))
                 d = hyp_dF(ctx, x0)
                 npt.assert_allclose(f[2] - f[0], 2e-7 * d, rtol=1e-4, atol=1e-13)
@@ -177,6 +180,16 @@ class TestHypF:
             hyp_F(ctx, 1.0 + 1e-12)
         with pytest.raises(ValueError):
             hyp_F(ctx, -0.51)
+
+    @pytest.mark.parametrize("kappa", [2.0, 6.0])
+    def test_nan_is_outside_the_domain(self, kappa):
+        # kappa 2 terminates; NaN fails every comparison, so the range
+        # test must ask for x inside [-1/2, 1], not for x outside it
+        ctx = KappaContext(kappa)
+        for f in (hyp_F, hyp_dF, hyp_G):
+            for x in (np.nan, np.array([0.3, np.nan, 0.7, 0.999])):
+                with pytest.raises(ValueError):
+                    f(ctx, x)
 
 
 # (F(x), F'(x)) as hex floats; the series values are those of the full
@@ -206,7 +219,8 @@ F_DF_BITS = {
 }
 BIT_CTX = {k: KappaContext(k) for k in F_DF_BITS}
 BRANCH_X = st.one_of(st.floats(-0.5, 0.5), st.floats(0.5, 0.99),
-                     st.floats(0.99, 1.0), st.floats(_X_SWITCH, 1.0))
+                     st.floats(0.99, 1.0),
+                     st.floats(1.0 - 2.0 ** -30, 1.0, exclude_min=True))
 
 
 def _hex(values):
@@ -241,28 +255,51 @@ class TestHypFBits:
 
 
 # 40-digit F and F' next to every Taylor centre boundary, and at 0.99,
-# 0.995 and 1 - 1e-6
+# 0.995, 1 - 1e-6 and 1 - 2^-53
 F_REFERENCE = json.loads(
     (pathlib.Path(__file__).parent / "data" / "hyp2f1_mpmath40.json")
-    .read_text(encoding="utf-8"))["values"]
+    .read_text(encoding="utf-8"))
+
+
+def _named_x(term):
+    """The double named by "0.99", "1 - 1e-6" or "1 - 2^-53"."""
+    head, _, tail = term.partition(" - ")
+    base, _, power = tail.partition("^")
+    drop = float(base) ** int(power) if power else float(tail or 0.0)
+    return float(head) - drop
 
 
 class TestTaylorTable:
-    @pytest.mark.parametrize("kappa", sorted(F_REFERENCE, key=float))
+    def test_reference_x_are_those_described(self):
+        # "... boundary 1 - 2^-(k+1), k = 1..52, and 0.99, ... . Rows: ..."
+        lo, hi, rest = re.search(r"k = (\d+)\.\.(\d+), and (.+?)\. Rows:",
+                                 F_REFERENCE["description"]).groups()
+        named = [np.nextafter(1.0 - 2.0 ** -(k + 1), 0.0)
+                 for k in range(int(lo), int(hi) + 1)]
+        named += [_named_x(term) for term in rest.split(", ")]
+        assert (lo, hi) == ("1", "52") and 1.0 - 2.0 ** -53 in named
+        for rows in F_REFERENCE["values"].values():
+            assert [float.fromhex(row[0]) for row in rows] == sorted(named)
+
+    @pytest.mark.parametrize("kappa", sorted(F_REFERENCE["values"], key=float))
     def test_within_2e_15_of_mpmath(self, kappa):
         x, f_ref, df_ref = np.array(
-            [[float.fromhex(v) for v in row] for row in F_REFERENCE[kappa]]).T
+            [[float.fromhex(v) for v in row]
+             for row in F_REFERENCE["values"][kappa]]).T
         f, df = hyp_F_and_dF(KappaContext(float(kappa)), x)
         assert np.all(np.abs(f - f_ref) <= 2e-15 * np.abs(f_ref))
-        assert np.all(np.abs(df - df_ref) <= 2e-15 * np.abs(df_ref))
+        # F' within 4e-15 on the centres past 1 - 2^-29, 2e-15 below
+        df_tol = np.where(x > 1.0 - 2.0 ** -29, 4e-15, 2e-15)
+        assert np.all(np.abs(df - df_ref) <= df_tol * np.abs(df_ref))
 
     @pytest.mark.parametrize("kappa", [1.6, 2.5, 8.0 / 3.0, 6.0, 7.5, 7.9])
     def test_neighbouring_centres_agree_within_4_ulp(self, kappa):
         centres, steps, series = _taylor_table(KappaContext(kappa))
-        # x_{k+1} = x_k + (1 - x_k)/2 from 1/2, until past the switch
-        assert np.array_equal(centres, 1.0 - 0.5 ** np.arange(1, 30))
+        # x_{k+1} = x_k + (1 - x_k)/2 from 1/2 while x_k < 1: 53 centres,
+        # the last at the last double below 1
+        assert np.array_equal(centres, 1.0 - 0.5 ** np.arange(1, 54))
         assert np.array_equal(steps, (1.0 - centres) / 2.0)
-        assert centres[-1] < _X_SWITCH < centres[-1] + steps[-1]
+        assert centres[-1] == np.nextafter(1.0, 0.0)
         for k in range(1, centres.size):
             end = _horner(series, np.array([k - 1]), np.array([1.0]))[:, 0]
             start = _horner(series, np.array([k]), np.array([0.0]))[:, 0]
