@@ -130,10 +130,10 @@ Kernels
     throws the driver across a gap in one update, the passive cotangent
     pushes explode, and the state goes NaN.  The kernel divides each base
     step of size dt into up to ``bmax`` equal units and advances by the
-    largest unit count keeping sqrt(kappa dt_sub) below (driver gap)/kres,
+    largest unit count keeping sqrt(kappa dt_sub) below (driver gap)/KRES,
     so the walk remains resolved at every depth down to the floor gap
-    ~ kres sqrt(kappa dt / bmax).  Stopping is relative, not absolute:
-    a driver-adjacent gap collapsing below ``eps_kill`` times the
+    ~ KRES sqrt(kappa dt / bmax).  Stopping is relative, not absolute:
+    a driver-adjacent gap collapsing below ``EPS_KILL`` times the
     smallest other gap triggers the exact boundary rule of the limiting
     Bessel process (absorb or reinject; see the dispatcher docstring),
     which keeps the stopping statistics invariant under the exponential
@@ -165,7 +165,7 @@ import tempfile
 
 import numpy as np
 
-from . import _rng
+from . import _rng, special
 
 logger = logging.getLogger(__name__)
 
@@ -177,7 +177,7 @@ def active_backend() -> str:
     """A frozen provenance label, always ``"numpy"``: it names no kernel
     that runs.  The benchmark's provenance line still records it;
     ``hsle_kernel()`` names the library that runs the kernels.  ROADMAP
-    item 5 deletes it together with that line."""
+    item 9 deletes it together with that line."""
     return "numpy"
 
 
@@ -329,6 +329,12 @@ def _z_evolve_c(lib, z1, z2, alive, absorb_step, streams, start_step,
 # reinjection decision draw one at a time.
 _FIRST_DRAW_BLOCK = 256
 
+# the boundary rule's relative-collapse threshold and reinjection scale, and
+# the resolution bandwidth (the ``hsle_evolve_adaptive`` docstring)
+EPS_KILL = 0.01
+EPS_RET = 0.1
+KRES = 3.5
+
 
 def _gap_status(g01, g12, g23, gw) -> int:
     """Stop status for non-positive gaps: 4 passive, 1 target side,
@@ -342,32 +348,34 @@ def _gap_status(g01, g12, g23, gw) -> int:
     return 0
 
 
-def _adaptive_constants(kappa, dt, eps_kill, eps_ret, kres, bmax, gt_vals):
-    """Per-call constants of both adaptive kernels: (unit, res_units,
-    floor_gap, p_ret, half_k6, g_top)."""
+def _adaptive_constants(kappa, dt, bmax):
+    """Per-call inputs of both adaptive kernels, in the C kernel's order:
+    the table (gt_vals, gt_du, gt_umax) of ``special.gtilde_table`` and
+    (unit, res_units, floor_gap, p_ret, half_k6, g_top)."""
+    gt_umax, gt_vals, gt_du = special.gtilde_table(kappa)
     unit = dt / bmax
-    res_units = bmax * 1.0 / (kappa * kres * kres * dt)  # * gmin^2 -> units
-    floor_gap = 0.35 * kres * math.sqrt(kappa * unit)
+    res_units = bmax * 1.0 / (kappa * KRES * KRES * dt)  # * gmin^2 -> units
+    floor_gap = 0.35 * KRES * math.sqrt(kappa * unit)
     bessel_pow = (8.0 - kappa) / kappa
-    p_ret = (eps_kill / eps_ret) ** bessel_pow
+    p_ret = (EPS_KILL / EPS_RET) ** bessel_pow
     half_k6 = 0.5 * (kappa - 6.0)
-    return unit, res_units, floor_gap, p_ret, half_k6, float(gt_vals[-1])
+    return (gt_vals, gt_du, gt_umax, unit, res_units, floor_gap, p_ret,
+            half_k6, float(gt_vals[-1]))
 
 
 def _hsle_evolve_adaptive_np(state, streams, start_macro, max_macros, kappa,
-                             dt, thr_macros, eps_kill, eps_ret, kres, bmax,
-                             gt_vals, gt_du, gt_umax, snap, reached, status,
+                             dt, thr_macros, bmax, snap, reached, status,
                              death_units) -> None:
     log, sin, cos, sqrt = math.log, math.sin, math.cos, math.sqrt
     uniform = _rng.uniform
+    (gt_vals, gt_du, gt_umax, unit, res_units, floor_gap, p_ret, half_k6,
+     g_top) = _adaptive_constants(kappa, dt, bmax)
     rows = state.tolist()
     sids = streams.tolist()
     thr = thr_macros.tolist()
     gt = gt_vals.tolist()
     k = len(thr)
     nt = len(gt)
-    unit, res_units, floor_gap, p_ret, half_k6, g_top = _adaptive_constants(
-        kappa, dt, eps_kill, eps_ret, kres, bmax, gt_vals)
     stride = 4 * bmax  # counters per macro step
     end_macro = start_macro + max_macros
     # counters of the first-substep uniform pairs of a block, relative to
@@ -459,13 +467,13 @@ def _hsle_evolve_adaptive_np(state, streams, start_macro, max_macros, kappa,
                     oth = g12 if g12 < g23 else g23
                     ref_c = oth if oth < g01 else g01
                     ref_f = oth if oth < gw else gw
-                    if gw < eps_kill * ref_c:
+                    if gw < EPS_KILL * ref_c:
                         # target-side collapse: absorb or reinject with the
                         # exact scale-function probability of the limiting
                         # Bessel gap process
                         ud = uniform(sid, ctr + 2)
                         if ud < p_ret:
-                            w0 = (wi - TWO_PI) + eps_ret * ref_c
+                            w0 = (wi - TWO_PI) + EPS_RET * ref_c
                             g01 = v1 - w0
                             gw = w0 - (wi - TWO_PI)
                             # rounding can land the reinjected driving
@@ -474,10 +482,10 @@ def _hsle_evolve_adaptive_np(state, streams, start_macro, max_macros, kappa,
                             st = _gap_status(g01, g12, g23, gw)
                         else:
                             st = 1
-                    elif g01 < eps_kill * ref_f:
+                    elif g01 < EPS_KILL * ref_f:
                         # protected side: the gap process never hits zero
                         # (Bessel dimension 1 + 8/kappa > 2); always returns
-                        w0 = v1 - eps_ret * ref_f
+                        w0 = v1 - EPS_RET * ref_f
                         g01 = v1 - w0
                         gw = w0 - (wi - TWO_PI)
                         st = _gap_status(g01, g12, g23, gw)
@@ -681,20 +689,18 @@ def kernel_workers() -> int:
 
 
 def _hsle_evolve_adaptive_c(lib, state, streams, start_macro, max_macros,
-                            kappa, dt, thr_macros, eps_kill, eps_ret, kres,
-                            bmax, gt_vals, gt_du, gt_umax, snap, reached,
+                            kappa, dt, thr_macros, bmax, snap, reached,
                             status, death_units) -> None:
-    consts = _adaptive_constants(kappa, dt, eps_kill, eps_ret, kres, bmax,
-                                 gt_vals)
-    k, nt = thr_macros.shape[0], gt_vals.shape[0]
+    consts = _adaptive_constants(kappa, dt, bmax)
+    k, nt = thr_macros.shape[0], consts[0].shape[0]
 
     def span(lo, hi):
         err_row = ctypes.c_int64(-1)
         code = lib.hsle_evolve_adaptive(
             hi - lo, k, nt, state[lo:hi], streams[lo:hi], start_macro,
-            max_macros, kappa, thr_macros, eps_kill, eps_ret, bmax, gt_vals,
-            gt_du, gt_umax, *consts, snap[lo:hi], reached[lo:hi],
-            status[lo:hi], death_units[lo:hi], ctypes.byref(err_row))
+            max_macros, kappa, thr_macros, EPS_KILL, EPS_RET, bmax, *consts,
+            snap[lo:hi], reached[lo:hi], status[lo:hi], death_units[lo:hi],
+            ctypes.byref(err_row))
         return code, lo + err_row.value
 
     # the first failing span holds the lowest failing row, as in a
@@ -706,15 +712,13 @@ def _hsle_evolve_adaptive_c(lib, state, streams, start_macro, max_macros,
 
 
 def hsle_evolve_adaptive(state, streams, start_macro, max_macros, kappa, dt,
-                         thr_macros, gt_vals, gt_du, gt_umax,
-                         snap, reached, status, death_units,
-                         eps_kill: float = 0.01, eps_ret: float = 0.1,
-                         kres: float = 3.5, bmax: int = 2048) -> None:
+                         thr_macros, snap, reached, status, death_units,
+                         bmax) -> None:
     """Evolve radial hSLE angles with adaptive substepping (see module doc).
 
     Each base step of size ``dt`` (a "macro" step) is split into up to
     ``bmax`` equal units; a substep consumes the largest unit count whose
-    duration dt_sub keeps sqrt(kappa dt_sub) <= (min driver gap)/kres, so
+    duration dt_sub keeps sqrt(kappa dt_sub) <= (min driver gap)/KRES, so
     in calm regions the kernel takes one full-size step per macro and the
     cost only grows where the configuration actually tightens.  The
     substep at unit offset ``off`` of absolute macro ``m`` draws its
@@ -730,16 +734,16 @@ def hsle_evolve_adaptive(state, streams, start_macro, max_macros, kappa, dt,
     ratio eps of the local scale still returns with probability
     eps^((8-kappa)/kappa).  Instead the kernel applies the exact
     scale-function rule of the limiting Bessel: when a gap drops below
-    ``eps_kill`` times the smallest other gap it is either reinjected to
-    ``eps_ret`` times that scale (with the Bessel return probability
-    (eps_kill/eps_ret)^((8-kappa)/kappa) on the completion side; always
+    ``EPS_KILL`` times the smallest other gap it is either reinjected to
+    ``EPS_RET`` times that scale (with the Bessel return probability
+    (EPS_KILL/EPS_RET)^((8-kappa)/kappa) on the completion side; always
     on the protected side) or declared absorbed (status 1).  Remaining
     stops: status 2 for a non-positive protected gap (unresolved
     overshoot; rare), status 4 for a non-positive passive gap (the same
     three rules also stop a row that enters with a non-positive gap, with
     ``death_units`` 0, and a reinjection that rounds onto a mark), and
     status 3 when both driver gaps sink below the resolution floor
-    ~ 0.35 * kres * sqrt(kappa dt / bmax) while no relative collapse
+    ~ 0.35 * KRES * sqrt(kappa dt / bmax) while no relative collapse
     holds.  Status 3 is not noise: for kappa > 4 the flow reaches, at
     finite capacity, a pinch where both driver-adjacent gaps vanish
     together -- the trace closes a loop that disconnects the origin from
@@ -755,12 +759,14 @@ def hsle_evolve_adaptive(state, streams, start_macro, max_macros, kappa, dt,
     survived (relative, in dt/bmax units; -1 if alive at the end), so the
     capacity at stop is death_units * dt / bmax.
 
+    The drift factor comes from ``special.gtilde_table(kappa)``, built on
+    the first call at each kappa.
+
     The arrays must be C-contiguous with these dtypes and shapes, or
     ValueError is raised before either kernel runs: ``state`` float64[n, 4]
-    and ``streams`` uint64[n]; ``thr_macros`` int64[k]; ``gt_vals``
-    float64[nt] with nt >= 2 (and ``gt_du`` > 0); the outputs ``snap``
-    float64[n, k, 4], ``reached`` uint8[n, k], ``status`` uint8[n] and
-    ``death_units`` int64[n], writeable.  ``bmax`` >= 1 and
+    and ``streams`` uint64[n]; ``thr_macros`` int64[k]; the outputs
+    ``snap`` float64[n, k, 4], ``reached`` uint8[n, k], ``status`` uint8[n]
+    and ``death_units`` int64[n], writeable.  ``bmax`` >= 1 and
     ``start_macro`` >= 0.  The compiled kernel runs when it builds, else
     ``_hsle_evolve_adaptive_np``; both give the same bytes and raise the
     same exceptions (module docstring): the one of the lowest failing row,
@@ -769,13 +775,10 @@ def hsle_evolve_adaptive(state, streams, start_macro, max_macros, kappa, dt,
     """
     start_macro, max_macros = int(start_macro), int(max_macros)
     bmax = int(bmax)
-    gt_du = float(gt_du)
-    _check_adaptive_args(state, streams, thr_macros, gt_vals, snap, reached,
-                         status, death_units, gt_du, bmax, start_macro)
+    _check_adaptive_args(state, streams, thr_macros, snap, reached, status,
+                         death_units, bmax, start_macro)
     args = (state, streams, start_macro, max_macros, float(kappa), float(dt),
-            thr_macros, float(eps_kill), float(eps_ret), float(kres), bmax,
-            gt_vals, gt_du, float(gt_umax), snap, reached, status,
-            death_units)
+            thr_macros, bmax, snap, reached, status, death_units)
     lib = _hsle_lib()
     if lib is not None:
         _hsle_evolve_adaptive_c(lib, *args)
@@ -796,23 +799,18 @@ def _check_arrays(specs) -> None:
                 f"{np.dtype(dtype).name} array of shape {shape}")
 
 
-def _check_adaptive_args(state, streams, thr_macros, gt_vals, snap, reached,
-                         status, death_units, gt_du, bmax, start_macro):
+def _check_adaptive_args(state, streams, thr_macros, snap, reached, status,
+                         death_units, bmax, start_macro):
     """Raise ValueError unless the arguments are what both adaptive kernels
     index (the ``hsle_evolve_adaptive`` docstring lists them)."""
-    n, k, nt = (np.shape(a)[0] if np.ndim(a) else 0
-                for a in (state, thr_macros, gt_vals))
-    specs = (("state", state, np.float64, (n, 4), True),
-             ("streams", streams, np.uint64, (n,), False),
-             ("thr_macros", thr_macros, np.int64, (k,), False),
-             ("gt_vals", gt_vals, np.float64, (max(nt, 2),), False),
-             ("snap", snap, np.float64, (n, k, 4), True),
-             ("reached", reached, np.uint8, (n, k), True),
-             ("status", status, np.uint8, (n,), True),
-             ("death_units", death_units, np.int64, (n,), True))
-    _check_arrays(specs)
-    if not gt_du > 0.0:
-        raise ValueError(f"gt_du must be positive, got {gt_du}")
+    n, k = (np.shape(a)[0] if np.ndim(a) else 0 for a in (state, thr_macros))
+    _check_arrays((("state", state, np.float64, (n, 4), True),
+                   ("streams", streams, np.uint64, (n,), False),
+                   ("thr_macros", thr_macros, np.int64, (k,), False),
+                   ("snap", snap, np.float64, (n, k, 4), True),
+                   ("reached", reached, np.uint8, (n, k), True),
+                   ("status", status, np.uint8, (n,), True),
+                   ("death_units", death_units, np.int64, (n,), True)))
     if bmax < 1 or start_macro < 0:
         raise ValueError(f"need bmax >= 1 and start_macro >= 0, got "
                          f"{bmax} and {start_macro}")

@@ -461,7 +461,8 @@ def write_records_csv(path: str, records) -> None:
 
 
 def read_records_csv(path: str) -> list:
-    """Read an estimate CSV in the layout of :func:`write_records_csv`."""
+    """Read an estimate CSV in the layout of :func:`write_records_csv`;
+    ConfigError for other columns or a row whose values do not parse."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         names = tuple(reader.fieldnames or ())
@@ -469,18 +470,23 @@ def read_records_csv(path: str) -> list:
             raise ConfigError(f"unrecognized estimate CSV columns: {names}")
         rows = []
         for row in reader:
-            rows.append({
-                "kappa": float(row["kappa"]),
-                "method": row["method"],
-                "r_or_t": float(row["r_or_t"]),
-                "estimate": float(row["estimate"]),
-                "stderr": float(row["stderr"]),
-                "ess": float(row["ess"]),
-                "n_paths": int(row["n_paths"]),
-                "dt": float(row["dt"]),
-                "seed": int(row["seed"]),
-                "flags": tuple(f for f in row["flags"].split(";") if f),
-            })
+            try:
+                rows.append({
+                    "kappa": float(row["kappa"]),
+                    "method": row["method"],
+                    "r_or_t": float(row["r_or_t"]),
+                    "estimate": float(row["estimate"]),
+                    "stderr": float(row["stderr"]),
+                    "ess": float(row["ess"]),
+                    "n_paths": int(row["n_paths"]),
+                    "dt": float(row["dt"]),
+                    "seed": int(row["seed"]),
+                    "flags": tuple(f for f in row["flags"].split(";") if f),
+                })
+            except (TypeError, ValueError, AttributeError) as exc:
+                # a short row leaves its missing fields None
+                raise ConfigError(f"{path} line {reader.line_num}: {exc}") \
+                    from None
         return rows
 
 
@@ -600,6 +606,22 @@ def cmd_fit(cfg: RunConfig, input_path: str, out=sys.stdout) -> int:
 # report
 # ---------------------------------------------------------------------------
 
+def _read_sidecar(path: str, keys) -> dict:
+    """The JSON object in ``path``; ConfigError if the file does not parse
+    or is not an object holding every key in ``keys``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise ConfigError(f"{path} lacks {', '.join(missing)}")
+    return data
+
+
 def cmd_report(cfg: RunConfig, out=sys.stdout) -> int:
     """Aggregate everything found in out_dir into report.json/report.md."""
     d = cfg.out_dir
@@ -608,25 +630,26 @@ def cmd_report(cfg: RunConfig, out=sys.stdout) -> int:
 
     check_path = os.path.join(d, "check_report.json")
     if os.path.exists(check_path):
-        with open(check_path, encoding="utf-8") as fh:
-            check = json.load(fh)
+        check = _read_sidecar(check_path, ("all_passed", "checks"))
+        entries = check["checks"]
+        if not (isinstance(entries, list) and all(
+                isinstance(c, dict) and "name" in c for c in entries)):
+            raise ConfigError(f"{check_path}: checks must be a list of "
+                              "objects with a name")
         report["checks"] = {
-            "all_passed": check.get("all_passed"),
-            "n_checks": len(check.get("checks", [])),
-            "failed": [c["name"] for c in check.get("checks", [])
-                       if not c.get("passed")],
+            "all_passed": check["all_passed"],
+            "n_checks": len(entries),
+            "failed": [c["name"] for c in entries if not c.get("passed")],
         }
         lines += [f"* verification: "
-                  f"{'all passed' if check.get('all_passed') else 'FAILED'}"
-                  f" ({len(check.get('checks', []))} checks)"]
+                  f"{'all passed' if check['all_passed'] else 'FAILED'}"
+                  f" ({len(entries)} checks)"]
 
     dens_path = os.path.join(d, "density_meta.json")
     if os.path.exists(dens_path):
-        with open(dens_path, encoding="utf-8") as fh:
-            dmeta = json.load(fh)
-        report["density"] = {k: dmeta[k] for k in
-                             ("Z_constant", "survival_slope", "alpha0")
-                             if k in dmeta}
+        keys = ("Z_constant", "survival_slope", "alpha0")
+        dmeta = _read_sidecar(dens_path, keys)
+        report["density"] = {k: dmeta[k] for k in keys}
         lines += [f"* survival slope {dmeta['survival_slope']:.6f} "
                   f"(target {-dmeta['alpha0']:.6f}), "
                   f"Z = {dmeta['Z_constant']:.6f}"]
@@ -651,8 +674,7 @@ def cmd_report(cfg: RunConfig, out=sys.stdout) -> int:
 
     fit_path = os.path.join(d, "fit.json")
     if os.path.exists(fit_path):
-        with open(fit_path, encoding="utf-8") as fh:
-            fit = json.load(fh)
+        fit = _read_sidecar(fit_path, ("fits",))
     elif records:
         fit = fit_records(records)
         _write_json(fit_path, fit)

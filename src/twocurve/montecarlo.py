@@ -62,6 +62,10 @@ from the master seed with ids 2i (first curve) and 2i+1 (second curve),
 so estimates are bit-reproducible from the recorded (seed, dt, n_paths,
 configuration), independent of chunking, and runs over disjoint path
 ranges merge exactly.
+
+The sampler takes no tuning parameters: its constants (``_SAMPLER``) and
+the adaptive kernel's (``_kernels.EPS_KILL``, ``EPS_RET``, ``KRES``) have
+one value each, recorded in every hit record's config.
 """
 from __future__ import annotations
 
@@ -77,24 +81,6 @@ from .timecurve import ZState, simulate_z_ensemble
 from .trig import cot2, sin2
 
 TWO_PI = 2.0 * math.pi
-
-# ---------------------------------------------------------------------------
-# drift-factor lookup table, cached per kappa
-# ---------------------------------------------------------------------------
-
-_gt_cache: dict[float, tuple[float, np.ndarray, float]] = {}
-
-
-def _gt_table(ctx: KappaContext) -> tuple[float, np.ndarray, float]:
-    """(u_max, values, du) of the tabulated drift factor for ctx.kappa."""
-    key = float(ctx.kappa)
-    hit = _gt_cache.get(key)
-    if hit is None:
-        umax, vals = special.gtilde_table(ctx)
-        hit = (umax, vals, umax / (vals.size - 1))
-        _gt_cache[key] = hit
-    return hit
-
 
 # ---------------------------------------------------------------------------
 # estimate records
@@ -229,17 +215,14 @@ def _conditional_tuples(snap_rows: np.ndarray) -> np.ndarray:
 # two-stage hit estimator
 # ---------------------------------------------------------------------------
 
-# Frozen estimator parameters (also recorded in every EstimateRecord):
-# relative-collapse threshold and reinjection scale of the adaptive
-# kernel's exact boundary rule, its resolution bandwidth, substep budget,
-# snapshot stride (macro steps per stored driver value), the second
-# stage's capacity horizon and disconnection-certificate margin
-# (e^-1.5 < 1/4), the probe pull-in and the probe's relative resolution
-# used for the decision-sensitive band.
-_TWO_STAGE_DEFAULTS = dict(eps_kill=0.01, eps_ret=0.1, kres=3.5,
-                           bmax=262144, stride=10, cap_b=3.0,
-                           swallow_margin=1.5, eps_in=1e-3,
-                           probe_rel_err=0.03)
+# The sampler's frozen constants, all but ``chunk_paths`` recorded in every
+# EstimateRecord: the adaptive kernel's substep budget, the snapshot stride
+# (macro steps per stored driver value), the second stage's capacity
+# horizon and disconnection-certificate margin (e^-1.5 < 1/4), the probe
+# pull-in, the probe's relative resolution used for the decision-sensitive
+# band, and the paths per kernel call.
+_SAMPLER = dict(bmax=262144, stride=10, cap_b=3.0, swallow_margin=1.5,
+                eps_in=1e-3, probe_rel_err=0.03, chunk_paths=4000)
 _COARSE_FRACTIONS = (0.08, 0.2, 0.35, 0.5, 0.65, 0.8, 0.92, 1.0)
 # Per-radius counters of a two-stage run (the last two: intersection only)
 HIT_COUNTERS = ("certified", "hit_swallow", "hit_alive", "hit_probe", "band",
@@ -334,7 +317,7 @@ def _probe_paths(seq: np.ndarray, counts: np.ndarray, probed, offset: int,
 
 def _two_stage_run(ctx: KappaContext, cfg: BoundaryConfig, r_list,
                    n_paths: int, dt: float, seed: int, path_start: int,
-                   params: dict, collect_meet: bool):
+                   collect_meet: bool):
     """Chunked two-stage sampler; returns per-radius aggregate counters.
 
     Per radius r the counters (``HIT_COUNTERS``) are: certified
@@ -356,24 +339,23 @@ def _two_stage_run(ctx: KappaContext, cfg: BoundaryConfig, r_list,
     every first curve.
     """
     kappa = ctx.kappa
-    umax, gt_vals, gt_du = _gt_table(ctx)
-    stride = int(params["stride"])
-    eps_in = float(params["eps_in"])
+    stride = _SAMPLER["stride"]
+    eps_in = _SAMPLER["eps_in"]
     du_probe = stride * dt
-    bmax = int(params["bmax"])
+    bmax = _SAMPLER["bmax"]
     rs = sorted(float(r) for r in r_list)
     thr_m = {r: max(stride,
                     int(round(math.log(1.0 / r) / (stride * dt))) * stride)
              for r in rs}
     cap_a = max(thr_m.values())
     grid = np.arange(stride, cap_a + 1, stride, dtype=np.int64)
-    cap_b = int(round(params["cap_b"] / dt / stride)) * stride
+    cap_b = int(round(_SAMPLER["cap_b"] / dt / stride)) * stride
     grid_b = np.arange(stride, cap_b + 1, stride, dtype=np.int64)
     row0 = _fresh_tuple(cfg, 1)
     agg = {r: {**dict.fromkeys(HIT_COUNTERS, 0),
                "status_b": np.zeros(_N_STATUS, dtype=np.int64)} for r in rs}
     status_hist_a = np.zeros(_N_STATUS, dtype=np.int64)
-    chunk = int(params.get("chunk_paths", 4000))
+    chunk = _SAMPLER["chunk_paths"]
 
     for c0 in range(0, n_paths, chunk):
         nc = min(chunk, n_paths - c0)
@@ -386,10 +368,8 @@ def _two_stage_run(ctx: KappaContext, cfg: BoundaryConfig, r_list,
         status_a = np.zeros(nc, dtype=np.uint8)
         death_a = np.full(nc, -1, dtype=np.int64)
         _kernels.hsle_evolve_adaptive(
-            state, streams, 0, cap_a, kappa, dt, grid, gt_vals, gt_du,
-            umax, snap_a, reached_a, status_a, death_a,
-            eps_kill=params["eps_kill"], eps_ret=params["eps_ret"],
-            kres=params["kres"], bmax=bmax)
+            state, streams, 0, cap_a, kappa, dt, grid, snap_a, reached_a,
+            status_a, death_a, bmax)
         status_hist_a += np.bincount(status_a, minlength=_N_STATUS)
 
         for r in rs:
@@ -412,15 +392,13 @@ def _two_stage_run(ctx: KappaContext, cfg: BoundaryConfig, r_list,
             status_b = np.zeros(nb, dtype=np.uint8)
             death_b = np.full(nb, -1, dtype=np.int64)
             _kernels.hsle_evolve_adaptive(
-                state_b, streams_b, 0, cap_b, kappa, dt, grid_b, gt_vals,
-                gt_du, umax, snap_b, reached_b, status_b, death_b,
-                eps_kill=params["eps_kill"], eps_ret=params["eps_ret"],
-                kres=params["kres"], bmax=bmax)
+                state_b, streams_b, 0, cap_b, kappa, dt, grid_b, snap_b,
+                reached_b, status_b, death_b, bmax)
             agg[r]["status_b"] += np.bincount(status_b, minlength=_N_STATUS)
             life_b = np.where(death_b < 0, float(cap_b) * bmax,
                               death_b.astype(float)) * (dt / bmax)
             swallow_hit = ((status_b == 3)
-                           & (life_b >= params["swallow_margin"]))
+                           & (life_b >= _SAMPLER["swallow_margin"]))
             alive_hit = status_b == 0
             certain = swallow_hit | alive_hit
             need = np.where(~certain)[0]
@@ -438,7 +416,7 @@ def _two_stage_run(ctx: KappaContext, cfg: BoundaryConfig, r_list,
             agg[r]["hit_alive"] += int(alive_hit.sum())
             agg[r]["hit_probe"] += int(probe_hit.sum())
             agg[r]["band"] += int(np.count_nonzero(
-                np.abs(dmin[need] - r) <= params["probe_rel_err"] * r))
+                np.abs(dmin[need] - r) <= _SAMPLER["probe_rel_err"] * r))
             # a stage-B stop (status 2 or 4) a probe already decided as a
             # hit is resolved, not excluded
             agg[r]["excluded"] += int(np.count_nonzero(
@@ -524,18 +502,13 @@ def _validate_radii(r_list):
 
 
 def _two_stage_setup(cfg: BoundaryConfig, r_list, n_paths: int, dt: float,
-                     path_start: int, overrides: dict):
-    """Validated inputs of a two-stage estimate: (params, radii below 1/4,
-    trivial radii, base record config)."""
+                     path_start: int):
+    """Validated inputs of a two-stage estimate: (radii below 1/4, trivial
+    radii, base record config)."""
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     if dt <= 0.0 or dt > 5e-3:
         raise ValueError(f"dt must lie in (0, 5e-3], got {dt}")
-    params = dict(_TWO_STAGE_DEFAULTS)
-    unknown = set(overrides) - set(params) - {"chunk_paths"}
-    if unknown:
-        raise TypeError(f"unknown estimator parameters: {sorted(unknown)}")
-    params.update(overrides)
     rs, trivial = _validate_radii(r_list)
     # "hsle_kernel" names the library that ran both the adaptive kernel
     # and the backward flow: "c" or "python" (numpy)
@@ -544,14 +517,17 @@ def _two_stage_setup(cfg: BoundaryConfig, r_list, n_paths: int, dt: float,
         "r_list": [float(r) for r in r_list],
         "path_start": int(path_start),
         "hsle_kernel": _kernels.hsle_kernel(),
-        **{k: params[k] for k in _TWO_STAGE_DEFAULTS},
+        "eps_kill": _kernels.EPS_KILL,
+        "eps_ret": _kernels.EPS_RET,
+        "kres": _kernels.KRES,
+        **{k: v for k, v in _SAMPLER.items() if k != "chunk_paths"},
     }
-    return params, rs, trivial, base_config
+    return rs, trivial, base_config
 
 
 def estimate_two_curve_hit(ctx: KappaContext, cfg: BoundaryConfig, r_list,
                            n_paths: int, dt: float, seed: int,
-                           path_start: int = 0, **overrides) -> list:
+                           path_start: int = 0) -> list:
     """Estimate P[both curves pass within r of the origin] for each r.
 
     Sequential conditional sampling: the first curve is grown to
@@ -570,13 +546,12 @@ def estimate_two_curve_hit(ctx: KappaContext, cfg: BoundaryConfig, r_list,
     ``path_start`` offsets the path ids (streams 2i and 2i+1 of the
     master seed), letting disjoint ranges merge exactly.
     """
-    params, rs, trivial, base_config = _two_stage_setup(
-        cfg, r_list, n_paths, dt, path_start, overrides)
+    rs, trivial, base_config = _two_stage_setup(cfg, r_list, n_paths, dt,
+                                                path_start)
     records = []
     if rs:
         agg, thr_m, status_a = _two_stage_run(
-            ctx, cfg, rs, n_paths, dt, seed, path_start, params,
-            collect_meet=False)
+            ctx, cfg, rs, n_paths, dt, seed, path_start, collect_meet=False)
         records = _hit_records(ctx, "two_curve_hit", agg, thr_m, status_a,
                                n_paths, dt, seed, base_config)
     for r in trivial:
@@ -591,7 +566,7 @@ def estimate_two_curve_hit(ctx: KappaContext, cfg: BoundaryConfig, r_list,
 
 def estimate_intersection_hit(ctx: KappaContext, cfg: BoundaryConfig,
                               r_list, n_paths: int, dt: float, seed: int,
-                              path_start: int = 0, **overrides) -> list:
+                              path_start: int = 0) -> list:
     """Estimate P[the curves meet each other within r of the origin].
 
     Runs the same sequential sampler (identical streams, so the event is
@@ -611,13 +586,12 @@ def estimate_intersection_hit(ctx: KappaContext, cfg: BoundaryConfig,
         raise ValueError(
             f"intersection estimator needs kappa in (4, 8); got "
             f"{ctx.kappa} (the curves do not touch for kappa <= 4)")
-    params, rs, trivial, base_config = _two_stage_setup(
-        cfg, r_list, n_paths, dt, path_start, overrides)
+    rs, trivial, base_config = _two_stage_setup(cfg, r_list, n_paths, dt,
+                                                path_start)
     if trivial:
         raise ValueError("intersection estimator supports r < 1/4 only")
     agg, thr_m, status_a = _two_stage_run(
-        ctx, cfg, rs, n_paths, dt, seed, path_start, params,
-        collect_meet=True)
+        ctx, cfg, rs, n_paths, dt, seed, path_start, collect_meet=True)
     return _hit_records(ctx, "intersection_hit", agg, thr_m, status_a,
                         n_paths, dt, seed, base_config,
                         flags=("surrogate_meet_rule",))
@@ -754,8 +728,7 @@ def fit_power_law(points) -> tuple[float, float, np.ndarray]:
 
 
 def estimate_C0(ctx: KappaContext, cfg_list, r_list, n_paths: int = 20000,
-                dt: float = 1e-4, seed: int = 0,
-                **overrides) -> EstimateRecord:
+                dt: float = 1e-4, seed: int = 0) -> EstimateRecord:
     """Pooled estimate of the universal intercept constant.
 
     For each configuration and radius the two-curve hit probability is
@@ -777,9 +750,8 @@ def estimate_C0(ctx: KappaContext, cfg_list, r_list, n_paths: int = 20000,
     flags = []
     per_cfg = []
     for c, cfg in enumerate(cfgs):
-        recs = estimate_two_curve_hit(
-            ctx, cfg, r_list, n_paths, dt, seed,
-            path_start=c * n_paths, **overrides)
+        recs = estimate_two_curve_hit(ctx, cfg, r_list, n_paths, dt, seed,
+                                      path_start=c * n_paths)
         gq = G_quad(ctx, cfg)
         cw = cv = 0.0
         for rec in recs:

@@ -21,8 +21,9 @@ x_k = 1 - 2^-(k+1): 53 centres, the last of them the last double below 1.
 Each centre holds the series of F in the scaled variable t = (x - x_k)/h_k,
 h_k = (1 - x_k)/2, whose coefficients follow from the ODE's three-term
 recurrence; the nearest singularity (x = 1) lies at t = 2, so the terms
-fall like 2^-n on the step 0 <= t <= 1.  F and F' at the step's end seed
-the next centre (see ``_taylor_table``).
+fall like 2^-n on the step 0 <= t <= 1, once n is past 4/kappa: the
+degree is max(60, ceil(30/kappa)) (``_taylor_degree``).  F and F' at the
+step's end seed the next centre (see ``_taylor_table``).
 
 F and F' at a point do not depend on the other points of the batch: a
 vector call returns the same bits as scalar calls at each of its points.
@@ -31,6 +32,7 @@ Gamma functions come from Python's ``math.gamma`` and ``math.lgamma``
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -46,8 +48,6 @@ __all__ = [
 ]
 
 _SERIES_MAX_TERMS = 400
-# degree of every centre's series: its terms fall like 2^-n on 0 <= t <= 1
-_TAYLOR_DEGREE = 60
 
 
 def log_gamma(x):
@@ -149,6 +149,20 @@ def _is_terminating(ctx: KappaContext) -> bool:
     return b <= 1e-12 and abs(b - round(b)) < 1e-9
 
 
+def _taylor_degree(kappa: float) -> int:
+    """Degree of every centre's series: max(60, ceil(30/kappa)).
+
+    The terms fall like 2^-n on 0 <= t <= 1 only once n is past a = 4/kappa;
+    before that they grow with the Pochhammer factor (a)_n.  At kappa 0.3
+    a cut at degree 60 drops a last coefficient of -3e-9 (the first is
+    4e-2) and F near 1 is off by 6e-7, so the degree grows like 1/kappa
+    below kappa 1/2; from there up it is 60 and every table keeps its
+    coefficients.  Below kappa 0.3 the power-series seed at x = 1/2, not
+    the degree, limits the accuracy.
+    """
+    return max(60, math.ceil(30.0 / kappa))
+
+
 def _taylor_table(ctx: KappaContext):
     """Taylor re-expansion of F on [1/2, 1), cached per context.
 
@@ -169,13 +183,14 @@ def _taylor_table(ctx: KappaContext):
     Returns:
         (centres, steps, series): the series of F and F' of centre k in
         t = (x - centres[k]) / steps[k] is series[:, :, k], of shape
-        (``_TAYLOR_DEGREE`` + 1, 2): the coefficient pairs (of F, of F')
-        from the top degree down to 0, as ``_horner`` reads them.
+        (degree + 1, 2): the coefficient pairs (of F, of F') from the top
+        degree down to 0, as ``_horner`` reads them.
     """
     table = ctx._cache.get("hyp_taylor")
     if table is not None:
         return table
     a, b, c = ctx.hyp_a, ctx.hyp_b, ctx.hyp_c
+    degree = _taylor_degree(ctx.kappa)
     f0, df0 = _series_F_and_dF(ctx, 0.5)
     f, df = float(f0), float(df0)
     centres, steps, series = [], [], []
@@ -185,11 +200,11 @@ def _taylor_table(ctx: KappaContext):
         p0 = x0 * (1.0 - x0)
         q0 = c - (a + b + 1.0) * x0
         u = [f, h * df]
-        for n in range(_TAYLOR_DEGREE - 1):
+        for n in range(degree - 1):
             u.append((h * h * (n + a) * (n + b) * u[n]
                       - (n + 1.0) * h * ((1.0 - 2.0 * x0) * n + q0) * u[n + 1])
                      / (p0 * (n + 2.0) * (n + 1.0)))
-        du = [(n + 1.0) * u[n + 1] / h for n in range(_TAYLOR_DEGREE)] + [0.0]
+        du = [(n + 1.0) * u[n + 1] / h for n in range(degree)] + [0.0]
         centres.append(x0)
         steps.append(h)
         series.append([u[::-1], du[::-1]])
@@ -398,15 +413,19 @@ _GT_TABLE_N = 20001
 _GT_TABLE_XMAX = 1.0 - 1e-8
 
 
-def gtilde_table(ctx: KappaContext):
-    """Uniform table of G-tilde in u = -log(1-x), for interpolation in kernels.
+@functools.cache
+def gtilde_table(kappa: float):
+    """Uniform table of G-tilde in u = -log(1-x), for interpolation in kernels,
+    built once per kappa (the cache holds no context).
 
     Returns:
-        (u_max, values): values[i] = G-tilde(1 - exp(-u_i)) on the uniform
-        grid u_i = i * u_max / (_GT_TABLE_N - 1) up to x = _GT_TABLE_XMAX.
+        (u_max, values, du): values[i] = G-tilde(1 - exp(-u_i)) on the
+        uniform grid u_i = i * du, du = u_max / (_GT_TABLE_N - 1), up to
+        x = _GT_TABLE_XMAX.
     """
-    u_max = -np.log1p(-_GT_TABLE_XMAX)
+    u_max = float(-np.log1p(-_GT_TABLE_XMAX))
     u = np.linspace(0.0, u_max, _GT_TABLE_N)
     x = -np.expm1(-u)
-    vals = hyp_tilde_G(ctx, x)
-    return float(u_max), np.asarray(vals, dtype=float)
+    vals = np.asarray(hyp_tilde_G(KappaContext(kappa), x), dtype=float)
+    vals.flags.writeable = False
+    return u_max, vals, u_max / (vals.size - 1)

@@ -102,6 +102,18 @@ def test_drift_battery_equals_per_state_drift_residual(kappa):
     assert result.passed
 
 
+@pytest.mark.parametrize("kappa", [0.3, 0.35])
+def test_per_kappa_checks_pass_at_small_kappa(kappa):
+    # a Taylor degree of 60 is too short here: kappa 0.3 would fail
+    # hyp_ode_residual (9.0e-6) and hyp_value_at_one (5.8e-7), kappa 0.35
+    # hyp_value_at_one (1.7e-10)
+    ctx = KappaContext(kappa)
+    results = [checks.check_hyp_ode(ctx), checks.check_hyp_value_at_one(ctx),
+               checks.check_orthonormality(ctx),
+               checks.check_drift_residual(ctx, n_states=20)]
+    assert [r.name for r in results if not r.passed] == []
+
+
 def test_injected_F_error_near_one_fails_value_at_one_only(monkeypatch):
     hyp_F = checks.hyp_F
 

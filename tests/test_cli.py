@@ -6,7 +6,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -476,6 +479,58 @@ def test_report_without_artifacts_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def _estimates_with_bad_value(out_dir):
+    """An estimates.csv whose one row holds ``abc`` as its estimate."""
+    path = out_dir / "estimates.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("schema_version",) + mc.CSV_COLUMNS)
+        writer.writerow((1, 6.0, "two_curve_hit", 0.1, "abc", 0.01, 100.0,
+                         100, 1e-3, 1, ""))
+    return path
+
+
+def test_fit_of_malformed_csv_exits_2(tmp_path, capsys):
+    path = _estimates_with_bad_value(tmp_path)
+    assert main(["fit", str(path), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "line 2" in err and "abc" in err
+
+
+def test_report_of_malformed_csv_exits_2(tmp_path, capsys):
+    _estimates_with_bad_value(tmp_path)
+    assert main(["report", "--out-dir", str(tmp_path)]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_report_of_check_report_that_is_not_json_exits_2(tmp_path, capsys):
+    (tmp_path / "check_report.json").write_text("{not json",
+                                                encoding="utf-8")
+    assert main(["report", "--out-dir", str(tmp_path)]) == 2
+    assert "check_report.json is not valid JSON" in capsys.readouterr().err
+
+
+def test_report_of_density_meta_without_slope_exits_2(tmp_path, capsys):
+    (tmp_path / "density_meta.json").write_text(
+        json.dumps({"Z_constant": 1.0, "alpha0": 2.0}), encoding="utf-8")
+    assert main(["report", "--out-dir", str(tmp_path)]) == 2
+    assert "lacks survival_slope" in capsys.readouterr().err
+
+
+def test_python_m_twocurve_runs_the_cli(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(twocurve.__file__)),
+         os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "twocurve", "simulate", "--kappa", "9",
+         "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 2
+    assert "configuration error" in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_carries_density_constant(tmp_path):
     assert main(["density", "--grid-n", "2", "--t-list", "1", "--n-max",
                  "4", "--out-dir", str(tmp_path)]) == 0
@@ -516,9 +571,12 @@ class TestRecordsCsv:
     @pytest.fixture(scope="class")
     def records(self):
         cfg = BoundaryConfig(w1=3 * S8, v1=S8, w2=-S8, v2=-3 * S8)
-        return mc.estimate_two_curve_hit(KappaContext(6.0), cfg, [0.2, 1.5],
-                                         n_paths=100, dt=1e-3, seed=8,
-                                         bmax=32768)
+        with pytest.MonkeyPatch.context() as mp:
+            # a substep budget of 32768 units keeps the run short
+            mp.setitem(mc._SAMPLER, "bmax", 32768)
+            return mc.estimate_two_curve_hit(KappaContext(6.0), cfg,
+                                             [0.2, 1.5], n_paths=100,
+                                             dt=1e-3, seed=8)
 
     @staticmethod
     def _assert_rows_match(rows, records):

@@ -25,7 +25,7 @@ import threading
 import numpy as np
 import pytest
 
-from twocurve import _kernels, _rng, cli, montecarlo as mc
+from twocurve import _kernels, _rng, cli, montecarlo as mc, special
 from twocurve.context import KappaContext
 from twocurve.green import BoundaryConfig
 
@@ -55,7 +55,6 @@ def run(kappa, rows, start_macro, max_macros, thr, seed=7, ids=None,
     """One kernel call on copies of ``rows``; returns all outputs.  The
     call goes through the dispatcher, or with ``kernel`` "c" or "python"
     straight to that kernel."""
-    umax, gt_vals, gt_du = mc._gt_table(KappaContext(kappa))
     n = rows.shape[0]
     ids = np.arange(n) if ids is None else np.asarray(ids)
     state = np.array(rows, dtype=float)
@@ -67,12 +66,11 @@ def run(kappa, rows, start_macro, max_macros, thr, seed=7, ids=None,
     death = np.full(n, -1, dtype=np.int64)
     if kernel is None:
         _kernels.hsle_evolve_adaptive(
-            state, streams, start_macro, max_macros, kappa, DT, thr, gt_vals,
-            gt_du, umax, snap, reached, status, death, bmax=bmax)
+            state, streams, start_macro, max_macros, kappa, DT, thr, snap,
+            reached, status, death, bmax=bmax)
     else:
         args = (state, streams, start_macro, max_macros, kappa, DT, thr,
-                0.01, 0.1, 3.5, bmax, gt_vals, gt_du, umax, snap, reached,
-                status, death)
+                bmax, snap, reached, status, death)
         if kernel == "c":
             _kernels._hsle_evolve_adaptive_c(compiled_lib(), *args)
         else:
@@ -210,7 +208,7 @@ class TestAgainstReference:
         n_macros = 150
         thr = list(range(15, n_macros + 1, 15))
         out = run(kappa, rows, 0, n_macros, thr)
-        umax, gt_vals, gt_du = mc._gt_table(KappaContext(kappa))
+        umax, gt_vals, gt_du = special.gtilde_table(kappa)
         streams = _rng.derive_stream_array(7, np.arange(24, dtype=np.uint64))
         for p in range(24):
             state, snaps, st, du = reference_path(
@@ -535,8 +533,8 @@ class TestCompiledBackwardFlow:
     ])
     def test_bytes_equal_on_recorded_probes(self, monkeypatch, kappa,
                                             estimate, kwargs):
-        calls = record_flow_calls(monkeypatch, estimate, kappa,
-                                  bmax=32768, **kwargs)
+        monkeypatch.setitem(mc._SAMPLER, "bmax", 32768)
+        calls = record_flow_calls(monkeypatch, estimate, kappa, **kwargs)
         rows = 0
         for drivers, lengths, du, y in calls:
             c, py = flows(drivers, lengths, du, y)
@@ -902,7 +900,6 @@ class TestDispatcherArguments:
         ("death_units", lambda a: a[:-1].copy()),
     ])
     def test_rejects_bad_arrays(self, name, bad):
-        umax, gt_vals, gt_du = mc._gt_table(KappaContext(6.0))
         n, thr = 3, np.array([5, 10], dtype=np.int64)
         args = dict(
             state=make_rows(n), streams=np.arange(n, dtype=np.uint64),
@@ -914,8 +911,8 @@ class TestDispatcherArguments:
         with pytest.raises(ValueError, match=name):
             _kernels.hsle_evolve_adaptive(
                 args["state"], args["streams"], 0, 10, 6.0, DT,
-                args["thr_macros"], gt_vals, gt_du, umax, args["snap"],
-                args["reached"], args["status"], args["death_units"])
+                args["thr_macros"], args["snap"], args["reached"],
+                args["status"], args["death_units"], BMAX)
 
     @pytest.mark.parametrize("name, bad", [
         ("drivers", lambda a: np.asfortranarray(a)),

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from twocurve import _kernels, ensemble, montecarlo as mc
+from twocurve import _kernels, ensemble, montecarlo as mc, special
 from twocurve.context import KappaContext
 from twocurve.density import SpectralBasis, survival_P2
 from twocurve.green import BoundaryConfig, G_quad
@@ -128,25 +128,36 @@ class TestHsleDrift:
             mc.hsle_drift(CTX6, 0.0, 7.0, 1.0, 2.0)
 
 
-TEST_OVERRIDES = dict(bmax=32768)
+# the sampler's and the adaptive kernel's constants, none of which an
+# estimator takes as an argument
+SAMPLER_CONSTANTS = ("eps_kill", "eps_ret", "kres", "bmax", "stride", "cap_b",
+                  "swallow_margin", "eps_in", "probe_rel_err", "chunk_paths")
+
+
+@pytest.fixture
+def fast_sampler(monkeypatch):
+    """The sampler at a substep budget of 32768 units per macro step
+    instead of 262144, which keeps these runs short."""
+    monkeypatch.setitem(mc._SAMPLER, "bmax", 32768)
 
 
 class TestTwoCurveHit:
-    def test_reproducible_and_chunk_invariant(self):
-        kw = dict(n_paths=1200, dt=1e-3, seed=11, **TEST_OVERRIDES)
+    def test_reproducible_and_chunk_invariant(self, monkeypatch,
+                                              fast_sampler):
+        kw = dict(n_paths=1200, dt=1e-3, seed=11)
         a = mc.estimate_two_curve_hit(CTX6, SYM_CFG, [0.2], **kw)
         b = mc.estimate_two_curve_hit(CTX6, SYM_CFG, [0.2], **kw)
-        c = mc.estimate_two_curve_hit(CTX6, SYM_CFG, [0.2],
-                                      chunk_paths=500, **kw)
+        monkeypatch.setitem(mc._SAMPLER, "chunk_paths", 500)
+        c = mc.estimate_two_curve_hit(CTX6, SYM_CFG, [0.2], **kw)
         assert a[0] == b[0]
         assert a[0].estimate == c[0].estimate
         assert a[0].stderr == c[0].stderr
         assert a[0].config["certified"] == c[0].config["certified"]
 
-    def test_path_range_merge(self):
+    def test_path_range_merge(self, fast_sampler):
         # disjoint path ranges reproduce the exact per-path outcomes of
         # the full run (counter-based streams), so counts add
-        kw = dict(dt=1e-3, seed=4, **TEST_OVERRIDES)
+        kw = dict(dt=1e-3, seed=4)
         full = mc.estimate_two_curve_hit(CTX6, SYM_CFG, [0.2],
                                          n_paths=1200, **kw)[0]
         lo = mc.estimate_two_curve_hit(CTX6, SYM_CFG, [0.2],
@@ -158,10 +169,9 @@ class TestTwoCurveHit:
         assert (lo.config["certified"] + hi.config["certified"]
                 == full.config["certified"])
 
-    def test_record_contract(self):
+    def test_record_contract(self, fast_sampler):
         recs = mc.estimate_two_curve_hit(CTX6, SYM_CFG, [0.2, 0.1, 1.5],
-                                         n_paths=800, dt=1e-3, seed=2,
-                                         **TEST_OVERRIDES)
+                                         n_paths=800, dt=1e-3, seed=2)
         assert [r.r_or_t for r in recs] == [0.1, 0.2, 1.5]
         for rec in recs:
             assert rec.kappa == 6.0
@@ -227,10 +237,39 @@ class TestTwoCurveHit:
         with pytest.raises(TypeError):
             mc.estimate_two_curve_hit(CTX6, SYM_CFG, [0.1], n_paths=10,
                                       dt=1e-3, seed=0, not_a_param=1)
+        # the sampler's and the kernel's constants are not options
+        for name in SAMPLER_CONSTANTS:
+            for estimate, args in (
+                    (mc.estimate_two_curve_hit, (SYM_CFG, [0.1], 10)),
+                    (mc.estimate_intersection_hit, (SYM_CFG, [0.1], 10)),
+                    (mc.estimate_C0, ([SYM_CFG], [0.1], 10))):
+                with pytest.raises(TypeError, match=name):
+                    estimate(CTX6, *args, dt=1e-3, seed=0, **{name: 1})
 
-    def test_tiny_run_flags(self):
+    def test_drift_table_built_once_per_kappa(self, monkeypatch,
+                                              fast_sampler):
+        # two runs on fresh contexts at a kappa no other test uses: the
+        # table's one G-tilde evaluation happens in the first
+        built = []
+        tilde_g = special.hyp_tilde_G
+
+        def counted(ctx, x):
+            built.append(ctx.kappa)
+            return tilde_g(ctx, x)
+
+        monkeypatch.setattr(special, "hyp_tilde_G", counted)
+        for seed in (0, 1):
+            mc.estimate_two_curve_hit(KappaContext(5.25), SYM_CFG, [0.2],
+                                      n_paths=20, dt=1e-3, seed=seed)
+        assert built == [5.25]
+        u_max, vals, du = special.gtilde_table(5.25)
+        assert special.gtilde_table(5.25)[1] is vals
+        assert not vals.flags.writeable
+        assert du == u_max / (vals.size - 1)
+
+    def test_tiny_run_flags(self, fast_sampler):
         recs = mc.estimate_two_curve_hit(CTX6, SYM_CFG, [0.01], n_paths=3,
-                                         dt=1e-3, seed=0, **TEST_OVERRIDES)
+                                         dt=1e-3, seed=0)
         rec = recs[0]
         assert not rec.accepted
         # with three paths at r=0.01 nothing gets certified deep enough:
@@ -318,8 +357,8 @@ class TestFitPowerLaw:
 
 
 class TestIntersectionHit:
-    def test_subset_of_two_curve(self):
-        kw = dict(n_paths=900, dt=1e-3, seed=21, **TEST_OVERRIDES)
+    def test_subset_of_two_curve(self, fast_sampler):
+        kw = dict(n_paths=900, dt=1e-3, seed=21)
         both = mc.estimate_two_curve_hit(CTX6, SYM_CFG, [0.2, 0.1], **kw)
         inter = mc.estimate_intersection_hit(CTX6, SYM_CFG, [0.2, 0.1], **kw)
         for b, i in zip(both, inter):
@@ -339,10 +378,10 @@ class TestIntersectionHit:
 
 
 class TestC0Estimate:
-    def test_two_config_record(self):
+    def test_two_config_record(self, fast_sampler):
         cfgs = [SYM_CFG, ASYM_CFG]
         rec = mc.estimate_C0(CTX6, cfgs, [0.2, 0.12], n_paths=1500,
-                             dt=1e-3, seed=5, **TEST_OVERRIDES)
+                             dt=1e-3, seed=5)
         assert rec.method == "C0"
         assert math.isnan(rec.r_or_t)
         assert rec.estimate > 0.0
@@ -376,13 +415,12 @@ class TestBackwardFlow:
 
 
 class TestCrossEstimatorConsistency:
-    def test_two_curve_slope_versus_spectral_alpha(self):
+    def test_two_curve_slope_versus_spectral_alpha(self, fast_sampler):
         # the hit-probability log-log slope and the spectral decay rate
         # are two routes to the same exponent; at modest sample size
         # they must agree within combined uncertainty
         recs = mc.estimate_two_curve_hit(CTX6, SYM_CFG, [0.2, 0.1],
-                                         n_paths=1500, dt=1e-3, seed=13,
-                                         **TEST_OVERRIDES)
+                                         n_paths=1500, dt=1e-3, seed=13)
         pts = [(r.r_or_t, r.estimate, r.stderr) for r in recs]
         expo, _, cov = mc.fit_power_law(pts)
         sig = math.sqrt(cov[0, 0])

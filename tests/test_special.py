@@ -306,6 +306,14 @@ class TestTaylorTable:
             assert np.all(np.abs(end - start)
                           <= 4 * np.spacing(np.abs(start))), k
 
+    @pytest.mark.parametrize("kappa, degree", [
+        (0.3, 100), (0.35, 86), (0.5, 60), (0.75, 60), (6.0, 60)])
+    def test_degree_is_60_from_kappa_one_half(self, kappa, degree):
+        # max(60, ceil(30 / kappa)): the tables of kappa >= 1/2 keep their
+        # coefficients
+        series = _taylor_table(KappaContext(kappa))[2]
+        assert series.shape == (degree + 1, 2, 53)
+
 
 class TestHypG:
     def test_frozen_values(self):
@@ -349,7 +357,8 @@ class TestHypG:
 
     def test_table_matches_direct(self):
         ctx = KappaContext(6.0)
-        u_max, vals = gtilde_table(ctx)
+        u_max, vals, du = gtilde_table(6.0)
+        assert du == u_max / (vals.size - 1)
         u = np.linspace(0.0, u_max, vals.size)
         x = -np.expm1(-u)
         npt.assert_allclose(vals, hyp_tilde_G(ctx, x), rtol=1e-12)
