@@ -4,8 +4,9 @@
  * hsle_evolve_adaptive, a port of _kernels._hsle_evolve_adaptive_np called
  * by _kernels.hsle_evolve_adaptive.  Every output is the Python kernel's
  * bit for bit, because both evaluate the same libm functions on the same
- * doubles in the same order and draw the same splitmix64 counters (see the
- * note above the Python kernel).
+ * doubles in the same order and draw the same splitmix64 counters: those
+ * of the map of draws in _rng's docstring, here with _rng.UNIT_DRAWS (4)
+ * and _rng.RETURN_SLOT (2) written out.
  *
  * backward_flow, a port of _kernels._backward_flow_np called by
  * _kernels.backward_flow.  Its outputs are the numpy flow's bit for bit

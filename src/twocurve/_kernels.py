@@ -52,24 +52,18 @@ kernels run in Python/numpy.  ``hsle_kernel()`` names the library that ran
 them.
 
 ``z_evolve`` runs the same library's port of ``_z_evolve_np`` in one
-pass over each path: every step draws the uniforms at counters (2s, 2s+1),
-forms the Box-Muller normals with libm ``log``, ``sqrt``, ``cos`` and
-``sin``, applies ``z_update`` operation by operation, clamps, absorbs,
-and snapshots at the record steps, a dead path's later snapshots holding
-its frozen angles.  The numpy evolution draws through
-``_rng.normal_pair_array``, whose log is libm's too (numpy's vector
-``log`` differs from it in the last bit for about 0.3% of arguments), and
-numpy's float64 ``sin``, ``cos`` and ``sqrt`` give libm's bits (a numpy
-build whose vector ``sin`` or ``cos`` did not would fail
-``TestCompiledZEvolve``), so the C step repeats the numpy one bit for bit.
-``z_update`` is the one implementation of the two-angle step;
+pass over each path: every step draws its normals with the one Box-Muller
+formula of :mod:`._rng` (libm's bits, also in numpy; a numpy build whose
+vector ``sin`` or ``cos`` did not give them would fail
+``TestCompiledZEvolve``), applies ``z_update`` operation by operation,
+clamps, absorbs, and snapshots at the record steps, a dead path's later
+snapshots holding its frozen angles.  ``z_update`` is the one
+implementation of the two-angle step;
 ``tests/test_kernels.py::TestCompiledZEvolve`` compares the two
 evolutions' bytes, and ``tests/test_timecurve.py::TestZEvolvePin`` pins
-them.  The two random kernels, ``z_evolve`` and ``hsle_evolve_adaptive``,
-draw from the counter-based streams of :mod:`._rng` indexed by the
-absolute step, with the one Box-Muller formula of that module, so skipped
-draws (dead paths) cost nothing and runs can be resumed at any step
-boundary.
+them.  Both random kernels read the counters the map of draws in
+:mod:`._rng` gives them, indexed by the absolute step, so skipped draws
+(dead paths) cost nothing and runs can be resumed at any step boundary.
 
 Threads
 -------
@@ -322,11 +316,11 @@ def _z_evolve_c(lib, z1, z2, alive, absorb_step, streams, start_step,
 # The Python kernel runs on Python floats and ints only: arrays are read
 # once with ``tolist()`` (numpy scalars would make every add, multiply and
 # compare about three times slower) and written once per path.  The first
-# substep of macro step m always reads the uniforms at counters
-# (4*m*bmax, +1), so those are drawn ahead with the vectorized generator
-# (bitwise equal to the scalar one), in blocks of macro steps so that a
-# path stopping early wastes few draws; later substeps and the
-# reinjection decision draw one at a time.
+# substep of macro step m always reads the Box-Muller pair of unit m*bmax
+# (the map of draws in ``_rng``), so those are drawn ahead with the
+# vectorized generator (bitwise equal to the scalar one), in blocks of
+# macro steps so that a path stopping early wastes few draws; later
+# substeps and the reinjection decision draw one at a time.
 _FIRST_DRAW_BLOCK = 256
 
 # the boundary rule's relative-collapse threshold and reinjection scale, and
@@ -368,6 +362,7 @@ def _hsle_evolve_adaptive_np(state, streams, start_macro, max_macros, kappa,
                              death_units) -> None:
     log, sin, cos, sqrt = math.log, math.sin, math.cos, math.sqrt
     uniform = _rng.uniform
+    draws, ret_slot = _rng.UNIT_DRAWS, _rng.RETURN_SLOT
     (gt_vals, gt_du, gt_umax, unit, res_units, floor_gap, p_ret, half_k6,
      g_top) = _adaptive_constants(kappa, dt, bmax)
     rows = state.tolist()
@@ -376,7 +371,7 @@ def _hsle_evolve_adaptive_np(state, streams, start_macro, max_macros, kappa,
     gt = gt_vals.tolist()
     k = len(thr)
     nt = len(gt)
-    stride = 4 * bmax  # counters per macro step
+    stride = draws * bmax  # counters per macro step
     end_macro = start_macro + max_macros
     # counters of the first-substep uniform pairs of a block, relative to
     # the block's first macro step
@@ -421,7 +416,7 @@ def _hsle_evolve_adaptive_np(state, streams, start_macro, max_macros, kappa,
                     uu1 = first[j + 1]
                     j += 2
                 else:
-                    ctr = stride * m + 4 * (bmax - left)
+                    ctr = stride * m + draws * (bmax - left)
                     uu0 = uniform(sid, ctr)
                     uu1 = uniform(sid, ctr + 1)
                 g = sqrt(-2.0 * log(uu0)) * cos(TWO_PI * uu1)
@@ -471,7 +466,7 @@ def _hsle_evolve_adaptive_np(state, streams, start_macro, max_macros, kappa,
                         # target-side collapse: absorb or reinject with the
                         # exact scale-function probability of the limiting
                         # Bessel gap process
-                        ud = uniform(sid, ctr + 2)
+                        ud = uniform(sid, ctr + ret_slot)
                         if ud < p_ret:
                             w0 = (wi - TWO_PI) + EPS_RET * ref_c
                             g01 = v1 - w0
@@ -720,10 +715,9 @@ def hsle_evolve_adaptive(state, streams, start_macro, max_macros, kappa, dt,
     ``bmax`` equal units; a substep consumes the largest unit count whose
     duration dt_sub keeps sqrt(kappa dt_sub) <= (min driver gap)/KRES, so
     in calm regions the kernel takes one full-size step per macro and the
-    cost only grows where the configuration actually tightens.  The
-    substep at unit offset ``off`` of absolute macro ``m`` draws its
-    normal from the uniforms at counters (4*(m*bmax+off), +1) of the path
-    stream (counter +2 feeds the boundary decision below), so runs are
+    cost only grows where the configuration actually tightens.  Each
+    substep draws its normal, and its boundary decision below, from the
+    counters of its unit (the map of draws in :mod:`._rng`), so runs are
     reproducible and resumable at macro boundaries.
 
     Near either driver-adjacent collision the gap is asymptotically a

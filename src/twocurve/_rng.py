@@ -1,26 +1,37 @@
-"""Deterministic counter-based random streams (splitmix64 bit mixer).
+"""Counter-based random streams (splitmix64), and the map of every draw.
 
-All randomness in this package derives from explicit (stream, counter)
-pairs: a 64-bit stream id and a 64-bit counter map to one output word
-through the splitmix64 mixing function.  Draws are seekable and
-order-independent -- worker ``p`` obtains word ``i`` as
-``mix64(stream_p + GAMMA*(i+1))`` with no shared state -- so serial runs,
-parallel runs, and runs split across invocations by path-index ranges
-produce bit-identical results.
+A 64-bit stream id and a 64-bit counter i give one output word,
+``mix64(stream + GAMMA*(i+1))``, with no shared state, so serial, parallel
+and split runs draw the same bits.  A stream id is such a word too: stream
+index k of master seed s is word k of s (:func:`derive_stream`).  Uniforms
+take the top 53 bits of a word and lie inside (0, 1).  Every Box-Muller
+normal of the package, scalar or vectorized, Python or compiled (``_hsle.c``
+repeats the recurrence), is sqrt(-2 log u0) * (cos, sin)(2 pi u1) of the
+uniforms at counters (2k, 2k+1), with libm's log (``math.log``: numpy's
+vector ``log`` differs in the last bit for about 0.3% of arguments) and
+numpy's float64 ``sqrt``, ``cos`` and ``sin``, which give libm's bits.
 
-Uniform deviates are built from the top 53 bits of the output word and lie
-strictly inside (0, 1); standard normals come from the Box-Muller transform
-applied to counter pairs (2k, 2k+1).
+The map of draws lists every (stream, counter) pair the package reads; no
+two draws share one (``tests/test_rng_map.py`` logs the reads of two small
+estimates against it):
 
-This module provides pure-Python integer helpers (used for seed/stream
-derivation and scalar draws) and vectorized numpy routines (used by the
-numpy kernels).  The compiled kernels of ``_hsle.c`` reimplement the same
-integer recurrence, so their uniform deviates equal these bit for bit.
-Every Box-Muller normal of the package, scalar or vectorized, Python or
-compiled, is the one libm formula sqrt(-2 log u0) * (cos, sin)(2 pi u1):
-the log is always libm's (``math.log``), never numpy's vector ``log``,
-which differs from it in the last bit for about 0.3% of arguments, and
-numpy's float64 ``sqrt``, ``cos`` and ``sin`` give libm's bits.
+* Hit path i (``montecarlo``): curve j = 1, 2 draws from stream index
+  2i + j - 1 (:func:`hit_streams`).  Curve 2 reuses its stream at every
+  radius, on purpose (common random numbers).
+* Z-weighted path i (``timecurve``): stream index i (:func:`z_streams`).
+* The adaptive kernel: the substep at unit offset ``off`` of macro step m
+  is unit u = m*bmax + off, and reads counters UNIT_DRAWS*u + slot: slots
+  0 and 1 for its normal, RETURN_SLOT for the target-side return decision.
+  Slot 3 is never read; it is kept for a later draw of the same substep
+  (a Brownian-bridge refinement of an overshoot).
+* ``z_evolve``: step s reads counters 2s and 2s + 1.
+* Outside the map: the ``check`` inputs (``ensemble.sample_states``,
+  ``checks.check_eigenfunctions``) come from numpy ``default_rng`` seeds.
+
+Path ids lie in [0, PATH_LIMIT), so that 2i + 1 fits in 64 bits.
+``_hsle.c`` writes the kernels' counters out literally;
+``TestCompiledKernel`` and ``TestCompiledZEvolve`` hold it to the Python
+kernels' bytes.
 """
 from __future__ import annotations
 
@@ -43,6 +54,11 @@ _M2_U = _U64(0x94D049BB133111EB)
 _INV53 = 2.0 ** -53
 TWO_PI = 2.0 * math.pi
 
+# the map of draws (module docstring)
+UNIT_DRAWS = 4
+RETURN_SLOT = 2
+PATH_LIMIT = 2 ** 63
+
 
 def mix64(z: int) -> int:
     """Splitmix64 finalizer: avalanching 64-bit mix of ``z``."""
@@ -56,29 +72,19 @@ def mix64(z: int) -> int:
 
 
 def derive_stream(master_seed: int, index: int) -> int:
-    """Child stream id for worker/path ``index`` under ``master_seed``.
-
-    Distinct indices give statistically independent streams; the map is
-    pure, so any subset of indices can be regenerated in isolation.
-    """
+    """Stream id of stream index ``index`` of ``master_seed``: its word
+    ``index``.  Distinct indices give independent streams."""
     return mix64((master_seed + GAMMA * (index + 1)) & MASK64)
-
-
-def raw_word(stream: int, i: int) -> int:
-    """The ``i``-th 64-bit output word of ``stream``."""
-    return mix64((stream + GAMMA * (i + 1)) & MASK64)
 
 
 def uniform(stream: int, i: int) -> float:
     """Uniform deviate in the open interval (0, 1) at counter ``i``."""
-    return ((raw_word(stream, i) >> 11) + 0.5) * _INV53
+    return ((derive_stream(stream, i) >> 11) + 0.5) * _INV53
 
 
 def normal_pair(stream: int, k: int) -> tuple[float, float]:
-    """The ``k``-th pair of independent standard normals of ``stream``.
-
-    Box-Muller transform of the uniforms at counters (2k, 2k+1) in libm.
-    """
+    """The ``k``-th pair of independent standard normals of ``stream``:
+    the Box-Muller pair of counters (2k, 2k+1), in libm."""
     r = math.sqrt(-2.0 * math.log(uniform(stream, 2 * k)))
     a = TWO_PI * uniform(stream, 2 * k + 1)
     return r * math.cos(a), r * math.sin(a)
@@ -101,11 +107,20 @@ def mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _words(streams, index) -> np.ndarray:
+    """Word ``index`` of each stream, with the broadcast shape of the two
+    (either may be an array)."""
+    # work on >=1-d arrays: 0-d array operands decay to numpy scalars,
+    # whose wraparound (intended here) would raise overflow warnings
+    s = np.atleast_1d(np.asarray(streams, dtype=np.uint64))
+    i = np.atleast_1d(np.asarray(index, dtype=np.uint64))
+    w = mix64_array(s + _GAMMA_U * (i + _ONE_U))
+    return w.reshape(np.broadcast_shapes(np.shape(streams), np.shape(index)))
+
+
 def derive_stream_array(master_seed: int, indices: np.ndarray) -> np.ndarray:
     """Vectorized :func:`derive_stream` over an array of indices."""
-    idx = np.atleast_1d(np.asarray(indices, dtype=np.uint64))
-    out = mix64_array(_U64(master_seed & MASK64) + _GAMMA_U * (idx + _ONE_U))
-    return out.reshape(np.shape(indices))
+    return _words(master_seed & MASK64, indices)
 
 
 def uniform_array(streams: np.ndarray, index) -> np.ndarray:
@@ -114,13 +129,8 @@ def uniform_array(streams: np.ndarray, index) -> np.ndarray:
     ``streams`` and ``index`` broadcast against each other (either may be
     an array); the result is float64 with the broadcast shape.
     """
-    # work on >=1-d arrays: 0-d array operands decay to numpy scalars,
-    # whose wraparound (intended here) would raise overflow warnings
-    s = np.atleast_1d(np.asarray(streams, dtype=np.uint64))
-    i = np.atleast_1d(np.asarray(index, dtype=np.uint64))
-    w = mix64_array(s + _GAMMA_U * (i + _ONE_U))
-    out = ((w >> _SH11).astype(np.float64) + 0.5) * _INV53
-    return out.reshape(np.broadcast_shapes(np.shape(streams), np.shape(index)))
+    return ((_words(streams, index) >> _SH11).astype(np.float64)
+            + 0.5) * _INV53
 
 
 def normal_pair_array(streams: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
@@ -134,3 +144,24 @@ def normal_pair_array(streams: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
     r = np.sqrt(-2.0 * log_u0.reshape(u0.shape))
     a = TWO_PI * u1
     return r * np.cos(a), r * np.sin(a)
+
+
+def _path_ids(ids: range) -> np.ndarray:
+    """The ids of the ascending range ``ids`` as uint64; ValueError unless
+    every one lies in [0, PATH_LIMIT)."""
+    if ids and not (0 <= ids[0] and ids[-1] < PATH_LIMIT):
+        raise ValueError(f"path ids must lie in [0, 2^63), got {ids}")
+    return np.arange(ids.start, ids.stop, ids.step, dtype=np.uint64)
+
+
+def hit_streams(master_seed: int, ids: range) -> tuple:
+    """(first, second): the streams of the two curves of the hit paths in
+    the range ``ids`` (module docstring)."""
+    two_i = _path_ids(ids) * _U64(2)
+    return (derive_stream_array(master_seed, two_i),
+            derive_stream_array(master_seed, two_i + _ONE_U))
+
+
+def z_streams(master_seed: int, ids: range) -> np.ndarray:
+    """The streams of the z-weighted paths in the range ``ids``."""
+    return derive_stream_array(master_seed, _path_ids(ids))

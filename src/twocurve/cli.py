@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, _kernels
+from . import __version__, _kernels, _rng
 from . import checks as checks_mod
 from . import density as dens
 from . import montecarlo as mc
@@ -236,6 +236,8 @@ def validate_config(cfg: RunConfig, command: str) -> None:
                 f"got {cfg.method!r}")
         if cfg.n_paths < 1:
             raise ConfigError("n_paths must be >= 1")
+        if cfg.path_start + cfg.n_paths > _rng.PATH_LIMIT:
+            raise ConfigError("path_start + n_paths must not exceed 2^63")
         if cfg.dt <= 0.0:
             raise ConfigError("dt must be positive")
         if cfg.method == "z-weighted":
@@ -294,8 +296,13 @@ def _versions() -> dict:
             "numpy": np.__version__}
 
 
-def _float_str(x) -> str:
-    return repr(float(x))
+def _write_csv(path: str, columns, rows) -> None:
+    """CSV file of ``rows`` under ``columns``, led by the schema_version
+    column (every CSV the package writes)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(("schema_version", *columns))
+        wr.writerows((SCHEMA_VERSION, *row) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -356,24 +363,17 @@ def cmd_density(cfg: RunConfig, out=sys.stdout) -> int:
         trunc[t] = {"t": t, "n_used": n_used, "tail_bound": tail,
                     "converged": converged}
 
-    pt_path = os.path.join(cfg.out_dir, "pz_t.csv")
-    with open(pt_path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(("schema_version", "t", "z1", "z2", "value"))
-        for t in cfg.t_list:
-            vals = dens.tilde_pZ_t(ctx, basis, z0, (za, zb), float(t))
-            for a, b, v in zip(za, zb, np.atleast_1d(vals)):
-                wr.writerow((SCHEMA_VERSION, _float_str(t), _float_str(a),
-                             _float_str(b), _float_str(v)))
-
-    pinf_path = os.path.join(cfg.out_dir, "pz_infty.csv")
-    with open(pinf_path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(("schema_version", "z1", "z2", "value"))
-        vals = dens.tilde_pZ_infty(ctx, (za, zb))
-        for a, b, v in zip(za, zb, np.atleast_1d(vals)):
-            wr.writerow((SCHEMA_VERSION, _float_str(a), _float_str(b),
-                         _float_str(v)))
+    # rows of Python floats, which csv writes as their repr, exactly
+    points = list(zip(za.tolist(), zb.tolist()))
+    pz_t = [(t, *p, v) for t in map(float, cfg.t_list)
+            for p, v in zip(points, np.atleast_1d(
+                dens.tilde_pZ_t(ctx, basis, z0, (za, zb), t)).tolist())]
+    _write_csv(os.path.join(cfg.out_dir, "pz_t.csv"),
+               ("t", "z1", "z2", "value"), pz_t)
+    pz_infty = np.atleast_1d(dens.tilde_pZ_infty(ctx, (za, zb))).tolist()
+    _write_csv(os.path.join(cfg.out_dir, "pz_infty.csv"),
+               ("z1", "z2", "value"),
+               [(*p, v) for p, v in zip(points, pz_infty)])
 
     # survival curve over requested times plus the slope-fit window; a
     # requested time whose series does not converge gets nan instead of
@@ -383,13 +383,8 @@ def cmd_density(cfg: RunConfig, out=sys.stdout) -> int:
                if not trunc[t]["converged"] and t not in fit_ts}
     surv = {t: dens.survival_P2(ctx, basis, z0, t)
             for t in all_ts if t not in skipped}
-    surv_path = os.path.join(cfg.out_dir, "survival.csv")
-    with open(surv_path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(("schema_version", "t", "survival"))
-        for t in all_ts:
-            wr.writerow((SCHEMA_VERSION, _float_str(t),
-                         _float_str(surv.get(t, math.nan))))
+    _write_csv(os.path.join(cfg.out_dir, "survival.csv"), ("t", "survival"),
+               [(float(t), float(surv.get(t, math.nan))) for t in all_ts])
 
     # least-squares slope of log survival on the fit window
     ts = np.array(fit_ts)
@@ -453,11 +448,7 @@ def _run_estimator(cfg: RunConfig, ctx: KappaContext, seed: int,
 
 def write_records_csv(path: str, records) -> None:
     """Records CSV with the leading schema_version column."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(("schema_version",) + mc.CSV_COLUMNS)
-        for rec in records:
-            wr.writerow([SCHEMA_VERSION] + rec.to_row())
+    _write_csv(path, mc.CSV_COLUMNS, (rec.to_row() for rec in records))
 
 
 def read_records_csv(path: str) -> list:

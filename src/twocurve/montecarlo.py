@@ -57,9 +57,8 @@ the first curve's tip and target images.  The first curve's stop event
 is measurable with respect to the grown segment, so the sequential
 factorization is exact.
 
-Randomness is counter-based: path i of a run draws from streams derived
-from the master seed with ids 2i (first curve) and 2i+1 (second curve),
-so estimates are bit-reproducible from the recorded (seed, dt, n_paths,
+Randomness is counter-based (the map of draws in :mod:`._rng`), so
+estimates are bit-reproducible from the recorded (seed, dt, n_paths,
 configuration), independent of chunking, and runs over disjoint path
 ranges merge exactly.
 
@@ -359,16 +358,15 @@ def _two_stage_run(ctx: KappaContext, cfg: BoundaryConfig, r_list,
 
     for c0 in range(0, n_paths, chunk):
         nc = min(chunk, n_paths - c0)
-        ids = np.arange(c0, c0 + nc, dtype=np.int64) + path_start
         state = np.tile(row0, (nc, 1))
-        streams = _rng.derive_stream_array(
-            seed, (2 * ids).astype(np.uint64))
+        streams_a, streams_b = _rng.hit_streams(
+            seed, range(path_start + c0, path_start + c0 + nc))
         snap_a = np.zeros((nc, grid.size, 4))
         reached_a = np.zeros((nc, grid.size), dtype=np.uint8)
         status_a = np.zeros(nc, dtype=np.uint8)
         death_a = np.full(nc, -1, dtype=np.int64)
         _kernels.hsle_evolve_adaptive(
-            state, streams, 0, cap_a, kappa, dt, grid, snap_a, reached_a,
+            state, streams_a, 0, cap_a, kappa, dt, grid, snap_a, reached_a,
             status_a, death_a, bmax)
         status_hist_a += np.bincount(status_a, minlength=_N_STATUS)
 
@@ -385,14 +383,12 @@ def _two_stage_run(ctx: KappaContext, cfg: BoundaryConfig, r_list,
             entry = _conditional_tuples(snap_a[cert, ti, :])
             nb = cert.size
             state_b = entry.copy()
-            streams_b = _rng.derive_stream_array(
-                seed, (2 * ids[cert] + 1).astype(np.uint64))
             snap_b = np.zeros((nb, grid_b.size, 4))
             reached_b = np.zeros((nb, grid_b.size), dtype=np.uint8)
             status_b = np.zeros(nb, dtype=np.uint8)
             death_b = np.full(nb, -1, dtype=np.int64)
             _kernels.hsle_evolve_adaptive(
-                state_b, streams_b, 0, cap_b, kappa, dt, grid_b, snap_b,
+                state_b, streams_b[cert], 0, cap_b, kappa, dt, grid_b, snap_b,
                 reached_b, status_b, death_b, bmax)
             agg[r]["status_b"] += np.bincount(status_b, minlength=_N_STATUS)
             life_b = np.where(death_b < 0, float(cap_b) * bmax,
@@ -543,8 +539,8 @@ def estimate_two_curve_hit(ctx: KappaContext, cfg: BoundaryConfig, r_list,
     the first curve's trace at distance >= r/4 -- or be >= 1, where the
     probability is trivially 1 (both curves start on the unit circle).
 
-    ``path_start`` offsets the path ids (streams 2i and 2i+1 of the
-    master seed), letting disjoint ranges merge exactly.
+    ``path_start`` offsets the path ids (the map of draws in
+    :mod:`._rng`), letting disjoint ranges merge exactly.
     """
     rs, trivial, base_config = _two_stage_setup(cfg, r_list, n_paths, dt,
                                                 path_start)

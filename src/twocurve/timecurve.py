@@ -127,10 +127,10 @@ def simulate_z_ensemble(ctx: KappaContext, z0, t_max: float,
                         path_start: int = 0) -> ZPathEnsemble:
     """Simulate independent two-angle diffusion paths from ``z0``.
 
-    Path ``path_start + i`` draws from the stream derived from
-    (master_seed, path id), so results are independent of batching: two
-    invocations covering disjoint id ranges reproduce exactly the paths a
-    single covering invocation would produce.
+    Path ``path_start + i`` draws from its own stream of ``master_seed``
+    (the map of draws in :mod:`._rng`), so results are independent of
+    batching: two invocations covering disjoint id ranges reproduce
+    exactly the paths a single covering invocation would produce.
 
     Args:
         z0: starting state (ZState) of every path.
@@ -159,8 +159,8 @@ def simulate_z_ensemble(ctx: KappaContext, z0, t_max: float,
     if rec_steps[-1] > n_steps:
         raise ValueError("record times must not exceed t_max")
 
-    ids = np.arange(path_start, path_start + n_paths, dtype=np.int64)
-    streams = _rng.derive_stream_array(master_seed, ids)
+    streams = _rng.z_streams(master_seed,
+                             range(path_start, path_start + n_paths))
     z1 = np.full(n_paths, z0.z1, dtype=float)
     z2 = np.full(n_paths, z0.z2, dtype=float)
     start1, start2 = z1.copy(), z2.copy()

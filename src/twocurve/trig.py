@@ -8,10 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "sin2", "cos2", "tan2", "cot2", "csc2",
-    "cot2p", "cot2pp", "cot2ppp",
-]
+__all__ = ["sin2", "cos2", "cot2", "csc2", "cot2p", "cot2ppp"]
 
 
 def sin2(u):
@@ -22,11 +19,6 @@ def sin2(u):
 def cos2(u):
     """cos(u/2)."""
     return np.cos(np.asarray(u, dtype=float) / 2.0)
-
-
-def tan2(u):
-    """tan(u/2)."""
-    return np.tan(np.asarray(u, dtype=float) / 2.0)
 
 
 def cot2(u):
@@ -43,12 +35,6 @@ def cot2p(u):
     """First derivative of cot2: d/du cot(u/2) = -csc(u/2)^2 / 2."""
     s = csc2(u)
     return -0.5 * (s * s)
-
-
-def cot2pp(u):
-    """Second derivative of cot2: cos(u/2) / (2 sin(u/2)^3)."""
-    u = np.asarray(u, dtype=float)
-    return 0.5 * np.cos(u / 2.0) / np.sin(u / 2.0) ** 3
 
 
 def cot2ppp(u):

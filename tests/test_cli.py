@@ -92,6 +92,34 @@ def test_density_output_pinned_bytes(kappa, settings, tmp_path):
     assert _digests(tmp_path) == DENSITY_DIGESTS[kappa, settings]
 
 
+# sha256 of estimates.csv of small hit and z-weighted runs, recorded before
+# the stream derivations moved into the map of draws in ``_rng``; a change
+# that moves an estimate must name it and record the digest again
+ESTIMATE_DIGESTS = {
+    "curves_k6_path_start": (
+        ["--method", "curves", "--kappa", "6", "--n-paths", "100",
+         "--r-list", "0.05,0.1,0.2", "--path-start", "140",
+         "--master-seed", "11"],
+        "0c7951b0f28f7622ca211f91651aac6879ee224e01047d545d8d4f853a45dbba"),
+    "intersection_k7.5": (
+        ["--method", "intersection", "--kappa", "7.5", "--n-paths", "40",
+         "--master-seed", "12"],
+        "081d301791c69d57306dc80f6db6ac347346c385914a2ec61187b33062430821"),
+    "z_weighted_k6": (
+        ["--method", "z-weighted", "--kappa", "6", "--n-paths", "300",
+         "--master-seed", "13"],
+        "bfb111561c9210e0dea01074c339d250f99db4d0124eba5c5b8d83de33808c87"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATE_DIGESTS))
+def test_simulate_output_pinned_bytes(name, tmp_path):
+    args, digest = ESTIMATE_DIGESTS[name]
+    assert main(["simulate", *args, "--out-dir", str(tmp_path)]) == 0
+    got = hashlib.sha256((tmp_path / "estimates.csv").read_bytes())
+    assert got.hexdigest() == digest
+
+
 # survival.csv at the default settings (t 1, 2, 4, then the 17 fit times
 # from 4 to 8), as the survival quadrature started at level 4 writes it
 LEVEL4_SURVIVAL = {
@@ -200,11 +228,22 @@ def test_density_meta_reports_quadrature(tmp_path,
     ["simulate", "--method", "z-weighted", "--t-list", "1e308"],
     ["simulate", "--method", "z-weighted", "--t-list", "1e300"],
     ["simulate", "--method", "z-weighted", "--dt", "1e-320", "--t-list", "1"],
+    # path ids past 2^63 - 1
+    ["simulate", "--method", "curves", "--n-paths", "20",
+     "--path-start", "9223372036854775807"],
+    ["simulate", "--method", "z-weighted", "--n-paths", "20",
+     "--path-start", "9223372036854775807"],
+    ["simulate", "--method", "curves", "--path-start",
+     "18446744073709551616"],
+    ["simulate", "--method", "z-weighted", "--path-start",
+     "18446744073709551616"],
 ], ids=["kappa_8", "r_quarter", "intersection_kappa_4",
         "z_weighted_time_under_half_step", "z_weighted_dt_2",
         "density_t_nan", "density_t_inf", "z_weighted_t_nan",
         "curves_dt_nan", "z_weighted_t_inf", "z_weighted_steps_overflow",
-        "z_weighted_steps_over_int64", "z_weighted_dt_subnormal"])
+        "z_weighted_steps_over_int64", "z_weighted_dt_subnormal",
+        "curves_path_ids_past_2^63", "z_weighted_path_ids_past_2^63",
+        "curves_path_start_2^64", "z_weighted_path_start_2^64"])
 def test_rejected_configuration_exits_2(argv, tmp_path, capsys):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 2
     captured = capsys.readouterr()

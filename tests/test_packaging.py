@@ -3,7 +3,8 @@ dependencies that ``pyproject.toml`` declares, so it installs and runs
 offline with exactly those; the tests add only the ``test`` extra and
 their own helper modules.  Guarded imports count too, and a run of every
 command loads no scipy module, which only the tests use.  Every C source
-the package compiles on first use ships with it as package data."""
+the package compiles on first use ships with it as package data.  Only
+``_rng`` derives streams, so that every draw is in its map."""
 import ast
 import fnmatch
 import json
@@ -74,6 +75,26 @@ def test_c_sources_are_package_data():
     missing = [name for name in sources
                if not any(fnmatch.fnmatch(name, pat) for pat in declared)]
     assert not missing
+
+
+STREAM_DERIVATIONS = {"derive_stream", "derive_stream_array"}
+
+
+def test_only_rng_derives_streams():
+    # a module that needs new draws asks _rng for them (hit_streams,
+    # z_streams or a new helper listed in the map of draws)
+    found = []
+    for path in sorted((ROOT / "src" / "twocurve").glob("*.py")):
+        if path.name == "_rng.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in STREAM_DERIVATIONS:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert not found
 
 
 # In a fresh interpreter: import the CLI, then run one command after the
