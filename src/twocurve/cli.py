@@ -200,6 +200,11 @@ def validate_config(cfg: RunConfig, command: str) -> None:
         raise ConfigError(f"kappa must lie in (0, 8), got {cfg.kappa}")
     if cfg.path_start < 0:
         raise ConfigError("path_start must be >= 0")
+    # streams read the seed as one 64-bit word: a seed outside [0, 2^64)
+    # would alias the seed it wraps to
+    if cfg.master_seed is not None and not 0 <= cfg.master_seed < 2 ** 64:
+        raise ConfigError(f"master_seed must lie in [0, 2^64), got "
+                          f"{cfg.master_seed}")
     unknown = set(cfg.tolerances) - set(checks_mod.TOLERANCES)
     if unknown:
         raise ConfigError(f"unknown tolerances: {sorted(unknown)} (known: "
@@ -514,8 +519,8 @@ def cmd_simulate(cfg: RunConfig, out=sys.stdout) -> int:
              "absorbed": rec.config["absorbed"]} for rec in records]
     else:
         # where each radius's paths went (trivial radii have no counters),
-        # with the stop statuses of its second curves, and where each
-        # run's first curves stopped
+        # its backward-flow rows and steps, the stop statuses of its second
+        # curves, and where each run's first curves stopped
         hit_records = [rec for rec in records if "certified" in rec.config]
         meta["counters"] = [
             {"r": rec.r_or_t, "dt": rec.dt,

@@ -41,7 +41,8 @@ backward-flow distance probes only where no certificate applies:
   composed driver sequence (the first curve's stored prefix, the second
   curve's entry driver and its stored snapshots), and every probe is a
   prefix of it, so all paths of a radius are probed in one pass (a
-  coarse round and a refinement round).  The intersection estimator
+  coarse round and a refinement round that skips the paths the coarse
+  round already decided as hits).  The intersection estimator
   probes every second-stage path, certificate hits included, and pulls
   back the first-curve polylines of all hit paths in one call.  Probe
   starts are nudged slightly inside the unit circle: exact boundary
@@ -225,7 +226,8 @@ _SAMPLER = dict(bmax=262144, stride=10, cap_b=3.0, swallow_margin=1.5,
 _COARSE_FRACTIONS = (0.08, 0.2, 0.35, 0.5, 0.65, 0.8, 0.92, 1.0)
 # Per-radius counters of a two-stage run (the last two: intersection only)
 HIT_COUNTERS = ("certified", "hit_swallow", "hit_alive", "hit_probe", "band",
-                "excluded", "two_curve_hits", "meet")
+                "excluded", "probe_rows", "flow_steps", "two_curve_hits",
+                "meet")
 # stop statuses of the adaptive kernel, 0-4 (its dispatcher docstring)
 _N_STATUS = 5
 
@@ -234,7 +236,7 @@ _PULLBACK_ROWS = 4096
 
 
 def _batched_pullback(seq: np.ndarray, paths, lens, du: float,
-                      eps_in: float) -> np.ndarray:
+                      eps_in: float, tally: dict) -> np.ndarray:
     """Pull probes back through the composed driver matrix ``seq``.
 
     Probe j of path ``paths[j]`` after ``lens[j]`` values is driven by
@@ -244,10 +246,14 @@ def _batched_pullback(seq: np.ndarray, paths, lens, du: float,
     ``_PULLBACK_ROWS`` rows, each read out of ``seq`` as one matrix as wide as
     its longest member; the flow never reads a row past its length, so the
     rest of the row is left as read, and every flow row is independent of
-    its batch.  Returns the complex physical points.
+    its batch.  Adds the rows and their flow steps (the sum of the lengths)
+    to ``tally["probe_rows"]`` and ``tally["flow_steps"]``.  Returns the
+    complex physical points.
     """
     paths = np.asarray(paths, dtype=np.int64)
     lens = np.asarray(lens, dtype=np.int64)
+    tally["probe_rows"] += int(lens.size)
+    tally["flow_steps"] += int(lens.sum())
     y0 = (1.0 - eps_in) * np.exp(1j * seq[paths, lens])
     out = np.empty(lens.size, dtype=complex)
     order = np.argsort(lens, kind="stable")
@@ -261,8 +267,15 @@ def _batched_pullback(seq: np.ndarray, paths, lens, du: float,
     return out
 
 
+def _in_band(d, radius: float):
+    """Whether probed distances ``d`` lie within the probe resolution of
+    ``radius``: the decision-sensitive band that the stderr charges."""
+    return np.abs(d - radius) <= _SAMPLER["probe_rel_err"] * radius
+
+
 def _probe_paths(seq: np.ndarray, counts: np.ndarray, probed, offset: int,
-                 radius: float, du: float, eps_in: float):
+                 radius: float, du: float, eps_in: float,
+                 refine_decided: bool, tally: dict):
     """Minimum probed distance from the origin to each second-stage curve.
 
     Row q of ``seq`` is path q's composed driver sequence; its second
@@ -270,9 +283,16 @@ def _probe_paths(seq: np.ndarray, counts: np.ndarray, probed, offset: int,
     ``offset + c``.  Each path in ``probed`` (ints) is probed at eight coarse
     fractions of its lifetime and, when the coarse minimum falls below
     3 * radius, on a refined window around the argmin, all paths in one
-    pass.  Returns (dmin, points): dmin per row of ``seq`` (inf where not
+    pass.  Unless ``refine_decided``, a path whose coarse minimum d is
+    already a hit outside the band (d <= radius and not ``_in_band``)
+    takes no refined window: refining only lowers d, and float
+    subtraction is monotone, so radius - d' >= radius - d stays above the
+    band and the path's hit and band classes cannot change.  The
+    intersection rule sets ``refine_decided``: it reads the refined points.
+    Returns (dmin, points): dmin per row of ``seq`` (inf where not
     probed) and, per path, the complex probe points with modulus
-    <= 2 * radius (for intersection detection).
+    <= 2 * radius (for intersection detection).  Rows and flow steps are
+    added to ``tally`` (:func:`_batched_pullback`).
     """
     dmin = np.full(seq.shape[0], np.inf)
     points: dict[int, list] = {}
@@ -281,7 +301,7 @@ def _probe_paths(seq: np.ndarray, counts: np.ndarray, probed, offset: int,
         """Probe the (path, c) rows; returns their distances."""
         pid = np.array([q for q, _ in rows], dtype=np.int64)
         vals = _batched_pullback(seq, pid, [offset + c for _, c in rows],
-                                 du, eps_in)
+                                 du, eps_in, tally)
         dist = np.abs(vals)
         dist = np.where(np.isnan(dist), np.inf, dist)
         np.minimum.at(dmin, pid, dist)
@@ -300,10 +320,13 @@ def _probe_paths(seq: np.ndarray, counts: np.ndarray, probed, offset: int,
         if d <= dmin[q]:
             best_c[q] = c
 
+    refine = dmin <= 3.0 * radius
+    if not refine_decided:
+        refine &= (dmin > radius) | _in_band(dmin, radius)
     rows = []
     for q in probed:
         m = int(counts[q])
-        if dmin[q] > 3.0 * radius or m == 0:
+        if not refine[q] or m == 0:
             continue
         half = max(1, m // 6)
         center = best_c.get(q, m)
@@ -325,13 +348,21 @@ def _two_stage_run(ctx: KappaContext, cfg: BoundaryConfig, r_list,
     and their total, the decision-sensitive probe band, excluded
     unresolved paths (first curves that stopped with status 2 or 4 short
     of the radius's snapshot, second curves that did so and no probe
-    decided as hits), and, with ``collect_meet``, intersection-rule hits
+    decided as hits), the backward-flow rows of the radius and their
+    flow steps, and, with ``collect_meet``, intersection-rule hits
     (second curve probed within 0.15 r of the first curve's deep
     polyline, meeting point within r).  Every probe of both rules is a
     (path, length) row of one composed driver matrix per radius, ``seq``:
     w1, the first curve's snapshots 0..ti, the second curve's entry
     driver, then its snapshots.  Each radius also gets ``status_b``, the
     kernel stop-status histogram (statuses 0-4) of its second curves.
+
+    Without ``collect_meet`` a path whose coarse probes already put it
+    inside r and outside the band takes no refined probes: refining can
+    only lower its minimum d, and radius - d only grows, so its
+    ``probe_hit``, ``band`` and ``excluded`` classes are those the refined
+    minimum gives (:func:`_probe_paths`).  The meet rule reads the refined
+    points and refines every path.
 
     Returns (agg, thr_m, status_a): the counters per radius, the macro
     step of each radius's snapshot, and the stop-status histogram of
@@ -404,28 +435,29 @@ def _two_stage_run(ctx: KappaContext, cfg: BoundaryConfig, r_list,
             # the meet rule also needs the certificate hits' probe points
             dmin, pts = _probe_paths(
                 seq, reached_b.sum(axis=1), range(nb) if collect_meet
-                else need.tolist(), ti + 2, r, du_probe, eps_in)
+                else need.tolist(), ti + 2, r, du_probe, eps_in,
+                collect_meet, agg[r])
             probe_hit = ~certain & (dmin <= r)
             hits = certain | probe_hit
             agg[r]["two_curve_hits"] += int(hits.sum())
             agg[r]["hit_swallow"] += int(swallow_hit.sum())
             agg[r]["hit_alive"] += int(alive_hit.sum())
             agg[r]["hit_probe"] += int(probe_hit.sum())
-            agg[r]["band"] += int(np.count_nonzero(
-                np.abs(dmin[need] - r) <= _SAMPLER["probe_rel_err"] * r))
+            agg[r]["band"] += int(np.count_nonzero(_in_band(dmin[need], r)))
             # a stage-B stop (status 2 or 4) a probe already decided as a
             # hit is resolved, not excluded
             agg[r]["excluded"] += int(np.count_nonzero(
                 ((status_b == 2) | (status_b == 4)) & ~probe_hit))
             if collect_meet:
                 agg[r]["meet"] += _count_meets(seq, hits, pts, r, ti,
-                                               du_probe, eps_in)
+                                               du_probe, eps_in, agg[r])
     return agg, thr_m, status_hist_a.tolist()
 
 
-def _count_meets(seq, hits, pts, r, ti, du, eps_in) -> int:
+def _count_meets(seq, hits, pts, r, ti, du, eps_in, tally) -> int:
     """Count hit paths whose second curve passes within 0.15 r of the
-    first curve's deep polyline with the meeting point within r."""
+    first curve's deep polyline with the meeting point within r; the
+    polyline's rows and flow steps are added to ``tally``."""
     qs = [int(q) for q in np.where(hits)[0] if q in pts]
     # first-curve deep polyline: its tip after 40 prefix lengths spanning
     # the last octaves of the dive (every prefix has length ti + 2), pulled
@@ -433,7 +465,7 @@ def _count_meets(seq, hits, pts, r, ti, du, eps_in) -> int:
     lo = max(1, ti + 2 - int(2.3 / du))
     idx = np.unique(np.linspace(lo, ti + 1, 40).astype(int))
     ya = _batched_pullback(seq, np.repeat(qs, idx.size),
-                           np.tile(idx, len(qs)), du, eps_in)
+                           np.tile(idx, len(qs)), du, eps_in, tally)
     meet = 0
     for q, yq in zip(qs, ya.reshape(len(qs), idx.size)):
         pb = np.asarray(pts[q])

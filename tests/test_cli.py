@@ -237,13 +237,19 @@ def test_density_meta_reports_quadrature(tmp_path,
      "18446744073709551616"],
     ["simulate", "--method", "z-weighted", "--path-start",
      "18446744073709551616"],
+    # master seeds that a 64-bit word would wrap to seed 1
+    ["simulate", "--method", "curves", "--n-paths", "40", "--r-list", "0.2",
+     "--master-seed", "18446744073709551617"],
+    ["simulate", "--method", "curves", "--n-paths", "40", "--r-list", "0.2",
+     "--master-seed", "-18446744073709551615"],
 ], ids=["kappa_8", "r_quarter", "intersection_kappa_4",
         "z_weighted_time_under_half_step", "z_weighted_dt_2",
         "density_t_nan", "density_t_inf", "z_weighted_t_nan",
         "curves_dt_nan", "z_weighted_t_inf", "z_weighted_steps_overflow",
         "z_weighted_steps_over_int64", "z_weighted_dt_subnormal",
         "curves_path_ids_past_2^63", "z_weighted_path_ids_past_2^63",
-        "curves_path_start_2^64", "z_weighted_path_start_2^64"])
+        "curves_path_start_2^64", "z_weighted_path_start_2^64",
+        "master_seed_2^64_plus_1", "master_seed_1_minus_2^64"])
 def test_rejected_configuration_exits_2(argv, tmp_path, capsys):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 2
     captured = capsys.readouterr()
@@ -492,7 +498,8 @@ def test_density_meta_reports_series_truncation(tmp_path):
 
 def test_simulate_path_ranges_add_up(tmp_path):
     # two runs over adjacent --path-start ranges hit exactly the paths that
-    # one run over both ranges hits, radius by radius
+    # one run over both ranges hits, radius by radius, with the same probe
+    # rows and flow steps
     def hits(start, n_paths):
         out_dir = tmp_path / f"{start}_{n_paths}"
         assert main(["simulate", "--method", "curves", "--kappa", "6",
@@ -503,13 +510,18 @@ def test_simulate_path_ranges_add_up(tmp_path):
         counts = {row["r_or_t"]: row["estimate"] * row["n_paths"]
                   for row in rows}
         assert all(abs(c - round(c)) < 1e-9 for c in counts.values())
-        return {r: round(c) for r, c in counts.items()}
+        with open(out_dir / "estimates_meta.json", encoding="utf-8") as fh:
+            cost = {c["r"]: (c["probe_rows"], c["flow_steps"])
+                    for c in json.load(fh)["counters"]}
+        return {r: (round(c), *cost[r]) for r, c in counts.items()}
 
     whole = hits(0, 200)
     first, second = hits(0, 100), hits(100, 100)
     assert sorted(whole) == [0.05, 0.1, 0.2]
-    assert {r: first[r] + second[r] for r in whole} == whole
-    assert whole[0.2] > 0
+    assert {r: tuple(a + b for a, b in zip(first[r], second[r]))
+            for r in whole} == whole
+    assert whole[0.2][0] > 0
+    assert all(steps > rows > 0 for _, rows, steps in whole.values())
 
 
 def test_report_without_artifacts_exits_2(tmp_path, capsys):

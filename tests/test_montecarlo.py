@@ -134,6 +134,37 @@ SAMPLER_CONSTANTS = ("eps_kill", "eps_ret", "kres", "bmax", "stride", "cap_b",
                   "swallow_margin", "eps_in", "probe_rel_err", "chunk_paths")
 
 
+def record_pullbacks(monkeypatch) -> list:
+    """(paths, distances) of every ``_batched_pullback`` call, in order;
+    a nan point (a probe the flow lost) counts as infinitely far."""
+    pulls = []
+    pullback = mc._batched_pullback
+
+    def recorded(seq, paths, lens, du, eps_in, tally):
+        out = pullback(seq, paths, lens, du, eps_in, tally)
+        dist = np.abs(out)
+        pulls.append((np.asarray(paths, dtype=np.int64).tolist(),
+                      np.where(np.isnan(dist), np.inf, dist).tolist()))
+        return out
+
+    monkeypatch.setattr(mc, "_batched_pullback", recorded)
+    return pulls
+
+
+def coarse_minima_below_3r(coarse, r) -> tuple[set, set]:
+    """Paths of a coarse round with snapshots (more than one distinct
+    coarse row) and minimum at most 3r; and those of them whose minimum
+    is not a hit outside the probe band."""
+    dmin, rows = {}, {}
+    for q, d in zip(*coarse):
+        dmin[q] = min(dmin.get(q, math.inf), d)
+        rows[q] = rows.get(q, 0) + 1
+    below = {q for q, d in dmin.items() if d <= 3.0 * r and rows[q] > 1}
+    rel = mc._SAMPLER["probe_rel_err"]
+    return below, {q for q in below
+                   if dmin[q] > r or abs(dmin[q] - r) <= rel * r}
+
+
 @pytest.fixture
 def fast_sampler(monkeypatch):
     """The sampler at a substep budget of 32768 units per macro step
@@ -166,8 +197,10 @@ class TestTwoCurveHit:
                                        n_paths=600, path_start=600, **kw)[0]
         hits = lambda rec: round(rec.estimate * rec.n_paths)
         assert hits(lo) + hits(hi) == hits(full)
-        assert (lo.config["certified"] + hi.config["certified"]
-                == full.config["certified"])
+        # a path's probe rows and flow steps depend on that path alone
+        for key in ("certified", "probe_rows", "flow_steps"):
+            assert lo.config[key] + hi.config[key] == full.config[key]
+        assert full.config["flow_steps"] > full.config["probe_rows"] > 0
 
     def test_record_contract(self, fast_sampler):
         recs = mc.estimate_two_curve_hit(CTX6, SYM_CFG, [0.2, 0.1, 1.5],
@@ -217,9 +250,66 @@ class TestTwoCurveHit:
         flow = _kernels.backward_flow
         monkeypatch.setattr(_kernels, "backward_flow",
                             lambda *args: calls.append(flow(*args)))
+        pulls = record_pullbacks(monkeypatch)
         mc.estimate_two_curve_hit(CTX6, SYM_CFG, [0.05, 0.1, 0.2],
                                   n_paths=100, dt=1e-3, seed=1)
         assert len(calls) == 2 * 3
+        # the refined round probes exactly the paths with snapshots whose
+        # coarse minimum is below 3r and not yet a hit outside the band
+        assert len(pulls) == 2 * 3
+        skipped = 0
+        for r, coarse, refine in zip((0.05, 0.1, 0.2), pulls[::2],
+                                     pulls[1::2]):
+            below, open_paths = coarse_minima_below_3r(coarse, r)
+            assert set(refine[0]) == open_paths
+            skipped += len(below - open_paths)
+        assert skipped > 0
+        # the intersection rule refines every such path: it reads the
+        # refined points
+        pulls.clear()
+        mc.estimate_intersection_hit(CTX6, SYM_CFG, [0.05, 0.1, 0.2],
+                                     n_paths=100, dt=1e-3, seed=1)
+        assert len(pulls) == 3 * 3
+        for r, coarse, refine in zip((0.05, 0.1, 0.2), pulls[::3],
+                                     pulls[1::3]):
+            below, open_paths = coarse_minima_below_3r(coarse, r)
+            assert set(refine[0]) == below
+            assert below > open_paths
+
+    @pytest.mark.parametrize("kappa, n_paths", [(3.0, 1000), (6.0, 200),
+                                                (7.5, 200)])
+    def test_skipped_refinement_changes_no_class(self, monkeypatch, kappa,
+                                                 n_paths):
+        # the paths the coarse round decides are refined anyway, through
+        # _batched_pullback, by the intersection rule's pass: every path
+        # keeps its hit and band class, and every other path its minimum
+        pulls = record_pullbacks(monkeypatch)
+        probe = mc._probe_paths
+        rel = mc._SAMPLER["probe_rel_err"]
+        skipped = []
+
+        def both(seq, counts, probed, offset, radius, du, eps_in,
+                 refine_decided, tally):
+            assert not refine_decided
+            dmin, pts = probe(seq, counts, probed, offset, radius, du,
+                              eps_in, False, tally)
+            refined = set(pulls[-1][0])
+            full, _ = probe(seq, counts, probed, offset, radius, du, eps_in,
+                            True, {"probe_rows": 0, "flow_steps": 0})
+            passed = set(pulls[-1][0]) - refined
+            skipped.extend(passed)
+            for q in probed:
+                d, f = dmin[q], full[q]
+                assert (f <= radius, abs(f - radius) <= rel * radius) == (
+                    d <= radius, abs(d - radius) <= rel * radius)
+                assert f <= d if q in passed else f == d
+            return dmin, pts
+
+        monkeypatch.setattr(mc, "_probe_paths", both)
+        mc.estimate_two_curve_hit(KappaContext(kappa), SYM_CFG,
+                                  [0.05, 0.1, 0.2], n_paths=n_paths,
+                                  dt=1e-3, seed=1)
+        assert len(skipped) >= 20
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
