@@ -10,10 +10,10 @@ measured residual against its pinned tolerance, so an installation (or a
 code change) can be validated end to end with one call.
 
 Each check returns a :class:`CheckResult` judged against its entry in
-``TOLERANCES``, the one table of pinned tolerances, keyed by check name.
-:func:`run_all_checks` collects the full battery, its semigroup checks
-at ``SPECTRAL_KAPPA``, judges a result again where its name has an
-override, and records each check's wall seconds on its result.  The
+``TOLERANCES``, the one table of pinned tolerances, keyed by check name
+(no run overrides them).  :func:`run_all_checks` collects the full
+battery, its semigroup checks at ``SPECTRAL_KAPPA``, and records each
+check's wall seconds on its result.  The
 martingale and eigenfunction checks run as array passes: the drift
 residuals of all sampled states in one pass per curve and mode
 (``ensemble.drift_residuals``), and each mode's generator stencil in one
@@ -76,12 +76,10 @@ class CheckResult:
     seconds: float | None = field(default=None, compare=False)
 
     @staticmethod
-    def from_residual(name: str, kappa: float, residual: float,
-                      tolerance: float | None = None) -> "CheckResult":
-        """Pass when the residual is finite and below the tolerance,
-        by default ``TOLERANCES[name]``."""
-        if tolerance is None:
-            tolerance = TOLERANCES[name]
+    def from_residual(name: str, kappa: float,
+                      residual: float) -> "CheckResult":
+        """Pass when the residual is finite and below ``TOLERANCES[name]``."""
+        tolerance = TOLERANCES[name]
         residual = float(residual)
         ok = bool(np.isfinite(residual) and residual < tolerance)
         return CheckResult(name, float(kappa), float(tolerance),
@@ -245,26 +243,21 @@ def check_drift_residual(ctx: KappaContext,
 # ---------------------------------------------------------------------------
 
 def run_all_checks(kappas=DEFAULT_KAPPAS, n_drift_states: int = 200,
-                   inject_alpha0_error: float = 0.0,
-                   tolerances: dict | None = None) -> list:
+                   inject_alpha0_error: float = 0.0) -> list:
     """Run the full verification battery.
 
     Per-kappa checks (ODE residual, boundary value, orthonormality,
     drift residual) run for every kappa in ``kappas``; the
     quadrature-heavy semigroup checks run once at ``SPECTRAL_KAPPA`` and
-    share one ``n_max = 60`` spectral basis.
-    ``tolerances`` overrides entries of ``TOLERANCES`` by check name.
-    Each result carries the wall seconds of its check in ``seconds``.
+    share one ``n_max = 60`` spectral basis.  Every result is judged
+    against its pinned tolerance in ``TOLERANCES`` and carries the wall
+    seconds of its check in ``seconds``.
     """
-    tol = dict(tolerances or {})
     results = []
 
     def run(check, *args, **kwargs):
         t0 = time.perf_counter()
         r = check(*args, **kwargs)
-        if r.name in tol:
-            r = CheckResult.from_residual(r.name, r.kappa, r.residual,
-                                          tol[r.name])
         results.append(replace(r, seconds=time.perf_counter() - t0))
 
     contexts = {}

@@ -32,9 +32,12 @@ A run is described by a :class:`RunConfig`.  Values are resolved with
 the precedence **command-line flag > JSON config file > built-in
 default**; pass ``--config file.json`` to load a JSON document whose
 keys are the RunConfig field names.  Validation happens before any
-computation (``tolerances`` may name only keys of ``checks.TOLERANCES``);
-every output file is accompanied by (or embeds) the fully resolved
-RunConfig.
+computation; every output file is accompanied by (or embeds) the fully
+resolved RunConfig.  Check tolerances are the pinned
+``checks.TOLERANCES``, and the spectral series picks its own truncation
+level (``density.truncation``), so neither is configured.  A dt
+convergence study is two ``simulate`` runs with one master seed, at
+``dt`` and at ``dt / 2`` (what ``--dt-halving`` once ran in one).
 
 If ``master_seed`` is not supplied one is generated from the OS entropy
 pool, printed on stdout, and stored in every record and sidecar, so any
@@ -95,19 +98,16 @@ class RunConfig:
     t_list: list = field(default_factory=lambda: [1.0, 2.0, 4.0])
     n_paths: int = 1000
     dt: float = 1e-3
-    n_max: int = 60
     method: str = "z-weighted"
     master_seed: int | None = None
     out_dir: str = "."
     path_start: int = 0
-    dt_halving: bool = False
     grid_n: int = 24
     fit_window: list = field(default_factory=lambda: [4.0, 8.0])
     kappas: list = field(default_factory=lambda: list(
         checks_mod.DEFAULT_KAPPAS))
     n_drift_states: int = 200
     inject_alpha0_error: float = 0.0
-    tolerances: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -175,21 +175,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     for name, value in data.items():
         if name in ("z0", "cfg", "r_list", "t_list", "fit_window", "kappas"):
             value = _coerce_list(name, value)
-        elif name in ("n_paths", "n_max", "path_start", "grid_n",
-                      "n_drift_states"):
+        elif name in ("n_paths", "path_start", "grid_n", "n_drift_states"):
             value = _integer(name, value)
         elif name in ("kappa", "dt", "inject_alpha0_error"):
             value = _finite(name, value)
         elif name == "master_seed" and value is not None:
             value = _integer(name, value)
-        elif name == "dt_halving" and not isinstance(value, bool):
-            raise ConfigError(f"dt_halving must be true or false, got "
-                              f"{value!r}")
-        elif name == "tolerances":
-            if not isinstance(value, dict):
-                raise ConfigError("tolerances must be a mapping")
-            value = {str(k): _finite(f"tolerance {k}", v)
-                     for k, v in value.items()}
         setattr(cfg, name, value)
     return cfg
 
@@ -205,10 +196,6 @@ def validate_config(cfg: RunConfig, command: str) -> None:
     if cfg.master_seed is not None and not 0 <= cfg.master_seed < 2 ** 64:
         raise ConfigError(f"master_seed must lie in [0, 2^64), got "
                           f"{cfg.master_seed}")
-    unknown = set(cfg.tolerances) - set(checks_mod.TOLERANCES)
-    if unknown:
-        raise ConfigError(f"unknown tolerances: {sorted(unknown)} (known: "
-                          f"{sorted(checks_mod.TOLERANCES)})")
     if command == "check":
         for k in cfg.kappas:
             if not (0.0 < k < 8.0):
@@ -228,8 +215,6 @@ def validate_config(cfg: RunConfig, command: str) -> None:
             raise ConfigError("t_list entries must be positive")
         if cfg.grid_n < 2:
             raise ConfigError("grid_n must be >= 2")
-        if cfg.n_max < 1:
-            raise ConfigError("n_max must be >= 1")
         if len(cfg.fit_window) != 2 \
                 or not 0.0 <= cfg.fit_window[0] < cfg.fit_window[1]:
             raise ConfigError("fit_window must be [t_lo, t_hi] with "
@@ -251,7 +236,7 @@ def validate_config(cfg: RunConfig, command: str) -> None:
                 raise ConfigError(f"z0 must lie in (0, pi)^2, got {cfg.z0}")
             if not cfg.t_list or any(t < 0.0 for t in cfg.t_list):
                 raise ConfigError("t_list must be nonempty and nonnegative")
-            # record steps are int64, also at dt / 2 under dt_halving
+            # record steps are int64
             if any(not t / cfg.dt < 2.0 ** 62 for t in cfg.t_list):
                 raise ConfigError(f"t_list entries must be fewer than 2^62 "
                                   f"steps (dt = {cfg.dt})")
@@ -318,8 +303,7 @@ def cmd_check(cfg: RunConfig, out=sys.stdout) -> int:
     t0 = time.perf_counter()
     results = checks_mod.run_all_checks(
         kappas=cfg.kappas, n_drift_states=cfg.n_drift_states,
-        inject_alpha0_error=cfg.inject_alpha0_error,
-        tolerances=cfg.tolerances)
+        inject_alpha0_error=cfg.inject_alpha0_error)
     total_s = time.perf_counter() - t0
     for r in results:
         out.write(f"{'PASS' if r.passed else 'FAIL'}  {r.name:24s} "
@@ -348,7 +332,7 @@ def cmd_check(cfg: RunConfig, out=sys.stdout) -> int:
 
 def cmd_density(cfg: RunConfig, out=sys.stdout) -> int:
     ctx = KappaContext(cfg.kappa)
-    basis = dens.SpectralBasis(ctx, cfg.n_max)
+    basis = dens.SpectralBasis(ctx)
     z0 = (cfg.z0[0], cfg.z0[1])
     os.makedirs(cfg.out_dir, exist_ok=True)
 
@@ -435,19 +419,18 @@ def cmd_density(cfg: RunConfig, out=sys.stdout) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _run_estimator(cfg: RunConfig, ctx: KappaContext, seed: int,
-                   dt: float) -> list:
+def _run_estimator(cfg: RunConfig, ctx: KappaContext, seed: int) -> list:
     if cfg.method == "z-weighted":
         return mc.estimate_survival_weighted(
-            ctx, ZState(*cfg.z0), cfg.t_list, cfg.n_paths, dt, seed,
+            ctx, ZState(*cfg.z0), cfg.t_list, cfg.n_paths, cfg.dt, seed,
             path_start=cfg.path_start)
     bc = BoundaryConfig(*cfg.cfg)
     if cfg.method == "curves":
         return mc.estimate_two_curve_hit(
-            ctx, bc, cfg.r_list, cfg.n_paths, dt, seed,
+            ctx, bc, cfg.r_list, cfg.n_paths, cfg.dt, seed,
             path_start=cfg.path_start)
     return mc.estimate_intersection_hit(
-        ctx, bc, cfg.r_list, cfg.n_paths, dt, seed,
+        ctx, bc, cfg.r_list, cfg.n_paths, cfg.dt, seed,
         path_start=cfg.path_start)
 
 
@@ -458,9 +441,14 @@ def write_records_csv(path: str, records) -> None:
 
 def read_records_csv(path: str) -> list:
     """Read an estimate CSV in the layout of :func:`write_records_csv`;
-    ConfigError for other columns or a row whose values do not parse."""
+    ConfigError for a file that is not UTF-8, other columns or a row whose
+    values do not parse."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+        reader = csv.DictReader(lines)
         names = tuple(reader.fieldnames or ())
         if names != ("schema_version",) + mc.CSV_COLUMNS:
             raise ConfigError(f"unrecognized estimate CSV columns: {names}")
@@ -494,10 +482,7 @@ def cmd_simulate(cfg: RunConfig, out=sys.stdout) -> int:
         out.write(f"master_seed = {seed} (generated)\n")
     else:
         out.write(f"master_seed = {seed}\n")
-    dts = [cfg.dt] if not cfg.dt_halving else [cfg.dt, cfg.dt / 2.0]
-    records = []
-    for dt in dts:
-        records.extend(_run_estimator(cfg, ctx, seed, dt))
+    records = _run_estimator(cfg, ctx, seed)
     os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "estimates.csv")
     write_records_csv(csv_path, records)
@@ -505,7 +490,6 @@ def cmd_simulate(cfg: RunConfig, out=sys.stdout) -> int:
         "schema_version": SCHEMA_VERSION,
         "config": cfg.to_dict(),
         "n_records": len(records),
-        "dt_values": dts,
         "files": ["estimates.csv"],
         "versions": _versions(),
     }
@@ -515,21 +499,18 @@ def cmd_simulate(cfg: RunConfig, out=sys.stdout) -> int:
     if cfg.method == "z-weighted":
         # where each record time's paths went
         meta["counters"] = [
-            {"t": rec.r_or_t, "dt": rec.dt,
-             "absorbed": rec.config["absorbed"]} for rec in records]
+            {"t": rec.r_or_t, "absorbed": rec.config["absorbed"]}
+            for rec in records]
     else:
-        # where each radius's paths went (trivial radii have no counters),
-        # its backward-flow rows and steps, the stop statuses of its second
-        # curves, and where each run's first curves stopped
-        hit_records = [rec for rec in records if "certified" in rec.config]
+        # where each radius's paths went, its backward-flow rows and
+        # steps, the stop statuses of its second curves, and where the
+        # run's first curves stopped
         meta["counters"] = [
-            {"r": rec.r_or_t, "dt": rec.dt,
+            {"r": rec.r_or_t,
              **{k: rec.config[k] for k in (*mc.HIT_COUNTERS, "status_b")
                 if k in rec.config}}
-            for rec in hit_records]
-        meta["status_a"] = [
-            {"dt": dt, "counts": counts} for dt, counts in
-            {rec.dt: rec.config["status_a"] for rec in hit_records}.items()]
+            for rec in records]
+        meta["status_a"] = records[0].config["status_a"]
     _write_json(os.path.join(cfg.out_dir, "estimates_meta.json"), meta)
     for rec in records:
         out.write(f"{rec.method} r_or_t={rec.r_or_t:g} dt={rec.dt:g} "
@@ -728,8 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--z0", help="start point, two numbers in (0, pi)")
     p.add_argument("--t-list", dest="t_list", help="comma-separated times")
-    p.add_argument("--n-max", dest="n_max", type=int,
-                   help="spectral truncation level")
     p.add_argument("--grid-n", dest="grid_n", type=int,
                    help="grid points per axis")
 
@@ -745,9 +724,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float)
     p.add_argument("--path-start", dest="path_start", type=int,
                    help="first path index (resumable ranges)")
-    p.add_argument("--dt-halving", dest="dt_halving", action="store_const",
-                   const=True, help="also run at dt/2 for convergence "
-                   "assessment")
 
     p = sub.add_parser("fit", help="fit power laws to estimate records")
     _add_common(p)
@@ -767,29 +743,20 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.command == "check":
-            return cmd_check(cfg)
-        if args.command == "density":
-            return cmd_density(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "fit":
+        if args.command in ("fit", "report"):
+            # an input file that is missing, unreadable or malformed
             try:
-                return cmd_fit(cfg, args.input)
+                return (cmd_fit(cfg, args.input) if args.command == "fit"
+                        else cmd_report(cfg))
             except (ConfigError, OSError) as exc:
                 print(f"input error: {exc}", file=sys.stderr)
                 return 2
-        if args.command == "report":
-            try:
-                return cmd_report(cfg)
-            except ConfigError as exc:
-                print(f"input error: {exc}", file=sys.stderr)
-                return 2
-    except Exception as exc:  # pragma: no cover - defensive
+        return {"check": cmd_check, "density": cmd_density,
+                "simulate": cmd_simulate}[args.command](cfg)
+    except Exception as exc:
         print(f"runtime error: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 3
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -514,35 +514,25 @@ def _hit_records(ctx, method, agg, thr_m, status_a, n_paths, dt, seed,
     return records
 
 
-def _validate_radii(r_list):
-    rs, trivial = [], []
-    for r in r_list:
-        r = float(r)
-        if r >= 1.0:
-            trivial.append(r)
-        elif 0.0 < r < 0.25:
-            rs.append(r)
-        else:
-            raise ValueError(
-                f"radius {r} unsupported: the estimator needs r < 1/4 "
-                "(quarter-theorem certificates) or r >= 1 (trivial)")
-    return rs, trivial
-
-
 def _two_stage_setup(cfg: BoundaryConfig, r_list, n_paths: int, dt: float,
                      path_start: int):
-    """Validated inputs of a two-stage estimate: (radii below 1/4, trivial
-    radii, base record config)."""
+    """Validated inputs of a two-stage estimate: (radii, base record
+    config).  The radii must be a nonempty list in (0, 1/4): the
+    quarter-theorem certificates need the first curve's trace at distance
+    >= r/4."""
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     if dt <= 0.0 or dt > 5e-3:
         raise ValueError(f"dt must lie in (0, 5e-3], got {dt}")
-    rs, trivial = _validate_radii(r_list)
+    rs = [float(r) for r in r_list]
+    if not rs or not all(0.0 < r < 0.25 for r in rs):
+        raise ValueError(f"radii must be a nonempty list in (0, 1/4), "
+                         f"got {rs}")
     # "hsle_kernel" names the library that ran both the adaptive kernel
     # and the backward flow: "c" or "python" (numpy)
     base_config = {
         "cfg": [cfg.w1, cfg.v1, cfg.w2, cfg.v2],
-        "r_list": [float(r) for r in r_list],
+        "r_list": rs,
         "path_start": int(path_start),
         "hsle_kernel": _kernels.hsle_kernel(),
         "eps_kill": _kernels.EPS_KILL,
@@ -550,7 +540,7 @@ def _two_stage_setup(cfg: BoundaryConfig, r_list, n_paths: int, dt: float,
         "kres": _kernels.KRES,
         **{k: v for k, v in _SAMPLER.items() if k != "chunk_paths"},
     }
-    return rs, trivial, base_config
+    return rs, base_config
 
 
 def estimate_two_curve_hit(ctx: KappaContext, cfg: BoundaryConfig, r_list,
@@ -564,32 +554,21 @@ def estimate_two_curve_hit(ctx: KappaContext, cfg: BoundaryConfig, r_list,
     grown under its conditional law given that segment and its hit is
     decided by the disconnection certificate, the capacity-horizon
     certificate, or backward-flow distance probes (module docstring).
-    One binomial record per radius; the probe-band and excluded-path
-    masses are folded into the standard error.
+    One binomial record per radius, in increasing order; the probe-band
+    and excluded-path masses are folded into the standard error.
 
-    Radii must lie in (0, 1/4) -- the quarter-theorem certificates need
-    the first curve's trace at distance >= r/4 -- or be >= 1, where the
-    probability is trivially 1 (both curves start on the unit circle).
+    ``r_list`` must be a nonempty list of radii in (0, 1/4), the range of
+    the quarter-theorem certificates; ValueError otherwise, before any
+    simulation.
 
     ``path_start`` offsets the path ids (the map of draws in
     :mod:`._rng`), letting disjoint ranges merge exactly.
     """
-    rs, trivial, base_config = _two_stage_setup(cfg, r_list, n_paths, dt,
-                                                path_start)
-    records = []
-    if rs:
-        agg, thr_m, status_a = _two_stage_run(
-            ctx, cfg, rs, n_paths, dt, seed, path_start, collect_meet=False)
-        records = _hit_records(ctx, "two_curve_hit", agg, thr_m, status_a,
-                               n_paths, dt, seed, base_config)
-    for r in trivial:
-        records.append(EstimateRecord(
-            kappa=ctx.kappa, method="two_curve_hit", r_or_t=float(r),
-            estimate=1.0, stderr=3.0 / n_paths, ess=float(n_paths),
-            n_paths=int(n_paths), dt=float(dt), seed=int(seed),
-            config=base_config, flags=("trivial_radius",)))
-    records.sort(key=lambda rec: rec.r_or_t)
-    return records
+    rs, base_config = _two_stage_setup(cfg, r_list, n_paths, dt, path_start)
+    agg, thr_m, status_a = _two_stage_run(
+        ctx, cfg, rs, n_paths, dt, seed, path_start, collect_meet=False)
+    return _hit_records(ctx, "two_curve_hit", agg, thr_m, status_a,
+                        n_paths, dt, seed, base_config)
 
 
 def estimate_intersection_hit(ctx: KappaContext, cfg: BoundaryConfig,
@@ -614,10 +593,7 @@ def estimate_intersection_hit(ctx: KappaContext, cfg: BoundaryConfig,
         raise ValueError(
             f"intersection estimator needs kappa in (4, 8); got "
             f"{ctx.kappa} (the curves do not touch for kappa <= 4)")
-    rs, trivial, base_config = _two_stage_setup(cfg, r_list, n_paths, dt,
-                                                path_start)
-    if trivial:
-        raise ValueError("intersection estimator supports r < 1/4 only")
+    rs, base_config = _two_stage_setup(cfg, r_list, n_paths, dt, path_start)
     agg, thr_m, status_a = _two_stage_run(
         ctx, cfg, rs, n_paths, dt, seed, path_start, collect_meet=True)
     return _hit_records(ctx, "intersection_hit", agg, thr_m, status_a,
@@ -783,8 +759,6 @@ def estimate_C0(ctx: KappaContext, cfg_list, r_list, n_paths: int = 20000,
         gq = G_quad(ctx, cfg)
         cw = cv = 0.0
         for rec in recs:
-            if "trivial_radius" in rec.flags:
-                continue
             scale = gq * rec.r_or_t ** a0
             c0 = rec.estimate / scale
             sig = rec.stderr / scale

@@ -1,7 +1,9 @@
 """Contract of the ``twocurve`` command line: deterministic ``density``
 output, exit code 2 for configurations rejected before any work, config
 precedence, run provenance, ``report`` and the estimate CSV format."""
+import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -202,7 +204,7 @@ def test_density_meta_reports_quadrature(tmp_path,
     got = np.array([float(row["survival"]) for row in rows])
     defaults = cli.RunConfig()
     ctx = KappaContext(6.0)
-    basis = dens.SpectralBasis(ctx, defaults.n_max)
+    basis = dens.SpectralBasis(ctx)
     n_limit = max(dens.truncation(basis, t)[0] for t in ts)
     basis._survival_cache = {
         "n_limit": n_limit, "quadrature": None,
@@ -260,11 +262,12 @@ def test_rejected_configuration_exits_2(argv, tmp_path, capsys):
 
 @pytest.mark.parametrize("command,config", [
     ("density", {"fit_window": [-1, 2]}),
+    # keys the configuration no longer has (tolerances, dt_halving, n_max)
     ("check", {"tolerances": {"quasi_invariance_typo": 1e-30}}),
     # JSON NaN and Infinity parse, and are rejected like the flags
     ("simulate", {"method": "curves", "dt": math.nan}),
     ("simulate", {"n_paths": math.inf}),
-    # booleans and fractions are not integers, nor strings booleans
+    # booleans and fractions are not integers
     ("simulate", {"dt_halving": "false"}),
     ("simulate", {"n_paths": 2.7}),
     ("simulate", {"n_paths": True}),
@@ -290,40 +293,69 @@ def test_rejected_config_file_exits_2(command, config, tmp_path, capsys):
 
 
 def test_config_file_integers_and_booleans(tmp_path):
-    # integral JSON numbers are integers, true and false are dt_halving's
+    # integral JSON numbers are integers
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"n_paths": 2000.0, "grid_n": 1e1,
-                                  "master_seed": 7, "dt_halving": True}))
+                                  "master_seed": 7}))
     cfg = cli.build_config(cli.build_parser().parse_args(
         ["simulate", "--config", str(config), "--path-start", "3"]))
     values = (cfg.n_paths, cfg.grid_n, cfg.master_seed, cfg.path_start)
     assert values == (2000, 10, 7, 3)
     assert all(type(v) is int for v in values)
-    assert cfg.dt_halving is True
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
-    # a misspelt key, and a key the configuration no longer has
-    for key, value in (("n_path", 10), ("parallelism", 2)):
+    # a misspelt key, and keys the configuration no longer has: saved
+    # configs that set them are rejected, not half-read
+    for command, key, value in (
+            ("simulate", "n_path", 10), ("simulate", "parallelism", 2),
+            ("density", "n_max", 60), ("simulate", "dt_halving", True),
+            ("check", "tolerances", {"stationarity": 1e-8})):
         config = tmp_path / f"{key}.json"
         config.write_text(json.dumps({"kappa": 6.0, key: value}))
         out_dir = tmp_path / f"out_{key}"
-        assert main(["simulate", "--config", str(config),
+        assert main([command, "--config", str(config),
                      "--out-dir", str(out_dir)]) == 2
         assert (f"unknown config keys: ['{key}']"
                 in capsys.readouterr().err)
         assert not out_dir.exists()
+    # and their flags are gone
+    for argv in (["density", "--n-max", "60"],
+                 ["simulate", "--method", "curves", "--dt-halving"]):
+        out_dir = tmp_path / argv[0]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out-dir", str(out_dir)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+def test_run_config_fields_and_flags_are_pinned():
+    # a new option is a visible edit here: the RunConfig fields, and every
+    # destination of the parser is one of them or command, config, input
+    fields = [f.name for f in dataclasses.fields(cli.RunConfig)]
+    assert fields == [
+        "kappa", "z0", "cfg", "r_list", "t_list", "n_paths", "dt", "method",
+        "master_seed", "out_dir", "path_start", "grid_n", "fit_window",
+        "kappas", "n_drift_states", "inject_alpha0_error"]
+    parser = cli.build_parser()
+    sub, = (a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for p in (parser, *sub.choices.values())
+             for a in p._actions if a.dest != "help"}
+    assert "config" in dests and "input" in dests
+    assert dests <= set(fields) | {"command", "config", "input"}
 
 
 def test_config_precedence_flag_over_json_over_default(tmp_path):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"grid_n": 3, "n_max": 4}))
+    config.write_text(json.dumps({"grid_n": 3, "t_list": [1]}))
     out_dir = tmp_path / "out"
     assert main(["density", "--config", str(config), "--grid-n", "2",
-                 "--t-list", "1", "--out-dir", str(out_dir)]) == 0
+                 "--out-dir", str(out_dir)]) == 0
     resolved = _meta_without_out_dir(out_dir)["config"]
     assert resolved["grid_n"] == 2            # flag beats JSON
-    assert resolved["n_max"] == 4             # JSON beats default
+    assert resolved["t_list"] == [1.0]        # JSON beats default
     assert resolved["fit_window"] == [4.0, 8.0]  # default
     rows = (out_dir / "pz_infty.csv").read_text().splitlines()
     assert len(rows) == 1 + 2 * 2
@@ -402,13 +434,12 @@ def test_simulate_bytes_do_not_depend_on_kernel_workers(tmp_path,
 
 @pytest.mark.parametrize("method", ["curves", "intersection"])
 def test_simulate_meta_status_histograms_sum_to_rows(tmp_path, method):
-    # the first curves' stop statuses (0-4) count every path once per run;
-    # a radius's second-curve statuses count its certified paths
-    meta = _simulate_meta(tmp_path, method, "--dt-halving", n_paths=60)
-    assert [a["dt"] for a in meta["status_a"]] == meta["dt_values"]
-    for run in meta["status_a"]:
-        assert len(run["counts"]) == 5 and sum(run["counts"]) == 60
-    assert len(meta["counters"]) == 3 * 2
+    # the first curves' stop statuses (0-4) count every path once; a
+    # radius's second-curve statuses count its certified paths
+    meta = _simulate_meta(tmp_path, method, n_paths=60)
+    status_a = meta["status_a"]
+    assert len(status_a) == 5 and sum(status_a) == 60
+    assert len(meta["counters"]) == 3
     for c in meta["counters"]:
         assert len(c["status_b"]) == 5
         assert sum(c["status_b"]) == c["certified"]
@@ -417,8 +448,6 @@ def test_simulate_meta_status_histograms_sum_to_rows(tmp_path, method):
         assert c["status_b"][0] == c["hit_alive"]
         assert c["status_b"][3] >= c["hit_swallow"]
         # a first curve alive at the end reached every radius's snapshot
-        status_a, = (a["counts"] for a in meta["status_a"]
-                     if a["dt"] == c["dt"])
         assert status_a[0] <= c["certified"]
     assert sum(sum(c["status_b"]) for c in meta["counters"]) > 0
 
@@ -432,8 +461,8 @@ def test_simulate_meta_counts_absorbed_paths(tmp_path):
                               t_max=0.25, dt=0.05, n_paths=300,
                               master_seed=1, record_times=[0.1, 0.25])
     dead = [int(np.sum(w == -np.inf)) for w in ens.log_weight]
-    assert [(c["t"], c["dt"], c["absorbed"]) for c in meta["counters"]] == [
-        (0.0, 0.05, 0), (0.1, 0.05, dead[0]), (0.25, 0.05, dead[1])]
+    assert [(c["t"], c["absorbed"]) for c in meta["counters"]] == [
+        (0.0, 0), (0.1, dead[0]), (0.25, dead[1])]
     assert 0 < dead[0] <= dead[1] == int(ens.absorbed.sum())
 
 
@@ -461,10 +490,10 @@ def test_simulate_meta_counters_add_up_to_hits(tmp_path, method):
 
 
 def test_density_meta_reports_series_truncation(tmp_path):
-    # t = 0.01 needs far more levels than the cap (12 here, 60 by
-    # default): its series is reported unconverged, with one warning line;
-    # the default times 1, 2, 4 and the fit window converge
-    cfg = cli.RunConfig(kappa=6.0, grid_n=2, n_max=12,
+    # t = 0.01 needs more levels than the cap of 60: its series is
+    # reported unconverged, with one warning line; the default times 1, 2,
+    # 4 and the fit window converge
+    cfg = cli.RunConfig(kappa=6.0, grid_n=2,
                         t_list=[0.01, 1.0, 2.0, 4.0], out_dir=str(tmp_path))
     out = io.StringIO()
     assert cli.cmd_density(cfg, out=out) == 0
@@ -477,7 +506,8 @@ def test_density_meta_reports_series_truncation(tmp_path):
     # 0.01, 1 and 2, then the 17 fit times from 4 to 8
     assert len(survival) == 3 + 17
     report = truncation["pz_t"][0]
-    assert report["n_used"] == 12 and report["tail_bound"] > 1e9
+    assert report["n_used"] == dens.N_CAP == 60
+    assert report["tail_bound"] > 1e9
     warnings = [line for line in out.getvalue().splitlines()
                 if line.startswith("warning")]
     assert len(warnings) == 1 and "t=0.01" in warnings[0]
@@ -555,6 +585,50 @@ def test_report_of_malformed_csv_exits_2(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def _estimates_not_utf8(out_dir):
+    """An estimates.csv whose second line is not UTF-8."""
+    path = out_dir / "estimates.csv"
+    path.write_bytes(b"schema_version,kappa\n\xff\xfe\n")
+    return path
+
+
+def test_fit_of_csv_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = _estimates_not_utf8(tmp_path)
+    assert main(["fit", str(path), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "not UTF-8" in err
+    assert not (tmp_path / "fit.json").exists()
+
+
+def test_report_of_csv_that_is_not_utf8_exits_2(tmp_path, capsys):
+    _estimates_not_utf8(tmp_path)
+    assert main(["report", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "not UTF-8" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_report_of_estimates_directory_exits_2(tmp_path, capsys):
+    # an unreadable input is an input error for report as for fit
+    (tmp_path / "estimates.csv").mkdir()
+    for argv in (["fit", str(tmp_path / "estimates.csv")], ["report"]):
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        assert "input error: [Errno" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_runtime_failure_exits_3(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("kernel gave up")
+
+    monkeypatch.setattr(mc, "estimate_two_curve_hit", broken)
+    assert main(["simulate", "--method", "curves", "--n-paths", "10",
+                 "--master-seed", "1", "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "runtime error: RuntimeError: kernel gave up" in err
+    assert not (tmp_path / "estimates.csv").exists()
+
+
 def test_report_of_check_report_that_is_not_json_exits_2(tmp_path, capsys):
     (tmp_path / "check_report.json").write_text("{not json",
                                                 encoding="utf-8")
@@ -583,8 +657,8 @@ def test_python_m_twocurve_runs_the_cli(tmp_path):
 
 
 def test_report_carries_density_constant(tmp_path):
-    assert main(["density", "--grid-n", "2", "--t-list", "1", "--n-max",
-                 "4", "--out-dir", str(tmp_path)]) == 0
+    assert main(["density", "--grid-n", "2", "--t-list", "1",
+                 "--out-dir", str(tmp_path)]) == 0
     assert main(["report", "--out-dir", str(tmp_path)]) == 0
     with open(tmp_path / "density_meta.json", encoding="utf-8") as fh:
         z_constant = json.load(fh)["Z_constant"]
@@ -623,10 +697,11 @@ class TestRecordsCsv:
     def records(self):
         cfg = BoundaryConfig(w1=3 * S8, v1=S8, w2=-S8, v2=-3 * S8)
         with pytest.MonkeyPatch.context() as mp:
-            # a substep budget of 32768 units keeps the run short
+            # a substep budget of 32768 units keeps the run short; r 0.01
+            # gives a record with two flags
             mp.setitem(mc._SAMPLER, "bmax", 32768)
             return mc.estimate_two_curve_hit(KappaContext(6.0), cfg,
-                                             [0.2, 1.5], n_paths=100,
+                                             [0.01, 0.2], n_paths=100,
                                              dt=1e-3, seed=8)
 
     @staticmethod

@@ -203,9 +203,9 @@ class TestTwoCurveHit:
         assert full.config["flow_steps"] > full.config["probe_rows"] > 0
 
     def test_record_contract(self, fast_sampler):
-        recs = mc.estimate_two_curve_hit(CTX6, SYM_CFG, [0.2, 0.1, 1.5],
+        recs = mc.estimate_two_curve_hit(CTX6, SYM_CFG, [0.2, 0.1],
                                          n_paths=800, dt=1e-3, seed=2)
-        assert [r.r_or_t for r in recs] == [0.1, 0.2, 1.5]
+        assert [r.r_or_t for r in recs] == [0.1, 0.2]
         for rec in recs:
             assert rec.kappa == 6.0
             assert rec.method == "two_curve_hit"
@@ -213,10 +213,8 @@ class TestTwoCurveHit:
             assert 0.0 <= rec.estimate <= 1.0
             assert rec.ess == rec.n_paths == 800
             assert rec.accepted
-        assert recs[2].estimate == 1.0
-        assert "trivial_radius" in recs[2].flags
         # certificate bookkeeping is present and consistent
-        for rec in recs[:2]:
+        for rec in recs:
             cfgd = rec.config
             total = (cfgd["hit_swallow"] + cfgd["hit_alive"]
                      + cfgd["hit_probe"])
@@ -311,13 +309,20 @@ class TestTwoCurveHit:
                                   dt=1e-3, seed=1)
         assert len(skipped) >= 20
 
+    @pytest.mark.parametrize("r_list", [[], [0.0], [0.25], [0.3], [1.0],
+                                        [1.5], [-0.1], [0.1, 1.5]],
+                             ids=lambda r_list: str(r_list))
+    def test_radii_outside_the_certificate_range_raise(self, monkeypatch,
+                                                       r_list):
+        # both hit estimators take radii in (0, 1/4) only, and say so
+        # before any simulation
+        monkeypatch.setattr(mc, "_two_stage_run", None)
+        for estimate in (mc.estimate_two_curve_hit,
+                         mc.estimate_intersection_hit):
+            with pytest.raises(ValueError, match="radii"):
+                estimate(CTX6, SYM_CFG, r_list, n_paths=10, dt=1e-3, seed=0)
+
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            mc.estimate_two_curve_hit(CTX6, SYM_CFG, [0.3], n_paths=10,
-                                      dt=1e-3, seed=0)
-        with pytest.raises(ValueError):
-            mc.estimate_two_curve_hit(CTX6, SYM_CFG, [0.25], n_paths=10,
-                                      dt=1e-3, seed=0)
         with pytest.raises(ValueError):
             mc.estimate_two_curve_hit(CTX6, SYM_CFG, [0.1], n_paths=10,
                                       dt=1e-2, seed=0)
