@@ -19,8 +19,9 @@
  * float64 are libm's, and each expression is evaluated in numpy's
  * operation order.
  *
- * No function keeps state outside its arguments, so _kernels runs
- * concurrent calls on disjoint row (path) ranges from its thread pool.
+ * Each takes its rows (paths) one at a time, until n, from the counter
+ * *next that _kernels gives the call of every worker thread, and keeps no
+ * other state outside its arguments: each row runs once, on any worker.
  *
  * All three hold only for the build flags in _kernels._CFLAGS:
  * -ffp-contract=off keeps every other a*b + c as two roundings, and
@@ -29,12 +30,14 @@
  * The per-call constants of the adaptive kernel (unit, res_units,
  * floor_gap, p_ret, half_k6, g_top) arrive already computed by
  * _kernels._adaptive_constants.  Where the Python kernel raises, this one
- * stops, stores the row in *err_row and returns the code of the exception:
+ * stops, stores the row in *err_row, sets *next to n (no worker takes a
+ * further row) and returns the code of the exception:
  * HSLE_ZERO_DIV (ZeroDivisionError), HSLE_DOMAIN (ValueError from math.sin,
  * math.log or math.sqrt), HSLE_NAN_INT (ValueError from int(nan)) or
  * HSLE_INF_INT (OverflowError from int(inf)).  The checks sit where Python
  * evaluates the operation that raises, so the first failing operation
- * names the error.
+ * names the error.  Rows are handed out in increasing order, so every row
+ * below a failing one was taken before it and still finishes.
  */
 #include <complex.h>
 #include <math.h>
@@ -42,6 +45,7 @@
 
 #define PI 3.141592653589793
 #define TWO_PI (2.0 * PI)
+#define NEXT_ROW(next) __atomic_fetch_add((next), 1, __ATOMIC_RELAXED)
 
 enum {
     HSLE_OK = 0, HSLE_ZERO_DIV = 1, HSLE_DOMAIN = 2, HSLE_NAN_INT = 3,
@@ -85,14 +89,14 @@ int hsle_evolve_adaptive(
     double unit, double res_units, double floor_gap, double p_ret,
     double half_k6, double g_top,
     double *snap, uint8_t *reached, uint8_t *status, int64_t *death_units,
-    int64_t *err_row)
+    int64_t *next, int64_t *err_row)
 {
     const uint64_t stride = 4 * (uint64_t)bmax; /* counters per macro step */
     const int64_t end_macro = start_macro + max_macros;
     int err;
     int64_t p;
 
-    for (p = 0; p < n; p++) {
+    while ((p = NEXT_ROW(next)) < n) {
         double *row = state + 4 * p;
         double w0 = row[0], v1 = row[1], v2 = row[2], wi = row[3];
         const uint64_t sid = streams[p];
@@ -233,6 +237,7 @@ int hsle_evolve_adaptive(
 
 fail:
     *err_row = p;
+    __atomic_store_n(next, n, __ATOMIC_RELAXED);
     return err;
 }
 
@@ -329,11 +334,12 @@ static void backward_row(const double *drv, int64_t len, double exp_du,
 }
 
 void backward_flow(int64_t n, int64_t width, const double *drivers,
-                   const int64_t *lengths, double exp_du, double *y)
+                   const int64_t *lengths, double exp_du, double *y,
+                   int64_t *next)
 {
     int64_t i;
 
-    for (i = 0; i < n; i++) {
+    while ((i = NEXT_ROW(next)) < n) {
         /* numpy steps column k of the rows with lengths > k, k < width */
         int64_t len = lengths[i] < width ? lengths[i] : width;
         backward_row(drivers + i * width, len, exp_du, y + 2 * i);
@@ -341,26 +347,26 @@ void backward_flow(int64_t n, int64_t width, const double *drivers,
 }
 
 /*
- * The two-angle diffusion of _kernels._z_evolve_np on the paths
- * lo <= p < hi of the n paths, path by path: steps start_step, ...,
- * start_step + n_steps - 1 while the path lives, each drawing the uniforms
- * at counters (2s, 2s+1) of _rng.normal_pair_array, forming its Box-Muller
- * normals, applying _kernels.z_update, the clamp (np.clip keeps -0.0 and
- * NaN) and absorption, and snapshotting at the record steps rec_steps[ri]
- * equal to the step's end; a path dead at entry or absorbed keeps its
- * frozen angles in its later snapshots.  rec_z1 and rec_z2 are [m][n].
+ * The two-angle diffusion of _kernels._z_evolve_np, path by path: steps
+ * start_step, ..., start_step + n_steps - 1 while the path lives, each
+ * drawing the uniforms at counters (2s, 2s+1) of _rng.normal_pair_array,
+ * forming its Box-Muller normals, applying _kernels.z_update, the clamp
+ * (np.clip keeps -0.0 and NaN) and absorption, and snapshotting at the
+ * record steps rec_steps[ri] equal to the step's end; a path dead at entry
+ * or absorbed keeps its frozen angles in its later snapshots.  rec_z1 and
+ * rec_z2 are [m][n].
  */
-void z_evolve(int64_t n, int64_t lo, int64_t hi, const uint64_t *streams,
-              int64_t start_step, int64_t n_steps, double kappa, double dt,
-              double *z1, double *z2, uint8_t *alive, int64_t *absorb_step,
-              int64_t m, const int64_t *rec_steps, double *rec_z1,
-              double *rec_z2)
+void z_evolve(int64_t n, const uint64_t *streams, int64_t start_step,
+              int64_t n_steps, double kappa, double dt, double *z1,
+              double *z2, uint8_t *alive, int64_t *absorb_step, int64_t m,
+              const int64_t *rec_steps, double *rec_z1, double *rec_z2,
+              int64_t *next)
 {
     const double mil_k = 0.25 * kappa;
     const int64_t end = start_step + n_steps;
     int64_t p;
 
-    for (p = lo; p < hi; p++) {
+    while ((p = NEXT_ROW(next)) < n) {
         const uint64_t sid = streams[p];
         double a = z1[p], b = z2[p];
         int64_t s, ri = 0;

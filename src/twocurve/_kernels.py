@@ -67,22 +67,23 @@ them.  Both random kernels read the counters the map of draws in
 
 Threads
 -------
-Each compiled call runs on fixed spans of ``_ROW_BLOCK`` rows (paths),
-spread over the calling thread and one lazily created pool of
-``_n_workers() - 1`` threads (the CPUs of ``os.sched_getaffinity``, at
-most ``_MAX_WORKERS``); ``ctypes`` releases the GIL for each foreign
-call.  The bits cannot move: every row's outputs depend on its own inputs
-and stream only (``tests/test_kernels.py::TestBatchInvariance``), every
-span writes only its own rows, and every aggregate the callers form is an
-integer sum, so the bytes are the same at any worker count
-(``tests/test_cli.py`` compares ``estimates.csv`` under 1 and 2 workers).
-The split depends on the row count alone, so a split adaptive call raises
-the error of its lowest failing row, as a single call does.  The adaptive
-kernel and the flow pass C-order row slices straight to the library;
-``z_evolve`` passes its whole arrays with the span's path range, because
-a span's snapshots are a column range of the step-major record arrays.
-A call of at most ``_ROW_BLOCK`` rows is a single span: it runs inline
-and never starts the pool.  The workers call only the C library, never the
+A compiled call of n rows (paths) runs its C function once on the
+calling thread and once on each of ``min(_n_workers(), n) - 1`` threads of
+one lazily created pool (``_n_workers()``: the CPUs of
+``os.sched_getaffinity``, at most ``_MAX_WORKERS``); ``ctypes`` releases
+the GIL for each foreign call.  All of them get the whole arrays and take
+rows one at a time from one shared counter (an atomic fetch-and-add in
+``_hsle.c``), so no worker idles while rows are left.  The bits cannot
+move: every row's outputs depend on its own inputs and stream only
+(``tests/test_kernels.py::TestBatchInvariance``), one worker takes and
+writes each row, and every aggregate the callers form is an integer sum,
+so the bytes are the same at any worker count (``tests/test_cli.py``
+compares ``estimates.csv`` under 1 and 2 workers).  A failing adaptive row
+sets the counter to n, stopping every worker at its next row; rows are
+handed out in increasing order, so every lower row still finishes, and the
+call raises the error of the lowest failing row of all workers, as a
+serial call does.  A call of at most one row runs inline and never starts
+the pool.  The workers call only the C library, never the
 public functions of this module, which ``benchmarks/layers.py`` wraps
 with a span stack that is not thread-safe.  The Python/numpy fallbacks
 hold the GIL and stay serial.
@@ -146,7 +147,6 @@ Kernels
 """
 from __future__ import annotations
 
-import collections
 import ctypes
 import functools
 import hashlib
@@ -286,12 +286,9 @@ def _z_evolve_np(z1, z2, alive, absorb_step, streams, start_step, n_steps,
 def _z_evolve_c(lib, z1, z2, alive, absorb_step, streams, start_step,
                 n_steps, kappa, dt, rec_steps, rec_z1, rec_z2) -> None:
     n, m = z1.shape[0], rec_steps.shape[0]
-
-    def span(lo, hi):
-        lib.z_evolve(n, lo, hi, streams, start_step, n_steps, kappa, dt, z1,
-                     z2, alive, absorb_step, m, rec_steps, rec_z1, rec_z2)
-
-    _run_spans(span, n)
+    _run_rows(lambda next_row: lib.z_evolve(
+        n, streams, start_step, n_steps, kappa, dt, z1, z2, alive,
+        absorb_step, m, rec_steps, rec_z1, rec_z2, next_row), n)
 
 
 # The adaptive kernel is the hot path of every two-curve estimate, and its
@@ -593,17 +590,17 @@ def _hsle_lib():
         arr(np.int64), f8, f8, i8, arr(np.float64), f8, f8,
         f8, f8, f8, f8, f8, f8,
         arr(np.float64), arr(np.uint8), arr(np.uint8), arr(np.int64),
-        ctypes.POINTER(i8)]
+        ctypes.POINTER(i8), ctypes.POINTER(i8)]
     fn = lib.backward_flow
     fn.restype = None
     fn.argtypes = [i8, i8, arr(np.float64), arr(np.int64), f8,
-                   arr(np.complex128)]
+                   arr(np.complex128), ctypes.POINTER(i8)]
     fn = lib.z_evolve
     fn.restype = None
-    fn.argtypes = [i8, i8, i8, arr(np.uint64), i8, i8, f8, f8,
-                   arr(np.float64), arr(np.float64), arr(np.bool_),
-                   arr(np.int64), i8, arr(np.int64), arr(np.float64),
-                   arr(np.float64)]
+    fn.argtypes = [i8, arr(np.uint64), i8, i8, f8, f8, arr(np.float64),
+                   arr(np.float64), arr(np.bool_), arr(np.int64), i8,
+                   arr(np.int64), arr(np.float64), arr(np.float64),
+                   ctypes.POINTER(i8)]
     return lib
 
 
@@ -615,17 +612,14 @@ def hsle_kernel() -> str:
     return "c" if _hsle_lib() is not None else "python"
 
 
-# rows (paths) per span of a split compiled call; the split depends on the
-# row count only, never on the number of workers (module docstring)
-_ROW_BLOCK = 32
 # most threads of the kernel pool
 _MAX_WORKERS = 4
 
 
 @functools.cache
 def _n_workers() -> int:
-    """Threads that run the spans of a compiled call: the CPUs this process
-    may run on, at most ``_MAX_WORKERS``."""
+    """Threads that run a compiled call: the CPUs this process may run on,
+    at most ``_MAX_WORKERS``."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     return max(1, min(_MAX_WORKERS, cpus))
@@ -640,40 +634,22 @@ def _pool(threads: int):
     return ThreadPoolExecutor(threads, thread_name_prefix="twocurve-kernel")
 
 
-def _run_spans(fn, n: int) -> list:
-    """Results of ``fn(lo, hi)`` over the spans [0, B), [B, 2B), ... of
-    ``range(n)`` (one empty span if ``n`` is 0), B = ``_ROW_BLOCK``, in span
-    order.  The calling thread and up to ``_n_workers() - 1`` pool threads
-    take the spans in order from one queue, so a call with a single span
-    runs inline and never touches the pool.  ``fn`` must call only the C
-    library (module docstring)."""
-    block = _ROW_BLOCK
-    los = range(0, max(n, 1), block)
-    out = [None] * len(los)
-    todo = collections.deque(range(len(los)))  # popleft is thread-safe
-
-    def drain():
-        while True:
-            try:
-                i = todo.popleft()
-            except IndexError:
-                return
-            out[i] = fn(los[i], min(los[i] + block, n))
-
-    workers = min(_n_workers(), len(los))
-    helpers = [_pool(_n_workers() - 1).submit(drain)
-               for _ in range(workers - 1)]
+def _run_rows(call, n: int) -> list:
+    """Results of ``call(next_row)`` on the calling thread (first) and on
+    ``min(_n_workers(), n) - 1`` pool threads; ``next_row`` is the one
+    ``ctypes.c_int64`` counter, from 0, that their C calls take rows from,
+    so a call of at most one row runs inline.  ``call`` must call only the
+    C library (module docstring)."""
+    next_row = ctypes.c_int64(0)
+    helpers = [_pool(_n_workers() - 1).submit(call, next_row)
+               for _ in range(min(_n_workers(), n) - 1)]
     try:
-        drain()
+        first = call(next_row)
     finally:
-        # after an exception here the helpers stop at their next span;
         # none may still write when the call returns
-        todo.clear()
         for f in helpers:
             f.exception()
-    for f in helpers:
-        f.result()
-    return out
+    return [first] + [f.result() for f in helpers]
 
 
 def kernel_workers() -> int:
@@ -687,23 +663,23 @@ def _hsle_evolve_adaptive_c(lib, state, streams, start_macro, max_macros,
                             kappa, dt, thr_macros, bmax, snap, reached,
                             status, death_units) -> None:
     consts = _adaptive_constants(kappa, dt, bmax)
-    k, nt = thr_macros.shape[0], consts[0].shape[0]
+    n, k, nt = state.shape[0], thr_macros.shape[0], consts[0].shape[0]
 
-    def span(lo, hi):
+    def call(next_row):
         err_row = ctypes.c_int64(-1)
         code = lib.hsle_evolve_adaptive(
-            hi - lo, k, nt, state[lo:hi], streams[lo:hi], start_macro,
-            max_macros, kappa, thr_macros, EPS_KILL, EPS_RET, bmax, *consts,
-            snap[lo:hi], reached[lo:hi], status[lo:hi], death_units[lo:hi],
-            ctypes.byref(err_row))
-        return code, lo + err_row.value
+            n, k, nt, state, streams, start_macro, max_macros, kappa,
+            thr_macros, EPS_KILL, EPS_RET, bmax, *consts, snap, reached,
+            status, death_units, next_row, err_row)
+        return err_row.value, code
 
-    # the first failing span holds the lowest failing row, as in a
-    # single call
-    for code, row in _run_spans(span, state.shape[0]):
-        if code:
-            exc, message = _HSLE_ERRORS[code]
-            raise exc(f"{message} (adaptive hSLE kernel, row {row})")
+    # each worker stops at its first failing row; the lowest of them is
+    # the row a serial call stops at (module docstring)
+    failed = [(row, code) for row, code in _run_rows(call, n) if code]
+    if failed:
+        row, code = min(failed)
+        exc, message = _HSLE_ERRORS[code]
+        raise exc(f"{message} (adaptive hSLE kernel, row {row})")
 
 
 def hsle_evolve_adaptive(state, streams, start_macro, max_macros, kappa, dt,
@@ -763,9 +739,10 @@ def hsle_evolve_adaptive(state, streams, start_macro, max_macros, kappa, dt,
     and ``death_units`` int64[n], writeable.  ``bmax`` >= 1 and
     ``start_macro`` >= 0.  The compiled kernel runs when it builds, else
     ``_hsle_evolve_adaptive_np``; both give the same bytes and raise the
-    same exceptions (module docstring): the one of the lowest failing row,
-    whose number the compiled kernel's message names.  The outputs of the
-    rows past that row are unspecified after an exception.
+    same exception, the lowest failing row's (of all workers of the
+    compiled kernel, module docstring), with the Python kernel's type and
+    message; the compiled kernel's adds the row's number.  The outputs of
+    the rows past that row are unspecified after an exception.
     """
     start_macro, max_macros = int(start_macro), int(max_macros)
     bmax = int(bmax)
@@ -842,12 +819,8 @@ def backward_flow(drivers, lengths, du, y) -> None:
         _backward_flow_np(drivers, lengths, du, y)
         return
     exp_du = math.exp(float(du))
-
-    def span(lo, hi):
-        lib.backward_flow(hi - lo, w, drivers[lo:hi], lengths[lo:hi], exp_du,
-                          y[lo:hi])
-
-    _run_spans(span, n)
+    _run_rows(lambda next_row: lib.backward_flow(
+        n, w, drivers, lengths, exp_du, y, next_row), n)
 
 
 # The numpy flow is the fallback without a compiler and the oracle of the C

@@ -260,6 +260,9 @@ def validate_config(cfg: RunConfig, command: str) -> None:
                 raise ConfigError(
                     f"r_list entries must lie in (0, 1/4) for hit "
                     f"estimation, got {cfg.r_list}")
+            if len(set(cfg.r_list)) < len(cfg.r_list):
+                raise ConfigError(f"r_list entries must be distinct, got "
+                                  f"{cfg.r_list}")
             if cfg.dt > 5e-3:
                 raise ConfigError("dt must be <= 5e-3 for curve methods")
             if cfg.method == "intersection" and cfg.kappa <= 4.0:

@@ -33,6 +33,12 @@ backward-flow distance probes only where no certificate applies:
   nearest boundary point must lie on the second curve, certifying its
   hit with no probe.
 
+* The same bound certifies a second curve still growing at relative
+  capacity ``swallow_margin`` (1.5): whatever it does later, it already
+  holds the pocket's nearest boundary point, within r e^(-1.5) < r/4.  So
+  curves runs stop the second stage there; intersection runs grow second
+  curves on to ``cap_b`` (3.0), as the meet rule reads points past 1.5.
+
 * Remaining undecided paths (mostly completions of the second curve) are
   probed: the tip of a simulated curve at any time is the image of its
   driving point under the backward Loewner flow, so pulling stored
@@ -217,8 +223,9 @@ def _conditional_tuples(snap_rows: np.ndarray) -> np.ndarray:
 
 # The sampler's frozen constants, all but ``chunk_paths`` recorded in every
 # EstimateRecord: the adaptive kernel's substep budget, the snapshot stride
-# (macro steps per stored driver value), the second stage's capacity
-# horizon and disconnection-certificate margin (e^-1.5 < 1/4), the probe
+# (macro steps per stored driver value), the second stage's horizons on
+# intersection and on curves runs (``_horizon_b``; a record's ``cap_b`` is
+# its run's), the latter the certificate margin (e^-1.5 < 1/4), the probe
 # pull-in, the probe's relative resolution used for the decision-sensitive
 # band, and the paths per kernel call.
 _SAMPLER = dict(bmax=262144, stride=10, cap_b=3.0, swallow_margin=1.5,
@@ -230,6 +237,7 @@ HIT_COUNTERS = ("certified", "hit_swallow", "hit_alive", "hit_probe", "band",
                 "meet")
 # stop statuses of the adaptive kernel, 0-4 (its dispatcher docstring)
 _N_STATUS = 5
+
 
 # most probes per backward-flow batch of ``_batched_pullback``
 _PULLBACK_ROWS = 4096
@@ -337,6 +345,12 @@ def _probe_paths(seq: np.ndarray, counts: np.ndarray, probed, offset: int,
     return dmin, points
 
 
+def _horizon_b(collect_meet: bool) -> float:
+    """Second-curve capacity horizon: ``cap_b`` for the meet rule, which
+    reads points past the certificate margin, else ``swallow_margin``."""
+    return _SAMPLER["cap_b" if collect_meet else "swallow_margin"]
+
+
 def _two_stage_run(ctx: KappaContext, cfg: BoundaryConfig, r_list,
                    n_paths: int, dt: float, seed: int, path_start: int,
                    collect_meet: bool):
@@ -344,8 +358,8 @@ def _two_stage_run(ctx: KappaContext, cfg: BoundaryConfig, r_list,
 
     Per radius r the counters (``HIT_COUNTERS``) are: certified
     first-curve deep events (survival to capacity log(1/r)), second-stage
-    hits by certificate class (disconnection, horizon survival, probe)
-    and their total, the decision-sensitive probe band, excluded
+    hits by certificate class (disconnection, survival to the horizon,
+    probe) and their total, the decision-sensitive probe band, excluded
     unresolved paths (first curves that stopped with status 2 or 4 short
     of the radius's snapshot, second curves that did so and no probe
     decided as hits), the backward-flow rows of the radius and their
@@ -357,12 +371,11 @@ def _two_stage_run(ctx: KappaContext, cfg: BoundaryConfig, r_list,
     driver, then its snapshots.  Each radius also gets ``status_b``, the
     kernel stop-status histogram (statuses 0-4) of its second curves.
 
-    Without ``collect_meet`` a path whose coarse probes already put it
-    inside r and outside the band takes no refined probes: refining can
-    only lower its minimum d, and radius - d only grows, so its
-    ``probe_hit``, ``band`` and ``excluded`` classes are those the refined
-    minimum gives (:func:`_probe_paths`).  The meet rule reads the refined
-    points and refines every path.
+    Second curves grow to ``_horizon_b(collect_meet)``, whole strides
+    nearest it (above log 4 at any dt <= 5e-3): a path stopping before 1.5
+    is decided the same at either horizon, one reaching 1.5 is a hit.
+    Without ``collect_meet``, paths the coarse probes decide as hits
+    outside the band take no refined probes (:func:`_probe_paths`).
 
     Returns (agg, thr_m, status_a): the counters per radius, the macro
     step of each radius's snapshot, and the stop-status histogram of
@@ -379,7 +392,7 @@ def _two_stage_run(ctx: KappaContext, cfg: BoundaryConfig, r_list,
              for r in rs}
     cap_a = max(thr_m.values())
     grid = np.arange(stride, cap_a + 1, stride, dtype=np.int64)
-    cap_b = int(round(_SAMPLER["cap_b"] / dt / stride)) * stride
+    cap_b = int(round(_horizon_b(collect_meet) / dt / stride)) * stride
     grid_b = np.arange(stride, cap_b + 1, stride, dtype=np.int64)
     row0 = _fresh_tuple(cfg, 1)
     agg = {r: {**dict.fromkeys(HIT_COUNTERS, 0),
@@ -515,11 +528,11 @@ def _hit_records(ctx, method, agg, thr_m, status_a, n_paths, dt, seed,
 
 
 def _two_stage_setup(cfg: BoundaryConfig, r_list, n_paths: int, dt: float,
-                     path_start: int):
+                     path_start: int, collect_meet: bool):
     """Validated inputs of a two-stage estimate: (radii, base record
-    config).  The radii must be a nonempty list in (0, 1/4): the
-    quarter-theorem certificates need the first curve's trace at distance
-    >= r/4."""
+    config).  The radii must be a nonempty list of distinct radii in
+    (0, 1/4): the quarter-theorem certificates need the first curve's trace
+    at distance >= r/4, and a repeated radius would be counted twice."""
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     if dt <= 0.0 or dt > 5e-3:
@@ -528,6 +541,8 @@ def _two_stage_setup(cfg: BoundaryConfig, r_list, n_paths: int, dt: float,
     if not rs or not all(0.0 < r < 0.25 for r in rs):
         raise ValueError(f"radii must be a nonempty list in (0, 1/4), "
                          f"got {rs}")
+    if len(set(rs)) < len(rs):
+        raise ValueError(f"radii must be distinct, got {rs}")
     # "hsle_kernel" names the library that ran both the adaptive kernel
     # and the backward flow: "c" or "python" (numpy)
     base_config = {
@@ -539,6 +554,7 @@ def _two_stage_setup(cfg: BoundaryConfig, r_list, n_paths: int, dt: float,
         "eps_ret": _kernels.EPS_RET,
         "kres": _kernels.KRES,
         **{k: v for k, v in _SAMPLER.items() if k != "chunk_paths"},
+        "cap_b": _horizon_b(collect_meet),
     }
     return rs, base_config
 
@@ -557,14 +573,15 @@ def estimate_two_curve_hit(ctx: KappaContext, cfg: BoundaryConfig, r_list,
     One binomial record per radius, in increasing order; the probe-band
     and excluded-path masses are folded into the standard error.
 
-    ``r_list`` must be a nonempty list of radii in (0, 1/4), the range of
-    the quarter-theorem certificates; ValueError otherwise, before any
-    simulation.
+    ``r_list`` must be a nonempty list of distinct radii in (0, 1/4), the
+    range of the quarter-theorem certificates; ValueError otherwise, before
+    any simulation.
 
     ``path_start`` offsets the path ids (the map of draws in
     :mod:`._rng`), letting disjoint ranges merge exactly.
     """
-    rs, base_config = _two_stage_setup(cfg, r_list, n_paths, dt, path_start)
+    rs, base_config = _two_stage_setup(cfg, r_list, n_paths, dt, path_start,
+                                       collect_meet=False)
     agg, thr_m, status_a = _two_stage_run(
         ctx, cfg, rs, n_paths, dt, seed, path_start, collect_meet=False)
     return _hit_records(ctx, "two_curve_hit", agg, thr_m, status_a,
@@ -593,7 +610,8 @@ def estimate_intersection_hit(ctx: KappaContext, cfg: BoundaryConfig,
         raise ValueError(
             f"intersection estimator needs kappa in (4, 8); got "
             f"{ctx.kappa} (the curves do not touch for kappa <= 4)")
-    rs, base_config = _two_stage_setup(cfg, r_list, n_paths, dt, path_start)
+    rs, base_config = _two_stage_setup(cfg, r_list, n_paths, dt, path_start,
+                                       collect_meet=True)
     agg, thr_m, status_a = _two_stage_run(
         ctx, cfg, rs, n_paths, dt, seed, path_start, collect_meet=True)
     return _hit_records(ctx, "intersection_hit", agg, thr_m, status_a,

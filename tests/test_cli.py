@@ -244,6 +244,9 @@ def test_density_meta_reports_quadrature(tmp_path,
      "--master-seed", "18446744073709551617"],
     ["simulate", "--method", "curves", "--n-paths", "40", "--r-list", "0.2",
      "--master-seed", "-18446744073709551615"],
+    # a repeated radius, which would be counted twice into one record
+    ["simulate", "--method", "curves", "--kappa", "6", "--n-paths", "100",
+     "--r-list", "0.2,0.2", "--master-seed", "3"],
 ], ids=["kappa_8", "r_quarter", "intersection_kappa_4",
         "z_weighted_time_under_half_step", "z_weighted_dt_2",
         "density_t_nan", "density_t_inf", "z_weighted_t_nan",
@@ -251,7 +254,8 @@ def test_density_meta_reports_quadrature(tmp_path,
         "z_weighted_steps_over_int64", "z_weighted_dt_subnormal",
         "curves_path_ids_past_2^63", "z_weighted_path_ids_past_2^63",
         "curves_path_start_2^64", "z_weighted_path_start_2^64",
-        "master_seed_2^64_plus_1", "master_seed_1_minus_2^64"])
+        "master_seed_2^64_plus_1", "master_seed_1_minus_2^64",
+        "curves_repeated_radius"])
 def test_rejected_configuration_exits_2(argv, tmp_path, capsys):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 2
     captured = capsys.readouterr()

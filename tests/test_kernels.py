@@ -13,9 +13,11 @@ numpy flow's, and ``TestCompiledZEvolve`` the compiled two-angle
 evolution's bytes with the numpy one's.
 """
 
+import ctypes
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -434,23 +436,44 @@ class TestCompiledKernel:
         (ValueError, ZeroDivisionError), (ZeroDivisionError, ValueError)])
     def test_split_call_raises_at_the_lowest_failing_row(self, monkeypatch,
                                                          first, second):
-        # degenerate rows in the second and fourth span of a call split
-        # over two threads: the error is the one of the lower row, with
-        # the Python kernel's type and message and the absolute row
+        # two degenerate rows taken by different workers, the lower one by
+        # the calling thread or by the pool thread: each worker stops at
+        # its row and leaves the counter at n, and the call raises the
+        # lower row's error, with the Python kernel's type and message and
+        # the row's number
         degenerate = {ZeroDivisionError: (0.0, 5e-324, 2.0, 4.0),
                       ValueError: (0.0, 5e-324, 1e-323, 4.0)}
-        block = _kernels._ROW_BLOCK
-        rows = make_rows(4 * block)
-        low, high = block + 5, 3 * block + 10
+        n, low, high = 128, 37, 106
+        rows = make_rows(n)
         rows[low], rows[high] = degenerate[first], degenerate[second]
         with pytest.raises(first) as py:
             run(6.0, rows, 0, 20, [10], kernel="python")
+        kernel = compiled_lib().hsle_evolve_adaptive
+        caller = threading.current_thread()
         monkeypatch.setattr(_kernels, "_n_workers", lambda: 2)
-        with pytest.raises(first) as c:
-            run(6.0, rows, 0, 20, [10])
-        assert type(c.value) is type(py.value) is first
-        assert str(c.value) == (f"{py.value} (adaptive hSLE kernel, "
-                                f"row {low})")
+        for low_on_caller in (True, False):
+            stops = {}
+
+            def worker(*args):
+                # a schedule the shared counter allows: one worker took
+                # rows 0 ... low, then the other rows low + 1 ... high
+                *head, _, err_row = args
+                on_caller = threading.current_thread() is caller
+                next_row = ctypes.c_int64(
+                    0 if on_caller == low_on_caller else low + 1)
+                code = kernel(*head, next_row, err_row)
+                stops[on_caller] = (code, err_row.value, next_row.value)
+                return code
+
+            monkeypatch.setattr(compiled_lib(), "hsle_evolve_adaptive",
+                                worker)
+            with pytest.raises(first) as c:
+                run(6.0, rows, 0, 20, [10])
+            assert type(c.value) is type(py.value) is first
+            assert str(c.value) == (f"{py.value} (adaptive hSLE kernel, "
+                                    f"row {low})")
+            assert stops[low_on_caller][1:] == (low, n)
+            assert stops[not low_on_caller][1:] == (high, n)
 
     def test_infinite_row_stops_at_entry_in_both(self):
         rows = np.array([(0.0, 1.0, 2.0, math.inf)])
@@ -647,7 +670,6 @@ class TestCompiledZEvolve:
 
     @pytest.mark.parametrize("kappa", [3.0, 6.0, 7.5])
     def test_bytes_equal_across_block_edges(self, kappa):
-        # 300 paths make ten spans of _ROW_BLOCK rows, the last one short;
         # snapshots at the first and the last step, at two neighbouring
         # steps, and twice at one step
         c = assert_z_kernels_agree(kappa, Z_STARTS, 1e-3, 700,
@@ -663,46 +685,6 @@ class TestCompiledZEvolve:
         # absorbed paths sit on the boundary from their absorption step on
         assert np.all((c["z1"][dead] == 0.0) | (c["z1"][dead] == math.pi)
                       | (c["z2"][dead] == 0.0) | (c["z2"][dead] == math.pi))
-
-    @pytest.mark.parametrize("block", [1, 7])
-    def test_block_length_does_not_move_bits(self, monkeypatch, block):
-        # spans of 1 or 7 paths, split off the grid of _ROW_BLOCK, write
-        # the bytes of the call on _ROW_BLOCK spans, in runs where paths
-        # die inside the call and where whole spans, or parts of one, are
-        # dead at entry
-        compiled_lib()
-        ids = np.arange(300)
-        runs = [(starts(300, 0.12, 0.12), 0.1, 40, [1, 2, 40], None)]
-        runs += [(Z_STARTS, 1e-3, 20, [1, 20], alive)
-                 for alive in ((ids // 7) % 2 == 1, ids % 7 < 3)]
-        whole = [z_run(_kernels.z_evolve, 6.0, z0, dt, 0, n_steps, rec,
-                       alive=alive) for z0, dt, n_steps, rec, alive in runs]
-        assert 0 < np.count_nonzero(~whole[0]["alive"]) < 300
-        monkeypatch.setattr(_kernels, "_ROW_BLOCK", block)
-        for (z0, dt, n_steps, rec, alive), want in zip(runs, whole):
-            got = z_run(_kernels.z_evolve, 6.0, z0, dt, 0, n_steps, rec,
-                        alive=alive)
-            for name in Z_OUTPUTS:
-                assert_same_bits(got[name], want[name])
-            if alive is not None:
-                assert_same_bits(got["z1"][~alive], Z_STARTS[0][~alive])
-                assert_same_bits(got["rec_z1"][0][~alive],
-                                 Z_STARTS[0][~alive])
-
-    @pytest.mark.parametrize("block", [1, 7])
-    def test_path_spans_do_not_move_bits(self, monkeypatch, block):
-        # spans of 1 or 7 paths on 1 and on 2 workers: every output, dead
-        # paths' snapshots included, is the numpy evolution's at either
-        # worker count
-        monkeypatch.setattr(_kernels, "_ROW_BLOCK", block)
-        for workers in (1, 2):
-            monkeypatch.setattr(_kernels, "_n_workers",
-                                lambda w=workers: w)
-            c = assert_z_kernels_agree(6.0, starts(300, 0.12, 0.12), 0.1,
-                                       40, [1, 2, 40])
-            assert 0 < np.count_nonzero(~c["alive"]) < 300
-            assert_z_kernels_agree(6.0, Z_STARTS, 1e-3, 20, [1, 20],
-                                   alive=np.arange(300) % 7 < 3)
 
     def test_split_at_a_step_reproduces_the_whole_run(self):
         compiled_lib()
@@ -751,8 +733,9 @@ class TestWithoutCompiler:
     @needs_fused_numpy
     def test_numpy_flow_runs_after_one_warning(self, tmp_path):
         # with no cc on PATH, all kernels fall back after one warning and
-        # the numpy flow writes the compiled flow's bytes; 66 rows, three
-        # spans of a compiled call, start no pool and no thread
+        # the numpy flow writes the compiled flow's bytes; 66 rows, which
+        # a compiled call would share among the workers, start no pool and
+        # no thread
         np.save(tmp_path / "drivers.npy", FLOW_DRIVERS)
         np.save(tmp_path / "lengths.npy", FLOW_LENGTHS)
         np.save(tmp_path / "y.npy", FLOW_Y)
@@ -782,8 +765,8 @@ class TestWithoutCompiler:
     def test_numpy_z_evolve_runs_after_one_warning(self, tmp_path):
         # with no cc on PATH, z_evolve runs _z_evolve_np after the one
         # warning, and the k6 case of TestZEvolvePin, split after step 100,
-        # writes its pinned bytes; its 64 paths, two spans of a compiled
-        # call, start no pool and no thread
+        # writes its pinned bytes; its 64 paths start no pool and no
+        # thread
         code = (
             "import hashlib, threading, numpy as np, twocurve._kernels as k\n"
             "from twocurve import _rng\n"
@@ -819,44 +802,52 @@ class TestWithoutCompiler:
         assert "two-angle diffusion" in warning
 
 
-class TestRunSpans:
-    """The one helper that splits the compiled calls into row spans."""
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
+class TestRowScheduler:
+    """``_run_rows``: one call of the C function per worker, each taking
+    rows from the one shared counter."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_spans_depend_on_the_row_count_only(self, monkeypatch,
-                                                workers):
-        monkeypatch.setattr(_kernels, "_n_workers",
-                                lambda w=workers: w)
-        block = _kernels._ROW_BLOCK
-        for n, last in ((0, (0, 0)), (1, (0, 1)), (block, (0, block)),
-                        (3 * block + 1, (3 * block, 3 * block + 1))):
-            spans = _kernels._run_spans(lambda lo, hi: (lo, hi), n)
-            assert spans[-1] == last
-            assert spans == [(lo, min(lo + block, n))
-                             for lo in range(0, max(n, 1), block)]
+    def test_kernel_bytes_do_not_depend_on_workers(self, monkeypatch,
+                                                   workers):
+        # every output of all three kernels is the Python/numpy kernel's
+        # (the flow's: the pinned rows') at any worker count, z paths dead
+        # at entry and dying inside the call included
+        monkeypatch.setattr(_kernels, "_n_workers", lambda: workers)
+        out = assert_kernels_agree(6.0, make_rows(200), 200, THR)
+        assert len(set(out["status"].tolist())) >= 3
+        y = np.tile(FLOW_Y, 70)
+        _kernels.backward_flow(np.tile(FLOW_DRIVERS, (70, 1)),
+                               np.tile(FLOW_LENGTHS, 70), 0.01, y)
+        assert [(v.real.hex(), v.imag.hex()) for v in y] == FLOW_PINNED * 70
+        c = assert_z_kernels_agree(6.0, starts(300, 0.12, 0.12), 0.1, 40,
+                                   [1, 2, 40])
+        assert 0 < np.count_nonzero(~c["alive"]) < 300
+        ids = np.arange(300)
+        for alive in ((ids // 7) % 2 == 1, ids % 7 < 3):
+            c = assert_z_kernels_agree(6.0, Z_STARTS, 1e-3, 20, [1, 20],
+                                       alive=alive)
+            assert_same_bits(c["rec_z1"][0][~alive], Z_STARTS[0][~alive])
 
-    def test_single_span_runs_inline(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "_n_workers", lambda: 2)
-        threads = _kernels._run_spans(
-            lambda lo, hi: threading.current_thread(), _kernels._ROW_BLOCK)
-        assert threads == [threading.current_thread()]
-
-    def test_every_span_runs_once_under_contention(self, monkeypatch):
-        # more workers than cores and a short switch interval: the shared
-        # queue must hand out each span exactly once, and the results land
-        # in span order
+    def test_every_row_runs_once_under_contention(self, monkeypatch):
+        # more workers than cores and a short switch interval: a row the
+        # workers skipped would keep its start and a row taken twice would
+        # be pulled back twice, so each of 50 calls must write the bytes
+        # of a call on one worker
+        drivers = np.tile(FLOW_DRIVERS[:, :40], (333, 1))[:997]
+        lengths = np.minimum(np.tile(FLOW_LENGTHS, 333)[:997], 40)
+        y0 = np.tile(FLOW_Y, 333)[:997]
+        monkeypatch.setattr(_kernels, "_n_workers", lambda: 1)
+        want = y0.copy()
+        _kernels.backward_flow(drivers, lengths, 0.01, want)
         monkeypatch.setattr(_kernels, "_n_workers", lambda: 4)
-        ran, results = [], []
-
-        def fn(lo, hi):
-            ran.append(lo)
-            return lo, hi
+        results = []
 
         def many():
             for _ in range(50):
-                del ran[:]
-                results.append(_kernels._run_spans(fn, 997))
-                results.append(sorted(ran))
+                y = y0.copy()
+                _kernels.backward_flow(drivers, lengths, 0.01, y)
+                results.append(y.tobytes() == want.tobytes())
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -867,20 +858,51 @@ class TestRunSpans:
         finally:
             sys.setswitchinterval(interval)
         assert not worker.is_alive()
-        block = _kernels._ROW_BLOCK
-        spans = [(lo, min(lo + block, 997)) for lo in range(0, 997, block)]
-        assert results == [spans, [lo for lo, _ in spans]] * 50
+        assert results == [True] * 50
 
-    def test_exception_of_a_span_propagates(self, monkeypatch):
+    def test_one_row_runs_inline(self, monkeypatch):
+        # calls of one row (and of none) start no pool
         monkeypatch.setattr(_kernels, "_n_workers", lambda: 2)
+        monkeypatch.setattr(_kernels, "_pool",
+                            lambda threads: pytest.fail("pool started"))
+        assert_kernels_agree(6.0, make_rows(1), 50, [10, 20])
+        for n in (1, 0):
+            y = FLOW_Y[:n].copy()
+            _kernels.backward_flow(FLOW_DRIVERS[:n], FLOW_LENGTHS[:n], 0.01,
+                                   y)
+            assert [(v.real.hex(), v.imag.hex()) for v in y] \
+                == FLOW_PINNED[:n]
+        assert_z_kernels_agree(6.0, starts(1, 0.12, 0.12), 0.1, 40,
+                               [1, 40])
 
-        def fn(lo, hi):
-            if lo == _kernels._ROW_BLOCK:
-                raise KeyError(lo)
-            return lo
+    def test_exception_of_a_worker_propagates(self, monkeypatch):
+        # after the calling thread's call, the pool thread's exception
+        monkeypatch.setattr(_kernels, "_n_workers", lambda: 2)
+        caller = threading.current_thread()
+        ran = []
+
+        def call(next_row):
+            ran.append(threading.current_thread() is caller)
+            if not ran[-1]:
+                raise KeyError(next_row.value)
 
         with pytest.raises(KeyError):
-            _kernels._run_spans(fn, 4 * _kernels._ROW_BLOCK)
+            _kernels._run_rows(call, 2)
+        assert sorted(ran) == [False, True]
+
+    def test_prototypes_match_argtypes(self):
+        # a parameter missing on either side would still run, reading a
+        # wrong argument: the exported functions of _hsle.c are the three
+        # kernels, each with as many parameters as its ctypes argtypes
+        with open(_kernels._HSLE_SOURCE, encoding="utf-8") as fh:
+            source = fh.read()
+        protos = dict(re.findall(r"^(?:int|void) (\w+)\(([^)]*)\)", source,
+                                 re.M))
+        lib = compiled_lib()
+        assert sorted(protos) == ["backward_flow", "hsle_evolve_adaptive",
+                                  "z_evolve"]
+        for name, params in protos.items():
+            assert len(params.split(",")) == len(getattr(lib, name).argtypes)
 
 
 def read_only(a):

@@ -322,6 +322,43 @@ class TestTwoCurveHit:
             with pytest.raises(ValueError, match="radii"):
                 estimate(CTX6, SYM_CFG, r_list, n_paths=10, dt=1e-3, seed=0)
 
+    def test_repeated_radii_raise(self, monkeypatch):
+        # a repeated radius would run twice into one radius's counters
+        monkeypatch.setattr(mc, "_two_stage_run", None)
+        for estimate in (mc.estimate_two_curve_hit,
+                         mc.estimate_intersection_hit):
+            with pytest.raises(ValueError, match="distinct"):
+                estimate(CTX6, SYM_CFG, [0.2, 0.1, 0.2], n_paths=10,
+                         dt=1e-3, seed=0)
+
+    @pytest.mark.parametrize("kappa, n_paths", [(3.0, 600), (6.0, 200),
+                                                (7.5, 200)])
+    def test_certificate_horizon_only_adds_hits(self, fast_sampler, kappa,
+                                                n_paths):
+        # curves runs stop second curves at the certificate margin 1.5,
+        # the meet rule's runs grow them on to 3.0: a path that stops
+        # before 1.5 is decided alike, one that reaches 1.5 turns into a
+        # hit, so hits only rise and band and exclusions only fall
+        short, full = (mc._two_stage_run(
+            KappaContext(kappa), SYM_CFG, [0.05, 0.1, 0.2], n_paths, 1e-3,
+            1, 0, collect_meet=meet)[0] for meet in (False, True))
+        gained = 0
+        for r, s in short.items():
+            f = full[r]
+            assert s["certified"] == f["certified"]
+            assert s["two_curve_hits"] >= f["two_curve_hits"]
+            assert s["band"] <= f["band"]
+            assert s["excluded"] <= f["excluded"]
+            assert s["hit_alive"] >= f["hit_alive"] + f["hit_swallow"]
+            gained += s["hit_alive"] - f["hit_alive"] - f["hit_swallow"]
+        # second curves reach the horizon; past it, kappa > 4 ones pinch or
+        # are absorbed before 3.0, and those are the hits gained
+        assert sum(s["hit_alive"] for s in short.values()) > 0
+        assert gained > 0 or kappa < 4.0
+        # each record's config gives the horizon its run used
+        assert [mc._two_stage_setup(SYM_CFG, [0.1], 10, 1e-3, 0, meet)[1][
+            "cap_b"] for meet in (False, True)] == [1.5, 3.0]
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             mc.estimate_two_curve_hit(CTX6, SYM_CFG, [0.1], n_paths=10,
