@@ -686,6 +686,62 @@ class TestCompiledZEvolve:
         assert np.all((c["z1"][dead] == 0.0) | (c["z1"][dead] == math.pi)
                       | (c["z2"][dead] == 0.0) | (c["z2"][dead] == math.pi))
 
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_block_length_does_not_move_bits(self, block):
+        # calls on blocks of 1 or 7 paths (the last one short) write the
+        # bytes of the one call on all 300, in runs where paths die inside
+        # the call and where whole blocks, or parts of one, are dead at
+        # entry: each call's counter hands out its own rows from 0
+        compiled_lib()
+        ids = np.arange(300)
+        runs = [(starts(300, 0.12, 0.12), 0.1, 40, [1, 2, 40], None)]
+        runs += [(Z_STARTS, 1e-3, 20, [1, 20], alive)
+                 for alive in ((ids // 7) % 2 == 1, ids % 7 < 3)]
+        for z0, dt, n_steps, rec, alive in runs:
+            want = z_run(_kernels.z_evolve, 6.0, z0, dt, 0, n_steps, rec,
+                         alive=alive)
+            rec_steps = np.array(rec, dtype=np.int64)
+            got = dict(z1=np.array(z0[0]), z2=np.array(z0[1]),
+                       alive=(np.ones(300, dtype=bool) if alive is None
+                              else alive.copy()),
+                       absorb_step=np.full(300, -1, dtype=np.int64),
+                       rec_z1=np.full((rec_steps.size, 300), np.nan),
+                       rec_z2=np.full((rec_steps.size, 300), np.nan))
+            streams = _rng.derive_stream_array(5, ids)
+            for lo in range(0, 300, block):
+                hi = min(lo + block, 300)
+                r1 = np.full((rec_steps.size, hi - lo), np.nan)
+                r2 = np.full((rec_steps.size, hi - lo), np.nan)
+                _kernels.z_evolve(
+                    got["z1"][lo:hi], got["z2"][lo:hi],
+                    got["alive"][lo:hi], got["absorb_step"][lo:hi],
+                    streams[lo:hi], 0, n_steps, 6.0, dt, rec_steps, r1, r2)
+                got["rec_z1"][:, lo:hi], got["rec_z2"][:, lo:hi] = r1, r2
+            for name in Z_OUTPUTS:
+                assert_same_bits(got[name], want[name])
+            if alive is None:
+                assert 0 < np.count_nonzero(~want["alive"]) < 300
+            else:
+                assert_same_bits(got["z1"][~alive], Z_STARTS[0][~alive])
+                assert_same_bits(got["rec_z1"][0][~alive],
+                                 Z_STARTS[0][~alive])
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_path_spans_do_not_move_bits(self, monkeypatch, block):
+        # spans of 1 or 7 paths dead at entry, alternating with live spans
+        # whose paths die inside the call, on 1 and on 2 workers: every
+        # output, dead paths' snapshots included, is the numpy
+        # evolution's at either worker count
+        alive = (np.arange(300) // block) % 2 == 1
+        for workers in (1, 2):
+            monkeypatch.setattr(_kernels, "_n_workers",
+                                lambda w=workers: w)
+            c = assert_z_kernels_agree(6.0, starts(300, 0.12, 0.12), 0.1,
+                                       40, [1, 2, 40], alive=alive)
+            assert 0 < np.count_nonzero(~c["alive"][alive]) < alive.sum()
+            assert_same_bits(c["rec_z1"][0][~alive],
+                             np.full(np.count_nonzero(~alive), 0.12))
+
     def test_split_at_a_step_reproduces_the_whole_run(self):
         compiled_lib()
         z0 = starts(300, 0.12, 0.12)
@@ -903,6 +959,39 @@ class TestRowScheduler:
                                   "z_evolve"]
         for name, params in protos.items():
             assert len(params.split(",")) == len(getattr(lib, name).argtypes)
+
+
+class TestRunSpans:
+    """``_run_rows`` with a Python call in place of a C function: the span
+    of rows each call takes depends on timing, the rows taken on the row
+    count only."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_spans_depend_on_the_row_count_only(self, monkeypatch,
+                                                workers):
+        # the calling thread's call comes first, one call per worker up to
+        # one per row, and the calls together take rows 0 .. n-1 once each
+        monkeypatch.setattr(_kernels, "_n_workers", lambda w=workers: w)
+        lock = threading.Lock()
+        caller = threading.current_thread()
+
+        for n in (0, 1, 2, 3, 97):
+            def call(next_row):
+                rows = []
+                while True:
+                    with lock:
+                        row = next_row.value
+                        next_row.value += 1
+                    if row >= n:
+                        return threading.current_thread() is caller, rows
+                    rows.append(row)
+
+            out = _kernels._run_rows(call, n)
+            assert len(out) == max(1, min(workers, n))
+            assert [first for first, _ in out] \
+                == [True] + [False] * (len(out) - 1)
+            assert sorted(r for _, rows in out for r in rows) \
+                == list(range(n))
 
 
 def read_only(a):
