@@ -37,7 +37,7 @@ resolved RunConfig.  Check tolerances are the pinned
 ``checks.TOLERANCES``, and the spectral series picks its own truncation
 level (``density.truncation``), so neither is configured.  A dt
 convergence study is two ``simulate`` runs with one master seed, at
-``dt`` and at ``dt / 2`` (what ``--dt-halving`` once ran in one).
+``dt`` and at ``dt / 2``.
 
 If ``master_seed`` is not supplied one is generated from the OS entropy
 pool, printed on stdout, and stored in every record and sidecar, so any
@@ -67,13 +67,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, _kernels, _rng
+from . import __version__, _kernels
 from . import checks as checks_mod
 from . import density as dens
 from . import montecarlo as mc
 from .context import KappaContext
-from .green import BoundaryConfig
-from .timecurve import ZState
 
 SCHEMA_VERSION = 1
 
@@ -189,13 +187,6 @@ def validate_config(cfg: RunConfig, command: str) -> None:
     """Reject all domain violations before any computation."""
     if not (0.0 < cfg.kappa < 8.0):
         raise ConfigError(f"kappa must lie in (0, 8), got {cfg.kappa}")
-    if cfg.path_start < 0:
-        raise ConfigError("path_start must be >= 0")
-    # streams read the seed as one 64-bit word: a seed outside [0, 2^64)
-    # would alias the seed it wraps to
-    if cfg.master_seed is not None and not 0 <= cfg.master_seed < 2 ** 64:
-        raise ConfigError(f"master_seed must lie in [0, 2^64), got "
-                          f"{cfg.master_seed}")
     if command == "check":
         for k in cfg.kappas:
             if not (0.0 < k < 8.0):
@@ -224,57 +215,19 @@ def validate_config(cfg: RunConfig, command: str) -> None:
             raise ConfigError(
                 f"method must be z-weighted | curves | intersection, "
                 f"got {cfg.method!r}")
-        if cfg.n_paths < 1:
-            raise ConfigError("n_paths must be >= 1")
-        if cfg.path_start + cfg.n_paths > _rng.PATH_LIMIT:
-            raise ConfigError("path_start + n_paths must not exceed 2^63")
-        if cfg.dt <= 0.0:
-            raise ConfigError("dt must be positive")
-        if cfg.method == "z-weighted":
-            if len(cfg.z0) != 2 or not all(0.0 < z < math.pi
-                                           for z in cfg.z0):
-                raise ConfigError(f"z0 must lie in (0, pi)^2, got {cfg.z0}")
-            if not cfg.t_list or any(t < 0.0 for t in cfg.t_list):
-                raise ConfigError("t_list must be nonempty and nonnegative")
-            # record steps are int64
-            if any(not t / cfg.dt < 2.0 ** 62 for t in cfg.t_list):
-                raise ConfigError(f"t_list entries must be fewer than 2^62 "
-                                  f"steps (dt = {cfg.dt})")
-            # a positive time is recorded at its nearest step, which must
-            # not be step 0
-            if any(t > 0.0 and round(t / cfg.dt) < 1 for t in cfg.t_list):
-                raise ConfigError(f"t_list entries must be 0 or more than "
-                                  f"half a step (dt = {cfg.dt})")
-        else:
-            if len(cfg.cfg) != 4:
-                raise ConfigError("cfg must be four angles w1 v1 w2 v2")
-            try:
-                BoundaryConfig(*cfg.cfg)
-            except ValueError as exc:
-                raise ConfigError(f"invalid marked angles: {exc}") from None
-            if not cfg.r_list:
-                raise ConfigError("r_list must be nonempty")
-            # hit estimation is defined for radii below the quarter
-            # threshold; reject early, before any simulation
-            if any(not (0.0 < r < 0.25) for r in cfg.r_list):
-                raise ConfigError(
-                    f"r_list entries must lie in (0, 1/4) for hit "
-                    f"estimation, got {cfg.r_list}")
-            if len(set(cfg.r_list)) < len(cfg.r_list):
-                raise ConfigError(f"r_list entries must be distinct, got "
-                                  f"{cfg.r_list}")
-            if cfg.dt > 5e-3:
-                raise ConfigError("dt must be <= 5e-3 for curve methods")
-            if cfg.method == "intersection" and cfg.kappa <= 4.0:
-                raise ConfigError("intersection estimates need kappa in "
-                                  "(4, 8) (simple curves never meet)")
-
-
-def _resolve_seed(cfg: RunConfig) -> tuple[int, bool]:
-    if cfg.master_seed is None:
-        seed = int.from_bytes(os.urandom(4), "big") & 0x7FFFFFFF
-        return seed, True
-    return int(cfg.master_seed), False
+        # the estimator's own input rules; a generated seed is in range
+        seed = 0 if cfg.master_seed is None else cfg.master_seed
+        try:
+            if cfg.method == "z-weighted":
+                mc.check_survival_inputs(cfg.z0, cfg.t_list, cfg.n_paths,
+                                         cfg.dt, seed, cfg.path_start)
+            else:
+                mc.check_hit_inputs(cfg.kappa, cfg.cfg, cfg.r_list,
+                                    cfg.n_paths, cfg.dt, seed,
+                                    cfg.path_start,
+                                    cfg.method == "intersection")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -425,16 +378,12 @@ def cmd_density(cfg: RunConfig, out=sys.stdout) -> int:
 def _run_estimator(cfg: RunConfig, ctx: KappaContext, seed: int) -> list:
     if cfg.method == "z-weighted":
         return mc.estimate_survival_weighted(
-            ctx, ZState(*cfg.z0), cfg.t_list, cfg.n_paths, cfg.dt, seed,
+            ctx, cfg.z0, cfg.t_list, cfg.n_paths, cfg.dt, seed,
             path_start=cfg.path_start)
-    bc = BoundaryConfig(*cfg.cfg)
-    if cfg.method == "curves":
-        return mc.estimate_two_curve_hit(
-            ctx, bc, cfg.r_list, cfg.n_paths, cfg.dt, seed,
-            path_start=cfg.path_start)
-    return mc.estimate_intersection_hit(
-        ctx, bc, cfg.r_list, cfg.n_paths, cfg.dt, seed,
-        path_start=cfg.path_start)
+    estimate = (mc.estimate_two_curve_hit if cfg.method == "curves"
+                else mc.estimate_intersection_hit)
+    return estimate(ctx, cfg.cfg, cfg.r_list, cfg.n_paths, cfg.dt, seed,
+                    path_start=cfg.path_start)
 
 
 def write_records_csv(path: str, records) -> None:
@@ -442,10 +391,14 @@ def write_records_csv(path: str, records) -> None:
     _write_csv(path, mc.CSV_COLUMNS, (rec.to_row() for rec in records))
 
 
+# the types of the estimate CSV's columns but flags, if not float
+_COLUMN_TYPES = {"method": str, "n_paths": int, "seed": int}
+
+
 def read_records_csv(path: str) -> list:
     """Read an estimate CSV in the layout of :func:`write_records_csv`;
-    ConfigError for a file that is not UTF-8, other columns or a row whose
-    values do not parse."""
+    ConfigError for a file that is not UTF-8, other columns, or a row with
+    more values than columns or values that do not parse."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             lines = fh.readlines()
@@ -457,19 +410,15 @@ def read_records_csv(path: str) -> list:
             raise ConfigError(f"unrecognized estimate CSV columns: {names}")
         rows = []
         for row in reader:
+            # DictReader files the values past the header under None
+            if None in row:
+                raise ConfigError(f"{path} line {reader.line_num}: more "
+                                  f"values than columns")
             try:
                 rows.append({
-                    "kappa": float(row["kappa"]),
-                    "method": row["method"],
-                    "r_or_t": float(row["r_or_t"]),
-                    "estimate": float(row["estimate"]),
-                    "stderr": float(row["stderr"]),
-                    "ess": float(row["ess"]),
-                    "n_paths": int(row["n_paths"]),
-                    "dt": float(row["dt"]),
-                    "seed": int(row["seed"]),
-                    "flags": tuple(f for f in row["flags"].split(";") if f),
-                })
+                    **{k: _COLUMN_TYPES.get(k, float)(row[k])
+                       for k in mc.CSV_COLUMNS[:-1]},
+                    "flags": tuple(f for f in row["flags"].split(";") if f)})
             except (TypeError, ValueError, AttributeError) as exc:
                 # a short row leaves its missing fields None
                 raise ConfigError(f"{path} line {reader.line_num}: {exc}") \
@@ -479,16 +428,14 @@ def read_records_csv(path: str) -> list:
 
 def cmd_simulate(cfg: RunConfig, out=sys.stdout) -> int:
     ctx = KappaContext(cfg.kappa)
-    seed, generated = _resolve_seed(cfg)
-    cfg.master_seed = seed
+    generated = cfg.master_seed is None
     if generated:
-        out.write(f"master_seed = {seed} (generated)\n")
-    else:
-        out.write(f"master_seed = {seed}\n")
+        cfg.master_seed = int.from_bytes(os.urandom(4), "big") & 0x7FFFFFFF
+    seed = int(cfg.master_seed)
+    out.write(f"master_seed = {seed}{' (generated)' if generated else ''}\n")
     records = _run_estimator(cfg, ctx, seed)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    csv_path = os.path.join(cfg.out_dir, "estimates.csv")
-    write_records_csv(csv_path, records)
+    write_records_csv(os.path.join(cfg.out_dir, "estimates.csv"), records)
     meta = {
         "schema_version": SCHEMA_VERSION,
         "config": cfg.to_dict(),
@@ -499,20 +446,18 @@ def cmd_simulate(cfg: RunConfig, out=sys.stdout) -> int:
     # the library that ran the kernels, "c" or "python", and its threads
     meta["hsle_kernel"] = records[0].config["hsle_kernel"]
     meta["kernel_workers"] = _kernels.kernel_workers()
-    if cfg.method == "z-weighted":
-        # where each record time's paths went
-        meta["counters"] = [
-            {"t": rec.r_or_t, "absorbed": rec.config["absorbed"]}
-            for rec in records]
-    else:
-        # where each radius's paths went, its backward-flow rows and
-        # steps, the stop statuses of its second curves, and where the
-        # run's first curves stopped
-        meta["counters"] = [
-            {"r": rec.r_or_t,
-             **{k: rec.config[k] for k in (*mc.HIT_COUNTERS, "status_b")
-                if k in rec.config}}
-            for rec in records]
+    # per radius or time: the record's accumulators, which add up across
+    # path ranges, and where its paths went (absorbed; or the hit classes,
+    # backward-flow rows and steps and second-curve stop statuses)
+    key = "t" if cfg.method == "z-weighted" else "r"
+    meta["counters"] = [
+        {key: rec.r_or_t,
+         **{k: rec.config[k] for k in (*mc.ACCUMULATORS, *mc.HIT_COUNTERS,
+                                       "status_b", "absorbed")
+            if k in rec.config}}
+        for rec in records]
+    if cfg.method != "z-weighted":
+        # where the run's first curves stopped
         meta["status_a"] = records[0].config["status_a"]
     _write_json(os.path.join(cfg.out_dir, "estimates_meta.json"), meta)
     for rec in records:
@@ -530,13 +475,18 @@ _FITTABLE = ("two_curve_hit", "intersection_hit")
 
 
 def fit_records(rows) -> dict:
-    """Group hit-probability records and fit a power law per group."""
+    """Group hit-probability records and fit a power law per group;
+    ConfigError for a record whose kappa lies outside (0, 8)."""
     groups: dict = {}
     for row in rows:
         key = (row["kappa"], row["method"], row["dt"])
         groups.setdefault(key, []).append(row)
     fits, skipped = [], []
     for (kappa, method, dt), rows_g in sorted(groups.items()):
+        try:
+            ctx = KappaContext(kappa)
+        except ValueError as exc:
+            raise ConfigError(f"record {exc}") from None
         label = {"kappa": kappa, "method": method, "dt": dt,
                  "n_points": len(rows_g)}
         if method not in _FITTABLE:
@@ -560,7 +510,7 @@ def fit_records(rows) -> dict:
                      "intercept": inter,
                      "intercept_stderr": float(math.sqrt(max(cov[1, 1],
                                                              0.0))),
-                     "alpha0": KappaContext(kappa).alpha0,
+                     "alpha0": ctx.alpha0,
                      })
     return {"schema_version": SCHEMA_VERSION, "fits": fits,
             "skipped": skipped}
@@ -638,7 +588,7 @@ def cmd_report(cfg: RunConfig, out=sys.stdout) -> int:
     records = []
     if os.path.exists(est_path):
         records = read_records_csv(est_path)
-        report["estimates"] = records and {
+        report["estimates"] = {
             "n_records": len(records),
             "methods": sorted({r["method"] for r in records}),
         }

@@ -72,6 +72,15 @@ ranges merge exactly.
 The sampler takes no tuning parameters: its constants (``_SAMPLER``) and
 the adaptive kernel's (``_kernels.EPS_KILL``, ``EPS_RET``, ``KRES``) have
 one value each, recorded in every hit record's config.
+
+Each estimator family checks every input rule in one function, before
+any simulation: :func:`check_hit_inputs` and :func:`check_survival_inputs`.
+Each record's config holds its ``ACCUMULATORS``: the paths n, the sums of
+their contributions x and x^2 and of their likelihood weights L and L^2,
+and the band and excluded paths.  A hit has x in {0, 1} and L = 1, a
+z-weighted path x = L = its importance weight (0 once absorbed).
+:func:`build_record` turns them into the record; disjoint path ranges
+merge by adding them (the counts exactly) and building again.
 """
 from __future__ import annotations
 
@@ -129,6 +138,115 @@ class EstimateRecord:
         return [self.kappa, self.method, self.r_or_t, self.estimate,
                 self.stderr, self.ess, self.n_paths, self.dt, self.seed,
                 ";".join(self.flags)]
+
+
+# What every record's config sums up, and all that ``build_record`` reads
+ACCUMULATORS = ("n", "sum_x", "sum_x2", "sum_l", "sum_l2", "band",
+                "excluded")
+
+
+def build_record(kappa: float, method: str, r_or_t: float, dt: float,
+                 seed: int, config: dict, flags=(),
+                 weighted: bool = False) -> EstimateRecord:
+    """The record of the ``ACCUMULATORS`` in ``config`` (module docstring).
+
+    Estimate sum_x / n, statistical error sqrt(mean (sum_x2 / sum_x -
+    mean) / n) (for 0/1 hits p (1 - p), bit for bit), ESS sum_l^2 /
+    sum_l2; half the band and half the excluded paths per path add in
+    quadrature.  Flags after ``flags``: counts with no hit or no miss take
+    the 95% bound 3/n (``degenerate_counts``); ``weighted`` records flag
+    ``low_ess`` (ESS <= 100) and ``no_survivors`` (bound 1/n) and keep a
+    roundoff floor of 8 ulp; then ``probe_band`` and ``collision_excluded``.
+    """
+    n, sx, sl, sl2 = (config[k] for k in ("n", "sum_x", "sum_l", "sum_l2"))
+    mean = sx / n
+    var = mean * (config["sum_x2"] / sx - mean) if sx else 0.0
+    stat = math.sqrt(max(var, 0.0) / n)
+    ess = sl * sl / sl2 if sl2 > 0 else 0.0
+    flags = list(flags)
+    if not weighted and (sx == 0 or sx == n):
+        stat = 3.0 / n
+        flags.append("degenerate_counts")
+    if weighted:
+        if ess <= 100.0:
+            flags.append("low_ess")
+        if sx == 0:
+            stat = 1.0 / n
+            flags.append("no_survivors")
+        stat = max(stat, 8.0 * math.ulp(1.0) * max(1.0, mean))
+    sys_probe = 0.5 * config["band"] / n
+    sys_excl = 0.5 * config["excluded"] / n
+    if sys_probe > stat:
+        flags.append("probe_band")
+    if config["excluded"] > 0:
+        flags.append("collision_excluded")
+    stderr = math.sqrt(stat * stat + sys_probe * sys_probe
+                       + sys_excl * sys_excl)
+    return EstimateRecord(
+        kappa=float(kappa), method=method, r_or_t=float(r_or_t),
+        estimate=float(mean), stderr=float(stderr), ess=float(ess),
+        n_paths=int(n), dt=float(dt), seed=int(seed), config=config,
+        flags=tuple(flags))
+
+
+def _check_run(n_paths: int, dt: float, seed: int, path_start: int) -> None:
+    """The input rules of every estimator (NaN fails each)."""
+    if not n_paths >= 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    if not 0 <= path_start <= _rng.PATH_LIMIT - n_paths:
+        raise ValueError(f"path ids must lie in [0, 2^63), got "
+                         f"{path_start} + {n_paths} paths")
+    # streams read the seed as one 64-bit word: one outside [0, 2^64)
+    # would alias the seed it wraps to
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"master seed must lie in [0, 2^64), got {seed}")
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+
+
+def check_hit_inputs(kappa: float, cfg, r_list, n_paths: int, dt: float,
+                     seed: int, path_start: int, intersection: bool
+                     ) -> tuple[BoundaryConfig, list]:
+    """Every input rule of the hit estimators (ValueError); returns the
+    marked angles as a BoundaryConfig and the radii.  dt <= 5e-3 keeps the
+    second curves' horizon above log 4; the meet rule needs kappa > 4,
+    where the curves touch; the quarter-theorem certificates need radii
+    in (0, 1/4), and a repeated radius would be counted twice."""
+    _check_run(n_paths, dt, seed, path_start)
+    if not dt <= 5e-3:
+        raise ValueError(f"dt must lie in (0, 5e-3], got {dt}")
+    if intersection and not kappa > 4.0:
+        raise ValueError(f"intersection estimator needs kappa in (4, 8) "
+                         f"(the curves do not touch for kappa <= 4), got "
+                         f"{kappa}")
+    if not isinstance(cfg, BoundaryConfig):
+        if len(cfg) != 4:
+            raise ValueError(f"cfg must be four angles, got {cfg}")
+        cfg = BoundaryConfig(*cfg)
+    rs = [float(r) for r in r_list]
+    if not rs or not all(0.0 < r < 0.25 for r in rs) \
+            or len(set(rs)) < len(rs):
+        raise ValueError(f"radii must be a nonempty list of distinct radii "
+                         f"in (0, 1/4), got {rs}")
+    return cfg, rs
+
+
+def check_survival_inputs(z0, t_list, n_paths: int, dt: float, seed: int,
+                          path_start: int) -> tuple[ZState, list]:
+    """Every input rule of the survival estimator (ValueError); returns
+    the start as a ZState and the times.  A positive time is recorded at
+    its nearest step, which must be neither step 0 nor past int64."""
+    _check_run(n_paths, dt, seed, path_start)
+    if not isinstance(z0, ZState):
+        if len(z0) != 2:
+            raise ValueError(f"z0 must be a pair (z1, z2), got {z0}")
+        z0 = ZState(*z0)
+    ts = [float(t) for t in t_list]
+    if not ts or not all(t == 0.0 or 0.5 < t / dt < 2.0 ** 62 for t in ts):
+        raise ValueError(f"times must be a nonempty list of 0 or more than "
+                         f"half a step and fewer than 2^62 steps of dt = "
+                         f"{dt}, got {ts}")
+    return z0, ts
 
 
 # ---------------------------------------------------------------------------
@@ -488,61 +606,17 @@ def _count_meets(seq, hits, pts, r, ti, du, eps_in, tally) -> int:
     return meet
 
 
-def _hit_records(ctx, method, agg, thr_m, status_a, n_paths, dt, seed,
-                 base_config, flags=()) -> list:
-    """One binomial record per radius of a two-stage run, with the
-    certificate-band and exclusion systematics, the radius's counters and
-    the run's first-curve stop-status histogram in its config."""
-    records = []
-    for r, a in sorted(agg.items()):
-        meet = method == "intersection_hit"
-        hits = a["meet" if meet else "two_curve_hits"]
-        counters = {k: a[k] for k in HIT_COUNTERS[:None if meet else -2]}
-        p_hat = hits / n_paths
-        rec_flags = list(flags)
-        if a["certified"] == 0:
-            rec_flags.append("insufficient_survivors")
-        stat = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_paths)
-        if hits == 0 or hits == n_paths:
-            stat = 3.0 / n_paths  # 95% bound for degenerate counts
-            rec_flags.append("degenerate_counts")
-        sys_probe = 0.5 * a["band"] / n_paths
-        sys_excl = 0.5 * a["excluded"] / n_paths
-        if sys_probe > stat:
-            rec_flags.append("probe_band")
-        if a["excluded"] > 0:
-            rec_flags.append("collision_excluded")
-        stderr = math.sqrt(stat * stat + sys_probe * sys_probe
-                           + sys_excl * sys_excl)
-        records.append(EstimateRecord(
-            kappa=ctx.kappa, method=method, r_or_t=float(r),
-            estimate=float(p_hat), stderr=float(stderr),
-            ess=float(n_paths), n_paths=int(n_paths), dt=float(dt),
-            seed=int(seed), config={**base_config,
-                                    "stop_capacity": thr_m[r] * dt,
-                                    **counters,
-                                    "status_b": a["status_b"].tolist(),
-                                    "status_a": status_a},
-            flags=tuple(rec_flags)))
-    return records
-
-
-def _two_stage_setup(cfg: BoundaryConfig, r_list, n_paths: int, dt: float,
-                     path_start: int, collect_meet: bool):
-    """Validated inputs of a two-stage estimate: (radii, base record
-    config).  The radii must be a nonempty list of distinct radii in
-    (0, 1/4): the quarter-theorem certificates need the first curve's trace
-    at distance >= r/4, and a repeated radius would be counted twice."""
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if dt <= 0.0 or dt > 5e-3:
-        raise ValueError(f"dt must lie in (0, 5e-3], got {dt}")
-    rs = [float(r) for r in r_list]
-    if not rs or not all(0.0 < r < 0.25 for r in rs):
-        raise ValueError(f"radii must be a nonempty list in (0, 1/4), "
-                         f"got {rs}")
-    if len(set(rs)) < len(rs):
-        raise ValueError(f"radii must be distinct, got {rs}")
+def _estimate_hits(ctx: KappaContext, cfg, r_list, n_paths: int, dt: float,
+                   seed: int, path_start: int, intersection: bool) -> list:
+    """Both hit estimators: one record per radius, in increasing order, of
+    its hits (x in {0, 1}, L = 1), band and excluded paths, with the
+    radius's counters and the run's first-curve stop statuses."""
+    cfg, rs = check_hit_inputs(ctx.kappa, cfg, r_list, n_paths, dt, seed,
+                               path_start, intersection)
+    agg, thr_m, status_a = _two_stage_run(
+        ctx, cfg, rs, n_paths, dt, seed, path_start, intersection)
+    method, flags = (("intersection_hit", ("surrogate_meet_rule",))
+                     if intersection else ("two_curve_hit", ()))
     # "hsle_kernel" names the library that ran both the adaptive kernel
     # and the backward flow: "c" or "python" (numpy)
     base_config = {
@@ -554,9 +628,21 @@ def _two_stage_setup(cfg: BoundaryConfig, r_list, n_paths: int, dt: float,
         "eps_ret": _kernels.EPS_RET,
         "kres": _kernels.KRES,
         **{k: v for k, v in _SAMPLER.items() if k != "chunk_paths"},
-        "cap_b": _horizon_b(collect_meet),
+        "cap_b": _horizon_b(intersection),
     }
-    return rs, base_config
+    records = []
+    for r, a in sorted(agg.items()):
+        hits = a["meet" if intersection else "two_curve_hits"]
+        config = {
+            **base_config, "stop_capacity": thr_m[r] * dt,
+            **{k: a[k] for k in HIT_COUNTERS[:None if intersection else -2]},
+            "status_b": a["status_b"].tolist(), "status_a": status_a,
+            "n": n_paths, "sum_x": hits, "sum_x2": hits, "sum_l": n_paths,
+            "sum_l2": n_paths}
+        records.append(build_record(
+            ctx.kappa, method, r, dt, seed, config,
+            flags if a["certified"] else (*flags, "insufficient_survivors")))
+    return records
 
 
 def estimate_two_curve_hit(ctx: KappaContext, cfg: BoundaryConfig, r_list,
@@ -573,19 +659,15 @@ def estimate_two_curve_hit(ctx: KappaContext, cfg: BoundaryConfig, r_list,
     One binomial record per radius, in increasing order; the probe-band
     and excluded-path masses are folded into the standard error.
 
-    ``r_list`` must be a nonempty list of distinct radii in (0, 1/4), the
-    range of the quarter-theorem certificates; ValueError otherwise, before
-    any simulation.
+    The inputs must pass :func:`check_hit_inputs` (radii in (0, 1/4), the
+    range of the quarter-theorem certificates, among others); ValueError
+    otherwise, before any simulation.
 
     ``path_start`` offsets the path ids (the map of draws in
     :mod:`._rng`), letting disjoint ranges merge exactly.
     """
-    rs, base_config = _two_stage_setup(cfg, r_list, n_paths, dt, path_start,
-                                       collect_meet=False)
-    agg, thr_m, status_a = _two_stage_run(
-        ctx, cfg, rs, n_paths, dt, seed, path_start, collect_meet=False)
-    return _hit_records(ctx, "two_curve_hit", agg, thr_m, status_a,
-                        n_paths, dt, seed, base_config)
+    return _estimate_hits(ctx, cfg, r_list, n_paths, dt, seed, path_start,
+                          intersection=False)
 
 
 def estimate_intersection_hit(ctx: KappaContext, cfg: BoundaryConfig,
@@ -606,17 +688,8 @@ def estimate_intersection_hit(ctx: KappaContext, cfg: BoundaryConfig,
     certificate hits included, and pulls back the first curve's polyline
     for every hit path.
     """
-    if not ctx.kappa > 4.0:
-        raise ValueError(
-            f"intersection estimator needs kappa in (4, 8); got "
-            f"{ctx.kappa} (the curves do not touch for kappa <= 4)")
-    rs, base_config = _two_stage_setup(cfg, r_list, n_paths, dt, path_start,
-                                       collect_meet=True)
-    agg, thr_m, status_a = _two_stage_run(
-        ctx, cfg, rs, n_paths, dt, seed, path_start, collect_meet=True)
-    return _hit_records(ctx, "intersection_hit", agg, thr_m, status_a,
-                        n_paths, dt, seed, base_config,
-                        flags=("surrogate_meet_rule",))
+    return _estimate_hits(ctx, cfg, r_list, n_paths, dt, seed, path_start,
+                          intersection=True)
 
 
 # ---------------------------------------------------------------------------
@@ -635,63 +708,39 @@ def estimate_survival_weighted(ctx: KappaContext, z0, t_list,
     of an absorbed path is zero).  Reports the effective sample size
     (sum w)^2 / sum w^2; records with ess <= 100 carry a ``low_ess``
     flag and are not ``accepted``.  t = 0 yields exactly 1 by
-    construction (all weights are 1), with a roundoff-floor stderr.
+    construction (all weights are 1), with a roundoff-floor stderr.  The
+    inputs must pass :func:`check_survival_inputs`.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    ts = [float(t) for t in t_list]
-    if not ts:
-        raise ValueError("t_list must be nonempty")
-    if any(t < 0.0 for t in ts):
-        raise ValueError(f"times must be nonnegative, got {ts}")
-    z_state = z0 if isinstance(z0, ZState) else ZState(*z0)
-    positive = sorted({t for t in ts if t > 0.0})
-    records_by_t: dict[float, EstimateRecord] = {}
+    z_state, ts = check_survival_inputs(z0, t_list, n_paths, dt, seed,
+                                        path_start)
     # "hsle_kernel" names the library that ran z_evolve ("c" or "python");
     # each record adds "absorbed", its paths with weight zero (log -inf)
     base_config = {"z0": [z_state.z1, z_state.z2],
                    "t_list": ts, "path_start": int(path_start),
                    "hsle_kernel": _kernels.hsle_kernel()}
 
+    def record(t, w, absorbed):
+        s1, s2 = float(np.sum(w)), float(np.sum(w * w))
+        config = {**base_config, "absorbed": absorbed, "n": n_paths,
+                  "sum_x": s1, "sum_x2": s2, "sum_l": s1, "sum_l2": s2,
+                  "band": 0, "excluded": 0}
+        return build_record(ctx.kappa, "survival_weighted", t, dt, seed,
+                            config, weighted=True)
+
+    by_t = {}
+    if 0.0 in ts:
+        by_t[0.0] = record(0.0, np.ones(n_paths), 0)
+    positive = sorted({t for t in ts if t > 0.0})
     if positive:
         ens = simulate_z_ensemble(
             ctx, z_state, t_max=max(positive), dt=dt, n_paths=n_paths,
             master_seed=seed, record_times=positive,
             path_start=path_start)
-        for ri, t in enumerate(ens.record_times):
-            absorbed = int(np.count_nonzero(ens.log_weight[ri] == -np.inf))
-            w = np.exp(ens.log_weight[ri])
-            w = np.where(np.isfinite(w), w, 0.0)
-            est = float(np.mean(w))
-            se = float(np.std(w) / math.sqrt(n_paths))
-            s1, s2 = float(np.sum(w)), float(np.sum(w * w))
-            ess = s1 * s1 / s2 if s2 > 0.0 else 0.0
-            flags = []
-            if ess <= 100.0:
-                flags.append("low_ess")
-            if s1 == 0.0:
-                flags.append("no_survivors")
-                se = 1.0 / n_paths
-            se = max(se, 8.0 * np.finfo(float).eps * max(1.0, est))
-            records_by_t[positive[ri]] = EstimateRecord(
-                kappa=ctx.kappa, method="survival_weighted",
-                r_or_t=float(t), estimate=est, stderr=se, ess=float(ess),
-                n_paths=int(n_paths), dt=float(dt), seed=int(seed),
-                config={**base_config, "absorbed": absorbed},
-                flags=tuple(flags))
-    out = []
-    for t in ts:
-        if t == 0.0:
-            out.append(EstimateRecord(
-                kappa=ctx.kappa, method="survival_weighted", r_or_t=0.0,
-                estimate=1.0,
-                stderr=8.0 * float(np.finfo(float).eps),
-                ess=float(n_paths), n_paths=int(n_paths), dt=float(dt),
-                seed=int(seed), config={**base_config, "absorbed": 0},
-                flags=()))
-        else:
-            out.append(records_by_t[t])
-    return out
+        for t, t_rec, lw in zip(positive, ens.record_times, ens.log_weight):
+            w = np.exp(lw)
+            by_t[t] = record(t_rec, np.where(np.isfinite(w), w, 0.0),
+                             int(np.count_nonzero(lw == -np.inf)))
+    return [by_t[t] for t in ts]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import twocurve
-from twocurve import _kernels, cli, density as dens, montecarlo as mc
+from twocurve import _kernels, _rng, cli, density as dens, montecarlo as mc
 from twocurve.cli import main
 from twocurve.context import KappaContext
 from twocurve.green import BoundaryConfig
@@ -107,10 +107,13 @@ ESTIMATE_DIGESTS = {
         ["--method", "intersection", "--kappa", "7.5", "--n-paths", "40",
          "--master-seed", "12"],
         "081d301791c69d57306dc80f6db6ac347346c385914a2ec61187b33062430821"),
+    # recorded again when the one record builder took over the z-weighted
+    # stderr (one-pass sums of w and w^2 instead of np.std): the stderr of
+    # t = 2 and 4 moved in its last bit, every other field kept its bytes
     "z_weighted_k6": (
         ["--method", "z-weighted", "--kappa", "6", "--n-paths", "300",
          "--master-seed", "13"],
-        "bfb111561c9210e0dea01074c339d250f99db4d0124eba5c5b8d83de33808c87"),
+        "444c191e0356ea34a9e75332a9adc68aaeffd9688dd9f3e3a7d303deddd157aa"),
 }
 
 
@@ -214,7 +217,7 @@ def test_density_meta_reports_quadrature(tmp_path,
     assert np.all(np.abs(got - ref) <= 1e-12 * ref)
 
 
-@pytest.mark.parametrize("argv", [
+REJECTED_ARGV = [
     ["density", "--kappa", "8"],
     ["simulate", "--method", "curves", "--r-list", "0.25"],
     ["simulate", "--method", "intersection", "--kappa", "4"],
@@ -247,7 +250,8 @@ def test_density_meta_reports_quadrature(tmp_path,
     # a repeated radius, which would be counted twice into one record
     ["simulate", "--method", "curves", "--kappa", "6", "--n-paths", "100",
      "--r-list", "0.2,0.2", "--master-seed", "3"],
-], ids=["kappa_8", "r_quarter", "intersection_kappa_4",
+]
+REJECTED_IDS = ["kappa_8", "r_quarter", "intersection_kappa_4",
         "z_weighted_time_under_half_step", "z_weighted_dt_2",
         "density_t_nan", "density_t_inf", "z_weighted_t_nan",
         "curves_dt_nan", "z_weighted_t_inf", "z_weighted_steps_overflow",
@@ -255,13 +259,38 @@ def test_density_meta_reports_quadrature(tmp_path,
         "curves_path_ids_past_2^63", "z_weighted_path_ids_past_2^63",
         "curves_path_start_2^64", "z_weighted_path_start_2^64",
         "master_seed_2^64_plus_1", "master_seed_1_minus_2^64",
-        "curves_repeated_radius"])
+        "curves_repeated_radius"]
+
+
+@pytest.mark.parametrize("argv", REJECTED_ARGV, ids=REJECTED_IDS)
 def test_rejected_configuration_exits_2(argv, tmp_path, capsys):
     assert main(argv + ["--out-dir", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert "configuration error" in captured.err
     assert captured.out == ""  # no seed printed: nothing ran
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    argv for argv in REJECTED_ARGV if argv[0] == "simulate"], ids=[
+    name for argv, name in zip(REJECTED_ARGV, REJECTED_IDS)
+    if argv[0] == "simulate"])
+def test_rejected_simulate_inputs_raise_in_the_estimator(argv, monkeypatch):
+    # the estimators own every rule that simulate applies: the same inputs,
+    # with nan and inf passed through, raise ValueError before any stream
+    # or kernel call
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran past the input check")
+
+    for module, name in ((_rng, "hit_streams"), (_rng, "z_streams"),
+                         (_kernels, "hsle_evolve_adaptive"),
+                         (_kernels, "backward_flow"), (_kernels, "z_evolve")):
+        monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(cli, "_finite", lambda name, value: float(value))
+    cfg = cli.build_config(cli.build_parser().parse_args(argv))
+    seed = 0 if cfg.master_seed is None else cfg.master_seed
+    with pytest.raises(ValueError):
+        cli._run_estimator(cfg, KappaContext(cfg.kappa), seed)
 
 
 @pytest.mark.parametrize("command,config", [
@@ -558,6 +587,39 @@ def test_simulate_path_ranges_add_up(tmp_path):
     assert all(steps > rows > 0 for _, rows, steps in whole.values())
 
 
+def test_simulate_z_weighted_path_ranges_merge(tmp_path):
+    # z-weighted runs over adjacent --path-start ranges merge into the run
+    # over both by adding their accumulators: the counts add exactly, the
+    # sums of w and w^2 up to rounding, and the record built from the sums
+    # is the one run's
+    def run(start, n_paths):
+        out_dir = tmp_path / f"{start}_{n_paths}"
+        assert main(["simulate", "--method", "z-weighted", "--kappa", "6",
+                     "--t-list", "0,1,2,4", "--n-paths", str(n_paths),
+                     "--path-start", str(start), "--master-seed", "13",
+                     "--out-dir", str(out_dir)]) == 0
+        with open(out_dir / "estimates_meta.json", encoding="utf-8") as fh:
+            counters = json.load(fh)["counters"]
+        return cli.read_records_csv(str(out_dir / "estimates.csv")), counters
+
+    rows, whole = run(0, 300)
+    (_, first), (_, second) = run(0, 150), run(150, 150)
+    assert [c["t"] for c in whole] == [0.0, 1.0, 2.0, 4.0]
+    for row, w, a, b in zip(rows, whole, first, second):
+        summed = {k: a[k] + b[k] for k in (*mc.ACCUMULATORS, "absorbed")}
+        for k in ("n", "band", "excluded", "absorbed"):
+            assert summed[k] == w[k]
+        for k in ("sum_x", "sum_x2", "sum_l", "sum_l2"):
+            assert summed[k] == pytest.approx(w[k], rel=1e-12, abs=0.0)
+        rec = mc.build_record(row["kappa"], row["method"], row["r_or_t"],
+                              row["dt"], row["seed"], summed, weighted=True)
+        for k in ("estimate", "stderr", "ess"):
+            assert getattr(rec, k) == pytest.approx(row[k], rel=1e-12,
+                                                    abs=0.0)
+        assert (rec.n_paths, rec.flags) == (row["n_paths"], row["flags"])
+    assert whole[-1]["sum_x"] < whole[0]["sum_x"] == 300
+
+
 def test_report_without_artifacts_exits_2(tmp_path, capsys):
     assert main(["report", "--out-dir", str(tmp_path)]) == 2
     assert "no artifacts found" in capsys.readouterr().err
@@ -602,6 +664,48 @@ def test_fit_of_csv_that_is_not_utf8_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "input error" in err and "not UTF-8" in err
     assert not (tmp_path / "fit.json").exists()
+
+
+def test_fit_of_csv_with_a_row_longer_than_the_header_exits_2(tmp_path,
+                                                             capsys):
+    path = tmp_path / "estimates.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("schema_version",) + mc.CSV_COLUMNS)
+        for r in (0.1, 0.2):
+            writer.writerow((1, 6.0, "two_curve_hit", r, r, 0.01, 100.0,
+                             100, 1e-3, 1, "", "extra"))
+    assert main(["fit", str(path), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "line 2" in err
+    assert "more values than columns" in err
+    assert not (tmp_path / "fit.json").exists()
+
+
+@pytest.mark.parametrize("kappa", ["8.0", "0.0", "-1.0", "nan"])
+def test_fit_of_records_with_kappa_outside_0_8_exits_2(kappa, tmp_path,
+                                                       capsys):
+    path = tmp_path / "estimates.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("schema_version",) + mc.CSV_COLUMNS)
+        for r in (0.1, 0.2):
+            writer.writerow((1, kappa, "two_curve_hit", r, r, 0.01, 100.0,
+                             100, 1e-3, 1, ""))
+    assert main(["fit", str(path), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "kappa" in err
+    assert not (tmp_path / "fit.json").exists()
+
+
+def test_report_of_csv_that_holds_only_the_header(tmp_path):
+    with open(tmp_path / "estimates.csv", "w", newline="",
+              encoding="utf-8") as fh:
+        csv.writer(fh).writerow(("schema_version",) + mc.CSV_COLUMNS)
+    assert main(["report", "--out-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "report.json", encoding="utf-8") as fh:
+        report = json.load(fh)
+    assert report["estimates"] == {"n_records": 0, "methods": []}
 
 
 def test_report_of_csv_that_is_not_utf8_exits_2(tmp_path, capsys):

@@ -356,8 +356,9 @@ class TestTwoCurveHit:
         assert sum(s["hit_alive"] for s in short.values()) > 0
         assert gained > 0 or kappa < 4.0
         # each record's config gives the horizon its run used
-        assert [mc._two_stage_setup(SYM_CFG, [0.1], 10, 1e-3, 0, meet)[1][
-            "cap_b"] for meet in (False, True)] == [1.5, 3.0]
+        assert [estimate(CTX6, SYM_CFG, [0.2], 1, 1e-3, 0)[0].config["cap_b"]
+                for estimate in (mc.estimate_two_curve_hit,
+                                 mc.estimate_intersection_hit)] == [1.5, 3.0]
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -442,6 +443,93 @@ class TestSurvivalWeighted:
         with pytest.raises(ValueError):
             mc.estimate_survival_weighted(CTX6, (0.3, 0.9), [-1.0],
                                           n_paths=10, dt=1e-3, seed=0)
+
+
+class TestInputChecks:
+    # every rule fails on its violation and on NaN, before any simulation
+    @pytest.mark.parametrize("name, value", [
+        ("n_paths", 0), ("n_paths", math.nan), ("dt", 6e-3),
+        ("dt", math.nan), ("seed", -1), ("seed", 2 ** 64),
+        ("seed", math.nan), ("path_start", -1), ("path_start", 2 ** 63 - 5),
+        ("path_start", math.nan), ("r_list", [math.nan]),
+        ("cfg", (1.0, 0.5, 0.0)), ("cfg", (1.0, math.nan, 0.0, -1.0))])
+    def test_hit_rules(self, monkeypatch, name, value):
+        monkeypatch.setattr(mc, "_two_stage_run", None)
+        kw = {**dict(cfg=SYM_CFG, r_list=[0.1], n_paths=10, dt=1e-3,
+                     seed=0, path_start=0), name: value}
+        for estimate in (mc.estimate_two_curve_hit,
+                         mc.estimate_intersection_hit):
+            with pytest.raises(ValueError):
+                estimate(CTX6, **kw)
+        with pytest.raises(ValueError, match="kappa"):
+            mc.check_hit_inputs(math.nan, SYM_CFG, [0.1], 10, 1e-3, 0, 0,
+                                intersection=True)
+
+    @pytest.mark.parametrize("name, value", [
+        ("z0", (0.3,)), ("z0", (math.nan, 0.9)), ("t_list", [math.nan]),
+        ("t_list", [math.inf]), ("t_list", [1e300]), ("t_list", [4e-4]),
+        ("dt", 0.0), ("dt", math.nan), ("n_paths", math.nan),
+        ("seed", 2 ** 64), ("path_start", 2 ** 63 - 5)])
+    def test_survival_rules(self, monkeypatch, name, value):
+        monkeypatch.setattr(mc, "simulate_z_ensemble", None)
+        kw = {**dict(z0=(0.3, 0.9), t_list=[1.0], n_paths=10, dt=1e-3,
+                     seed=0, path_start=0), name: value}
+        with pytest.raises(ValueError):
+            mc.estimate_survival_weighted(CTX6, **kw)
+
+    def test_checks_return_the_inputs_they_accept(self):
+        assert mc.check_hit_inputs(6.0, dataclasses.astuple(SYM_CFG),
+                                   (0.2, 0.1), 10, 1e-3, 0, 0, True) == (
+            SYM_CFG, [0.2, 0.1])
+        assert mc.check_survival_inputs([0.3, 0.9], (0, 2), 10, 1e-3, 0,
+                                        0) == (ZState(0.3, 0.9), [0.0, 2.0])
+
+
+class TestBuildRecord:
+    def test_binomial_bits(self):
+        # 0/1 hits keep the binomial expression p (1 - p), bit for bit
+        for hits, n in ((1, 3), (7, 100), (333, 1000), (4999, 5000)):
+            config = dict(n=n, sum_x=hits, sum_x2=hits, sum_l=n, sum_l2=n,
+                          band=0, excluded=0)
+            rec = mc.build_record(6.0, "two_curve_hit", 0.1, 1e-3, 0, config)
+            p = hits / n
+            assert rec.estimate == p
+            assert rec.stderr == math.sqrt(max(p * (1.0 - p), 0.0) / n)
+            assert rec.ess == n and rec.flags == ()
+
+    def test_weighted_matches_the_two_pass_moments(self):
+        w = np.random.default_rng(3).exponential(size=500)
+        w[::7] = 0.0
+        s1, s2 = float(np.sum(w)), float(np.sum(w * w))
+        config = dict(n=w.size, sum_x=s1, sum_x2=s2, sum_l=s1, sum_l2=s2,
+                      band=0, excluded=0)
+        rec = mc.build_record(6.0, "survival_weighted", 1.0, 1e-3, 0, config,
+                              weighted=True)
+        assert rec.estimate == float(np.mean(w))
+        assert rec.ess == s1 * s1 / s2
+        assert rec.stderr == pytest.approx(np.std(w) / math.sqrt(w.size),
+                                           rel=1e-13)
+        assert rec.config is config and rec.flags == ()
+
+    def test_flags_and_bounds(self):
+        base = dict(n=200, band=0, excluded=0)
+        none = mc.build_record(6.0, "m", 1.0, 1e-3, 0, dict(
+            base, sum_x=0.0, sum_x2=0.0, sum_l=0.0, sum_l2=0.0),
+            weighted=True)
+        assert none.flags == ("low_ess", "no_survivors")
+        assert none.stderr == 1.0 / 200 and none.ess == 0.0
+        ones = mc.build_record(6.0, "m", 0.0, 1e-3, 0, dict(
+            base, sum_x=200.0, sum_x2=200.0, sum_l=200.0, sum_l2=200.0),
+            weighted=True)
+        assert (ones.estimate, ones.ess, ones.flags) == (1.0, 200.0, ())
+        assert ones.stderr == 8.0 * np.finfo(float).eps
+        hits = dict(base, sum_x=0, sum_x2=0, sum_l=200, sum_l2=200)
+        rec = mc.build_record(6.0, "m", 0.1, 1e-3, 0, dict(
+            hits, band=20, excluded=2), flags=("given",))
+        assert rec.flags == ("given", "degenerate_counts", "probe_band",
+                             "collision_excluded")
+        assert rec.stderr == math.sqrt((3 / 200) ** 2 + (10 / 200) ** 2
+                                       + (1 / 200) ** 2)
 
 
 class TestFitPowerLaw:

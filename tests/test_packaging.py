@@ -4,7 +4,8 @@ offline with exactly those; the tests add only the ``test`` extra and
 their own helper modules.  Guarded imports count too, and a run of every
 command loads no scipy module, which only the tests use.  Every C source
 the package compiles on first use ships with it as package data.  Only
-``_rng`` derives streams, so that every draw is in its map."""
+``_rng`` derives streams, so that every draw is in its map, and only the
+record builder makes Monte Carlo records."""
 import ast
 import fnmatch
 import json
@@ -95,6 +96,23 @@ def test_only_rng_derives_streams():
             if name in STREAM_DERIVATIONS:
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
     assert not found
+
+
+def test_only_the_record_builder_constructs_records():
+    # every estimate, stderr, ESS and flag of a Monte Carlo record comes
+    # from montecarlo.build_record; estimate_C0 pools records into its own
+    found = set()
+    for path in sorted((ROOT / "src" / "twocurve").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                name = (func.attr if isinstance(func, ast.Attribute)
+                        else func.id if isinstance(func, ast.Name) else None)
+                if name == "EstimateRecord":
+                    found.add(f"{path.name}:{owner}")
+    assert found == {"montecarlo.py:build_record", "montecarlo.py:estimate_C0"}
 
 
 # In a fresh interpreter: import the CLI, then run one command after the
