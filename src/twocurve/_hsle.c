@@ -333,17 +333,16 @@ static void backward_row(const double *drv, int64_t len, double exp_du,
     y[1] = z.im;
 }
 
+/* point i is pulled back through drivers[rows[i]][0 .. lengths[i] - 1] */
 void backward_flow(int64_t n, int64_t width, const double *drivers,
-                   const int64_t *lengths, double exp_du, double *y,
-                   int64_t *next)
+                   const int64_t *lengths, const int64_t *rows,
+                   double exp_du, double *y, int64_t *next)
 {
     int64_t i;
 
-    while ((i = NEXT_ROW(next)) < n) {
-        /* numpy steps column k of the rows with lengths > k, k < width */
-        int64_t len = lengths[i] < width ? lengths[i] : width;
-        backward_row(drivers + i * width, len, exp_du, y + 2 * i);
-    }
+    while ((i = NEXT_ROW(next)) < n)
+        backward_row(drivers + rows[i] * width, lengths[i], exp_du,
+                     y + 2 * i);
 }
 
 /*

@@ -45,11 +45,11 @@ The library is cached in ``$XDG_CACHE_HOME/twocurve`` (default
 ``~/.cache/twocurve``, created with mode 0o700) under a name hashed from the
 C source, the flags and ``cc --version``.  It is compiled in a temporary
 directory there and renamed into place with ``os.replace``, so concurrent
-processes never load a partial file.  If that directory is not usable the
-library is built in a temporary directory for this process only; if there
-is no compiler or the build fails, one warning is logged and all three
-kernels run in Python/numpy.  ``hsle_kernel()`` names the library that ran
-them.
+processes never load a partial file, and a new build deletes the other
+``hsle-*.so`` files there.  If that directory is not usable the library is
+built in a temporary directory for this process only; if there is no
+compiler or the build fails, one warning is logged and all three kernels
+run in Python/numpy.  ``hsle_kernel()`` names the library that ran them.
 
 ``z_evolve`` runs the same library's port of ``_z_evolve_np`` in one
 pass over each path: every step draws its normals with the one Box-Muller
@@ -144,11 +144,15 @@ Kernels
     pulling back exp(i w(s)) (nudged slightly inside the circle for
     numerical safety; exact boundary points can fall into the hull's
     preimage and come back as spurious deep points) traces the curve.
+    Each point's driver sequence is a prefix of a row of one matrix, read
+    in place and never past its length, so no probe is copied out.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
+import glob
 import hashlib
 import logging
 import math
@@ -532,7 +536,8 @@ def _hsle_cache_dir() -> str:
 
 def _build_hsle(cc: str, out_dir: str) -> str:
     """Path of the kernel library in ``out_dir``, compiling it there unless
-    a build of the same source, flags and compiler already exists."""
+    a build of the same source, flags and compiler already exists; a new
+    build removes the other ``hsle-*.so`` files there."""
     with open(_HSLE_SOURCE, "rb") as fh:
         source = fh.read()
     version = subprocess.run([cc, "--version"], capture_output=True,
@@ -546,6 +551,10 @@ def _build_hsle(cc: str, out_dir: str) -> str:
             subprocess.run([cc, *_CFLAGS, "-o", part, _HSLE_SOURCE, "-lm"],
                            capture_output=True, check=True, timeout=300)
             os.replace(part, path)
+        for stale in glob.glob(os.path.join(out_dir, "hsle-*.so")):
+            if stale != path:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(stale)
     return path
 
 
@@ -593,8 +602,8 @@ def _hsle_lib():
         ctypes.POINTER(i8), ctypes.POINTER(i8)]
     fn = lib.backward_flow
     fn.restype = None
-    fn.argtypes = [i8, i8, arr(np.float64), arr(np.int64), f8,
-                   arr(np.complex128), ctypes.POINTER(i8)]
+    fn.argtypes = [i8, i8, arr(np.float64), arr(np.int64), arr(np.int64),
+                   f8, arr(np.complex128), ctypes.POINTER(i8)]
     fn = lib.z_evolve
     fn.restype = None
     fn.argtypes = [i8, arr(np.uint64), i8, i8, f8, f8, arr(np.float64),
@@ -791,49 +800,52 @@ def _check_adaptive_args(state, streams, thr_macros, snap, reached, status,
 # backward Loewner flow (pullback through a stored driving sequence)
 # ---------------------------------------------------------------------------
 
-def backward_flow(drivers, lengths, du, y) -> None:
-    """Pull points back through a piecewise-constant radial Loewner chain.
+def backward_flow(drivers, lengths, du, y, rows) -> None:
+    """Pull points back through piecewise-constant radial Loewner chains.
 
-    Row ``i`` holds a driver-angle sequence in ``drivers[i, :lengths[i]]``
-    (left aligned; entries beyond the length are ignored), each value
-    driving the flow for capacity ``du``.  ``y`` (complex128[n], updated
-    in place) enters as the point at the final time of row ``i``'s chain
-    and leaves as its physical preimage in the initial disc.  Steps whose
-    inverse degenerates numerically (the point sits essentially at the
-    slit base) leave the point unchanged, which errs toward the hull
-    side; callers probing distances should start points slightly inside
-    the unit circle rather than exactly on it.
+    Point ``i`` is driven by ``drivers[rows[i], :lengths[i]]``, read in
+    place (never past the length; rows may repeat), each value driving the
+    flow for capacity ``du``.  ``y`` (complex128[n], updated in place)
+    enters as the point at the final time of point ``i``'s chain and leaves
+    as its physical preimage in the initial disc.  Steps whose inverse
+    degenerates numerically (the point sits essentially at the slit base)
+    leave the point unchanged, which errs toward the hull side; callers
+    probing distances should start points slightly inside the unit circle
+    rather than exactly on it.
 
-    ``drivers`` must be a C-contiguous float64[n, w] array, ``lengths``
-    int64[n] and ``y`` a writeable complex128[n], or ValueError is raised
-    before either flow runs.  The compiled flow runs when the library
-    builds, else ``_backward_flow_np``; both give the same bytes where
-    numpy's complex multiply is fused (module docstring).
+    ``drivers`` must be a C-contiguous float64[m, w] array, ``lengths`` and
+    ``rows`` int64[n] with every row in [0, m) and every length in [0, w],
+    and ``y`` a writeable complex128[n], or ValueError is raised before
+    either flow runs.  The compiled flow runs when the library builds, else
+    ``_backward_flow_np``; both give the same bytes where numpy's complex
+    multiply is fused (module docstring).
     """
-    n, w = np.shape(drivers) if np.ndim(drivers) == 2 else ("n", "w")
-    _check_arrays((("drivers", drivers, np.float64, (n, w), False),
+    m, w = np.shape(drivers) if np.ndim(drivers) == 2 else ("m", "w")
+    n = np.shape(y)[0] if np.ndim(y) == 1 else "n"
+    _check_arrays((("drivers", drivers, np.float64, (m, w), False),
                    ("lengths", lengths, np.int64, (n,), False),
-                   ("y", y, np.complex128, (n,), True)))
+                   ("y", y, np.complex128, (n,), True),
+                   ("rows", rows, np.int64, (n,), False)))
+    if n and not (0 <= rows.min() and rows.max() < m and 0 <= lengths.min()
+                  and lengths.max() <= w):
+        raise ValueError(f"rows must lie in [0, {m}) and lengths in [0, {w}]")
     lib = _hsle_lib()
     if lib is None:
-        _backward_flow_np(drivers, lengths, du, y)
+        _backward_flow_np(drivers, lengths, du, y, rows)
         return
     exp_du = math.exp(float(du))
     _run_rows(lambda next_row: lib.backward_flow(
-        n, w, drivers, lengths, exp_du, y, next_row), n)
+        n, w, drivers, lengths, rows, exp_du, y, next_row), n)
 
 
 # The numpy flow is the fallback without a compiler and the oracle of the C
 # flow in ``_hsle.c``, which repeats its complex operations one by one
 # (module docstring); an edit to either must be made to both.
-def _backward_flow_np(drivers, lengths, du, y) -> None:
-    width = drivers.shape[1]
+def _backward_flow_np(drivers, lengths, du, y, rows) -> None:
     exp_du = math.exp(float(du))
-    for k in range(width - 1, -1, -1):
+    for k in range(int(lengths.max(initial=0)) - 1, -1, -1):
         act = lengths > k
-        if not act.any():
-            continue
-        rot = np.exp(1j * drivers[act, k])
+        rot = np.exp(1j * drivers[rows[act], k])
         zeta = y[act] / rot
         with np.errstate(all="ignore"):
             c = exp_du * (1.0 + zeta) ** 2 / zeta

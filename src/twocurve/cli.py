@@ -72,6 +72,7 @@ from . import checks as checks_mod
 from . import density as dens
 from . import montecarlo as mc
 from .context import KappaContext
+from .timecurve import ZState
 
 SCHEMA_VERSION = 1
 
@@ -184,40 +185,40 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig, command: str) -> None:
-    """Reject all domain violations before any computation."""
-    if not (0.0 < cfg.kappa < 8.0):
-        raise ConfigError(f"kappa must lie in (0, 8), got {cfg.kappa}")
-    if command == "check":
-        for k in cfg.kappas:
-            if not (0.0 < k < 8.0):
-                raise ConfigError(f"check kappa {k} outside (0, 8)")
-        if not cfg.kappas:
-            raise ConfigError("kappas must be nonempty")
-        if cfg.n_drift_states < 1:
-            raise ConfigError("n_drift_states must be >= 1")
-    if command == "density":
-        if len(cfg.z0) != 2:
-            raise ConfigError("z0 must be a pair (z1, z2)")
-        if not all(0.0 < z < math.pi for z in cfg.z0):
-            raise ConfigError(f"z0 must lie in (0, pi)^2, got {cfg.z0}")
-        if not cfg.t_list:
-            raise ConfigError("t_list must be nonempty")
-        if any(t <= 0.0 for t in cfg.t_list):
-            raise ConfigError("t_list entries must be positive")
-        if cfg.grid_n < 2:
-            raise ConfigError("grid_n must be >= 2")
-        if len(cfg.fit_window) != 2 \
-                or not 0.0 <= cfg.fit_window[0] < cfg.fit_window[1]:
-            raise ConfigError("fit_window must be [t_lo, t_hi] with "
-                              "0 <= t_lo < t_hi")
-    if command == "simulate":
-        if cfg.method not in ("z-weighted", "curves", "intersection"):
-            raise ConfigError(
-                f"method must be z-weighted | curves | intersection, "
-                f"got {cfg.method!r}")
-        # the estimator's own input rules; a generated seed is in range
-        seed = 0 if cfg.master_seed is None else cfg.master_seed
-        try:
+    """Reject all domain violations before any computation.  The rules of
+    kappa and z0 belong to ``KappaContext`` and ``ZState``, those of
+    simulate to the estimator's input check; their ValueError becomes a
+    ConfigError."""
+    try:
+        KappaContext(cfg.kappa)
+        if command == "check":
+            if not cfg.kappas:
+                raise ConfigError("kappas must be nonempty")
+            for k in cfg.kappas:
+                KappaContext(k)
+            if cfg.n_drift_states < 1:
+                raise ConfigError("n_drift_states must be >= 1")
+        if command == "density":
+            if len(cfg.z0) != 2:
+                raise ConfigError("z0 must be a pair (z1, z2)")
+            ZState(*cfg.z0)
+            if not cfg.t_list:
+                raise ConfigError("t_list must be nonempty")
+            if any(t <= 0.0 for t in cfg.t_list):
+                raise ConfigError("t_list entries must be positive")
+            if cfg.grid_n < 2:
+                raise ConfigError("grid_n must be >= 2")
+            if len(cfg.fit_window) != 2 \
+                    or not 0.0 <= cfg.fit_window[0] < cfg.fit_window[1]:
+                raise ConfigError("fit_window must be [t_lo, t_hi] with "
+                                  "0 <= t_lo < t_hi")
+        if command == "simulate":
+            if cfg.method not in ("z-weighted", "curves", "intersection"):
+                raise ConfigError(
+                    f"method must be z-weighted | curves | intersection, "
+                    f"got {cfg.method!r}")
+            # the estimator's own input rules; a generated seed is in range
+            seed = 0 if cfg.master_seed is None else cfg.master_seed
             if cfg.method == "z-weighted":
                 mc.check_survival_inputs(cfg.z0, cfg.t_list, cfg.n_paths,
                                          cfg.dt, seed, cfg.path_start)
@@ -226,8 +227,8 @@ def validate_config(cfg: RunConfig, command: str) -> None:
                                     cfg.n_paths, cfg.dt, seed,
                                     cfg.path_start,
                                     cfg.method == "intersection")
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _write_json(path: str, payload: dict) -> None:

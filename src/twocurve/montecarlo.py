@@ -46,16 +46,17 @@ backward-flow distance probes only where no certificate applies:
   yields its minimum distance from the origin.  Each path has one
   composed driver sequence (the first curve's stored prefix, the second
   curve's entry driver and its stored snapshots), and every probe is a
-  prefix of it, so all paths of a radius are probed in one pass (a
-  coarse round and a refinement round that skips the paths the coarse
-  round already decided as hits).  The intersection estimator
-  probes every second-stage path, certificate hits included, and pulls
-  back the first-curve polylines of all hit paths in one call.  Probe
-  starts are nudged slightly inside the unit circle: exact boundary
-  points can fall into the hull's preimage under the discretized
-  backward flow and come back as spurious deep points.  The mass of
-  paths whose probed minimum falls within the probe resolution of the
-  decision radius is folded into the reported standard error.
+  prefix of it, read in place, so all paths of a radius are probed in
+  one pass (a coarse round and a refinement round that skips the paths
+  the coarse round already decided as hits, one flow call each, their
+  rows built as index arrays).  The intersection estimator probes every
+  second-stage path, certificate hits included, and pulls back the
+  first-curve polylines of all hit paths in one call.  Probe starts are
+  nudged slightly inside the unit circle: exact boundary points can fall
+  into the hull's preimage under the discretized backward flow and come
+  back as spurious deep points.  The mass of paths whose probed minimum
+  falls within the probe resolution of the decision radius is folded
+  into the reported standard error.
 
 The two curves are grown sequentially: the first to its stopping
 capacity, then the second under its conditional law given that segment,
@@ -92,7 +93,7 @@ import numpy as np
 from . import _kernels, _rng, special
 from .context import KappaContext
 from .green import BoundaryConfig, G_quad
-from .timecurve import ZState, simulate_z_ensemble
+from .timecurve import ZState, simulate_z_ensemble, time_steps
 from .trig import cot2, sin2
 
 TWO_PI = 2.0 * math.pi
@@ -234,18 +235,18 @@ def check_hit_inputs(kappa: float, cfg, r_list, n_paths: int, dt: float,
 def check_survival_inputs(z0, t_list, n_paths: int, dt: float, seed: int,
                           path_start: int) -> tuple[ZState, list]:
     """Every input rule of the survival estimator (ValueError); returns
-    the start as a ZState and the times.  A positive time is recorded at
-    its nearest step, which must be neither step 0 nor past int64."""
+    the start as a ZState and the times, each of which must pass
+    :func:`.timecurve.time_steps`."""
     _check_run(n_paths, dt, seed, path_start)
     if not isinstance(z0, ZState):
         if len(z0) != 2:
             raise ValueError(f"z0 must be a pair (z1, z2), got {z0}")
         z0 = ZState(*z0)
     ts = [float(t) for t in t_list]
-    if not ts or not all(t == 0.0 or 0.5 < t / dt < 2.0 ** 62 for t in ts):
-        raise ValueError(f"times must be a nonempty list of 0 or more than "
-                         f"half a step and fewer than 2^62 steps of dt = "
-                         f"{dt}, got {ts}")
+    if not ts:
+        raise ValueError("times must be a nonempty list")
+    for t in ts:
+        time_steps(t, dt)
     return z0, ts
 
 
@@ -357,40 +358,23 @@ HIT_COUNTERS = ("certified", "hit_swallow", "hit_alive", "hit_probe", "band",
 _N_STATUS = 5
 
 
-# most probes per backward-flow batch of ``_batched_pullback``
-_PULLBACK_ROWS = 4096
-
-
 def _batched_pullback(seq: np.ndarray, paths, lens, du: float,
                       eps_in: float, tally: dict) -> np.ndarray:
     """Pull probes back through the composed driver matrix ``seq``.
 
-    Probe j of path ``paths[j]`` after ``lens[j]`` values is driven by
-    ``seq[paths[j], :lens[j]]`` and starts at the boundary point of the
-    next value, ``seq[paths[j], lens[j]]``, pulled inside the circle by
-    ``eps_in``.  Probes are gathered in length-sorted batches of at most
-    ``_PULLBACK_ROWS`` rows, each read out of ``seq`` as one matrix as wide as
-    its longest member; the flow never reads a row past its length, so the
-    rest of the row is left as read, and every flow row is independent of
-    its batch.  Adds the rows and their flow steps (the sum of the lengths)
-    to ``tally["probe_rows"]`` and ``tally["flow_steps"]``.  Returns the
-    complex physical points.
+    Probe j of path ``paths[j]`` after ``lens[j]`` values (int64 arrays)
+    is driven by ``seq[paths[j], :lens[j]]``, which the flow reads in
+    place, and starts at the boundary point of the next value,
+    ``seq[paths[j], lens[j]]``, pulled inside the circle by ``eps_in``;
+    all probes run in one flow call.  Adds the rows and their flow steps
+    (the sum of the lengths) to ``tally["probe_rows"]`` and
+    ``tally["flow_steps"]``.  Returns the complex physical points.
     """
-    paths = np.asarray(paths, dtype=np.int64)
-    lens = np.asarray(lens, dtype=np.int64)
     tally["probe_rows"] += int(lens.size)
     tally["flow_steps"] += int(lens.sum())
-    y0 = (1.0 - eps_in) * np.exp(1j * seq[paths, lens])
-    out = np.empty(lens.size, dtype=complex)
-    order = np.argsort(lens, kind="stable")
-    for i0 in range(0, order.size, _PULLBACK_ROWS):
-        sel = order[i0:i0 + _PULLBACK_ROWS]
-        cols = np.arange(max(1, int(lens[sel].max())))
-        mat = seq[paths[sel, None], cols]
-        y = y0[sel]
-        _kernels.backward_flow(mat, lens[sel], du, y)
-        out[sel] = y
-    return out
+    y = (1.0 - eps_in) * np.exp(1j * seq[paths, lens])
+    _kernels.backward_flow(seq, lens, du, y, paths)
+    return y
 
 
 def _in_band(d, radius: float):
@@ -406,61 +390,58 @@ def _probe_paths(seq: np.ndarray, counts: np.ndarray, probed, offset: int,
 
     Row q of ``seq`` is path q's composed driver sequence; its second
     curve after c of its ``counts[q]`` snapshots is the probe of length
-    ``offset + c``.  Each path in ``probed`` (ints) is probed at eight coarse
-    fractions of its lifetime and, when the coarse minimum falls below
-    3 * radius, on a refined window around the argmin, all paths in one
-    pass.  Unless ``refine_decided``, a path whose coarse minimum d is
-    already a hit outside the band (d <= radius and not ``_in_band``)
-    takes no refined window: refining only lowers d, and float
-    subtraction is monotone, so radius - d' >= radius - d stays above the
-    band and the path's hit and band classes cannot change.  The
-    intersection rule sets ``refine_decided``: it reads the refined points.
-    Returns (dmin, points): dmin per row of ``seq`` (inf where not
-    probed) and, per path, the complex probe points with modulus
-    <= 2 * radius (for intersection detection).  Rows and flow steps are
+    ``offset + c``.  Each path in ``probed`` (int64) is probed at eight
+    coarse fractions of its lifetime and, when the coarse minimum falls
+    below 3 * radius, on a refined window around the argmin (the last
+    coarse row at the minimum), all paths in one pass.  Unless
+    ``refine_decided``, a path whose coarse minimum d is already a hit
+    outside the band (d <= radius and not ``_in_band``) takes no refined
+    window: refining only lowers d, and float subtraction is monotone, so
+    radius - d' >= radius - d stays above the band and the path's hit and
+    band classes cannot change.  The intersection rule sets
+    ``refine_decided``: it reads the refined points.  Returns
+    (dmin, (pid, points)): dmin per row of ``seq`` (inf where not probed)
+    and the complex probe points with modulus <= 2 * radius (for
+    intersection detection) with their path ids.  Rows and flow steps are
     added to ``tally`` (:func:`_batched_pullback`).
     """
     dmin = np.full(seq.shape[0], np.inf)
-    points: dict[int, list] = {}
+    found = []
 
-    def pull(rows):
-        """Probe the (path, c) rows; returns their distances."""
-        pid = np.array([q for q, _ in rows], dtype=np.int64)
-        vals = _batched_pullback(seq, pid, [offset + c for _, c in rows],
-                                 du, eps_in, tally)
+    def pull(q, c):
+        """Probe paths q after c snapshots; returns the distances."""
+        vals = _batched_pullback(seq, q, offset + c, du, eps_in, tally)
         dist = np.abs(vals)
         dist = np.where(np.isnan(dist), np.inf, dist)
-        np.minimum.at(dmin, pid, dist)
+        np.minimum.at(dmin, q, dist)
         keep = np.isfinite(vals.real) & (dist <= 2.0 * radius)
-        for v, q in zip(vals[keep], pid[keep].tolist()):
-            points.setdefault(q, []).append(v)
+        found.append((q[keep], vals[keep]))
         return dist
 
-    rows = []
-    for q in probed:
-        m = int(counts[q])
-        rows += [(q, c) for c in
-                 sorted({int(round(f * m)) for f in _COARSE_FRACTIONS})]
-    best_c: dict[int, int] = {}
-    for d, (q, c) in zip(pull(rows), rows):
-        if d <= dmin[q]:
-            best_c[q] = c
+    m = counts[probed].astype(np.int64)
+    # the coarse rows of a path ascend, so a repeat follows its first
+    c = np.rint(np.multiply.outer(m, _COARSE_FRACTIONS)).astype(np.int64)
+    first = np.ones(c.shape, dtype=bool)
+    first[:, 1:] = c[:, 1:] != c[:, :-1]
+    q, c = np.broadcast_to(probed[:, None], c.shape)[first], c[first]
+    at_min = pull(q, c) <= dmin[q]
+    best_c = np.zeros(seq.shape[0], dtype=np.int64)
+    np.maximum.at(best_c, q[at_min], c[at_min])
 
-    refine = dmin <= 3.0 * radius
+    d = dmin[probed]
+    refine = (d <= 3.0 * radius) & (m > 0)
     if not refine_decided:
-        refine &= (dmin > radius) | _in_band(dmin, radius)
-    rows = []
-    for q in probed:
-        m = int(counts[q])
-        if not refine[q] or m == 0:
-            continue
-        half = max(1, m // 6)
-        center = best_c.get(q, m)
-        lo, hi = max(0, center - half), min(m, center + half)
-        step = max(1, (hi - lo) // 60)
-        rows += [(q, c) for c in range(lo, hi + 1, step)]
-    pull(rows)
-    return dmin, points
+        refine &= (d > radius) | _in_band(d, radius)
+    q, m = probed[refine], m[refine]
+    half = np.maximum(1, m // 6)
+    lo = np.maximum(0, best_c[q] - half)
+    hi = np.minimum(m, best_c[q] + half)
+    step = np.maximum(1, (hi - lo) // 60)
+    # row j of path q's window is lo + j * step, j = 0 .. (hi - lo) // step
+    rows = (hi - lo) // step + 1
+    j = np.arange(rows.sum()) - np.repeat(np.cumsum(rows) - rows, rows)
+    pull(np.repeat(q, rows), np.repeat(lo, rows) + np.repeat(step, rows) * j)
+    return dmin, tuple(map(np.concatenate, zip(*found)))
 
 
 def _horizon_b(collect_meet: bool) -> float:
@@ -565,8 +546,8 @@ def _two_stage_run(ctx: KappaContext, cfg: BoundaryConfig, r_list,
                              snap_b[:, :, 0]])
             # the meet rule also needs the certificate hits' probe points
             dmin, pts = _probe_paths(
-                seq, reached_b.sum(axis=1), range(nb) if collect_meet
-                else need.tolist(), ti + 2, r, du_probe, eps_in,
+                seq, reached_b.sum(axis=1), np.arange(nb) if collect_meet
+                else need, ti + 2, r, du_probe, eps_in,
                 collect_meet, agg[r])
             probe_hit = ~certain & (dmin <= r)
             hits = certain | probe_hit
@@ -587,23 +568,23 @@ def _two_stage_run(ctx: KappaContext, cfg: BoundaryConfig, r_list,
 
 def _count_meets(seq, hits, pts, r, ti, du, eps_in, tally) -> int:
     """Count hit paths whose second curve passes within 0.15 r of the
-    first curve's deep polyline with the meeting point within r; the
-    polyline's rows and flow steps are added to ``tally``."""
-    qs = [int(q) for q in np.where(hits)[0] if q in pts]
+    first curve's deep polyline with the meeting point within r; ``pts``
+    is :func:`_probe_paths`'s (pid, points), and the polyline's rows and
+    flow steps are added to ``tally``."""
+    pid, pb = pts
+    pid, pb = pid[hits[pid]], pb[hits[pid]]
+    qs = np.unique(pid)
     # first-curve deep polyline: its tip after 40 prefix lengths spanning
     # the last octaves of the dive (every prefix has length ti + 2), pulled
     # back for all paths in one call
     lo = max(1, ti + 2 - int(2.3 / du))
     idx = np.unique(np.linspace(lo, ti + 1, 40).astype(int))
     ya = _batched_pullback(seq, np.repeat(qs, idx.size),
-                           np.tile(idx, len(qs)), du, eps_in, tally)
-    meet = 0
-    for q, yq in zip(qs, ya.reshape(len(qs), idx.size)):
-        pb = np.asarray(pts[q])
-        dd = np.abs(pb[:, None] - yq[None, :])
-        mid_ok = np.abs(pb[:, None] + yq[None, :]) / 2.0 <= r
-        meet += bool(np.any((dd <= 0.15 * r) & mid_ok))
-    return meet
+                           np.tile(idx, qs.size), du, eps_in, tally)
+    yq = ya.reshape(qs.size, idx.size)[np.searchsorted(qs, pid)]
+    close = ((np.abs(pb[:, None] - yq) <= 0.15 * r)
+             & (np.abs(pb[:, None] + yq) / 2.0 <= r))
+    return int(np.unique(pid[close.any(axis=1)]).size)
 
 
 def _estimate_hits(ctx: KappaContext, cfg, r_list, n_paths: int, dt: float,

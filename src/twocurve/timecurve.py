@@ -121,6 +121,16 @@ class ZPathEnsemble:
     absorb_time: np.ndarray
 
 
+def time_steps(t: float, dt: float) -> int:
+    """The number of steps of ``dt`` nearest to time ``t``: ValueError
+    unless dt > 0 and t is 0 or more than half a step and below 2^62
+    steps (NaN fails both)."""
+    if not (dt > 0.0 and (t == 0.0 or 0.5 < t / dt < 2.0 ** 62)):
+        raise ValueError(f"times must be 0 or more than half a step and "
+                         f"fewer than 2^62 steps of dt > 0, got {t}, {dt}")
+    return int(round(t / dt))
+
+
 def simulate_z_ensemble(ctx: KappaContext, z0, t_max: float,
                         dt: float = 1e-3, n_paths: int = 1,
                         master_seed: int = 0, record_times=None,
@@ -134,8 +144,8 @@ def simulate_z_ensemble(ctx: KappaContext, z0, t_max: float,
 
     Args:
         z0: starting state (ZState) of every path.
-        record_times: times in (0, t_max] to snapshot (default: [t_max]);
-            each is rounded to the nearest step.
+        t_max, record_times: the last time and the times in (0, t_max] to
+            snapshot (default: [t_max]), each at its :func:`time_steps`.
 
     Returns:
         ZPathEnsemble with states, importance log-weights, and absorption
@@ -145,19 +155,15 @@ def simulate_z_ensemble(ctx: KappaContext, z0, t_max: float,
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if t_max <= 0.0 or dt <= 0.0:
-        raise ValueError(f"t_max and dt must be positive, got {t_max}, {dt}")
+    n_steps = time_steps(t_max, dt)
     if record_times is None:
         record_times = [t_max]
-    rec_steps = np.array([int(round(t / dt)) for t in record_times],
+    rec_steps = np.array([time_steps(t, dt) for t in record_times],
                          dtype=np.int64)
-    if np.any(rec_steps < 1):
-        raise ValueError("record times must be at least one step")
+    if not (np.all(rec_steps >= 1) and np.all(rec_steps <= n_steps)):
+        raise ValueError("record times must lie in (0, t_max]")
     order = np.argsort(rec_steps, kind="stable")
     rec_steps = rec_steps[order]
-    n_steps = int(round(t_max / dt))
-    if rec_steps[-1] > n_steps:
-        raise ValueError("record times must not exceed t_max")
 
     streams = _rng.z_streams(master_seed,
                              range(path_start, path_start + n_paths))

@@ -271,6 +271,22 @@ def test_rejected_configuration_exits_2(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, field, value, message", [
+    ("check", "kappas", [6.0, 8.0], "kappa must lie in (0, 8), got 8.0"),
+    ("check", "kappas", [math.nan], "kappa must lie in (0, 8), got nan"),
+    ("density", "kappa", 0.0, "kappa must lie in (0, 8), got 0.0"),
+    ("density", "z0", [0.0, 1.0], "ZState coordinates must lie in (0, pi)"),
+    ("density", "z0", [1.0, math.pi],
+     "ZState coordinates must lie in (0, pi)"),
+])
+def test_kappa_and_z0_rules_are_their_types(command, field, value, message):
+    # KappaContext and ZState own these rules: their message comes through
+    # as the ConfigError's
+    with pytest.raises(cli.ConfigError) as raised:
+        cli.validate_config(cli.RunConfig(**{field: value}), command)
+    assert str(raised.value).startswith(message)
+
+
 @pytest.mark.parametrize("argv", [
     argv for argv in REJECTED_ARGV if argv[0] == "simulate"], ids=[
     name for argv, name in zip(REJECTED_ARGV, REJECTED_IDS)

@@ -26,6 +26,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twocurve import _kernels, _rng, cli, montecarlo as mc, special
 from twocurve.context import KappaContext
@@ -500,14 +502,15 @@ needs_fused_numpy = pytest.mark.skipif(
 
 
 def record_flow_calls(monkeypatch, estimate, kappa, **kwargs):
-    """Copies of the (drivers, lengths, du, y) of every backward_flow call
-    of one estimator run."""
+    """Copies of the (drivers, lengths, du, y, rows) of every backward_flow
+    call of one estimator run."""
     calls = []
     flow = _kernels.backward_flow
 
-    def recorded(drivers, lengths, du, y):
-        calls.append((drivers.copy(), lengths.copy(), du, y.copy()))
-        flow(drivers, lengths, du, y)
+    def recorded(drivers, lengths, du, y, rows):
+        calls.append((drivers.copy(), lengths.copy(), du, y.copy(),
+                      rows.copy()))
+        flow(drivers, lengths, du, y, rows)
 
     monkeypatch.setattr(_kernels, "backward_flow", recorded)
     estimate(KappaContext(kappa), SYM_CFG, [0.2, 0.1, 0.05], dt=DT,
@@ -517,13 +520,13 @@ def record_flow_calls(monkeypatch, estimate, kappa, **kwargs):
     return calls
 
 
-def flows(drivers, lengths, du, y):
+def flows(drivers, lengths, du, y, rows):
     """Outputs of the compiled flow (through the dispatcher) and of the
     numpy flow on copies of ``y``."""
     compiled_lib()
     c, py = y.copy(), y.copy()
-    _kernels.backward_flow(drivers, lengths, du, c)
-    _kernels._backward_flow_np(drivers, lengths, du, py)
+    _kernels.backward_flow(drivers, lengths, du, c, rows)
+    _kernels._backward_flow_np(drivers, lengths, du, py, rows)
     return c, py
 
 
@@ -544,7 +547,8 @@ class TestCompiledBackwardFlow:
     def test_pinned_outputs(self):
         y = FLOW_Y.copy()
         compiled_lib()
-        _kernels.backward_flow(FLOW_DRIVERS, FLOW_LENGTHS, 0.01, y)
+        _kernels.backward_flow(FLOW_DRIVERS, FLOW_LENGTHS, 0.01, y,
+                               np.arange(3))
         assert [(v.real.hex(), v.imag.hex()) for v in y] == FLOW_PINNED
 
     @needs_fused_numpy
@@ -559,8 +563,8 @@ class TestCompiledBackwardFlow:
         monkeypatch.setitem(mc._SAMPLER, "bmax", 32768)
         calls = record_flow_calls(monkeypatch, estimate, kappa, **kwargs)
         rows = 0
-        for drivers, lengths, du, y in calls:
-            c, py = flows(drivers, lengths, du, y)
+        for drivers, lengths, du, y, probes in calls:
+            c, py = flows(drivers, lengths, du, y, probes)
             assert_same_bits(c, py)
             rows += lengths.size
         assert rows >= 50
@@ -571,7 +575,7 @@ class TestCompiledBackwardFlow:
         lengths = np.array([60, 60, 60, 60, 37, 0, 1], dtype=np.int64)
         y = np.array([0.0, complex(-0.0, -0.0), np.exp(1j * drivers[2, 59]),
                       0.3 + 0.4j, 0.7j, 0.2, -0.999])
-        c, py = flows(drivers, lengths, 0.01, y)
+        c, py = flows(drivers, lengths, 0.01, y, np.arange(7))
         assert_same_bits(c, py)
         # the origin is fixed (every step is non-finite and leaves the
         # point unchanged, either sign of zero); a row of length 0 takes no
@@ -581,8 +585,21 @@ class TestCompiledBackwardFlow:
 
     @needs_fused_numpy
     def test_bytes_equal_on_pinned_rows(self):
-        c, py = flows(FLOW_DRIVERS, FLOW_LENGTHS, 0.01, FLOW_Y)
+        c, py = flows(FLOW_DRIVERS, FLOW_LENGTHS, 0.01, FLOW_Y, np.arange(3))
         assert_same_bits(c, py)
+
+    def test_new_build_removes_stale_builds(self, monkeypatch, tmp_path):
+        # a build of a new source deletes the older sources' libraries of
+        # its cache directory and nothing else there
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        cache = _kernels._hsle_cache_dir()
+        for name in ("hsle-0123456789abcdef0123.so", "notes.txt"):
+            with open(os.path.join(cache, name), "wb") as fh:
+                fh.write(b"stale")
+        path = _kernels._build_hsle(shutil.which("cc"), cache)
+        assert sorted(os.listdir(cache)) == sorted(
+            [os.path.basename(path), "notes.txt"])
+        ctypes.CDLL(path)
 
     def test_builds_without_warnings(self, tmp_path):
         # the grown C file stays clean under the strictest common warnings
@@ -600,8 +617,9 @@ class TestCompiledBackwardFlow:
         not HAS_CC, reason="no C compiler on PATH")),
     "numpy"])
 def test_flow_never_reads_past_a_row_length(flow):
-    # montecarlo._batched_pullback leaves whatever follows a row's length
-    # in its probe matrix, so NaN there must give the bytes that 0.0 gives
+    # montecarlo's probes read their rows of the driver matrix in place,
+    # past whose lengths lie other values, so NaN there must give the bytes
+    # that 0.0 gives
     if flow == "compiled":
         compiled_lib()
         run_flow = _kernels.backward_flow
@@ -611,10 +629,43 @@ def test_flow_never_reads_past_a_row_length(flow):
     out = []
     for pad in (0.0, np.nan):
         y = FLOW_Y.copy()
-        run_flow(np.where(past, pad, FLOW_DRIVERS), FLOW_LENGTHS, 0.01, y)
+        run_flow(np.where(past, pad, FLOW_DRIVERS), FLOW_LENGTHS, 0.01, y,
+                 np.arange(3))
         out.append(y)
     assert_same_bits(*out)
     assert np.all(np.isfinite(out[1]))
+
+
+@pytest.mark.parametrize("flow", [
+    pytest.param("compiled", marks=pytest.mark.skipif(
+        not HAS_CC, reason="no C compiler on PATH")),
+    pytest.param("numpy", marks=needs_fused_numpy)])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(1, 5), w=st.integers(1, 40), seed=st.integers(0, 2**32),
+       rows=st.lists(st.integers(0, 4), min_size=1, max_size=12))
+def test_each_probe_as_if_alone(flow, m, w, seed, rows):
+    # a point of a call of many probes, rows repeated and lengths 0 and w
+    # among them, has the bytes of its probe run alone on a copy of its
+    # row's prefix
+    run_flow = (_kernels.backward_flow if flow == "compiled"
+                else _kernels._backward_flow_np)
+    if flow == "compiled":
+        compiled_lib()
+    rng = np.random.default_rng(seed)
+    drivers = np.cumsum(0.3 * rng.standard_normal((m, w)), axis=1)
+    rows = np.array(rows + [0, m - 1], dtype=np.int64) % m
+    lengths = rng.integers(0, w + 1, rows.size)
+    lengths[-2:] = (0, w)
+    y0 = 0.95 * np.sqrt(rng.uniform(size=rows.size)) * np.exp(
+        2j * math.pi * rng.uniform(size=rows.size))
+    y = y0.copy()
+    run_flow(drivers, lengths, 0.01, y, rows)
+    for i, (row, n) in enumerate(zip(rows, lengths)):
+        alone = y0[i:i + 1].copy()
+        run_flow(drivers[row:row + 1, :n].copy(), lengths[i:i + 1], 0.01,
+                 alone, np.zeros(1, dtype=np.int64))
+        assert_same_bits(y[i:i + 1], alone)
+    assert_same_bits(y[lengths == 0], y0[lengths == 0])
 
 
 Z_OUTPUTS =("z1", "z2", "alive", "absorb_step", "rec_z1", "rec_z2")
@@ -799,10 +850,10 @@ class TestWithoutCompiler:
             "import sys, threading, numpy as np, twocurve._kernels as k\n"
             "d, l, y = (np.load(sys.argv[1] + f'/{n}.npy')\n"
             "           for n in ('drivers', 'lengths', 'y'))\n"
-            "k.backward_flow(d, l, 0.01, y)\n"
-            "k.backward_flow(d, l, 0.01, y.copy())\n"
+            "k.backward_flow(d, l, 0.01, y, np.arange(3))\n"
+            "k.backward_flow(d, l, 0.01, y.copy(), np.arange(3))\n"
             "k.backward_flow(np.tile(d, (22, 1)), np.tile(l, 22), 0.01,\n"
-            "                np.tile(y, 22))\n"
+            "                np.tile(y, 22), np.arange(66))\n"
             "print(k.hsle_kernel())\n"
             "for v in y: print(v.real.hex(), v.imag.hex())\n"
             "print(k._pool.cache_info().currsize, threading.active_count())\n")
@@ -874,7 +925,8 @@ class TestRowScheduler:
         assert len(set(out["status"].tolist())) >= 3
         y = np.tile(FLOW_Y, 70)
         _kernels.backward_flow(np.tile(FLOW_DRIVERS, (70, 1)),
-                               np.tile(FLOW_LENGTHS, 70), 0.01, y)
+                               np.tile(FLOW_LENGTHS, 70), 0.01, y,
+                               np.arange(210))
         assert [(v.real.hex(), v.imag.hex()) for v in y] == FLOW_PINNED * 70
         c = assert_z_kernels_agree(6.0, starts(300, 0.12, 0.12), 0.1, 40,
                                    [1, 2, 40])
@@ -895,14 +947,15 @@ class TestRowScheduler:
         y0 = np.tile(FLOW_Y, 333)[:997]
         monkeypatch.setattr(_kernels, "_n_workers", lambda: 1)
         want = y0.copy()
-        _kernels.backward_flow(drivers, lengths, 0.01, want)
+        _kernels.backward_flow(drivers, lengths, 0.01, want, np.arange(997))
         monkeypatch.setattr(_kernels, "_n_workers", lambda: 4)
         results = []
 
         def many():
             for _ in range(50):
                 y = y0.copy()
-                _kernels.backward_flow(drivers, lengths, 0.01, y)
+                _kernels.backward_flow(drivers, lengths, 0.01, y,
+                                       np.arange(997))
                 results.append(y.tobytes() == want.tobytes())
 
         interval = sys.getswitchinterval()
@@ -925,7 +978,7 @@ class TestRowScheduler:
         for n in (1, 0):
             y = FLOW_Y[:n].copy()
             _kernels.backward_flow(FLOW_DRIVERS[:n], FLOW_LENGTHS[:n], 0.01,
-                                   y)
+                                   y, np.arange(n))
             assert [(v.real.hex(), v.imag.hex()) for v in y] \
                 == FLOW_PINNED[:n]
         assert_z_kernels_agree(6.0, starts(1, 0.12, 0.12), 0.1, 40,
@@ -1035,15 +1088,22 @@ class TestDispatcherArguments:
         ("y", lambda a: a.astype(np.complex64)),
         ("y", lambda a: np.repeat(a, 2)[::2]),
         ("y", lambda a: np.broadcast_to(a, a.shape)),
+        ("rows", lambda a: a.astype(np.int32)),
+        ("rows", lambda a: a[:-1].copy()),
+        # a row outside the matrix's [0, m) and a length outside [0, w]
+        ("rows", lambda a: a - 1),
+        ("rows", lambda a: a + 1),
+        ("lengths", lambda a: a - 6),
+        ("lengths", lambda a: a + 1),
     ])
     def test_backward_flow_rejects_bad_arrays(self, name, bad):
         args = dict(drivers=np.zeros((4, 5)),
                     lengths=np.full(4, 5, dtype=np.int64),
-                    y=np.full(4, 0.5 + 0.1j))
+                    y=np.full(4, 0.5 + 0.1j), rows=np.arange(4))
         args[name] = bad(args[name])
         with pytest.raises(ValueError, match=name):
             _kernels.backward_flow(args["drivers"], args["lengths"], 1e-3,
-                                   args["y"])
+                                   args["y"], args["rows"])
 
     @pytest.mark.parametrize("name, bad", [
         ("rec_z1", lambda a: np.asfortranarray(a)),

@@ -148,7 +148,8 @@ class TestBackwardFlowOracle:
         depth = 1.0 - np.abs(np.concatenate(images))
         y = np.concatenate(images)
         lengths = np.full(len(rows), len(rows[0]))
-        _kernels.backward_flow(np.array(rows), lengths, du, y)
+        _kernels.backward_flow(np.array(rows), lengths, du, y,
+                               np.arange(len(rows)))
         err = np.abs(y - z0) / np.abs(z0)
         # the pullback magnifies the forward flow's rounding as an image
         # nears the circle, so 1e-10 holds at depth 1 - |g| >= 1e-4 only

@@ -165,6 +165,70 @@ def coarse_minima_below_3r(coarse, r) -> tuple[set, set]:
                    if dmin[q] > r or abs(dmin[q] - r) <= rel * r}
 
 
+def loop_probe_rounds(counts, probed, offset, radius, dists,
+                      refine_decided):
+    """The (path, length) rows of ``_probe_paths``'s coarse and refined
+    rounds, built by per-path loops as the reference of its index
+    arithmetic; ``dists[q, length]`` is a probe's distance."""
+    rel = mc._SAMPLER["probe_rel_err"]
+    coarse = [(q, offset + c) for q in probed for c in sorted(
+        {int(round(f * int(counts[q]))) for f in mc._COARSE_FRACTIONS})]
+    dmin, best = {}, {}
+    for q, n in coarse:
+        dmin[q] = min(dmin.get(q, math.inf), dists[q, n])
+    for q, n in coarse:
+        if dists[q, n] <= dmin[q]:
+            best[q] = n - offset
+    refined = []
+    for q in probed:
+        m, d = int(counts[q]), dmin[q]
+        open_path = d > radius or abs(d - radius) <= rel * radius
+        if d > 3.0 * radius or m == 0 or not (refine_decided or open_path):
+            continue
+        half = max(1, m // 6)
+        lo, hi = max(0, best[q] - half), min(m, best[q] + half)
+        refined += [(q, offset + c)
+                    for c in range(lo, hi + 1, max(1, (hi - lo) // 60))]
+    return [coarse, refined]
+
+
+@pytest.mark.parametrize("refine_decided", [False, True])
+def test_probe_rows_match_the_per_path_loops(monkeypatch, refine_decided):
+    # on distances with many ties and some lost (nan) probes, the rows of
+    # both rounds, the minima and the kept points are those of the loops
+    radius, offset = 0.1, 7
+    rng = np.random.default_rng(29)
+    counts = rng.integers(0, 400, 80)
+    counts[:6] = (0, 1, 2, 3, 5, 6)
+    probed = np.flatnonzero(rng.uniform(size=80) < 0.8)
+    # the probe point of each (path, length)
+    q, n = np.ogrid[:80, :offset + 401]
+    points = np.where((q + n) % 13 == 0, np.nan, radius * (
+        0.5 + (q * 7919 + n * 104729) % 11 / 4.0) * np.exp(1j * (q + n)))
+    dists = np.where(np.isnan(points), np.inf, np.abs(points))
+    rounds = []
+
+    def fake_pullback(seq, paths, lens, du, eps_in, tally):
+        rounds.append(list(zip(paths.tolist(), lens.tolist())))
+        return points[paths, lens]
+
+    monkeypatch.setattr(mc, "_batched_pullback", fake_pullback)
+    dmin, (pid, pts) = mc._probe_paths(
+        np.zeros((80, offset + 401)), counts, probed, offset, radius, 1e-2,
+        1e-3, refine_decided, {})
+    want = loop_probe_rounds(counts, probed, offset, radius, dists,
+                             refine_decided)
+    assert rounds == want
+    assert len(want[1]) > 100
+    want_min = np.full(80, np.inf)
+    for q, n in want[0] + want[1]:
+        want_min[q] = min(want_min[q], dists[q, n])
+    assert dmin.tobytes() == want_min.tobytes()
+    kept = [(q, points[q, n]) for q, n in want[0] + want[1]
+            if dists[q, n] <= 2.0 * radius]
+    assert list(zip(pid.tolist(), pts.tolist())) == kept
+
+
 @pytest.fixture
 def fast_sampler(monkeypatch):
     """The sampler at a substep budget of 32768 units per macro step
@@ -622,7 +686,7 @@ class TestBackwardFlow:
         drivers = np.zeros((1, n))
         lengths = np.array([n], dtype=np.int64)
         y = np.array([(1.0 - 1e-6) * np.exp(1j * 0.0)])
-        _kernels.backward_flow(drivers, lengths, du, y)
+        _kernels.backward_flow(drivers, lengths, du, y, np.arange(1))
         assert_allclose(abs(y[0]), loewner.slit_tip_modulus(n * du),
                         rtol=2e-3)
 
@@ -630,7 +694,7 @@ class TestBackwardFlow:
         drivers = np.full((1, 50), 0.3)
         lengths = np.array([50], dtype=np.int64)
         y = np.array([0.0 + 0.0j])
-        _kernels.backward_flow(drivers, lengths, 1e-3, y)
+        _kernels.backward_flow(drivers, lengths, 1e-3, y, np.arange(1))
         assert y[0] == 0.0
 
 

@@ -15,6 +15,7 @@ from twocurve.timecurve import (
     ZState,
     importance_log_weight,
     simulate_z_ensemble,
+    time_steps,
     xy_of_z,
     z_drift_diffusion,
 )
@@ -405,3 +406,25 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             simulate_z_ensemble(CTX6, z0, 1.0, dt=1e-3, n_paths=1,
                                 record_times=[0.0])
+
+    @pytest.mark.parametrize("t_max, dt, record_times", [
+        (1e300, 1e-3, None), (math.nan, 1e-3, None), (math.inf, 1e-3, None),
+        (1.0, math.nan, None), (1.0, math.inf, None), (1.0, 1e-320, None),
+        (1.0, 1e-3, [math.nan]), (1.0, 1e-3, [-math.inf]),
+        (1.0, 1e-3, [4e-4])])
+    def test_step_counts_past_the_rule_raise_value_error(self, t_max, dt,
+                                                         record_times):
+        # times that round to no step, to more than 2^62 steps or to no
+        # number raise ValueError before any draw, as the estimator's check
+        with pytest.raises(ValueError, match="half a step"):
+            simulate_z_ensemble(CTX6, ZState(1.0, 1.0), t_max, dt=dt,
+                                n_paths=1, record_times=record_times)
+
+    def test_time_steps(self):
+        assert time_steps(0.0, 1e-3) == 0
+        assert time_steps(5.1e-4, 1e-3) == 1
+        assert time_steps(1.0, 1e-3) == 1000
+        for t, dt in ((5e-4, 1e-3), (2.0 ** 62, 1.0), (-1.0, 1e-3),
+                      (0.0, 0.0), (0.0, math.nan)):
+            with pytest.raises(ValueError):
+                time_steps(t, dt)
