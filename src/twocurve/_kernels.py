@@ -45,11 +45,12 @@ The library is cached in ``$XDG_CACHE_HOME/twocurve`` (default
 ``~/.cache/twocurve``, created with mode 0o700) under a name hashed from the
 C source, the flags and ``cc --version``.  It is compiled in a temporary
 directory there and renamed into place with ``os.replace``, so concurrent
-processes never load a partial file, and a new build deletes the other
-``hsle-*.so`` files there.  If that directory is not usable the library is
-built in a temporary directory for this process only; if there is no
-compiler or the build fails, one warning is logged and all three kernels
-run in Python/numpy.  ``hsle_kernel()`` names the library that ran them.
+processes never load a partial file; a load refreshes its build's mtime,
+and a new build deletes the ``hsle-*.so`` files there unloaded for a day.
+If that directory is not usable the library is built in a temporary
+directory for this process only; if there is no compiler or the build
+fails, one warning is logged and all three kernels run in Python/numpy.
+``hsle_kernel()`` names the library that ran them.
 
 ``z_evolve`` runs the same library's port of ``_z_evolve_np`` in one
 pass over each path: every step draws its normals with the one Box-Muller
@@ -160,6 +161,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import time
 
 import numpy as np
 
@@ -513,6 +515,8 @@ _HSLE_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 # part of the bit contract (module docstring): no contraction into fused
 # multiply-adds, no -ffast-math, no -march=native
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# seconds unloaded after which a new build removes another checkout's build
+_STALE_BUILD_AGE = 86400.0
 # error codes of _hsle.c and the exceptions the Python kernel raises there
 _HSLE_ERRORS = {1: (ZeroDivisionError, "float division by zero"),
                 2: (ValueError, "math domain error"),
@@ -535,9 +539,9 @@ def _hsle_cache_dir() -> str:
 
 
 def _build_hsle(cc: str, out_dir: str) -> str:
-    """Path of the kernel library in ``out_dir``, compiling it there unless
-    a build of the same source, flags and compiler already exists; a new
-    build removes the other ``hsle-*.so`` files there."""
+    """Path of the kernel library in ``out_dir``, compiled there unless a
+    build of the same source, flags and compiler exists; each call refreshes
+    its mtime, and a new build removes the builds untouched for a day."""
     with open(_HSLE_SOURCE, "rb") as fh:
         source = fh.read()
     version = subprocess.run([cc, "--version"], capture_output=True,
@@ -552,9 +556,11 @@ def _build_hsle(cc: str, out_dir: str) -> str:
                            capture_output=True, check=True, timeout=300)
             os.replace(part, path)
         for stale in glob.glob(os.path.join(out_dir, "hsle-*.so")):
-            if stale != path:
-                with contextlib.suppress(FileNotFoundError):
+            with contextlib.suppress(FileNotFoundError):
+                if os.path.getmtime(stale) < time.time() - _STALE_BUILD_AGE:
                     os.remove(stale)
+    with contextlib.suppress(OSError):
+        os.utime(path)
     return path
 
 

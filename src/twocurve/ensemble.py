@@ -165,13 +165,6 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be 'c4' or 'ch', got {mode!r}")
 
 
-def fresh_state(w1: float, v1: float, w2: float, v2: float) -> EnsembleState:
-    """State at t1 = t2 = 0: identity maps (first derivatives 1, higher 0)."""
-    return EnsembleState(W1=w1, V1=v1, W2=w2, V2=v2,
-                         W11=1.0, W21=1.0, W12=0.0, W22=0.0,
-                         W13=0.0, W23=0.0, V11=1.0, V21=1.0)
-
-
 def ode_rhs(state: EnsembleState, j: int) -> dict:
     """Deterministic flow derivatives of every field for growth in t_j.
 
@@ -383,12 +376,6 @@ def _log_cross_ratio_sde(log_sines: dict) -> tuple[float, float]:
     return sigma, mu
 
 
-def cross_ratio_sde(ctx: KappaContext, state: EnsembleState,
-                    j: int) -> tuple[float, float]:
-    """(sigma, mu) of dR/R for growth in t_j, from the sine factor SDEs."""
-    return _to_ratio(ctx, *_log_cross_ratio_sde(_log_sine_sdes(ctx, state, j)))
-
-
 def _hyp_log_derivs(ctx: KappaContext, R: float, F: float,
                     Fp: float) -> tuple[float, float]:
     """H = d log Ftilde / d log R and its R-derivative H'.
@@ -405,16 +392,6 @@ def _hyp_log_derivs(ctx: KappaContext, R: float, F: float,
     return H, Hp
 
 
-def hyp_factor_sde(ctx: KappaContext, state: EnsembleState,
-                   j: int) -> tuple[float, float]:
-    """(sigma, mu) of d Ftilde(R) / Ftilde(R) for growth in t_j.
-
-    Chain rule through u = log R: d log Ftilde = H du + (1/2) R H' d<u>.
-    """
-    return _hyp_factor_sde(ctx, _hyp_point(ctx, state, "ch"),
-                           _log_sine_sdes(ctx, state, j))
-
-
 def _hyp_factor_sde(ctx: KappaContext, hyp,
                     log_sines: dict) -> tuple[float, float]:
     R, F, Fp = hyp
@@ -423,23 +400,6 @@ def _hyp_factor_sde(ctx: KappaContext, hyp,
     sigma = H * s_lr
     mu = H * m_lr + 0.5 * ctx.kappa * s_lr * s_lr * R * Hp
     return _to_ratio(ctx, sigma, mu)
-
-
-def log_M_sde(ctx: KappaContext, state: EnsembleState, j: int,
-              mode: str) -> tuple[float, float]:
-    """First-principles Ito pair (sigma, mu) of d log M for growth in t_j.
-
-    Every term is assembled from the component SDE rows (``ode_rhs`` flow
-    parts plus the tip noise and Ito corrections); nothing is taken from
-    the displayed martingale coefficient, so comparing against
-    ``martingale_coefficient`` and testing
-    mu + (kappa/2) sigma^2 = 0 are both meaningful checks.
-    """
-    _check_j(j)
-    _check_mode(mode)
-    sigma, mu = _log_M_sde(ctx, state, j, mode, _hyp_point(ctx, state, mode),
-                           ode_rhs(state, j), _log_sine_sdes(ctx, state, j))
-    return float(sigma), float(mu)
 
 
 def _log_M_sde(ctx: KappaContext, state: EnsembleState, j: int, mode: str,

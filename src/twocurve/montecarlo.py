@@ -3,8 +3,9 @@
 The quantities estimated here are probabilities that one or both curves
 of the commuting pair approach the origin of the unit disc: the
 two-curve hitting probability P[dist(0, eta_j) < r for j = 1, 2], its
-power-law exponent and intercept, the constant relating the intercept to
-the four-point boundary function, the intersection-point variant, and an
+power-law exponent and intercept, the constant C0 relating the intercept
+to the four-point boundary function (:func:`pool_C0` pools it from hit
+records; it has no sampler), the intersection-point variant, and an
 importance-weighted survival estimator along the common-time
 parametrization that targets the same exponent through an entirely
 different route.
@@ -129,11 +130,6 @@ class EstimateRecord:
     seed: int
     config: dict = field(default_factory=dict)
     flags: tuple = ()
-
-    @property
-    def accepted(self) -> bool:
-        """Quality gate: effective sample size above 100."""
-        return self.ess > 100.0
 
     def to_row(self) -> list:
         return [self.kappa, self.method, self.r_or_t, self.estimate,
@@ -303,19 +299,14 @@ def hsle_drift(ctx: KappaContext, w0: float, winf: float, v1: float,
 
 
 # ---------------------------------------------------------------------------
-# fresh and conditional state tuples (ascending covering order)
+# first-curve and conditional state rows (ascending covering order)
 # ---------------------------------------------------------------------------
 
-def _fresh_tuple(cfg: BoundaryConfig, j: int) -> np.ndarray:
-    """Kernel state row (w0, v1, v2, winf) for growing curve ``j`` of
+def _first_curve_row(cfg: BoundaryConfig) -> np.ndarray:
+    """Kernel state row (w0, v1, v2, winf) for growing the first curve of
     ``cfg`` from scratch, in ascending covering order."""
-    if j == 1:
-        row = (cfg.w1, cfg.v2 + TWO_PI, cfg.w2 + TWO_PI, cfg.v1 + TWO_PI)
-    elif j == 2:
-        row = (cfg.w2, cfg.v1, cfg.w1, cfg.v2 + TWO_PI)
-    else:
-        raise ValueError(f"curve index must be 1 or 2, got {j}")
-    return np.array(row, dtype=float)
+    return np.array((cfg.w1, cfg.v2 + TWO_PI, cfg.w2 + TWO_PI,
+                     cfg.v1 + TWO_PI))
 
 
 def _conditional_tuples(snap_rows: np.ndarray) -> np.ndarray:
@@ -493,7 +484,7 @@ def _two_stage_run(ctx: KappaContext, cfg: BoundaryConfig, r_list,
     grid = np.arange(stride, cap_a + 1, stride, dtype=np.int64)
     cap_b = int(round(_horizon_b(collect_meet) / dt / stride)) * stride
     grid_b = np.arange(stride, cap_b + 1, stride, dtype=np.int64)
-    row0 = _fresh_tuple(cfg, 1)
+    row0 = _first_curve_row(cfg)
     agg = {r: {**dict.fromkeys(HIT_COUNTERS, 0),
                "status_b": np.zeros(_N_STATUS, dtype=np.int64)} for r in rs}
     status_hist_a = np.zeros(_N_STATUS, dtype=np.int64)
@@ -688,7 +679,7 @@ def estimate_survival_weighted(ctx: KappaContext, z0, t_list,
     the exponential importance weight at each requested time (the weight
     of an absorbed path is zero).  Reports the effective sample size
     (sum w)^2 / sum w^2; records with ess <= 100 carry a ``low_ess``
-    flag and are not ``accepted``.  t = 0 yields exactly 1 by
+    flag.  t = 0 yields exactly 1 by
     construction (all weights are 1), with a roundoff-floor stderr.  The
     inputs must pass :func:`check_survival_inputs`.
     """
@@ -779,81 +770,65 @@ def fit_power_law(points) -> tuple[float, float, np.ndarray]:
     return float(slope), float(intercept), cov
 
 
-def estimate_C0(ctx: KappaContext, cfg_list, r_list, n_paths: int = 20000,
-                dt: float = 1e-4, seed: int = 0) -> EstimateRecord:
-    """Pooled estimate of the universal intercept constant.
+def _pool_by(groups, c0, var):
+    """Inverse-variance means and stderrs by group 0.., summed in order."""
+    w, wc = np.bincount(groups, 1.0 / var), np.bincount(groups, c0 / var)
+    return wc / w, 1.0 / np.sqrt(w)
 
-    For each configuration and radius the two-curve hit probability is
-    divided by (four-point boundary function) * r^alpha0; the results
-    are pooled by inverse variance into one constant, which depends only
-    on kappa.  Configuration c uses path ids offset by c * n_paths so
-    all cells are independent.  The record's config dict retains the
-    per-configuration and per-radius cell table; flags report a failed
-    95% cross-configuration overlap (``ci_overlap_fail``) or per-radius
-    drift beyond the combined interval plus the r^beta0 finite-size
-    envelope (``r_instability``).
+
+def pool_C0(ctx: KappaContext, records) -> EstimateRecord:
+    """Pool hit records into the universal intercept constant C0.
+
+    Each record is a cell, its estimate and stderr over G_quad(cfg)
+    r^alpha0, pooled by inverse variance in record order into a constant
+    of kappa and the records' method; no kernel runs.  Flags: configuration
+    means further apart than 1.96 (s_i + s_j) (``ci_overlap_fail``), radius
+    means further apart than that plus pooled (r_i^beta0 + r_j^beta0)
+    (``r_instability``).  Caveat: the radii of one run share its paths, yet
+    the stderr treats their cells as independent.  ValueError, before any
+    pooling, unless the records share ``ctx.kappa``, one hit method and one
+    dt, and of their runs (cfg, seed, path_start, n) no two of one seed
+    share a path and none gives a radius twice.  ``n_paths`` and ``ess``
+    count each run once; ``seed`` is the first record's.
     """
-    cfgs = list(cfg_list)
-    if not cfgs:
-        raise ValueError("estimate_C0 needs at least one configuration")
-    a0 = ctx.alpha0
-    b0 = ctx.beta0
-    cells = []
-    flags = []
-    per_cfg = []
-    for c, cfg in enumerate(cfgs):
-        recs = estimate_two_curve_hit(ctx, cfg, r_list, n_paths, dt, seed,
-                                      path_start=c * n_paths)
-        gq = G_quad(ctx, cfg)
-        cw = cv = 0.0
-        for rec in recs:
-            scale = gq * rec.r_or_t ** a0
-            c0 = rec.estimate / scale
-            sig = rec.stderr / scale
-            cells.append({"cfg_index": c, "r": rec.r_or_t, "C0": c0,
-                          "sigma": sig, "estimate": rec.estimate,
-                          "stderr": rec.stderr})
-            if sig > 0.0:
-                cw += 1.0 / (sig * sig)
-                cv += c0 / (sig * sig)
-        per_cfg.append((cv / cw, 1.0 / math.sqrt(cw)) if cw > 0.0
-                       else (float("nan"), float("inf")))
-    wsum = sum(1.0 / (cell["sigma"] ** 2) for cell in cells
-               if cell["sigma"] > 0.0)
-    if wsum <= 0.0:
-        raise ValueError("no usable cells for the intercept constant")
-    pooled = sum(cell["C0"] / cell["sigma"] ** 2 for cell in cells
-                 if cell["sigma"] > 0.0) / wsum
-    pooled_se = 1.0 / math.sqrt(wsum)
-    for i in range(len(per_cfg)):
-        for j in range(i + 1, len(per_cfg)):
-            (mi, si), (mj, sj) = per_cfg[i], per_cfg[j]
-            if abs(mi - mj) > 1.96 * (si + sj):
-                flags.append("ci_overlap_fail")
-    radii = sorted({cell["r"] for cell in cells})
-    for i in range(len(radii)):
-        for j in range(i + 1, len(radii)):
-            ci = [c for c in cells if c["r"] == radii[i]]
-            cj = [c for c in cells if c["r"] == radii[j]]
-            wi = sum(1.0 / c["sigma"] ** 2 for c in ci)
-            wj = sum(1.0 / c["sigma"] ** 2 for c in cj)
-            mi = sum(c["C0"] / c["sigma"] ** 2 for c in ci) / wi
-            mj = sum(c["C0"] / c["sigma"] ** 2 for c in cj) / wj
-            envelope = pooled * (radii[i] ** b0 + radii[j] ** b0)
-            tol = 1.96 * (wi ** -0.5 + wj ** -0.5) + envelope
-            if abs(mi - mj) > tol:
-                flags.append("r_instability")
-    flags = sorted(set(flags))
+    recs = list(records)
+    methods = {rec.method for rec in recs}
+    if not (len(methods) == 1 and {rec.kappa for rec in recs} == {ctx.kappa}
+            and methods <= {"two_curve_hit", "intersection_hit"}
+            and len({rec.dt for rec in recs}) == 1):
+        raise ValueError("pool_C0 pools hit records of one kappa, method, dt")
+    runs = [(tuple(rec.config["cfg"]), rec.seed, rec.config["path_start"],
+             rec.config["n"]) for rec in recs]
+    uniq = list(dict.fromkeys(runs))
+    seed, lo, n = np.array([run[1:] for run in uniq], dtype=np.uint64).T
+    hi = lo + n
+    shared = (seed[:, None] == seed) & (lo[:, None] < hi) & (lo < hi[:, None])
+    if (np.triu(shared, 1).any()
+            or len(set(zip(runs, (rec.r_or_t for rec in recs)))) < len(recs)):
+        raise ValueError("pool_C0 would count a path twice")
+    cfgs = list(dict.fromkeys(run[0] for run in runs))
+    ci = np.array([cfgs.index(run[0]) for run in runs])
+    gq = [G_quad(ctx, BoundaryConfig(*cfg)) for cfg in cfgs]
+    scale = np.array([gq[c] * rec.r_or_t ** ctx.alpha0
+                      for c, rec in zip(ci, recs)])
+    c0, sig = np.array([(rec.estimate, rec.stderr) for rec in recs]).T / scale
+    radii, ri = np.unique([rec.r_or_t for rec in recs], return_inverse=True)
+    (pooled,), (pooled_se,) = _pool_by(0 * ci, c0, sig * sig)
+    (m, s), (mr, sr) = (_pool_by(g, c0, sig * sig) for g in (ci, ri))
+    envelope = pooled * (radii[:, None] ** ctx.beta0 + radii ** ctx.beta0)
+    flags = [flag for flag, fail in (
+        ("ci_overlap_fail", np.abs(m[:, None] - m) > 1.96 * (s[:, None] + s)),
+        ("r_instability", np.abs(mr[:, None] - mr)
+         > 1.96 * (sr[:, None] + sr) + envelope)) if fail.any()]
     return EstimateRecord(
         kappa=ctx.kappa, method="C0", r_or_t=float("nan"),
-        estimate=float(pooled), stderr=float(pooled_se),
-        ess=float(len(cfgs) * n_paths),
-        n_paths=int(len(cfgs) * n_paths), dt=float(dt), seed=int(seed),
-        config={
-            "cfgs": [[g.w1, g.v1, g.w2, g.v2] for g in cfgs],
-            "r_list": [float(r) for r in r_list],
-            "per_cfg": [[m, s] for (m, s) in per_cfg],
-            "cells": cells,
-            "n_paths_per_cfg": int(n_paths),
-        },
+        estimate=float(pooled), stderr=float(pooled_se), ess=float(n.sum()),
+        n_paths=int(n.sum()), dt=recs[0].dt, seed=recs[0].seed, config={
+            "method": methods.pop(), "r_list": radii.tolist(), "runs": uniq,
+            "cfgs": [list(cfg) for cfg in cfgs],
+            "per_cfg": np.column_stack([m, s]).tolist(),
+            "cells": [{"cfg_index": int(c), "r": rec.r_or_t, "C0": float(x),
+                       "sigma": float(y), "estimate": rec.estimate,
+                       "stderr": rec.stderr}
+                      for c, rec, x, y in zip(ci, recs, c0, sig)]},
         flags=tuple(flags))

@@ -26,8 +26,6 @@ update: :func:`simulate_z_ensemble` runs it through ``_kernels.z_evolve``
 (compiled when the C library builds, with the same bits either way),
 which also holds the one clamp-and-absorb rule.  The importance weights
 stay in numpy: they follow ``G_u``'s array bits.
-:func:`z_drift_diffusion` states the SDE's coefficients as a reference for
-tests of the step; no simulation reads it.
 """
 from __future__ import annotations
 
@@ -64,23 +62,6 @@ def xy_of_z(z) -> tuple:
     """
     z1, z2 = _coord_arrays(z)
     return np.cos(0.5 * (z1 + z2)), np.sin(0.5 * (z1 - z2))
-
-
-def z_drift_diffusion(ctx: KappaContext, z1, z2):
-    """Drift and diffusion coefficients of the two-angle SDE.
-
-    Returns:
-        (mu1, mu2, sigma1, sigma2): per-coordinate drift and diffusion
-        evaluated at (z1, z2); vectorized over array inputs.
-    """
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
-    S = np.sin(z1) + np.sin(z2)
-    mu1 = 4.0 * np.cos(z1) / S
-    mu2 = 4.0 * np.cos(z2) / S
-    sig1 = np.sqrt(ctx.kappa * np.sin(z1) / S)
-    sig2 = np.sqrt(ctx.kappa * np.sin(z2) / S)
-    return mu1, mu2, sig1, sig2
 
 
 def importance_log_weight(ctx: KappaContext, t: float, z_start, z_end):

@@ -21,6 +21,8 @@ from twocurve.context import KappaContext
 from twocurve.special import hyp_F, hyp_tilde_G
 from twocurve.trig import cot2, cot2p, cot2ppp, sin2
 
+import references as ref
+
 TWO_PI = 2.0 * math.pi
 
 CTX3 = KappaContext(3.0)
@@ -71,28 +73,28 @@ def evolve_second_order(state: ens.EnsembleState, j: int, dt: float,
 
 class TestEnsembleState:
     def test_fresh_state_fields(self):
-        st = ens.fresh_state(*SYM)
+        st = ref.fresh_state(*SYM)
         assert st.W11 == st.W21 == st.V11 == st.V21 == 1.0
         assert st.W12 == st.W22 == st.W13 == st.W23 == 0.0
         assert st.mA == st.Icc == st.t1 == st.t2 == 0.0
 
     def test_ordering_violation_rejected(self):
         with pytest.raises(ValueError, match="ordering"):
-            ens.fresh_state(0.0, math.pi / 2, math.pi, -math.pi / 2)
+            ref.fresh_state(0.0, math.pi / 2, math.pi, -math.pi / 2)
         with pytest.raises(ValueError, match="ordering"):
             # V2 below W1 - 2*pi wraps past the tip
-            ens.fresh_state(math.pi, math.pi / 2, 0.0, math.pi - TWO_PI - 0.1)
+            ref.fresh_state(math.pi, math.pi / 2, 0.0, math.pi - TWO_PI - 0.1)
 
     def test_first_deriv_domains(self):
         with pytest.raises(ValueError, match="W11"):
-            replace(ens.fresh_state(*SYM), W11=1.2)
+            replace(ref.fresh_state(*SYM), W11=1.2)
         with pytest.raises(ValueError, match="W21"):
-            replace(ens.fresh_state(*SYM), W21=0.0)
+            replace(ref.fresh_state(*SYM), W21=0.0)
         with pytest.raises(ValueError, match="V11"):
-            replace(ens.fresh_state(*SYM), V11=-0.5)
+            replace(ref.fresh_state(*SYM), V11=-0.5)
 
     def test_time_and_capacity_domains(self):
-        st = ens.fresh_state(*SYM)
+        st = ref.fresh_state(*SYM)
         with pytest.raises(ValueError, match="nonnegative"):
             replace(st, t1=-0.1)
         with pytest.raises(ValueError, match="mA"):
@@ -103,7 +105,7 @@ class TestEnsembleState:
         assert ok.mA == 1.5
 
     def test_label_checks(self):
-        st = ens.fresh_state(*SYM)
+        st = ref.fresh_state(*SYM)
         with pytest.raises(ValueError):
             st.angle("W3")
         with pytest.raises(ValueError):
@@ -112,7 +114,7 @@ class TestEnsembleState:
             st.tip_deriv(1, 4)
 
     def test_schwarzian_combination(self):
-        st = replace(ens.fresh_state(*SYM), W11=0.5, W12=0.3, W13=-0.4)
+        st = replace(ref.fresh_state(*SYM), W11=0.5, W12=0.3, W13=-0.4)
         expect = -0.4 / 0.5 - 1.5 * (0.3 / 0.5) ** 2
         assert st.w_S(1) == pytest.approx(expect, rel=1e-15)
         assert st.w_S(2) == 0.0  # fresh tip: derivatives (1, 0, 0)
@@ -121,18 +123,18 @@ class TestEnsembleState:
 class TestOdeRhs:
     def test_invalid_index(self):
         with pytest.raises(ValueError):
-            ens.ode_rhs(ens.fresh_state(*SYM), 3)
+            ens.ode_rhs(ref.fresh_state(*SYM), 3)
 
     def test_symmetric_fresh_values(self):
         # W11 = 1 so capacity grows at unit rate; the passive tip sits
         # diametrically opposite so its angular velocity cot2(pi) = 0.
-        rhs = ens.ode_rhs(ens.fresh_state(*SYM), 1)
+        rhs = ens.ode_rhs(ref.fresh_state(*SYM), 1)
         assert rhs["mA"] == pytest.approx(1.0, abs=1e-15)
         assert rhs["W_passive"] == pytest.approx(0.0, abs=1e-15)
         assert rhs["t"] == 1.0
 
     def test_fresh_tip_terms_vanish(self):
-        rhs = ens.ode_rhs(ens.fresh_state(*SYM), 1)
+        rhs = ens.ode_rhs(ref.fresh_state(*SYM), 1)
         assert rhs["W_tip_flow"] == 0.0
         assert rhs["ln_W11_tip_flow"] == 0.0  # (W11^2 - 1)/6 = 0 too
         assert rhs["Icc"] == 0.0
@@ -169,7 +171,7 @@ class TestOdeRhs:
 
 class TestCrossRatioAndPhi:
     def test_symmetric_value(self):
-        cfg = ens.fresh_state(*SYM).config
+        cfg = ref.fresh_state(*SYM).config
         assert green.cross_ratio_of_config(cfg) == pytest.approx(0.5,
                                                                  abs=1e-15)
 
@@ -221,7 +223,7 @@ class TestLogDensities:
             v1, w2, v2 = (w1 - (TWO_PI - c) for c in cuts)
             if min(w1 - v1, v1 - w2, w2 - v2, v2 - w1 + TWO_PI) < 0.05:
                 continue
-            st = ens.fresh_state(w1, v1, w2, v2)
+            st = ref.fresh_state(w1, v1, w2, v2)
             pairs = ((w1, v1), (w2, v2), (w1, w2), (w1, v2), (v1, w2),
                      (v1, v2))
             expect = (2.0 / 6.0) * sum(
@@ -230,7 +232,7 @@ class TestLogDensities:
                 expect, abs=1e-12)
 
     def test_symmetric_fresh_frozen_values(self):
-        st = ens.fresh_state(*SYM)
+        st = ref.fresh_state(*SYM)
         assert ens.log_M_iB_c4(CTX3, st) == pytest.approx(
             -0.92419624074659375, abs=1e-12)
         assert ens.log_M_iB_ch(CTX3, st) == pytest.approx(
@@ -325,7 +327,7 @@ class TestSdeAssembly:
                         + 0.5 * (kap / 2.0 - 3.0) * w2
                         + 0.5 * cot2(wj - vj) * w1 ** 2
                         - kap / 4.0 * cot2(wj - wk) * w1 ** 2)
-                    sig_a, mu_a = ens.cross_ratio_sde(ctx, st, j)
+                    sig_a, mu_a = ref.cross_ratio_sde(ctx, st, j)
                     assert sig_a == pytest.approx(sig_d, abs=1e-10)
                     assert mu_a == pytest.approx(mu_d, abs=1e-10)
 
@@ -349,7 +351,7 @@ class TestSdeAssembly:
                             + 0.25 * (6.0 / kap - 1.0) * cot2(wj - vj)
                             * Gt * w1 ** 2 * ph
                             + 0.25 * (6.0 / kap - 1.0) * w1 ** 2 * ph ** 2)
-                    sig_a, mu_a = ens.hyp_factor_sde(ctx, st, j)
+                    sig_a, mu_a = ref.hyp_factor_sde(ctx, st, j)
                     assert sig_a == pytest.approx(sig_d, abs=1e-10)
                     assert mu_a == pytest.approx(mu_d, abs=1e-10)
 
@@ -359,14 +361,14 @@ class TestSdeAssembly:
             for st in ens.sample_states(20, seed=int(kap * 10) + 81):
                 for j in (1, 2):
                     for mode in ("c4", "ch"):
-                        sig, _ = ens.log_M_sde(ctx, st, j, mode)
+                        sig, _ = ref.log_M_sde(ctx, st, j, mode)
                         disp = ens.martingale_coefficient(ctx, st, j, mode)
                         assert sig == pytest.approx(disp, abs=1e-12)
 
 
 class TestDriftResidual:
     def test_mode_validation(self):
-        st = ens.fresh_state(*SYM)
+        st = ref.fresh_state(*SYM)
         with pytest.raises(ValueError, match="mode"):
             ens.drift_residual(CTX6, st, 1, "c2")
 
@@ -389,7 +391,7 @@ class TestDriftResidual:
         st = ens.sample_states(8, seed=20240 + int(10 * kap))
         assert ens.martingale_coefficient(ctx, st[0], 2, "ch") \
             == float.fromhex(coef)
-        assert ens.log_M_sde(ctx, st[0], 1, "ch")[1] == float.fromhex(mu)
+        assert ref.log_M_sde(ctx, st[0], 1, "ch")[1] == float.fromhex(mu)
         assert ens.drift_residual(ctx, st[7], 1, "ch") == float.fromhex(res)
 
     @pytest.mark.parametrize("kap", [3.0, 7.5])

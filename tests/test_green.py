@@ -2,6 +2,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twocurve import KappaContext
 from twocurve.green import (
@@ -140,6 +142,37 @@ class TestGreensDisc:
             dT = (1.0 - abs(p) ** 2) / abs(1.0 - np.conj(p) * z0) ** 2
             moved = greens_disc(ctx, T(z0), *[T(q) for q in pts])
             npt.assert_allclose(moved * dT ** ctx.alpha0, base, rtol=1e-10)
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(kappa=st.floats(0.5, 7.9),
+           gaps=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+           w1=st.floats(-PI, PI),
+           moduli=st.lists(st.floats(0.0, 0.7), min_size=2, max_size=2),
+           angles=st.lists(st.floats(0.0, 2 * PI), min_size=3, max_size=3))
+    def test_center_value_and_covariance_property(self, kappa, gaps, w1,
+                                                  moduli, angles):
+        # over random valid configurations (every gap at least 2% of a
+        # quarter turn): the disc evaluator at the centre is G_quad, the
+        # scale of every C0 cell, and moving z0 and the marked points by a
+        # disc automorphism T scales it by |T'(z0)|^(-alpha0)
+        ctx = KappaContext(kappa)
+        floor = 0.02 * 2.0 * PI / 4.0
+        g = np.array(gaps) + 1e-3
+        g = floor + (2.0 * PI - 4.0 * floor) * g / g.sum()
+        angs = w1 - np.cumsum([0.0, *g[:3]])
+        npt.assert_allclose(greens_disc(ctx, 0.0, *angs),
+                            G_quad(ctx, BoundaryConfig(*angs)), rtol=1e-11)
+        z0, p = (m * np.exp(1j * a) for m, a in zip(moduli, angles))
+
+        def T(z):
+            return np.exp(1j * angles[2]) * (z - p) / (1.0 - np.conj(p) * z)
+
+        pts = np.exp(1j * angs)
+        dT = (1.0 - abs(p) ** 2) / abs(1.0 - np.conj(p) * z0) ** 2
+        npt.assert_allclose(
+            greens_disc(ctx, T(z0), *T(pts)) * dT ** ctx.alpha0,
+            greens_disc(ctx, z0, *pts), rtol=1e-11)
 
     def test_cross_ratio_pairing_ratio_constant(self):
         # Ratio of the two admissible pairings does not depend on z0.

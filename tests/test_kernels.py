@@ -23,6 +23,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -411,7 +412,7 @@ class TestCompiledKernel:
             return u
 
         monkeypatch.setattr(_rng, "uniform", counted)
-        rows = np.tile(mc._fresh_tuple(SYM_CFG, 1), (40, 1))
+        rows = np.tile(mc._first_curve_row(SYM_CFG), (40, 1))
         out = assert_kernels_agree(kappa, rows, 3000,
                                    np.arange(250, 3001, 250), bmax=bmax,
                                    seed=3)
@@ -589,17 +590,39 @@ class TestCompiledBackwardFlow:
         assert_same_bits(c, py)
 
     def test_new_build_removes_stale_builds(self, monkeypatch, tmp_path):
-        # a build of a new source deletes the older sources' libraries of
-        # its cache directory and nothing else there
+        # a build of a new source deletes the libraries of its cache
+        # directory that no load touched for more than a day, and nothing
+        # else there
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         cache = _kernels._hsle_cache_dir()
-        for name in ("hsle-0123456789abcdef0123.so", "notes.txt"):
+        two_days_ago = time.time() - 2 * 86400
+        stale, fresh = "hsle-0123456789abcdef0123.so", "hsle-fresh.so"
+        for name in (stale, fresh, "notes.txt"):
             with open(os.path.join(cache, name), "wb") as fh:
                 fh.write(b"stale")
-        path = _kernels._build_hsle(shutil.which("cc"), cache)
+        os.utime(os.path.join(cache, stale), (two_days_ago, two_days_ago))
+        cc = shutil.which("cc")
+        path = _kernels._build_hsle(cc, cache)
         assert sorted(os.listdir(cache)) == sorted(
-            [os.path.basename(path), "notes.txt"])
+            [os.path.basename(path), fresh, "notes.txt"])
         ctypes.CDLL(path)
+        # two sources built alternately (two checkouts sharing the cache)
+        # both stay, and a load refreshes its build's mtime
+        other = tmp_path / "other.c"
+        with open(_kernels._HSLE_SOURCE, encoding="utf-8") as fh:
+            other.write_text(fh.read() + "/* another checkout */\n")
+        sources = 2 * [_kernels._HSLE_SOURCE, str(other)]
+        builds = []
+        for source in sources:
+            monkeypatch.setattr(_kernels, "_HSLE_SOURCE", source)
+            builds.append(_kernels._build_hsle(cc, cache))
+        assert builds[:2] == builds[2:] and builds[0] == path != builds[1]
+        assert sorted(os.listdir(cache)) == sorted(
+            [os.path.basename(b) for b in builds[:2]] + [fresh, "notes.txt"])
+        os.utime(path, (two_days_ago, two_days_ago))
+        monkeypatch.setattr(_kernels, "_HSLE_SOURCE", sources[0])
+        assert _kernels._build_hsle(cc, cache) == path
+        assert os.path.getmtime(path) > two_days_ago + 86400
 
     def test_builds_without_warnings(self, tmp_path):
         # the grown C file stays clean under the strictest common warnings

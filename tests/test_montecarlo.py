@@ -24,6 +24,7 @@ from twocurve.green import BoundaryConfig, G_quad
 from twocurve.timecurve import ZState
 
 import loewner
+import references
 
 TWO_PI = 2.0 * math.pi
 CTX6 = KappaContext(6.0)
@@ -101,7 +102,7 @@ class TestHsleDrift:
         for kappa in (2.0, 3.5, 6.0, 7.5):
             ctx = KappaContext(kappa)
             for w1, v1, w2, v2 in random_quads(6, seed=int(7 * kappa)):
-                st = ensemble.fresh_state(w1, v1, w2, v2)
+                st = references.fresh_state(w1, v1, w2, v2)
                 for j, field in ((1, "W1"), (2, "W2")):
                     base = getattr(st, field)
                     lp = ensemble.log_M_iB_ch(
@@ -276,7 +277,6 @@ class TestTwoCurveHit:
             assert rec.stderr > 0.0
             assert 0.0 <= rec.estimate <= 1.0
             assert rec.ess == rec.n_paths == 800
-            assert rec.accepted
         # certificate bookkeeping is present and consistent
         for rec in recs:
             cfgd = rec.config
@@ -438,8 +438,7 @@ class TestTwoCurveHit:
         for name in SAMPLER_CONSTANTS:
             for estimate, args in (
                     (mc.estimate_two_curve_hit, (SYM_CFG, [0.1], 10)),
-                    (mc.estimate_intersection_hit, (SYM_CFG, [0.1], 10)),
-                    (mc.estimate_C0, ([SYM_CFG], [0.1], 10))):
+                    (mc.estimate_intersection_hit, (SYM_CFG, [0.1], 10))):
                 with pytest.raises(TypeError, match=name):
                     estimate(CTX6, *args, dt=1e-3, seed=0, **{name: 1})
 
@@ -468,7 +467,7 @@ class TestTwoCurveHit:
         recs = mc.estimate_two_curve_hit(CTX6, SYM_CFG, [0.01], n_paths=3,
                                          dt=1e-3, seed=0)
         rec = recs[0]
-        assert not rec.accepted
+        assert rec.ess <= 100.0
         # with three paths at r=0.01 nothing gets certified deep enough:
         # degenerate counts produce the 3/n bound
         if round(rec.estimate * 3) in (0, 3):
@@ -492,12 +491,12 @@ class TestSurvivalWeighted:
             exact = survival_P2(CTX6, basis, z0, rec.r_or_t)
             assert rec.method == "survival_weighted"
             assert abs(rec.estimate - exact) < 3.0 * rec.stderr
-            assert rec.ess > 100.0 and rec.accepted
+            assert rec.ess > 100.0
 
     def test_low_ess_flag(self):
         recs = mc.estimate_survival_weighted(CTX6, (0.3, 0.9), [1.0],
                                              n_paths=40, dt=1e-3, seed=1)
-        assert not recs[0].accepted
+        assert recs[0].ess <= 100.0
         assert "low_ess" in recs[0].flags
 
     def test_input_validation(self):
@@ -661,11 +660,22 @@ class TestIntersectionHit:
                                          dt=1e-3, seed=0)
 
 
+@pytest.fixture(scope="class")
+def c0_records():
+    """Hit records of kappa 6 at r 0.2 and 0.12: 1500 paths of SYM_CFG and
+    then of ASYM_CFG on disjoint path ranges, at ``fast_sampler``'s
+    budget."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(mc._SAMPLER, "bmax", 32768)
+        return [rec for c, cfg in enumerate((SYM_CFG, ASYM_CFG))
+                for rec in mc.estimate_two_curve_hit(
+                    CTX6, cfg, [0.2, 0.12], n_paths=1500, dt=1e-3, seed=5,
+                    path_start=1500 * c)]
+
+
 class TestC0Estimate:
-    def test_two_config_record(self, fast_sampler):
-        cfgs = [SYM_CFG, ASYM_CFG]
-        rec = mc.estimate_C0(CTX6, cfgs, [0.2, 0.12], n_paths=1500,
-                             dt=1e-3, seed=5)
+    def test_two_config_record(self, c0_records):
+        rec = mc.pool_C0(CTX6, c0_records)
         assert rec.method == "C0"
         assert math.isnan(rec.r_or_t)
         assert rec.estimate > 0.0
@@ -676,6 +686,142 @@ class TestC0Estimate:
         for cell in cells:
             # each cell rescales a hit frequency by G * r^alpha0
             assert cell["C0"] > 0.0
+
+    def test_pinned_pool(self, c0_records):
+        # the bits of sampling each configuration on its own path range
+        # and pooling the cells in record order
+        rec = mc.pool_C0(CTX6, c0_records)
+        assert rec.estimate == float.fromhex("0x1.e27856f28cb6ep+0")
+        assert rec.stderr == float.fromhex("0x1.155bb55a88cffp-4")
+        assert (rec.n_paths, rec.flags) == (3000, ())
+        assert rec.config["method"] == "two_curve_hit"
+        assert [cell["r"] for cell in rec.config["cells"]] == [0.12, 0.2] * 2
+
+    def test_fault_injection_flags(self, c0_records):
+        # a configuration whose estimates are tripled breaks the shape of
+        # G; doubling one radius's estimates breaks the r^alpha0 scaling
+        def pool(scaled):
+            return mc.pool_C0(CTX6, [
+                dataclasses.replace(rec, estimate=rec.estimate
+                                    * scaled(rec)) for rec in c0_records])
+
+        assert pool(lambda rec: 1.0).flags == ()
+        assert "ci_overlap_fail" in pool(
+            lambda rec: 3.0 if rec.config["cfg"][0] == 2.2 else 1.0).flags
+        assert "r_instability" in pool(
+            lambda rec: 2.0 if rec.r_or_t == 0.12 else 1.0).flags
+
+    def test_input_rules(self, c0_records):
+        sym, asym = c0_records[:2], c0_records[2:]
+
+        def moved(recs, **changes):
+            return [dataclasses.replace(rec, config={**rec.config, **changes})
+                    for rec in recs]
+
+        survival = mc.estimate_survival_weighted(CTX6, (0.3, 0.9), [1.0],
+                                                 n_paths=10, dt=1e-3, seed=0)
+        mixed = [
+            (CTX6, []),
+            (KappaContext(5.0), c0_records),
+            (CTX6, sym + [dataclasses.replace(asym[0], kappa=5.0)]),
+            (CTX6, sym + [dataclasses.replace(asym[0],
+                                              method="intersection_hit")]),
+            (CTX6, sym + [dataclasses.replace(asym[0], dt=2e-3)]),
+            (CTX6, survival),
+        ]
+        twice = [
+            # the last path of SYM_CFG's range counted again in ASYM_CFG's
+            sym + moved(asym, path_start=1499),
+            # one run giving a radius twice
+            c0_records + c0_records[:1],
+        ]
+        for ctx, recs in mixed:
+            with pytest.raises(ValueError, match="one kappa, method, dt"):
+                mc.pool_C0(ctx, recs)
+        for recs in twice:
+            with pytest.raises(ValueError, match="count a path twice"):
+                mc.pool_C0(CTX6, recs)
+        # other seeds, or adjacent ranges, share no path
+        for recs in (sym + moved(asym, path_start=1500),
+                     sym + [dataclasses.replace(rec, seed=6)
+                            for rec in moved(asym, path_start=0)],
+                     sym + moved(sym, path_start=1500)):
+            assert mc.pool_C0(CTX6, recs).n_paths == 3000
+
+    def test_matches_loop_reference(self):
+        # the broadcasts equal Python loops over the cells in record order,
+        # with sigma^2 as sigma * sigma, in bits and flags, on random cells
+        rng = np.random.default_rng(30)
+        cfgs = (SYM_CFG, ASYM_CFG, BoundaryConfig(2.0, 1.1, 0.3, -2.5))
+
+        def mean(cells):
+            w = sum(1.0 / (sig * sig) for *_, sig in cells)
+            wc = sum(c0 / (sig * sig) for *_, c0, sig in cells)
+            return wc / w, 1.0 / math.sqrt(w)
+
+        seen = set()
+        for _ in range(40):
+            # hit frequencies near C0 G r^alpha0 with C0 2, tripled on the
+            # first configuration or doubled on the smallest radius by turns
+            picked = rng.permutation(3)[:rng.integers(2, 4)]
+            rs = np.sort(rng.choice([0.03, 0.05, 0.1, 0.2], 2, False))
+            bias_cfg, bias_r = rng.choice([1.0, 3.0]), rng.choice([1.0, 2.0])
+            # up to 18 cells: 1-3 runs of 100 paths per configuration
+            starts = [100 * k for k in range(9)]
+            recs = []
+            for c in picked:
+                cfg = cfgs[c]
+                for start in [starts.pop() for _ in range(rng.integers(1, 4))]:
+                    for r in rs:
+                        est = (2.0 * G_quad(CTX6, cfg) * r ** CTX6.alpha0
+                               * rng.uniform(0.97, 1.03)
+                               * (bias_cfg if c == picked[0] else 1.0)
+                               * (bias_r if r == rs[0] else 1.0))
+                        recs.append(mc.EstimateRecord(
+                            6.0, "two_curve_hit", float(r), est, 0.03 * est,
+                            100.0, 100, 1e-3, 7,
+                            {"cfg": [cfg.w1, cfg.v1, cfg.w2, cfg.v2],
+                             "path_start": start, "n": 100}))
+            rec = mc.pool_C0(CTX6, recs)
+            order = list(dict.fromkeys(tuple(r.config["cfg"]) for r in recs))
+            cells = []
+            for r in recs:
+                scale = (G_quad(CTX6, BoundaryConfig(*r.config["cfg"]))
+                         * r.r_or_t ** CTX6.alpha0)
+                cells.append((order.index(tuple(r.config["cfg"])), r.r_or_t,
+                              r.estimate / scale, r.stderr / scale))
+            pooled, se = mean(cells)
+            per_cfg = [mean([c for c in cells if c[0] == i])
+                       for i in range(len(order))]
+            radii = sorted({c[1] for c in cells})
+            per_r = [mean([c for c in cells if c[1] == r]) for r in radii]
+            flags = []
+            if any(abs(mi - mj) > 1.96 * (si + sj)
+                   for mi, si in per_cfg for mj, sj in per_cfg):
+                flags.append("ci_overlap_fail")
+            if any(abs(mi - mj) > 1.96 * (si + sj)
+                   + pooled * (ri ** CTX6.beta0 + rj ** CTX6.beta0)
+                   for (mi, si), ri in zip(per_r, radii)
+                   for (mj, sj), rj in zip(per_r, radii)):
+                flags.append("r_instability")
+            assert (rec.estimate, rec.stderr) == (pooled, se)
+            assert rec.config["per_cfg"] == [list(m) for m in per_cfg]
+            assert [c[2:] for c in cells] == [
+                (c["C0"], c["sigma"]) for c in rec.config["cells"]]
+            assert list(rec.flags) == flags
+            assert rec.n_paths == 50 * len(recs)
+            seen.add(rec.flags)
+        assert seen == {(), ("ci_overlap_fail",), ("r_instability",),
+                        ("ci_overlap_fail", "r_instability")}
+
+    def test_makes_no_kernel_call(self, c0_records, monkeypatch):
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("pool_C0 ran a kernel")
+
+        for name in ("hsle_evolve_adaptive", "backward_flow"):
+            monkeypatch.setattr(_kernels, name, no_kernel)
+        monkeypatch.setattr(mc, "_two_stage_run", no_kernel)
+        assert mc.pool_C0(CTX6, c0_records).ess == 3000.0
 
 
 class TestBackwardFlow:

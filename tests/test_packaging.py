@@ -100,7 +100,7 @@ def test_only_rng_derives_streams():
 
 def test_only_the_record_builder_constructs_records():
     # every estimate, stderr, ESS and flag of a Monte Carlo record comes
-    # from montecarlo.build_record; estimate_C0 pools records into its own
+    # from montecarlo.build_record; pool_C0 pools records into its own
     found = set()
     for path in sorted((ROOT / "src" / "twocurve").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -112,7 +112,7 @@ def test_only_the_record_builder_constructs_records():
                         else func.id if isinstance(func, ast.Name) else None)
                 if name == "EstimateRecord":
                     found.add(f"{path.name}:{owner}")
-    assert found == {"montecarlo.py:build_record", "montecarlo.py:estimate_C0"}
+    assert found == {"montecarlo.py:build_record", "montecarlo.py:pool_C0"}
 
 
 # In a fresh interpreter: import the CLI, then run one command after the

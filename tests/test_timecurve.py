@@ -17,8 +17,9 @@ from twocurve.timecurve import (
     simulate_z_ensemble,
     time_steps,
     xy_of_z,
-    z_drift_diffusion,
 )
+
+from references import z_drift_diffusion
 
 CTX6 = KappaContext(6.0)
 PI = math.pi
