@@ -177,7 +177,7 @@ def active_backend() -> str:
     """A frozen provenance label, always ``"numpy"``: it names no kernel
     that runs.  The benchmark's provenance line still records it;
     ``hsle_kernel()`` names the library that runs the kernels.  ROADMAP
-    item 9 deletes it together with that line."""
+    item 1 deletes it together with that line."""
     return "numpy"
 
 
@@ -702,6 +702,20 @@ def hsle_evolve_adaptive(state, streams, start_macro, max_macros, kappa, dt,
                          bmax) -> None:
     """Evolve radial hSLE angles with adaptive substepping (see module doc).
 
+    A row (w0, v1, v2, winf) holds the driving angle, the partner curve's
+    target and starting point and the curve's own target, ascending within
+    one turn: w0 < v1 < v2 < winf < w0 + 2pi.  A substep of length dt_sub
+    is one Euler step, from the same state, of the marks' flow
+    d theta = cot2(theta - w0) dt and of the driver's SDE
+
+        dw0 = sqrt(kappa) dB + [-(kappa-6)/2 cot2(winf - w0)
+              + 1/2 (cot2(v2 - w0) - cot2(v1 - w0)) Gtilde(R)] dt,
+
+    with R = 1 - sin2(winf-w0) sin2(v2-v1) / (sin2(v2-w0) sin2(winf-v1))
+    and Gtilde (``special.hyp_tilde_G``) interpolated linearly in
+    u = -log(1 - R) from ``special.gtilde_table(kappa)``, built on the
+    first call at each kappa.
+
     Each base step of size ``dt`` (a "macro" step) is split into up to
     ``bmax`` equal units; a substep consumes the largest unit count whose
     duration dt_sub keeps sqrt(kappa dt_sub) <= (min driver gap)/KRES, so
@@ -743,9 +757,6 @@ def hsle_evolve_adaptive(state, streams, start_macro, max_macros, kappa, dt,
     surviving paths are snapshotted; ``death_units`` records the units
     survived (relative, in dt/bmax units; -1 if alive at the end), so the
     capacity at stop is death_units * dt / bmax.
-
-    The drift factor comes from ``special.gtilde_table(kappa)``, built on
-    the first call at each kappa.
 
     The arrays must be C-contiguous with these dtypes and shapes, or
     ValueError is raised before either kernel runs: ``state`` float64[n, 4]

@@ -202,8 +202,9 @@ def validate_config(cfg: RunConfig, command: str) -> None:
             if len(cfg.z0) != 2:
                 raise ConfigError("z0 must be a pair (z1, z2)")
             ZState(*cfg.z0)
-            if not cfg.t_list:
-                raise ConfigError("t_list must be nonempty")
+            if not cfg.t_list or len(set(cfg.t_list)) < len(cfg.t_list):
+                raise ConfigError("t_list must be a nonempty list of "
+                                  "distinct times")
             if any(t <= 0.0 for t in cfg.t_list):
                 raise ConfigError("t_list entries must be positive")
             if cfg.grid_n < 2:

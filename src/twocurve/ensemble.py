@@ -14,23 +14,22 @@ time pair, the state tracked here:
   of W11^2 W21^2 cot2'''(W1 - W2));
 * ``t1, t2`` -- the two capacity times.
 
-On this state the module computes: the deterministic flow derivative of
-every field for growth in either time (``ode_rhs``); the companion
-factor ``phi`` of the cross-ratio (``green.cross_ratio_of_config`` of
-``EnsembleState.config``); and the log-densities
-``log_M_iB_c4`` / ``log_M_iB_ch`` of the two changes of measure from the
-product of independent Brownian driving laws -- mode "c4" targets the
-system where each curve is a radial SLE with three symmetric force
-points, mode "ch" the coupled pair whose marginals are hypergeometric
-SLE.  Both densities must be local martingales when grown in one time
-with the other frozen; ``drift_residual`` verifies this by assembling the
-Ito drift of the log-density from the component SDEs and adding
-(kappa/2) times the squared martingale coefficient.  The residual
+On this state the module computes the deterministic flow derivative of
+every field for growth in either time (``ode_rhs``) and checks the two
+changes of measure M from the product of independent Brownian driving
+laws -- mode "c4" targets the system where each curve is a radial SLE
+with three symmetric force points, mode "ch" the coupled pair whose
+marginals are hypergeometric SLE.  Both must be local martingales when
+grown in one time with the other frozen; ``drift_residual`` verifies this
+by assembling the Ito drift of log M from the component SDEs and adding
+(kappa/2) times the squared displayed martingale coefficient, which
 vanishes identically in exact arithmetic.  ``drift_residuals`` evaluates
 it over a list of states in one array pass per curve and mode: the same
 private helpers run on a struct-of-arrays view of the states
 (``_StateColumns``, one float array per field) with one vector call of
-F, so the batch and the per-state functions share one implementation.
+F.  No command evaluates log M, Phi_j or the coefficient alone, so
+``log_M_iB_c4``, ``log_M_iB_ch``, ``phi`` and ``martingale_coefficient``
+(with ``_log_sines`` and ``_log_first_derivs``) are test references.
 
 SDE convention: growth in t_j with t_k frozen; the driving increment
 ``d w_j`` has quadratic variation kappa * dt, so a log-quantity with
@@ -46,9 +45,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import KappaContext
-from .green import BoundaryConfig, _cross_ratio, cross_ratio_of_config
-from .special import hyp_F, hyp_F_and_dF
-from .trig import cot2, cot2p, cot2ppp, sin2
+from .green import BoundaryConfig, _cross_ratio
+from .special import hyp_F_and_dF
+from .trig import cot2, cot2p, cot2ppp
 
 TWO_PI = 2.0 * math.pi
 
@@ -223,83 +222,20 @@ def _hyp_point(ctx: KappaContext, state: EnsembleState, mode: str):
     return (R, *hyp_F_and_dF(ctx, R))
 
 
-def phi(state: EnsembleState, j: int) -> float:
-    """Phi_j = cot2(W_j - V_k) - cot2(W_j - W_k), k the other index."""
-    _check_j(j)
-    return float(_phi(state, j))
-
-
 def _phi(state: EnsembleState, j: int):
+    """Phi_j = cot2(W_j - V_k) - cot2(W_j - W_k), k the other index."""
     k = 3 - j
     wj = state.angle(f"W{j}")
     return cot2(wj - state.angle(f"V{k}")) - cot2(wj - state.angle(f"W{k}"))
 
 
-def _log_sines(state: EnsembleState, pairs) -> float:
-    total = 0.0
-    for p, q in pairs:
-        total += math.log(abs(sin2(state.angle(p) - state.angle(q))))
-    return total
-
-
-def _log_first_derivs(state: EnsembleState) -> float:
-    return (math.log(state.W11) + math.log(state.W21)
-            + math.log(state.V11) + math.log(state.V21))
-
-
-def log_M_iB_c4(ctx: KappaContext, state: EnsembleState) -> float:
-    """Log-density of the independent-Brownian-to-c4 change of measure.
-
-    exp of: (60/(8k)) mA + (b/6)(mA - t1 - t2) + b log(W11 W21 V11 V21)
-    + (2/k) log of the six-sine product - (c/6) Icc.
-    """
-    k = ctx.kappa
-    b = ctx.sle_b
-    return (60.0 / (8.0 * k) * state.mA
-            + b / 6.0 * (state.mA - state.t1 - state.t2)
-            + b * _log_first_derivs(state)
-            + 2.0 / k * _log_sines(state, _C4_PAIRS)
-            - ctx.sle_c / 6.0 * state.Icc)
-
-
-def log_M_iB_ch(ctx: KappaContext, state: EnsembleState) -> float:
-    """Log-density of the independent-Brownian-to-ch change of measure.
-
-    exp of: ((k-6)(k-2)/(8k)) mA + (b/6)(mA - t1 - t2) + log Ftilde(R)
-    + b log(W11 W21 V11 V21) - 2b log(sin2(W1-V1) sin2(W2-V2)) - (c/6) Icc,
-    with Ftilde(R) = R^{2/k} F(R).
-    """
-    k = ctx.kappa
-    b = ctx.sle_b
-    R = cross_ratio_of_config(state.config)
-    log_ftilde = 2.0 / k * math.log(R) + math.log(hyp_F(ctx, R))
-    return ((k - 6.0) * (k - 2.0) / (8.0 * k) * state.mA
-            + b / 6.0 * (state.mA - state.t1 - state.t2)
-            + log_ftilde
-            + b * _log_first_derivs(state)
-            - 2.0 * b * _log_sines(state, (("W1", "V1"), ("W2", "V2")))
-            - ctx.sle_c / 6.0 * state.Icc)
-
-
-def martingale_coefficient(ctx: KappaContext, state: EnsembleState,
-                           j: int, mode: str) -> float:
-    """Displayed noise coefficient of d log M against dw_j.
-
-    mode "c4": b W_{j,2}/W_{j,1}
-               + (1/k) W_{j,1} sum of cot2(W_j - X), X in {W_k, V_1, V_2};
-    mode "ch": b W_{j,2}/W_{j,1} + (1/(2k)) Gtilde(R) W_{j,1} Phi_j
-               - b cot2(W_j - V_j) W_{j,1}.
-    """
-    _check_j(j)
-    _check_mode(mode)
-    return float(_martingale_coefficient(ctx, state, j, mode,
-                                         _hyp_point(ctx, state, mode)))
-
-
 def _martingale_coefficient(ctx: KappaContext, state: EnsembleState, j: int,
                             mode: str, hyp):
-    """``martingale_coefficient`` with mode "ch" reading (R, F, F') from
-    ``hyp``; Gtilde(R) = kappa R F'/F + 2 as in ``special.hyp_tilde_G``."""
+    """Displayed noise coefficient of d log M against dw_j: b W_{j,2}/W_{j,1}
+    plus, in mode "c4", (1/k) W_{j,1} sum of cot2(W_j - X) over X in
+    {W_k, V_1, V_2}; in mode "ch", (1/(2k)) Gtilde(R) W_{j,1} Phi_j
+    - b cot2(W_j - V_j) W_{j,1}, with (R, F, F') read from ``hyp`` and
+    Gtilde(R) = kappa R F'/F + 2 as in ``special.hyp_tilde_G``."""
     k = 3 - j
     kap = ctx.kappa
     b = ctx.sle_b

@@ -1,10 +1,12 @@
 """Closed-form two-curve Green's function evaluators.
 
-Provides the four-marked-point boundary form G_quad and its cross-ratio,
-the diagonal specialization G_u on the gap variables, and the general
-unit-disc evaluator greens_disc obtained by Mobius-normalizing the
-observation point to the origin.  The decay exponents alpha0/beta0 are
-``KappaContext`` properties.
+One private expression evaluates the closed form
+[sin2(w1-v1) sin2(w2-v2)]^{8/k-1} [sin2(w1-w2) sin2(v1-v2)]^{4/k} / F(R):
+``G_quad`` on four marked boundary angles, ``G_u`` on the gap variables
+of its diagonal specialization.  It is conformally covariant with
+exponent alpha0, so the unit-disc evaluator is greens_disc =
+|f'(z0)|^{alpha0} G_quad o f, f the disc automorphism taking the
+observation point z0 to 0.  alpha0/beta0 are ``KappaContext`` properties.
 """
 from __future__ import annotations
 
@@ -59,18 +61,22 @@ def _cross_ratio(w1, v1, w2, v2):
     return num / den
 
 
+def _closed_form(ctx: KappaContext, own, cross, R):
+    """own^{8/k-1} cross^{4/k} / F(R) on the operands as given, so each
+    caller keeps its own operand types and bits."""
+    return (own ** ctx.weight_exponent * cross ** (4.0 / ctx.kappa)
+            / hyp_F(ctx, R))
+
+
 def G_quad(ctx: KappaContext, cfg: BoundaryConfig) -> float:
     """Boundary Green's function of the four marked angles.
 
     G = [sin2(w1-v1) sin2(w2-v2)]^{8/k-1} [sin2(w1-w2) sin2(v1-v2)]^{4/k}
         / F(R).
     """
-    e = ctx.weight_exponent
-    k = ctx.kappa
     own = sin2(cfg.w1 - cfg.v1) * sin2(cfg.w2 - cfg.v2)
     cross = sin2(cfg.w1 - cfg.w2) * sin2(cfg.v1 - cfg.v2)
-    R = cross_ratio_of_config(cfg)
-    return float(own ** e * cross ** (4.0 / k) / hyp_F(ctx, R))
+    return float(_closed_form(ctx, own, cross, cross_ratio_of_config(cfg)))
 
 
 def _coord_arrays(z):
@@ -92,75 +98,48 @@ def G_u(ctx: KappaContext, z):
     of scalars or same-shape arrays.
     """
     z1, z2 = _coord_arrays(z)
-    e = ctx.weight_exponent
-    k = ctx.kappa
     # R lies in (0, 1] analytically; clip roundoff overshoot at the corners
     R = np.minimum(cos2(z1) * cos2(z2) / cos2(z1 - z2), 1.0)
-    val = ((sin2(z1) * sin2(z2)) ** e * cos2(z1 - z2) ** (4.0 / k)
-           / hyp_F(ctx, R))
+    val = _closed_form(ctx, sin2(z1) * sin2(z2), cos2(z1 - z2), R)
     return float(val) if np.ndim(val) == 0 else val
 
 
-def _as_angle(p) -> float:
-    """Boundary point to angle: complex points on the circle are converted."""
+def _on_circle(p) -> complex:
+    """Boundary point as a complex point: an angle, or a complex point
+    within 1e-12 of the unit circle."""
     if np.iscomplexobj(p):
-        return float(np.angle(p))
-    return float(p)
-
-
-def _separated(a1: float, b1: float, a2: float, b2: float) -> bool:
-    """True when {a1, a2} separates {b1, b2} on the circle."""
-    two_pi = 2.0 * np.pi
-    cut1 = (b1 - a1) % two_pi
-    cut2 = (b2 - a1) % two_pi
-    mid = (a2 - a1) % two_pi
-    if 0.0 in (cut1, cut2, mid):
-        return False
-    return (cut1 < mid) != (cut2 < mid)
+        if abs(abs(p) - 1.0) > 1e-12:
+            raise ValueError(f"boundary point {p} is off the unit circle")
+        return complex(p)
+    return complex(np.exp(1j * float(p)))
 
 
 def greens_disc(ctx: KappaContext, z0: complex, a1, b1, a2, b2) -> float:
     """General unit-disc Green's function at interior point z0.
 
-    The disc automorphism f(z) = (z - z0)/(1 - conj(z0) z) has
-    f'(z0) = (1 - |z0|^2)^{-1} > 0 (only moduli enter, so no extra phase is
-    needed).  The value is
-
-        4^{1 - 12/k} |f'(z0)|^{alpha0} |f(a1)-f(b1)|^{8/k-1}
-        |f(a2)-f(b2)|^{8/k-1} |f(a1)-f(a2)|^{4/k} |f(b1)-f(b2)|^{4/k}
-        / F(R),   R = |f(a1)-f(b2)| |f(b1)-f(a2)| /
-                      (|f(a1)-f(a2)| |f(b1)-f(b2)|).
-
-    Boundary points may be given as angles or as complex points on the
-    circle.
+    The disc automorphism f(z) = (z - z0)/(1 - conj(z0) z) takes z0 to 0
+    with |f'(z0)| = (1 - |z0|^2)^{-1}, and the value is |f'(z0)|^{alpha0}
+    times G_quad at the angles of f(a1), f(b1), f(a2), f(b2) as w1, v1, w2,
+    v2, each set at w1 minus its clockwise arc from f(a1), or all negated
+    (a reflection, under which G_quad is invariant) when the points run
+    counterclockwise.  Boundary points may be angles or complex points on
+    the circle.
 
     Raises:
-        ValueError: z0 outside the open disc, coincident marked points, or
-            {a1, a2} failing to separate {b1, b2}.
+        ValueError: z0 outside the open disc, a complex boundary point off
+            the circle, coincident marked points, or {a1, a2} failing to
+            separate {b1, b2}.
     """
     z0 = complex(z0)
     if abs(z0) >= 1.0:
         raise ValueError("z0 must lie in the open unit disc")
-    ang = [_as_angle(p) for p in (a1, b1, a2, b2)]
-    pts = np.exp(1j * np.array(ang))
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if abs(pts[i] - pts[j]) < 1e-14:
-                raise ValueError("degenerate marked points")
-    if not _separated(*ang):
-        raise ValueError("a1, a2 must separate b1 from b2 on the circle")
-
-    f = (pts - z0) / (1.0 - np.conj(z0) * pts)
-    fa1, fb1, fa2, fb2 = f
-    dfz0 = 1.0 / (1.0 - abs(z0) ** 2)
-    k = ctx.kappa
-    e = ctx.weight_exponent
-    d_own1 = abs(fa1 - fb1)
-    d_own2 = abs(fa2 - fb2)
-    d_aa = abs(fa1 - fa2)
-    d_bb = abs(fb1 - fb2)
-    # Ptolemy guarantees R < 1 for separated concyclic points; clip roundoff
-    R = min(abs(fa1 - fb2) * abs(fb1 - fa2) / (d_aa * d_bb), 1.0)
-    return float(4.0 ** (1.0 - 12.0 / k) * dfz0 ** ctx.alpha0
-                 * d_own1 ** e * d_own2 ** e * d_aa ** (4.0 / k)
-                 * d_bb ** (4.0 / k) / hyp_F(ctx, R))
+    pts = np.array([_on_circle(p) for p in (a1, b1, a2, b2)])
+    th = np.angle((pts - z0) / (1.0 - np.conj(z0) * pts))
+    for sign in (1.0, -1.0):
+        arcs = (sign * (th[0] - th)) % (2.0 * np.pi)
+        if 0.0 < arcs[1] < arcs[2] < arcs[3]:
+            cfg = BoundaryConfig(*(sign * th[0] - arcs))
+            return float((1.0 - abs(z0) ** 2) ** -ctx.alpha0
+                         * G_quad(ctx, cfg))
+    raise ValueError("a1, a2 must separate b1 from b2 on the circle (all "
+                     "four distinct)")

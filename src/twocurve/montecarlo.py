@@ -13,7 +13,8 @@ different route.
 Estimation strategy
 -------------------
 Curves are grown through their radial Loewner driving processes (the
-four-angle diffusion of :func:`hsle_drift`).  Geometric events are
+four-angle diffusion whose drift the :func:`._kernels.hsle_evolve_adaptive`
+docstring states).  Geometric events are
 decided through capacity certificates wherever possible and through
 backward-flow distance probes only where no certificate applies:
 
@@ -91,11 +92,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels, _rng, special
+from . import _kernels, _rng
 from .context import KappaContext
 from .green import BoundaryConfig, G_quad
 from .timecurve import ZState, simulate_z_ensemble, time_steps
-from .trig import cot2, sin2
 
 TWO_PI = 2.0 * math.pi
 
@@ -232,70 +232,19 @@ def check_survival_inputs(z0, t_list, n_paths: int, dt: float, seed: int,
                           path_start: int) -> tuple[ZState, list]:
     """Every input rule of the survival estimator (ValueError); returns
     the start as a ZState and the times, each of which must pass
-    :func:`.timecurve.time_steps`."""
+    :func:`.timecurve.time_steps`; two times on one step would give two
+    records (and two counters entries) of one time."""
     _check_run(n_paths, dt, seed, path_start)
     if not isinstance(z0, ZState):
         if len(z0) != 2:
             raise ValueError(f"z0 must be a pair (z1, z2), got {z0}")
         z0 = ZState(*z0)
     ts = [float(t) for t in t_list]
-    if not ts:
-        raise ValueError("times must be a nonempty list")
-    for t in ts:
-        time_steps(t, dt)
+    steps = [time_steps(t, dt) for t in ts]
+    if not ts or len(set(steps)) < len(steps):
+        raise ValueError(f"times must be a nonempty list of times on "
+                         f"distinct steps of dt, got {ts}")
     return z0, ts
-
-
-# ---------------------------------------------------------------------------
-# the four-angle drift
-# ---------------------------------------------------------------------------
-
-def _cyclic_gaps(w0: float, winf: float, v1: float, v2: float
-                 ) -> tuple[float, float, float, float]:
-    """Consecutive gaps (a1, a2, a3) walking w0 -> v1 -> v2 -> winf, plus
-    the orientation sign (+1 when the walk descends, -1 ascending)."""
-    d1 = w0 - v1
-    if d1 > 0.0:
-        orient = 1.0
-        a1, a2, a3 = d1, v1 - v2, v2 - winf
-    else:
-        orient = -1.0
-        a1, a2, a3 = -d1, v2 - v1, winf - v2
-    return a1, a2, a3, orient
-
-
-def hsle_drift(ctx: KappaContext, w0: float, winf: float, v1: float,
-               v2: float) -> float:
-    """Drift of the driving angle of one curve of the commuting pair.
-
-    The four angles are the driving point ``w0``, the curve's own target
-    ``winf``, and the partner curve's target ``v1`` and starting point
-    ``v2``, in strict cyclic order: either w0 > v1 > v2 > winf > w0-2pi
-    or the reversed (ascending) arrangement.  Returns
-
-        (kappa-6)/2 * cot2(w0-winf)
-        + 1/2 * (cot2(w0-v1) - cot2(w0-v2)) * Gtilde(R)
-
-    where R in (0, 1) is the sine cross-ratio
-    1 - [sin2(w0-winf) sin2(v1-v2)] / [sin2(w0-v2) sin2(v1-winf)] of the
-    four points and Gtilde the hypergeometric interaction factor.
-
-    Raises:
-        ValueError: if the four angles violate the strict cyclic order.
-    """
-    a1, a2, a3, orient = _cyclic_gaps(w0, winf, v1, v2)
-    total = a1 + a2 + a3
-    if not (0.0 < a1 and 0.0 < a2 and 0.0 < a3 and total < TWO_PI):
-        raise ValueError(
-            "angles must satisfy the strict cyclic order w0, v1, v2, winf "
-            f"within one turn; got w0={w0}, winf={winf}, v1={v1}, v2={v2}")
-    # log of (1 - R): sines of positive angles below pi-complement bounds
-    log_one_minus_r = (math.log(sin2(total)) + math.log(sin2(a2))
-                       - math.log(sin2(a1 + a2)) - math.log(sin2(a2 + a3)))
-    r_val = -math.expm1(log_one_minus_r)
-    gt = special.hyp_tilde_G(ctx, r_val)
-    return orient * (0.5 * (ctx.kappa - 6.0) * cot2(total)
-                     + 0.5 * (cot2(a1) - cot2(a1 + a2)) * gt)
 
 
 # ---------------------------------------------------------------------------

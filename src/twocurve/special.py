@@ -42,7 +42,7 @@ from .context import KappaContext
 __all__ = [
     "log_gamma",
     "hyp_F", "hyp_dF", "hyp_F_and_dF", "hyp_F_at_1", "hyp_G", "hyp_tilde_G",
-    "jacobi", "jacobi_seq", "jacobi_l2_norm_sq", "jacobi_sup_norm",
+    "jacobi", "jacobi_seq", "jacobi_sup_norm",
     "h_const",
     "gtilde_table",
 ]
@@ -350,16 +350,6 @@ def jacobi(n: int, alpha: float, beta: float, x):
         raise ValueError("jacobi requires n >= 0")
     *_, p = jacobi_seq(n, alpha, beta, np.asarray(x, dtype=float))
     return p if np.ndim(p) else float(p)
-
-
-def jacobi_l2_norm_sq(n: int, alpha: float, beta: float) -> float:
-    """Squared L2 norm of P_n^{(alpha,beta)} w.r.t. (1-x)^alpha (1+x)^beta."""
-    if n < 0 or alpha <= -1.0 or beta <= -1.0:
-        raise ValueError("jacobi_l2_norm_sq requires n >= 0, alpha, beta > -1")
-    lg = ((alpha + beta + 1.0) * np.log(2.0)
-          + log_gamma(n + alpha + 1.0) + log_gamma(n + beta + 1.0)
-          - log_gamma(n + 1.0) - log_gamma(n + alpha + beta + 1.0))
-    return float(np.exp(lg) / (2.0 * n + alpha + beta + 1.0))
 
 
 def jacobi_sup_norm(n: int, alpha: float, beta: float) -> float:

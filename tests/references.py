@@ -4,6 +4,10 @@ No command runs these, so they live with the tests that use them
 (``test_ensemble.py``, ``test_montecarlo.py``, ``test_timecurve.py``):
 
 * ``fresh_state`` -- the ensemble state at t1 = t2 = 0;
+* ``phi``, ``log_M_iB_c4``, ``log_M_iB_ch`` and
+  ``martingale_coefficient`` -- the companion factor Phi_j, the two
+  log-densities and the displayed noise coefficient of the
+  :mod:`twocurve.ensemble` algebra, per state;
 * ``cross_ratio_sde``, ``hyp_factor_sde`` and ``log_M_sde`` -- per-state
   entry points to the Ito pairs that :mod:`twocurve.ensemble` assembles
   privately for ``drift_residual``;
@@ -12,11 +16,19 @@ No command runs these, so they live with the tests that use them
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from twocurve import ensemble as ens
 from twocurve.context import KappaContext
-from twocurve.ensemble import EnsembleState
+from twocurve.ensemble import (
+    _C4_PAIRS, EnsembleState, _check_j, _check_mode, _hyp_point,
+    _martingale_coefficient, _phi,
+)
+from twocurve.green import cross_ratio_of_config
+from twocurve.special import hyp_F
+from twocurve.trig import sin2
 
 
 def fresh_state(w1: float, v1: float, w2: float, v2: float) -> EnsembleState:
@@ -24,6 +36,73 @@ def fresh_state(w1: float, v1: float, w2: float, v2: float) -> EnsembleState:
     return EnsembleState(W1=w1, V1=v1, W2=w2, V2=v2,
                          W11=1.0, W21=1.0, W12=0.0, W22=0.0,
                          W13=0.0, W23=0.0, V11=1.0, V21=1.0)
+
+
+def phi(state: EnsembleState, j: int) -> float:
+    """Phi_j = cot2(W_j - V_k) - cot2(W_j - W_k), k the other index."""
+    _check_j(j)
+    return float(_phi(state, j))
+
+
+def _log_sines(state: EnsembleState, pairs) -> float:
+    total = 0.0
+    for p, q in pairs:
+        total += math.log(abs(sin2(state.angle(p) - state.angle(q))))
+    return total
+
+
+def _log_first_derivs(state: EnsembleState) -> float:
+    return (math.log(state.W11) + math.log(state.W21)
+            + math.log(state.V11) + math.log(state.V21))
+
+
+def log_M_iB_c4(ctx: KappaContext, state: EnsembleState) -> float:
+    """Log-density of the independent-Brownian-to-c4 change of measure.
+
+    exp of: (60/(8k)) mA + (b/6)(mA - t1 - t2) + b log(W11 W21 V11 V21)
+    + (2/k) log of the six-sine product - (c/6) Icc.
+    """
+    k = ctx.kappa
+    b = ctx.sle_b
+    return (60.0 / (8.0 * k) * state.mA
+            + b / 6.0 * (state.mA - state.t1 - state.t2)
+            + b * _log_first_derivs(state)
+            + 2.0 / k * _log_sines(state, _C4_PAIRS)
+            - ctx.sle_c / 6.0 * state.Icc)
+
+
+def log_M_iB_ch(ctx: KappaContext, state: EnsembleState) -> float:
+    """Log-density of the independent-Brownian-to-ch change of measure.
+
+    exp of: ((k-6)(k-2)/(8k)) mA + (b/6)(mA - t1 - t2) + log Ftilde(R)
+    + b log(W11 W21 V11 V21) - 2b log(sin2(W1-V1) sin2(W2-V2)) - (c/6) Icc,
+    with Ftilde(R) = R^{2/k} F(R).
+    """
+    k = ctx.kappa
+    b = ctx.sle_b
+    R = cross_ratio_of_config(state.config)
+    log_ftilde = 2.0 / k * math.log(R) + math.log(hyp_F(ctx, R))
+    return ((k - 6.0) * (k - 2.0) / (8.0 * k) * state.mA
+            + b / 6.0 * (state.mA - state.t1 - state.t2)
+            + log_ftilde
+            + b * _log_first_derivs(state)
+            - 2.0 * b * _log_sines(state, (("W1", "V1"), ("W2", "V2")))
+            - ctx.sle_c / 6.0 * state.Icc)
+
+
+def martingale_coefficient(ctx: KappaContext, state: EnsembleState,
+                           j: int, mode: str) -> float:
+    """Displayed noise coefficient of d log M against dw_j.
+
+    mode "c4": b W_{j,2}/W_{j,1}
+               + (1/k) W_{j,1} sum of cot2(W_j - X), X in {W_k, V_1, V_2};
+    mode "ch": b W_{j,2}/W_{j,1} + (1/(2k)) Gtilde(R) W_{j,1} Phi_j
+               - b cot2(W_j - V_j) W_{j,1}.
+    """
+    _check_j(j)
+    _check_mode(mode)
+    return float(_martingale_coefficient(ctx, state, j, mode,
+                                         _hyp_point(ctx, state, mode)))
 
 
 def cross_ratio_sde(ctx: KappaContext, state: EnsembleState,

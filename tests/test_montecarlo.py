@@ -2,9 +2,11 @@
 
 Oracles used here:
 
-* the four-angle drift is checked against an independent finite-difference
-  Girsanov computation: kappa times the partial derivative of the ensemble
-  module's log-martingale at a fresh (zero-capacity) state;
+* the four-angle drift, read off one substep of the C and of the Python
+  adaptive kernel, is checked against its displayed formula and against
+  an independent finite-difference Girsanov computation: kappa times the
+  partial derivative of the log-martingale (``references.log_M_iB_ch``)
+  at a fresh (zero-capacity) state;
 * weighted survival estimates are compared with the spectral expansion;
 * the power-law fitter is exercised on synthetic data with known slope;
 * the backward-flow probe recovers the closed-form radial slit tip.
@@ -12,16 +14,18 @@ Oracles used here:
 
 import dataclasses
 import math
+import shutil
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from twocurve import _kernels, ensemble, montecarlo as mc, special
+from twocurve import _kernels, _rng, montecarlo as mc, special
 from twocurve.context import KappaContext
 from twocurve.density import SpectralBasis, survival_P2
 from twocurve.green import BoundaryConfig, G_quad
 from twocurve.timecurve import ZState
+from twocurve.trig import cot2, sin2
 
 import loewner
 import references
@@ -50,83 +54,142 @@ def random_quads(n, seed, min_gap=0.15):
     return quads
 
 
+# the adaptive kernel's drift, read off one substep of each kernel
+KERNELS = ("python", "c") if shutil.which("cc") else ("python",)
+DRIFT_DT = 1e-4
+
+
+def kernel_substep(kappa, rows, kernel):
+    """One substep of length ``DRIFT_DT`` of the adaptive kernel ("c" or
+    "python") from each row (w0, v1, v2, winf): bmax 1, one macro step, no
+    snapshots.  Returns the rows after it, their stop statuses and each
+    row's normal, the Box-Muller draw of counters 0 and 1 of its stream."""
+    n = len(rows)
+    state = np.array(rows, dtype=float)
+    streams = _rng.derive_stream_array(7, np.arange(n, dtype=np.uint64))
+    status = np.zeros(n, dtype=np.uint8)
+    args = (state, streams, 0, 1, kappa, DRIFT_DT, np.zeros(0, np.int64), 1,
+            np.zeros((n, 0, 4)), np.zeros((n, 0), np.uint8), status,
+            np.full(n, -1, dtype=np.int64))
+    if kernel == "c":
+        _kernels._hsle_evolve_adaptive_c(_kernels._hsle_lib(), *args)
+    else:
+        _kernels._hsle_evolve_adaptive_np(*args)
+    g = [math.sqrt(-2.0 * math.log(_rng.uniform(int(sid), 0)))
+         * math.cos(TWO_PI * _rng.uniform(int(sid), 1)) for sid in streams]
+    return state, status, np.array(g)
+
+
+def kernel_drift(kappa, rows, kernel):
+    """(w0' - w0 - sqrt(kappa dt) g) / dt of one substep from each row."""
+    after, status, g = kernel_substep(kappa, rows, kernel)
+    assert np.all(status == 0)
+    w0 = np.array(rows)[:, 0]
+    return (after[:, 0] - w0 - np.sqrt(kappa * DRIFT_DT) * g) / DRIFT_DT
+
+
+def displayed_drift(ctx, rows):
+    """The drift of the ``hsle_evolve_adaptive`` docstring with the exact
+    G-tilde, its flank factor 1/2 (cot2(v2 - w0) - cot2(v1 - w0)), and
+    the bound of the kernel's error: the flank factor times the G-tilde
+    table's interpolation error at each row's cross-ratio."""
+    w0, v1, v2, wi = np.array(rows).T
+    R = 1.0 - (sin2(wi - w0) * sin2(v2 - v1)
+               / (sin2(v2 - w0) * sin2(wi - v1)))
+    flank = 0.5 * (cot2(v2 - w0) - cot2(v1 - w0))
+    drift = (-0.5 * (ctx.kappa - 6.0) * cot2(wi - w0)
+             + flank * special.hyp_tilde_G(ctx, R))
+    return drift, np.abs(flank) * gtilde_table_error(ctx, R)
+
+
+def gtilde_table_error(ctx, R):
+    """Bound of the linear interpolation error of ``special.gtilde_table``
+    at u = -log(1 - R): twice the error at the midpoint of u's cell.  In a
+    cell the error is G''(xi)/2 (u - u_i)(u_i+1 - u), whose largest value
+    the midpoint's gives to within the change of G'' over one cell (below
+    1% for every row here)."""
+    _, vals, du = special.gtilde_table(ctx.kappa)
+    i = np.minimum((-np.log1p(-R) / du).astype(int), vals.size - 2)
+    mid = (i + 0.5) * du
+    exact = special.hyp_tilde_G(ctx, -np.expm1(-mid))
+    return 2.0 * np.abs(0.5 * (vals[i] + vals[i + 1]) - exact)
+
+
+def entry_rows(quads):
+    """Kernel rows of both curves of each quadruple at zero capacity:
+    (w1, v2, w2, v1) and (w2, v1, w1, v2), ascending within one turn."""
+    return ([(w1, v2 + TWO_PI, w2 + TWO_PI, v1 + TWO_PI)
+             for w1, v1, w2, v2 in quads]
+            + [(w2, v1, w1, v2 + TWO_PI) for w1, v1, w2, v2 in quads])
+
+
+# reading w0' back loses a few ulps of w0 over dt
+DRIFT_ATOL = 1e-10
+
+
 class TestHsleDrift:
     def test_matches_displayed_formula(self):
-        # independent recomputation: (kappa-6)/2 cot2(w0-winf)
-        #   + (1/2)(cot2(w0-v1) - cot2(w0-v2)) * Gtilde(R)
-        from twocurve.special import hyp_tilde_G
-        from twocurve.trig import cot2, sin2
-        for kappa in (3.0, 6.0, 7.5):
+        # the drift each kernel steps is -(kappa-6)/2 cot2(winf-w0)
+        #   + (1/2)(cot2(v2-w0) - cot2(v1-w0)) * Gtilde(R), up to the
+        # G-tilde table's interpolation error
+        for kappa in (2.0, 3.0, 6.0, 7.5):
             ctx = KappaContext(kappa)
-            for w1, v1, w2, v2 in random_quads(6, seed=int(10 * kappa)):
-                # ascending curve-1 tuple: w0 < v1s < v2s < winf
-                w0, v1s, v2s, winf = w1, v2 + TWO_PI, w2 + TWO_PI, v1 + TWO_PI
-                R = 1.0 - (sin2(w0 - winf) * sin2(v1s - v2s)
-                           / (sin2(w0 - v2s) * sin2(v1s - winf)))
-                assert 0.0 < R < 1.0
-                expect = (0.5 * (kappa - 6.0) * cot2(w0 - winf)
-                          + 0.5 * (cot2(w0 - v1s) - cot2(w0 - v2s))
-                          * hyp_tilde_G(ctx, R))
-                got = mc.hsle_drift(ctx, w0, winf, v1s, v2s)
-                assert_allclose(got, expect, rtol=1e-12, atol=1e-12)
+            rows = entry_rows(random_quads(12, seed=int(10 * kappa)))
+            expect, tol = displayed_drift(ctx, rows)
+            for kernel in KERNELS:
+                got = kernel_drift(kappa, rows, kernel)
+                assert np.all(np.abs(got - expect) <= tol + DRIFT_ATOL)
 
-    def test_orientation_antisymmetry(self):
-        # mirror the circle (negate all angles): drift flips sign
-        for w1, v1, w2, v2 in random_quads(8, seed=3):
-            w0, v1s, v2s, winf = w1, v2 + TWO_PI, w2 + TWO_PI, v1 + TWO_PI
-            d_up = mc.hsle_drift(CTX6, w0, winf, v1s, v2s)
-            d_dn = mc.hsle_drift(CTX6, -w0, -winf, -v1s, -v2s)
-            assert_allclose(d_dn, -d_up, rtol=1e-12, atol=1e-12)
+    def test_marks_take_the_frozen_driver_step(self):
+        # v' - v = cot2(v - w0) dt for each of the three marks
+        for kappa in (2.0, 3.0, 6.0, 7.5):
+            rows = np.array(entry_rows(random_quads(12, seed=int(kappa))))
+            for kernel in KERNELS:
+                after, status, _ = kernel_substep(kappa, rows, kernel)
+                assert np.all(status == 0)
+                assert_allclose((after[:, 1:] - rows[:, 1:]) / DRIFT_DT,
+                                cot2(rows[:, 1:] - rows[:, :1]),
+                                rtol=1e-9, atol=1e-9)
 
     def test_pi_separation_kills_endpoint_term(self):
         # when the target sits diametrically opposite the driver the
         # (kappa-6)/2 cot2 term vanishes and the drift reduces to the
         # flank term alone -- for every kappa
-        from twocurve.special import hyp_tilde_G
-        from twocurve.trig import cot2, sin2
-        w0, winf = 2.0, 2.0 - math.pi
-        v1s, v2s = 1.2, 0.2
+        w0, v1, v2, wi = -2.0, -1.2, -0.2, math.pi - 2.0
+        R = 1.0 - (sin2(wi - w0) * sin2(v2 - v1)
+                   / (sin2(v2 - w0) * sin2(wi - v1)))
+        flank = 0.5 * (cot2(v2 - w0) - cot2(v1 - w0))
         for kappa in (2.5, 4.0, 6.0, 7.9):
             ctx = KappaContext(kappa)
-            R = 1.0 - (sin2(w0 - winf) * sin2(v1s - v2s)
-                       / (sin2(w0 - v2s) * sin2(v1s - winf)))
-            flank = (0.5 * (cot2(w0 - v1s) - cot2(w0 - v2s))
-                     * hyp_tilde_G(ctx, R))
-            got = mc.hsle_drift(ctx, w0, winf, v1s, v2s)
-            assert_allclose(got, flank, rtol=1e-10, atol=1e-12)
+            tol = abs(flank) * gtilde_table_error(ctx, np.array([R]))
+            for kernel in KERNELS:
+                got = kernel_drift(kappa, [(w0, v1, v2, wi)], kernel)
+                assert abs(got[0] - flank * special.hyp_tilde_G(ctx, R)) \
+                    <= tol[0] + DRIFT_ATOL
 
     def test_girsanov_finite_difference(self):
-        # kappa * d/dW_j log M at a fresh state equals the drift (the
-        # tilt of the driving Brownian motion under the two-curve law)
+        # kappa * d/dW_j log M at a fresh state equals the drift the
+        # kernels step (the tilt of the driving Brownian motion under the
+        # two-curve law), up to the table's interpolation error
         h = 1e-5
-        for kappa in (2.0, 3.5, 6.0, 7.5):
+        for kappa in (2.0, 3.0, 6.0, 7.5):
             ctx = KappaContext(kappa)
-            for w1, v1, w2, v2 in random_quads(6, seed=int(7 * kappa)):
-                st = references.fresh_state(w1, v1, w2, v2)
-                for j, field in ((1, "W1"), (2, "W2")):
+            quads = random_quads(6, seed=int(7 * kappa))
+            rows = entry_rows(quads)
+            _, tol = displayed_drift(ctx, rows)
+            fd = []
+            for field in ("W1", "W2"):
+                for w1, v1, w2, v2 in quads:
+                    st = references.fresh_state(w1, v1, w2, v2)
                     base = getattr(st, field)
-                    lp = ensemble.log_M_iB_ch(
+                    lp = references.log_M_iB_ch(
                         ctx, dataclasses.replace(st, **{field: base + h}))
-                    lm = ensemble.log_M_iB_ch(
+                    lm = references.log_M_iB_ch(
                         ctx, dataclasses.replace(st, **{field: base - h}))
-                    fd = kappa * (lp - lm) / (2.0 * h)
-                    if j == 1:
-                        drift = mc.hsle_drift(ctx, w1, v1 + TWO_PI,
-                                              v2 + TWO_PI, w2 + TWO_PI)
-                    else:
-                        drift = mc.hsle_drift(ctx, w2, v2 + TWO_PI, v1, w1)
-                    assert abs(fd - drift) < 1e-8
-
-    def test_rejects_broken_cyclic_order(self):
-        # v1 and v2 on the same side of the driver (not bracketing winf)
-        with pytest.raises(ValueError):
-            mc.hsle_drift(CTX6, 0.0, 3.0, 1.0, -1.0)
-        # coincident points
-        with pytest.raises(ValueError):
-            mc.hsle_drift(CTX6, 0.0, 2.0, 1.0, 1.0)
-        # span beyond a full turn
-        with pytest.raises(ValueError):
-            mc.hsle_drift(CTX6, 0.0, 7.0, 1.0, 2.0)
+                    fd.append(kappa * (lp - lm) / (2.0 * h))
+            for kernel in KERNELS:
+                got = kernel_drift(kappa, rows, kernel)
+                assert np.all(np.abs(np.array(fd) - got) < tol + 1e-8)
 
 
 # the sampler's and the adaptive kernel's constants, none of which an
@@ -531,6 +594,7 @@ class TestInputChecks:
     @pytest.mark.parametrize("name, value", [
         ("z0", (0.3,)), ("z0", (math.nan, 0.9)), ("t_list", [math.nan]),
         ("t_list", [math.inf]), ("t_list", [1e300]), ("t_list", [4e-4]),
+        ("t_list", [1.0, 2.0, 1.0]), ("t_list", [1.0, 0.9996]),
         ("dt", 0.0), ("dt", math.nan), ("n_paths", math.nan),
         ("seed", 2 ** 64), ("path_start", 2 ** 63 - 5)])
     def test_survival_rules(self, monkeypatch, name, value):

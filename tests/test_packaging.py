@@ -5,7 +5,8 @@ their own helper modules.  Guarded imports count too, and a run of every
 command loads no scipy module, which only the tests use.  Every C source
 the package compiles on first use ships with it as package data.  Only
 ``_rng`` derives streams, so that every draw is in its map, and only the
-record builder makes Monte Carlo records."""
+record builder makes Monte Carlo records.  The public names of every
+module are pinned, so code that only the tests use stays with them."""
 import ast
 import fnmatch
 import json
@@ -113,6 +114,78 @@ def test_only_the_record_builder_constructs_records():
                 if name == "EstimateRecord":
                     found.add(f"{path.name}:{owner}")
     assert found == {"montecarlo.py:build_record", "montecarlo.py:pool_C0"}
+
+
+def _public_top_level_names(path: pathlib.Path) -> list:
+    """Names that a module's own top-level statements bind (functions,
+    classes, assignments; not imports) and that have no leading
+    underscore, sorted."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return sorted(n for n in names if not n.startswith("_"))
+
+
+def test_public_names_are_pinned():
+    # the package holds what the lab runs: a new public name, or a
+    # test-only helper moved back into a module, is a visible edit here
+    found = {p.stem: _public_top_level_names(p)
+             for p in sorted((ROOT / "src" / "twocurve").glob("*.py"))}
+    assert found == {
+        "__init__": [],
+        "__main__": [],
+        "_kernels": ["EPS_KILL", "EPS_RET", "KRES", "PI", "TWO_PI",
+                     "active_backend", "backward_flow", "hsle_evolve_adaptive",
+                     "hsle_kernel", "kernel_workers", "logger", "z_evolve",
+                     "z_update"],
+        "_rng": ["GAMMA", "MASK64", "PATH_LIMIT", "RETURN_SLOT", "TWO_PI",
+                 "UNIT_DRAWS", "derive_stream", "derive_stream_array",
+                 "hit_streams", "mix64", "mix64_array", "normal_pair",
+                 "normal_pair_array", "uniform", "uniform_array",
+                 "z_streams"],
+        "checks": ["CheckResult", "DEFAULT_KAPPAS", "SPECTRAL_KAPPA",
+                   "TOLERANCES", "check_chapman_kolmogorov",
+                   "check_drift_residual", "check_eigenfunctions",
+                   "check_hyp_ode", "check_hyp_value_at_one",
+                   "check_orthonormality", "check_quasi_invariance",
+                   "check_stationarity", "run_all_checks"],
+        "cli": ["ConfigError", "RunConfig", "SCHEMA_VERSION", "build_config",
+                "build_parser", "cmd_check", "cmd_density", "cmd_fit",
+                "cmd_report", "cmd_simulate", "fit_records", "main",
+                "read_records_csv", "validate_config", "write_records_csv"],
+        "context": ["KappaContext"],
+        "density": ["N_CAP", "SERIES_RTOL", "SpectralBasis", "Z_constant",
+                    "basis_eval", "eigenvalue", "generator_apply",
+                    "mode_blocks", "pZ_infty", "pZ_t", "p_infty", "p_t",
+                    "pz_over_gu_grid", "quadrature_report", "sup_norm",
+                    "survival_P2", "tilde_pZ_infty", "tilde_pZ_t",
+                    "truncation"],
+        "ensemble": ["EnsembleState", "TWO_PI", "drift_residual",
+                     "drift_residuals", "ode_rhs", "sample_states",
+                     "sin_ratio_sde"],
+        "green": ["BoundaryConfig", "G_quad", "G_u", "cross_ratio_of_config",
+                  "greens_disc"],
+        "montecarlo": ["ACCUMULATORS", "CSV_COLUMNS", "EstimateRecord",
+                       "HIT_COUNTERS", "TWO_PI", "build_record",
+                       "check_hit_inputs", "check_survival_inputs",
+                       "estimate_intersection_hit",
+                       "estimate_survival_weighted", "estimate_two_curve_hit",
+                       "fit_power_law", "pool_C0"],
+        "quadrature": ["disc_rule", "square_integrate", "tanh_sinh_rule"],
+        "special": ["gtilde_table", "h_const", "hyp_F", "hyp_F_and_dF",
+                    "hyp_F_at_1", "hyp_G", "hyp_dF", "hyp_tilde_G", "jacobi",
+                    "jacobi_seq", "jacobi_sup_norm", "log_gamma"],
+        "timecurve": ["PI", "ZPathEnsemble", "ZState",
+                      "importance_log_weight", "simulate_z_ensemble",
+                      "time_steps", "xy_of_z"],
+        "trig": ["cos2", "cot2", "cot2p", "cot2ppp", "csc2", "sin2"],
+    }
 
 
 # In a fresh interpreter: import the CLI, then run one command after the

@@ -28,8 +28,8 @@ from twocurve.checks import _connection_B
 from twocurve.quadrature import _gauss_jacobi, disc_rule
 from twocurve.special import (
     _horner, _taylor_table, gtilde_table, h_const, hyp_dF, hyp_F,
-    hyp_F_and_dF, hyp_F_at_1, hyp_G, hyp_tilde_G, jacobi, jacobi_l2_norm_sq,
-    jacobi_sup_norm, log_gamma,
+    hyp_F_and_dF, hyp_F_at_1, hyp_G, hyp_tilde_G, jacobi, jacobi_sup_norm,
+    log_gamma,
 )
 
 # mpmath hyp2f1(4/k, 1-4/k, 8/k, x), 40 digits
@@ -389,13 +389,6 @@ class TestJacobi:
             npt.assert_allclose(jacobi(n, al, be, -xs),
                                 (-1.0) ** n * jacobi(n, be, al, xs),
                                 rtol=1e-12, atol=1e-12)
-
-    def test_l2_norm_against_quadrature(self):
-        for (n, al, be) in [(0, 0.5, 0.0), (3, 1.0 / 3.0, 0.0),
-                            (5, 0.2, 1.7), (8, 2.0, 0.25)]:
-            t, w = roots_jacobi(n + 2, al, be)
-            quad = float(np.sum(w * jacobi(n, al, be, t) ** 2))
-            npt.assert_allclose(jacobi_l2_norm_sq(n, al, be), quad, rtol=1e-12)
 
     def test_sup_norm(self):
         xs = np.linspace(-1.0, 1.0, 20001)
