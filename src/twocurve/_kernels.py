@@ -299,12 +299,11 @@ def _z_evolve_c(lib, z1, z2, alive, absorb_step, streams, start_step,
 
 # The adaptive kernel is the hot path of every two-curve estimate, and its
 # outputs are frozen: a path's result must not depend on the batch it runs
-# in, and a seed must keep reproducing the estimates it gave before.  It
-# exists twice: ``_hsle.c`` runs whenever it builds, and the Python kernel
-# below is the fallback without a compiler and the oracle the C kernel is
-# tested against (``tests/test_kernels.py::TestCompiledKernel`` asserts
-# equal bytes on every output and the same exception on degenerate rows).
-# Both follow one rule, so that an edit to either must be made to both:
+# in, and a seed must keep reproducing the estimates it gave before.  Its
+# two kernels, ``_hsle.c`` and the Python kernel below (the fallback and
+# the oracle, module docstring), are transliterations of each other, line
+# for line: the same loops, draws and writes in the same places, so an
+# edit to one is the same edit to the other.  Within that rule:
 #
 # * The operation order is frozen: the same libm functions (``math.*``,
 #   never numpy's vector routines, which round differently in the last
@@ -316,15 +315,10 @@ def _z_evolve_c(lib, z1, z2, alive, absorb_step, streams, start_step,
 #   becomes a multiplication by a reciprocal.  The per-call constants come
 #   from ``_adaptive_constants`` for both kernels.
 #
-# The Python kernel runs on Python floats and ints only: arrays are read
-# once with ``tolist()`` (numpy scalars would make every add, multiply and
-# compare about three times slower) and written once per path.  The first
-# substep of macro step m always reads the Box-Muller pair of unit m*bmax
-# (the map of draws in ``_rng``), so those are drawn ahead with the
-# vectorized generator (bitwise equal to the scalar one), in blocks of
-# macro steps so that a path stopping early wastes few draws; later
-# substeps and the reinjection decision draw one at a time.
-_FIRST_DRAW_BLOCK = 256
+# * The Python kernel runs on Python floats and ints only (numpy scalars
+#   would make every add, multiply and compare about three times slower):
+#   arrays are read once with ``tolist()``, and each draw is one
+#   ``_rng.uniform`` call, at the counter ``_hsle.c`` reads.
 
 # the boundary rule's relative-collapse threshold and reinjection scale, and
 # the resolution bandwidth (the ``hsle_evolve_adaptive`` docstring)
@@ -368,7 +362,6 @@ def _hsle_evolve_adaptive_np(state, streams, start_macro, max_macros, kappa,
     draws, ret_slot = _rng.UNIT_DRAWS, _rng.RETURN_SLOT
     (gt_vals, gt_du, gt_umax, unit, res_units, floor_gap, p_ret, half_k6,
      g_top) = _adaptive_constants(kappa, dt, bmax)
-    rows = state.tolist()
     sids = streams.tolist()
     thr = thr_macros.tolist()
     gt = gt_vals.tolist()
@@ -376,34 +369,20 @@ def _hsle_evolve_adaptive_np(state, streams, start_macro, max_macros, kappa,
     nt = len(gt)
     stride = draws * bmax  # counters per macro step
     end_macro = start_macro + max_macros
-    # counters of the first-substep uniform pairs of a block, relative to
-    # the block's first macro step
-    block_ctr = (np.arange(_FIRST_DRAW_BLOCK, dtype=np.uint64)[:, None]
-                 * np.uint64(stride) + np.arange(2, dtype=np.uint64)).ravel()
-    sts = [0] * len(rows)
-    dus = [-1] * len(rows)
-    for p, (w0, v1, v2, wi) in enumerate(rows):
+    for p, (w0, v1, v2, wi) in enumerate(state.tolist()):
         sid = sids[p]
         ti = 0
         units_done = 0
-        snaps = []
         g01 = v1 - w0
         g12 = v2 - v1
+        g23 = wi - v2
         gw = w0 - (wi - TWO_PI)
-        st = _gap_status(g01, g12, wi - v2, gw)
+        st = _gap_status(g01, g12, g23, gw)
         if st != 0:
-            dus[p] = 0
-            sts[p] = st
+            status[p] = st
+            death_units[p] = 0
             continue
-        blk_end = start_macro
         for m in range(start_macro, end_macro):
-            if m == blk_end:
-                blk_end = min(m + _FIRST_DRAW_BLOCK, end_macro)
-                first = _rng.uniform_array(
-                    sid, block_ctr[:2 * (blk_end - m)]
-                    + np.uint64(stride * m)).tolist()
-                j = 0
-            ctr = stride * m
             left = bmax
             while left > 0:
                 gmin = g01 if g01 < gw else gw
@@ -414,14 +393,9 @@ def _hsle_evolve_adaptive_np(state, streams, start_macro, max_macros, kappa,
                     n_u = 1
                 else:
                     n_u = int(want)
-                if left == bmax:
-                    uu0 = first[j]
-                    uu1 = first[j + 1]
-                    j += 2
-                else:
-                    ctr = stride * m + draws * (bmax - left)
-                    uu0 = uniform(sid, ctr)
-                    uu1 = uniform(sid, ctr + 1)
+                ctr = stride * m + draws * (bmax - left)
+                uu0 = uniform(sid, ctr)
+                uu1 = uniform(sid, ctr + 1)
                 g = sqrt(-2.0 * log(uu0)) * cos(TWO_PI * uu1)
                 dts = n_u * unit
                 ha = 0.5 * g01
@@ -490,20 +464,16 @@ def _hsle_evolve_adaptive_np(state, streams, start_macro, max_macros, kappa,
                     elif (gw if gw < g01 else g01) < floor_gap:
                         st = 3
                 if st != 0:
-                    dus[p] = units_done
                     break
             if st != 0:
                 break
             while ti < k and thr[ti] == m - start_macro + 1:
-                snaps.append((w0, v1, v2, wi))
+                snap[p, ti] = (w0, v1, v2, wi)
+                reached[p, ti] = 1
                 ti += 1
-        if snaps:
-            snap[p, :ti] = snaps
-            reached[p, :ti] = 1
         state[p] = (w0, v1, v2, wi)
-        sts[p] = st
-    status[:] = sts
-    death_units[:] = dus
+        status[p] = st
+        death_units[p] = units_done if st != 0 else -1
 
 
 # ---------------------------------------------------------------------------
@@ -753,10 +723,11 @@ def hsle_evolve_adaptive(state, streams, start_macro, max_macros, kappa, dt,
     conformal radius exp(-s) (frozen thereafter: later growth happens
     outside the origin's component).
 
-    ``thr_macros`` are macro counts relative to this run at which
-    surviving paths are snapshotted; ``death_units`` records the units
-    survived (relative, in dt/bmax units; -1 if alive at the end), so the
-    capacity at stop is death_units * dt / bmax.
+    ``thr_macros`` are macro counts relative to this run, non-decreasing
+    in [1, ``max_macros``], at which surviving paths are snapshotted;
+    ``death_units`` records the units survived (relative, in dt/bmax
+    units; -1 if alive at the end), so the capacity at stop is
+    death_units * dt / bmax.
 
     The arrays must be C-contiguous with these dtypes and shapes, or
     ValueError is raised before either kernel runs: ``state`` float64[n, 4]
@@ -767,13 +738,15 @@ def hsle_evolve_adaptive(state, streams, start_macro, max_macros, kappa, dt,
     ``_hsle_evolve_adaptive_np``; both give the same bytes and raise the
     same exception, the lowest failing row's (of all workers of the
     compiled kernel, module docstring), with the Python kernel's type and
-    message; the compiled kernel's adds the row's number.  The outputs of
-    the rows past that row are unspecified after an exception.
+    message; the compiled kernel's adds the row's number.  When either
+    raises, each row below the failing one has written all its outputs,
+    the bytes a call that returned would hold; the outputs of the failing
+    row and of the rows past it are unspecified.
     """
     start_macro, max_macros = int(start_macro), int(max_macros)
     bmax = int(bmax)
     _check_adaptive_args(state, streams, thr_macros, snap, reached, status,
-                         death_units, bmax, start_macro)
+                         death_units, bmax, start_macro, max_macros)
     args = (state, streams, start_macro, max_macros, float(kappa), float(dt),
             thr_macros, bmax, snap, reached, status, death_units)
     lib = _hsle_lib()
@@ -797,7 +770,7 @@ def _check_arrays(specs) -> None:
 
 
 def _check_adaptive_args(state, streams, thr_macros, snap, reached, status,
-                         death_units, bmax, start_macro):
+                         death_units, bmax, start_macro, max_macros):
     """Raise ValueError unless the arguments are what both adaptive kernels
     index (the ``hsle_evolve_adaptive`` docstring lists them)."""
     n, k = (np.shape(a)[0] if np.ndim(a) else 0 for a in (state, thr_macros))
@@ -811,6 +784,10 @@ def _check_adaptive_args(state, streams, thr_macros, snap, reached, status,
     if bmax < 1 or start_macro < 0:
         raise ValueError(f"need bmax >= 1 and start_macro >= 0, got "
                          f"{bmax} and {start_macro}")
+    if k and (np.any(np.diff(thr_macros) < 0) or thr_macros[0] < 1
+              or thr_macros[-1] > max_macros):
+        raise ValueError(f"thr_macros must be non-decreasing and inside "
+                         f"[1, {max_macros}]")
 
 
 # ---------------------------------------------------------------------------

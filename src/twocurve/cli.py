@@ -172,14 +172,16 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             data[name] = flag
     cfg = RunConfig()
     for name, value in data.items():
-        if name in ("z0", "cfg", "r_list", "t_list", "fit_window", "kappas"):
+        # coerced by the field's annotation
+        kind = _FIELD_TYPES[name].type
+        if kind == "list":
             value = _coerce_list(name, value)
-        elif name in ("n_paths", "path_start", "grid_n", "n_drift_states"):
+        elif kind == "int" or kind == "int | None" and value is not None:
             value = _integer(name, value)
-        elif name in ("kappa", "dt", "inject_alpha0_error"):
+        elif kind == "float":
             value = _finite(name, value)
-        elif name == "master_seed" and value is not None:
-            value = _integer(name, value)
+        elif kind == "str" and not isinstance(value, str):
+            raise ConfigError(f"{name} must be a string, got {value!r}")
         setattr(cfg, name, value)
     return cfg
 

@@ -340,10 +340,10 @@ def truncation(basis: SpectralBasis, t: float):
     of the full _N_SCAN table.
 
     Raises:
-        ValueError: if t < 0.
+        ValueError: if t < 0 or t is NaN.
     """
-    if t < 0.0:
-        raise ValueError("truncation requires t >= 0")
+    if not t >= 0.0:
+        raise ValueError(f"truncation requires t >= 0, got {t}")
     if t == 0.0:
         return 0, 0.0, True
     ctx = basis.ctx
@@ -687,7 +687,7 @@ def survival_P2(ctx: KappaContext, basis: SpectralBasis, z0, t):
     t = 0.
 
     Raises:
-        ValueError: if t < 0.
+        ValueError: if t < 0 or t is NaN.
     """
     t = float(t)
     n_used = truncation(basis, t)[0]

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import KappaContext
-from .green import BoundaryConfig, _cross_ratio
+from .green import _cross_ratio
 from .special import hyp_F_and_dF
 from .trig import cot2, cot2p, cot2ppp
 
@@ -137,11 +137,6 @@ class EnsembleState(_StateFields):
         if not (lo - 1e-9 <= self.mA <= hi + 1e-9):
             raise ValueError(
                 f"joint capacity mA={self.mA} outside [{lo}, {hi}]")
-
-    @property
-    def config(self) -> BoundaryConfig:
-        """The four angles W1, V1, W2, V2 as a ``BoundaryConfig``."""
-        return BoundaryConfig(self.W1, self.V1, self.W2, self.V2)
 
 
 class _StateColumns(_StateFields):

@@ -187,7 +187,13 @@ def build_record(kappa: float, method: str, r_or_t: float, dt: float,
 
 
 def _check_run(n_paths: int, dt: float, seed: int, path_start: int) -> None:
-    """The input rules of every estimator (NaN fails each)."""
+    """The input rules of every estimator (NaN fails each); the counts
+    and ids are Python or numpy integers, not booleans."""
+    for name, v in (("n_paths", n_paths), ("seed", seed),
+                    ("path_start", path_start)):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+    n_paths, seed, path_start = int(n_paths), int(seed), int(path_start)
     if not n_paths >= 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     if not 0 <= path_start <= _rng.PATH_LIMIT - n_paths:

@@ -3,7 +3,8 @@
 No command runs these, so they live with the tests that use them
 (``test_ensemble.py``, ``test_montecarlo.py``, ``test_timecurve.py``):
 
-* ``fresh_state`` -- the ensemble state at t1 = t2 = 0;
+* ``fresh_state`` -- the ensemble state at t1 = t2 = 0, and
+  ``state_config`` -- a state's four angles as a ``BoundaryConfig``;
 * ``phi``, ``log_M_iB_c4``, ``log_M_iB_ch`` and
   ``martingale_coefficient`` -- the companion factor Phi_j, the two
   log-densities and the displayed noise coefficient of the
@@ -26,7 +27,7 @@ from twocurve.ensemble import (
     _C4_PAIRS, EnsembleState, _check_j, _check_mode, _hyp_point,
     _martingale_coefficient, _phi,
 )
-from twocurve.green import cross_ratio_of_config
+from twocurve.green import BoundaryConfig, cross_ratio_of_config
 from twocurve.special import hyp_F
 from twocurve.trig import sin2
 
@@ -36,6 +37,11 @@ def fresh_state(w1: float, v1: float, w2: float, v2: float) -> EnsembleState:
     return EnsembleState(W1=w1, V1=v1, W2=w2, V2=v2,
                          W11=1.0, W21=1.0, W12=0.0, W22=0.0,
                          W13=0.0, W23=0.0, V11=1.0, V21=1.0)
+
+
+def state_config(state: EnsembleState) -> BoundaryConfig:
+    """The four angles W1, V1, W2, V2 as a ``BoundaryConfig``."""
+    return BoundaryConfig(state.W1, state.V1, state.W2, state.V2)
 
 
 def phi(state: EnsembleState, j: int) -> float:
@@ -80,7 +86,7 @@ def log_M_iB_ch(ctx: KappaContext, state: EnsembleState) -> float:
     """
     k = ctx.kappa
     b = ctx.sle_b
-    R = cross_ratio_of_config(state.config)
+    R = cross_ratio_of_config(state_config(state))
     log_ftilde = 2.0 / k * math.log(R) + math.log(hyp_F(ctx, R))
     return ((k - 6.0) * (k - 2.0) / (8.0 * k) * state.mA
             + b / 6.0 * (state.mA - state.t1 - state.t2)

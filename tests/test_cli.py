@@ -331,20 +331,36 @@ def test_rejected_simulate_inputs_raise_in_the_estimator(argv, monkeypatch):
     ("density", {"grid_n": 3.5}),
     ("simulate", {"path_start": False}),
     ("check", {"n_drift_states": 1.5}),
+    # strings are strings: rejected before the command runs
+    ("simulate", {"method": 5}),
+    ("simulate", {"method": ["curves"]}),
+    ("simulate", {"out_dir": 5}),
+    ("density", {"out_dir": None}),
+    ("check", {"out_dir": ["out"]}),
 ], ids=["negative_fit_window", "unknown_tolerance", "json_curves_nan_dt",
         "json_infinite_n_paths", "json_dt_halving_string",
         "json_fractional_n_paths", "json_boolean_n_paths",
         "json_fractional_master_seed", "json_string_n_max",
         "json_fractional_grid_n", "json_boolean_path_start",
-        "json_fractional_n_drift_states"])
+        "json_fractional_n_drift_states", "json_numeric_method",
+        "json_list_method", "json_numeric_out_dir", "json_null_out_dir",
+        "json_list_out_dir"])
 def test_rejected_config_file_exits_2(command, config, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out_dir = tmp_path / "out"
-    assert main([command, "--config", str(path),
-                 "--out-dir", str(out_dir)]) == 2
+    # the --out-dir flag would override the file's out_dir
+    flags = [] if "out_dir" in config else ["--out-dir", str(out_dir)]
+    assert main([command, "--config", str(path), *flags]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_every_config_field_type_is_coerced():
+    # build_config coerces a value by its field's annotation, and knows
+    # these; a field of any other type would be set unchecked
+    assert {f.type for f in dataclasses.fields(cli.RunConfig)} == {
+        "list", "int", "int | None", "float", "str"}
 
 
 def test_config_file_integers_and_booleans(tmp_path):

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -801,10 +802,12 @@ class TestSurvival:
     def test_time_zero_and_domain(self):
         assert dens.survival_P2(CTX6, BASIS6, self.Z0, 0.0) == 1.0
         assert dens.truncation(BASIS6, 0.0) == (0, 0.0, True)
-        with pytest.raises(ValueError):
-            dens.survival_P2(CTX6, BASIS6, self.Z0, -0.5)
-        with pytest.raises(ValueError):
-            dens.truncation(BASIS6, -0.5)
+        # NaN fails the t >= 0 test too, before any series is scanned
+        for t in (-0.5, math.nan):
+            with pytest.raises(ValueError):
+                dens.survival_P2(CTX6, BASIS6, self.Z0, t)
+            with pytest.raises(ValueError):
+                dens.truncation(BASIS6, t)
 
     def test_short_time_total_mass(self):
         assert abs(dens.survival_P2(CTX6, BASIS6, self.Z0, 0.01) - 1.0) < 0.02

@@ -171,18 +171,19 @@ class TestOdeRhs:
 
 class TestCrossRatioAndPhi:
     def test_symmetric_value(self):
-        cfg = ref.fresh_state(*SYM).config
+        cfg = ref.state_config(ref.fresh_state(*SYM))
         assert green.cross_ratio_of_config(cfg) == pytest.approx(0.5,
                                                                  abs=1e-15)
 
     def test_range(self):
         for st in ens.sample_states(100, seed=3):
-            assert 0.0 < green.cross_ratio_of_config(st.config) < 1.0
+            R = green.cross_ratio_of_config(ref.state_config(st))
+            assert 0.0 < R < 1.0
 
     def test_complement_identity(self):
         # 1 - R factors over the complementary sine pairs.
         for st in ens.sample_states(50, seed=5):
-            R = green.cross_ratio_of_config(st.config)
+            R = green.cross_ratio_of_config(ref.state_config(st))
             for j in (1, 2):
                 k = 3 - j
                 wj, vj = st.angle(f"W{j}"), st.angle(f"V{j}")
@@ -194,7 +195,7 @@ class TestCrossRatioAndPhi:
     def test_phi_ratio_identity(self):
         # R Phi_j / (1 - R) telescopes to a two-term cot2 difference.
         for st in ens.sample_states(50, seed=9):
-            R = green.cross_ratio_of_config(st.config)
+            R = green.cross_ratio_of_config(ref.state_config(st))
             for j in (1, 2):
                 k = 3 - j
                 wj, vj = st.angle(f"W{j}"), st.angle(f"V{j}")
@@ -338,7 +339,7 @@ class TestSdeAssembly:
         for kap in KAPPAS:
             ctx = KappaContext(kap)
             for st in ens.sample_states(10, seed=int(kap * 10) + 71):
-                R = green.cross_ratio_of_config(st.config)
+                R = green.cross_ratio_of_config(ref.state_config(st))
                 Gt = hyp_tilde_G(ctx, R)
                 for j in (1, 2):
                     wj = st.angle(f"W{j}")

@@ -478,6 +478,33 @@ class TestCompiledKernel:
             assert stops[low_on_caller][1:] == (low, n)
             assert stops[not low_on_caller][1:] == (high, n)
 
+    def test_rows_below_a_failing_row_are_written(self, monkeypatch):
+        # one worker takes the rows in order; when the third row raises,
+        # both kernels have written every output of the two rows below it,
+        # the bytes of a call without it (status and death_units start at
+        # values no row writes)
+        monkeypatch.setattr(_kernels, "_n_workers", lambda: 1)
+        rows = np.array([(0.0, 1.0, 2.0, 3.0), (0.0, 1.0, 2.5, 4.0),
+                         (0.0, 5e-324, 2.0, 4.0)])
+        alone = run(6.0, rows[:2], 0, 20, [10, 20])
+        streams = _rng.derive_stream_array(7, np.arange(3, dtype=np.uint64))
+        thr = np.array([10, 20], dtype=np.int64)
+        for kernel in ("c", "python"):
+            out = dict(state=rows.copy(), snap=np.zeros((3, 2, 4)),
+                       reached=np.zeros((3, 2), dtype=np.uint8),
+                       status=np.full(3, 9, dtype=np.uint8),
+                       death_units=np.full(3, -7, dtype=np.int64))
+            args = (out["state"], streams, 0, 20, 6.0, DT, thr, BMAX,
+                    out["snap"], out["reached"], out["status"],
+                    out["death_units"])
+            with pytest.raises(ZeroDivisionError):
+                if kernel == "c":
+                    _kernels._hsle_evolve_adaptive_c(compiled_lib(), *args)
+                else:
+                    _kernels._hsle_evolve_adaptive_np(*args)
+            for name in OUTPUTS:
+                assert_same_bits(out[name][:2], alone[name])
+
     def test_infinite_row_stops_at_entry_in_both(self):
         rows = np.array([(0.0, 1.0, 2.0, math.inf)])
         for kernel in ("c", "python"):
@@ -1100,6 +1127,24 @@ class TestDispatcherArguments:
                 args["state"], args["streams"], 0, 10, 6.0, DT,
                 args["thr_macros"], args["snap"], args["reached"],
                 args["status"], args["death_units"], BMAX)
+
+    @pytest.mark.parametrize("thr", [[20, 10], [0, 10], [10, 31], [-1]])
+    def test_rejects_thresholds_outside_the_run(self, thr):
+        # a threshold out of order or outside [1, max_macros] matches no
+        # macro count, and its snapshot would be dropped without a stop
+        n, thr = 2, np.array(thr, dtype=np.int64)
+        with pytest.raises(ValueError, match="thr_macros"):
+            _kernels.hsle_evolve_adaptive(
+                make_rows(n), np.arange(n, dtype=np.uint64), 0, 30, 6.0, DT,
+                thr, np.zeros((n, thr.size, 4)),
+                np.zeros((n, thr.size), dtype=np.uint8),
+                np.zeros(n, dtype=np.uint8), np.full(n, -1, dtype=np.int64),
+                BMAX)
+
+    def test_accepts_repeated_thresholds_at_the_ends(self):
+        out = run(6.0, make_rows(4), 0, 30, [1, 1, 30, 30])
+        np.testing.assert_array_equal(
+            out["reached"].sum(axis=1)[out["status"] == 0], 4)
 
     @pytest.mark.parametrize("name, bad", [
         ("drivers", lambda a: np.asfortranarray(a)),

@@ -578,7 +578,10 @@ class TestInputChecks:
         ("dt", math.nan), ("seed", -1), ("seed", 2 ** 64),
         ("seed", math.nan), ("path_start", -1), ("path_start", 2 ** 63 - 5),
         ("path_start", math.nan), ("r_list", [math.nan]),
-        ("cfg", (1.0, 0.5, 0.0)), ("cfg", (1.0, math.nan, 0.0, -1.0))])
+        ("cfg", (1.0, 0.5, 0.0)), ("cfg", (1.0, math.nan, 0.0, -1.0)),
+        # counts and ids are integers, never fractions or booleans
+        ("n_paths", 10.5), ("seed", 1.5), ("path_start", 0.5),
+        ("n_paths", True)])
     def test_hit_rules(self, monkeypatch, name, value):
         monkeypatch.setattr(mc, "_two_stage_run", None)
         kw = {**dict(cfg=SYM_CFG, r_list=[0.1], n_paths=10, dt=1e-3,
@@ -596,7 +599,8 @@ class TestInputChecks:
         ("t_list", [math.inf]), ("t_list", [1e300]), ("t_list", [4e-4]),
         ("t_list", [1.0, 2.0, 1.0]), ("t_list", [1.0, 0.9996]),
         ("dt", 0.0), ("dt", math.nan), ("n_paths", math.nan),
-        ("seed", 2 ** 64), ("path_start", 2 ** 63 - 5)])
+        ("seed", 2 ** 64), ("path_start", 2 ** 63 - 5), ("n_paths", 10.5),
+        ("seed", 1.5), ("path_start", 0.5), ("seed", False)])
     def test_survival_rules(self, monkeypatch, name, value):
         monkeypatch.setattr(mc, "simulate_z_ensemble", None)
         kw = {**dict(z0=(0.3, 0.9), t_list=[1.0], n_paths=10, dt=1e-3,
@@ -610,6 +614,10 @@ class TestInputChecks:
             SYM_CFG, [0.2, 0.1])
         assert mc.check_survival_inputs([0.3, 0.9], (0, 2), 10, 1e-3, 0,
                                         0) == (ZState(0.3, 0.9), [0.0, 2.0])
+        # numpy integers are integers
+        assert mc.check_survival_inputs(
+            [0.3, 0.9], [1.0], np.int64(10), 1e-3, np.uint64(2 ** 63),
+            np.int32(0)) == (ZState(0.3, 0.9), [1.0])
 
 
 class TestBuildRecord:

@@ -4,8 +4,9 @@ offline with exactly those; the tests add only the ``test`` extra and
 their own helper modules.  Guarded imports count too, and a run of every
 command loads no scipy module, which only the tests use.  Every C source
 the package compiles on first use ships with it as package data.  Only
-``_rng`` derives streams, so that every draw is in its map, and only the
-record builder makes Monte Carlo records.  The public names of every
+``_rng`` derives streams, so that every draw is in its map, the Python
+adaptive kernel draws one uniform at a time, as ``_hsle.c`` does, and only
+the record builder makes Monte Carlo records.  The public names of every
 module are pinned, so code that only the tests use stays with them."""
 import ast
 import fnmatch
@@ -96,6 +97,22 @@ def test_only_rng_derives_streams():
                     else node.name if isinstance(node, ast.alias) else None)
             if name in STREAM_DERIVATIONS:
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert not found
+
+
+def test_python_adaptive_kernel_has_one_draw_path():
+    # the Python adaptive kernel is a transliteration of _hsle.c, which
+    # draws each uniform at its counter: a vectorized _rng.*_array draw,
+    # called or aliased, would be a second draw path to keep in step
+    path = ROOT / "src" / "twocurve" / "_kernels.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    kernel, = (node for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "_hsle_evolve_adaptive_np")
+    found = [f"_rng.{node.attr}:{node.lineno}" for node in ast.walk(kernel)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "_rng"
+             and node.attr.endswith("_array")]
     assert not found
 
 
