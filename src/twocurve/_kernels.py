@@ -733,12 +733,13 @@ def hsle_evolve_adaptive(state, streams, start_macro, max_macros, kappa, dt,
     ValueError is raised before either kernel runs: ``state`` float64[n, 4]
     and ``streams`` uint64[n]; ``thr_macros`` int64[k]; the outputs
     ``snap`` float64[n, k, 4], ``reached`` uint8[n, k], ``status`` uint8[n]
-    and ``death_units`` int64[n], writeable.  ``bmax`` >= 1 and
-    ``start_macro`` >= 0.  The compiled kernel runs when it builds, else
-    ``_hsle_evolve_adaptive_np``; both give the same bytes and raise the
-    same exception, the lowest failing row's (of all workers of the
-    compiled kernel, module docstring), with the Python kernel's type and
-    message; the compiled kernel's adds the row's number.  When either
+    and ``death_units`` int64[n], writeable.  ``bmax`` >= 1,
+    ``start_macro`` >= 0 and ``max_macros`` >= 0.  The compiled kernel
+    runs when it builds, else ``_hsle_evolve_adaptive_np``; both give the
+    same bytes and raise the same exception, the lowest failing row's (of
+    all workers of the compiled kernel, module docstring), with the Python
+    kernel's type and message; the compiled kernel's adds the row's
+    number.  When either
     raises, each row below the failing one has written all its outputs,
     the bytes a call that returned would hold; the outputs of the failing
     row and of the rows past it are unspecified.
@@ -781,9 +782,10 @@ def _check_adaptive_args(state, streams, thr_macros, snap, reached, status,
                    ("reached", reached, np.uint8, (n, k), True),
                    ("status", status, np.uint8, (n,), True),
                    ("death_units", death_units, np.int64, (n,), True)))
-    if bmax < 1 or start_macro < 0:
-        raise ValueError(f"need bmax >= 1 and start_macro >= 0, got "
-                         f"{bmax} and {start_macro}")
+    if bmax < 1 or start_macro < 0 or max_macros < 0:
+        raise ValueError(f"need bmax >= 1, start_macro >= 0 and "
+                         f"max_macros >= 0, got {bmax}, {start_macro} and "
+                         f"{max_macros}")
     if k and (np.any(np.diff(thr_macros) < 0) or thr_macros[0] < 1
               or thr_macros[-1] > max_macros):
         raise ValueError(f"thr_macros must be non-decreasing and inside "

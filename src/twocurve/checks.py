@@ -22,6 +22,16 @@ the per-state and per-point evaluations.
 ``inject_alpha0_error`` deliberately perturbs the decay exponent used by
 the quasi-invariance check -- a fault-injection knob proving the suite
 actually detects a wrong exponent (it must make that check fail).
+
+A battery evaluates each quantity that cannot change within it once, on
+the contexts and the one spectral basis that ``run_all_checks`` builds
+for it: the drift states are drawn as columns and read as they are; the
+semigroup checks share the basis's truncations and the modes at their
+single points; and the quasi-invariance check reads the tilted law and
+G_u from the context's node grids (``density._node_grid``), so each
+node pair's G_u is evaluated once over both of its (point, time) pairs
+and all their quadrature levels, and the end point's extension once per
+point (``density._last_points``).
 """
 
 from __future__ import annotations
@@ -212,10 +222,10 @@ def check_quasi_invariance(basis: dens.SpectralBasis,
     res = []
     for bz, t in [((1.4, 1.9), 0.7), ((0.9, 1.2), 1.3)]:
         def level_sum(z, w):
-            # tilde_pZ_infty, read from the node grid Z_constant filled
+            # tilde_pZ_infty, read from the node grid Z_constant filled,
+            # against the kernel, whose G_u comes from its own node grid
             law = dens.pz_over_gu_grid(ctx, z) / dens.Z_constant(ctx)
-            kern = dens.tilde_pZ_t(ctx, basis,
-                                   np.meshgrid(z, z, indexing="ij"), bz, t)
+            kern = dens._tilde_pZ_t_grid(ctx, basis, z, bz, t)
             return float(w @ (law * kern) @ w)
         val, _ = square_integrate(level_sum, rtol=1e-9)
         target = np.exp(-alpha * t) * dens.tilde_pZ_infty(ctx, bz)
@@ -231,8 +241,11 @@ def check_quasi_invariance(basis: dens.SpectralBasis,
 def check_drift_residual(ctx: KappaContext,
                          n_states: int = 200) -> CheckResult:
     """The analytic drift of each normalized observable vanishes at
-    random states, for both curves and both normalization modes."""
-    states = ensemble.sample_states(n_states, seed=20240 + int(10 * ctx.kappa))
+    random states, for both curves and both normalization modes.  The
+    states are drawn as columns (``ensemble._sample_columns``), which
+    the array pass reads as they are."""
+    states = ensemble._sample_columns(n_states,
+                                      seed=20240 + int(10 * ctx.kappa))
     res = np.abs(ensemble.drift_residuals(ctx, states))
     return CheckResult.from_residual("drift_residual", ctx.kappa,
                                      _worst(res))

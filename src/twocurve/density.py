@@ -26,12 +26,25 @@ degree n.  This module provides:
     for residual checks, with one call of the applied function on the
     stacked stencil.
 
-A context keeps its work: the series tail table, doubled only as far
-as the requested times need, and one grid of pZ_infty / G_u on the
-tanh-sinh nodes (``pz_over_gu_grid``) that every quadrature level reads.
-The quadratures of Z and of the survival mode integrals both run on the
-one level loop ``quadrature.square_integrate``, from level 0 to the
-level they need; ``quadrature_report`` gives its report of each.
+A command evaluates every quantity that cannot change within it once,
+and keeps it on the context or the basis it builds for the call (the CLI
+builds both afresh per command, so nothing outlives the call):
+
+  * on the context: the series tail table, doubled only as far as the
+    requested times need; per function (pZ_infty / G_u, and G_u), one
+    grid on the tanh-sinh nodes (``_node_grid``) that every quadrature
+    level reads; and the value of each of G_u and pZ_infty / G_u at the
+    last points it was asked at (``_last_points``): the start point of
+    ``tilde_pZ_t`` and ``survival_P2``, the output grid of ``tilde_pZ_t``
+    and ``tilde_pZ_infty``;
+  * on the basis: the ``truncation`` of every time asked, the modes at
+    the last single point a series was summed from, at the highest level
+    asked there (``_modes_at``), and the survival mode integrals.
+
+Each cached value has the bits of a direct evaluation.  The quadratures
+of Z and of the survival mode integrals both run on the one level loop
+``quadrature.square_integrate``, from level 0 to the level they need;
+``quadrature_report`` gives its report of each.
 
 Every series runs on one evaluator, ``mode_blocks``: per angular order m
 and block of points, the matrix V[k, p] = v_k(x_p, y_p) from the Jacobi
@@ -138,8 +151,11 @@ class SpectralBasis:
         levels = np.arange(self.n_max + 2, dtype=np.int64)
         self._level_start = levels * (levels + 1) // 2
         self.mode_h = h_const(ctx, self.mode_n, self.mode_j)
-        # cache slot for survival mode integrals, filled lazily
+        # caches filled lazily: the survival mode integrals, the result of
+        # ``truncation`` per time, and ``_modes_at``'s last point
         self._survival_cache = None
+        self._truncations = {}
+        self._point_modes = None
 
     @property
     def kappa(self) -> float:
@@ -261,11 +277,22 @@ def mode_blocks(basis: SpectralBasis, n_limit: int, x, y):
 
 
 def _modes_at(basis: SpectralBasis, n_limit: int, x, y):
-    """Vector of v_s(x, y) at one point for the modes of level <= n_limit."""
-    out = np.empty(basis.modes_up_to(n_limit))
-    for rows, _, V in mode_blocks(basis, n_limit, x, y):
-        out[rows] = V[:, 0]
-    return out
+    """Vector of v_s(x, y) at one point for the modes of level <= n_limit.
+
+    The basis keeps the vector of the last point asked, at the highest
+    level asked there, and answers a lower level with its head.  The head
+    is the lower level's vector bit for bit: an entry depends on its own
+    mode only, and the recurrence and the powers of x + i y take the same
+    steps whatever the top level.  The vector is read-only.
+    """
+    key = (np.asarray(x).tobytes(), np.asarray(y).tobytes())
+    memo = basis._point_modes
+    if memo is None or memo[0] != key or memo[1] < n_limit:
+        out = np.empty(basis.modes_up_to(n_limit))
+        for rows, _, V in mode_blocks(basis, n_limit, x, y):
+            out[rows] = V[:, 0]
+        memo = basis._point_modes = (key, n_limit, out)
+    return memo[2][:basis.modes_up_to(n_limit)]
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +359,8 @@ def truncation(basis: SpectralBasis, t: float):
     pointwise truncation error is below tail_bound * p_infty), is at most
     SERIES_RTOL, capped at min(N_CAP, n_max); converged is False, with the
     tail bound at the cap, when the cap is hit.  t = 0 takes no series:
-    level 0, converged.
+    level 0, converged.  The basis keeps the result of every time asked,
+    so the series and survival of a time share its one scan.
 
     The tail table doubles its top level from _SCAN_START until the top
     summand is 0.0 at t (or to _N_SCAN).  The summands past it are 0.0
@@ -344,6 +372,14 @@ def truncation(basis: SpectralBasis, t: float):
     """
     if not t >= 0.0:
         raise ValueError(f"truncation requires t >= 0, got {t}")
+    cached = basis._truncations.get(t)
+    if cached is None:
+        cached = basis._truncations[t] = _scan_truncation(basis, t)
+    return cached
+
+
+def _scan_truncation(basis: SpectralBasis, t: float):
+    """``truncation`` of a time t >= 0 from the tail table."""
     if t == 0.0:
         return 0, 0.0, True
     ctx = basis.ctx
@@ -555,42 +591,87 @@ def _pz_over_gu(ctx: KappaContext, z1, z2):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _gu(ctx: KappaContext, z1, z2):
+    """G_u at the points (z1, z2), in the argument form of _pz_over_gu."""
+    return G_u(ctx, (z1, z2))
+
+
+def _last_points(ctx: KappaContext, f, z1, z2):
+    """f(ctx, z1, z2) for f in (_gu, _pz_over_gu), from the context's
+    memo of the last points each f was evaluated at.
+
+    A command asks both again and again at the same points: G_u at the
+    start point of every ``tilde_pZ_t`` time and every ``survival_P2``
+    time, the extension at the output grid of every ``tilde_pZ_t`` time
+    and of ``tilde_pZ_infty``, and at the end point of every quadrature
+    level of the quasi-invariance check.  The memo holds one entry per f,
+    keyed by the points' shapes and bytes, so it stays the size of one
+    evaluation.  The value is read-only.
+    """
+    key = (z1.shape, z2.shape, z1.tobytes(), z2.tobytes())
+    memo = ctx._cache.setdefault("last_points", {})
+    hit = memo.get(f)
+    if hit is None or hit[0] != key:
+        hit = memo[f] = (key, f(ctx, z1, z2))
+    return hit[1]
+
+
 def tilde_pZ_t(ctx: KappaContext, basis: SpectralBasis, frm, to, t):
     """Tilted sub-Markov transition density of the conditioned gap pair.
 
     Equal to exp(-alpha0 t) pZ_t(frm, to) G_u(frm) / G_u(to); evaluated
     in a division-free form that stays finite up to the boundary of the
-    square.  The series is truncated at ``truncation(basis, t)``.
+    square.  The series is truncated at ``truncation(basis, t)``.  G_u at
+    ``frm`` and the extension pZ_infty / G_u at ``to`` come from
+    ``_last_points``, the modes at a single ``frm`` from ``_modes_at``:
+    the times of one start point and one output grid evaluate each once.
     """
     if not t > 0.0:
         raise ValueError("tilde_pZ_t requires t > 0")
-    t = float(t)
     fz1, fz2 = _z_arrays(frm)
+    return _tilde(ctx, basis, float(t), (fz1, fz2), to,
+                  _last_points(ctx, _gu, fz1, fz2))
+
+
+def _tilde_pZ_t_grid(ctx: KappaContext, basis: SpectralBasis, z, to, t):
+    """``tilde_pZ_t`` from every point of meshgrid(z, z, indexing="ij") to
+    the point ``to``, with G_u read from its node grid (``_node_grid``):
+    over the nested levels of a quadrature, and over every end point and
+    time, each node pair's G_u is evaluated once per context."""
+    return _tilde(ctx, basis, float(t), np.meshgrid(z, z, indexing="ij"),
+                  to, _node_grid(ctx, _gu, z))
+
+
+def _tilde(ctx: KappaContext, basis: SpectralBasis, t: float, frm, to,
+           gu_f):
+    """The tilted kernel at time t > 0 from the gap points ``frm`` (a pair
+    of float arrays) to ``to``, given G_u at ``frm``."""
+    fz1, fz2 = frm
     tz1, tz2 = _z_arrays(to)
     kern = _series(basis, truncation(basis, t)[0], t, *xy_of_z((fz1, fz2)),
                    *xy_of_z((tz1, tz2)))
-    gu_f = G_u(ctx, (fz1, fz2))
-    ratio_t = _pz_over_gu(ctx, tz1, tz2)
+    ratio_t = _last_points(ctx, _pz_over_gu, tz1, tz2)
     val = (np.exp(-ctx.alpha0 * t) * gu_f
            * kern * ratio_t * (np.pi * ctx.kappa / 8.0))
     return float(val) if np.ndim(val) == 0 else val
 
 
-def pz_over_gu_grid(ctx: KappaContext, z):
-    """_pz_over_gu on meshgrid(z, z, indexing="ij"), from a per-context
-    grid over every distinct node asked for so far.
+def _node_grid(ctx: KappaContext, f, z):
+    """f(ctx, z1, z2) on meshgrid(z, z, indexing="ij"), for f in (_gu,
+    _pz_over_gu), from a per-context grid of f over every distinct node
+    asked for so far.
 
     A call evaluates only the pairs with a new node.  For the nodes of a
     tanh-sinh level that costs nothing after a finer level, since halving
-    the step keeps every node (Takahasi & Mori 1974).  The extension is
-    symmetric in (z1, z2) bit for bit (cos is even), so each new pair is
-    evaluated once and mirrored.  It acts elementwise and hyp_F does not
-    depend on its batch, so every entry has the bits of a direct
-    evaluation.  ``points`` counts the pairs evaluated.
+    the step keeps every node (Takahasi & Mori 1974).  Both functions are
+    symmetric in (z1, z2) bit for bit (products commute and cos is even),
+    so each new pair is evaluated once and mirrored.  They act
+    elementwise and hyp_F does not depend on its batch, so every entry
+    has the bits of a direct evaluation.  ``points`` counts the pairs
+    evaluated.
     """
-    grid = ctx._cache.setdefault(
-        "pz_grid", {"z": np.empty(0), "values": np.empty((0, 0)),
-                    "points": 0})
+    grid = ctx._cache.setdefault("node_grids", {}).setdefault(
+        f, {"z": np.empty(0), "values": np.empty((0, 0)), "points": 0})
     nodes = np.union1d(grid["z"], z)
     if nodes.size > grid["z"].size:
         old = np.isin(nodes, grid["z"], assume_unique=True)
@@ -604,11 +685,17 @@ def pz_over_gu_grid(ctx: KappaContext, z):
         a, b = a[one_side], b[one_side]
         for lo in range(0, a.size, _CHUNK):
             ab, bb = a[lo:lo + _CHUNK], b[lo:lo + _CHUNK]
-            values[ab, bb] = values[bb, ab] = _pz_over_gu(ctx, nodes[ab],
-                                                          nodes[bb])
+            values[ab, bb] = values[bb, ab] = f(ctx, nodes[ab], nodes[bb])
         grid.update(z=nodes, values=values, points=grid["points"] + a.size)
     at = np.searchsorted(grid["z"], z)
     return grid["values"][np.ix_(at, at)]
+
+
+def pz_over_gu_grid(ctx: KappaContext, z):
+    """_pz_over_gu on meshgrid(z, z, indexing="ij"), from the context's
+    node grid of it (``_node_grid``), which every quadrature of Z_constant,
+    the survival mode integrals and the quasi-invariance law reads."""
+    return _node_grid(ctx, _pz_over_gu, z)
 
 
 def Z_constant(ctx: KappaContext) -> float:
@@ -630,9 +717,11 @@ def Z_constant(ctx: KappaContext) -> float:
 
 
 def tilde_pZ_infty(ctx: KappaContext, z):
-    """Stationary density of the conditioned gap pair on (0, pi)^2."""
+    """Stationary density of the conditioned gap pair on (0, pi)^2; the
+    extension at z comes from ``_last_points``, which the ``tilde_pZ_t``
+    times at the same points filled."""
     z1, z2 = _z_arrays(z)
-    val = _pz_over_gu(ctx, z1, z2) / Z_constant(ctx)
+    val = _last_points(ctx, _pz_over_gu, z1, z2) / Z_constant(ctx)
     return float(val) if np.ndim(val) == 0 else val
 
 
@@ -686,6 +775,13 @@ def survival_P2(ctx: KappaContext, basis: SpectralBasis, z0, t):
     ``truncation(basis, t)``.  Returns a value clamped to [0, 1]; 1 at
     t = 0.
 
+    Nothing but the time weights exp(lambda_n t) is evaluated again for
+    another time at the same z0: the truncation is the basis's, the mode
+    integrals are the basis's at the highest level asked, the modes at z0
+    are ``_modes_at``'s at the highest level asked, and G_u(z0) is
+    ``_last_points``'s, each cut to the time's level where it has one.
+    A curve asked from its smallest time up computes each once.
+
     Raises:
         ValueError: if t < 0 or t is NaN.
     """
@@ -700,7 +796,7 @@ def survival_P2(ctx: KappaContext, basis: SpectralBasis, z0, t):
     v0 = _modes_at(basis, n_used, *xy_of_z((z1, z2)))
     lam_modes = _lam_modes(basis, n_used, t)
     total = float(np.dot(lam_modes * v0, ints[:v0.size]))
-    val = np.exp(-ctx.alpha0 * t) * G_u(ctx, (z1, z2)) * total
+    val = np.exp(-ctx.alpha0 * t) * _last_points(ctx, _gu, z1, z2) * total
     return float(min(max(val, 0.0), 1.0))
 
 
@@ -710,7 +806,7 @@ def quadrature_report(ctx: KappaContext, basis: SpectralBasis) -> dict:
     on ctx and basis (None if not run), and the distinct points
     ``pz_over_gu_grid`` evaluated."""
     survival = basis._survival_cache
-    grid = ctx._cache.get("pz_grid")
+    grid = ctx._cache.get("node_grids", {}).get(_pz_over_gu)
     return {"Z_constant": ctx._cache.get("z_constant_quadrature"),
             "survival": None if survival is None else survival["quadrature"],
             "pz_points": 0 if grid is None else grid["points"]}

@@ -140,13 +140,28 @@ class EnsembleState(_StateFields):
 
 
 class _StateColumns(_StateFields):
-    """Struct-of-arrays view of a list of states: each field of
+    """Struct-of-arrays form of a batch of states: each field of
     ``EnsembleState`` as one contiguous float array over the states."""
 
-    def __init__(self, states):
+    def __init__(self, columns: dict):
         for name in EnsembleState.__dataclass_fields__:
-            setattr(self, name, np.array([getattr(state, name)
-                                          for state in states], dtype=float))
+            setattr(self, name, np.ascontiguousarray(columns[name],
+                                                     dtype=float))
+
+    @classmethod
+    def of(cls, states) -> "_StateColumns":
+        """The columns of a list of states."""
+        return cls({name: [getattr(state, name) for state in states]
+                    for name in EnsembleState.__dataclass_fields__})
+
+    def __len__(self) -> int:
+        return self.W1.size
+
+    def states(self) -> list:
+        """The list view: one ``EnsembleState`` per entry, in order."""
+        cols = (getattr(self, name).tolist()
+                for name in EnsembleState.__dataclass_fields__)
+        return [EnsembleState(*row) for row in zip(*cols)]
 
 
 def _check_j(j: int) -> None:
@@ -397,7 +412,8 @@ def _drift_residual(ctx: KappaContext, state: EnsembleState, j: int,
 def drift_residuals(ctx: KappaContext, states) -> np.ndarray:
     """``drift_residual`` at every state, curve j and mode, as an array of
     shape (len(states), 2, 2) indexed [state, j - 1, mode] with modes
-    ordered ("c4", "ch").
+    ordered ("c4", "ch").  ``states`` is a list of ``EnsembleState`` or
+    their columns, as ``_sample_columns`` draws them.
 
     One array pass per (j, mode): ``_drift_residual`` and the helpers
     below it run on ``_StateColumns``, the states as one float array per
@@ -406,9 +422,10 @@ def drift_residuals(ctx: KappaContext, states) -> np.ndarray:
     one vector call over the cross-ratios of all states; ``ode_rhs`` and
     the sine-factor rows are built once per j and read by both modes.
     """
-    cols = _StateColumns(states)
+    cols = (states if isinstance(states, _StateColumns)
+            else _StateColumns.of(states))
     hyp = _hyp_point(ctx, cols, "ch")
-    out = np.empty((len(states), 2, 2))
+    out = np.empty((len(cols), 2, 2))
     for j in (1, 2):
         rows = (ode_rhs(cols, j), _log_sine_sdes(ctx, cols, j))
         for m, mode in enumerate(("c4", "ch")):
@@ -421,46 +438,80 @@ def drift_residuals(ctx: KappaContext, states) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def sample_states(n: int, seed: int) -> list[EnsembleState]:
-    """Well-separated random valid states for drift-cancellation sweeps.
+    """Well-separated random valid states for drift-cancellation sweeps:
+    the list view of ``_sample_columns(n, seed)``.
 
     Angles keep a minimum cyclic gap of 0.1 (clear of the cot2 poles),
     first derivatives lie in [0.2, 0.95], second/third tip derivatives in
     [-2, 2], times in [0.5, 2] with mA in the interior 10-90% of its
     admissible interval; that interior margin keeps small finite-
-    difference evolutions of the state valid.  The uniform draws come in
-    blocks of ``rng.random`` and are used in the order of one
-    ``rng.uniform`` call per value, rejections included.
+    difference evolutions of the state valid.
+    """
+    return _sample_columns(n, seed).states()
+
+
+# A sampling attempt reads 4 uniforms (three cuts, then W1) and is
+# rejected when a cyclic gap falls below 0.1; an accepted one reads 12
+# more, in the order of the fields below.
+_ATTEMPT_DRAWS = 4
+_STATE_DRAWS = 16
+_TAIL_FIELDS = (("t1", 0.5, 2.0), ("t2", 0.5, 2.0), ("mA", 0.1, 0.9),
+                ("W11", 0.2, 0.95), ("W21", 0.2, 0.95),
+                ("W12", -2.0, 2.0), ("W22", -2.0, 2.0),
+                ("W13", -2.0, 2.0), ("W23", -2.0, 2.0),
+                ("V11", 0.2, 0.95), ("V21", 0.2, 0.95),
+                ("Icc", -1.0, 1.0))
+
+
+def _uniform(lo: float, hi: float, u):
+    """What ``Generator.uniform(lo, hi)`` computes from the doubles u."""
+    return lo + (hi - lo) * u
+
+
+def _attempt_angles(u, at):
+    """(W1, V1, W2, V2, accepted) of the attempts starting at the draws
+    ``at`` of u: the three cuts sorted descending set V1, W2, V2 behind
+    W1, and an attempt is accepted when every cyclic gap is at least
+    0.1."""
+    cuts = np.sort(_uniform(0.0, TWO_PI, u[at[:, None] + np.arange(3)]))
+    w1 = _uniform(0.0, TWO_PI, u[at + 3])
+    v1, w2, v2 = (w1 - (TWO_PI - cuts[:, i]) for i in (2, 1, 0))
+    gaps = (w1 - v1, v1 - w2, w2 - v2, v2 - (w1 - TWO_PI))
+    return w1, v1, w2, v2, np.minimum.reduce(gaps) >= 0.1
+
+
+def _sample_columns(n: int, seed: int) -> _StateColumns:
+    """The states of ``sample_states`` as columns, from the doubles of
+    ``np.random.default_rng(seed).random`` in blocks of 17 n.
+
+    The accept flag of an attempt starting at every draw is one array
+    pass; an index walk over the flags then finds the accepted attempts
+    (a rejection moves on 4 draws, an acceptance 16), and each field is
+    one gather and one array expression on their draws.  A draw is read
+    as a loop of one ``rng.uniform`` call per value would read it, with
+    the same operations, so the bits are that loop's.
     """
     rng = np.random.default_rng(seed)
-    # 16 draws per state and about one more per state for the rejections
-    draws = _uniform_draws(rng, 17 * n)
-
-    def uniform(lo, hi):
-        # what ``Generator.uniform(lo, hi)`` computes from its next double
-        return lo + (hi - lo) * next(draws)
-
-    out = []
-    while len(out) < n:
-        cuts = sorted((uniform(0.0, TWO_PI) for _ in range(3)), reverse=True)
-        w1 = uniform(0.0, TWO_PI)
-        v1, w2, v2 = (w1 - (TWO_PI - c) for c in cuts)
-        gaps = (w1 - v1, v1 - w2, w2 - v2, v2 - (w1 - TWO_PI))
-        if min(gaps) < 0.1:
-            continue
-        t1, t2 = uniform(0.5, 2.0), uniform(0.5, 2.0)
-        lo, hi = max(t1, t2), t1 + t2
-        mA = lo + (hi - lo) * uniform(0.1, 0.9)
-        out.append(EnsembleState(
-            W1=w1, V1=v1, W2=w2, V2=v2,
-            W11=uniform(0.2, 0.95), W21=uniform(0.2, 0.95),
-            W12=uniform(-2.0, 2.0), W22=uniform(-2.0, 2.0),
-            W13=uniform(-2.0, 2.0), W23=uniform(-2.0, 2.0),
-            V11=uniform(0.2, 0.95), V21=uniform(0.2, 0.95),
-            mA=mA, Icc=uniform(-1.0, 1.0), t1=t1, t2=t2))
-    return out
-
-
-def _uniform_draws(rng: np.random.Generator, block: int):
-    """The doubles of ``rng.random()`` in order, drawn ``block`` at a time."""
-    while True:
-        yield from rng.random(block).tolist()
+    u = np.empty(0)
+    starts = []
+    pos = 0
+    while len(starts) < n:
+        if pos + _STATE_DRAWS > u.size:
+            # 16 draws per state and about one more per state for the
+            # rejections; consecutive blocks continue one stream
+            u = np.concatenate((u, rng.random(17 * n)))
+            flags = _attempt_angles(
+                u, np.arange(u.size - _ATTEMPT_DRAWS + 1))[-1].tolist()
+        if flags[pos]:
+            starts.append(pos)
+            pos += _STATE_DRAWS
+        else:
+            pos += _ATTEMPT_DRAWS
+    at = np.array(starts, dtype=np.intp)
+    w1, v1, w2, v2, _ = _attempt_angles(u, at)
+    cols = {"W1": w1, "V1": v1, "W2": w2, "V2": v2}
+    for k, (name, lo, hi) in enumerate(_TAIL_FIELDS):
+        cols[name] = _uniform(lo, hi, u[at + _ATTEMPT_DRAWS + k])
+    t_lo = np.maximum(cols["t1"], cols["t2"])
+    cols["mA"] = _uniform(t_lo, cols["t1"] + cols["t2"], cols["mA"])
+    return _StateColumns(cols)

@@ -76,8 +76,12 @@ def importance_log_weight(ctx: KappaContext, t: float, z_start, z_end):
     """
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    return (-ctx.alpha0 * t + np.log(G_u(ctx, z_start))
-            - np.log(G_u(ctx, z_end)))
+    return _log_weight(ctx, t, np.log(G_u(ctx, z_start)), z_end)
+
+
+def _log_weight(ctx: KappaContext, t: float, log_g_start, z_end):
+    """``importance_log_weight`` given log G_u at the start."""
+    return -ctx.alpha0 * t + log_g_start - np.log(G_u(ctx, z_end))
 
 
 @dataclass
@@ -150,7 +154,6 @@ def simulate_z_ensemble(ctx: KappaContext, z0, t_max: float,
                              range(path_start, path_start + n_paths))
     z1 = np.full(n_paths, z0.z1, dtype=float)
     z2 = np.full(n_paths, z0.z2, dtype=float)
-    start1, start2 = z1.copy(), z2.copy()
     alive = np.ones(n_paths, dtype=bool)
     absorb_step = np.full(n_paths, -1, dtype=np.int64)
     m = rec_steps.shape[0]
@@ -160,14 +163,16 @@ def simulate_z_ensemble(ctx: KappaContext, z0, t_max: float,
                       ctx.kappa, dt, rec_steps, rec_z1, rec_z2)
 
     times = rec_steps.astype(float) * dt
+    # log G_u at the start, once per call: every path starts there.  It
+    # goes in as an array, like the ends (numpy's scalar and vector powers
+    # in G_u differ in the last bit), of one element, which has the bits
+    # of each element of a longer one
+    log_g0 = np.log(G_u(ctx, (np.array([z0.z1]), np.array([z0.z2]))))
     log_weight = np.full((m, n_paths), -np.inf)
     for ri in range(m):
         ok = (absorb_step < 0) | (absorb_step > rec_steps[ri])
-        # the start goes in as arrays, like the ends: numpy's scalar and
-        # vector powers in G_u differ in the last bit
-        log_weight[ri, ok] = importance_log_weight(
-            ctx, times[ri], (start1[ok], start2[ok]),
-            (rec_z1[ri, ok], rec_z2[ri, ok]))
+        log_weight[ri, ok] = _log_weight(ctx, times[ri], log_g0,
+                                         (rec_z1[ri, ok], rec_z2[ri, ok]))
     # undo the record-time sort so outputs align with the caller's order
     inverse = np.argsort(order, kind="stable")
     absorb_time = np.where(absorb_step > 0, absorb_step * dt, np.nan)

@@ -13,7 +13,10 @@ No command runs these, so they live with the tests that use them
   entry points to the Ito pairs that :mod:`twocurve.ensemble` assembles
   privately for ``drift_residual``;
 * ``z_drift_diffusion`` -- the coefficients of the SDE that
-  ``_kernels.z_update`` steps (the :mod:`twocurve.timecurve` docstring).
+  ``_kernels.z_update`` steps (the :mod:`twocurve.timecurve` docstring);
+* ``sample_states_loop`` -- the states of ``ensemble.sample_states`` from
+  a rejection loop of one ``rng.uniform`` call per value, the oracle of
+  the column sampler.
 """
 from __future__ import annotations
 
@@ -162,3 +165,42 @@ def z_drift_diffusion(ctx: KappaContext, z1, z2):
     sig1 = np.sqrt(ctx.kappa * np.sin(z1) / S)
     sig2 = np.sqrt(ctx.kappa * np.sin(z2) / S)
     return mu1, mu2, sig1, sig2
+
+
+def sample_states_loop(n: int, seed: int):
+    """(states, rejections): ``ensemble.sample_states(n, seed)`` built one
+    state at a time, each value one ``Generator.uniform`` call on the next
+    double of ``rng.random`` blocks of 17 n, with the number of rejected
+    attempts."""
+    rng = np.random.default_rng(seed)
+
+    def blocks():
+        while True:
+            yield from rng.random(17 * n).tolist()
+
+    draws = blocks()
+
+    def uniform(lo, hi):
+        return lo + (hi - lo) * next(draws)
+
+    two_pi = 2.0 * math.pi
+    out, rejections = [], 0
+    while len(out) < n:
+        cuts = sorted((uniform(0.0, two_pi) for _ in range(3)), reverse=True)
+        w1 = uniform(0.0, two_pi)
+        v1, w2, v2 = (w1 - (two_pi - c) for c in cuts)
+        gaps = (w1 - v1, v1 - w2, w2 - v2, v2 - (w1 - two_pi))
+        if min(gaps) < 0.1:
+            rejections += 1
+            continue
+        t1, t2 = uniform(0.5, 2.0), uniform(0.5, 2.0)
+        lo, hi = max(t1, t2), t1 + t2
+        mA = lo + (hi - lo) * uniform(0.1, 0.9)
+        out.append(EnsembleState(
+            W1=w1, V1=v1, W2=w2, V2=v2,
+            W11=uniform(0.2, 0.95), W21=uniform(0.2, 0.95),
+            W12=uniform(-2.0, 2.0), W22=uniform(-2.0, 2.0),
+            W13=uniform(-2.0, 2.0), W23=uniform(-2.0, 2.0),
+            V11=uniform(0.2, 0.95), V21=uniform(0.2, 0.95),
+            mA=mA, Icc=uniform(-1.0, 1.0), t1=t1, t2=t2))
+    return out, rejections

@@ -127,6 +127,27 @@ def test_injected_F_error_near_one_fails_value_at_one_only(monkeypatch):
         == [("hyp_value_at_one", 3.0), ("hyp_value_at_one", 6.0)]
 
 
+def test_quasi_invariance_evaluates_each_node_pair_once(monkeypatch):
+    # both (point, time) pairs and all their quadrature levels read G_u
+    # from one node grid: each unordered node pair is evaluated once per
+    # context, and a second run on the context evaluates none
+    pairs = []
+    G_u = dens.G_u
+
+    def recorded(ctx, z):
+        z1, z2 = (np.ravel(v).tolist() for v in z)
+        pairs.extend(zip(map(min, z1, z2), map(max, z1, z2)))
+        return G_u(ctx, z)
+
+    monkeypatch.setattr(dens, "G_u", recorded)
+    basis = dens.SpectralBasis(KappaContext(checks.SPECTRAL_KAPPA), 60)
+    first = checks.check_quasi_invariance(basis)
+    assert first.passed and pairs and len(set(pairs)) == len(pairs)
+    evaluated = len(pairs)
+    assert checks.check_quasi_invariance(basis) == first
+    assert len(pairs) == evaluated
+
+
 def test_nan_drift_residual_fails_the_check(monkeypatch):
     drift_residuals = ensemble.drift_residuals
 

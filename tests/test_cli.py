@@ -597,6 +597,48 @@ def test_density_meta_reports_series_truncation(tmp_path):
                           for row in csv.DictReader(fh)}
 
 
+def test_density_evaluates_each_call_invariant_once(tmp_path, monkeypatch):
+    # one default call: G_u at z0 once, the extension pZ_infty / G_u on
+    # the output grid once, the modes at z0 once and each time's
+    # truncation scan once, though three pz_t times, pz_infty and 19
+    # survival times ask for them
+    seen = {"G_u": [], "ratio": [], "modes": [], "scan": []}
+    originals = {name: getattr(dens, name) for name in (
+        "G_u", "_pz_over_gu", "mode_blocks", "_scan_truncation")}
+
+    def G_u(ctx, z):
+        seen["G_u"].append(tuple(np.asarray(v).tobytes() for v in z))
+        return originals["G_u"](ctx, z)
+
+    def pz_over_gu(ctx, z1, z2):
+        seen["ratio"].append((z1.tobytes(), z2.tobytes()))
+        return originals["_pz_over_gu"](ctx, z1, z2)
+
+    def mode_blocks(basis, n_limit, x, y):
+        if np.size(x) == 1:
+            seen["modes"].append((float(x), float(y)))
+        return originals["mode_blocks"](basis, n_limit, x, y)
+
+    def scan(basis, t):
+        seen["scan"].append(t)
+        return originals["_scan_truncation"](basis, t)
+
+    for name, f in (("G_u", G_u), ("_pz_over_gu", pz_over_gu),
+                    ("mode_blocks", mode_blocks),
+                    ("_scan_truncation", scan)):
+        monkeypatch.setattr(dens, name, f)
+    cfg = cli.RunConfig(out_dir=str(tmp_path))
+    assert cli.cmd_density(cfg, out=io.StringIO()) == 0
+    z0 = tuple(np.asarray(v, dtype=float).tobytes() for v in cfg.z0)
+    assert seen["G_u"] == [z0]
+    grid = (np.arange(cfg.grid_n) + 0.5) * math.pi / cfg.grid_n
+    za, zb = (v.ravel() for v in np.meshgrid(grid, grid, indexing="ij"))
+    assert seen["ratio"].count((za.tobytes(), zb.tobytes())) == 1
+    assert len(seen["modes"]) == 1
+    fit_ts = np.linspace(*cfg.fit_window, 17).tolist()
+    assert sorted(seen["scan"]) == sorted(set(cfg.t_list) | set(fit_ts))
+
+
 def test_simulate_path_ranges_add_up(tmp_path):
     # two runs over adjacent --path-start ranges hit exactly the paths that
     # one run over both ranges hits, radius by radius, with the same probe

@@ -373,6 +373,24 @@ class TestModeEvaluator:
                                    rtol=1e-13, atol=0)
 
 
+    def test_modes_at_a_lower_level_are_the_head_of_a_higher_one(self):
+        # the basis answers a lower level at its last point with the head
+        # of the vector it keeps: bit for bit a fresh evaluation there
+        x, y = (np.asarray(v) for v in (0.31, -0.42))
+        basis = dens.SpectralBasis(CTX6, 60)
+        top = dens._modes_at(basis, 60, x, y).copy()
+        for n in (0, 1, 2, 7, 30, 59):
+            fresh = dens._modes_at(dens.SpectralBasis(CTX6, 60), n, x, y)
+            head = dens._modes_at(basis, n, x, y)
+            assert fresh.size == head.size == basis.modes_up_to(n)
+            assert fresh.tobytes() == head.tobytes() \
+                == top[:fresh.size].tobytes()
+        # another point is evaluated afresh
+        other = dens._modes_at(basis, 7, np.asarray(0.1), y)
+        assert other.tobytes() == dens._modes_at(
+            dens.SpectralBasis(CTX6, 7), 7, np.asarray(0.1), y).tobytes()
+
+
 class TestGeneratorApply:
     def test_constant_function(self):
         val = dens.generator_apply(CTX6, lambda x, y: np.ones_like(x),
@@ -723,6 +741,27 @@ class TestPzGrid:
             # and pi ends repeat within a level)
             report = dens.quadrature_report(ctx, dens.SpectralBasis(ctx, 2))
             assert report["pz_points"] == distinct * (distinct + 1) // 2
+
+
+    @pytest.mark.parametrize("kappa", [3.0, 6.0, 7.5])
+    def test_gu_grid_equals_direct_evaluation_in_any_order(self, kappa):
+        # the quasi-invariance kernel reads G_u from the same kind of grid:
+        # each entry has the bits of G_u on the level's meshgrid
+        ctx = KappaContext(kappa)
+        nodes = [np.pi * tanh_sinh_rule(level)[0] for level in (0, 1, 2)]
+        for level in (1, 0, 2, 1):
+            direct = G_u(ctx, np.meshgrid(nodes[level], nodes[level],
+                                          indexing="ij"))
+            got = dens._node_grid(ctx, dens._gu, nodes[level])
+            assert np.array_equal(got.view(np.int64), direct.view(np.int64))
+
+    def test_grid_kernel_equals_tilde_pZ_t_on_the_meshgrid(self):
+        z = np.pi * tanh_sinh_rule(1)[0]
+        mesh = np.meshgrid(z, z, indexing="ij")
+        for bz, t in [((1.4, 1.9), 0.7), ((0.9, 1.2), 1.3)]:
+            got = dens._tilde_pZ_t_grid(CTX6, BASIS6, z, bz, t)
+            want = dens.tilde_pZ_t(KappaContext(6.0), BASIS6, mesh, bz, t)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestQuadraturePins:

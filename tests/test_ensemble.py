@@ -487,6 +487,24 @@ class TestSampleStates:
                 h.update(struct.pack("<d", getattr(st, name)))
         assert h.hexdigest() == digest
 
+    # seeds whose draws reject at least once and run past the first block
+    # of 17 n draws: 1, 5 and 52 rejections
+    @pytest.mark.parametrize("n, seed", [(1, 5), (8, 1), (200, 3)])
+    def test_columns_equal_the_rejection_loop(self, n, seed):
+        states, rejections = ref.sample_states_loop(n, seed)
+        assert rejections >= 1
+        cols = ens._sample_columns(n, seed)
+        assert len(cols) == n
+        for name in ens.EnsembleState.__dataclass_fields__:
+            want = np.array([getattr(st, name) for st in states])
+            assert np.array_equal(getattr(cols, name).view(np.int64),
+                                  want.view(np.int64)), name
+        assert ens.sample_states(n, seed) == states
+        # the array pass reads the columns as it reads the list
+        ctx = KappaContext(6.0)
+        assert ens.drift_residuals(ctx, cols).tobytes() \
+            == ens.drift_residuals(ctx, states).tobytes()
+
     def test_reproducible_and_valid(self):
         a = ens.sample_states(10, seed=5)
         b = ens.sample_states(10, seed=5)

@@ -1146,6 +1146,32 @@ class TestDispatcherArguments:
         np.testing.assert_array_equal(
             out["reached"].sum(axis=1)[out["status"] == 0], 4)
 
+    @pytest.mark.parametrize("kernel", [
+        pytest.param("c", marks=pytest.mark.skipif(
+            not HAS_CC, reason="no C compiler on PATH")),
+        "python"])
+    def test_rejects_negative_max_macros(self, monkeypatch, kernel):
+        # a negative run length used to return every row as a survivor of
+        # a run that took no step (status 0, death_units -1)
+        lib = compiled_lib() if kernel == "c" else None
+        monkeypatch.setattr(_kernels, "_hsle_lib", lambda: lib)
+        n, thr = 2, np.zeros(0, dtype=np.int64)
+        status = np.full(n, 7, dtype=np.uint8)
+        death = np.full(n, -9, dtype=np.int64)
+        for max_macros in (-5, -1):
+            with pytest.raises(ValueError, match="max_macros"):
+                _kernels.hsle_evolve_adaptive(
+                    make_rows(n), np.arange(n, dtype=np.uint64), 0,
+                    max_macros, 6.0, DT, thr, np.zeros((n, 0, 4)),
+                    np.zeros((n, 0), dtype=np.uint8), status, death, BMAX)
+            assert status.tolist() == [7, 7] and death.tolist() == [-9, -9]
+        # a run of no macro step is a run, and every row survives it
+        _kernels.hsle_evolve_adaptive(
+            make_rows(n), np.arange(n, dtype=np.uint64), 0, 0, 6.0, DT, thr,
+            np.zeros((n, 0, 4)), np.zeros((n, 0), dtype=np.uint8), status,
+            death, BMAX)
+        assert status.tolist() == [0, 0] and death.tolist() == [-1, -1]
+
     @pytest.mark.parametrize("name, bad", [
         ("drivers", lambda a: np.asfortranarray(a)),
         ("drivers", lambda a: a.astype(np.float32)),
