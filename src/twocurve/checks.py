@@ -15,7 +15,7 @@ Each check returns a :class:`CheckResult` judged against its entry in
 battery, its semigroup checks at ``SPECTRAL_KAPPA``, and records each
 check's wall seconds on its result.  The
 martingale and eigenfunction checks run as array passes: the drift
-residuals of all sampled states in one pass per curve and mode
+residuals of the sampled batch of states in one pass per curve and mode
 (``ensemble.drift_residuals``), and each mode's generator stencil in one
 call of the mode (``density.generator_apply``); both give the bytes of
 the per-state and per-point evaluations.
@@ -25,13 +25,13 @@ actually detects a wrong exponent (it must make that check fail).
 
 A battery evaluates each quantity that cannot change within it once, on
 the contexts and the one spectral basis that ``run_all_checks`` builds
-for it: the drift states are drawn as columns and read as they are; the
-semigroup checks share the basis's truncations and the modes at their
-single points; and the quasi-invariance check reads the tilted law and
-G_u from the context's node grids (``density._node_grid``), so each
-node pair's G_u is evaluated once over both of its (point, time) pairs
-and all their quadrature levels, and the end point's extension once per
-point (``density._last_points``).
+for it: the drift states are drawn as one batch ``EnsembleState``,
+validated once; the semigroup checks share the basis's truncations and
+the modes at their single points; and the quasi-invariance check reads
+the tilted law and G_u from the context's node grids
+(``density._node_grid``), so each node pair's G_u is evaluated once over
+both of its (point, time) pairs and all their quadrature levels, and the
+end point's extension once per point (``density._last_points``).
 """
 
 from __future__ import annotations
@@ -241,11 +241,8 @@ def check_quasi_invariance(basis: dens.SpectralBasis,
 def check_drift_residual(ctx: KappaContext,
                          n_states: int = 200) -> CheckResult:
     """The analytic drift of each normalized observable vanishes at
-    random states, for both curves and both normalization modes.  The
-    states are drawn as columns (``ensemble._sample_columns``), which
-    the array pass reads as they are."""
-    states = ensemble._sample_columns(n_states,
-                                      seed=20240 + int(10 * ctx.kappa))
+    random states, for both curves and both normalization modes."""
+    states = ensemble.sample_states(n_states, seed=20240 + int(10 * ctx.kappa))
     res = np.abs(ensemble.drift_residuals(ctx, states))
     return CheckResult.from_residual("drift_residual", ctx.kappa,
                                      _worst(res))

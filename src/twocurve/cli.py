@@ -16,14 +16,16 @@ Subcommands
     rerunning a config reproduces the files byte for byte.
 ``simulate``
     Run a Monte Carlo estimator (``z-weighted`` survival, ``curves``
-    two-curve hit probability, or ``intersection``) and append the
-    estimate records to CSV.  Runs are resumable: disjoint
+    two-curve hit probability, or ``intersection``) and write its
+    estimate records to ``estimates.csv``, replacing the file of an
+    earlier run in the same directory.  Runs are resumable: disjoint
     ``path_start`` ranges with the same master seed merge exactly.
 ``fit``
     Fit power laws to hit-probability records from a CSV.
 ``report``
     Aggregate check reports, estimate CSVs and fits from an output
-    directory into ``report.json`` and ``report.md``.
+    directory into ``report.json`` and ``report.md``; with estimate
+    records but no ``fit.json``, fit them and write ``fit.json`` first.
 
 Configuration
 -------------
@@ -118,6 +120,8 @@ _FIELD_TYPES = {f.name: f for f in dataclasses.fields(RunConfig)}
 def _finite(name: str, value) -> float:
     """value as a finite float: every number of a configuration, from a
     flag or from JSON (whose NaN and Infinity parse), passes here."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         value = float(value)
     except (TypeError, ValueError):
@@ -191,6 +195,8 @@ def validate_config(cfg: RunConfig, command: str) -> None:
     kappa and z0 belong to ``KappaContext`` and ``ZState``, those of
     simulate to the estimator's input check; their ValueError becomes a
     ConfigError."""
+    if not cfg.out_dir:
+        raise ConfigError("out_dir must not be empty")
     try:
         KappaContext(cfg.kappa)
         if command == "check":
@@ -540,20 +546,36 @@ def cmd_fit(cfg: RunConfig, input_path: str, out=sys.stdout) -> int:
 # report
 # ---------------------------------------------------------------------------
 
-def _read_sidecar(path: str, keys) -> dict:
+def _read_sidecar(path: str, keys=(), numbers=()) -> dict:
     """The JSON object in ``path``; ConfigError if the file does not parse
-    or is not an object holding every key in ``keys``."""
+    or ``_check_object`` rejects it."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except ValueError as exc:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path} must hold a JSON object")
-    missing = [k for k in keys if k not in data]
+    return _check_object(path, data, keys, numbers)
+
+
+def _check_object(path: str, obj, keys, numbers=()) -> dict:
+    """``obj`` if it is a JSON object holding ``keys``, and numbers (not
+    booleans) under ``numbers``; else ConfigError."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: not a JSON object: {obj!r:.40}")
+    missing = [k for k in (*keys, *numbers) if k not in obj]
     if missing:
         raise ConfigError(f"{path} lacks {', '.join(missing)}")
-    return data
+    if any(type(obj[k]) not in (int, float) for k in numbers):
+        raise ConfigError(f"{path}: {', '.join(numbers)} must be numbers")
+    return obj
+
+
+def _check_objects(path: str, data: dict, key: str, keys,
+                   numbers=()) -> list:
+    """``data[key]`` if it is a list of objects ``_check_object`` accepts."""
+    if not isinstance(data[key], list):
+        raise ConfigError(f"{path}: {key} must be a list of objects")
+    return [_check_object(path, e, keys, numbers) for e in data[key]]
 
 
 def cmd_report(cfg: RunConfig, out=sys.stdout) -> int:
@@ -565,15 +587,14 @@ def cmd_report(cfg: RunConfig, out=sys.stdout) -> int:
     check_path = os.path.join(d, "check_report.json")
     if os.path.exists(check_path):
         check = _read_sidecar(check_path, ("all_passed", "checks"))
-        entries = check["checks"]
-        if not (isinstance(entries, list) and all(
-                isinstance(c, dict) and "name" in c for c in entries)):
-            raise ConfigError(f"{check_path}: checks must be a list of "
-                              "objects with a name")
+        if not isinstance(check["all_passed"], bool):
+            raise ConfigError(f"{check_path}: all_passed must be a boolean")
+        entries = _check_objects(check_path, check, "checks", ("name",))
         report["checks"] = {
             "all_passed": check["all_passed"],
             "n_checks": len(entries),
-            "failed": [c["name"] for c in entries if not c.get("passed")],
+            "failed": [c["name"] for c in entries
+                       if c.get("passed") is not True],
         }
         lines += [f"* verification: "
                   f"{'all passed' if check['all_passed'] else 'FAILED'}"
@@ -582,7 +603,7 @@ def cmd_report(cfg: RunConfig, out=sys.stdout) -> int:
     dens_path = os.path.join(d, "density_meta.json")
     if os.path.exists(dens_path):
         keys = ("Z_constant", "survival_slope", "alpha0")
-        dmeta = _read_sidecar(dens_path, keys)
+        dmeta = _read_sidecar(dens_path, numbers=keys)
         report["density"] = {k: dmeta[k] for k in keys}
         lines += [f"* survival slope {dmeta['survival_slope']:.6f} "
                   f"(target {-dmeta['alpha0']:.6f}), "
@@ -592,12 +613,9 @@ def cmd_report(cfg: RunConfig, out=sys.stdout) -> int:
     records = []
     if os.path.exists(est_path):
         records = read_records_csv(est_path)
-        report["estimates"] = {
-            "n_records": len(records),
-            "methods": sorted({r["method"] for r in records}),
-        }
-        lines += [f"* {len(records)} estimate records "
-                  f"({', '.join(sorted({r['method'] for r in records}))})"]
+        methods = sorted({r["method"] for r in records})
+        report["estimates"] = {"n_records": len(records), "methods": methods}
+        lines += [f"* {len(records)} estimate records ({', '.join(methods)})"]
         lines += ["", "| method | r_or_t | dt | estimate | stderr | flags |",
                   "|---|---|---|---|---|---|"]
         for r in records:
@@ -609,6 +627,8 @@ def cmd_report(cfg: RunConfig, out=sys.stdout) -> int:
     fit_path = os.path.join(d, "fit.json")
     if os.path.exists(fit_path):
         fit = _read_sidecar(fit_path, ("fits",))
+        _check_objects(fit_path, fit, "fits", ("method",),
+                       ("exponent", "exponent_stderr", "alpha0"))
     elif records:
         fit = fit_records(records)
         _write_json(fit_path, fit)

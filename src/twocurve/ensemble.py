@@ -23,13 +23,14 @@ marginals are hypergeometric SLE.  Both must be local martingales when
 grown in one time with the other frozen; ``drift_residual`` verifies this
 by assembling the Ito drift of log M from the component SDEs and adding
 (kappa/2) times the squared displayed martingale coefficient, which
-vanishes identically in exact arithmetic.  ``drift_residuals`` evaluates
-it over a list of states in one array pass per curve and mode: the same
-private helpers run on a struct-of-arrays view of the states
-(``_StateColumns``, one float array per field) with one vector call of
-F.  No command evaluates log M, Phi_j or the coefficient alone, so
-``log_M_iB_c4``, ``log_M_iB_ch``, ``phi`` and ``martingale_coefficient``
-(with ``_log_sines`` and ``_log_first_derivs``) are test references.
+vanishes identically in exact arithmetic.  An ``EnsembleState`` holds
+one state (float fields) or a batch (one float array per field, as
+``sample_states`` draws it); the algebra acts elementwise on either, and
+``drift_residuals`` evaluates a batch in one array pass per curve and
+mode with one vector call of F.  No command evaluates log M, Phi_j or
+the coefficient alone, so ``log_M_iB_c4``, ``log_M_iB_ch``, ``phi`` and
+``martingale_coefficient`` (with ``_log_sines`` and
+``_log_first_derivs``) are test references.
 
 SDE convention: growth in t_j with t_k frozen; the driving increment
 ``d w_j`` has quadratic variation kappa * dt, so a log-quantity with
@@ -62,41 +63,18 @@ _R_PAIRS = ((("W1", "V2"), 1.0), (("V1", "W2"), 1.0),
             (("W1", "W2"), -1.0), (("V1", "V2"), -1.0))
 
 
-class _StateFields:
-    """Labelled access to the fields ``W1`` ... ``t2``, read the same way
-    from one ``EnsembleState`` (floats) and from ``_StateColumns``
-    (arrays).  The martingale algebra squares by multiplication, never
-    ``** 2``: libm's ``pow(x, 2.0)``, which floats and numpy scalars
-    call, can round apart from ``x * x``, which arrays compute."""
-
-    def angle(self, label: str):
-        if label not in _ANGLE_LABELS:
-            raise ValueError(f"unknown angle label {label!r}")
-        return getattr(self, label)
-
-    def tip_deriv(self, j: int, order: int):
-        """W_{j,order} for order in 1..3."""
-        _check_j(j)
-        if order not in (1, 2, 3):
-            raise ValueError(f"derivative order must be 1..3, got {order}")
-        return getattr(self, f"W{j}{order}")
-
-    def w_S(self, j: int):
-        """Schwarzian combination W_{j,3}/W_{j,1} - (3/2)(W_{j,2}/W_{j,1})^2."""
-        _check_j(j)
-        w1 = self.tip_deriv(j, 1)
-        r = self.tip_deriv(j, 2) / w1
-        return self.tip_deriv(j, 3) / w1 - 1.5 * (r * r)
-
-
 @dataclass(frozen=True)
-class EnsembleState(_StateFields):
-    """Snapshot of the commuting two-curve system at one time pair.
+class EnsembleState:
+    """Snapshot of the commuting two-curve system at one time pair (float
+    fields), or a batch of them (float arrays of one shape).
 
     ``Wj2, Wj3`` may take arbitrary real values (they are read off a
     conformal map in the exact dynamics but enter the martingale algebra
     as free inputs); all other fields satisfy the domain invariants
-    checked at construction.
+    checked at construction, at every state of a batch.  The algebra
+    acts elementwise and squares by multiplication, never ``** 2``:
+    libm's ``pow(x, 2.0)``, which floats and numpy scalars call, can
+    round apart from ``x * x``, which arrays compute.
     """
 
     W1: float
@@ -117,51 +95,47 @@ class EnsembleState(_StateFields):
     t2: float = 0.0
 
     def __post_init__(self):
+        shapes = set()
         for name in self.__dataclass_fields__:
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not (self.W1 > self.V1 > self.W2 > self.V2 > self.W1 - TWO_PI):
-            raise ValueError(
-                "angle ordering W1 > V1 > W2 > V2 > W1 - 2*pi violated: "
-                f"({self.W1}, {self.V1}, {self.W2}, {self.V2})")
-        for name in ("W11", "W21"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {v}")
-        for name in ("V11", "V21"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.t1 < 0.0 or self.t2 < 0.0:
-            raise ValueError("capacity times must be nonnegative")
-        lo = max(self.t1, self.t2)
-        hi = self.t1 + self.t2
-        if not (lo - 1e-9 <= self.mA <= hi + 1e-9):
-            raise ValueError(
-                f"joint capacity mA={self.mA} outside [{lo}, {hi}]")
+            v = np.asarray(getattr(self, name), dtype=float)
+            shapes.add(v.shape)
+            object.__setattr__(self, name, float(v) if v.ndim == 0 else v)
+        if len(shapes) > 1:
+            raise ValueError(f"fields of more than one shape: {shapes}")
+        W1, V1, W2, V2 = (getattr(self, a) for a in _ANGLE_LABELS)
+        t_lo, t_hi = np.maximum(self.t1, self.t2), self.t1 + self.t2
+        for ok, rule in (
+                ((W1 > V1) & (V1 > W2) & (W2 > V2) & (V2 > W1 - TWO_PI),
+                 "angle ordering W1 > V1 > W2 > V2 > W1 - 2*pi"),
+                ((0.0 < self.W11) & (self.W11 <= 1.0), "W11 in (0, 1]"),
+                ((0.0 < self.W21) & (self.W21 <= 1.0), "W21 in (0, 1]"),
+                (self.V11 > 0.0, "V11 > 0"), (self.V21 > 0.0, "V21 > 0"),
+                ((self.t1 >= 0.0) & (self.t2 >= 0.0),
+                 "capacity times t1, t2 nonnegative"),
+                ((t_lo - 1e-9 <= self.mA) & (self.mA <= t_hi + 1e-9),
+                 "joint capacity mA in [max(t1, t2), t1 + t2]")):
+            ok = np.asarray(ok)
+            if not ok.all():
+                at = f" at state {np.argmin(ok)}" if ok.ndim else ""
+                raise ValueError(f"{rule} violated{at}")
 
+    def angle(self, label: str):
+        if label not in _ANGLE_LABELS:
+            raise ValueError(f"unknown angle label {label!r}")
+        return getattr(self, label)
 
-class _StateColumns(_StateFields):
-    """Struct-of-arrays form of a batch of states: each field of
-    ``EnsembleState`` as one contiguous float array over the states."""
+    def tip_deriv(self, j: int, order: int):
+        """W_{j,order} for order in 1..3."""
+        _check_j(j)
+        if order not in (1, 2, 3):
+            raise ValueError(f"derivative order must be 1..3, got {order}")
+        return getattr(self, f"W{j}{order}")
 
-    def __init__(self, columns: dict):
-        for name in EnsembleState.__dataclass_fields__:
-            setattr(self, name, np.ascontiguousarray(columns[name],
-                                                     dtype=float))
-
-    @classmethod
-    def of(cls, states) -> "_StateColumns":
-        """The columns of a list of states."""
-        return cls({name: [getattr(state, name) for state in states]
-                    for name in EnsembleState.__dataclass_fields__})
-
-    def __len__(self) -> int:
-        return self.W1.size
-
-    def states(self) -> list:
-        """The list view: one ``EnsembleState`` per entry, in order."""
-        cols = (getattr(self, name).tolist()
-                for name in EnsembleState.__dataclass_fields__)
-        return [EnsembleState(*row) for row in zip(*cols)]
+    def w_S(self, j: int):
+        """Schwarzian combination W_{j,3}/W_{j,1} - (3/2)(W_{j,2}/W_{j,1})^2."""
+        w1 = self.tip_deriv(j, 1)
+        r = self.tip_deriv(j, 2) / w1
+        return self.tip_deriv(j, 3) / w1 - 1.5 * (r * r)
 
 
 def _check_j(j: int) -> None:
@@ -322,26 +296,18 @@ def _log_cross_ratio_sde(log_sines: dict) -> tuple[float, float]:
     return sigma, mu
 
 
-def _hyp_log_derivs(ctx: KappaContext, R: float, F: float,
-                    Fp: float) -> tuple[float, float]:
-    """H = d log Ftilde / d log R and its R-derivative H'.
-
-    Ftilde(R) = R^{2/k} F(R), so H = 2/k + R F'/F and
-    H' = F'/F + R F''/F - R (F'/F)^2 with F'' from the hypergeometric
-    ODE x(1-x) F'' + [c - (a+b+1)x] F' - ab F = 0.
-    """
+def _hyp_factor_sde(ctx: KappaContext, hyp,
+                    log_sines: dict) -> tuple[float, float]:
+    """Ratio-form pair of Ftilde(R) = R^{2/k} F(R) from the log-form pair
+    of R, with H = d log Ftilde / d log R = 2/k + R F'/F and its
+    R-derivative H' = F'/F + R F''/F - R (F'/F)^2, F'' from the
+    hypergeometric ODE x(1-x) F'' + [c - (a+b+1)x] F' - ab F = 0."""
+    R, F, Fp = hyp
     a, b, c = ctx.hyp_a, ctx.hyp_b, ctx.hyp_c
     Fpp = (a * b * F - (c - (a + b + 1.0) * R) * Fp) / (R * (1.0 - R))
     lp = Fp / F
     H = 2.0 / ctx.kappa + R * lp
     Hp = lp + R * Fpp / F - R * lp * lp
-    return H, Hp
-
-
-def _hyp_factor_sde(ctx: KappaContext, hyp,
-                    log_sines: dict) -> tuple[float, float]:
-    R, F, Fp = hyp
-    H, Hp = _hyp_log_derivs(ctx, R, F, Fp)
     s_lr, m_lr = _log_cross_ratio_sde(log_sines)
     sigma = H * s_lr
     mu = H * m_lr + 0.5 * ctx.kappa * s_lr * s_lr * R * Hp
@@ -388,18 +354,19 @@ def _log_M_sde(ctx: KappaContext, state: EnsembleState, j: int, mode: str,
 
 
 def drift_residual(ctx: KappaContext, state: EnsembleState, j: int,
-                   mode: str) -> float:
+                   mode: str):
     """Ito drift of log M plus (kappa/2) times the squared displayed
     martingale coefficient; identically zero iff M is a local martingale.
+    A float for one state, an array of the batch's shape for a batch.
 
     In mode "ch" both terms read F and F' at the cross-ratio R; they are
     evaluated once per call and shared.
     """
     _check_j(j)
     _check_mode(mode)
-    return float(_drift_residual(
-        ctx, state, j, mode, _hyp_point(ctx, state, mode),
-        ode_rhs(state, j), _log_sine_sdes(ctx, state, j)))
+    res = _drift_residual(ctx, state, j, mode, _hyp_point(ctx, state, mode),
+                          ode_rhs(state, j), _log_sine_sdes(ctx, state, j))
+    return float(res) if np.ndim(res) == 0 else res
 
 
 def _drift_residual(ctx: KappaContext, state: EnsembleState, j: int,
@@ -409,46 +376,25 @@ def _drift_residual(ctx: KappaContext, state: EnsembleState, j: int,
     return mu + 0.5 * ctx.kappa * s_disp * s_disp
 
 
-def drift_residuals(ctx: KappaContext, states) -> np.ndarray:
-    """``drift_residual`` at every state, curve j and mode, as an array of
-    shape (len(states), 2, 2) indexed [state, j - 1, mode] with modes
-    ordered ("c4", "ch").  ``states`` is a list of ``EnsembleState`` or
-    their columns, as ``_sample_columns`` draws them.
-
-    One array pass per (j, mode): ``_drift_residual`` and the helpers
-    below it run on ``_StateColumns``, the states as one float array per
-    field, and every operation acts elementwise, so each entry equals the
-    per-state ``drift_residual`` bit for bit.  F and F' are evaluated in
-    one vector call over the cross-ratios of all states; ``ode_rhs`` and
-    the sine-factor rows are built once per j and read by both modes.
-    """
-    cols = (states if isinstance(states, _StateColumns)
-            else _StateColumns.of(states))
-    hyp = _hyp_point(ctx, cols, "ch")
-    out = np.empty((len(cols), 2, 2))
+def drift_residuals(ctx: KappaContext, states: EnsembleState) -> np.ndarray:
+    """``drift_residual`` at every state of a batch, curve j and mode, as
+    an array of shape batch + (2, 2) indexed [..., j - 1, mode] with modes
+    ordered ("c4", "ch"); each entry is the per-state value bit for bit.
+    F and F' are evaluated in one vector call over all states, and
+    ``ode_rhs`` and the sine-factor rows once per j for both modes."""
+    hyp = _hyp_point(ctx, states, "ch")
+    out = np.empty(np.shape(states.W1) + (2, 2))
     for j in (1, 2):
-        rows = (ode_rhs(cols, j), _log_sine_sdes(ctx, cols, j))
+        rows = (ode_rhs(states, j), _log_sine_sdes(ctx, states, j))
         for m, mode in enumerate(("c4", "ch")):
-            out[:, j - 1, m] = _drift_residual(ctx, cols, j, mode, hyp, *rows)
+            out[..., j - 1, m] = _drift_residual(ctx, states, j, mode, hyp,
+                                                 *rows)
     return out
 
 
 # ---------------------------------------------------------------------------
 # random states for verification sweeps
 # ---------------------------------------------------------------------------
-
-def sample_states(n: int, seed: int) -> list[EnsembleState]:
-    """Well-separated random valid states for drift-cancellation sweeps:
-    the list view of ``_sample_columns(n, seed)``.
-
-    Angles keep a minimum cyclic gap of 0.1 (clear of the cot2 poles),
-    first derivatives lie in [0.2, 0.95], second/third tip derivatives in
-    [-2, 2], times in [0.5, 2] with mA in the interior 10-90% of its
-    admissible interval; that interior margin keeps small finite-
-    difference evolutions of the state valid.
-    """
-    return _sample_columns(n, seed).states()
-
 
 # A sampling attempt reads 4 uniforms (three cuts, then W1) and is
 # rejected when a cyclic gap falls below 0.1; an accepted one reads 12
@@ -480,9 +426,16 @@ def _attempt_angles(u, at):
     return w1, v1, w2, v2, np.minimum.reduce(gaps) >= 0.1
 
 
-def _sample_columns(n: int, seed: int) -> _StateColumns:
-    """The states of ``sample_states`` as columns, from the doubles of
+def sample_states(n: int, seed: int) -> EnsembleState:
+    """A batch of n well-separated random valid states for drift-
+    cancellation sweeps, from the doubles of
     ``np.random.default_rng(seed).random`` in blocks of 17 n.
+
+    Angles keep a minimum cyclic gap of 0.1 (clear of the cot2 poles),
+    first derivatives lie in [0.2, 0.95], second/third tip derivatives in
+    [-2, 2], times in [0.5, 2] with mA in the interior 10-90% of its
+    admissible interval; that interior margin keeps small finite-
+    difference evolutions of the state valid.
 
     The accept flag of an attempt starting at every draw is one array
     pass; an index walk over the flags then finds the accepted attempts
@@ -509,9 +462,9 @@ def _sample_columns(n: int, seed: int) -> _StateColumns:
             pos += _ATTEMPT_DRAWS
     at = np.array(starts, dtype=np.intp)
     w1, v1, w2, v2, _ = _attempt_angles(u, at)
-    cols = {"W1": w1, "V1": v1, "W2": w2, "V2": v2}
+    fields = {"W1": w1, "V1": v1, "W2": w2, "V2": v2}
     for k, (name, lo, hi) in enumerate(_TAIL_FIELDS):
-        cols[name] = _uniform(lo, hi, u[at + _ATTEMPT_DRAWS + k])
-    t_lo = np.maximum(cols["t1"], cols["t2"])
-    cols["mA"] = _uniform(t_lo, cols["t1"] + cols["t2"], cols["mA"])
-    return _StateColumns(cols)
+        fields[name] = _uniform(lo, hi, u[at + _ATTEMPT_DRAWS + k])
+    t_lo = np.maximum(fields["t1"], fields["t2"])
+    fields["mA"] = _uniform(t_lo, fields["t1"] + fields["t2"], fields["mA"])
+    return EnsembleState(**fields)

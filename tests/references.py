@@ -14,9 +14,11 @@ No command runs these, so they live with the tests that use them
   privately for ``drift_residual``;
 * ``z_drift_diffusion`` -- the coefficients of the SDE that
   ``_kernels.z_update`` steps (the :mod:`twocurve.timecurve` docstring);
+* ``rows`` and ``stack`` -- the list of single states of a batch
+  ``EnsembleState``, and the batch of a list of states;
 * ``sample_states_loop`` -- the states of ``ensemble.sample_states`` from
   a rejection loop of one ``rng.uniform`` call per value, the oracle of
-  the column sampler.
+  the array sampler.
 """
 from __future__ import annotations
 
@@ -40,6 +42,21 @@ def fresh_state(w1: float, v1: float, w2: float, v2: float) -> EnsembleState:
     return EnsembleState(W1=w1, V1=v1, W2=w2, V2=v2,
                          W11=1.0, W21=1.0, W12=0.0, W22=0.0,
                          W13=0.0, W23=0.0, V11=1.0, V21=1.0)
+
+
+def rows(batch: EnsembleState) -> list:
+    """One ``EnsembleState`` per state of a one-dimensional batch, in
+    order."""
+    fields = (getattr(batch, name).tolist()
+              for name in EnsembleState.__dataclass_fields__)
+    return [EnsembleState(*row) for row in zip(*fields)]
+
+
+def stack(states) -> EnsembleState:
+    """The batch of a list of single states."""
+    return EnsembleState(**{
+        name: np.array([getattr(st, name) for st in states])
+        for name in EnsembleState.__dataclass_fields__})
 
 
 def state_config(state: EnsembleState) -> BoundaryConfig:

@@ -12,6 +12,8 @@ from twocurve import density as dens
 from twocurve.cli import main
 from twocurve.context import KappaContext
 
+import references as ref
+
 ARGV = ["check", "--kappas", "6", "--n-drift-states", "20"]
 CHECK_NAMES = {"hyp_ode_residual", "hyp_value_at_one", "basis_orthonormality",
                "drift_residual", "eigenfunction_residual",
@@ -95,7 +97,7 @@ def test_drift_battery_equals_per_state_drift_residual(kappa):
     states = ensemble.sample_states(200, seed=20240 + int(10 * kappa))
     per_state = np.array([[[ensemble.drift_residual(ctx, st, j, mode)
                             for mode in ("c4", "ch")] for j in (1, 2)]
-                          for st in states])
+                          for st in ref.rows(states)])
     assert np.array_equal(ensemble.drift_residuals(ctx, states), per_state)
     result = checks.check_drift_residual(KappaContext(kappa))
     assert result.residual == np.max(np.abs(per_state))

@@ -337,6 +337,12 @@ def test_rejected_simulate_inputs_raise_in_the_estimator(argv, monkeypatch):
     ("simulate", {"out_dir": 5}),
     ("density", {"out_dir": None}),
     ("check", {"out_dir": ["out"]}),
+    ("simulate", {"out_dir": ""}),
+    # booleans are not numbers either
+    ("check", {"kappa": True}),
+    ("simulate", {"method": "z-weighted", "dt": True}),
+    ("density", {"t_list": [True, 2.0]}),
+    ("check", {"kappas": [True, 6.0]}),
 ], ids=["negative_fit_window", "unknown_tolerance", "json_curves_nan_dt",
         "json_infinite_n_paths", "json_dt_halving_string",
         "json_fractional_n_paths", "json_boolean_n_paths",
@@ -344,7 +350,9 @@ def test_rejected_simulate_inputs_raise_in_the_estimator(argv, monkeypatch):
         "json_fractional_grid_n", "json_boolean_path_start",
         "json_fractional_n_drift_states", "json_numeric_method",
         "json_list_method", "json_numeric_out_dir", "json_null_out_dir",
-        "json_list_out_dir"])
+        "json_list_out_dir", "json_empty_out_dir", "json_boolean_kappa",
+        "json_boolean_dt", "json_boolean_t_list_entry",
+        "json_boolean_kappas_entry"])
 def test_rejected_config_file_exits_2(command, config, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -354,6 +362,19 @@ def test_rejected_config_file_exits_2(command, config, tmp_path, capsys):
     assert main([command, "--config", str(path), *flags]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_simulate_with_empty_out_dir_exits_2_before_running(monkeypatch,
+                                                             capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran with an empty out_dir")
+
+    monkeypatch.setattr(cli, "_run_estimator", forbidden)
+    assert main(["simulate", "--n-paths", "10", "--master-seed", "1",
+                 "--out-dir", ""]) == 2
+    captured = capsys.readouterr()
+    assert "out_dir must not be empty" in captured.err
+    assert captured.out == ""  # no seed printed: nothing ran
 
 
 def test_every_config_field_type_is_coerced():
@@ -829,6 +850,35 @@ def test_report_of_density_meta_without_slope_exits_2(tmp_path, capsys):
         json.dumps({"Z_constant": 1.0, "alpha0": 2.0}), encoding="utf-8")
     assert main(["report", "--out-dir", str(tmp_path)]) == 2
     assert "lacks survival_slope" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, payload, message", [
+    ("fit.json", {"fits": [{"method": "x"}]},
+     "lacks exponent, exponent_stderr, alpha0"),
+    ("fit.json", {"fits": 3}, "fits must be a list of objects"),
+    ("density_meta.json", {"Z_constant": "1.0", "survival_slope": -1.0,
+                           "alpha0": 1.0}, "must be numbers"),
+    ("check_report.json", {"all_passed": "false", "checks": []},
+     "all_passed must be a boolean"),
+], ids=["fit_entry_without_exponent", "fits_not_a_list",
+        "density_constant_a_string", "check_all_passed_a_string"])
+def test_report_of_sidecar_with_values_of_the_wrong_type_exits_2(
+        name, payload, message, tmp_path, capsys):
+    (tmp_path / name).write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["report", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and message in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_report_counts_a_check_as_passed_only_when_passed_is_true(tmp_path):
+    (tmp_path / "check_report.json").write_text(json.dumps({
+        "all_passed": False, "checks": [
+            {"name": "a", "passed": True}, {"name": "b", "passed": "true"},
+            {"name": "c", "passed": 1}, {"name": "d"}]}), encoding="utf-8")
+    assert main(["report", "--out-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "report.json", encoding="utf-8") as fh:
+        assert json.load(fh)["checks"]["failed"] == ["b", "c", "d"]
 
 
 def test_python_m_twocurve_runs_the_cli(tmp_path):

@@ -104,6 +104,28 @@ class TestEnsembleState:
         ok = replace(st, t1=1.0, t2=1.0, mA=1.5)  # interior is fine
         assert ok.mA == 1.5
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("V1", 10.0, "ordering"), ("W11", 1.2, "W11"), ("W21", 0.0, "W21"),
+        ("V11", -0.5, "V11"), ("V21", 0.0, "V21"),
+        ("t1", -0.1, "nonnegative"), ("t2", -0.1, "nonnegative"),
+        ("mA", 0.1, "mA"), ("mA", 4.5, "mA")])
+    def test_batch_with_one_invalid_state_rejected(self, field, value,
+                                                   match):
+        # each invariant holds at every state of a batch: one bad entry
+        # among valid ones is named by its index
+        batch = ens.sample_states(8, seed=5)
+        column = getattr(batch, field).copy()
+        column[3] = value
+        with pytest.raises(ValueError, match=f"{match}.* at state 3"):
+            replace(batch, **{field: column})
+
+    def test_fields_of_two_shapes_rejected(self):
+        batch = ens.sample_states(4, seed=5)
+        with pytest.raises(ValueError, match="shape"):
+            replace(batch, Icc=0.0)
+        with pytest.raises(ValueError, match="shape"):
+            replace(batch, t2=batch.t2[:3])
+
     def test_label_checks(self):
         st = ref.fresh_state(*SYM)
         with pytest.raises(ValueError):
@@ -141,7 +163,7 @@ class TestOdeRhs:
 
     def test_passive_log_derivative_always_negative(self):
         # cot2' < 0 everywhere, so every passive first derivative decays.
-        for st in ens.sample_states(50, seed=7):
+        for st in ref.rows(ens.sample_states(50, seed=7)):
             for j in (1, 2):
                 rhs = ens.ode_rhs(st, j)
                 assert rhs["ln_W1_passive"] < 0.0
@@ -149,7 +171,7 @@ class TestOdeRhs:
                 assert rhs["ln_V21"] < 0.0
 
     def test_component_formulas(self):
-        st = ens.sample_states(3, seed=13)[2]
+        st = ref.rows(ens.sample_states(3, seed=13))[2]
         for j in (1, 2):
             k = 3 - j
             wj = st.angle(f"W{j}")
@@ -176,13 +198,13 @@ class TestCrossRatioAndPhi:
                                                                  abs=1e-15)
 
     def test_range(self):
-        for st in ens.sample_states(100, seed=3):
+        for st in ref.rows(ens.sample_states(100, seed=3)):
             R = green.cross_ratio_of_config(ref.state_config(st))
             assert 0.0 < R < 1.0
 
     def test_complement_identity(self):
         # 1 - R factors over the complementary sine pairs.
-        for st in ens.sample_states(50, seed=5):
+        for st in ref.rows(ens.sample_states(50, seed=5)):
             R = green.cross_ratio_of_config(ref.state_config(st))
             for j in (1, 2):
                 k = 3 - j
@@ -194,7 +216,7 @@ class TestCrossRatioAndPhi:
 
     def test_phi_ratio_identity(self):
         # R Phi_j / (1 - R) telescopes to a two-term cot2 difference.
-        for st in ens.sample_states(50, seed=9):
+        for st in ref.rows(ens.sample_states(50, seed=9)):
             R = green.cross_ratio_of_config(ref.state_config(st))
             for j in (1, 2):
                 k = 3 - j
@@ -205,7 +227,7 @@ class TestCrossRatioAndPhi:
                                             abs=1e-12)
 
     def test_phi_product_form(self):
-        for st in ens.sample_states(20, seed=11):
+        for st in ref.rows(ens.sample_states(20, seed=11)):
             for j in (1, 2):
                 k = 3 - j
                 wj = st.angle(f"W{j}")
@@ -249,7 +271,7 @@ class TestLogDensities:
         delta = 0.125
         for ctx in (CTX3, CTX6):
             kap = ctx.kappa
-            for st in ens.sample_states(5, seed=21):
+            for st in ref.rows(ens.sample_states(5, seed=21)):
                 if st.mA + delta > st.t1 + st.t2:
                     st = replace(st, mA=max(st.t1, st.t2))
                 bumped = replace(st, mA=st.mA + delta)
@@ -266,14 +288,14 @@ class TestLogDensities:
         # boundary Green's function; exact because the sine products and
         # hypergeometric factor reorganize into G.
         for ctx in (CTX3, CTX6, KappaContext(7.5)):
-            for st in ens.sample_states(20, seed=31):
+            for st in ref.rows(ens.sample_states(20, seed=31)):
                 cfg = green.BoundaryConfig(st.W1, st.V1, st.W2, st.V2)
                 lhs = ref.log_M_iB_ch(ctx, st) - ref.log_M_iB_c4(ctx, st)
                 rhs = -ctx.alpha0 * st.mA - math.log(green.G_quad(ctx, cfg))
                 assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_densities_finite(self):
-        for st in ens.sample_states(50, seed=41):
+        for st in ref.rows(ens.sample_states(50, seed=41)):
             for ctx in (CTX3, CTX6):
                 assert math.isfinite(ref.log_M_iB_c4(ctx, st))
                 assert math.isfinite(ref.log_M_iB_ch(ctx, st))
@@ -285,7 +307,7 @@ class TestSdeAssembly:
     def test_passive_sine_pair_drift(self):
         # For a pair not containing the growing tip the sine ratio is a
         # pure drift: -(1/2) W_{j,1}^2 [1 + cot2(Wj-P) cot2(Wj-Q)].
-        for st in ens.sample_states(30, seed=51):
+        for st in ref.rows(ens.sample_states(30, seed=51)):
             for j, pairs in ((1, (("W2", "V1"), ("W2", "V2"))),
                              (2, (("W1", "V1"), ("W1", "V2")))):
                 wj = st.angle(f"W{j}")
@@ -298,7 +320,7 @@ class TestSdeAssembly:
                     assert mu == pytest.approx(expect, abs=1e-10)
 
     def test_passive_v_pair_drift(self):
-        for st in ens.sample_states(30, seed=53):
+        for st in ref.rows(ens.sample_states(30, seed=53)):
             for j in (1, 2):
                 k = 3 - j
                 wj = st.angle(f"W{j}")
@@ -313,7 +335,7 @@ class TestSdeAssembly:
     def test_cross_ratio_sde_matches_display(self):
         for kap in KAPPAS:
             ctx = KappaContext(kap)
-            for st in ens.sample_states(10, seed=int(kap * 10) + 61):
+            for st in ref.rows(ens.sample_states(10, seed=int(kap * 10) + 61)):
                 for j in (1, 2):
                     k = 3 - j
                     wj = st.angle(f"W{j}")
@@ -338,7 +360,7 @@ class TestSdeAssembly:
         # that into Gtilde(R) and Phi_j^2.  Agreement checks the folding.
         for kap in KAPPAS:
             ctx = KappaContext(kap)
-            for st in ens.sample_states(10, seed=int(kap * 10) + 71):
+            for st in ref.rows(ens.sample_states(10, seed=int(kap * 10) + 71)):
                 R = green.cross_ratio_of_config(ref.state_config(st))
                 Gt = hyp_tilde_G(ctx, R)
                 for j in (1, 2):
@@ -359,7 +381,7 @@ class TestSdeAssembly:
     def test_assembled_noise_equals_displayed_coefficient(self):
         for kap in KAPPAS:
             ctx = KappaContext(kap)
-            for st in ens.sample_states(20, seed=int(kap * 10) + 81):
+            for st in ref.rows(ens.sample_states(20, seed=int(kap * 10) + 81)):
                 for j in (1, 2):
                     for mode in ("c4", "ch"):
                         sig, _ = ref.log_M_sde(ctx, st, j, mode)
@@ -389,7 +411,7 @@ class TestDriftResidual:
     @pytest.mark.parametrize("kap, coef, mu, res", PINNED)
     def test_ch_terms_pinned_bits(self, kap, coef, mu, res):
         ctx = KappaContext(kap)
-        st = ens.sample_states(8, seed=20240 + int(10 * kap))
+        st = ref.rows(ens.sample_states(8, seed=20240 + int(10 * kap)))
         assert ref.martingale_coefficient(ctx, st[0], 2, "ch") \
             == float.fromhex(coef)
         assert ref.log_M_sde(ctx, st[0], 1, "ch")[1] == float.fromhex(mu)
@@ -401,10 +423,31 @@ class TestDriftResidual:
         # csc2(V1 - W1) apart; the helpers square by multiplication, which
         # a float, a numpy scalar and an array all round alike
         ctx = KappaContext(kap)
-        st = ens.sample_states(11, seed=3)[10]
+        st = ref.rows(ens.sample_states(11, seed=3))[10]
         per_state = [[ens.drift_residual(ctx, st, j, mode)
                       for mode in ("c4", "ch")] for j in (1, 2)]
-        assert ens.drift_residuals(ctx, [st]).tolist() == [per_state]
+        assert ens.drift_residuals(ctx, ref.stack([st])).tolist() \
+            == [per_state]
+
+    @pytest.mark.parametrize("kap", [3.0, 7.5])
+    def test_batch_calls_equal_per_state_calls(self, kap):
+        # the batch holds the state where pow(s, 2.0) and s * s round
+        # apart (index 10); drift_residual and ode_rhs on a batch give
+        # each state's per-state bits
+        ctx = KappaContext(kap)
+        batch = ens.sample_states(11, seed=3)
+        states = ref.rows(batch)
+        for j in (1, 2):
+            for mode in ("c4", "ch"):
+                want = np.array([ens.drift_residual(ctx, st, j, mode)
+                                 for st in states])
+                got = ens.drift_residual(ctx, batch, j, mode)
+                assert got.tobytes() == want.tobytes(), (j, mode)
+            rhs = ens.ode_rhs(batch, j)
+            for key, value in rhs.items():
+                want = np.array([ens.ode_rhs(st, j)[key] for st in states])
+                got = np.broadcast_to(value, want.shape)
+                assert got.tobytes() == want.tobytes(), (j, key)
 
     def test_martingale_cancellation_sweep(self):
         # Reduced-size version of the acceptance sweep (the acceptance
@@ -412,7 +455,8 @@ class TestDriftResidual:
         worst = 0.0
         for kap in KAPPAS:
             ctx = KappaContext(kap)
-            for st in ens.sample_states(250, seed=int(kap * 1000) + 7):
+            for st in ref.rows(ens.sample_states(250,
+                                                 seed=int(kap * 1000) + 7)):
                 for j in (1, 2):
                     for mode in ("c4", "ch"):
                         worst = max(worst, abs(
@@ -440,7 +484,7 @@ class TestDriftResidual:
         worst = 0.0
         for kap in KAPPAS:
             ctx = KappaContext(kap)
-            pool = ens.sample_states(400, seed=int(kap * 100) + 3)
+            pool = ref.rows(ens.sample_states(400, seed=int(kap * 100) + 3))
             states = [s for s in pool if min_gap(s) >= 0.5][:20]
             assert len(states) == 20
             for st in states:
@@ -454,14 +498,14 @@ class TestDriftResidual:
 
 class TestEvolveSecondOrder:
     def test_time_and_capacity_advance(self):
-        st = ens.sample_states(1, seed=91)[0]
+        st = ref.rows(ens.sample_states(1, seed=91))[0]
         out = evolve_second_order(st, 1, 1e-4, 0.0)
         assert out.t1 == pytest.approx(st.t1 + 1e-4)
         assert out.t2 == st.t2
         assert out.mA == pytest.approx(st.mA + st.W11 ** 2 * 1e-4)
 
     def test_passive_fields_deterministic(self):
-        st = ens.sample_states(1, seed=93)[0]
+        st = ref.rows(ens.sample_states(1, seed=93))[0]
         a = evolve_second_order(st, 1, 1e-4, +0.01)
         b = evolve_second_order(st, 1, 1e-4, -0.01)
         assert a.W2 == b.W2
@@ -482,7 +526,7 @@ class TestSampleStates:
         # sha256 of every field of every state, in field order, as
         # little-endian doubles: the draws, their order and the rejections
         h = hashlib.sha256()
-        for st in ens.sample_states(200, seed):
+        for st in ref.rows(ens.sample_states(200, seed)):
             for name in st.__dataclass_fields__:
                 h.update(struct.pack("<d", getattr(st, name)))
         assert h.hexdigest() == digest
@@ -493,21 +537,21 @@ class TestSampleStates:
     def test_columns_equal_the_rejection_loop(self, n, seed):
         states, rejections = ref.sample_states_loop(n, seed)
         assert rejections >= 1
-        cols = ens._sample_columns(n, seed)
-        assert len(cols) == n
+        cols = ens.sample_states(n, seed)
+        assert len(ref.rows(cols)) == n
         for name in ens.EnsembleState.__dataclass_fields__:
             want = np.array([getattr(st, name) for st in states])
             assert np.array_equal(getattr(cols, name).view(np.int64),
                                   want.view(np.int64)), name
-        assert ens.sample_states(n, seed) == states
+        assert ref.rows(ens.sample_states(n, seed)) == states
         # the array pass reads the columns as it reads the list
         ctx = KappaContext(6.0)
         assert ens.drift_residuals(ctx, cols).tobytes() \
-            == ens.drift_residuals(ctx, states).tobytes()
+            == ens.drift_residuals(ctx, ref.stack(states)).tobytes()
 
     def test_reproducible_and_valid(self):
-        a = ens.sample_states(10, seed=5)
-        b = ens.sample_states(10, seed=5)
+        a = ref.rows(ens.sample_states(10, seed=5))
+        b = ref.rows(ens.sample_states(10, seed=5))
         assert all(x == y for x, y in zip(a, b))
         for st in a:
             assert min_gap(st) >= 0.1

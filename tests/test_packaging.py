@@ -5,8 +5,9 @@ their own helper modules.  Guarded imports count too, and a run of every
 command loads no scipy module, which only the tests use.  Every C source
 the package compiles on first use ships with it as package data.  Only
 ``_rng`` derives streams, so that every draw is in its map, the Python
-adaptive kernel draws one uniform at a time, as ``_hsle.c`` does, and only
-the record builder makes Monte Carlo records.  The public names of every
+adaptive kernel draws one uniform at a time, as ``_hsle.c`` does,
+``ensemble`` has one state class for one state or a batch, and only the
+record builder makes Monte Carlo records.  The public names of every
 module are pinned, so code that only the tests use stays with them."""
 import ast
 import fnmatch
@@ -114,6 +115,15 @@ def test_python_adaptive_kernel_has_one_draw_path():
              and isinstance(node.value, ast.Name) and node.value.id == "_rng"
              and node.attr.endswith("_array")]
     assert not found
+
+
+def test_ensemble_has_one_state_class():
+    # one state and a batch of states are one class: a second class with
+    # the same fields (a column twin, a shared base) would be kept in step
+    path = ROOT / "src" / "twocurve" / "ensemble.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert [node.name for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)] == ["EnsembleState"]
 
 
 def test_only_the_record_builder_constructs_records():
