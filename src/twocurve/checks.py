@@ -16,9 +16,10 @@ battery, its semigroup checks at ``SPECTRAL_KAPPA``, and records each
 check's wall seconds on its result.  The
 martingale and eigenfunction checks run as array passes: the drift
 residuals of the sampled batch of states in one pass per curve and mode
-(``ensemble.drift_residuals``), and each mode's generator stencil in one
-call of the mode (``density.generator_apply``); both give the bytes of
-the per-state and per-point evaluations.
+(``ensemble.drift_residuals``), and the generator stencil of every mode
+in one call (``density.generator_apply`` of ``density.mode_values``, the
+evaluator the densities run); both give the bytes of the per-state and
+per-point evaluations.
 ``inject_alpha0_error`` deliberately perturbs the decay exponent used by
 the quasi-invariance check -- a fault-injection knob proving the suite
 actually detects a wrong exponent (it must make that check fail).
@@ -156,31 +157,29 @@ def check_hyp_value_at_one(ctx: KappaContext) -> CheckResult:
 
 def check_orthonormality(ctx: KappaContext) -> CheckResult:
     """Gram matrix of the modes up to level 12 under the weighted disc rule,
-    built from ``density.mode_blocks``, the evaluator the densities run."""
+    from ``density.mode_values``, the evaluator the densities run."""
     basis = dens.SpectralBasis(ctx, 12)
     x, y, w = disc_rule(ctx, 26, 52)
-    vals = np.empty((basis.n_modes, x.size))
-    for rows, sl, V in dens.mode_blocks(basis, basis.n_max, x, y):
-        vals[rows, sl] = V
+    vals = dens.mode_values(basis, basis.n_max, x, y)
     gram = (vals * w) @ vals.T
     err = np.max(np.abs(gram - np.eye(basis.n_modes)))
     return CheckResult.from_residual("basis_orthonormality", ctx.kappa, err)
 
 
 def check_eigenfunctions(ctx: KappaContext) -> CheckResult:
-    """|L v - lambda v| at interior points for every mode up to level 10."""
+    """|L v - lambda v| at interior points for every mode up to level 10,
+    in one ``generator_apply`` call: points on the leading axes, modes on
+    the last."""
     basis = dens.SpectralBasis(ctx, 10)
-    rng = np.random.default_rng(11)
-    px, py = rng.uniform(-0.62, 0.62, (2, 10))
-    res = []
-    for n, j, i in zip(basis.mode_n, basis.mode_j, basis.mode_i):
-        def f(a, b, n=n, j=j, i=i):
-            return dens.basis_eval(basis, n, j, i, a, b)
-        lhs = dens.generator_apply(ctx, f, px, py)
-        rhs = dens.eigenvalue(ctx, n) * f(px, py)
-        res.append(np.abs(lhs - rhs))
+    px, py = np.random.default_rng(11).uniform(-0.62, 0.62, (2, 10, 1))
+
+    def f(a, b):
+        return dens.mode_values(basis, 10, a, b).T.reshape(*a.shape[:-1], -1)
+
+    res = (dens.generator_apply(ctx, f, px, py)
+           - dens.eigenvalue(ctx, basis.mode_n) * f(px, py))
     return CheckResult.from_residual("eigenfunction_residual", ctx.kappa,
-                                     _worst(res))
+                                     _worst(np.abs(res)))
 
 
 def check_chapman_kolmogorov(basis: dens.SpectralBasis) -> CheckResult:

@@ -119,8 +119,9 @@ _FIELD_TYPES = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 def _finite(name: str, value) -> float:
     """value as a finite float: every number of a configuration, from a
-    flag or from JSON (whose NaN and Infinity parse), passes here."""
-    if isinstance(value, bool):
+    flag or from JSON (whose NaN and Infinity parse), passes here; a
+    string is none (only a list flag's text is parsed, by _coerce_list)."""
+    if isinstance(value, (bool, str)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         value = float(value)
@@ -142,10 +143,9 @@ def _integer(name: str, value) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
-def _coerce_list(name: str, value) -> list:
-    if isinstance(value, str):
-        parts = [p for p in value.replace(",", " ").split() if p]
-        value = parts
+def _coerce_list(name: str, value, text: bool) -> list:
+    if text:  # a list flag: numbers split by commas or spaces
+        value = list(map(float, value.replace(",", " ").split()))
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{name} must be a list")
     return [_finite(f"{name} entries", v) for v in value]
@@ -170,16 +170,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         data.update(loaded)
-    for name in _FIELD_TYPES:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            data[name] = flag
+    flags = [n for n in _FIELD_TYPES if getattr(args, n, None) is not None]
+    data.update((name, getattr(args, name)) for name in flags)
     cfg = RunConfig()
     for name, value in data.items():
-        # coerced by the field's annotation
+        # coerced by the field's annotation; only flags arrive as text
         kind = _FIELD_TYPES[name].type
         if kind == "list":
-            value = _coerce_list(name, value)
+            value = _coerce_list(name, value, name in flags)
         elif kind == "int" or kind == "int | None" and value is not None:
             value = _integer(name, value)
         elif kind == "float":
@@ -401,14 +399,15 @@ def write_records_csv(path: str, records) -> None:
     _write_csv(path, mc.CSV_COLUMNS, (rec.to_row() for rec in records))
 
 
-# the types of the estimate CSV's columns but flags, if not float
+# the types of the estimate CSV's columns but flags, if not a finite float
 _COLUMN_TYPES = {"method": str, "n_paths": int, "seed": int}
 
 
 def read_records_csv(path: str) -> list:
     """Read an estimate CSV in the layout of :func:`write_records_csv`;
     ConfigError for a file that is not UTF-8, other columns, or a row with
-    more values than columns or values that do not parse."""
+    more values than columns or values that do not parse or are not
+    finite."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             lines = fh.readlines()
@@ -426,7 +425,8 @@ def read_records_csv(path: str) -> list:
                                   f"values than columns")
             try:
                 rows.append({
-                    **{k: _COLUMN_TYPES.get(k, float)(row[k])
+                    **{k: _COLUMN_TYPES[k](row[k]) if k in _COLUMN_TYPES
+                       else _finite(k, float(row[k]))
                        for k in mc.CSV_COLUMNS[:-1]},
                     "flags": tuple(f for f in row["flags"].split(";") if f)})
             except (TypeError, ValueError, AttributeError) as exc:

@@ -10,7 +10,7 @@ on the unit disc, and its eigenfunctions are Jacobi-type polynomials with
 eigenvalues lambda_n = -(k/8) n (n + 16/k) depending only on the total
 degree n.  This module provides:
 
-  * the orthonormal eigenbasis (``SpectralBasis``, ``basis_eval``);
+  * the orthonormal eigenbasis (``SpectralBasis``, ``eigenvalue``);
   * the series truncation ``truncation(basis, t)``: the one place that
     decides, from (basis, t) and the tolerance ``SERIES_RTOL``, the level
     of every heat-kernel sum, survival included;
@@ -52,9 +52,10 @@ recurrence ``special.jacobi_seq`` and the powers (x + i y)^m.  Series
 sums, survival mode integrals, the modes at one point and the pointwise
 kernel are contractions of V; ``p_t``, ``pZ_t`` and ``tilde_pZ_t`` take
 their kernel from one truncated sum, ``_series``.  No V holds more than
-``_CHUNK`` entries, which bounds the memory of every sum.  ``basis_eval``
-keeps the per-mode formula h P_j(2 r^2 - 1) r^m cos/sin(m theta) as the
-independent oracle that the evaluator is tested against.
+``_CHUNK`` entries, which bounds the memory of every sum; the checks
+read the dense matrix ``mode_values``.  The tests keep the per-mode
+formula h P_j(2 r^2 - 1) r^m cos/sin(m theta) as the independent oracle
+of the evaluator.
 """
 
 from __future__ import annotations
@@ -64,17 +65,15 @@ import numpy as np
 from .context import KappaContext
 from .green import G_u, _coord_arrays
 from .quadrature import square_integrate
-from .special import (h_const, jacobi, jacobi_seq, jacobi_sup_norm,
-                      log_gamma, hyp_F)
+from .special import h_const, hyp_F, jacobi_seq, log_gamma
 from .timecurve import xy_of_z
 
 __all__ = [
     "SpectralBasis",
     "SERIES_RTOL",
     "eigenvalue",
-    "basis_eval",
     "mode_blocks",
-    "sup_norm",
+    "mode_values",
     "truncation",
     "generator_apply",
     "p_t",
@@ -131,7 +130,8 @@ class SpectralBasis:
     """
 
     def __init__(self, ctx: KappaContext, n_max: int = N_CAP):
-        if not isinstance(n_max, (int, np.integer)) or n_max < 0:
+        if isinstance(n_max, bool) \
+                or not isinstance(n_max, (int, np.integer)) or n_max < 0:
             raise ValueError("n_max must be a nonnegative integer")
         self.ctx = ctx
         self.n_max = int(n_max)
@@ -158,10 +158,6 @@ class SpectralBasis:
         self._point_modes = None
 
     @property
-    def kappa(self) -> float:
-        return self.ctx.kappa
-
-    @property
     def n_modes(self) -> int:
         return int(self.mode_n.size)
 
@@ -182,53 +178,13 @@ class SpectralBasis:
         return int(self._level_start[n_limit + 1])
 
 
-def eigenvalue(ctx: KappaContext, n: int) -> float:
-    """Eigenvalue lambda_n = -(k/8) n (n + 16/k) of the disc generator."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError("eigenvalue requires an integer n >= 0")
-    k = ctx.kappa
-    return -(k / 8.0) * n * (n + 16.0 / k)
-
-
-def sup_norm(basis: SpectralBasis, n: int, j: int) -> float:
-    """Endpoint-formula bound for sup |v_{n,j,i}| over the closed disc.
-
-    Equals h_{n,j} max(binom-type Gamma ratios) coming from the Jacobi
-    endpoint super norm.  It is always an upper bound; it is attained
-    (and the sup equals it) when the dominant endpoint is r = 1, i.e.
-    when 8/k - 1 >= n - 2j, and for pure radial modes n = 2j.
-
-    Raises:
-        ValueError: unless 0 <= 2j <= n <= basis.n_max.
-    """
-    e = basis.weight_exponent
-    m = n - 2 * j
-    if j < 0 or m < 0:
-        raise ValueError("sup_norm requires 0 <= 2j <= n")
-    return float(basis.mode_h[basis.mode_index(n, j, 1)]
-                 * jacobi_sup_norm(j, e, float(m)))
-
-
-def basis_eval(basis: SpectralBasis, n: int, j: int, i: int, x, y):
-    """Evaluate mode (n, j, i) at points of the closed unit disc.
-
-    Raises:
-        ValueError: if the mode indices are out of range or a point lies
-            outside the closed disc.
-    """
-    h = basis.mode_h[basis.mode_index(n, j, i)]  # validates indices
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r2 = x * x + y * y
-    if np.any(r2 > 1.0 + 1e-12):
-        raise ValueError("basis_eval requires points in the closed unit disc")
-    e = basis.weight_exponent
-    m = n - 2 * j
-    u = np.minimum(2.0 * r2 - 1.0, 1.0)
-    rad = jacobi(j, e, float(m), u)
-    theta = np.arctan2(y, x)
-    ang = np.cos(m * theta) if i == 1 else np.sin(m * theta)
-    val = h * rad * np.sqrt(r2) ** m * ang
+def eigenvalue(ctx: KappaContext, n):
+    """Eigenvalue lambda_n = -(k/8) n (n + 16/k) of the disc generator, at
+    an integer n >= 0, or elementwise (same bits) at an integer array."""
+    n = np.asarray(n)
+    if n.dtype.kind not in "iu" or np.any(n < 0):  # booleans included
+        raise ValueError("eigenvalue requires integers n >= 0")
+    val = -(ctx.kappa / 8.0) * n * (n + 16.0 / ctx.kappa)
     return float(val) if np.ndim(val) == 0 else val
 
 
@@ -276,6 +232,18 @@ def mode_blocks(basis: SpectralBasis, n_limit: int, x, y):
             yield rows, sl, V
 
 
+def mode_values(basis: SpectralBasis, n_limit: int, x, y):
+    """V[s, p] = v_s(x[p], y[p]) for the modes of level <= n_limit at the
+    points read flat, scattered from ``mode_blocks``; ValueError for a
+    point outside the closed unit disc."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    _check_disc(x, y, "mode_values points")
+    out = np.empty((basis.modes_up_to(n_limit), x.size))
+    for rows, sl, V in mode_blocks(basis, n_limit, x, y):
+        out[rows, sl] = V
+    return out
+
+
 def _modes_at(basis: SpectralBasis, n_limit: int, x, y):
     """Vector of v_s(x, y) at one point for the modes of level <= n_limit.
 
@@ -288,10 +256,8 @@ def _modes_at(basis: SpectralBasis, n_limit: int, x, y):
     key = (np.asarray(x).tobytes(), np.asarray(y).tobytes())
     memo = basis._point_modes
     if memo is None or memo[0] != key or memo[1] < n_limit:
-        out = np.empty(basis.modes_up_to(n_limit))
-        for rows, _, V in mode_blocks(basis, n_limit, x, y):
-            out[rows] = V[:, 0]
-        memo = basis._point_modes = (key, n_limit, out)
+        memo = basis._point_modes = (
+            key, n_limit, mode_values(basis, n_limit, x, y)[:, 0])
     return memo[2][:basis.modes_up_to(n_limit)]
 
 
@@ -386,8 +352,7 @@ def _scan_truncation(basis: SpectralBasis, t: float):
     n_top = _SCAN_START
     while True:
         logs = _tail_logs(ctx, n_top)
-        levels = np.arange(logs.size, dtype=float)
-        lam = -(ctx.kappa / 8.0) * levels * (levels + 16.0 / ctx.kappa)
+        lam = eigenvalue(ctx, np.arange(logs.size))
         # at small t summands and sums overflow: an unconverged inf bound
         with np.errstate(over="ignore"):
             terms = np.exp(lam * t + logs) * (np.pi * ctx.kappa / 8.0)
@@ -415,8 +380,7 @@ def _check_disc(x, y, label: str):
 
 def _lam_modes(basis: SpectralBasis, n_limit: int, t: float):
     """exp(lambda_n t) for every mode of level n <= n_limit."""
-    lam_w = np.exp(np.array([eigenvalue(basis.ctx, n) * t
-                             for n in range(n_limit + 1)]))
+    lam_w = np.exp(eigenvalue(basis.ctx, np.arange(n_limit + 1)) * t)
     return lam_w[basis.mode_n[:basis.modes_up_to(n_limit)]]
 
 
@@ -486,6 +450,7 @@ def generator_apply(ctx: KappaContext, f, x, y):
 
     f must accept numpy arrays (x, y) of any shape and act elementwise:
     its value at a point may not depend on the other points of the call.
+    Values of shape (P, M) at points of shape (P, 1) are M functions.
     f is called once, on the 26 stencil point sets (5 along x, 5 along y,
     16 mixed) stacked along a new first axis, and each derivative is
     summed from the rows of that one result.  Derivatives use 4th-order

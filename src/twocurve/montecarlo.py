@@ -686,12 +686,14 @@ def fit_power_law(points) -> tuple[float, float, np.ndarray]:
     the 2x2 covariance of (exponent, intercept) via the delta method.
 
     Raises:
-        ValueError: fewer than two points, nonpositive data, or
-            nondistinct radii.
+        ValueError: fewer than two points, non-finite or nonpositive
+            data, or nondistinct radii.
     """
     pts = [(float(r), float(p), float(s)) for r, p, s in points]
     if len(pts) < 2:
         raise ValueError("power-law fit needs at least two points")
+    if not all(map(math.isfinite, (v for row in pts for v in row))):
+        raise ValueError("power-law fit needs finite r, p and stderr")
     r = np.array([row[0] for row in pts])
     p = np.array([row[1] for row in pts])
     se = np.array([row[2] for row in pts])

@@ -5,8 +5,8 @@ on [-1/2, 1].  It is computed from scratch: a power series on [-1/2, 1/2],
 Taylor re-expansion of ``x(1-x)F'' + (8/kappa - 2x)F' - (4/kappa)(1 -
 4/kappa)F = 0`` on (1/2, 1), and the Gauss formula at x = 1, where the
 endpoint behavior is non-analytic.  The logarithmic-derivative
-combinations G and G-tilde and the Jacobi-polynomial helpers used by the
-spectral basis live here too.
+combinations G and G-tilde, the Jacobi recurrence and the normalization
+of the spectral basis live here too.
 
 The power series stops once a step leaves every sum unchanged (adding or
 subtracting its terms) and a coefficient-ratio bound shows that no later
@@ -42,7 +42,7 @@ from .context import KappaContext
 __all__ = [
     "log_gamma",
     "hyp_F", "hyp_dF", "hyp_F_and_dF", "hyp_F_at_1", "hyp_G", "hyp_tilde_G",
-    "jacobi", "jacobi_seq", "jacobi_sup_norm",
+    "jacobi_seq",
     "h_const",
     "gtilde_table",
 ]
@@ -323,9 +323,9 @@ def hyp_tilde_G(ctx: KappaContext, x):
 def jacobi_seq(n_max: int, alpha: float, beta: float, x):
     """Yield P_0, ..., P_{n_max} of P^{(alpha, beta)} at the float array x.
 
-    The one three-term recurrence of the package: ``jacobi`` reads its
-    last value, the spectral-basis evaluator in ``density`` reads every
-    degree.  Each yielded value is a new array.
+    The one three-term recurrence of the package: the spectral-basis
+    evaluator ``density.mode_blocks`` reads every degree.  Each yielded
+    value is a new array.
     """
     p_prev = np.ones_like(x)
     yield p_prev
@@ -342,31 +342,6 @@ def jacobi_seq(n_max: int, alpha: float, beta: float, x):
         c = 2.0 * (n + alpha - 1.0) * (n + beta - 1.0) * (2.0 * n + s) / c1
         p_prev, p_cur = p_cur, (a * x + b) * p_cur - c * p_prev
         yield p_cur
-
-
-def jacobi(n: int, alpha: float, beta: float, x):
-    """Jacobi polynomial P_n^{(alpha, beta)}(x), last of ``jacobi_seq``."""
-    if n < 0:
-        raise ValueError("jacobi requires n >= 0")
-    *_, p = jacobi_seq(n, alpha, beta, np.asarray(x, dtype=float))
-    return p if np.ndim(p) else float(p)
-
-
-def jacobi_sup_norm(n: int, alpha: float, beta: float) -> float:
-    """Sup of |P_n^{(alpha,beta)}| on [-1,1] when max(alpha,beta) >= -1/2.
-
-    Equals Gamma(q + n + 1) / (n! Gamma(q + 1)) with q = max(alpha, beta).
-
-    Raises:
-        ValueError: if max(alpha, beta) < -1/2 or min(alpha, beta) <= -1,
-            where the endpoint formula is not valid.
-    """
-    q = max(alpha, beta)
-    if q < -0.5 or min(alpha, beta) <= -1.0:
-        raise ValueError("jacobi_sup_norm requires max(alpha,beta) >= -1/2 "
-                         "and min(alpha,beta) > -1")
-    return float(np.exp(log_gamma(q + n + 1.0) - log_gamma(n + 1.0)
-                        - log_gamma(q + 1.0)))
 
 
 def h_const(ctx: KappaContext, n, j):

@@ -1,7 +1,9 @@
-"""Test-only references for the ensemble algebra and the two-angle SDE.
+"""Test-only references for the ensemble algebra, the two-angle SDE and
+the spectral basis.
 
 No command runs these, so they live with the tests that use them
-(``test_ensemble.py``, ``test_montecarlo.py``, ``test_timecurve.py``):
+(``test_checks.py``, ``test_density.py``, ``test_ensemble.py``,
+``test_montecarlo.py``, ``test_special.py``, ``test_timecurve.py``):
 
 * ``fresh_state`` -- the ensemble state at t1 = t2 = 0, and
   ``state_config`` -- a state's four angles as a ``BoundaryConfig``;
@@ -18,7 +20,14 @@ No command runs these, so they live with the tests that use them
   ``EnsembleState``, and the batch of a list of states;
 * ``sample_states_loop`` -- the states of ``ensemble.sample_states`` from
   a rejection loop of one ``rng.uniform`` call per value, the oracle of
-  the array sampler.
+  the array sampler;
+* ``jacobi`` and ``jacobi_sup_norm`` -- one Jacobi polynomial, the last
+  value of ``special.jacobi_seq``, and its sup norm on [-1, 1];
+* ``basis_eval`` and ``sup_norm`` -- one mode of a ``SpectralBasis`` by
+  its per-mode formula h P_j(2 r^2 - 1) r^m cos/sin(m theta), and the
+  endpoint bound of its sup over the disc: the independent oracles of
+  ``density.mode_blocks``, ``density.mode_values`` and the tail bound of
+  ``density._tail_logs``.
 """
 from __future__ import annotations
 
@@ -33,7 +42,8 @@ from twocurve.ensemble import (
     _martingale_coefficient, _phi,
 )
 from twocurve.green import BoundaryConfig, cross_ratio_of_config
-from twocurve.special import hyp_F
+from twocurve.density import SpectralBasis
+from twocurve.special import hyp_F, jacobi_seq, log_gamma
 from twocurve.trig import sin2
 
 
@@ -221,3 +231,70 @@ def sample_states_loop(n: int, seed: int):
             V11=uniform(0.2, 0.95), V21=uniform(0.2, 0.95),
             mA=mA, Icc=uniform(-1.0, 1.0), t1=t1, t2=t2))
     return out, rejections
+
+
+def jacobi(n: int, alpha: float, beta: float, x):
+    """Jacobi polynomial P_n^{(alpha, beta)}(x), last of ``jacobi_seq``."""
+    if n < 0:
+        raise ValueError("jacobi requires n >= 0")
+    *_, p = jacobi_seq(n, alpha, beta, np.asarray(x, dtype=float))
+    return p if np.ndim(p) else float(p)
+
+
+def jacobi_sup_norm(n: int, alpha: float, beta: float) -> float:
+    """Sup of |P_n^{(alpha,beta)}| on [-1,1] when max(alpha,beta) >= -1/2.
+
+    Equals Gamma(q + n + 1) / (n! Gamma(q + 1)) with q = max(alpha, beta).
+
+    Raises:
+        ValueError: if max(alpha, beta) < -1/2 or min(alpha, beta) <= -1,
+            where the endpoint formula is not valid.
+    """
+    q = max(alpha, beta)
+    if q < -0.5 or min(alpha, beta) <= -1.0:
+        raise ValueError("jacobi_sup_norm requires max(alpha,beta) >= -1/2 "
+                         "and min(alpha,beta) > -1")
+    return float(np.exp(log_gamma(q + n + 1.0) - log_gamma(n + 1.0)
+                        - log_gamma(q + 1.0)))
+
+
+def sup_norm(basis: SpectralBasis, n: int, j: int) -> float:
+    """Endpoint-formula bound for sup |v_{n,j,i}| over the closed disc.
+
+    Equals h_{n,j} max(binom-type Gamma ratios) coming from the Jacobi
+    endpoint super norm.  It is always an upper bound; it is attained
+    (and the sup equals it) when the dominant endpoint is r = 1, i.e.
+    when 8/k - 1 >= n - 2j, and for pure radial modes n = 2j.
+
+    Raises:
+        ValueError: unless 0 <= 2j <= n <= basis.n_max.
+    """
+    e = basis.weight_exponent
+    m = n - 2 * j
+    if j < 0 or m < 0:
+        raise ValueError("sup_norm requires 0 <= 2j <= n")
+    return float(basis.mode_h[basis.mode_index(n, j, 1)]
+                 * jacobi_sup_norm(j, e, float(m)))
+
+
+def basis_eval(basis: SpectralBasis, n: int, j: int, i: int, x, y):
+    """Evaluate mode (n, j, i) at points of the closed unit disc.
+
+    Raises:
+        ValueError: if the mode indices are out of range or a point lies
+            outside the closed disc.
+    """
+    h = basis.mode_h[basis.mode_index(n, j, i)]  # validates indices
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    r2 = x * x + y * y
+    if np.any(r2 > 1.0 + 1e-12):
+        raise ValueError("basis_eval requires points in the closed unit disc")
+    e = basis.weight_exponent
+    m = n - 2 * j
+    u = np.minimum(2.0 * r2 - 1.0, 1.0)
+    rad = jacobi(j, e, float(m), u)
+    theta = np.arctan2(y, x)
+    ang = np.cos(m * theta) if i == 1 else np.sin(m * theta)
+    val = h * rad * np.sqrt(r2) ** m * ang
+    return float(val) if np.ndim(val) == 0 else val

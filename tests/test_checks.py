@@ -77,7 +77,7 @@ DEFAULT_BATTERY = [
     ("hyp_value_at_one", 7.5, "0x1.26e3929d032c4p-53"),
     ("basis_orthonormality", 7.5, "0x1.3000000000000p-47"),
     ("drift_residual", 7.5, "0x1.6100000000000p-44"),
-    ("eigenfunction_residual", 6.0, "0x1.8d84400000000p-26"),
+    ("eigenfunction_residual", 6.0, "0x1.5e07500000000p-26"),
     ("chapman_kolmogorov", 6.0, "0x1.0370000000000p-41"),
     ("stationarity", 6.0, "0x1.4000000000000p-52"),
     ("quasi_invariance", 6.0, "0x1.8000000000000p-56"),
@@ -166,21 +166,75 @@ def test_nan_drift_residual_fails_the_check(monkeypatch):
 
 
 def test_nan_eigenfunction_residual_fails_the_check(monkeypatch):
+    # one generator_apply call covers every mode: a NaN at one (point,
+    # mode) entry of it fails the check
     generator_apply = dens.generator_apply
     calls = []
 
-    def nan_on_third_mode(ctx, f, x, y, *args, **kwargs):
-        out = generator_apply(ctx, f, x, y, *args, **kwargs)
-        calls.append(None)
-        if len(calls) == 3:
-            out = np.where(np.arange(out.size) == 4, np.nan, out)
+    def nan_at_one_entry(ctx, f, x, y):
+        out = generator_apply(ctx, f, x, y)
+        calls.append(out.shape)
+        out[4, 7] = np.nan
         return out
 
     ctx = KappaContext(6.0)
     assert checks.check_eigenfunctions(ctx).passed
-    monkeypatch.setattr(dens, "generator_apply", nan_on_third_mode)
+    monkeypatch.setattr(dens, "generator_apply", nan_at_one_entry)
     result = checks.check_eigenfunctions(ctx)
+    assert calls == [(10, dens.SpectralBasis(ctx, 10).n_modes)]
     assert np.isnan(result.residual) and not result.passed
+
+
+def test_eigenfunctions_apply_the_generator_once_to_mode_values(monkeypatch):
+    # the check stencils every mode in one call, on the densities'
+    # evaluator, and evaluates no mode another way
+    generator_apply, mode_values = dens.generator_apply, dens.mode_values
+    calls = []
+
+    def counted_apply(ctx, f, x, y):
+        calls.append(("generator_apply", np.shape(x)))
+        return generator_apply(ctx, f, x, y)
+
+    def counted_values(basis, n_limit, x, y):
+        calls.append(("mode_values", np.shape(x)))
+        return mode_values(basis, n_limit, x, y)
+
+    monkeypatch.setattr(dens, "generator_apply", counted_apply)
+    monkeypatch.setattr(dens, "mode_values", counted_values)
+    assert checks.check_eigenfunctions(KappaContext(6.0)).passed
+    assert calls == [("generator_apply", (10, 1)),
+                     ("mode_values", (26, 10, 1)),
+                     ("mode_values", (10, 1))]
+
+
+def _failing(results):
+    return [r.name for r in results if not r.passed]
+
+
+def test_wrong_eigenvalue_fails_eigenfunction_residual_only(monkeypatch):
+    # lambda_n off by a relative 1e-4 is about 1e-3 * |v| at level 10
+    eigenvalue = dens.eigenvalue
+    monkeypatch.setattr(dens, "eigenvalue",
+                        lambda ctx, n: eigenvalue(ctx, n) * (1.0 + 1e-4))
+    results = checks.run_all_checks(kappas=(6.0,), n_drift_states=2)
+    assert _failing(results) == ["eigenfunction_residual"]
+
+
+def test_perturbed_mode_row_fails_eigenfunction_residual_only(monkeypatch):
+    # one mode of the check's level-10 basis times 1 + 1e-4 (1 + x^2), no
+    # eigenfunction any more; the other checks' bases are not touched
+    mode_values = dens.mode_values
+
+    def one_row_off(basis, n_limit, x, y):
+        out = mode_values(basis, n_limit, x, y)
+        if basis.n_max == 10:
+            row = basis.mode_index(7, 2, 2)
+            out[row] *= 1.0 + 1e-4 * (1.0 + np.ravel(x) ** 2)
+        return out
+
+    monkeypatch.setattr(dens, "mode_values", one_row_off)
+    results = checks.run_all_checks(kappas=(6.0,), n_drift_states=2)
+    assert _failing(results) == ["eigenfunction_residual"]
 
 
 @pytest.mark.parametrize("name", sorted(CHECK_NAMES))

@@ -343,6 +343,10 @@ def test_rejected_simulate_inputs_raise_in_the_estimator(argv, monkeypatch):
     ("simulate", {"method": "z-weighted", "dt": True}),
     ("density", {"t_list": [True, 2.0]}),
     ("check", {"kappas": [True, 6.0]}),
+    # nor are strings: only a flag's text parses as numbers
+    ("check", {"kappa": "6.5"}),
+    ("density", {"t_list": "1 2"}),
+    ("check", {"kappas": ["6"]}),
 ], ids=["negative_fit_window", "unknown_tolerance", "json_curves_nan_dt",
         "json_infinite_n_paths", "json_dt_halving_string",
         "json_fractional_n_paths", "json_boolean_n_paths",
@@ -352,7 +356,8 @@ def test_rejected_simulate_inputs_raise_in_the_estimator(argv, monkeypatch):
         "json_list_method", "json_numeric_out_dir", "json_null_out_dir",
         "json_list_out_dir", "json_empty_out_dir", "json_boolean_kappa",
         "json_boolean_dt", "json_boolean_t_list_entry",
-        "json_boolean_kappas_entry"])
+        "json_boolean_kappas_entry", "json_string_kappa",
+        "json_string_t_list", "json_string_kappas_entry"])
 def test_rejected_config_file_exits_2(command, config, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -749,6 +754,40 @@ def test_report_of_malformed_csv_exits_2(tmp_path, capsys):
     _estimates_with_bad_value(tmp_path)
     assert main(["report", "--out-dir", str(tmp_path)]) == 2
     assert "input error" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def _estimates_with_one_value(out_dir, column, value):
+    """An estimates.csv of two two_curve_hit rows at r 0.1 and 0.2 whose
+    second row holds ``value`` in ``column``."""
+    path = out_dir / "estimates.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("schema_version",) + mc.CSV_COLUMNS)
+        for r in (0.1, 0.2):
+            row = dict(kappa=6.0, method="two_curve_hit", r_or_t=r,
+                       estimate=r, stderr=0.01, ess=100.0, n_paths=100,
+                       dt=1e-3, seed=1, flags="")
+            if r == 0.2:
+                row[column] = value
+            writer.writerow((1, *(row[k] for k in mc.CSV_COLUMNS)))
+    return path
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["kappa", "r_or_t", "estimate", "stderr",
+                                    "ess", "dt"])
+def test_non_finite_csv_value_exits_2(column, value, tmp_path, capsys):
+    # a NaN estimate was skipped as lacking two radii, an infinite stderr
+    # fitted exponent 0.0 and intercept 1.0; both exited 0
+    path = _estimates_with_one_value(tmp_path, column, value)
+    with pytest.raises(cli.ConfigError, match=f"line 3: {column}"):
+        cli.read_records_csv(str(path))
+    for argv in (["fit", str(path)], ["report"]):
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "finite" in err
+    assert not (tmp_path / "fit.json").exists()
     assert not (tmp_path / "report.json").exists()
 
 

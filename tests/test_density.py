@@ -13,8 +13,10 @@ from twocurve import density as dens, quadrature
 from twocurve.green import G_u
 from twocurve.quadrature import (disc_rule, square_integrate,
                                  tanh_sinh_rule)
-from twocurve.special import jacobi, log_gamma
+from twocurve.special import log_gamma
 from twocurve.timecurve import ZState, simulate_z_ensemble
+
+import references as ref
 
 
 CTX6 = KappaContext(6.0)
@@ -60,8 +62,22 @@ class TestEigenvalue:
         assert all(b < a for a, b in zip(lams, lams[1:]))
 
     def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            dens.eigenvalue(CTX6, -1)
+        # negative levels, booleans and non-integer types are no levels
+        for bad in (-1, True, np.True_, 2.0, np.array([1, -1]),
+                    np.array([1.0, 2.0]), np.array([True, False]), "3"):
+            with pytest.raises(ValueError):
+                dens.eigenvalue(CTX6, bad)
+
+    def test_integer_array_equals_scalar_calls_bit_for_bit(self):
+        for k in (0.5, 2.0, 3.3, 6.0, 7.5):
+            ctx = KappaContext(k)
+            levels = np.arange(2049)
+            got = dens.eigenvalue(ctx, levels)
+            want = np.array([dens.eigenvalue(ctx, int(n)) for n in levels])
+            assert got.tobytes() == want.tobytes()
+            grid = dens.eigenvalue(ctx, levels[:12].reshape(3, 4))
+            assert grid.tobytes() == want[:12].tobytes()
+        assert type(dens.eigenvalue(CTX6, np.int64(3))) is float
 
 
 class TestBasisConstruction:
@@ -85,11 +101,12 @@ class TestBasisConstruction:
             with pytest.raises(ValueError):
                 basis.mode_index(*bad)
             with pytest.raises(ValueError):
-                dens.basis_eval(basis, *bad, 0.1, 0.1)
+                ref.basis_eval(basis, *bad, 0.1, 0.1)
 
     def test_bad_n_max(self):
-        with pytest.raises(ValueError):
-            dens.SpectralBasis(CTX6, -1)
+        for bad in (-1, True, False, 3.0, np.array(3)):
+            with pytest.raises(ValueError):
+                dens.SpectralBasis(CTX6, bad)
 
 
 @functools.cache
@@ -145,9 +162,9 @@ class TestTabulatedConstants:
     def test_sup_norm_needs_a_basis_mode(self):
         basis = dens.SpectralBasis(CTX6, 8)
         with pytest.raises(ValueError):
-            dens.sup_norm(basis, 9, 0)
+            ref.sup_norm(basis, 9, 0)
         with pytest.raises(ValueError):
-            dens.sup_norm(basis, 3, 2)
+            ref.sup_norm(basis, 3, 2)
 
 
 def _full_scan_truncation(basis, logs, t, rtol=dens.SERIES_RTOL):
@@ -216,7 +233,7 @@ class TestBasisEval:
         rng = np.random.default_rng(7)
         x = rng.uniform(-0.6, 0.6, 32)
         y = rng.uniform(-0.6, 0.6, 32)
-        val = dens.basis_eval(BASIS6, 0, 0, 1, x, y)
+        val = ref.basis_eval(BASIS6, 0, 0, 1, x, y)
         np.testing.assert_allclose(val, np.sqrt(8.0 / (np.pi * 6.0)),
                                    rtol=1e-14)
 
@@ -232,21 +249,26 @@ class TestBasisEval:
             m = n - 2 * j
             ang = np.cos(m * th) if i == 1 else np.sin(m * th)
             from twocurve.special import h_const
-            ref = (h_const(CTX6, n, j) * jacobi(j, e, float(m), 2 * r2 - 1)
-                   * np.sqrt(r2) ** m * ang)
+            want = (h_const(CTX6, n, j)
+                    * ref.jacobi(j, e, float(m), 2 * r2 - 1)
+                    * np.sqrt(r2) ** m * ang)
             np.testing.assert_allclose(
-                dens.basis_eval(BASIS6, n, j, i, x, y), ref, rtol=1e-12)
+                ref.basis_eval(BASIS6, n, j, i, x, y), want, rtol=1e-12)
 
     def test_outside_disc_rejected(self):
+        # the oracle, and the evaluator's dense matrix; the closed disc is in
+        dens.mode_values(BASIS6, 2, [1.0, 0.0], [0.0, -1.0])
         with pytest.raises(ValueError):
-            dens.basis_eval(BASIS6, 2, 1, 1, 0.9, 0.9)
+            ref.basis_eval(BASIS6, 2, 1, 1, 0.9, 0.9)
+        with pytest.raises(ValueError):
+            dens.mode_values(BASIS6, 2, [0.1, 0.9], [0.0, 0.9])
 
     @pytest.mark.parametrize("kappa", [3.3, 6.0])
     def test_orthonormality(self, kappa):
         ctx = KappaContext(kappa)
         basis = dens.SpectralBasis(ctx, 12)
         x, y, w = disc_rule(ctx, 26, 52)
-        vals = np.array([dens.basis_eval(basis, n, j, i, x, y)
+        vals = np.array([ref.basis_eval(basis, n, j, i, x, y)
                          for n, j, i in _all_modes(basis, 12)])
         gram = (vals * w) @ vals.T
         err = np.max(np.abs(gram - np.eye(basis.n_modes)))
@@ -265,8 +287,8 @@ class TestBasisEval:
         for n in range(9):
             for j in range(n // 2 + 1):
                 m = n - 2 * j
-                bound = dens.sup_norm(BASIS6, n, j)
-                grid = np.max(np.abs(dens.basis_eval(BASIS6, n, j, 1, x, y)))
+                bound = ref.sup_norm(BASIS6, n, j)
+                grid = np.max(np.abs(ref.basis_eval(BASIS6, n, j, 1, x, y)))
                 assert grid <= bound * (1.0 + 1e-12)
                 end_r1 = np.exp(log_gamma(e + j + 1.0) - log_gamma(j + 1.0)
                                 - log_gamma(e + 1.0))
@@ -277,28 +299,45 @@ class TestBasisEval:
 
 
 class TestModeEvaluator:
-    """``mode_blocks``, the one evaluator every series runs on."""
+    """``mode_blocks``, the one evaluator every series runs on, and
+    ``mode_values``, its dense matrix."""
 
     @pytest.mark.parametrize("kappa", [3.3, 6.0])
     def test_rows_match_basis_eval(self, kappa):
         # every mode up to level 12 against the per-mode formula, within
-        # 1e-13 of the mode's largest value on the points
+        # 1e-13 of the mode's largest value on the points: each row of the
+        # blocks, and each row of the dense matrix
         basis = dens.SpectralBasis(KappaContext(kappa), 12)
         rng = np.random.default_rng(21)
         rad = np.sqrt(rng.uniform(0.0, 1.0, 300))
         th = rng.uniform(-np.pi, np.pi, 300)
         x = np.concatenate((rad * np.cos(th), [0.0, 1.0, 0.0, -0.6]))
         y = np.concatenate((rad * np.sin(th), [0.0, 0.0, -1.0, 0.8]))
+        want = np.array([ref.basis_eval(basis, n, j, i, x, y)
+                         for n, j, i in zip(basis.mode_n, basis.mode_j,
+                                            basis.mode_i)])
+        atol = 1e-13 * np.max(np.abs(want), axis=1, keepdims=True)
         seen = np.zeros((basis.n_modes, x.size), dtype=int)
         for rows, sl, V in dens.mode_blocks(basis, 12, x, y):
             seen[rows, sl] += 1
-            for k, row in enumerate(rows):
-                n, j, i = (basis.mode_n[row], basis.mode_j[row],
-                           basis.mode_i[row])
-                ref = dens.basis_eval(basis, n, j, i, x[sl], y[sl])
-                np.testing.assert_allclose(
-                    V[k], ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
+            assert np.all(np.abs(V - want[rows, sl])
+                          <= atol[rows] + 1e-13 * np.abs(want[rows, sl]))
         assert (seen == 1).all()
+        got = dens.mode_values(basis, 12, x, y)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= atol + 1e-13 * np.abs(want))
+
+    def test_mode_values_is_the_scatter_of_the_blocks(self, monkeypatch):
+        # 2-d points read flat, a lower level, and blocks of 25 points
+        rng = np.random.default_rng(23)
+        x, y = rng.uniform(-0.7, 0.7, (2, 40, 30))
+        monkeypatch.setattr(dens, "_CHUNK", 500)
+        got = dens.mode_values(BASIS6, 20, x, y)
+        assert got.shape == (BASIS6.modes_up_to(20), 1200)
+        want = np.full(got.shape, np.nan)
+        for rows, sl, V in dens.mode_blocks(BASIS6, 20, x, y):
+            want[rows, sl] = V
+        assert got.tobytes() == want.tobytes()
 
     def test_blocks_stay_within_chunk(self, monkeypatch):
         rng = np.random.default_rng(22)
@@ -418,7 +457,7 @@ class TestGeneratorApply:
         pts = rng.uniform(-0.62, 0.62, (2, 10))
         for n, j, i in _all_modes(basis, 10):
             f = (lambda n=n, j=j, i=i: lambda a, b:
-                 dens.basis_eval(basis, n, j, i, a, b))()
+                 ref.basis_eval(basis, n, j, i, a, b))()
             lhs = dens.generator_apply(ctx, f, pts[0], pts[1])
             rhs = dens.eigenvalue(ctx, n) * f(pts[0], pts[1])
             assert np.max(np.abs(lhs - rhs)) < 1e-6
@@ -450,9 +489,9 @@ class TestGeneratorStencil:
 
     @pytest.mark.parametrize("f", [
         lambda a, b: a ** 3 * b - 2.0 * a * b * b + 0.5 * b,
-        lambda a, b: dens.basis_eval(BASIS6, 0, 0, 1, a, b),
-        lambda a, b: dens.basis_eval(BASIS6, 5, 1, 2, a, b),
-        lambda a, b: dens.basis_eval(BASIS6, 10, 3, 1, a, b),
+        lambda a, b: ref.basis_eval(BASIS6, 0, 0, 1, a, b),
+        lambda a, b: ref.basis_eval(BASIS6, 5, 1, 2, a, b),
+        lambda a, b: ref.basis_eval(BASIS6, 10, 3, 1, a, b),
     ], ids=["polynomial", "mode_0_0_1", "mode_5_1_2", "mode_10_3_1"])
     def test_one_call_same_bytes_as_per_point_calls(self, f):
         calls = []

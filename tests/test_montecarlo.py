@@ -710,6 +710,15 @@ class TestFitPowerLaw:
         with pytest.raises(ValueError):
             mc.fit_power_law([(0.1, 0.5, 0.01), (0.2, -0.1, 0.01)])
 
+        # a NaN estimate was skipped as lacking two distinct radii, an
+        # infinite stderr fitted exponent 0 and intercept 1
+        for column in range(3):
+            for bad in (math.nan, math.inf, -math.inf):
+                pts = [[0.1, 0.5, 0.01], [0.2, 0.7, 0.01], [0.4, 0.9, 0.02]]
+                pts[1][column] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    mc.fit_power_law(pts)
+
 
 class TestIntersectionHit:
     def test_subset_of_two_curve(self, fast_sampler):

@@ -28,9 +28,10 @@ from twocurve.checks import _connection_B
 from twocurve.quadrature import _gauss_jacobi, disc_rule
 from twocurve.special import (
     _horner, _taylor_table, gtilde_table, h_const, hyp_dF, hyp_F,
-    hyp_F_and_dF, hyp_F_at_1, hyp_G, hyp_tilde_G, jacobi, jacobi_sup_norm,
-    log_gamma,
+    hyp_F_and_dF, hyp_F_at_1, hyp_G, hyp_tilde_G, log_gamma,
 )
+
+from references import jacobi, jacobi_sup_norm
 
 # mpmath hyp2f1(4/k, 1-4/k, 8/k, x), 40 digits
 F_TABLE = {
