@@ -316,9 +316,12 @@ def cmd_density(cfg: RunConfig, out=sys.stdout) -> int:
         trunc[t] = {"t": t, "n_used": n_used, "tail_bound": tail,
                     "converged": converged}
 
-    # rows of Python floats, which csv writes as their repr, exactly
-    points = list(zip(za.tolist(), zb.tolist()))
-    pz_t = [(t, *p, v) for t in map(float, cfg.t_list)
+    # rows of Python floats, which csv writes as their repr, exactly; the
+    # grid coordinates and the times repeat from row to row, so each is
+    # formatted once with repr and written as that string
+    coord = [repr(g) for g in grid.tolist()]
+    points = [(c1, c2) for c1 in coord for c2 in coord]  # za, zb order
+    pz_t = [(repr(t), *p, v) for t in map(float, cfg.t_list)
             for p, v in zip(points, np.atleast_1d(
                 dens.tilde_pZ_t(ctx, basis, z0, (za, zb), t)).tolist())]
     _write_csv(os.path.join(cfg.out_dir, "pz_t.csv"),

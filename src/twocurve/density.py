@@ -63,7 +63,7 @@ from __future__ import annotations
 import numpy as np
 
 from .context import KappaContext
-from .green import G_u, _coord_arrays
+from .green import G_u, _coord_arrays, _z_arrays
 from .quadrature import square_integrate
 from .special import h_const, hyp_F, jacobi_seq, log_gamma
 from .timecurve import xy_of_z
@@ -160,17 +160,6 @@ class SpectralBasis:
     @property
     def n_modes(self) -> int:
         return int(self.mode_n.size)
-
-    def mode_index(self, n: int, j: int, i: int) -> int:
-        """Flat index of mode (n, j, i); raises ValueError if absent."""
-        n, j, i = int(n), int(j), int(i)
-        if not (0 <= n <= self.n_max and i in (1, 2) and 0 <= j
-                and 2 * j <= n - (i - 1)):
-            raise ValueError(
-                f"no basis mode with n={n}, j={j}, i={i} "
-                f"(need 0 <= 2j <= n for i=1, 2j <= n-1 for i=2, "
-                f"n <= {self.n_max})")
-        return int(self._level_start[n]) + j + (i - 1) * (n // 2 + 1)
 
     def modes_up_to(self, n_limit: int) -> int:
         """Number of modes with level <= n_limit."""
@@ -488,15 +477,6 @@ def generator_apply(ctx: KappaContext, f, x, y):
 # ---------------------------------------------------------------------------
 # gap-coordinate densities
 # ---------------------------------------------------------------------------
-
-
-def _z_arrays(z):
-    """Coerce a gap point (ZState-like or (z1, z2) pair) to float arrays."""
-    z1, z2 = _coord_arrays(z)
-    if np.any(z1 < 0.0) or np.any(z1 > np.pi) \
-            or np.any(z2 < 0.0) or np.any(z2 > np.pi):
-        raise ValueError("gap coordinates must lie in [0, pi]")
-    return z1, z2
 
 
 def pZ_infty(ctx: KappaContext, z):

@@ -88,6 +88,21 @@ def _coord_arrays(z):
     return np.asarray(z1, dtype=float), np.asarray(z2, dtype=float)
 
 
+def _z_arrays(z):
+    """A gap point (ZState-like or (z1, z2) pair) as float arrays, in the
+    closed square [0, pi]^2: the domain rule of every gap-variable
+    function (``G_u`` and the gap densities of :mod:`twocurve.density`).
+
+    Raises:
+        ValueError: if a coordinate lies outside [0, pi] or is nan.
+    """
+    z1, z2 = _coord_arrays(z)
+    if not (np.all((z1 >= 0.0) & (z1 <= np.pi))
+            and np.all((z2 >= 0.0) & (z2 <= np.pi))):  # nan fails too
+        raise ValueError("gap coordinates must lie in [0, pi]")
+    return z1, z2
+
+
 def G_u(ctx: KappaContext, z):
     """Diagonal Green's function on gap variables (z1, z2) in (0, pi)^2.
 
@@ -96,8 +111,12 @@ def G_u(ctx: KappaContext, z):
 
     Accepts a ZState-like object with z1/z2 attributes or a (z1, z2) pair
     of scalars or same-shape arrays.
+
+    Raises:
+        ValueError: if a coordinate lies outside the closed square
+            [0, pi]^2, where the formula would be a periodic extension.
     """
-    z1, z2 = _coord_arrays(z)
+    z1, z2 = _z_arrays(z)
     # R lies in (0, 1] analytically; clip roundoff overshoot at the corners
     R = np.minimum(cos2(z1) * cos2(z2) / cos2(z1 - z2), 1.0)
     val = _closed_form(ctx, sin2(z1) * sin2(z2), cos2(z1 - z2), R)

@@ -11,7 +11,9 @@ of the spectral basis live here too.
 The power series stops once a step leaves every sum unchanged (adding or
 subtracting its terms) and a coefficient-ratio bound shows that no later
 term is larger; the dropped terms would all have been no-op additions, so
-the result is the full 400-term sum bit for bit (see ``_series_F_and_dF``).
+the result is the full 400-term sum bit for bit.  The test is asked at
+every eighth step only, which keeps those bits: the steps past the first
+passing one add nothing (see ``_series_F_and_dF``).
 
 Taylor re-expansion (the Taylor-series method of Pearson, Olver & Porter,
 "Numerical methods for the computation of the confluent and Gauss
@@ -23,7 +25,12 @@ h_k = (1 - x_k)/2, whose coefficients follow from the ODE's three-term
 recurrence; the nearest singularity (x = 1) lies at t = 2, so the terms
 fall like 2^-n on the step 0 <= t <= 1, once n is past 4/kappa: the
 degree is max(60, ceil(30/kappa)) (``_taylor_degree``).  F and F' at the
-step's end seed the next centre (see ``_taylor_table``).
+step's end seed the next centre; the recurrence's coefficients of every
+centre are formed as arrays up front, in the scalar expression's order,
+so only the recurrence itself runs point by point (see ``_taylor_table``).
+Horner's rule evaluates a batch at every centre's own coefficients,
+gathered in one ``np.take`` for a batch of at most 1 MiB of them and
+degree by degree for a larger one (see ``_horner``).
 
 F and F' at a point do not depend on the other points of the batch: a
 vector call returns the same bits as scalar calls at each of its points.
@@ -48,6 +55,10 @@ __all__ = [
 ]
 
 _SERIES_MAX_TERMS = 400
+# the power series asks its stop test at every _STOP_EVERY-th step
+_STOP_EVERY = 8
+# most bytes of Taylor coefficients that ``_horner`` gathers at once
+_GATHER_BYTES = 1 << 20
 
 
 def log_gamma(x):
@@ -92,7 +103,8 @@ def _series_F_and_dF(ctx: KappaContext, x):
     Step n adds t_n = c_{n+1} x^{n+1} to F and d_n = (n+1) c_{n+1} x^n to
     F', with c_{n+1} = c_n rho_n and rho_n = (a+n)(b+n) / ((c+n)(n+1)).
     The loop ends at the first zero coefficient (kappa = 2, 4), after
-    ``_SERIES_MAX_TERMS`` steps, or as soon as both of these hold:
+    ``_SERIES_MAX_TERMS`` steps, or at a step n that passes the stop test,
+    which asks both of these:
 
     * step n left every element of F and F' unchanged, and subtracting its
       terms instead of adding them would have left them unchanged too;
@@ -100,8 +112,13 @@ def _series_F_and_dF(ctx: KappaContext, x):
 
     Rounding to nearest is monotone, so a term no larger than one whose
     addition and subtraction both leave a sum unchanged leaves it
-    unchanged as well: every dropped term would have been a no-op, and the
-    result is bit for bit the full sum.
+    unchanged as well: every term after a passing step is a no-op, and the
+    result is bit for bit the full sum.  The same argument lets the test
+    run only at every ``_STOP_EVERY``-th step (its four comparisons and
+    four reductions cost more than the step): the steps between the first
+    step that would pass and the next tested one add only no-ops, and the
+    tested one passes too (its terms are no larger, and the bound below
+    holds for every later step once it holds for one).
 
     The bound behind the second condition: with X = max|x|, both
     |t_{m+1} / t_m| and |d_{m+1} / d_m| are at most
@@ -121,26 +138,26 @@ def _series_F_and_dF(ctx: KappaContext, x):
     a, b, c = ctx.hyp_a, ctx.hyp_b, ctx.hyp_c
     x = np.asarray(x, dtype=float)
     xmax = float(np.max(np.abs(x))) if x.size else 0.0
-    f = np.ones_like(x)
-    df = np.zeros_like(x)
+    f, df, xpow = np.ones_like(x), np.zeros_like(x), np.ones_like(x)
+    if x.ndim == 0:  # numpy scalars: a tenth of a 0-d array's cost a step
+        x, f, df, xpow = x[()], f[()], df[()], xpow[()]
     coef = 1.0
-    xpow = np.ones_like(x)
     for n in range(_SERIES_MAX_TERMS):
         coef = coef * (a + n) * (b + n) / ((c + n) * (n + 1.0))
         if coef == 0.0:
             break
         dterm = coef * (n + 1.0) * xpow
-        df_next = df + dterm
-        xpow = xpow * x
+        xpow *= x
         term = coef * xpow
-        f_next = f + term
-        rho = (a + n + 1.0) * (b + n + 1.0) / ((c + n + 1.0) * (n + 2.0))
-        tail_bounded = (xmax <= 0.5 and rho >= -1.0
-                        and abs(rho) * xmax * (n + 2.0) / (n + 1.0) <= 0.75)
-        if (tail_bounded and (df_next == df).all() and (f_next == f).all()
-                and (df - dterm == df).all() and (f - term == f).all()):
-            break
-        f, df = f_next, df_next
+        if n % _STOP_EVERY == _STOP_EVERY - 1 and xmax <= 0.5:
+            rho = (a + n + 1.0) * (b + n + 1.0) / ((c + n + 1.0) * (n + 2.0))
+            if (rho >= -1.0
+                    and abs(rho) * xmax * (n + 2.0) / (n + 1.0) <= 0.75
+                    and (df + dterm == df).all() and (f + term == f).all()
+                    and (df - dterm == df).all() and (f - term == f).all()):
+                break
+        df += dterm
+        f += term
     return f, df
 
 
@@ -191,38 +208,64 @@ def _taylor_table(ctx: KappaContext):
         return table
     a, b, c = ctx.hyp_a, ctx.hyp_b, ctx.hyp_c
     degree = _taylor_degree(ctx.kappa)
+    x0, centres, steps = 0.5, [], []
+    while x0 < 1.0:
+        centres.append(x0)
+        steps.append((1.0 - x0) / 2.0)
+        x0 += steps[-1]
+    centres, steps = np.array(centres), np.array(steps)
+    # the recurrence u_{n+2} = (A_n u_n - B_n u_{n+1}) / D_n of every
+    # centre (a row each), every entry in the scalar expression's
+    # operation order, so with its bits
+    n = np.arange(degree - 1, dtype=float)
+    xk, hk = centres[:, None], steps[:, None]
+    p0 = xk * (1.0 - xk)
+    q0 = c - (a + b + 1.0) * xk
+    A = hk * hk * (n + a) * (n + b)
+    B = (n + 1.0) * hk * ((1.0 - 2.0 * xk) * n + q0)
+    D = p0 * (n + 2.0) * (n + 1.0)
+    dscale = np.arange(1.0, degree + 1.0)
     f0, df0 = _series_F_and_dF(ctx, 0.5)
     f, df = float(f0), float(df0)
-    centres, steps, series = [], [], []
-    x0 = 0.5
-    while x0 < 1.0:
-        h = (1.0 - x0) / 2.0
-        p0 = x0 * (1.0 - x0)
-        q0 = c - (a + b + 1.0) * x0
+    series = []
+    for h, A_k, B_k, D_k in zip(steps.tolist(), A, B, D):
         u = [f, h * df]
-        for n in range(degree - 1):
-            u.append((h * h * (n + a) * (n + b) * u[n]
-                      - (n + 1.0) * h * ((1.0 - 2.0 * x0) * n + q0) * u[n + 1])
-                     / (p0 * (n + 2.0) * (n + 1.0)))
-        du = [(n + 1.0) * u[n + 1] / h for n in range(degree)] + [0.0]
-        centres.append(x0)
-        steps.append(h)
+        u_prev, u_last = u
+        for a_n, b_n, d_n in zip(A_k.tolist(), B_k.tolist(), D_k.tolist()):
+            u_prev, u_last = u_last, (a_n * u_prev - b_n * u_last) / d_n
+            u.append(u_last)
+        du = ((dscale * u[1:]) / h).tolist() + [0.0]
         series.append([u[::-1], du[::-1]])
         f, df = math.fsum(u), math.fsum(du)
-        x0 += h
     series = np.ascontiguousarray(np.array(series).transpose(2, 1, 0))
-    table = (np.array(centres), np.array(steps), series)
+    table = (centres, steps, series)
     ctx._cache["hyp_taylor"] = table
     return table
 
 
 def _horner(series, k, t):
     """(F, F') rows at the points t of the centres k: Horner's rule at
-    the full degree, each point on its own centre's coefficients."""
+    the full degree, each point on its own centre's coefficients.
+
+    A batch whose coefficients fill at most ``_GATHER_BYTES`` (1 MiB:
+    1074 points at degree 60, 976 B a point) gathers them all with one
+    ``np.take``, which saves the per-degree call that is most of a small
+    batch's cost.  A larger batch takes each degree's pair from the table
+    as it goes, with a transient of two rows: a gather of the 20001 points
+    of ``gtilde_table`` would hold 19 MB, and one in blocks runs slower
+    than this loop.  Both paths run the same multiplications and additions
+    in the same order, so a point has the same bits in either.
+    """
     acc = np.zeros((2, t.size))
-    for column in series:
+    if t.size * series[:, :, 0].nbytes > _GATHER_BYTES:
+        for column in series:
+            acc *= t
+            acc += np.take(column, k, axis=1)
+        return acc
+    gathered = np.take(series.reshape(-1, series.shape[2]), k, axis=1)
+    for column in gathered.reshape(series.shape[0], 2, t.size):
         acc *= t
-        acc += np.take(column, k, axis=1)
+        acc += column
     return acc
 
 

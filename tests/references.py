@@ -23,6 +23,12 @@ No command runs these, so they live with the tests that use them
   the array sampler;
 * ``jacobi`` and ``jacobi_sup_norm`` -- one Jacobi polynomial, the last
   value of ``special.jacobi_seq``, and its sup norm on [-1, 1];
+* ``series_F_and_dF`` -- the power series of (F, F') with its stop test
+  at every step, the oracle of ``special._series_F_and_dF``, which asks
+  it at every eighth;
+* ``mode_index`` -- the flat index of mode (n, j, i) in a
+  ``SpectralBasis``, the inverse of its ``mode_n``, ``mode_j`` and
+  ``mode_i`` rows;
 * ``basis_eval`` and ``sup_norm`` -- one mode of a ``SpectralBasis`` by
   its per-mode formula h P_j(2 r^2 - 1) r^m cos/sin(m theta), and the
   endpoint bound of its sup over the disc: the independent oracles of
@@ -43,7 +49,9 @@ from twocurve.ensemble import (
 )
 from twocurve.green import BoundaryConfig, cross_ratio_of_config
 from twocurve.density import SpectralBasis
-from twocurve.special import hyp_F, jacobi_seq, log_gamma
+from twocurve.special import (
+    _SERIES_MAX_TERMS, hyp_F, jacobi_seq, log_gamma,
+)
 from twocurve.trig import sin2
 
 
@@ -233,6 +241,38 @@ def sample_states_loop(n: int, seed: int):
     return out, rejections
 
 
+def series_F_and_dF(ctx: KappaContext, x):
+    """(F, F') by the power series of ``special._series_F_and_dF``, with
+    the stop test asked after every step: the loop ends at the first step
+    whose terms, added or subtracted, leave every sum unchanged and past
+    which the coefficient-ratio bound holds, and returns the sums without
+    that step's terms."""
+    a, b, c = ctx.hyp_a, ctx.hyp_b, ctx.hyp_c
+    x = np.asarray(x, dtype=float)
+    xmax = float(np.max(np.abs(x))) if x.size else 0.0
+    f = np.ones_like(x)
+    df = np.zeros_like(x)
+    coef = 1.0
+    xpow = np.ones_like(x)
+    for n in range(_SERIES_MAX_TERMS):
+        coef = coef * (a + n) * (b + n) / ((c + n) * (n + 1.0))
+        if coef == 0.0:
+            break
+        dterm = coef * (n + 1.0) * xpow
+        df_next = df + dterm
+        xpow = xpow * x
+        term = coef * xpow
+        f_next = f + term
+        rho = (a + n + 1.0) * (b + n + 1.0) / ((c + n + 1.0) * (n + 2.0))
+        tail_bounded = (xmax <= 0.5 and rho >= -1.0
+                        and abs(rho) * xmax * (n + 2.0) / (n + 1.0) <= 0.75)
+        if (tail_bounded and (df_next == df).all() and (f_next == f).all()
+                and (df - dterm == df).all() and (f - term == f).all()):
+            break
+        f, df = f_next, df_next
+    return f, df
+
+
 def jacobi(n: int, alpha: float, beta: float, x):
     """Jacobi polynomial P_n^{(alpha, beta)}(x), last of ``jacobi_seq``."""
     if n < 0:
@@ -258,6 +298,23 @@ def jacobi_sup_norm(n: int, alpha: float, beta: float) -> float:
                         - log_gamma(q + 1.0)))
 
 
+def mode_index(basis: SpectralBasis, n: int, j: int, i: int) -> int:
+    """Flat index of mode (n, j, i) of ``basis``: level n starts at
+    n(n+1)/2 with its n//2 + 1 cos modes, then its sin modes.
+
+    Raises:
+        ValueError: if the basis has no such mode.
+    """
+    n, j, i = int(n), int(j), int(i)
+    if not (0 <= n <= basis.n_max and i in (1, 2) and 0 <= j
+            and 2 * j <= n - (i - 1)):
+        raise ValueError(
+            f"no basis mode with n={n}, j={j}, i={i} "
+            f"(need 0 <= 2j <= n for i=1, 2j <= n-1 for i=2, "
+            f"n <= {basis.n_max})")
+    return n * (n + 1) // 2 + j + (i - 1) * (n // 2 + 1)
+
+
 def sup_norm(basis: SpectralBasis, n: int, j: int) -> float:
     """Endpoint-formula bound for sup |v_{n,j,i}| over the closed disc.
 
@@ -273,7 +330,7 @@ def sup_norm(basis: SpectralBasis, n: int, j: int) -> float:
     m = n - 2 * j
     if j < 0 or m < 0:
         raise ValueError("sup_norm requires 0 <= 2j <= n")
-    return float(basis.mode_h[basis.mode_index(n, j, 1)]
+    return float(basis.mode_h[mode_index(basis, n, j, 1)]
                  * jacobi_sup_norm(j, e, float(m)))
 
 
@@ -284,7 +341,7 @@ def basis_eval(basis: SpectralBasis, n: int, j: int, i: int, x, y):
         ValueError: if the mode indices are out of range or a point lies
             outside the closed disc.
     """
-    h = basis.mode_h[basis.mode_index(n, j, i)]  # validates indices
+    h = basis.mode_h[mode_index(basis, n, j, i)]  # validates indices
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     r2 = x * x + y * y

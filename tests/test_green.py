@@ -1,4 +1,6 @@
 """Tests for the closed-form Green's function evaluators."""
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -105,6 +107,26 @@ class TestGU:
             z2 = 2.0
         ctx = KappaContext(6.0)
         npt.assert_allclose(G_u(ctx, S()), G_u(ctx, (1.0, 2.0)), rtol=0)
+
+    def test_rejects_a_scalar_point_outside_the_square(self):
+        # the formula is pi-periodic in z1 - z2 and would return 0.1013
+        with pytest.raises(ValueError, match=r"\[0, pi\]"):
+            G_u(KappaContext(3.0), (3.2, 1.0))
+
+    @pytest.mark.parametrize("bad", [-0.1, np.nan])
+    def test_rejects_an_array_point_outside_the_square(self, bad):
+        # not nan (with a RuntimeWarning for -0.1): an error, with no
+        # warning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"\[0, pi\]"):
+                G_u(KappaContext(6.0), (np.array([0.5, bad]),
+                                        np.array([1.0, 1.0])))
+
+    def test_accepts_the_closed_square(self):
+        ctx = KappaContext(6.0)
+        vals = G_u(ctx, (np.array([0.0, PI, 1.0]), np.array([1.0, 1.0, PI])))
+        assert vals[0] == 0.0 and vals[1] == vals[2] > 0.0
 
 
 class TestGreensDisc:

@@ -160,6 +160,18 @@ def _public_top_level_names(path: pathlib.Path) -> list:
     return sorted(n for n in names if not n.startswith("_"))
 
 
+def _public_methods(path: pathlib.Path) -> list:
+    """"Class.method" for each method (properties included) without a
+    leading underscore of a module's public top-level classes, sorted."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return sorted(f"{node.name}.{item.name}" for node in tree.body
+                  if isinstance(node, ast.ClassDef)
+                  and not node.name.startswith("_")
+                  for item in node.body
+                  if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not item.name.startswith("_"))
+
+
 def test_public_names_are_pinned():
     # the package holds what the lab runs: a new public name, or a
     # test-only helper moved back into a module, is a visible edit here
@@ -241,6 +253,10 @@ def test_public_names_without_a_caller_are_pinned():
     assert sorted(public - read) == [
         "greens_disc", "importance_log_weight", "normal_pair", "pZ_infty",
         "pZ_t", "pool_C0"]
+    # a public method is read when some file names it as an attribute
+    methods = [m for p in package for m in _public_methods(p)]
+    assert "SpectralBasis.modes_up_to" in methods
+    assert [m for m in methods if m.rpartition(".")[2] not in read] == []
 
 
 # In a fresh interpreter: import the CLI, then run one command after the

@@ -10,10 +10,12 @@ pinned here too.  scipy is the independent oracle of the Jacobi
 polynomials (``eval_jacobi``) and of the Gauss-Jacobi nodes and weights
 (``roots_jacobi``); the package itself imports no scipy.
 """
+import hashlib
 import json
 import math
 import pathlib
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,11 +29,12 @@ from twocurve import KappaContext
 from twocurve.checks import _connection_B
 from twocurve.quadrature import _gauss_jacobi, disc_rule
 from twocurve.special import (
-    _horner, _taylor_table, gtilde_table, h_const, hyp_dF, hyp_F,
-    hyp_F_and_dF, hyp_F_at_1, hyp_G, hyp_tilde_G, log_gamma,
+    _GATHER_BYTES, _GT_TABLE_N, _GT_TABLE_XMAX, _horner, _series_F_and_dF,
+    _taylor_table, gtilde_table, h_const, hyp_dF, hyp_F, hyp_F_and_dF,
+    hyp_F_at_1, hyp_G, hyp_tilde_G, log_gamma,
 )
 
-from references import jacobi, jacobi_sup_norm
+from references import jacobi, jacobi_sup_norm, series_F_and_dF
 
 # mpmath hyp2f1(4/k, 1-4/k, 8/k, x), 40 digits
 F_TABLE = {
@@ -228,6 +231,12 @@ def _hex(values):
     return [float(v).hex() for v in values]
 
 
+def gather_limit(ctx):
+    """The most points in (1/2, 1) whose coefficients ``_horner`` gathers
+    in one ``np.take``."""
+    return _GATHER_BYTES // _taylor_table(ctx)[2][:, :, 0].nbytes
+
+
 class TestHypFBits:
     @pytest.mark.parametrize("kappa", sorted(F_DF_BITS))
     def test_pinned_bits(self, kappa):
@@ -243,16 +252,40 @@ class TestHypFBits:
     @settings(max_examples=60, deadline=None, derandomize=True,
               database=None)
     @given(kappa=st.sampled_from(sorted(F_DF_BITS)),
-           xs=st.lists(BRANCH_X, min_size=1, max_size=12))
-    def test_vector_matches_scalar(self, kappa, xs):
-        # A point's value must not depend on the rest of its batch.
+           xs=st.lists(BRANCH_X, min_size=1, max_size=12),
+           side=st.sampled_from([None, 0, 1]))
+    def test_vector_matches_scalar(self, kappa, xs, side):
+        # A point's value must not depend on the rest of its batch; with
+        # side 0 or 1 the batch is padded to hold gather_limit + side
+        # points in (1/2, 1), the most that _horner gathers at once and
+        # one more, so its points run on either side of that limit.
         ctx = BIT_CTX[kappa]
         arr = np.array(xs)
-        assert _hex(hyp_F(ctx, arr)) == _hex(hyp_F(ctx, x) for x in xs)
-        assert _hex(hyp_dF(ctx, arr)) == _hex(hyp_dF(ctx, x) for x in xs)
+        if side is not None:
+            taylor = np.count_nonzero((arr > 0.5) & (arr < 1.0))
+            pad = np.linspace(0.51, 0.99, gather_limit(ctx) + side - taylor)
+            arr = np.concatenate([arr, pad])
         f, df = hyp_F_and_dF(ctx, arr)
+        assert _hex(f[:len(xs)]) == _hex(hyp_F(ctx, x) for x in xs)
+        assert _hex(df[:len(xs)]) == _hex(hyp_dF(ctx, x) for x in xs)
         assert (_hex(f), _hex(df)) == (_hex(hyp_F(ctx, arr)),
                                        _hex(hyp_dF(ctx, arr)))
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.5, 1.0, 2.0, 8.0 / 3.0, 3.0,
+                                       4.0, 6.0, 7.5, 7.9])
+    def test_series_matches_the_every_step_stop_test(self, kappa):
+        # the stop test asked at every eighth step returns the bits of the
+        # test asked at every step (tests/references.py), on batches and
+        # on single points (whose stop step is their own); kappa 2 and 4
+        # terminate, and their series serves all of [-1/2, 1]
+        ctx = KappaContext(kappa)
+        top = 1.0 if kappa in (2.0, 4.0) else 0.5
+        xs = np.linspace(-0.5, top, 61)
+        batches = [xs, xs[xs >= 0.0], np.array(0.5)] + list(xs[::4, None])
+        for x in batches:
+            got, want = _series_F_and_dF(ctx, x), series_F_and_dF(ctx, x)
+            assert [np.asarray(v).tobytes() for v in got] \
+                == [v.tobytes() for v in want], x
 
 
 # 40-digit F and F' next to every Taylor centre boundary, and at 0.99,
@@ -268,6 +301,16 @@ def _named_x(term):
     base, _, power = tail.partition("^")
     drop = float(base) ** int(power) if power else float(tail or 0.0)
     return float(head) - drop
+
+
+TABLE_SHA256 = {
+    0.3: "c42e9f2b48f53ad819692873fa83c8fd38cca99a3c730ae6f8079f0f9d46ed28",
+    0.5: "ffa9e60b525dce60d4bf5084fceff0e449c7947fbf16be675f6193737a003e9a",
+    3.0: "16ca8841f6236344268d99b7c915c8a3731f642664d7696c149c7064ac4f7eb3",
+    6.0: "56ee0d46ab3017bd14ac5773a5bbb897d3928be042e4c0917d46b29bcbaddc35",
+    7.5: "d2cb29b322d4545f332f65a84cff3f3535fd6294b7534bde1ef694f8106e691f",
+    7.9: "ff547a2ef89d48e8524805318f282576f47268696fc513cfb07e93e128ec1484",
+}
 
 
 class TestTaylorTable:
@@ -306,6 +349,16 @@ class TestTaylorTable:
             start = _horner(series, np.array([k]), np.array([0.0]))[:, 0]
             assert np.all(np.abs(end - start)
                           <= 4 * np.spacing(np.abs(start))), k
+
+    @pytest.mark.parametrize("kappa", sorted(TABLE_SHA256))
+    def test_table_bytes_are_pinned(self, kappa):
+        # sha256 of the bytes of (centres, steps, series) as a loop of
+        # scalar expressions builds them: the coefficient arrays must keep
+        # every bit of it
+        digest = hashlib.sha256()
+        for part in _taylor_table(KappaContext(kappa)):
+            digest.update(np.ascontiguousarray(part).tobytes())
+        assert digest.hexdigest() == TABLE_SHA256[kappa]
 
     @pytest.mark.parametrize("kappa, degree", [
         (0.3, 100), (0.35, 86), (0.5, 60), (0.75, 60), (6.0, 60)])
@@ -363,6 +416,30 @@ class TestHypG:
         u = np.linspace(0.0, u_max, vals.size)
         x = -np.expm1(-u)
         npt.assert_allclose(vals, hyp_tilde_G(ctx, x), rtol=1e-12)
+
+
+# Peak bytes traced by tracemalloc in hyp_F_and_dF at kappa 6 on the
+# points of gtilde_table (the table of F already built) when _horner takes
+# every degree's coefficients from the table as it goes.
+F_BATCH_PEAK = 1_442_901
+
+
+class TestMemory:
+    def test_table_sized_batch_peak_stays_within_1_mib(self):
+        # a gather of every point's coefficients at once would trace about
+        # 19 MB more here (976 B a point), and raise the peak RSS of every
+        # process that builds gtilde_table
+        ctx = KappaContext(6.0)
+        _taylor_table(ctx)
+        u = np.linspace(0.0, -np.log1p(-_GT_TABLE_XMAX), _GT_TABLE_N)
+        x = -np.expm1(-u)
+        tracemalloc.start()
+        try:
+            hyp_F_and_dF(ctx, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= F_BATCH_PEAK + 2 ** 20
 
 
 class TestJacobi:
