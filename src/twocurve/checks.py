@@ -24,15 +24,15 @@ per-point evaluations.
 the quasi-invariance check -- a fault-injection knob proving the suite
 actually detects a wrong exponent (it must make that check fail).
 
-A battery evaluates each quantity that cannot change within it once, on
-the contexts and the one spectral basis that ``run_all_checks`` builds
-for it: the drift states are drawn as one batch ``EnsembleState``,
-validated once; the semigroup checks share the basis's truncations and
-the modes at their single points; and the quasi-invariance check reads
-the tilted law and G_u from the context's node grids
-(``density._node_grid``), so each node pair's G_u is evaluated once over
-both of its (point, time) pairs and all their quadrature levels, and the
-end point's extension once per point (``density._last_points``).
+A battery evaluates each quantity that cannot change within it once.
+The per-kappa caches (the Taylor table of F, the disc rules, Z, the node
+grids of ``density._node_grid``) serve it and every later call; the
+semigroup checks share the truncations and point modes of the one basis
+``run_all_checks`` builds; the drift states are one batch
+``EnsembleState``.  The quasi-invariance check reads the tilted law and
+G_u from the node grids: each node pair's G_u is evaluated once over both
+(point, time) pairs and all their levels, and the end point's extension
+once per point (``density._last_points``).
 """
 
 from __future__ import annotations
@@ -269,18 +269,13 @@ def run_all_checks(kappas=DEFAULT_KAPPAS, n_drift_states: int = 200,
         r = check(*args, **kwargs)
         results.append(replace(r, seconds=time.perf_counter() - t0))
 
-    contexts = {}
     for kappa in kappas:
-        ctx = contexts[float(kappa)] = KappaContext(float(kappa))
+        ctx = KappaContext(float(kappa))
         run(check_hyp_ode, ctx)
         run(check_hyp_value_at_one, ctx)
         run(check_orthonormality, ctx)
         run(check_drift_residual, ctx, n_states=n_drift_states)
-    # the cached Taylor table of F and the disc rules of a kappa already
-    # checked above are reused, not built again
-    ctx_s = contexts.get(SPECTRAL_KAPPA)
-    if ctx_s is None:
-        ctx_s = KappaContext(SPECTRAL_KAPPA)
+    ctx_s = KappaContext(SPECTRAL_KAPPA)
     run(check_eigenfunctions, ctx_s)
     basis = dens.SpectralBasis(ctx_s, 60)
     run(check_chapman_kolmogorov, basis)

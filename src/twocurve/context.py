@@ -1,13 +1,13 @@
 """Parameter context shared by all modules.
 
 A :class:`KappaContext` validates the SLE parameter ``kappa`` once and
-exposes every derived constant used across the package.  Expensive
-per-kappa artifacts (the Taylor table of the hypergeometric function,
-quadrature rules, lookup tables) are memoized on the context instance.
+exposes every derived constant used across the package.  It is a plain
+value, equal and hashed by kappa: expensive per-kappa artifacts are
+``functools.cache`` functions of it, built once per kappa in a process.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["KappaContext"]
 
@@ -21,7 +21,6 @@ class KappaContext:
     """
 
     kappa: float
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         k = float(self.kappa)

@@ -26,24 +26,16 @@ degree n.  This module provides:
     for residual checks, with one call of the applied function on the
     stacked stencil.
 
-A command evaluates every quantity that cannot change within it once,
-and keeps it on the context or the basis it builds for the call (the CLI
-builds both afresh per command, so nothing outlives the call):
-
-  * on the context: the series tail table, doubled only as far as the
-    requested times need; per function (pZ_infty / G_u, and G_u), one
-    grid on the tanh-sinh nodes (``_node_grid``) that every quadrature
-    level reads; and the value of each of G_u and pZ_infty / G_u at the
-    last points it was asked at (``_last_points``): the start point of
-    ``tilde_pZ_t`` and ``survival_P2``, the output grid of ``tilde_pZ_t``
-    and ``tilde_pZ_infty``;
-  * on the basis: the ``truncation`` of every time asked, the modes at
-    the last single point a series was summed from, at the highest level
-    asked there (``_modes_at``), and the survival mode integrals.
-
-Each cached value has the bits of a direct evaluation.  The quadratures
-of Z and of the survival mode integrals both run on the one level loop
-``quadrature.square_integrate``, from level 0 to the level they need;
+What depends on kappa alone is a ``functools.cache`` function of the
+context, built once per kappa and read by every later call: the tail
+table per top level, Z with its quadrature report, and per function
+(pZ_infty / G_u, and G_u) a grid on the tanh-sinh nodes asked so far and
+its value at the last points asked (``_values_of``).  What a call
+evaluates at its own times and points stays on its basis: truncations,
+the modes and G_u at the last start point, and the survival mode
+integrals, whose bits depend on the first level asked.  Every cached
+value has the bits of a direct evaluation, whatever ran before.  Z and
+the survival mode integrals run on ``quadrature.square_integrate``;
 ``quadrature_report`` gives its report of each.
 
 Every series runs on one evaluator, ``mode_blocks``: per angular order m
@@ -60,11 +52,13 @@ of the evaluator.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .context import KappaContext
 from .green import G_u, _coord_arrays, _z_arrays
-from .quadrature import square_integrate
+from .quadrature import square_integrate, tanh_sinh_rule
 from .special import h_const, hyp_F, jacobi_seq, log_gamma
 from .timecurve import xy_of_z
 
@@ -152,10 +146,12 @@ class SpectralBasis:
         self._level_start = levels * (levels + 1) // 2
         self.mode_h = h_const(ctx, self.mode_n, self.mode_j)
         # caches filled lazily: the survival mode integrals, the result of
-        # ``truncation`` per time, and ``_modes_at``'s last point
+        # ``truncation`` per time, and the last point of ``_modes_at`` and
+        # of G_u (``_last_points``)
         self._survival_cache = None
         self._truncations = {}
         self._point_modes = None
+        self._start_gu = {}
 
     @property
     def n_modes(self) -> int:
@@ -255,11 +251,12 @@ def _modes_at(basis: SpectralBasis, n_limit: int, x, y):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _tail_logs(ctx: KappaContext, n_top: int = _N_SCAN):
     """log of the level tail weights T_n = (n+1) max_j sup(v_{n,j})^2.
 
-    Levels 0 to at least n_top.  Cached per context; a longer table
-    replaces a shorter one, whose entries are its head bit for bit (each
+    Levels 0 to n_top, built once per kappa and top level, read-only; a
+    shorter table is the head of a longer one bit for bit (each entry
     depends on its own level only).  Used to pick the series truncation
     so the discarded tail, measured relative to the n = 0 coefficient
     8/(pi k), is below the requested tolerance uniformly over the disc.
@@ -274,10 +271,6 @@ def _tail_logs(ctx: KappaContext, n_top: int = _N_SCAN):
     same order on the same operands, so the result is bit for bit the
     per-pair evaluation.
     """
-    key = "density_tail_logs"
-    cached = ctx._cache.get(key)
-    if cached is not None and cached.size > n_top:
-        return cached
     e = ctx.weight_exponent
     ek = e + 1.0  # 8/kappa
     counts = np.arange(n_top + 1) // 2 + 1
@@ -302,7 +295,7 @@ def _tail_logs(ctx: KappaContext, n_top: int = _N_SCAN):
     log_sup2 = log_h2 + 2.0 * np.maximum(log_sup_a, log_sup_b)
     per_level = np.maximum.reduceat(log_sup2, starts)
     out = per_level + np.log(np.arange(n_top + 1) + 1.0)
-    ctx._cache[key] = out
+    out.flags.writeable = False
     return out
 
 
@@ -541,24 +534,32 @@ def _gu(ctx: KappaContext, z1, z2):
     return G_u(ctx, (z1, z2))
 
 
-def _last_points(ctx: KappaContext, f, z1, z2):
-    """f(ctx, z1, z2) for f in (_gu, _pz_over_gu), from the context's
-    memo of the last points each f was evaluated at.
+def _check_basis(ctx: KappaContext, basis: SpectralBasis):
+    if basis.ctx != ctx:
+        raise ValueError(f"basis of kappa {basis.ctx.kappa}, not {ctx.kappa}")
 
-    A command asks both again and again at the same points: G_u at the
-    start point of every ``tilde_pZ_t`` time and every ``survival_P2``
-    time, the extension at the output grid of every ``tilde_pZ_t`` time
-    and of ``tilde_pZ_infty``, and at the end point of every quadrature
-    level of the quasi-invariance check.  The memo holds one entry per f,
-    keyed by the points' shapes and bytes, so it stays the size of one
-    evaluation.  The value is read-only.
-    """
+
+@functools.cache
+def _values_of(ctx: KappaContext, f) -> dict:
+    """The values of f(ctx, z1, z2), f in (_gu, _pz_over_gu), kept once
+    per kappa: its grid on the nodes asked so far (``_node_grid``) and its
+    value at the last points asked (``_last_points``)."""
+    return {"z": np.empty(0), "values": np.empty((0, 0))}
+
+
+def _last_points(ctx: KappaContext, f, z1, z2, memo=None):
+    """f(ctx, z1, z2) for f in (_gu, _pz_over_gu), from the memo (f's
+    per-kappa one by default) of its value at the last points asked, keyed
+    by their shapes and bytes.  A command asks again and again at the same
+    points: G_u at the start point of every ``tilde_pZ_t`` and
+    ``survival_P2`` time (memo on the basis), the extension at the output
+    grid of every ``tilde_pZ_t`` time and of ``tilde_pZ_infty`` (no basis)
+    and at the end point of every level of the quasi-invariance check."""
+    memo = _values_of(ctx, f) if memo is None else memo
     key = (z1.shape, z2.shape, z1.tobytes(), z2.tobytes())
-    memo = ctx._cache.setdefault("last_points", {})
-    hit = memo.get(f)
-    if hit is None or hit[0] != key:
-        hit = memo[f] = (key, f(ctx, z1, z2))
-    return hit[1]
+    if memo.get("at") != key:
+        memo.update(at=key, last=f(ctx, z1, z2))
+    return memo["last"]
 
 
 def tilde_pZ_t(ctx: KappaContext, basis: SpectralBasis, frm, to, t):
@@ -570,19 +571,21 @@ def tilde_pZ_t(ctx: KappaContext, basis: SpectralBasis, frm, to, t):
     ``frm`` and the extension pZ_infty / G_u at ``to`` come from
     ``_last_points``, the modes at a single ``frm`` from ``_modes_at``:
     the times of one start point and one output grid evaluate each once.
+    ValueError if t <= 0 or the basis is of another kappa.
     """
+    _check_basis(ctx, basis)
     if not t > 0.0:
         raise ValueError("tilde_pZ_t requires t > 0")
     fz1, fz2 = _z_arrays(frm)
     return _tilde(ctx, basis, float(t), (fz1, fz2), to,
-                  _last_points(ctx, _gu, fz1, fz2))
+                  _last_points(ctx, _gu, fz1, fz2, basis._start_gu))
 
 
 def _tilde_pZ_t_grid(ctx: KappaContext, basis: SpectralBasis, z, to, t):
     """``tilde_pZ_t`` from every point of meshgrid(z, z, indexing="ij") to
     the point ``to``, with G_u read from its node grid (``_node_grid``):
     over the nested levels of a quadrature, and over every end point and
-    time, each node pair's G_u is evaluated once per context."""
+    time, each node pair's G_u is evaluated once per kappa."""
     return _tilde(ctx, basis, float(t), np.meshgrid(z, z, indexing="ij"),
                   to, _node_grid(ctx, _gu, z))
 
@@ -603,20 +606,17 @@ def _tilde(ctx: KappaContext, basis: SpectralBasis, t: float, frm, to,
 
 def _node_grid(ctx: KappaContext, f, z):
     """f(ctx, z1, z2) on meshgrid(z, z, indexing="ij"), for f in (_gu,
-    _pz_over_gu), from a per-context grid of f over every distinct node
-    asked for so far.
+    _pz_over_gu), from the per-kappa grid of f over every distinct node
+    asked for so far (``_values_of``).
 
-    A call evaluates only the pairs with a new node.  For the nodes of a
-    tanh-sinh level that costs nothing after a finer level, since halving
-    the step keeps every node (Takahasi & Mori 1974).  Both functions are
-    symmetric in (z1, z2) bit for bit (products commute and cos is even),
-    so each new pair is evaluated once and mirrored.  They act
-    elementwise and hyp_F does not depend on its batch, so every entry
-    has the bits of a direct evaluation.  ``points`` counts the pairs
-    evaluated.
+    A call evaluates only the pairs with a new node: none for a tanh-sinh
+    level after a finer one, since halving the step keeps every node
+    (Takahasi & Mori 1974).  Both functions are symmetric in (z1, z2) bit
+    for bit (products commute and cos is even), so each new pair is
+    evaluated once and mirrored.  They act elementwise and hyp_F does not
+    depend on its batch, so every entry has a direct evaluation's bits.
     """
-    grid = ctx._cache.setdefault("node_grids", {}).setdefault(
-        f, {"z": np.empty(0), "values": np.empty((0, 0)), "points": 0})
+    grid = _values_of(ctx, f)
     nodes = np.union1d(grid["z"], z)
     if nodes.size > grid["z"].size:
         old = np.isin(nodes, grid["z"], assume_unique=True)
@@ -631,16 +631,23 @@ def _node_grid(ctx: KappaContext, f, z):
         for lo in range(0, a.size, _CHUNK):
             ab, bb = a[lo:lo + _CHUNK], b[lo:lo + _CHUNK]
             values[ab, bb] = values[bb, ab] = f(ctx, nodes[ab], nodes[bb])
-        grid.update(z=nodes, values=values, points=grid["points"] + a.size)
+        grid.update(z=nodes, values=values)
     at = np.searchsorted(grid["z"], z)
     return grid["values"][np.ix_(at, at)]
 
 
 def pz_over_gu_grid(ctx: KappaContext, z):
-    """_pz_over_gu on meshgrid(z, z, indexing="ij"), from the context's
-    node grid of it (``_node_grid``), which every quadrature of Z_constant,
-    the survival mode integrals and the quasi-invariance law reads."""
+    """_pz_over_gu on meshgrid(z, z, indexing="ij"), from its per-kappa
+    node grid (``_node_grid``), which every quadrature of Z_constant, the
+    survival mode integrals and the quasi-invariance law reads."""
     return _node_grid(ctx, _pz_over_gu, z)
+
+
+@functools.cache
+def _z_quadrature(ctx: KappaContext):
+    """(Z, report) of ``Z_constant``'s quadrature, run once per kappa."""
+    return square_integrate(
+        lambda z, w: float(w @ pz_over_gu_grid(ctx, z) @ w))
 
 
 def Z_constant(ctx: KappaContext) -> float:
@@ -648,17 +655,9 @@ def Z_constant(ctx: KappaContext) -> float:
 
     The integral over (0, pi)^2 of pZ_infty / G_u: ``square_integrate``
     of the continuous extension on ``pz_over_gu_grid``, at its default
-    relative tolerance 1e-10.  Cached per context, with the quadrature's
-    report for ``quadrature_report``.
+    relative tolerance 1e-10, once per kappa (``_z_quadrature``).
     """
-    cached = ctx._cache.get("z_constant")
-    if cached is not None:
-        return cached
-    val, report = square_integrate(
-        lambda z, w: float(w @ pz_over_gu_grid(ctx, z) @ w))
-    ctx._cache["z_constant_quadrature"] = report
-    ctx._cache["z_constant"] = val
-    return val
+    return _z_quadrature(ctx)[0]
 
 
 def tilde_pZ_infty(ctx: KappaContext, z):
@@ -686,8 +685,8 @@ def _survival_integrals(ctx: KappaContext, basis: SpectralBasis,
     modes of level <= n_limit escalates through ``square_integrate`` from
     level 0, until its largest change is at most 1e-10 of its largest
     entry.  Cached on the basis at the largest level requested so far,
-    with the quadrature's report; a new computation replaces the cache
-    object.
+    with the quadrature's report (its bits depend on the first level
+    asked); a new computation replaces the cache object.
     """
     cache = basis._survival_cache
     if cache is not None and cache["n_limit"] >= n_limit:
@@ -728,8 +727,9 @@ def survival_P2(ctx: KappaContext, basis: SpectralBasis, z0, t):
     A curve asked from its smallest time up computes each once.
 
     Raises:
-        ValueError: if t < 0 or t is NaN.
+        ValueError: if t < 0 or t is NaN, or the basis is of another kappa.
     """
+    _check_basis(ctx, basis)
     t = float(t)
     n_used = truncation(basis, t)[0]
     if t == 0.0:
@@ -741,17 +741,23 @@ def survival_P2(ctx: KappaContext, basis: SpectralBasis, z0, t):
     v0 = _modes_at(basis, n_used, *xy_of_z((z1, z2)))
     lam_modes = _lam_modes(basis, n_used, t)
     total = float(np.dot(lam_modes * v0, ints[:v0.size]))
-    val = np.exp(-ctx.alpha0 * t) * _last_points(ctx, _gu, z1, z2) * total
+    gu = _last_points(ctx, _gu, z1, z2, basis._start_gu)
+    val = np.exp(-ctx.alpha0 * t) * gu * total
     return float(min(max(val, 0.0), 1.0))
 
 
 def quadrature_report(ctx: KappaContext, basis: SpectralBasis) -> dict:
     """The ``square_integrate`` reports (level reached, last inter-level
-    change, tolerance met) of the Z_constant and survival quadratures run
-    on ctx and basis (None if not run), and the distinct points
-    ``pz_over_gu_grid`` evaluated."""
+    change, tolerance met) of the Z_constant quadrature and of the
+    survival quadrature run on the basis (None if not run), and the node
+    pairs of ``pz_over_gu_grid`` they read: D (D + 1) / 2 for the D
+    distinct nodes of the higher level.  ValueError if the basis is of
+    another kappa."""
+    _check_basis(ctx, basis)
+    z_report = _z_quadrature(ctx)[1]
     survival = basis._survival_cache
-    grid = ctx._cache.get("node_grids", {}).get(_pz_over_gu)
-    return {"Z_constant": ctx._cache.get("z_constant_quadrature"),
-            "survival": None if survival is None else survival["quadrature"],
-            "pz_points": 0 if grid is None else grid["points"]}
+    s_report = None if survival is None else survival["quadrature"]
+    level = max(r["level"] for r in (z_report, s_report) if r is not None)
+    distinct = np.unique(np.pi * tanh_sinh_rule(level)[0]).size
+    return {"Z_constant": dict(z_report), "survival": s_report,
+            "pz_points": distinct * (distinct + 1) // 2}

@@ -9,7 +9,7 @@ Two rules are provided:
   Gauss-Jacobi nodes are the eigenvalues of the Jacobi matrix (Golub &
   Welsch, "Calculation of Gauss quadrature rules", Math. Comp. 23, 1969),
   polished by Newton's method on ``special.jacobi_seq``, with weights from
-  the derivative formula; each rule is built once per context;
+  the derivative formula; each rule is built once per kappa;
 * a tanh-sinh (double-exponential) tensor rule on ``(0, pi)^2`` with level
   doubling up to level 6, for integrands with fractional endpoint behavior.
   ``square_integrate`` is the one loop over its levels: ``Z_constant``,
@@ -17,6 +17,8 @@ Two rules are provided:
   through it, and stop on its one rule.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -56,22 +58,19 @@ def _gauss_jacobi(n: int, alpha: float):
     return t, 2.0 ** (alpha + 1.0) / ((1.0 - t * t) * derivative(t) ** 2)
 
 
+@functools.cache
 def disc_rule(ctx: KappaContext, n_r: int, n_theta: int):
     """Nodes and weights for integrals of f(x, y) (1 - x^2 - y^2)^{8/k-1} dA.
 
     The radial Gauss-Jacobi rule comes from Golub-Welsch nodes with a
     Newton polish (``_gauss_jacobi``).  Each (n_r, n_theta) rule is built
-    once per context and cached on it; the cached arrays are read-only.
+    once per kappa; the cached arrays are read-only.
 
     Returns:
         (x, y, w): flat arrays; sum(w * f(x, y)) approximates the integral,
         exactly when f is a polynomial produced by the eigenbasis with
         radial degree < 2 n_r and angular harmonics below n_theta / 2.
     """
-    key = ("disc_rule", n_r, n_theta)
-    rule = ctx._cache.get(key)
-    if rule is not None:
-        return rule
     e = ctx.weight_exponent
     t, wt = _gauss_jacobi(n_r, e)
     r = np.sqrt((1.0 + t) / 2.0)
@@ -84,7 +83,6 @@ def disc_rule(ctx: KappaContext, n_r: int, n_theta: int):
             ww)
     for arr in rule:
         arr.flags.writeable = False
-    ctx._cache[key] = rule
     return rule
 
 

@@ -180,8 +180,9 @@ def _taylor_degree(kappa: float) -> int:
     return max(60, math.ceil(30.0 / kappa))
 
 
+@functools.cache
 def _taylor_table(ctx: KappaContext):
-    """Taylor re-expansion of F on [1/2, 1), cached per context.
+    """Taylor re-expansion of F on [1/2, 1), built once per kappa.
 
     Centre k sits at x_k = 1 - 2^-(k+1) and serves [x_k, x_{k+1}) with
     t = (x - x_k)/h_k in [0, 1), h_k = (1 - x_k)/2.  The centres run while
@@ -201,11 +202,9 @@ def _taylor_table(ctx: KappaContext):
         (centres, steps, series): the series of F and F' of centre k in
         t = (x - centres[k]) / steps[k] is series[:, :, k], of shape
         (degree + 1, 2): the coefficient pairs (of F, of F') from the top
-        degree down to 0, as ``_horner`` reads them.
+        degree down to 0, as ``_horner`` reads them.  The arrays are
+        read-only.
     """
-    table = ctx._cache.get("hyp_taylor")
-    if table is not None:
-        return table
     a, b, c = ctx.hyp_a, ctx.hyp_b, ctx.hyp_c
     degree = _taylor_degree(ctx.kappa)
     x0, centres, steps = 0.5, [], []
@@ -238,9 +237,9 @@ def _taylor_table(ctx: KappaContext):
         series.append([u[::-1], du[::-1]])
         f, df = math.fsum(u), math.fsum(du)
     series = np.ascontiguousarray(np.array(series).transpose(2, 1, 0))
-    table = (centres, steps, series)
-    ctx._cache["hyp_taylor"] = table
-    return table
+    for arr in (centres, steps, series):
+        arr.flags.writeable = False
+    return centres, steps, series
 
 
 def _horner(series, k, t):
@@ -424,7 +423,7 @@ _GT_TABLE_XMAX = 1.0 - 1e-8
 @functools.cache
 def gtilde_table(kappa: float):
     """Uniform table of G-tilde in u = -log(1-x), for interpolation in kernels,
-    built once per kappa (the cache holds no context).
+    built once per kappa.
 
     Returns:
         (u_max, values, du): values[i] = G-tilde(1 - exp(-u_i)) on the

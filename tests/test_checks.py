@@ -129,10 +129,11 @@ def test_injected_F_error_near_one_fails_value_at_one_only(monkeypatch):
         == [("hyp_value_at_one", 3.0), ("hyp_value_at_one", 6.0)]
 
 
-def test_quasi_invariance_evaluates_each_node_pair_once(monkeypatch):
+def test_quasi_invariance_evaluates_each_node_pair_once(monkeypatch,
+                                                        clear_kappa_caches):
     # both (point, time) pairs and all their quadrature levels read G_u
     # from one node grid: each unordered node pair is evaluated once per
-    # context, and a second run on the context evaluates none
+    # kappa, and a second run at the kappa evaluates none
     pairs = []
     G_u = dens.G_u
 
@@ -253,14 +254,15 @@ def test_each_tolerance_override_reaches_its_check(name, monkeypatch):
 def test_shared_disc_rule_reports_what_fresh_rules_report(tmp_path,
                                                           monkeypatch):
     # chapman_kolmogorov and stationarity read one cached disc_rule(ctx,
-    # 30, 64); a run that builds every rule afresh reports the same checks
+    # 30, 64); a run that builds every rule afresh, past the cache,
+    # reports the same checks
     argv = ["check", "--kappas", "6", "--n-drift-states", "2"]
     assert main(argv + ["--out-dir", str(tmp_path / "shared")]) == 0
     built = []
 
     def fresh_rule(ctx, n_r, n_theta):
         built.append((n_r, n_theta))
-        return quadrature.disc_rule(KappaContext(ctx.kappa), n_r, n_theta)
+        return quadrature.disc_rule.__wrapped__(ctx, n_r, n_theta)
 
     monkeypatch.setattr(checks, "disc_rule", fresh_rule)
     assert main(argv + ["--out-dir", str(tmp_path / "fresh")]) == 0

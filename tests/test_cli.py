@@ -1014,3 +1014,53 @@ class TestRecordsCsv:
         bad.write_text("a,b\n1,2\n")
         with pytest.raises(cli.ConfigError):
             cli.read_records_csv(str(bad))
+
+
+def _outputs(out_dir):
+    """Every file a density or check run wrote, the JSON sidecars read
+    without their run-dependent entries (out_dir, the check seconds)."""
+    files = {}
+    for path in sorted(out_dir.iterdir()):
+        if path.suffix != ".json":
+            files[path.name] = path.read_bytes()
+            continue
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        del data["config"]["out_dir"]
+        data.pop("seconds", None)
+        files[path.name] = data
+    return files
+
+
+def test_outputs_do_not_depend_on_what_ran_before(tmp_path, kappa_caches):
+    # the per-kappa caches serve every later call with the bits a direct
+    # evaluation gives: after a small-time density (survival to
+    # quadrature level 4) and a check at kappas 3 and 6, the default
+    # density and check write what they write in a fresh process
+    def run(argv, name):
+        assert main(argv + ["--out-dir", str(tmp_path / name)]) == 0
+        return _outputs(tmp_path / name)
+
+    def misses():
+        return [cache.cache_info().misses for cache in kappa_caches]
+
+    run(["density", "--kappa", "6", "--t-list", "0.002,0.05"], "small_t")
+    run(["check", "--kappas", "3,6"], "check_3_6")
+    before = misses()
+    got = {"density": run(["density"], "density")}
+    assert misses() == before  # kappa 6 is built already
+    got["check"] = run(["check"], "check")
+    # the first default check may build kappas 2, 4 and 7.5, which the
+    # steps before never asked for; a second one builds nothing
+    before = misses()
+    assert run(["check"], "check_again") == got["check"]
+    assert misses() == before
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(twocurve.__file__)),
+         os.environ.get("PYTHONPATH", "")])}
+    for command, files in got.items():
+        fresh = tmp_path / f"fresh_{command}"
+        subprocess.run([sys.executable, "-m", "twocurve", command,
+                        "--out-dir", str(fresh)],
+                       capture_output=True, env=env, timeout=300, check=True)
+        assert _outputs(fresh) == files

@@ -147,7 +147,7 @@ class TestTabulatedConstants:
         ctx = KappaContext(kappa)
         got = dens._tail_logs(ctx)
         assert np.array_equal(got, _tail_logs_per_pair(kappa))
-        assert dens._tail_logs(ctx) is got  # cached on the context
+        assert dens._tail_logs(ctx) is got  # cached per kappa
 
     @pytest.mark.parametrize("kappa", [0.5, 3.0, 4.0, 6.0, 7.5])
     def test_mode_h_matches_scalar_h_const(self, kappa):
@@ -200,8 +200,8 @@ class TestTruncationScan:
             oracle[t], top = _full_scan_truncation(basis, logs, t)
             if top != 0.0:  # the scan misses levels past _N_SCAN
                 assert not oracle[t][2]
-        # from long times down, each call grows the table of the last; then
-        # a fresh context whose first call builds the full table
+        # from long times down, each call scans further than the last;
+        # then from short times up
         for times in (self.TIMES[::-1], self.TIMES):
             basis = dens.SpectralBasis(KappaContext(kappa), 60)
             for t in times:
@@ -221,11 +221,13 @@ class TestTruncationScan:
         ctx = KappaContext(6.0)
         head = dens._tail_logs(ctx, 128)
         assert head.size == 129
-        assert dens._tail_logs(ctx, 100) is head  # reaches level 100
+        short = dens._tail_logs(ctx, 100)  # reaches level 100
+        assert short.tobytes() == head[:101].tobytes()
         full = dens._tail_logs(ctx)
         assert full.size == dens._N_SCAN + 1
-        assert np.array_equal(head, full[:129])
-        assert dens._tail_logs(ctx, 128) is full  # the longer table stays
+        assert head.tobytes() == full[:129].tobytes()
+        # built once per kappa and top level, whatever was built before
+        assert dens._tail_logs(ctx, 128) is head
 
 
 class TestBasisEval:
@@ -762,24 +764,34 @@ def _direct_grid(ctx, z):
 
 
 class TestPzGrid:
-    """One grid of the tilted weight per context, shared by every level."""
+    """One grid of the tilted weight per kappa, shared by every level."""
 
     LEVELS = range(6)
 
     @pytest.mark.parametrize("kappa", [3.0, 6.0, 7.5])
-    def test_grid_equals_direct_evaluation_in_any_order(self, kappa):
+    def test_grid_equals_direct_evaluation_in_any_order(
+            self, kappa, monkeypatch, clear_kappa_caches):
+        ctx = KappaContext(kappa)
         nodes = [np.pi * tanh_sinh_rule(level)[0] for level in self.LEVELS]
-        direct = [_direct_grid(KappaContext(kappa), z) for z in nodes]
+        direct = [_direct_grid(ctx, z) for z in nodes]
         distinct = np.unique(nodes[-1]).size
+        pz_over_gu = dens._pz_over_gu
+        pairs = []
+
+        def counted(ctx, z1, z2):
+            pairs.append(z1.size)
+            return pz_over_gu(ctx, z1, z2)
+
+        monkeypatch.setattr(dens, "_pz_over_gu", counted)
         for order in ([0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0], [2, 5, 0]):
-            ctx = KappaContext(kappa)
+            dens._values_of.cache_clear()
+            pairs.clear()
             for level in order:
                 got = dens.pz_over_gu_grid(ctx, nodes[level])
                 assert np.array_equal(got, direct[level])
             # each distinct pair of node values once, in any order (the 0
             # and pi ends repeat within a level)
-            report = dens.quadrature_report(ctx, dens.SpectralBasis(ctx, 2))
-            assert report["pz_points"] == distinct * (distinct + 1) // 2
+            assert sum(pairs) == distinct * (distinct + 1) // 2
 
 
     @pytest.mark.parametrize("kappa", [3.0, 6.0, 7.5])
@@ -830,7 +842,8 @@ class TestQuadraturePins:
         assert survival["level"] == 2 and survival["converged"] is True
         assert 0.0 <= survival["change"] <= 1e-10 * ints[0]
 
-    def test_unsettled_survival_quadrature_is_reported(self, monkeypatch):
+    def test_unsettled_survival_quadrature_is_reported(self, monkeypatch,
+                                                       clear_kappa_caches):
         # a rule whose weights drift with the level never settles: the one
         # level loop reports it the same way for both of its callers
         nodes, weights = tanh_sinh_rule(1)
@@ -872,6 +885,30 @@ class TestQuadraturePins:
             ints = dens._survival_integrals(ctx, basis, n_limit)
             ref = level5_survival_integrals(ctx, basis, n_limit)
             assert np.max(np.abs(ints - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestBasisOfAnotherKappa:
+    """A context and a basis of different kappas are refused, not mixed
+    (a kappa-3 survival on a kappa-6 basis gave 0.0404, where kappa 3
+    gives 0.162 and kappa 6 gives 0.381)."""
+
+    CTX3 = KappaContext(3.0)
+
+    def test_tilde_pZ_t(self):
+        with pytest.raises(ValueError, match="kappa"):
+            dens.tilde_pZ_t(self.CTX3, BASIS6, (1.2, 1.9), (1.0, 2.0), 1.0)
+
+    def test_survival_P2(self):
+        with pytest.raises(ValueError, match="kappa"):
+            dens.survival_P2(self.CTX3, BASIS6, (1.2, 1.9), 1.0)
+        # an equal context of the basis's kappa is accepted
+        assert dens.survival_P2(KappaContext(6), BASIS6, (1.2, 1.9),
+                                1.0) == dens.survival_P2(CTX6, BASIS6,
+                                                         (1.2, 1.9), 1.0)
+
+    def test_quadrature_report(self):
+        with pytest.raises(ValueError, match="kappa"):
+            dens.quadrature_report(self.CTX3, BASIS6)
 
 
 class TestSurvival:

@@ -6,8 +6,9 @@ command loads no scipy module, which only the tests use.  Every C source
 the package compiles on first use ships with it as package data.  Only
 ``_rng`` derives streams, so that every draw is in its map, the Python
 adaptive kernel draws one uniform at a time, as ``_hsle.c`` does,
-``ensemble`` has one state class for one state or a batch, and only the
-record builder makes Monte Carlo records.  The public names of every
+``ensemble`` has one state class for one state or a batch, the kappa
+context is a plain value with no cache attribute, and only the record
+builder makes Monte Carlo records.  The public names of every
 module are pinned, and so are those that nothing in the package or the
 benchmarks reads, so code that only the tests use stays with them."""
 import ast
@@ -125,6 +126,23 @@ def test_ensemble_has_one_state_class():
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert [node.name for node in ast.walk(tree)
             if isinstance(node, ast.ClassDef)] == ["EnsembleState"]
+
+
+def test_per_kappa_state_is_not_object_state():
+    # per-kappa artifacts are functools.cache functions of the context: the
+    # context is the value kappa alone, and no module keeps an object's
+    # ``_cache`` attribute in which such state could come back
+    from dataclasses import fields
+
+    from twocurve.context import KappaContext
+    assert [f.name for f in fields(KappaContext)] == ["kappa"]
+    found = []
+    for path in sorted((ROOT / "src" / "twocurve").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr == "_cache"]
+    assert not found
 
 
 def test_only_the_record_builder_constructs_records():
