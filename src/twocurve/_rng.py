@@ -5,11 +5,12 @@ A 64-bit stream id and a 64-bit counter i give one output word,
 and split runs draw the same bits.  A stream id is such a word too: stream
 index k of master seed s is word k of s (:func:`derive_stream`).  Uniforms
 take the top 53 bits of a word and lie inside (0, 1).  Every Box-Muller
-normal of the package, scalar or vectorized, Python or compiled (``_hsle.c``
-repeats the recurrence), is sqrt(-2 log u0) * (cos, sin)(2 pi u1) of the
-uniforms at counters (2k, 2k+1), with libm's log (``math.log``: numpy's
-vector ``log`` differs in the last bit for about 0.3% of arguments) and
-numpy's float64 ``sqrt``, ``cos`` and ``sin``, which give libm's bits.
+normal of the package (:func:`normal_pair_array`, the Python adaptive
+kernel's own draw, and ``_hsle.c``, which repeats the recurrence) is
+sqrt(-2 log u0) * (cos, sin)(2 pi u1) of the uniforms at counters (2k,
+2k+1), with libm's log (``math.log``: numpy's vector ``log`` differs in
+the last bit for about 0.3% of arguments) and libm's ``sqrt``, ``cos``
+and ``sin``, whose bits numpy's float64 ones give too.
 
 The map of draws lists every (stream, counter) pair the package reads; no
 two draws share one (``tests/test_rng_map.py`` logs the reads of two small
@@ -82,14 +83,6 @@ def uniform(stream: int, i: int) -> float:
     return ((derive_stream(stream, i) >> 11) + 0.5) * _INV53
 
 
-def normal_pair(stream: int, k: int) -> tuple[float, float]:
-    """The ``k``-th pair of independent standard normals of ``stream``:
-    the Box-Muller pair of counters (2k, 2k+1), in libm."""
-    r = math.sqrt(-2.0 * math.log(uniform(stream, 2 * k)))
-    a = TWO_PI * uniform(stream, 2 * k + 1)
-    return r * math.cos(a), r * math.sin(a)
-
-
 # ---------------------------------------------------------------------------
 # Vectorized (numpy) versions.  These operate on uint64 *arrays*; numpy
 # integer arrays wrap silently on overflow, which is exactly the modular
@@ -134,8 +127,9 @@ def uniform_array(streams: np.ndarray, index) -> np.ndarray:
 
 
 def normal_pair_array(streams: np.ndarray, k) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`normal_pair`: the ``k``-th normal pair per stream,
-    with its bits (the log is ``math.log``, elementwise)."""
+    """The ``k``-th pair of independent standard normals of each stream:
+    the Box-Muller pair of counters (2k, 2k+1), with libm's log
+    (``math.log``, elementwise)."""
     kk = np.atleast_1d(np.asarray(k, dtype=np.uint64))
     two_k = kk + kk
     u0 = uniform_array(streams, two_k)

@@ -27,6 +27,30 @@ Subcommands
     directory into ``report.json`` and ``report.md``; with estimate
     records but no ``fit.json``, fit them and write ``fit.json`` first.
 
+Flags
+-----
+
+Every command takes ``--config`` and ``--out-dir``, and besides them only
+the flags it reads:
+
+``check``
+    ``--kappas``, ``--n-drift-states``, ``--inject-alpha0-error``
+``density``
+    ``--kappa``, ``--z0``, ``--t-list``, ``--grid-n``
+``simulate``
+    ``--kappa``, ``--master-seed``, ``--method``, ``--z0``, ``--cfg``,
+    ``--r-list``, ``--t-list``, ``--n-paths``, ``--dt``, ``--path-start``
+``fit``
+    the estimate CSV to fit (positional)
+``report``
+    none
+
+A flag that its command does not read is a usage error (exit 2), and so
+is an abbreviated flag.  A JSON config file may set every RunConfig field
+whatever the command, so that one file serves several commands; a command
+ignores the fields it does not read (``density``'s ``fit_window`` is set
+only there).
+
 Configuration
 -------------
 
@@ -41,17 +65,19 @@ level (``density.truncation``), so neither is configured.  A dt
 convergence study is two ``simulate`` runs with one master seed, at
 ``dt`` and at ``dt / 2``.
 
-If ``master_seed`` is not supplied one is generated from the OS entropy
-pool, printed on stdout, and stored in every record and sidecar, so any
-run can be reproduced afterwards.
+If ``simulate`` is given no ``master_seed``, one is generated from the OS
+entropy pool, printed on stdout, and stored in every record and sidecar,
+so any run can be reproduced afterwards.
 
 Exit codes: 0 success, 1 verification failure (``check``), 2 invalid
 configuration or input, 3 runtime failure.
 
-All CSV files start with a ``schema_version`` column (current version 1).
-The JSON sidecars (``check_report.json``, ``density_meta.json``,
-``estimates_meta.json``) record under ``versions`` the package, Python and
-numpy versions that wrote them.
+All CSV files start with a ``schema_version`` column (current version 1),
+and the JSON files hold it as a key; ``fit`` and ``report`` reject a file
+that gives another version.  The JSON sidecars (``check_report.json``,
+``density_meta.json``, ``estimates_meta.json``) record under ``versions``
+the package, Python and numpy versions that wrote them.  Every JSON file
+is strict JSON (RFC 8259): a non-finite number is written as ``null``.
 """
 
 from __future__ import annotations
@@ -238,9 +264,23 @@ def validate_config(cfg: RunConfig, command: str) -> None:
         raise ConfigError(str(exc)) from None
 
 
+def _json_value(value):
+    """value with every non-finite float, in dicts, lists and tuples too,
+    as None: JSON has no NaN or Infinity."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return value
+
+
 def _write_json(path: str, payload: dict) -> None:
+    """payload as strict JSON, non-finite floats as null."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_json_value(payload), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 
@@ -409,8 +449,8 @@ _COLUMN_TYPES = {"method": str, "n_paths": int, "seed": int}
 def read_records_csv(path: str) -> list:
     """Read an estimate CSV in the layout of :func:`write_records_csv`;
     ConfigError for a file that is not UTF-8, other columns, or a row with
-    more values than columns or values that do not parse or are not
-    finite."""
+    more values than columns, another schema_version, or values that do
+    not parse or are not finite."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             lines = fh.readlines()
@@ -426,6 +466,10 @@ def read_records_csv(path: str) -> list:
             if None in row:
                 raise ConfigError(f"{path} line {reader.line_num}: more "
                                   f"values than columns")
+            if row["schema_version"] != str(SCHEMA_VERSION):
+                raise ConfigError(
+                    f"{path} line {reader.line_num}: schema_version "
+                    f"{row['schema_version']!r}, expected {SCHEMA_VERSION}")
             try:
                 rows.append({
                     **{k: _COLUMN_TYPES[k](row[k]) if k in _COLUMN_TYPES
@@ -550,26 +594,34 @@ def cmd_fit(cfg: RunConfig, input_path: str, out=sys.stdout) -> int:
 # ---------------------------------------------------------------------------
 
 def _read_sidecar(path: str, keys=(), numbers=()) -> dict:
-    """The JSON object in ``path``; ConfigError if the file does not parse
-    or ``_check_object`` rejects it."""
+    """The JSON object in ``path``; ConfigError if the file does not parse,
+    ``_check_object`` rejects it, or it gives a schema_version other than
+    ``SCHEMA_VERSION``."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except ValueError as exc:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from None
-    return _check_object(path, data, keys, numbers)
+    data = _check_object(path, data, keys, numbers)
+    version = data.get("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ConfigError(f"{path}: schema_version {version!r}, expected "
+                          f"{SCHEMA_VERSION}")
+    return data
 
 
 def _check_object(path: str, obj, keys, numbers=()) -> dict:
     """``obj`` if it is a JSON object holding ``keys``, and numbers (not
-    booleans) under ``numbers``; else ConfigError."""
+    booleans) or null under ``numbers``, where a null becomes nan; else
+    ConfigError."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: not a JSON object: {obj!r:.40}")
     missing = [k for k in (*keys, *numbers) if k not in obj]
     if missing:
         raise ConfigError(f"{path} lacks {', '.join(missing)}")
-    if any(type(obj[k]) not in (int, float) for k in numbers):
+    if any(type(obj[k]) not in (int, float, type(None)) for k in numbers):
         raise ConfigError(f"{path}: {', '.join(numbers)} must be numbers")
+    obj.update((k, math.nan) for k in numbers if obj[k] is None)
     return obj
 
 
@@ -659,12 +711,14 @@ def cmd_report(cfg: RunConfig, out=sys.stdout) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_command(sub, name: str, help: str) -> argparse.ArgumentParser:
+    """The parser of command ``name``, holding the flags of every command
+    (module docstring, Flags).  Flags are spelled out in full: with
+    abbreviations, ``check``'s ``--kappas`` would take ``--kappa``."""
+    p = sub.add_parser(name, help=help, allow_abbrev=False)
     p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--kappa", type=float, help="SLE parameter in (0, 8)")
     p.add_argument("--out-dir", dest="out_dir", help="output directory")
-    p.add_argument("--master-seed", dest="master_seed", type=int,
-                   help="master RNG seed (generated and printed if absent)")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -676,24 +730,25 @@ def build_parser() -> argparse.ArgumentParser:
                "built-in default.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="run the verification battery")
-    _add_common(p)
+    p = _add_command(sub, "check", "run the verification battery")
     p.add_argument("--kappas", help="comma-separated kappa list")
     p.add_argument("--n-drift-states", dest="n_drift_states", type=int)
     p.add_argument("--inject-alpha0-error", dest="inject_alpha0_error",
                    type=float, help="fault-injection: perturb the decay "
                    "exponent used by the quasi-invariance check")
 
-    p = sub.add_parser("density", help="evaluate density grids and "
-                       "survival curves")
-    _add_common(p)
+    p = _add_command(sub, "density",
+                     "evaluate density grids and survival curves")
+    p.add_argument("--kappa", type=float, help="SLE parameter in (0, 8)")
     p.add_argument("--z0", help="start point, two numbers in (0, pi)")
     p.add_argument("--t-list", dest="t_list", help="comma-separated times")
     p.add_argument("--grid-n", dest="grid_n", type=int,
                    help="grid points per axis")
 
-    p = sub.add_parser("simulate", help="run a Monte Carlo estimator")
-    _add_common(p)
+    p = _add_command(sub, "simulate", "run a Monte Carlo estimator")
+    p.add_argument("--kappa", type=float, help="SLE parameter in (0, 8)")
+    p.add_argument("--master-seed", dest="master_seed", type=int,
+                   help="master RNG seed (generated and printed if absent)")
     p.add_argument("--method",
                    choices=("z-weighted", "curves", "intersection"))
     p.add_argument("--z0", help="start point for z-weighted")
@@ -705,12 +760,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path-start", dest="path_start", type=int,
                    help="first path index (resumable ranges)")
 
-    p = sub.add_parser("fit", help="fit power laws to estimate records")
-    _add_common(p)
+    p = _add_command(sub, "fit", "fit power laws to estimate records")
     p.add_argument("input", help="estimate CSV to fit")
 
-    p = sub.add_parser("report", help="aggregate artifacts in out-dir")
-    _add_common(p)
+    _add_command(sub, "report", "aggregate artifacts in out-dir")
     return ap
 
 

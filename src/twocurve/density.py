@@ -15,10 +15,10 @@ degree n.  This module provides:
     decides, from (basis, t) and the tolerance ``SERIES_RTOL``, the level
     of every heat-kernel sum, survival included;
   * the transition density ``p_t`` and its stationary limit ``p_infty``;
-  * the same densities in gap coordinates (z1, z2) in (0, pi)^2 (``pZ_t``,
-    ``pZ_infty``) where x = cos((z1+z2)/2), y = sin((z1-z2)/2);
-  * the tilted sub-Markov density ``tilde_pZ_t`` obtained by weighting with
-    the diagonal Green's function and the decay rate alpha0;
+  * the tilted sub-Markov density ``tilde_pZ_t`` of the same kernel in gap
+    coordinates (z1, z2) in (0, pi)^2, where x = cos((z1+z2)/2),
+    y = sin((z1-z2)/2), obtained by weighting with the diagonal Green's
+    function and the decay rate alpha0;
   * the normalizing constant ``Z_constant`` and the tilted stationary law
     ``tilde_pZ_infty``;
   * quadrature-based survival probabilities ``survival_P2``;
@@ -42,8 +42,8 @@ Every series runs on one evaluator, ``mode_blocks``: per angular order m
 and block of points, the matrix V[k, p] = v_k(x_p, y_p) from the Jacobi
 recurrence ``special.jacobi_seq`` and the powers (x + i y)^m.  Series
 sums, survival mode integrals, the modes at one point and the pointwise
-kernel are contractions of V; ``p_t``, ``pZ_t`` and ``tilde_pZ_t`` take
-their kernel from one truncated sum, ``_series``.  No V holds more than
+kernel are contractions of V; ``p_t`` and ``tilde_pZ_t`` take their
+kernel from one truncated sum, ``_series``.  No V holds more than
 ``_CHUNK`` entries, which bounds the memory of every sum; the checks
 read the dense matrix ``mode_values``.  The tests keep the per-mode
 formula h P_j(2 r^2 - 1) r^m cos/sin(m theta) as the independent oracle
@@ -72,8 +72,6 @@ __all__ = [
     "generator_apply",
     "p_t",
     "p_infty",
-    "pZ_t",
-    "pZ_infty",
     "tilde_pZ_t",
     "pz_over_gu_grid",
     "Z_constant",
@@ -470,34 +468,6 @@ def generator_apply(ctx: KappaContext, f, x, y):
 # ---------------------------------------------------------------------------
 # gap-coordinate densities
 # ---------------------------------------------------------------------------
-
-
-def pZ_infty(ctx: KappaContext, z):
-    """Stationary density of the gap pair on (0, pi)^2."""
-    z1, z2 = _z_arrays(z)
-    e = ctx.weight_exponent
-    s1, s2 = np.sin(z1), np.sin(z2)
-    val = (8.0 / (np.pi * ctx.kappa)
-           * np.clip(s1 * s2, 0.0, None) ** e * (s1 + s2) / 4.0)
-    return float(val) if np.ndim(val) == 0 else val
-
-
-def pZ_t(basis: SpectralBasis, frm, to, t):
-    """Transition density of the gap pair: p_t at the (x, y) images times
-    the Jacobian factor (sin z1* + sin z2*)/4."""
-    if not t > 0.0:
-        raise ValueError("pZ_t requires t > 0")
-    t = float(t)
-    fz1, fz2 = _z_arrays(frm)
-    tz1, tz2 = _z_arrays(to)
-    s1, s2 = np.sin(tz1), np.sin(tz2)
-    psi = np.clip(s1 * s2, 0.0, None) ** basis.weight_exponent
-    jac = (s1 + s2) / 4.0
-    n_used = truncation(basis, t)[0]
-    kern = _series(basis, n_used, t, *xy_of_z((fz1, fz2)),
-                   *xy_of_z((tz1, tz2)))
-    value = psi * kern * jac
-    return float(value) if np.ndim(value) == 0 else value
 
 
 def _pz_over_gu(ctx: KappaContext, z1, z2):

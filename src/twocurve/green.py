@@ -3,10 +3,8 @@
 One private expression evaluates the closed form
 [sin2(w1-v1) sin2(w2-v2)]^{8/k-1} [sin2(w1-w2) sin2(v1-v2)]^{4/k} / F(R):
 ``G_quad`` on four marked boundary angles, ``G_u`` on the gap variables
-of its diagonal specialization.  It is conformally covariant with
-exponent alpha0, so the unit-disc evaluator is greens_disc =
-|f'(z0)|^{alpha0} G_quad o f, f the disc automorphism taking the
-observation point z0 to 0.  alpha0/beta0 are ``KappaContext`` properties.
+of its diagonal specialization.  alpha0/beta0 are ``KappaContext``
+properties.
 """
 from __future__ import annotations
 
@@ -19,7 +17,7 @@ from .special import hyp_F
 from .trig import cos2, sin2
 
 __all__ = [
-    "BoundaryConfig", "cross_ratio_of_config", "G_quad", "G_u", "greens_disc",
+    "BoundaryConfig", "cross_ratio_of_config", "G_quad", "G_u",
 ]
 
 
@@ -121,44 +119,3 @@ def G_u(ctx: KappaContext, z):
     R = np.minimum(cos2(z1) * cos2(z2) / cos2(z1 - z2), 1.0)
     val = _closed_form(ctx, sin2(z1) * sin2(z2), cos2(z1 - z2), R)
     return float(val) if np.ndim(val) == 0 else val
-
-
-def _on_circle(p) -> complex:
-    """Boundary point as a complex point: an angle, or a complex point
-    within 1e-12 of the unit circle."""
-    if np.iscomplexobj(p):
-        if abs(abs(p) - 1.0) > 1e-12:
-            raise ValueError(f"boundary point {p} is off the unit circle")
-        return complex(p)
-    return complex(np.exp(1j * float(p)))
-
-
-def greens_disc(ctx: KappaContext, z0: complex, a1, b1, a2, b2) -> float:
-    """General unit-disc Green's function at interior point z0.
-
-    The disc automorphism f(z) = (z - z0)/(1 - conj(z0) z) takes z0 to 0
-    with |f'(z0)| = (1 - |z0|^2)^{-1}, and the value is |f'(z0)|^{alpha0}
-    times G_quad at the angles of f(a1), f(b1), f(a2), f(b2) as w1, v1, w2,
-    v2, each set at w1 minus its clockwise arc from f(a1), or all negated
-    (a reflection, under which G_quad is invariant) when the points run
-    counterclockwise.  Boundary points may be angles or complex points on
-    the circle.
-
-    Raises:
-        ValueError: z0 outside the open disc, a complex boundary point off
-            the circle, coincident marked points, or {a1, a2} failing to
-            separate {b1, b2}.
-    """
-    z0 = complex(z0)
-    if abs(z0) >= 1.0:
-        raise ValueError("z0 must lie in the open unit disc")
-    pts = np.array([_on_circle(p) for p in (a1, b1, a2, b2)])
-    th = np.angle((pts - z0) / (1.0 - np.conj(z0) * pts))
-    for sign in (1.0, -1.0):
-        arcs = (sign * (th[0] - th)) % (2.0 * np.pi)
-        if 0.0 < arcs[1] < arcs[2] < arcs[3]:
-            cfg = BoundaryConfig(*(sign * th[0] - arcs))
-            return float((1.0 - abs(z0) ** 2) ** -ctx.alpha0
-                         * G_quad(ctx, cfg))
-    raise ValueError("a1, a2 must separate b1 from b2 on the circle (all "
-                     "four distinct)")

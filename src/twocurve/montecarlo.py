@@ -152,8 +152,9 @@ def build_record(kappa: float, method: str, r_or_t: float, dt: float,
     sum_l2; half the band and half the excluded paths per path add in
     quadrature.  Flags after ``flags``: counts with no hit or no miss take
     the 95% bound 3/n (``degenerate_counts``); ``weighted`` records flag
-    ``low_ess`` (ESS <= 100) and ``no_survivors`` (bound 1/n) and keep a
-    roundoff floor of 8 ulp; then ``probe_band`` and ``collision_excluded``.
+    ``low_ess`` (ESS <= 100 or ESS < 1% of n) and ``no_survivors`` (bound
+    1/n) and keep a roundoff floor of 8 ulp; then ``probe_band`` and
+    ``collision_excluded``.
     """
     n, sx, sl, sl2 = (config[k] for k in ("n", "sum_x", "sum_l", "sum_l2"))
     mean = sx / n
@@ -165,7 +166,7 @@ def build_record(kappa: float, method: str, r_or_t: float, dt: float,
         stat = 3.0 / n
         flags.append("degenerate_counts")
     if weighted:
-        if ess <= 100.0:
+        if ess <= 100.0 or ess < 0.01 * n:
             flags.append("low_ess")
         if sx == 0:
             stat = 1.0 / n
@@ -633,10 +634,10 @@ def estimate_survival_weighted(ctx: KappaContext, z0, t_list,
     ``z0`` and the unconditioned survival probability is the average of
     the exponential importance weight at each requested time (the weight
     of an absorbed path is zero).  Reports the effective sample size
-    (sum w)^2 / sum w^2; records with ess <= 100 carry a ``low_ess``
-    flag.  t = 0 yields exactly 1 by
-    construction (all weights are 1), with a roundoff-floor stderr.  The
-    inputs must pass :func:`check_survival_inputs`.
+    (sum w)^2 / sum w^2; records with ess <= 100, or below 1% of n_paths,
+    carry a ``low_ess`` flag.  t = 0 yields exactly 1 by construction (all
+    weights are 1), with a roundoff-floor stderr.  The inputs must pass
+    :func:`check_survival_inputs`.
     """
     z_state, ts = check_survival_inputs(z0, t_list, n_paths, dt, seed,
                                         path_start)

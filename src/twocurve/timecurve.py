@@ -16,10 +16,11 @@ the open unit disc (x^2 + y^2 = 1 - sin z1 sin z2 < 1) where the generator
 is polynomial; the spectral machinery in :mod:`.density` lives there.
 
 This diffusion is the dynamics under the *conditioned* two-curve measure.
-Reweighting a path functional by ``exp(importance_log_weight)`` converts
-expectations under it into expectations under the unconditioned two-curve
-law on the survival event, with log-weight
-``-alpha0*t + log G_u(start) - log G_u(end)``.
+Reweighting a path functional by the exponential of the importance
+log-weight ``-alpha0*t + log G_u(start) - log G_u(end)`` (the
+``log_weight`` of :func:`simulate_z_ensemble`) converts expectations under
+it into expectations under the unconditioned two-curve law on the survival
+event.
 
 The step itself is ``_kernels.z_update``, the one implementation of the
 update: :func:`simulate_z_ensemble` runs it through ``_kernels.z_evolve``
@@ -62,26 +63,6 @@ def xy_of_z(z) -> tuple:
     """
     z1, z2 = _coord_arrays(z)
     return np.cos(0.5 * (z1 + z2)), np.sin(0.5 * (z1 - z2))
-
-
-def importance_log_weight(ctx: KappaContext, t: float, z_start, z_end):
-    """Log of the two-curve/conditioned-measure density ratio at time t.
-
-    Returns -alpha0*t + log G_u(z_start) - log G_u(z_end).  The exponential
-    of this quantity, averaged over paths of the conditioned diffusion,
-    estimates the survival probability of the unconditioned pair beyond
-    common time ``t``; per-path it is the density ratio on the survival
-    event.  Vectorized over ``z_start`` and ``z_end`` given as coordinate
-    arrays.
-    """
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    return _log_weight(ctx, t, np.log(G_u(ctx, z_start)), z_end)
-
-
-def _log_weight(ctx: KappaContext, t: float, log_g_start, z_end):
-    """``importance_log_weight`` given log G_u at the start."""
-    return -ctx.alpha0 * t + log_g_start - np.log(G_u(ctx, z_end))
 
 
 @dataclass
@@ -171,8 +152,8 @@ def simulate_z_ensemble(ctx: KappaContext, z0, t_max: float,
     log_weight = np.full((m, n_paths), -np.inf)
     for ri in range(m):
         ok = (absorb_step < 0) | (absorb_step > rec_steps[ri])
-        log_weight[ri, ok] = _log_weight(ctx, times[ri], log_g0,
-                                         (rec_z1[ri, ok], rec_z2[ri, ok]))
+        log_weight[ri, ok] = (-ctx.alpha0 * times[ri] + log_g0 - np.log(
+            G_u(ctx, (rec_z1[ri, ok], rec_z2[ri, ok]))))
     # undo the record-time sort so outputs align with the caller's order
     inverse = np.argsort(order, kind="stable")
     absorb_time = np.where(absorb_step > 0, absorb_step * dt, np.nan)

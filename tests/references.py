@@ -1,9 +1,11 @@
-"""Test-only references for the ensemble algebra, the two-angle SDE and
-the spectral basis.
+"""Test-only references for the ensemble algebra, the two-angle SDE, the
+spectral basis, and the closed forms, weights and draws that no command
+reads.
 
 No command runs these, so they live with the tests that use them
 (``test_checks.py``, ``test_density.py``, ``test_ensemble.py``,
-``test_montecarlo.py``, ``test_special.py``, ``test_timecurve.py``):
+``test_green.py``, ``test_montecarlo.py``, ``test_special.py``,
+``test_timecurve.py``):
 
 * ``fresh_state`` -- the ensemble state at t1 = t2 = 0, and
   ``state_config`` -- a state's four angles as a ``BoundaryConfig``;
@@ -33,7 +35,21 @@ No command runs these, so they live with the tests that use them
   its per-mode formula h P_j(2 r^2 - 1) r^m cos/sin(m theta), and the
   endpoint bound of its sup over the disc: the independent oracles of
   ``density.mode_blocks``, ``density.mode_values`` and the tail bound of
-  ``density._tail_logs``.
+  ``density._tail_logs``;
+* ``greens_disc`` -- the Green's function at an interior point z0 of the
+  unit disc, |f'(z0)|^{alpha0} G_quad o f with f the disc automorphism
+  taking z0 to 0: the oracle of ``green.G_quad``'s conformal covariance,
+  symmetries and boundary rate (``test_green.py``);
+* ``importance_log_weight`` -- -alpha0 t + log G_u(start) - log G_u(end),
+  the weight that ``timecurve.simulate_z_ensemble`` records, for checks
+  of its sign, its time decay and its vectorization;
+* ``normal_pair`` -- one Box-Muller pair of a stream in scalar libm
+  arithmetic, the oracle of ``_rng.normal_pair_array`` and of the first
+  step of ``z_evolve``;
+* ``pZ_infty`` and ``pZ_t`` -- the stationary and the transition density
+  of the gap pair (z1, z2), the untilted forms of
+  ``density.tilde_pZ_infty`` and ``density.tilde_pZ_t``: their mass,
+  symmetry, Chapman-Kolmogorov and truncation checks.
 """
 from __future__ import annotations
 
@@ -41,17 +57,20 @@ import math
 
 import numpy as np
 
-from twocurve import ensemble as ens
+from twocurve import _rng, ensemble as ens
 from twocurve.context import KappaContext
 from twocurve.ensemble import (
     _C4_PAIRS, EnsembleState, _check_j, _check_mode, _hyp_point,
     _martingale_coefficient, _phi,
 )
-from twocurve.green import BoundaryConfig, cross_ratio_of_config
-from twocurve.density import SpectralBasis
+from twocurve.green import (
+    BoundaryConfig, G_quad, G_u, _z_arrays, cross_ratio_of_config,
+)
+from twocurve.density import SpectralBasis, _series, truncation
 from twocurve.special import (
     _SERIES_MAX_TERMS, hyp_F, jacobi_seq, log_gamma,
 )
+from twocurve.timecurve import xy_of_z
 from twocurve.trig import sin2
 
 
@@ -355,3 +374,96 @@ def basis_eval(basis: SpectralBasis, n: int, j: int, i: int, x, y):
     ang = np.cos(m * theta) if i == 1 else np.sin(m * theta)
     val = h * rad * np.sqrt(r2) ** m * ang
     return float(val) if np.ndim(val) == 0 else val
+
+
+def _on_circle(p) -> complex:
+    """Boundary point as a complex point: an angle, or a complex point
+    within 1e-12 of the unit circle."""
+    if np.iscomplexobj(p):
+        if abs(abs(p) - 1.0) > 1e-12:
+            raise ValueError(f"boundary point {p} is off the unit circle")
+        return complex(p)
+    return complex(np.exp(1j * float(p)))
+
+
+def greens_disc(ctx: KappaContext, z0: complex, a1, b1, a2, b2) -> float:
+    """General unit-disc Green's function at interior point z0.
+
+    The disc automorphism f(z) = (z - z0)/(1 - conj(z0) z) takes z0 to 0
+    with |f'(z0)| = (1 - |z0|^2)^{-1}, and the value is |f'(z0)|^{alpha0}
+    times G_quad at the angles of f(a1), f(b1), f(a2), f(b2) as w1, v1, w2,
+    v2, each set at w1 minus its clockwise arc from f(a1), or all negated
+    (a reflection, under which G_quad is invariant) when the points run
+    counterclockwise.  Boundary points may be angles or complex points on
+    the circle.
+
+    Raises:
+        ValueError: z0 outside the open disc, a complex boundary point off
+            the circle, coincident marked points, or {a1, a2} failing to
+            separate {b1, b2}.
+    """
+    z0 = complex(z0)
+    if abs(z0) >= 1.0:
+        raise ValueError("z0 must lie in the open unit disc")
+    pts = np.array([_on_circle(p) for p in (a1, b1, a2, b2)])
+    th = np.angle((pts - z0) / (1.0 - np.conj(z0) * pts))
+    for sign in (1.0, -1.0):
+        arcs = (sign * (th[0] - th)) % (2.0 * np.pi)
+        if 0.0 < arcs[1] < arcs[2] < arcs[3]:
+            cfg = BoundaryConfig(*(sign * th[0] - arcs))
+            return float((1.0 - abs(z0) ** 2) ** -ctx.alpha0
+                         * G_quad(ctx, cfg))
+    raise ValueError("a1, a2 must separate b1 from b2 on the circle (all "
+                     "four distinct)")
+
+
+def importance_log_weight(ctx: KappaContext, t: float, z_start, z_end):
+    """Log of the two-curve/conditioned-measure density ratio at time t.
+
+    Returns -alpha0*t + log G_u(z_start) - log G_u(z_end).  The exponential
+    of this quantity, averaged over paths of the conditioned diffusion,
+    estimates the survival probability of the unconditioned pair beyond
+    common time ``t``; per-path it is the density ratio on the survival
+    event.  Vectorized over ``z_start`` and ``z_end`` given as coordinate
+    arrays.
+    """
+    if t < 0.0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    return -ctx.alpha0 * t + np.log(G_u(ctx, z_start)) - np.log(
+        G_u(ctx, z_end))
+
+
+def normal_pair(stream: int, k: int) -> tuple[float, float]:
+    """The ``k``-th pair of independent standard normals of ``stream``:
+    the Box-Muller pair of counters (2k, 2k+1), in libm."""
+    r = math.sqrt(-2.0 * math.log(_rng.uniform(stream, 2 * k)))
+    a = _rng.TWO_PI * _rng.uniform(stream, 2 * k + 1)
+    return r * math.cos(a), r * math.sin(a)
+
+
+def pZ_infty(ctx: KappaContext, z):
+    """Stationary density of the gap pair on (0, pi)^2."""
+    z1, z2 = _z_arrays(z)
+    e = ctx.weight_exponent
+    s1, s2 = np.sin(z1), np.sin(z2)
+    val = (8.0 / (np.pi * ctx.kappa)
+           * np.clip(s1 * s2, 0.0, None) ** e * (s1 + s2) / 4.0)
+    return float(val) if np.ndim(val) == 0 else val
+
+
+def pZ_t(basis: SpectralBasis, frm, to, t):
+    """Transition density of the gap pair: p_t at the (x, y) images times
+    the Jacobian factor (sin z1* + sin z2*)/4."""
+    if not t > 0.0:
+        raise ValueError("pZ_t requires t > 0")
+    t = float(t)
+    fz1, fz2 = _z_arrays(frm)
+    tz1, tz2 = _z_arrays(to)
+    s1, s2 = np.sin(tz1), np.sin(tz2)
+    psi = np.clip(s1 * s2, 0.0, None) ** basis.weight_exponent
+    jac = (s1 + s2) / 4.0
+    n_used = truncation(basis, t)[0]
+    kern = _series(basis, n_used, t, *xy_of_z((fz1, fz2)),
+                   *xy_of_z((tz1, tz2)))
+    value = psi * kern * jac
+    return float(value) if np.ndim(value) == 0 else value

@@ -2,14 +2,19 @@
 output, exit code 2 for configurations rejected before any work, config
 precedence, run provenance, ``report`` and the estimate CSV format."""
 import argparse
+import ast
 import csv
 import dataclasses
 import hashlib
+import importlib.util
+import inspect
 import io
 import json
 import math
 import os
+import pathlib
 import platform
+import re
 import subprocess
 import sys
 import warnings
@@ -180,8 +185,9 @@ def test_density_small_time_leaks_no_warning(tmp_path):
         "ff6f611f0c4122e4918b91b3095edad31f3bccf30e2a3443049e70ee95fdbb44",
         "93be7c9978fd86f16680706b0609fe2f31a2ac48012b59a22459d272795aa012",
         "16c3ca990e718dd82991c1c361c092784761dfbfd1097c2c61d7a38c64366048")
+    # the infinite bound is written as null: the sidecar is strict JSON
     report = _meta_without_out_dir(tmp_path)["truncation"]["pz_t"][0]
-    assert (report["tail_bound"], report["converged"]) == (math.inf, False)
+    assert (report["tail_bound"], report["converged"]) == (None, False)
 
 
 def test_density_meta_reports_quadrature(tmp_path,
@@ -1064,3 +1070,205 @@ def test_outputs_do_not_depend_on_what_ran_before(tmp_path, kappa_caches):
                         "--out-dir", str(fresh)],
                        capture_output=True, env=env, timeout=300, check=True)
         assert _outputs(fresh) == files
+
+
+# ---------------------------------------------------------------------------
+# each command's flags
+# ---------------------------------------------------------------------------
+
+COMMAND_FLAGS = {
+    "check": {"--config", "--out-dir", "--kappas", "--n-drift-states",
+              "--inject-alpha0-error"},
+    "density": {"--config", "--out-dir", "--kappa", "--z0", "--t-list",
+                "--grid-n"},
+    "simulate": {"--config", "--out-dir", "--kappa", "--master-seed",
+                 "--method", "--z0", "--cfg", "--r-list", "--t-list",
+                 "--n-paths", "--dt", "--path-start"},
+    "fit": {"--config", "--out-dir"},
+    "report": {"--config", "--out-dir"},
+}
+
+
+def _subparsers() -> dict:
+    sub, = (a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def test_each_command_offers_only_the_flags_it_reads(capsys):
+    parsers = _subparsers()
+    assert {name: {o for a in p._actions for o in a.option_strings
+                   if o not in ("-h", "--help")}
+            for name, p in parsers.items()} == COMMAND_FLAGS
+    # every flag but --config sets a field that the command's function
+    # reads (simulate's through _run_estimator)
+    readers = {"check": [cli.cmd_check], "density": [cli.cmd_density],
+               "simulate": [cli.cmd_simulate, cli._run_estimator],
+               "fit": [cli.cmd_fit], "report": [cli.cmd_report]}
+    for name, p in parsers.items():
+        read = set(re.findall(r"\bcfg\.(\w+)", "".join(
+            map(inspect.getsource, readers[name]))))
+        dests = {a.dest for a in p._actions if a.option_strings} - {
+            "help", "config"}
+        assert dests <= read, (name, dests - read)
+    # and --help shows those flags and no other
+    for name, flags in COMMAND_FLAGS.items():
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        shown = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
+        assert shown - {"--help"} == flags
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["check", "--kappa", "3"], "--kappa 3"),
+    (["density", "--master-seed", "1"], "--master-seed 1"),
+    (["fit", "estimates.csv", "--kappa", "6"], "--kappa 6"),
+    (["report", "--master-seed", "1"], "--master-seed 1"),
+], ids=["check_kappa", "density_master_seed", "fit_kappa",
+        "report_master_seed"])
+def test_a_flag_its_command_does_not_read_exits_2(argv, flag, tmp_path,
+                                                  monkeypatch, capsys):
+    # `check --kappa 3` ran the kappa 6 battery and recorded kappa 3.0
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran past the argument parser")
+
+    for name in ("build_config", "cmd_check", "cmd_density",
+                 "cmd_simulate", "cmd_fit", "cmd_report"):
+        monkeypatch.setattr(cli, name, forbidden)
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out-dir", str(out_dir)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {flag}" in captured.err
+    assert captured.out == "" and not out_dir.exists()
+
+
+def test_benchmark_command_lines_parse(monkeypatch):
+    # benchmarks/run.py calls cli.main with the argv of its workloads'
+    # plans, and benchmarks/tests runs them with the TINY specs of
+    # test_run.py: each must still parse
+    bench = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
+    spec = importlib.util.spec_from_file_location("bench_run",
+                                                  bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_run", run)
+    spec.loader.exec_module(run)
+    tree = ast.parse((bench / "tests" / "test_run.py").read_text(
+        encoding="utf-8"))
+    tiny, = (ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign)
+             and [getattr(t, "id", None) for t in node.targets] == ["TINY"])
+    argvs = [call.argv for name, workload in run.WORKLOADS.items()
+             for spec in (workload, {**workload, **tiny.get(name, {})})
+             for call in next(run.plan(spec, 1))]
+    assert {argv[0] for argv in argvs} == {"check", "density", "simulate"}
+    parser = cli.build_parser()
+    for argv in argvs:
+        parser.parse_args(argv + ["--out-dir", "out"])
+
+
+# ---------------------------------------------------------------------------
+# strict JSON and schema versions
+# ---------------------------------------------------------------------------
+
+def _strict_json(path):
+    """The JSON of ``path``, failing on NaN, Infinity and -Infinity, which
+    RFC 8259 parsers reject."""
+    def reject(token):
+        raise AssertionError(f"{path.name} holds {token}")
+
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+def test_density_meta_is_strict_json(tmp_path):
+    # at kappa 2 the series tail bound of t 0.001 is infinite, written as
+    # Infinity in the pz_t and in the survival truncation entries
+    assert main(["density", "--kappa", "2", "--t-list", "0.001",
+                 "--grid-n", "2", "--out-dir", str(tmp_path)]) == 0
+    meta = _strict_json(tmp_path / "density_meta.json")
+    entries = [*meta["truncation"]["pz_t"], *meta["truncation"]["survival"]]
+    assert [e["t"] for e in entries if e["tail_bound"] is None] == [
+        0.001, 0.001]
+
+
+def test_write_json_writes_non_finite_floats_as_null(tmp_path):
+    path = tmp_path / "payload.json"
+    cli._write_json(str(path), {
+        "a": math.nan, "b": [1.0, -math.inf, (math.inf, 2)],
+        "c": {"d": np.float64("nan"), "e": "x"}, "f": None, "g": True})
+    assert _strict_json(path) == {"a": None, "b": [1.0, None, [None, 2]],
+                                  "c": {"d": None, "e": "x"}, "f": None,
+                                  "g": True}
+
+
+def test_nan_check_residual_is_null_and_report_reads_it(tmp_path,
+                                                         monkeypatch):
+    result = cli.checks_mod.CheckResult("stationarity", 6.0, 1e-8,
+                                        math.nan, False, 0.0)
+    monkeypatch.setattr(cli.checks_mod, "run_all_checks",
+                        lambda **kwargs: [result])
+    out = ["--out-dir", str(tmp_path)]
+    assert main(["check"] + out) == 1
+    report = _strict_json(tmp_path / "check_report.json")
+    assert report["checks"][0]["residual"] is None
+    assert main(["report"] + out) == 0
+    assert _strict_json(tmp_path / "report.json")["checks"]["failed"] == [
+        "stationarity"]
+
+
+def test_report_reads_null_numbers_as_nan(tmp_path):
+    (tmp_path / "density_meta.json").write_text(json.dumps({
+        "schema_version": 1, "Z_constant": 1.5, "survival_slope": None,
+        "alpha0": 1.25}), encoding="utf-8")
+    (tmp_path / "fit.json").write_text(json.dumps({
+        "schema_version": 1, "fits": [{
+            "method": "two_curve_hit", "exponent": 1.2,
+            "exponent_stderr": None, "alpha0": 1.25}]}), encoding="utf-8")
+    assert main(["report", "--out-dir", str(tmp_path)]) == 0
+    report = _strict_json(tmp_path / "report.json")
+    assert report["density"] == {"Z_constant": 1.5, "survival_slope": None,
+                                 "alpha0": 1.25}
+    assert report["fits"][0]["exponent_stderr"] is None
+    text = (tmp_path / "report.md").read_text(encoding="utf-8")
+    assert "* survival slope nan (target -1.250000)" in text
+    assert "exponent 1.2000 +/- nan vs alpha0 1.2500" in text
+
+
+def test_estimate_csv_of_another_schema_version_exits_2(tmp_path, capsys):
+    path = tmp_path / "estimates.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("schema_version",) + mc.CSV_COLUMNS)
+        for r in (0.1, 0.2):
+            writer.writerow((7, 6.0, "two_curve_hit", r, r, 0.01, 100.0,
+                             100, 1e-3, 1, ""))
+    with pytest.raises(cli.ConfigError,
+                       match="line 2: schema_version '7', expected 1"):
+        cli.read_records_csv(str(path))
+    for argv in (["fit", str(path)], ["report"]):
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and f"{path} line 2: schema_version" in err
+    assert not (tmp_path / "fit.json").exists()
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("version", [2, "1", True, None])
+@pytest.mark.parametrize("name, payload", [
+    ("check_report.json", {"all_passed": True, "checks": []}),
+    ("density_meta.json", {"Z_constant": 1.0, "survival_slope": -1.25,
+                           "alpha0": 1.25}),
+    ("fit.json", {"fits": []}),
+], ids=["check_report", "density_meta", "fit"])
+def test_sidecar_of_another_schema_version_exits_2(name, payload, version,
+                                                   tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(json.dumps({**payload, "schema_version": version}),
+                    encoding="utf-8")
+    assert main(["report", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and f"{path}: schema_version" in err
+    assert not (tmp_path / "report.json").exists()

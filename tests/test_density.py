@@ -628,23 +628,23 @@ class TestPz:
     ZB = (0.7, 2.3)
 
     def test_pz_infty_unit_mass(self):
-        val = _grid_integral(lambda a, b: dens.pZ_infty(CTX6, (a, b)),
+        val = _grid_integral(lambda a, b: ref.pZ_infty(CTX6, (a, b)),
                              rtol=1e-10)
         assert abs(val - 1.0) < 1e-8
 
     def test_pz_infty_swap_symmetry(self):
-        a = dens.pZ_infty(CTX6, (1.1, 2.0))
-        b = dens.pZ_infty(CTX6, (2.0, 1.1))
+        a = ref.pZ_infty(CTX6, (1.1, 2.0))
+        b = ref.pZ_infty(CTX6, (2.0, 1.1))
         assert a == b
 
     def test_pz_t_swap_symmetry(self):
-        a = dens.pZ_t(BASIS6, (1.1, 2.0), (0.7, 2.3), 0.8)
-        b = dens.pZ_t(BASIS6, (2.0, 1.1), (2.3, 0.7), 0.8)
+        a = ref.pZ_t(BASIS6, (1.1, 2.0), (0.7, 2.3), 0.8)
+        b = ref.pZ_t(BASIS6, (2.0, 1.1), (2.3, 0.7), 0.8)
         np.testing.assert_allclose(a, b, rtol=1e-13)
 
     def test_pz_t_mass(self):
         val = _grid_integral(
-            lambda a, b: dens.pZ_t(BASIS6, self.Z0, (a, b), 0.5), rtol=1e-9)
+            lambda a, b: ref.pZ_t(BASIS6, self.Z0, (a, b), 0.5), rtol=1e-9)
         assert abs(val - 1.0) < 1e-6
 
     def test_jacobian_relation(self):
@@ -654,17 +654,17 @@ class TestPz:
         x_f = np.cos((self.Z0[0] + self.Z0[1]) / 2.0)
         y_f = np.sin((self.Z0[0] - self.Z0[1]) / 2.0)
         jac = (np.sin(z_to[0]) + np.sin(z_to[1])) / 4.0
-        lhs = dens.pZ_t(BASIS6, self.Z0, z_to, 0.6)
+        lhs = ref.pZ_t(BASIS6, self.Z0, z_to, 0.6)
         rhs = dens.p_t(BASIS6, (x_f, y_f), (x_to, y_to), 0.6) * jac
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
-            dens.pZ_infty(CTX6, (3.5, 1.0))
+            ref.pZ_infty(CTX6, (3.5, 1.0))
         with pytest.raises(ValueError):
-            dens.pZ_t(BASIS6, self.Z0, (1.0, -0.1), 0.5)
+            ref.pZ_t(BASIS6, self.Z0, (1.0, -0.1), 0.5)
         with pytest.raises(ValueError):
-            dens.pZ_t(BASIS6, self.Z0, self.ZB, 0.0)
+            ref.pZ_t(BASIS6, self.Z0, self.ZB, 0.0)
 
 
 class TestTilde:
@@ -674,7 +674,7 @@ class TestTilde:
         z_to = (1.4, 0.9)
         t = 0.8
         direct = (np.exp(-CTX6.alpha0 * t)
-                  * dens.pZ_t(BASIS6, self.Z0, z_to, t)
+                  * ref.pZ_t(BASIS6, self.Z0, z_to, t)
                   * G_u(CTX6, self.Z0) / G_u(CTX6, z_to))
         np.testing.assert_allclose(
             dens.tilde_pZ_t(CTX6, BASIS6, self.Z0, z_to, t), direct,
@@ -689,7 +689,7 @@ class TestTilde:
             n_used, _, converged = dens.truncation(BASIS6, t)
             levels.append((n_used, converged))
             cut = dens.SpectralBasis(CTX6, n_used)
-            for f in (lambda b: dens.pZ_t(b, self.Z0, z_to, t),
+            for f in (lambda b: ref.pZ_t(b, self.Z0, z_to, t),
                       lambda b: dens.tilde_pZ_t(CTX6, b, self.Z0, z_to, t)):
                 assert f(cut) == f(BASIS6)
                 if n_used > 0:

@@ -666,6 +666,18 @@ class TestBuildRecord:
         assert rec.stderr == math.sqrt((3 / 200) ** 2 + (10 / 200) ** 2
                                        + (1 / 200) ** 2)
 
+    @pytest.mark.parametrize("ess, flagged", [(300.0, True), (500.0, False)])
+    def test_low_ess_below_one_percent_of_n(self, ess, flagged):
+        # kappa 2 z-weighted records of 40000 paths have an ESS of 155-555;
+        # above 100 but below 1% of n is low too.  Weight 1 on ``ess`` of
+        # the paths gives ESS sum_l^2 / sum_l2 = ess
+        config = dict(n=40000, sum_x=ess, sum_x2=ess, sum_l=ess, sum_l2=ess,
+                      band=0, excluded=0)
+        rec = mc.build_record(2.0, "survival_weighted", 2.0, 1e-3, 0, config,
+                              weighted=True)
+        assert rec.ess == ess
+        assert rec.flags == (("low_ess",) if flagged else ())
+
 
 class TestFitPowerLaw:
     def test_exact_power_law(self):

@@ -204,9 +204,8 @@ def test_public_names_are_pinned():
                      "z_update"],
         "_rng": ["GAMMA", "MASK64", "PATH_LIMIT", "RETURN_SLOT", "TWO_PI",
                  "UNIT_DRAWS", "derive_stream", "derive_stream_array",
-                 "hit_streams", "mix64", "mix64_array", "normal_pair",
-                 "normal_pair_array", "uniform", "uniform_array",
-                 "z_streams"],
+                 "hit_streams", "mix64", "mix64_array", "normal_pair_array",
+                 "uniform", "uniform_array", "z_streams"],
         "checks": ["CheckResult", "DEFAULT_KAPPAS", "SPECTRAL_KAPPA",
                    "TOLERANCES", "check_chapman_kolmogorov",
                    "check_drift_residual", "check_eigenfunctions",
@@ -220,14 +219,13 @@ def test_public_names_are_pinned():
         "context": ["KappaContext"],
         "density": ["N_CAP", "SERIES_RTOL", "SpectralBasis", "Z_constant",
                     "eigenvalue", "generator_apply", "mode_blocks",
-                    "mode_values", "pZ_infty", "pZ_t", "p_infty", "p_t",
-                    "pz_over_gu_grid", "quadrature_report", "survival_P2",
-                    "tilde_pZ_infty", "tilde_pZ_t", "truncation"],
+                    "mode_values", "p_infty", "p_t", "pz_over_gu_grid",
+                    "quadrature_report", "survival_P2", "tilde_pZ_infty",
+                    "tilde_pZ_t", "truncation"],
         "ensemble": ["EnsembleState", "TWO_PI", "drift_residual",
                      "drift_residuals", "ode_rhs", "sample_states",
                      "sin_ratio_sde"],
-        "green": ["BoundaryConfig", "G_quad", "G_u", "cross_ratio_of_config",
-                  "greens_disc"],
+        "green": ["BoundaryConfig", "G_quad", "G_u", "cross_ratio_of_config"],
         "montecarlo": ["ACCUMULATORS", "CSV_COLUMNS", "EstimateRecord",
                        "HIT_COUNTERS", "TWO_PI", "build_record",
                        "check_hit_inputs", "check_survival_inputs",
@@ -238,8 +236,7 @@ def test_public_names_are_pinned():
         "special": ["gtilde_table", "h_const", "hyp_F", "hyp_F_and_dF",
                     "hyp_F_at_1", "hyp_G", "hyp_dF", "hyp_tilde_G",
                     "jacobi_seq", "log_gamma"],
-        "timecurve": ["PI", "ZPathEnsemble", "ZState",
-                      "importance_log_weight", "simulate_z_ensemble",
+        "timecurve": ["PI", "ZPathEnsemble", "ZState", "simulate_z_ensemble",
                       "time_steps", "xy_of_z"],
         "trig": ["cos2", "cot2", "cot2p", "cot2ppp", "csc2", "sin2"],
     }
@@ -268,9 +265,7 @@ def test_public_names_without_a_caller_are_pinned():
     public = {n for p in package for n in _public_top_level_names(p)}
     read = set().union(*map(_referenced_names, package + sorted(
         (ROOT / "benchmarks").rglob("*.py"))))
-    assert sorted(public - read) == [
-        "greens_disc", "importance_log_weight", "normal_pair", "pZ_infty",
-        "pZ_t", "pool_C0"]
+    assert sorted(public - read) == ["pool_C0"]
     # a public method is read when some file names it as an attribute
     methods = [m for p in package for m in _public_methods(p)]
     assert "SpectralBasis.modes_up_to" in methods

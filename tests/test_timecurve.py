@@ -13,13 +13,12 @@ from twocurve.context import KappaContext
 from twocurve.green import G_u
 from twocurve.timecurve import (
     ZState,
-    importance_log_weight,
     simulate_z_ensemble,
     time_steps,
     xy_of_z,
 )
 
-from references import z_drift_diffusion
+from references import importance_log_weight, normal_pair, z_drift_diffusion
 
 CTX6 = KappaContext(6.0)
 PI = math.pi
@@ -50,7 +49,7 @@ class TestRandomStream:
 
     def test_normal_pairs_consistent(self):
         s = _rng.derive_stream(7, 3)
-        g0, g1 = _rng.normal_pair(s, 11)
+        g0, g1 = normal_pair(s, 11)
         a0, a1 = _rng.normal_pair_array(np.array([s], dtype=np.uint64), 11)
         assert g0 == a0[0] and g1 == a1[0]
 
@@ -67,7 +66,7 @@ class TestRandomStream:
                 [ri * math.sin(2.0 * PI * u) for ri, u in zip(r, u1)])
         g0, g1 = _rng.normal_pair_array(np.uint64(s), k)
         assert (g0.tolist(), g1.tolist()) == want
-        assert list(map(_rng.normal_pair, [s] * k.size,
+        assert list(map(normal_pair, [s] * k.size,
                         k.tolist())) == list(zip(*want))
 
     @settings(max_examples=60, deadline=None, derandomize=True,
@@ -83,7 +82,7 @@ class TestRandomStream:
         for j, sid in enumerate(streams.tolist()):
             assert sid == _rng.derive_stream(master, ids[j])
             assert ua[j] == _rng.uniform(sid, 2 * k + 1)
-            assert (g0[j], g1[j]) == _rng.normal_pair(sid, k)
+            assert (g0[j], g1[j]) == normal_pair(sid, k)
 
     def test_distinct_streams_differ(self):
         a = _rng.derive_stream(1, 0)
@@ -245,7 +244,7 @@ class TestZEvolvePin:
         z1, z2, alive, *_ = evolve(kappa, states.T, dt, 1, n, 8)
         streams = _rng.derive_stream_array(8, np.arange(n)).tolist()
         for i in range(n):
-            g1, g2 = _rng.normal_pair(streams[i], 0)
+            g1, g2 = normal_pair(streams[i], 0)
             a, b = _kernels.z_update(*states[i], g1, g2, kappa, dt)
             assert exits(a, b) == (not alive[i])
             out = (min(max(a, 0.0), PI), min(max(b, 0.0), PI))
