@@ -50,9 +50,12 @@ from .quadrature import disc_rule, square_integrate
 from .special import hyp_F, hyp_F_at_1
 
 __all__ = ["CheckResult", "run_all_checks", "DEFAULT_KAPPAS", "TOLERANCES",
-           "SPECTRAL_KAPPA"]
+           "SPECTRAL_KAPPA", "N_DRIFT_STATES"]
 
 DEFAULT_KAPPAS = (2.0, 3.0, 4.0, 6.0, 7.5)
+
+# the random states of the drift-residual check
+N_DRIFT_STATES = 200
 
 # the kappa of the quadrature-heavy semigroup checks
 SPECTRAL_KAPPA = 6.0
@@ -238,7 +241,7 @@ def check_quasi_invariance(basis: dens.SpectralBasis,
 # ---------------------------------------------------------------------------
 
 def check_drift_residual(ctx: KappaContext,
-                         n_states: int = 200) -> CheckResult:
+                         n_states: int = N_DRIFT_STATES) -> CheckResult:
     """The analytic drift of each normalized observable vanishes at
     random states, for both curves and both normalization modes."""
     states = ensemble.sample_states(n_states, seed=20240 + int(10 * ctx.kappa))
@@ -251,7 +254,8 @@ def check_drift_residual(ctx: KappaContext,
 # battery
 # ---------------------------------------------------------------------------
 
-def run_all_checks(kappas=DEFAULT_KAPPAS, n_drift_states: int = 200,
+def run_all_checks(kappas=DEFAULT_KAPPAS,
+                   n_drift_states: int = N_DRIFT_STATES,
                    inject_alpha0_error: float = 0.0) -> list:
     """Run the full verification battery.
 

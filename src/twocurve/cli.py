@@ -30,26 +30,15 @@ Subcommands
 Flags
 -----
 
-Every command takes ``--config`` and ``--out-dir``, and besides them only
-the flags it reads:
-
-``check``
-    ``--kappas``, ``--n-drift-states``, ``--inject-alpha0-error``
-``density``
-    ``--kappa``, ``--z0``, ``--t-list``, ``--grid-n``
-``simulate``
-    ``--kappa``, ``--master-seed``, ``--method``, ``--z0``, ``--cfg``,
-    ``--r-list``, ``--t-list``, ``--n-paths``, ``--dt``, ``--path-start``
-``fit``
-    the estimate CSV to fit (positional)
-``report``
-    none
-
-A flag that its command does not read is a usage error (exit 2), and so
-is an abbreviated flag.  A JSON config file may set every RunConfig field
-whatever the command, so that one file serves several commands; a command
-ignores the fields it does not read (``density``'s ``fit_window`` is set
-only there).
+``COMMAND_FIELDS`` declares the RunConfig fields each command reads, and
+``METHOD_FIELDS`` those of each ``simulate`` method.  A command takes
+``--config``, ``--out-dir`` and a flag of each field it reads but
+``fit_window`` (``JSON_ONLY``), named after it (``--n-paths``);
+``simulate`` takes those of every method, and ``fit`` the estimate CSV
+(positional).  Any other flag is a usage error (exit 2), and so is an
+abbreviated one.  A JSON config file may set every field whatever the
+command, so one file serves several commands; a command neither checks
+nor records a field it does not read.
 
 Configuration
 -------------
@@ -58,12 +47,13 @@ A run is described by a :class:`RunConfig`.  Values are resolved with
 the precedence **command-line flag > JSON config file > built-in
 default**; pass ``--config file.json`` to load a JSON document whose
 keys are the RunConfig field names.  Validation happens before any
-computation; every output file is accompanied by (or embeds) the fully
-resolved RunConfig.  Check tolerances are the pinned
-``checks.TOLERANCES``, and the spectral series picks its own truncation
-level (``density.truncation``), so neither is configured.  A dt
-convergence study is two ``simulate`` runs with one master seed, at
-``dt`` and at ``dt / 2``.
+computation.  Each sidecar records under ``config`` the resolved values
+of the fields its command read (``RunConfig.read_by``), not the whole
+RunConfig.  Check tolerances are the pinned ``checks.TOLERANCES``, and
+the spectral series picks its own truncation level
+(``density.truncation``), so neither is configured.  A dt convergence
+study is two ``simulate`` runs with one master seed, at ``dt`` and at
+``dt / 2``.
 
 If ``simulate`` is given no ``master_seed``, one is generated from the OS
 entropy pool, printed on stdout, and stored in every record and sidecar,
@@ -99,17 +89,34 @@ from . import __version__, _kernels
 from . import checks as checks_mod
 from . import density as dens
 from . import montecarlo as mc
-from .context import KappaContext
+from .context import KAPPA_MIN, KappaContext
 from .timecurve import ZState
 
 SCHEMA_VERSION = 1
 
 __all__ = ["RunConfig", "main", "cmd_check", "cmd_density", "cmd_simulate",
-           "cmd_fit", "cmd_report", "ConfigError", "SCHEMA_VERSION"]
+           "cmd_fit", "cmd_report", "ConfigError", "SCHEMA_VERSION",
+           "COMMAND_FIELDS", "METHOD_FIELDS", "JSON_ONLY"]
 
 
 class ConfigError(ValueError):
     """Invalid configuration or input file (exit code 2)."""
+
+
+# The fields each command reads besides out_dir, which all read, and those
+# of each simulate method: the parser's flags (but JSON_ONLY), the sidecars'
+# "config" (RunConfig.read_by), and what validate_config checks.
+COMMAND_FIELDS = {
+    "check": ("kappas", "n_drift_states", "inject_alpha0_error"),
+    "density": ("kappa", "z0", "t_list", "grid_n", "fit_window"),
+    "simulate": ("kappa", "master_seed", "method", "n_paths", "dt",
+                 "path_start"),
+    "fit": (),
+    "report": (),
+}
+METHOD_FIELDS = {"z-weighted": ("z0", "t_list"), "curves": ("cfg", "r_list"),
+                 "intersection": ("cfg", "r_list")}
+JSON_ONLY = ("fit_window",)
 
 
 @dataclass
@@ -133,11 +140,14 @@ class RunConfig:
     fit_window: list = field(default_factory=lambda: [4.0, 8.0])
     kappas: list = field(default_factory=lambda: list(
         checks_mod.DEFAULT_KAPPAS))
-    n_drift_states: int = 200
+    n_drift_states: int = checks_mod.N_DRIFT_STATES
     inject_alpha0_error: float = 0.0
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+    def read_by(self, command: str) -> dict:
+        """The fields ``command`` reads, and simulate's method, by name."""
+        names = COMMAND_FIELDS[command] + (
+            METHOD_FIELDS[self.method] if command == "simulate" else ())
+        return {name: getattr(self, name) for name in ("out_dir", *names)}
 
 
 _FIELD_TYPES = {f.name: f for f in dataclasses.fields(RunConfig)}
@@ -215,17 +225,19 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig, command: str) -> None:
-    """Reject all domain violations before any computation.  The rules of
-    kappa and z0 belong to ``KappaContext`` and ``ZState``, those of
-    simulate to the estimator's input check; their ValueError becomes a
-    ConfigError."""
+    """Reject every domain violation of the fields ``command`` reads
+    (COMMAND_FIELDS) before any computation.  The rules of kappa and z0
+    belong to ``KappaContext`` and ``ZState``, those of simulate to the
+    estimator's input check; their ValueError becomes a ConfigError."""
     if not cfg.out_dir:
         raise ConfigError("out_dir must not be empty")
     try:
-        KappaContext(cfg.kappa)
+        if "kappa" in COMMAND_FIELDS[command]:
+            KappaContext(cfg.kappa)
         if command == "check":
-            if not cfg.kappas:
-                raise ConfigError("kappas must be nonempty")
+            if not cfg.kappas or len(set(cfg.kappas)) < len(cfg.kappas):
+                raise ConfigError("kappas must be a nonempty list of "
+                                  "distinct kappas")
             for k in cfg.kappas:
                 KappaContext(k)
             if cfg.n_drift_states < 1:
@@ -246,7 +258,7 @@ def validate_config(cfg: RunConfig, command: str) -> None:
                 raise ConfigError("fit_window must be [t_lo, t_hi] with "
                                   "0 <= t_lo < t_hi")
         if command == "simulate":
-            if cfg.method not in ("z-weighted", "curves", "intersection"):
+            if cfg.method not in METHOD_FIELDS:
                 raise ConfigError(
                     f"method must be z-weighted | curves | intersection, "
                     f"got {cfg.method!r}")
@@ -316,7 +328,7 @@ def cmd_check(cfg: RunConfig, out=sys.stdout) -> int:
     ok = all(r.passed for r in results)
     report = {
         "schema_version": SCHEMA_VERSION,
-        "config": cfg.to_dict(),
+        "config": cfg.read_by("check"),
         "checks": [r.to_dict() for r in results],
         "all_passed": ok,
         "seconds": {"checks": [r.seconds for r in results],
@@ -391,7 +403,7 @@ def cmd_density(cfg: RunConfig, out=sys.stdout) -> int:
 
     meta = {
         "schema_version": SCHEMA_VERSION,
-        "config": cfg.to_dict(),
+        "config": cfg.read_by("density"),
         "Z_constant": float(dens.Z_constant(ctx)),
         "survival_slope": slope,
         "alpha0": float(ctx.alpha0),
@@ -495,7 +507,7 @@ def cmd_simulate(cfg: RunConfig, out=sys.stdout) -> int:
     write_records_csv(os.path.join(cfg.out_dir, "estimates.csv"), records)
     meta = {
         "schema_version": SCHEMA_VERSION,
-        "config": cfg.to_dict(),
+        "config": cfg.read_by("simulate"),
         "n_records": len(records),
         "files": ["estimates.csv"],
         "versions": _versions(),
@@ -533,7 +545,7 @@ _FITTABLE = ("two_curve_hit", "intersection_hit")
 
 def fit_records(rows) -> dict:
     """Group hit-probability records and fit a power law per group;
-    ConfigError for a record whose kappa lies outside (0, 8)."""
+    ConfigError for a record whose kappa KappaContext refuses."""
     groups: dict = {}
     for row in rows:
         key = (row["kappa"], row["method"], row["dt"])
@@ -711,13 +723,40 @@ def cmd_report(cfg: RunConfig, out=sys.stdout) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# the help of a field's flag, and the type of a flag that is not text (a
+# list flag's text is parsed by build_config)
+_HELP = {
+    "kappa": f"SLE parameter in [{KAPPA_MIN}, 8)",
+    "z0": "start point, two numbers in (0, pi)",
+    "cfg": "four marked angles w1 v1 w2 v2",
+    "r_list": "comma-separated radii",
+    "t_list": "comma-separated times",
+    "master_seed": "master RNG seed (generated and printed if absent)",
+    "out_dir": "output directory",
+    "path_start": "first path index (resumable ranges)",
+    "grid_n": "grid points per axis",
+    "kappas": "comma-separated kappa list",
+    "inject_alpha0_error": "fault-injection: perturb the decay exponent "
+                           "used by the quasi-invariance check",
+}
+_FLAG_TYPES = {"float": float, "int": int, "int | None": int}
+
+
 def _add_command(sub, name: str, help: str) -> argparse.ArgumentParser:
-    """The parser of command ``name``, holding the flags of every command
-    (module docstring, Flags).  Flags are spelled out in full: with
-    abbreviations, ``check``'s ``--kappas`` would take ``--kappa``."""
+    """The parser of command ``name`` (module docstring, Flags).  Flags are
+    spelled out in full: with abbreviations, ``check``'s ``--kappas`` would
+    take ``--kappa``."""
     p = sub.add_parser(name, help=help, allow_abbrev=False)
     p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory")
+    read = {"out_dir", *COMMAND_FIELDS[name]}
+    if name == "simulate":
+        read.update(*METHOD_FIELDS.values())
+    for f, spec in _FIELD_TYPES.items():
+        if f in read and f not in JSON_ONLY:
+            p.add_argument(f"--{f.replace('_', '-')}", dest=f,
+                           help=_HELP.get(f), type=_FLAG_TYPES.get(spec.type),
+                           choices=tuple(METHOD_FIELDS) if f == "method"
+                           else None)
     return p
 
 
@@ -729,40 +768,11 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Value precedence: command-line flag > --config JSON > "
                "built-in default.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = _add_command(sub, "check", "run the verification battery")
-    p.add_argument("--kappas", help="comma-separated kappa list")
-    p.add_argument("--n-drift-states", dest="n_drift_states", type=int)
-    p.add_argument("--inject-alpha0-error", dest="inject_alpha0_error",
-                   type=float, help="fault-injection: perturb the decay "
-                   "exponent used by the quasi-invariance check")
-
-    p = _add_command(sub, "density",
-                     "evaluate density grids and survival curves")
-    p.add_argument("--kappa", type=float, help="SLE parameter in (0, 8)")
-    p.add_argument("--z0", help="start point, two numbers in (0, pi)")
-    p.add_argument("--t-list", dest="t_list", help="comma-separated times")
-    p.add_argument("--grid-n", dest="grid_n", type=int,
-                   help="grid points per axis")
-
-    p = _add_command(sub, "simulate", "run a Monte Carlo estimator")
-    p.add_argument("--kappa", type=float, help="SLE parameter in (0, 8)")
-    p.add_argument("--master-seed", dest="master_seed", type=int,
-                   help="master RNG seed (generated and printed if absent)")
-    p.add_argument("--method",
-                   choices=("z-weighted", "curves", "intersection"))
-    p.add_argument("--z0", help="start point for z-weighted")
-    p.add_argument("--cfg", help="four marked angles w1 v1 w2 v2")
-    p.add_argument("--r-list", dest="r_list", help="radii for curve methods")
-    p.add_argument("--t-list", dest="t_list", help="times for z-weighted")
-    p.add_argument("--n-paths", dest="n_paths", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--path-start", dest="path_start", type=int,
-                   help="first path index (resumable ranges)")
-
+    _add_command(sub, "check", "run the verification battery")
+    _add_command(sub, "density", "evaluate density grids and survival curves")
+    _add_command(sub, "simulate", "run a Monte Carlo estimator")
     p = _add_command(sub, "fit", "fit power laws to estimate records")
     p.add_argument("input", help="estimate CSV to fit")
-
     _add_command(sub, "report", "aggregate artifacts in out-dir")
     return ap
 

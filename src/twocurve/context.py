@@ -9,7 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["KappaContext"]
+__all__ = ["KappaContext", "KAPPA_MIN"]
+
+# The smallest kappa accepted.  From it up, F = 2F1(4/k, 1 - 4/k; 8/k; x)
+# (``special.hyp_F``) and F' lie within 1e-10 of 40-digit values on the map
+# of tests/data/hyp2f1_smallkappa_mpmath40.json and pass the hyp checks of
+# the battery; below it F loses digits to cancellation (ROADMAP item 3).
+KAPPA_MIN = 0.25
 
 
 @dataclass(frozen=True)
@@ -17,7 +23,7 @@ class KappaContext:
     """Validated kappa plus derived constants.
 
     Attributes:
-        kappa: SLE parameter, must lie in (0, 8).
+        kappa: SLE parameter, must lie in [KAPPA_MIN, 8).
     """
 
     kappa: float
@@ -26,6 +32,10 @@ class KappaContext:
         k = float(self.kappa)
         if not (0.0 < k < 8.0):
             raise ValueError(f"kappa must lie in (0, 8), got {self.kappa!r}")
+        if k < KAPPA_MIN:
+            raise ValueError(f"kappa must be at least KAPPA_MIN = {KAPPA_MIN}"
+                             f", got {self.kappa!r}: below it F is not "
+                             f"accurate to 1e-10 (ROADMAP item 3)")
         object.__setattr__(self, "kappa", k)
 
     # -- hypergeometric parameters (a, b; c) of the interaction function --

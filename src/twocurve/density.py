@@ -41,11 +41,11 @@ the survival mode integrals run on ``quadrature.square_integrate``;
 Every series runs on one evaluator, ``mode_blocks``: per angular order m
 and block of points, the matrix V[k, p] = v_k(x_p, y_p) from the Jacobi
 recurrence ``special.jacobi_seq`` and the powers (x + i y)^m.  Series
-sums, survival mode integrals, the modes at one point and the pointwise
-kernel are contractions of V; ``p_t`` and ``tilde_pZ_t`` take their
-kernel from one truncated sum, ``_series``.  No V holds more than
-``_CHUNK`` entries, which bounds the memory of every sum; the checks
-read the dense matrix ``mode_values``.  The tests keep the per-mode
+sums, survival mode integrals and the modes at one point are
+contractions of V; ``p_t`` and ``tilde_pZ_t`` take their kernel from one
+truncated sum with a single point at one end, ``_series``.  No V holds
+more than ``_CHUNK`` entries, which bounds the memory of every sum; the
+checks read the dense matrix ``mode_values``.  The tests keep the per-mode
 formula h P_j(2 r^2 - 1) r^m cos/sin(m theta) as the independent oracle
 of the evaluator.
 """
@@ -366,32 +366,24 @@ def _lam_modes(basis: SpectralBasis, n_limit: int, t: float):
 
 def _series(basis, n_limit, t, fx, fy, tx, ty):
     """K = sum_s exp(lambda_n t) v_s(from) v_s(to) over the modes of level
-    <= n_limit; at level 0 the constant 8/(pi k) on the broadcast shape
-    of the points.
+    <= n_limit; at level 0 the constant 8/(pi k) on the shape of the other
+    point.
 
-    One of the points is a scalar (K is symmetric, so it becomes a series
-    in the other point), or both are arrays of one shape (pointwise).
+    One of the points is a single point (0-d coordinates); K is symmetric,
+    so it becomes a series in the other, a single point or arrays of one
+    shape.  ValueError if both are arrays.
     """
+    if fx.ndim != 0:
+        if tx.ndim != 0:
+            raise ValueError("from or to must be a single point")
+        fx, fy, tx, ty = tx, ty, fx, fy
     if n_limit == 0:
-        return np.full(np.broadcast_shapes(fx.shape, tx.shape),
-                       8.0 / (np.pi * basis.ctx.kappa))
-    lam_modes = _lam_modes(basis, n_limit, t)
-    if fx.ndim == 0 or tx.ndim == 0:
-        if fx.ndim != 0:
-            fx, fy, tx, ty = tx, ty, fx, fy
-        coef = lam_modes * _modes_at(basis, n_limit, fx, fy)
-        out = np.zeros(tx.size)
-        for rows, sl, V in mode_blocks(basis, n_limit, tx, ty):
-            out[sl] += coef[rows] @ V
-        return out.reshape(tx.shape)
-    if fx.shape != tx.shape:
-        raise ValueError("from/to point arrays must be scalar or same shape")
-    out = np.zeros(fx.size)
-    for (rows, sl, Va), (_, _, Vb) in zip(
-            mode_blocks(basis, n_limit, fx, fy),
-            mode_blocks(basis, n_limit, tx, ty)):
-        out[sl] += lam_modes[rows] @ (Va * Vb)
-    return out.reshape(fx.shape)
+        return np.full(tx.shape, 8.0 / (np.pi * basis.ctx.kappa))
+    coef = _lam_modes(basis, n_limit, t) * _modes_at(basis, n_limit, fx, fy)
+    out = np.zeros(tx.size)
+    for rows, sl, V in mode_blocks(basis, n_limit, tx, ty):
+        out[sl] += coef[rows] @ V
+    return out.reshape(tx.shape)
 
 
 def p_infty(ctx: KappaContext, x, y):
@@ -407,11 +399,13 @@ def p_infty(ctx: KappaContext, x, y):
 def p_t(basis: SpectralBasis, frm, to, t):
     """Transition density of the disc diffusion after time t.
 
-    frm and to are (x, y) pairs; one of them may hold arrays.  The series
-    is truncated at ``truncation(basis, t)``.
+    frm and to are (x, y) pairs: one of them is a single point, the other
+    a single point or arrays of points.  The series is truncated at
+    ``truncation(basis, t)``.
 
     Raises:
-        ValueError: if t <= 0 or a point leaves the closed disc.
+        ValueError: if t <= 0, a point leaves the closed disc, or both frm
+            and to hold arrays.
     """
     if not t > 0.0:
         raise ValueError("p_t requires t > 0")

@@ -111,7 +111,8 @@ def simulate_z_ensemble(ctx: KappaContext, z0, t_max: float,
     Args:
         z0: starting state (ZState) of every path.
         t_max, record_times: the last time and the times in (0, t_max] to
-            snapshot (default: [t_max]), each at its :func:`time_steps`.
+            snapshot, in ascending order (default: [t_max]), each at its
+            :func:`time_steps`.
 
     Returns:
         ZPathEnsemble with states, importance log-weights, and absorption
@@ -126,10 +127,9 @@ def simulate_z_ensemble(ctx: KappaContext, z0, t_max: float,
         record_times = [t_max]
     rec_steps = np.array([time_steps(t, dt) for t in record_times],
                          dtype=np.int64)
-    if not (np.all(rec_steps >= 1) and np.all(rec_steps <= n_steps)):
-        raise ValueError("record times must lie in (0, t_max]")
-    order = np.argsort(rec_steps, kind="stable")
-    rec_steps = rec_steps[order]
+    if not (np.all(rec_steps >= 1) and np.all(rec_steps <= n_steps)
+            and np.all(np.diff(rec_steps) >= 0)):
+        raise ValueError("record times must ascend in (0, t_max]")
 
     streams = _rng.z_streams(master_seed,
                              range(path_start, path_start + n_paths))
@@ -154,11 +154,7 @@ def simulate_z_ensemble(ctx: KappaContext, z0, t_max: float,
         ok = (absorb_step < 0) | (absorb_step > rec_steps[ri])
         log_weight[ri, ok] = (-ctx.alpha0 * times[ri] + log_g0 - np.log(
             G_u(ctx, (rec_z1[ri, ok], rec_z2[ri, ok]))))
-    # undo the record-time sort so outputs align with the caller's order
-    inverse = np.argsort(order, kind="stable")
     absorb_time = np.where(absorb_step > 0, absorb_step * dt, np.nan)
-    return ZPathEnsemble(
-        record_times=times[inverse],
-        z1=rec_z1[inverse], z2=rec_z2[inverse],
-        log_weight=log_weight[inverse],
-        absorbed=~alive, absorb_time=absorb_time)
+    return ZPathEnsemble(record_times=times, z1=rec_z1, z2=rec_z2,
+                         log_weight=log_weight, absorbed=~alive,
+                         absorb_time=absorb_time)

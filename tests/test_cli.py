@@ -261,6 +261,10 @@ REJECTED_ARGV = [
     ["simulate", "--method", "z-weighted", "--t-list", "1,1"],
     ["density", "--t-list", "1,1"],
     ["simulate", "--method", "z-weighted", "--t-list", "1,1.0004"],
+    # a repeated kappa, which would run its battery twice; a kappa below
+    # the floor of F's accuracy
+    ["check", "--kappas", "6,6"],
+    ["check", "--kappas", "0.2"],
 ]
 REJECTED_IDS = ["kappa_8", "r_quarter", "intersection_kappa_4",
         "z_weighted_time_under_half_step", "z_weighted_dt_2",
@@ -271,7 +275,8 @@ REJECTED_IDS = ["kappa_8", "r_quarter", "intersection_kappa_4",
         "curves_path_start_2^64", "z_weighted_path_start_2^64",
         "master_seed_2^64_plus_1", "master_seed_1_minus_2^64",
         "curves_repeated_radius", "z_weighted_repeated_time",
-        "density_repeated_time", "z_weighted_times_on_one_step"]
+        "density_repeated_time", "z_weighted_times_on_one_step",
+        "check_repeated_kappa", "check_kappa_below_floor"]
 
 
 @pytest.mark.parametrize("argv", REJECTED_ARGV, ids=REJECTED_IDS)
@@ -290,6 +295,8 @@ def test_rejected_configuration_exits_2(argv, tmp_path, capsys):
     ("density", "z0", [0.0, 1.0], "ZState coordinates must lie in (0, pi)"),
     ("density", "z0", [1.0, math.pi],
      "ZState coordinates must lie in (0, pi)"),
+    ("check", "kappas", [0.2], "kappa must be at least KAPPA_MIN = 0.25, "
+     "got 0.2: below it F is not accurate to 1e-10 (ROADMAP item 3)"),
 ])
 def test_kappa_and_z0_rules_are_their_types(command, field, value, message):
     # KappaContext and ZState own these rules: their message comes through
@@ -1118,6 +1125,79 @@ def test_each_command_offers_only_the_flags_it_reads(capsys):
         assert exc.value.code == 0
         shown = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
         assert shown - {"--help"} == flags
+
+
+def test_every_field_has_a_reader_that_offers_its_flag():
+    # the declaration of what each command reads: every RunConfig field
+    # has a reader, and each command offers a flag of exactly its fields
+    # (simulate's of every method, JSON_ONLY aside), with --config, and
+    # fit its input; --method offers the declared methods
+    fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
+    assert {"out_dir"}.union(*cli.COMMAND_FIELDS.values(),
+                             *cli.METHOD_FIELDS.values()) == fields
+    assert set(cli.JSON_ONLY) <= fields
+    parsers = _subparsers()
+    assert set(parsers) == set(cli.COMMAND_FIELDS)
+    for name, p in parsers.items():
+        read = {"out_dir", *cli.COMMAND_FIELDS[name]}
+        if name == "simulate":
+            read.update(*cli.METHOD_FIELDS.values())
+        extra = {"config", "input"} if name == "fit" else {"config"}
+        assert {a.dest for a in p._actions} - {"help"} \
+            == read - set(cli.JSON_ONLY) | extra, name
+    method, = (a for a in parsers["simulate"]._actions if a.dest == "method")
+    assert method.choices == tuple(cli.METHOD_FIELDS)
+
+
+# the fields a sidecar records under "config" besides out_dir: those its
+# command, and simulate's method, reads
+SIMULATE_FIELDS = {"kappa", "master_seed", "method", "n_paths", "dt",
+                   "path_start"}
+SIDECAR_CONFIG = {
+    ("check", None): {"kappas", "n_drift_states", "inject_alpha0_error"},
+    ("density", None): {"kappa", "z0", "t_list", "grid_n", "fit_window"},
+    ("simulate", "z-weighted"): SIMULATE_FIELDS | {"z0", "t_list"},
+    ("simulate", "curves"): SIMULATE_FIELDS | {"cfg", "r_list"},
+    ("simulate", "intersection"): SIMULATE_FIELDS | {"cfg", "r_list"},
+}
+
+
+@pytest.mark.parametrize("command, method", SIDECAR_CONFIG)
+def test_sidecar_config_holds_the_fields_its_command_read(command, method,
+                                                          tmp_path):
+    # one config file sets every field; each command records the values
+    # of the fields it read and no other
+    every = dataclasses.asdict(cli.RunConfig(
+        kappa=7.5, r_list=[0.2], t_list=[0.5], n_paths=20,
+        method=method or "curves", master_seed=1, grid_n=2, kappas=[6.0],
+        n_drift_states=2))
+    config = tmp_path / "every.json"
+    config.write_text(json.dumps(every))
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", str(config),
+                 "--out-dir", str(out_dir)]) == 0
+    sidecar, = out_dir.glob("*.json")
+    recorded = json.loads(sidecar.read_text(encoding="utf-8"))["config"]
+    fields = SIDECAR_CONFIG[command, method] | {"out_dir"}
+    assert recorded == {k: every[k] for k in fields} | {
+        "out_dir": str(out_dir)}
+
+
+def test_check_neither_checks_nor_records_kappa(tmp_path, capsys):
+    # check reads kappas, not kappa: the kappa 9 of a shared config file
+    # is no error there, and density, which reads it, still refuses it
+    config = tmp_path / "k9.json"
+    config.write_text(json.dumps({"kappa": 9}))
+    out_dir = tmp_path / "check"
+    assert main(["check", "--config", str(config),
+                 "--out-dir", str(out_dir)]) == 0
+    report = json.loads((out_dir / "check_report.json").read_text(
+        encoding="utf-8"))
+    assert "kappa" not in report["config"]
+    assert main(["density", "--config", str(config),
+                 "--out-dir", str(tmp_path / "density")]) == 2
+    assert "kappa must lie in (0, 8), got 9.0" in capsys.readouterr().err
+    assert not (tmp_path / "density").exists()
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -395,8 +395,11 @@ class TestModeEvaluator:
             [float.fromhex(h) for h in pins] for pins in self.PINNED[t])
         np.testing.assert_allclose(dens.p_t(BASIS6, self.A, self.XS, t),
                                    series, rtol=1e-13, atol=0)
-        np.testing.assert_allclose(dens.p_t(BASIS6, self.FS, self.XS, t),
-                                   pointwise, rtol=1e-13, atol=0)
+        # p_t takes a single point on one side: one call per point pair
+        np.testing.assert_allclose(
+            [dens.p_t(BASIS6, (fx, fy), (tx, ty), t)
+             for fx, fy, tx, ty in zip(*self.FS, *self.XS)],
+            pointwise, rtol=1e-13, atol=0)
         np.testing.assert_allclose(
             dens.tilde_pZ_t(CTX6, BASIS6, self.Z0, self.ZS, t), tilde,
             rtol=1e-13, atol=0)
@@ -570,10 +573,9 @@ class TestPt:
         basis = dens.SpectralBasis(CTX6, 12)
         rng = np.random.default_rng(1)
         fx, fy, tx, ty = rng.uniform(-0.5, 0.5, (4, 12))
-        scal = np.array([dens.p_t(basis, (fx[i], fy[i]), (tx[i], ty[i]), 0.5)
-                         for i in range(12)])
-        np.testing.assert_allclose(
-            dens.p_t(basis, (fx, fy), (tx, ty), 0.5), scal, atol=1e-13)
+        # arrays on both sides are refused: K is a series in one point
+        with pytest.raises(ValueError, match="single point"):
+            dens.p_t(basis, (fx, fy), (tx, ty), 0.5)
         scal_to = np.array([dens.p_t(basis, (fx[0], fy[0]), (tx[i], ty[i]),
                                      0.5) for i in range(12)])
         np.testing.assert_allclose(
@@ -613,7 +615,8 @@ class TestPt:
         pi_to = dens.p_infty(CTX6, tx, ty)
 
         def c_of(t):
-            p = dens.p_t(BASIS6, (fx, fy), (tx, ty), t)
+            p = np.array([dens.p_t(BASIS6, (a, b), (c, d), t)
+                          for a, b, c, d in zip(fx, fy, tx, ty)])
             return np.max(np.abs(p - pi_to)
                           / (np.exp(-CTX6.lambda_gap * t) * pi_to))
 

@@ -206,17 +206,18 @@ def test_public_names_are_pinned():
                  "UNIT_DRAWS", "derive_stream", "derive_stream_array",
                  "hit_streams", "mix64", "mix64_array", "normal_pair_array",
                  "uniform", "uniform_array", "z_streams"],
-        "checks": ["CheckResult", "DEFAULT_KAPPAS", "SPECTRAL_KAPPA",
-                   "TOLERANCES", "check_chapman_kolmogorov",
+        "checks": ["CheckResult", "DEFAULT_KAPPAS", "N_DRIFT_STATES",
+                   "SPECTRAL_KAPPA", "TOLERANCES", "check_chapman_kolmogorov",
                    "check_drift_residual", "check_eigenfunctions",
                    "check_hyp_ode", "check_hyp_value_at_one",
                    "check_orthonormality", "check_quasi_invariance",
                    "check_stationarity", "run_all_checks"],
-        "cli": ["ConfigError", "RunConfig", "SCHEMA_VERSION", "build_config",
+        "cli": ["COMMAND_FIELDS", "ConfigError", "JSON_ONLY",
+                "METHOD_FIELDS", "RunConfig", "SCHEMA_VERSION", "build_config",
                 "build_parser", "cmd_check", "cmd_density", "cmd_fit",
                 "cmd_report", "cmd_simulate", "fit_records", "main",
                 "read_records_csv", "validate_config", "write_records_csv"],
-        "context": ["KappaContext"],
+        "context": ["KAPPA_MIN", "KappaContext"],
         "density": ["N_CAP", "SERIES_RTOL", "SpectralBasis", "Z_constant",
                     "eigenvalue", "generator_apply", "mode_blocks",
                     "mode_values", "p_infty", "p_t", "pz_over_gu_grid",

@@ -4,9 +4,11 @@ Gauss-Jacobi rule built on it.
 Reference values were computed independently with mpmath (40-digit
 arithmetic) and are frozen here, or, for F and F' next to every Taylor
 centre boundary up to the table's end at the last double below 1, in
-``data/hyp2f1_mpmath40.json``.  The connection coefficient B of F at
-x = 1, which only the ``check`` battery's value-at-one oracle uses, is
-pinned here too.  scipy is the independent oracle of the Jacobi
+``data/hyp2f1_mpmath40.json``, and on a grid of small kappas, the map
+that sets ``context.KAPPA_MIN``, in
+``data/hyp2f1_smallkappa_mpmath40.json``.  The connection coefficient B
+of F at x = 1, which only the ``check`` battery's value-at-one oracle
+uses, is pinned here too.  scipy is the independent oracle of the Jacobi
 polynomials (``eval_jacobi``) and of the Gauss-Jacobi nodes and weights
 (``roots_jacobi``); the package itself imports no scipy.
 """
@@ -26,7 +28,9 @@ from hypothesis import strategies as st
 from scipy.special import eval_jacobi, roots_jacobi
 
 from twocurve import KappaContext
-from twocurve.checks import _connection_B
+from twocurve.checks import (_connection_B, check_hyp_ode,
+                              check_hyp_value_at_one)
+from twocurve.context import KAPPA_MIN
 from twocurve.quadrature import _gauss_jacobi, disc_rule
 from twocurve.special import (
     _GATHER_BYTES, _GT_TABLE_N, _GT_TABLE_XMAX, _horner, _series_F_and_dF,
@@ -367,6 +371,41 @@ class TestTaylorTable:
         # coefficients
         series = _taylor_table(KappaContext(kappa))[2]
         assert series.shape == (degree + 1, 2, 53)
+
+
+SMALL_KAPPA_MAP = json.loads(
+    (pathlib.Path(__file__).parent / "data"
+     / "hyp2f1_smallkappa_mpmath40.json").read_text(encoding="utf-8"))
+
+
+class TestKappaFloor:
+    """F is validated from ``KAPPA_MIN`` up, and ``KappaContext`` refuses a
+    smaller kappa: below it F misses 1e-10 or the hyp checks (0.21 to
+    0.24 fail ``check_hyp_ode``), and at kappa 0.03 and 0.06 it raises."""
+
+    @pytest.mark.parametrize("kappa", [
+        k for k in sorted(SMALL_KAPPA_MAP["values"], key=float)
+        if float(k) >= KAPPA_MIN])
+    def test_map_and_hyp_checks_hold_from_the_floor(self, kappa):
+        x, f_ref, df_ref = np.array(
+            [[float.fromhex(v) for v in row]
+             for row in SMALL_KAPPA_MAP["values"][kappa]]).T
+        ctx = KappaContext(float(kappa))
+        f, df = hyp_F_and_dF(ctx, x)
+        assert np.all(np.abs(f - f_ref) <= 1e-10 * np.abs(f_ref))
+        assert np.all(np.abs(df - df_ref) <= 1e-10 * np.abs(df_ref))
+        assert check_hyp_ode(ctx).passed
+        assert check_hyp_value_at_one(ctx).passed
+
+    def test_floor_lies_on_the_map_above_scanned_kappas(self):
+        kappas = sorted(map(float, SMALL_KAPPA_MAP["values"]))
+        assert KAPPA_MIN in kappas and kappas[0] < KAPPA_MIN
+
+    def test_kappa_below_the_floor_is_refused(self):
+        KappaContext(KAPPA_MIN)
+        with pytest.raises(ValueError, match=r"KAPPA_MIN = 0\.25, got "
+                           r".*F is not accurate.*ROADMAP item 3"):
+            KappaContext(np.nextafter(KAPPA_MIN, 0.0))
 
 
 class TestHypG:

@@ -354,15 +354,15 @@ class TestEnsemble:
         assert np.array_equal(multi.z1[1], single.z1[0])
         assert np.array_equal(multi.z2[1], single.z2[0])
 
-    def test_unsorted_record_times_preserve_caller_order(self):
+    def test_descending_record_times_raise(self):
+        # the one caller, the z-weighted estimator, passes them sorted
         z0 = ZState(1.0, 1.0)
+        with pytest.raises(ValueError, match="ascend"):
+            simulate_z_ensemble(CTX6, z0, 0.2, dt=1e-2, n_paths=8,
+                                master_seed=2, record_times=[0.2, 0.1])
         ens = simulate_z_ensemble(CTX6, z0, 0.2, dt=1e-2, n_paths=8,
-                                  master_seed=2, record_times=[0.2, 0.1])
-        assert_allclose(ens.record_times, [0.2, 0.1])
-        srt = simulate_z_ensemble(CTX6, z0, 0.2, dt=1e-2, n_paths=8,
                                   master_seed=2, record_times=[0.1, 0.2])
-        assert np.array_equal(ens.z1[0], srt.z1[1])
-        assert np.array_equal(ens.z1[1], srt.z1[0])
+        assert_allclose(ens.record_times, [0.1, 0.2])
 
     def test_absorbed_weights_are_minus_infinity(self):
         # a very coarse dt and a near-corner start overshoot the far
